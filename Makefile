@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-baseline bench-compare scaling-gate fuzz-smoke service-smoke lint ci api api-check
+.PHONY: all build test race bench benchmark-smoke bench-baseline bench-compare scaling-gate fuzz-smoke service-smoke lint ci api api-check
 
 all: build
 
@@ -24,6 +24,12 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' ./...
+
+# benchmark/ is a module of its own, so root `go test ./...` never
+# compiles it: its tests run every BENCHMARK.json workload at 1/100
+# scale and check the metric tables against BENCHMARK.json.
+benchmark-smoke:
+	$(GO) test -C benchmark ./...
 
 # Regenerate the committed benchmark baseline (do this deliberately, on a
 # quiet machine, when a PR intentionally changes event counts or
@@ -84,4 +90,4 @@ lint: api-check
 		fi \
 	fi
 
-ci: build lint test race bench fuzz-smoke service-smoke bench-compare
+ci: build lint test race bench benchmark-smoke fuzz-smoke service-smoke bench-compare

@@ -650,10 +650,8 @@ const (
 
 // Event-queue backend names on the wire (OptionsSpec.EventQueue).
 const (
-	EventQueueHeap     = "heap"
-	EventQueueCalendar = "calendar"
-	EventQueueWheel    = "wheel"
-	EventQueueAuto     = "auto"
+	EventQueueWheel = "wheel"
+	EventQueueHeap  = "heap"
 )
 
 // Shard-balancing mode names on the wire (OptionsSpec.ShardBalancing).
@@ -705,13 +703,14 @@ type OptionsSpec struct {
 	RateEpsilon *float64 `json:"rate_epsilon,omitempty"`
 	// FullRecompute disables incremental fair-share solving.
 	FullRecompute bool `json:"full_recompute,omitempty"`
-	// CalendarQueue selects the calendar event queue.
+	// CalendarQueue is accepted and ignored.
 	//
-	// Deprecated: set EventQueue to "calendar" instead. A non-empty
-	// EventQueue wins validation (mismatched combinations are rejected).
+	// Deprecated: the calendar queue is gone; the field stays so v1 specs
+	// that set it keep decoding, and they run on the default wheel.
 	CalendarQueue bool `json:"calendar_queue,omitempty"`
 	// EventQueue selects the kernel's event-queue backend: "" (default
-	// heap) | "heap" | "calendar" | "wheel" | "auto". Results are
+	// wheel) | "wheel" | "heap". "calendar" and "auto", names of removed
+	// backends, are accepted as aliases for the wheel. Results are
 	// byte-identical across backends; only run time differs.
 	EventQueue string `json:"event_queue,omitempty"`
 	// Shards enables multi-core execution.

@@ -366,6 +366,24 @@ func TestV1Fixtures(t *testing.T) {
 		}
 	})
 
+	// A v1 submit naming a backend that no longer exists: "calendar" (and
+	// the older calendar_queue switch) must keep decoding — horse.SpecOptions
+	// treats both as aliases for the default wheel (TestSpecEventQueueAliases
+	// in the root package runs this fixture).
+	t.Run("submit-event-queue-calendar", func(t *testing.T) {
+		f := decode(t, "submit-event-queue-calendar.json")
+		var p SubmitParams
+		if err := json.Unmarshal(f.Params, &p); err != nil {
+			t.Fatal(err)
+		}
+		if o := p.Spec.Options; o.EventQueue != "calendar" || !o.CalendarQueue {
+			t.Fatalf("options %+v, want event_queue \"calendar\" and calendar_queue set", o)
+		}
+		if _, err := p.Spec.Topology.Build(); err != nil {
+			t.Fatal(err)
+		}
+	})
+
 	// A v1 submit carrying link-degradation models: a default Bernoulli
 	// model, a per-link adaptive-rate override, a seed, and a
 	// degrade/restore scenario pair (additive v1 fields).

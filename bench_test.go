@@ -189,10 +189,7 @@ func BenchmarkE9Sharded(b *testing.B) {
 // re-arms completion timers, and cancellation keeps the queue population
 // at live flows instead of accumulating gen-stamped corpses.
 func BenchmarkMillionFlowRecordSink(b *testing.B) {
-	backends := []horse.EventQueue{
-		horse.EventQueueHeap, horse.EventQueueCalendar, horse.EventQueueWheel,
-	}
-	for _, q := range backends {
+	for _, q := range []horse.EventQueue{horse.EventQueueWheel, horse.EventQueueHeap} {
 		q := q
 		b.Run(q.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

@@ -151,50 +151,47 @@ func New(topo *Topology, opts ...Option) (Engine, error) {
 	switch o.fidelity {
 	case Flow:
 		eng = flowsim.New(flowsim.Config{
-			Topology:         topo,
-			Controller:       o.controller,
-			Miss:             o.miss,
-			ControlLatency:   o.controlLat,
-			TCP:              o.tcp,
-			StatsEvery:       o.statsEvery,
-			FullRecompute:    o.fullRecompute,
-			UseCalendarQueue: o.calendar,
-			EventQueue:       eventq.Backend(o.eventQueue),
-			RateEpsilon:      o.rateEpsilon,
-			Shards:           o.shards,
-			Links:            links,
+			Topology:       topo,
+			Controller:     o.controller,
+			Miss:           o.miss,
+			ControlLatency: o.controlLat,
+			TCP:            o.tcp,
+			StatsEvery:     o.statsEvery,
+			FullRecompute:  o.fullRecompute,
+			EventQueue:     eventq.Backend(o.eventQueue),
+			RateEpsilon:    o.rateEpsilon,
+			Shards:         o.shards,
+			Links:          links,
 		})
 	case Packet:
 		eng = packetsim.New(packetsim.Config{
-			Topology:         topo,
-			QueuePackets:     o.queuePackets,
-			Miss:             o.miss,
-			StatsEvery:       o.statsEvery,
-			RTOMin:           o.rtoMin,
-			Controller:       o.controller,
-			ControlLatency:   o.controlLat,
-			UseCalendarQueue: o.calendar,
-			EventQueue:       eventq.Backend(o.eventQueue),
-			Shards:           o.shards,
-			ShardWorkers:     o.shardWorkers,
-			Balance:          packetsim.BalanceMode(o.balance),
-			Links:            links,
+			Topology:       topo,
+			QueuePackets:   o.queuePackets,
+			Miss:           o.miss,
+			StatsEvery:     o.statsEvery,
+			RTOMin:         o.rtoMin,
+			Controller:     o.controller,
+			ControlLatency: o.controlLat,
+			EventQueue:     eventq.Backend(o.eventQueue),
+			Shards:         o.shards,
+			ShardWorkers:   o.shardWorkers,
+			Balance:        packetsim.BalanceMode(o.balance),
+			Links:          links,
 		})
 	case Hybrid:
 		eng = hybrid.New(hybrid.Config{
-			Topology:         topo,
-			Controller:       o.controller,
-			Miss:             o.miss,
-			ControlLatency:   o.controlLat,
-			TCP:              o.tcp,
-			StatsEvery:       o.statsEvery,
-			UseCalendarQueue: o.calendar,
-			EventQueue:       eventq.Backend(o.eventQueue),
-			RateEpsilon:      o.rateEpsilon,
-			QueuePackets:     o.queuePackets,
-			RTOMin:           o.rtoMin,
-			PacketLevel:      o.packetLevel,
-			Links:            links,
+			Topology:       topo,
+			Controller:     o.controller,
+			Miss:           o.miss,
+			ControlLatency: o.controlLat,
+			TCP:            o.tcp,
+			StatsEvery:     o.statsEvery,
+			EventQueue:     eventq.Backend(o.eventQueue),
+			RateEpsilon:    o.rateEpsilon,
+			QueuePackets:   o.queuePackets,
+			RTOMin:         o.rtoMin,
+			PacketLevel:    o.packetLevel,
+			Links:          links,
 		})
 	}
 

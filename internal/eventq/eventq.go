@@ -3,26 +3,26 @@
 // block: every input to the topology — a flow arrival, a link failure, a
 // control-plane message delivery — is an event with a firing time.
 //
-// Three implementations are provided behind the Queue interface: a binary
-// min-heap (the default, O(log n) per operation), a calendar queue
-// (amortized O(1) when event times are spread roughly uniformly, as is the
-// case for high-churn Poisson traffic), and a hierarchical timing wheel
-// (O(1) schedule and O(1) true cancellation, built for timer-dominated
-// million-flow populations). All dequeue events in nondecreasing time
-// order and break ties by order key (Keyed) and then insertion order, so a
-// simulation run is fully deterministic for a given input sequence — and,
-// with entity-derived keys, reproducible by the sharded executor
-// regardless of how scheduling interleaves.
+// Two implementations sit behind the Queue interface. The hierarchical
+// timing wheel (Wheel) is the queue every engine runs on: O(1) schedule,
+// O(1) true cancellation, and a ready run that stays O(log r) per event
+// when thousands of events share one instant. The binary min-heap (Heap)
+// is kept as the determinism oracle: the parity and fuzz tests, and the
+// benchmark's eventq probe, construct it by name and require the wheel to
+// match it. Both dequeue events in nondecreasing time order and break
+// ties by order key (Keyed) and then insertion order, so a simulation run
+// is fully deterministic for a given input sequence — and, with
+// entity-derived keys, reproducible by the sharded executor regardless of
+// how scheduling interleaves.
 //
-// Queues that additionally implement Canceler support true cancellation:
-// PushCancelable returns a Handle and Cancel removes the event before it
-// fires, instead of the generation-stamp pattern where stale timers sit in
-// the queue until they fire as no-ops. The wheel physically unlinks in
-// O(1); heap and calendar mark the entry dead and skip it on dequeue (the
-// entry is never compared through its event again, so cancelled envelopes
-// may be recycled immediately). Len always reports live events only, so
-// engine logic keyed on queue emptiness behaves identically on every
-// backend.
+// Both implement Canceler: PushCancelable returns a Handle and Cancel
+// removes the event before it fires, instead of the generation-stamp
+// pattern where stale timers sit in the queue until they fire as no-ops.
+// The wheel physically unlinks in O(1); the heap marks the entry dead and
+// skips it on dequeue (the entry is never compared through its event
+// again, so cancelled envelopes may be recycled immediately). Len always
+// reports live events only, so engine logic keyed on queue emptiness
+// behaves identically on either backend.
 package eventq
 
 import "horse/internal/simtime"
@@ -69,6 +69,12 @@ type Queue interface {
 	// order key (Keyed; DefaultOrderKey otherwise) and then insertion
 	// order (FIFO). Pop returns nil when the queue is empty.
 	Pop() Event
+	// PopUntil is Pop bounded by a firing time: it removes and returns
+	// the earliest event only if that event fires at or before until, and
+	// otherwise (or when the queue is empty) returns nil and leaves the
+	// queue as it was. The kernel's dispatch loop uses it to honor a run
+	// bound with one look at the queue head per event.
+	PopUntil(until simtime.Time) Event
 	// Peek returns the earliest event without removing it, or nil.
 	Peek() Event
 	// Len returns the number of queued (live, uncancelled) events.
@@ -100,9 +106,9 @@ type Handle struct {
 	gen uint32
 }
 
-// node is the per-event bookkeeping record behind a Handle. Heap and
-// calendar use only (ev, gen, dead) — the node marks a queue entry dead
-// so dequeue can skip it. The wheel stores events entirely in nodes:
+// node is the per-event bookkeeping record behind a Handle. The heap uses
+// only (ev, gen, dead) — the node marks a queue entry dead so dequeue can
+// skip it. The wheel stores events entirely in nodes:
 // slot chains and the overflow list link through prev/next, and `where`
 // records the node's current location so Cancel can unlink in O(1).
 // Nodes are pooled per queue; gen increments on every recycle so stale
@@ -122,8 +128,8 @@ type node struct {
 // Locations for node.where. Values below wheelLevels*wheelSlots are a
 // wheel slot index (level<<wheelBits | slot).
 const (
-	whereNone     = 0xFFFD // not tracked by location (heap/calendar/pooled)
-	whereReady    = 0xFFFE // in the wheel's sorted ready run
+	whereNone     = 0xFFFD // not tracked by location (heap/pooled)
+	whereReady    = 0xFFFE // in the wheel's ready run or late heap
 	whereOverflow = 0xFFFF // in the wheel's overflow list
 )
 
@@ -166,6 +172,11 @@ type item struct {
 	n   *node // non-nil for cancelable entries
 }
 
+// item returns the queue entry for a node whose ordering fields are set.
+func (n *node) item() item {
+	return item{ev: n.ev, t: n.t, key: n.key, seq: n.seq, n: n}
+}
+
 func less(a, b item) bool {
 	if a.t != b.t {
 		return a.t < b.t
@@ -176,13 +187,64 @@ func less(a, b item) bool {
 	return a.seq < b.seq
 }
 
-// Heap is a binary min-heap Queue with hand-rolled typed sift-up/down
-// (no container/heap interface boxing: Push and Pop allocate nothing
-// beyond amortized slice growth). It implements Canceler with lazy
+// itemHeap is a binary min-heap of items under less, with hand-rolled
+// typed sift-up/down (no container/heap interface boxing: push and
+// removeMin allocate nothing beyond amortized slice growth).
+type itemHeap []item
+
+func (h *itemHeap) push(it item) {
+	a := append(*h, it)
+	*h = a
+	i := len(a) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !less(it, a[p]) {
+			break
+		}
+		a[i] = a[p]
+		i = p
+	}
+	a[i] = it
+}
+
+// removeMin removes and returns the root entry.
+func (h *itemHeap) removeMin() item {
+	a := *h
+	min := a[0]
+	n := len(a) - 1
+	it := a[n]
+	a[n] = item{}
+	a = a[:n]
+	*h = a
+	if n == 0 {
+		return min
+	}
+	i := 0
+	for {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		m := l
+		if r := l + 1; r < n && less(a[r], a[l]) {
+			m = r
+		}
+		if !less(a[m], it) {
+			break
+		}
+		a[i] = a[m]
+		i = m
+	}
+	a[i] = it
+	return min
+}
+
+// Heap is a binary min-heap Queue: O(log n) per operation and
+// allocation-free in steady state. It implements Canceler with lazy
 // cancellation: Cancel marks the entry dead in O(1) and dequeue skips
 // corpses. The zero value is ready to use.
 type Heap struct {
-	items []item
+	items itemHeap
 	seq   uint64
 	dead  int // cancelled entries still physically in items
 	pool  nodePool
@@ -194,7 +256,7 @@ func NewHeap() *Heap { return &Heap{} }
 // Push schedules an event.
 func (q *Heap) Push(ev Event) {
 	q.seq++
-	q.push(item{ev: ev, t: ev.Time(), key: orderKeyOf(ev), seq: q.seq})
+	q.items.push(item{ev: ev, t: ev.Time(), key: orderKeyOf(ev), seq: q.seq})
 }
 
 // PushCancelable schedules an event and returns a cancellation handle.
@@ -202,7 +264,7 @@ func (q *Heap) PushCancelable(ev Event) Handle {
 	q.seq++
 	n := q.pool.get()
 	n.ev = ev
-	q.push(item{ev: ev, t: ev.Time(), key: orderKeyOf(ev), seq: q.seq, n: n})
+	q.items.push(item{ev: ev, t: ev.Time(), key: orderKeyOf(ev), seq: q.seq, n: n})
 	return Handle{n: n, gen: n.gen}
 }
 
@@ -221,86 +283,41 @@ func (q *Heap) Cancel(h Handle) (Event, bool) {
 	return ev, true
 }
 
-func (q *Heap) push(it item) {
-	q.items = append(q.items, it)
-	q.siftUp(len(q.items) - 1)
-}
-
-func (q *Heap) siftUp(i int) {
-	it := q.items[i]
-	for i > 0 {
-		p := (i - 1) / 2
-		if !less(it, q.items[p]) {
-			break
-		}
-		q.items[i] = q.items[p]
-		i = p
-	}
-	q.items[i] = it
-}
-
-func (q *Heap) siftDown(i int) {
-	n := len(q.items)
-	it := q.items[i]
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		m := l
-		if r := l + 1; r < n && less(q.items[r], q.items[l]) {
-			m = r
-		}
-		if !less(q.items[m], it) {
-			break
-		}
-		q.items[i] = q.items[m]
-		i = m
-	}
-	q.items[i] = it
-}
-
-// removeMin removes and returns the root entry (live or dead).
-func (q *Heap) removeMin() item {
-	it := q.items[0]
-	n := len(q.items) - 1
-	q.items[0] = q.items[n]
-	q.items[n] = item{}
-	q.items = q.items[:n]
-	if n > 1 {
-		q.siftDown(0)
-	}
-	return it
-}
-
-// Pop removes and returns the earliest live event, or nil if the queue is
-// empty.
-func (q *Heap) Pop() Event {
+// head discards cancelled entries at the root and returns the earliest
+// live entry, or nil when the queue is empty.
+func (q *Heap) head() *item {
 	for len(q.items) > 0 {
-		it := q.removeMin()
-		if it.n != nil {
-			dead := it.n.dead
-			q.pool.put(it.n)
-			if dead {
-				q.dead--
-				continue
-			}
+		it := &q.items[0]
+		if it.n == nil || !it.n.dead {
+			return it
 		}
-		return it.ev
+		q.pool.put(it.n)
+		q.items.removeMin()
+		q.dead--
 	}
 	return nil
 }
 
+// Pop removes and returns the earliest live event, or nil if the queue is
+// empty.
+func (q *Heap) Pop() Event { return q.PopUntil(simtime.Never) }
+
+// PopUntil removes and returns the earliest live event if it fires at or
+// before until; otherwise it returns nil.
+func (q *Heap) PopUntil(until simtime.Time) Event {
+	it := q.head()
+	if it == nil || it.t > until {
+		return nil
+	}
+	if it.n != nil {
+		q.pool.put(it.n)
+	}
+	return q.items.removeMin().ev
+}
+
 // Peek returns the earliest live event without removing it, or nil.
 func (q *Heap) Peek() Event {
-	for len(q.items) > 0 {
-		it := q.items[0]
-		if it.n != nil && it.n.dead {
-			q.removeMin()
-			q.pool.put(it.n)
-			q.dead--
-			continue
-		}
+	if it := q.head(); it != nil {
 		return it.ev
 	}
 	return nil
@@ -310,65 +327,32 @@ func (q *Heap) Peek() Event {
 func (q *Heap) Len() int { return len(q.items) - q.dead }
 
 // Backend names an event-queue implementation. The zero value is the
-// binary heap.
+// timing wheel, the queue every engine runs on.
 type Backend uint8
 
 const (
-	// BackendHeap is the binary min-heap: O(log n) per operation, the
-	// safe default for any workload.
-	BackendHeap Backend = iota
-	// BackendCalendar is the calendar queue: amortized O(1) when event
-	// times are spread roughly uniformly.
-	BackendCalendar
 	// BackendWheel is the hierarchical timing wheel: O(1) schedule and
-	// O(1) true cancellation, built for timer-dominated workloads.
-	BackendWheel
-	// BackendAuto starts on the heap and migrates once to the wheel when
-	// cancelable (timer-class) events dominate the early push mix.
-	BackendAuto
+	// O(1) true cancellation. The default.
+	BackendWheel Backend = iota
+	// BackendHeap is the binary min-heap: O(log n) per operation. It is
+	// the determinism oracle tests and probes compare the wheel against,
+	// not a production choice.
+	BackendHeap
 )
 
 // String returns the wire name of the backend.
 func (b Backend) String() string {
-	switch b {
-	case BackendCalendar:
-		return "calendar"
-	case BackendWheel:
-		return "wheel"
-	case BackendAuto:
-		return "auto"
-	default:
+	if b == BackendHeap {
 		return "heap"
 	}
+	return "wheel"
 }
 
-// ParseBackend maps a wire name ("heap", "calendar", "wheel", "auto") to
-// a Backend. The empty string is the default heap.
-func ParseBackend(s string) (Backend, bool) {
-	switch s {
-	case "", "heap":
-		return BackendHeap, true
-	case "calendar":
-		return BackendCalendar, true
-	case "wheel":
-		return BackendWheel, true
-	case "auto":
-		return BackendAuto, true
-	}
-	return BackendHeap, false
-}
-
-// New returns an empty queue of the selected backend. Every backend
-// implements Canceler.
+// New returns an empty queue of the selected backend. Both backends
+// implement Canceler.
 func New(b Backend) Queue {
-	switch b {
-	case BackendCalendar:
-		return NewCalendar()
-	case BackendWheel:
-		return NewWheel()
-	case BackendAuto:
-		return NewAdaptive()
-	default:
+	if b == BackendHeap {
 		return NewHeap()
 	}
+	return NewWheel()
 }

@@ -18,10 +18,8 @@ func (e *testEvent) Time() simtime.Time { return e.t }
 
 func queues() map[string]func() Queue {
 	return map[string]func() Queue{
-		"heap":     func() Queue { return NewHeap() },
-		"calendar": func() Queue { return NewCalendar() },
-		"wheel":    func() Queue { return NewWheel() },
-		"auto":     func() Queue { return NewAdaptive() },
+		"heap":  func() Queue { return NewHeap() },
+		"wheel": func() Queue { return NewWheel() },
 	}
 }
 
@@ -134,8 +132,8 @@ func TestInterleavedPushPop(t *testing.T) {
 	}
 }
 
-func TestHeapCalendarAgree(t *testing.T) {
-	h, c := NewHeap(), NewCalendar()
+func TestHeapWheelAgree(t *testing.T) {
+	h, c := NewHeap(), NewWheel()
 	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < 2000; i++ {
 		tm := simtime.Time(rng.Int63n(int64(10 * simtime.Second)))
@@ -146,11 +144,11 @@ func TestHeapCalendarAgree(t *testing.T) {
 		he := h.Pop().(*testEvent)
 		ce := c.Pop().(*testEvent)
 		if he.t != ce.t || he.id != ce.id {
-			t.Fatalf("queues diverged: heap (%v,%d) calendar (%v,%d)", he.t, he.id, ce.t, ce.id)
+			t.Fatalf("queues diverged: heap (%v,%d) wheel (%v,%d)", he.t, he.id, ce.t, ce.id)
 		}
 	}
 	if c.Len() != 0 {
-		t.Fatalf("calendar has %d leftover events", c.Len())
+		t.Fatalf("wheel has %d leftover events", c.Len())
 	}
 }
 
@@ -185,51 +183,10 @@ func TestQueueSortProperty(t *testing.T) {
 	}
 }
 
-func TestCalendarResizeStress(t *testing.T) {
-	c := NewCalendar()
-	rng := rand.New(rand.NewSource(7))
-	// Grow far beyond initial capacity, then drain: exercises both the
-	// doubling and halving paths.
-	const n = 20000
-	for i := 0; i < n; i++ {
-		c.Push(&testEvent{t: simtime.Time(rng.Int63n(int64(simtime.Hour))), id: i})
-	}
-	var last simtime.Time = -1
-	for i := 0; i < n; i++ {
-		ev := c.Pop()
-		if ev == nil {
-			t.Fatalf("queue empty after %d pops, want %d", i, n)
-		}
-		if ev.Time() < last {
-			t.Fatalf("out of order at pop %d", i)
-		}
-		last = ev.Time()
-	}
-}
-
-func TestCalendarClusteredTimes(t *testing.T) {
-	// All events in a tiny time window: degenerate for a calendar queue,
-	// must still be correct.
-	c := NewCalendar()
-	for i := 0; i < 1000; i++ {
-		c.Push(&testEvent{t: simtime.Time(i % 3), id: i})
-	}
-	var last simtime.Time = -1
-	for c.Len() > 0 {
-		ev := c.Pop()
-		if ev.Time() < last {
-			t.Fatal("out of order")
-		}
-		last = ev.Time()
-	}
-}
-
 // TestPeekAgreesWithPop drives both queues through a randomized
 // push/peek/pop schedule and checks that Peek always previews exactly the
-// event Pop then returns — the contract the simulation kernel's
-// pre-advance slow path relies on, and a regression test for the
-// calendar's cached-head Peek (which must survive pushes of earlier
-// events, pops, and resizes in any order).
+// event Pop then returns, whatever mix of pushes, pops and cursor
+// advances came before.
 func TestPeekAgreesWithPop(t *testing.T) {
 	for name, mk := range queues() {
 		q := mk()
@@ -239,8 +196,8 @@ func TestPeekAgreesWithPop(t *testing.T) {
 		for i := 0; i < 20000; i++ {
 			switch {
 			case q.Len() == 0 || rng.Intn(4) > 0:
-				// Mix far-future and near-term times so calendar year
-				// jumps, head updates, and resizes all trigger.
+				// Mix far-future and near-term times so cascades and head
+				// updates both trigger.
 				dt := simtime.Duration(rng.Int63n(int64(10 * simtime.Second)))
 				if rng.Intn(8) == 0 {
 					dt = simtime.Duration(rng.Int63n(int64(simtime.Hour)))
@@ -275,39 +232,18 @@ func TestPeekAgreesWithPop(t *testing.T) {
 	}
 }
 
-// TestCalendarPeekAfterEarlierPush: a push earlier than the cached head
-// must displace it.
-func TestCalendarPeekAfterEarlierPush(t *testing.T) {
-	c := NewCalendar()
-	for i := 0; i < 100; i++ {
-		c.Push(&testEvent{t: simtime.Time(int64(simtime.Second) * int64(i+10)), id: i})
-	}
-	if got := c.Peek().Time(); got != simtime.Time(10*simtime.Second) {
-		t.Fatalf("Peek = %v, want 10s", got)
-	}
-	early := &testEvent{t: simtime.Time(simtime.Millisecond), id: 1000}
-	c.Push(early)
-	if got := c.Peek(); got != early {
-		t.Fatalf("Peek after earlier push = %v, want the new head", got)
-	}
-	if got := c.Pop(); got != early {
-		t.Fatalf("Pop = %v, want the new head", got)
-	}
-}
-
 func BenchmarkHeapPushPop(b *testing.B) {
 	benchQueue(b, NewHeap())
 }
 
-func BenchmarkCalendarPushPop(b *testing.B) {
-	benchQueue(b, NewCalendar())
+func BenchmarkWheelPushPop(b *testing.B) {
+	benchQueue(b, NewWheel())
 }
 
-// BenchmarkCalendarPeekPop measures the simulation-loop pattern (Peek
-// every iteration, then Pop): before the cached-head fix, Peek alone was
-// an O(buckets) full scan.
-func BenchmarkCalendarPeekPop(b *testing.B) {
-	benchPeekQueue(b, NewCalendar())
+// BenchmarkWheelPeekPop measures a Peek before every Pop, the cost the
+// kernel's single PopUntil avoids.
+func BenchmarkWheelPeekPop(b *testing.B) {
+	benchPeekQueue(b, NewWheel())
 }
 
 func BenchmarkHeapPeekPop(b *testing.B) {

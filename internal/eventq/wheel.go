@@ -17,21 +17,26 @@ import (
 // beyond the top level's horizon wait in an overflow list and cascade
 // down when the wheel drains up to them.
 //
-// Determinism matches the heap exactly. Slot chains are unordered, but a
-// slot is drained all at once into a sorted "ready run" — sorted by the
-// cached (time, key, FIFO-seq) triple — before anything pops, and events
-// scheduled at or before the cursor's tick insert into the ready run in
-// sorted position. Since every event in a pending slot fires strictly
-// after every event in the ready run, pops leave the wheel in exactly the
-// (time, key, seq) order a heap would produce, byte for byte.
+// Determinism matches the heap exactly. Slot chains are unordered, but
+// every node that becomes due when the cursor advances — a drained
+// level-0 slot, or the part of a cascaded slot or overflow refill that
+// lands on the cursor tick — is appended to the "ready run" and the run
+// is sorted once, by the cached (time, key, FIFO-seq) triple, before
+// anything pops. Events pushed at or before the cursor's tick afterwards
+// go to a side min-heap (late) under the same order, and Pop takes the
+// smaller of the two heads. A same-instant burst of r events therefore
+// costs O(log r) per event however it arrives — one sort for the ones
+// that cascade in together, a heap push for each follow-up — and draining
+// a slot keeps its O(1) pop. Since every event in a pending slot fires
+// strictly after everything that is ready, pops leave the wheel in exactly
+// the (time, key, seq) order a heap would produce, byte for byte.
 //
 // Advancing skips empty regions via per-level occupancy bitmaps: the next
 // occupied slot is found with a handful of word scans, not a tick-by-tick
 // rotation, so a sparse wheel is as cheap to drain as a heap.
 type Wheel struct {
-	tick simtime.Duration
-	// cur is the current tick: every event at a tick <= cur is in the
-	// ready run (or already popped); slots and overflow hold ticks > cur.
+	// cur is the current tick: every event at a tick <= cur is ready (or
+	// already popped); slots and overflow hold ticks > cur.
 	cur   uint64
 	heads [wheelLevels * wheelSlots]*node
 	occ   [wheelLevels][wheelSlots / 64]uint64
@@ -42,12 +47,14 @@ type Wheel struct {
 	ovBoundary uint64
 	overflow   *node
 
-	// ready is the sorted run of due items; ready[readyAt:] is pending.
+	// ready is the sorted run filled by advance; ready[readyAt:] is
+	// pending. late holds events pushed at or before the cursor tick.
 	ready     []item
 	readyAt   int
-	liveReady int // live (uncancelled) items in ready[readyAt:]
+	late      itemHeap
+	liveReady int // live (uncancelled) items in ready[readyAt:] and late
 
-	n    int // live events across ready, slots, and overflow
+	n    int // live events across ready, late, slots, and overflow
 	seq  uint64
 	pool nodePool
 }
@@ -59,30 +66,24 @@ const (
 	wheelMask   = wheelSlots - 1
 )
 
-// DefaultWheelTick is the default tick width: fine enough that sub-tick
-// event bursts (which fall back to sorted ready-run insertion) stay rare
-// in packet-level runs, coarse enough that four 256-slot levels span ~50
-// days of simulated time before the overflow list is needed.
+// DefaultWheelTick is the tick width: fine enough that most packet-level
+// events land in a slot of their own, coarse enough that four 256-slot
+// levels span over an hour of simulated time before the overflow list is
+// needed.
 const DefaultWheelTick = simtime.Microsecond
 
-// NewWheel returns an empty timing wheel with the default tick.
-func NewWheel() *Wheel { return NewWheelTick(DefaultWheelTick) }
-
-// NewWheelTick returns an empty timing wheel with the given tick width.
-func NewWheelTick(tick simtime.Duration) *Wheel {
-	if tick <= 0 {
-		tick = 1
-	}
-	w := &Wheel{tick: tick}
+// NewWheel returns an empty timing wheel.
+func NewWheel() *Wheel {
+	w := &Wheel{}
 	w.ovBoundary = w.windowEnd(wheelLevels - 1)
 	return w
 }
 
-func (w *Wheel) tickOf(t simtime.Time) uint64 {
+func tickOf(t simtime.Time) uint64 {
 	if t < 0 {
 		return 0
 	}
-	return uint64(t) / uint64(w.tick)
+	return uint64(t) / uint64(DefaultWheelTick)
 }
 
 // windowEnd returns the first tick past the span that level `level` can
@@ -109,18 +110,21 @@ func (w *Wheel) push(ev Event) *node {
 	n.t = ev.Time()
 	n.key = orderKeyOf(ev)
 	n.seq = w.seq
-	w.place(n)
+	if d := tickOf(n.t); d > w.cur {
+		w.insertAhead(n, d)
+	} else {
+		n.where = whereReady
+		w.late.push(n.item())
+		w.liveReady++
+	}
 	w.n++
 	return n
 }
 
-// place routes a node to the ready run, a slot, or the overflow list
-// according to its tick's distance from the cursor.
-func (w *Wheel) place(n *node) {
-	d := w.tickOf(n.t)
+// insertAhead routes a node whose tick d lies ahead of the cursor to a
+// slot or the overflow list according to its distance.
+func (w *Wheel) insertAhead(n *node, d uint64) {
 	switch {
-	case d <= w.cur:
-		w.insertReady(n)
 	case d < w.windowEnd(0):
 		w.insertSlot(0, int(d&wheelMask), n)
 	case d < w.windowEnd(1):
@@ -134,24 +138,16 @@ func (w *Wheel) place(n *node) {
 	}
 }
 
-// insertReady places a due node into the pending ready run at its sorted
-// position, preserving exact heap pop order for events scheduled at (or
-// before) the current instant.
-func (w *Wheel) insertReady(n *node) {
-	n.where = whereReady
-	it := item{ev: n.ev, t: n.t, key: n.key, seq: n.seq, n: n}
-	lo, hi := w.readyAt, len(w.ready)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if less(w.ready[mid], it) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+// replace re-routes a node taken off a chain while the cursor advances:
+// onto the (not yet sorted) ready run if the cursor has reached its tick,
+// otherwise to the lower level its shrunken distance now selects.
+func (w *Wheel) replace(n *node) {
+	if d := tickOf(n.t); d > w.cur {
+		w.insertAhead(n, d)
+		return
 	}
-	w.ready = append(w.ready, item{})
-	copy(w.ready[lo+1:], w.ready[lo:])
-	w.ready[lo] = it
+	n.where = whereReady
+	w.ready = append(w.ready, n.item())
 	w.liveReady++
 }
 
@@ -178,7 +174,8 @@ func (w *Wheel) insertOverflow(n *node) {
 }
 
 // Cancel removes a scheduled event. Slot and overflow entries unlink and
-// recycle in O(1); a ready-run entry is marked dead and skipped on pop.
+// recycle in O(1); a ready entry (run or late heap) is marked dead and
+// skipped on pop.
 func (w *Wheel) Cancel(h Handle) (Event, bool) {
 	n := h.n
 	if n == nil || n.gen != h.gen || n.dead {
@@ -191,7 +188,7 @@ func (w *Wheel) Cancel(h Handle) (Event, bool) {
 		n.dead = true
 		w.liveReady--
 		w.n--
-		// Node recycles when the ready run reaches it.
+		// Node recycles when dequeue reaches it.
 	case whereOverflow:
 		if n.prev != nil {
 			n.prev.next = n.next
@@ -229,58 +226,78 @@ func (w *Wheel) unlinkSlot(n *node) {
 	}
 }
 
-// Pop removes and returns the earliest live event, or nil if empty.
-func (w *Wheel) Pop() Event {
+// head makes the earliest live event the head of the ready run or of the
+// late heap — advancing the cursor if nothing is ready, discarding
+// cancelled entries on the way — and returns it with which of the two
+// holds it. It returns nil when the queue is empty.
+func (w *Wheel) head() (it *item, late bool) {
 	for {
 		if w.liveReady == 0 {
 			if w.n == 0 {
 				w.purgeReady()
-				return nil
+				return nil, false
 			}
 			w.advance()
 		}
-		it := w.ready[w.readyAt]
-		w.ready[w.readyAt] = item{}
-		w.readyAt++
-		dead := it.n.dead
+		late = len(w.late) > 0 && (w.readyAt == len(w.ready) || less(w.late[0], w.ready[w.readyAt]))
+		if late {
+			it = &w.late[0]
+		} else {
+			it = &w.ready[w.readyAt]
+		}
+		if !it.n.dead {
+			return it, late
+		}
 		w.pool.put(it.n)
-		if dead {
-			continue
-		}
-		w.liveReady--
-		w.n--
-		if w.readyAt == len(w.ready) {
-			w.ready = w.ready[:0]
-			w.readyAt = 0
-		}
-		return it.ev
+		w.dropHead(late)
 	}
+}
+
+// dropHead removes the entry head returned.
+func (w *Wheel) dropHead(late bool) {
+	if late {
+		w.late.removeMin()
+		return
+	}
+	w.ready[w.readyAt] = item{}
+	w.readyAt++
+	if w.readyAt == len(w.ready) {
+		w.ready = w.ready[:0]
+		w.readyAt = 0
+	}
+}
+
+// Pop removes and returns the earliest live event, or nil if empty.
+func (w *Wheel) Pop() Event { return w.PopUntil(simtime.Never) }
+
+// PopUntil removes and returns the earliest live event if it fires at or
+// before until; otherwise it returns nil.
+func (w *Wheel) PopUntil(until simtime.Time) Event {
+	it, late := w.head()
+	if it == nil || it.t > until {
+		return nil
+	}
+	ev := it.ev
+	w.pool.put(it.n)
+	w.dropHead(late)
+	w.liveReady--
+	w.n--
+	return ev
 }
 
 // Peek returns the earliest live event without removing it, or nil.
 func (w *Wheel) Peek() Event {
-	for {
-		if w.liveReady == 0 {
-			if w.n == 0 {
-				return nil
-			}
-			w.advance()
-		}
-		it := w.ready[w.readyAt]
-		if it.n.dead {
-			w.ready[w.readyAt] = item{}
-			w.readyAt++
-			w.pool.put(it.n)
-			continue
-		}
+	if it, _ := w.head(); it != nil {
 		return it.ev
 	}
+	return nil
 }
 
 // Len returns the number of live queued events.
 func (w *Wheel) Len() int { return w.n }
 
-// purgeReady recycles any dead entries left in the ready run and resets it.
+// purgeReady recycles any dead entries left in the ready run and the late
+// heap and resets both.
 func (w *Wheel) purgeReady() {
 	for i := w.readyAt; i < len(w.ready); i++ {
 		w.pool.put(w.ready[i].n)
@@ -288,44 +305,47 @@ func (w *Wheel) purgeReady() {
 	}
 	w.ready = w.ready[:0]
 	w.readyAt = 0
+	for i := range w.late {
+		w.pool.put(w.late[i].n)
+		w.late[i] = item{}
+	}
+	w.late = w.late[:0]
 }
 
-// advance moves the cursor to the next occupied tick and drains that
-// level-0 slot into the ready run, cascading higher-level slots (and, as
-// a last resort, the overflow list) down as the cursor crosses their
-// windows. Precondition: no live ready items; postcondition: liveReady>0.
+// advance moves the cursor to the next occupied tick and fills the ready
+// run with everything due there: a whole level-0 slot, or the nodes a
+// cascaded higher-level slot (or, as a last resort, the overflow list)
+// holds at exactly the tick the cursor jumps to. The run is sorted once,
+// after the whole batch is in. Precondition: no live ready items;
+// postcondition: liveReady > 0.
 func (w *Wheel) advance() {
 	w.purgeReady()
-	for {
-		if w.liveReady > 0 {
-			return
-		}
+	for w.liveReady == 0 {
 		if s, ok := w.nextOcc(0, int(w.cur&wheelMask)); ok {
 			w.cur = w.cur&^uint64(wheelMask) | uint64(s)
-			w.drainSlot(s)
-			continue
-		}
-		if s, ok := w.nextOcc(1, int(w.cur>>wheelBits&wheelMask)+1); ok {
+			w.cascade(0, s)
+		} else if s, ok := w.nextOcc(1, int(w.cur>>wheelBits&wheelMask)+1); ok {
 			w.cur = w.cur&^(1<<(2*wheelBits)-1) | uint64(s)<<wheelBits
 			w.cascade(1, s)
-			continue
-		}
-		if s, ok := w.nextOcc(2, int(w.cur>>(2*wheelBits)&wheelMask)+1); ok {
+		} else if s, ok := w.nextOcc(2, int(w.cur>>(2*wheelBits)&wheelMask)+1); ok {
 			w.cur = w.cur&^(1<<(3*wheelBits)-1) | uint64(s)<<(2*wheelBits)
 			w.cascade(2, s)
-			continue
-		}
-		if s, ok := w.nextOcc(3, int(w.cur>>(3*wheelBits)&wheelMask)+1); ok {
+		} else if s, ok := w.nextOcc(3, int(w.cur>>(3*wheelBits)&wheelMask)+1); ok {
 			w.cur = w.cur&^(1<<(4*wheelBits)-1) | uint64(s)<<(3*wheelBits)
 			w.cascade(3, s)
-			continue
-		}
-		if w.overflow != nil {
+		} else if w.overflow != nil {
 			w.refillFromOverflow()
-			continue
+		} else {
+			panic("eventq: wheel invariant violated: live events but nothing scheduled")
 		}
-		panic("eventq: wheel invariant violated: live events but nothing scheduled")
 	}
+	// Chains are pushed at the front, so reversing recovers FIFO order,
+	// which makes the sort linear for the common already-ordered case.
+	run := w.ready
+	for i, j := 0, len(run)-1; i < j; i, j = i+1, j-1 {
+		run[i], run[j] = run[j], run[i]
+	}
+	sortItems(run)
 }
 
 // nextOcc scans level's occupancy bitmap for the first occupied slot at or
@@ -348,33 +368,10 @@ func (w *Wheel) nextOcc(level, from int) (int, bool) {
 	}
 }
 
-// drainSlot empties level-0 slot s into the ready run and sorts it. The
-// chain is reversed first so items append in FIFO push order, which makes
-// the insertion sort linear for the common already-ordered case.
-func (w *Wheel) drainSlot(s int) {
-	n := w.heads[s]
-	w.heads[s] = nil
-	w.occ[0][s>>6] &^= 1 << (uint(s) & 63)
-	start := len(w.ready)
-	for n != nil {
-		next := n.next
-		n.prev, n.next = nil, nil
-		n.where = whereReady
-		w.ready = append(w.ready, item{ev: n.ev, t: n.t, key: n.key, seq: n.seq, n: n})
-		w.liveReady++
-		n = next
-	}
-	run := w.ready[start:]
-	// Chains are pushed at the front, so reverse to recover FIFO order.
-	for i, j := 0, len(run)-1; i < j; i, j = i+1, j-1 {
-		run[i], run[j] = run[j], run[i]
-	}
-	sortItems(run)
-}
-
 // cascade empties the slot at (level, s) and re-places each node with the
-// cursor now inside the slot's window, pushing it to a lower level (or the
-// ready run, for nodes at exactly the cursor tick).
+// cursor now inside the slot's window, pushing it to a lower level or, for
+// nodes at exactly the cursor tick (all of them, at level 0), onto the
+// ready run.
 func (w *Wheel) cascade(level, s int) {
 	idx := level<<wheelBits | s
 	n := w.heads[idx]
@@ -383,7 +380,7 @@ func (w *Wheel) cascade(level, s int) {
 	for n != nil {
 		next := n.next
 		n.prev, n.next = nil, nil
-		w.place(n)
+		w.replace(n)
 		n = next
 	}
 }
@@ -394,7 +391,7 @@ func (w *Wheel) cascade(level, s int) {
 func (w *Wheel) refillFromOverflow() {
 	min := ^uint64(0)
 	for n := w.overflow; n != nil; n = n.next {
-		if d := w.tickOf(n.t); d < min {
+		if d := tickOf(n.t); d < min {
 			min = d
 		}
 	}
@@ -405,8 +402,8 @@ func (w *Wheel) refillFromOverflow() {
 	for n != nil {
 		next := n.next
 		n.prev, n.next = nil, nil
-		if w.tickOf(n.t) < w.ovBoundary {
-			w.place(n)
+		if tickOf(n.t) < w.ovBoundary {
+			w.replace(n)
 		} else {
 			w.insertOverflow(n)
 		}

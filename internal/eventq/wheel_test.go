@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"horse/internal/simtime"
 )
@@ -28,9 +29,7 @@ func cancelers() []struct {
 		mk   func() Canceler
 	}{
 		{"heap", func() Canceler { return NewHeap() }},
-		{"calendar", func() Canceler { return NewCalendar() }},
 		{"wheel", func() Canceler { return NewWheel() }},
-		{"auto", func() Canceler { return NewAdaptive() }},
 	}
 }
 
@@ -80,8 +79,8 @@ func TestCancelSemantics(t *testing.T) {
 // qop is one step of a scripted queue workload, shared by the randomized
 // cross-backend test and the fuzz target.
 type qop struct {
-	kind byte   // 0 push, 1 push-cancelable, 2 cancel, 3 pop, 4 peek
-	dt   int64  // firing-time offset from the drive clock (ns)
+	kind byte   // 0 push, 1 push-cancelable, 2 cancel, 3 pop, 4 peek, 5 pop-until
+	dt   int64  // firing-time (or pop bound) offset from the drive clock (ns)
 	key  uint64 // order key
 	idx  int    // which recorded handle to cancel
 }
@@ -114,8 +113,12 @@ func driveScript(q Queue, ops []qop) []string {
 				}
 				out = append(out, fmt.Sprintf("cancel %v %d", ok, evid))
 			}
-		case 3:
-			ev := q.Pop()
+		case 3, 5:
+			until := simtime.Never
+			if op.kind == 5 {
+				until = clock.Add(simtime.Duration(op.dt))
+			}
+			ev := q.PopUntil(until)
 			if ev == nil {
 				out = append(out, "pop nil")
 			} else {
@@ -174,8 +177,7 @@ func compareScripts(t *testing.T, ops []qop) {
 // (time, key, cancel) workloads and requires transcript-identical
 // behavior: same pop sequence, same Len after every op, same cancel
 // outcomes. Time offsets span every wheel level and the overflow list.
-// Offsets are never negative: the calendar queue assumes pushes at or
-// after the dequeue cursor (as every engine guarantees); past-time
+// Offsets are never negative (as every engine guarantees); past-time
 // inserts are covered by the heap-oracle fuzz target instead.
 func TestCrossBackendCancelProperty(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
@@ -183,7 +185,7 @@ func TestCrossBackendCancelProperty(t *testing.T) {
 		n := 200 + rng.Intn(1200)
 		ops := make([]qop, n)
 		for i := range ops {
-			op := qop{kind: byte(rng.Intn(5)), key: uint64(rng.Intn(5))}
+			op := qop{kind: byte(rng.Intn(6)), key: uint64(rng.Intn(5))}
 			// Mostly pushes so the population grows; dt spread over
 			// exponentially many scales so slots, cascades, and overflow
 			// all trigger.
@@ -215,7 +217,7 @@ func decodeOps(data []byte) []qop {
 			dt = -dt
 		}
 		ops = append(ops, qop{
-			kind: b[0] % 5,
+			kind: b[0] % 6,
 			dt:   dt,
 			key:  uint64(b[5]),
 			idx:  int(b[6])<<8 | int(b[7]),
@@ -227,7 +229,8 @@ func decodeOps(data []byte) []qop {
 // FuzzWheelVsHeap fuzzes the wheel's cascade/overflow/ready paths against
 // the heap oracle: any decoded op script must produce identical
 // transcripts. The seed corpus (plus testdata/fuzz) covers far-future
-// overflow pushes, past-time ready inserts, and cancel-heavy mixes.
+// overflow pushes, past-time ready inserts, cancel-heavy mixes, and
+// same-instant bursts at hour-scale times.
 func FuzzWheelVsHeap(f *testing.F) {
 	// Interleaved near/far pushes with pops: exercises cascade.
 	seed1 := make([]byte, 0, 400)
@@ -250,6 +253,19 @@ func FuzzWheelVsHeap(f *testing.F) {
 		seed3 = append(seed3, byte([]byte{1, 1, 2, 3, 2}[i%5]), byte(i), byte(i*11), byte(i%30), byte(i<<7), byte(i%3), 0, byte(i%13), 0, 0)
 	}
 	f.Add(seed3)
+	// Same-instant bursts at hour-scale times: one batch an hour out (it
+	// cascades down from level 3), one two hours out (overflow list), then
+	// pops interleaved with same-instant follow-ups under other keys, a
+	// cancel, and a bounded pop.
+	seed4 := make([]byte, 0, 4000)
+	for i := 0; i < 120; i++ {
+		shift := byte(26 + i%2) // 0xD18C<<26 ns ~ 1 h, <<27 ~ 2 h
+		seed4 = append(seed4, byte(i%2), 0xD1, 0x8C, shift, 0, byte(i*37), 0, 0, 0, 0)
+	}
+	for i := 0; i < 260; i++ {
+		seed4 = append(seed4, byte([]byte{3, 0, 1, 5, 2, 4}[i%6]), 0, 0, 0, 0, byte(i*91), 0, byte(i), 0, 0)
+	}
+	f.Add(seed4)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ops := decodeOps(data)
 		if len(ops) == 0 {
@@ -296,6 +312,70 @@ func TestWheelOverflowRefill(t *testing.T) {
 	}
 	if w.Pop() != nil || w.Len() != 0 {
 		t.Fatal("wheel not empty after drain")
+	}
+}
+
+// burstEvent is a keyedEvent that, when the driver fires it, schedules one
+// same-instant follow-up under a different order key.
+type burstEvent struct {
+	keyedEvent
+	follows bool
+}
+
+// driveBurst schedules same-instant bursts hours ahead — one batch an
+// hour out, which starts in level 3 and cascades down, and one two hours
+// out, beyond the wheel's horizon on the overflow list — then drains the
+// queue, pushing a follow-up at the popped instant for every first-round
+// event. It returns the pop order by event id.
+func driveBurst(q Queue, perBatch int) []int {
+	id := 0
+	for _, at := range []simtime.Time{simtime.Time(simtime.Hour), simtime.Time(2*simtime.Hour) + 37} {
+		for i := 0; i < perBatch; i++ {
+			// Keys descend so push order is the reverse of pop order.
+			q.Push(&burstEvent{keyedEvent{t: at, key: uint64(2 * (perBatch - i)), id: id}, true})
+			id++
+		}
+	}
+	order := make([]int, 0, 2*id)
+	for {
+		ev := q.Pop()
+		if ev == nil {
+			return order
+		}
+		be := ev.(*burstEvent)
+		order = append(order, be.id)
+		if be.follows {
+			// Odd keys interleave the follow-ups with the pending
+			// first-round events instead of queueing behind them.
+			key := uint64(be.id*7919%(2*perBatch)) | 1
+			q.Push(&burstEvent{keyedEvent{t: be.t, key: key, id: id}, false})
+			id++
+		}
+	}
+}
+
+// TestWheelSameInstantBurst is the regression test for the quadratic ready
+// run: 100k events sharing one instant used to enter the sorted run one
+// memmove each (when a cascade landed them on the cursor tick, and again
+// for every same-instant follow-up), ~10^10 item moves for this script.
+// The wheel must reproduce the heap's pop order exactly and finish well
+// inside a bound no quadratic run can meet.
+func TestWheelSameInstantBurst(t *testing.T) {
+	const perBatch = 100_000
+	want := driveBurst(NewHeap(), perBatch)
+	start := time.Now()
+	got := driveBurst(NewWheel(), perBatch)
+	wall := time.Since(start)
+	if len(got) != 4*perBatch || len(got) != len(want) {
+		t.Fatalf("wheel popped %d events, heap %d, want %d", len(got), len(want), 4*perBatch)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("pop %d: wheel id %d, heap id %d", i, got[i], want[i])
+		}
+	}
+	if wall > 5*time.Second {
+		t.Fatalf("draining 2×%d same-instant events took %v; the ready run is not O(log r) per event", perBatch, wall)
 	}
 }
 
@@ -368,7 +448,6 @@ func benchBackends() []struct {
 		mk   func() Canceler
 	}{
 		{"heap", func() Canceler { return NewHeap() }},
-		{"calendar", func() Canceler { return NewCalendar() }},
 		{"wheel", func() Canceler { return NewWheel() }},
 	}
 }

@@ -121,7 +121,7 @@ func TestE5Shape(t *testing.T) {
 
 func TestE6Shape(t *testing.T) {
 	tb := E6Ablations()
-	const variants = 4 // heap, calendar, wheel (incremental) + heap full-recompute
+	const variants = 3 // wheel, heap (incremental) + wheel full-recompute
 	if len(tb.Rows) != 2*variants {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}

@@ -172,13 +172,8 @@ type Config struct {
 	StatsEvery simtime.Duration
 	// FullRecompute disables incremental fair-share solving (E6 ablation).
 	FullRecompute bool
-	// UseCalendarQueue selects the calendar event queue (E6 ablation).
-	//
-	// Deprecated: set EventQueue to eventq.BackendCalendar instead. A
-	// non-default EventQueue wins when both are set.
-	UseCalendarQueue bool
-	// EventQueue selects the kernel's event-queue backend (heap, calendar,
-	// timing wheel, or auto). Ignored when Kernel is set.
+	// EventQueue selects the kernel's event-queue backend (timing wheel
+	// by default; the heap is the test oracle). Ignored when Kernel is set.
 	EventQueue eventq.Backend
 	// RateEpsilon is the relative rate-change threshold below which rate
 	// changes do not reschedule events (default 1%).
@@ -457,7 +452,7 @@ func New(cfg Config) *Simulator {
 	k := cfg.Kernel
 	ownKernel := k == nil
 	if ownKernel {
-		k = simcore.New(simcore.Config{Backend: cfg.EventQueue, UseCalendarQueue: cfg.UseCalendarQueue})
+		k = simcore.New(simcore.Config{Backend: cfg.EventQueue})
 	}
 	net := cfg.Network
 	if net == nil {

@@ -7,6 +7,7 @@ import (
 
 	"horse/internal/addr"
 	"horse/internal/dataplane"
+	"horse/internal/eventq"
 	"horse/internal/header"
 	"horse/internal/netgraph"
 	"horse/internal/openflow"
@@ -26,12 +27,12 @@ func mkWorkload(seed int64) (*netgraph.Topology, traffic.Trace) {
 	return topo, tr
 }
 
-func runVariant(t *testing.T, full, calendar bool) *stats.Collector {
+func runVariant(t *testing.T, full bool, q eventq.Backend) *stats.Collector {
 	t.Helper()
 	topo, tr := mkWorkload(123)
 	sim := New(Config{
 		Topology: topo, Controller: proactiveMAC{}, Miss: dataplane.MissController,
-		FullRecompute: full, UseCalendarQueue: calendar,
+		FullRecompute: full, EventQueue: q,
 	})
 	sim.Load(tr)
 	return mustRun(sim, simtime.Time(simtime.Minute))
@@ -40,17 +41,17 @@ func runVariant(t *testing.T, full, calendar bool) *stats.Collector {
 // TestRecomputeStrategiesAgree verifies the central E6 correctness claim:
 // full and incremental fair-share solving produce identical simulations.
 func TestRecomputeStrategiesAgree(t *testing.T) {
-	a := runVariant(t, false, false)
-	b := runVariant(t, true, false)
+	a := runVariant(t, false, eventq.BackendWheel)
+	b := runVariant(t, true, eventq.BackendWheel)
 	compareRuns(t, a, b, "incremental", "full-recompute")
 }
 
-// TestQueueImplementationsAgree verifies heap and calendar queues produce
-// identical simulations.
+// TestQueueImplementationsAgree verifies the wheel and the heap oracle
+// produce identical simulations.
 func TestQueueImplementationsAgree(t *testing.T) {
-	a := runVariant(t, false, false)
-	b := runVariant(t, false, true)
-	compareRuns(t, a, b, "heap", "calendar")
+	a := runVariant(t, false, eventq.BackendHeap)
+	b := runVariant(t, false, eventq.BackendWheel)
+	compareRuns(t, a, b, "heap", "wheel")
 }
 
 func compareRuns(t *testing.T, a, b *stats.Collector, an, bn string) {

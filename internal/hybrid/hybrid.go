@@ -60,12 +60,8 @@ type Config struct {
 	TCP tcpmodel.Params
 	// StatsEvery samples flow-level link utilization at this period.
 	StatsEvery simtime.Duration
-	// UseCalendarQueue selects the shared kernel's calendar queue.
-	//
-	// Deprecated: set EventQueue to eventq.BackendCalendar instead. A
-	// non-default EventQueue wins when both are set.
-	UseCalendarQueue bool
-	// EventQueue selects the shared kernel's event-queue backend.
+	// EventQueue selects the shared kernel's event-queue backend (timing
+	// wheel by default; the heap is the test oracle).
 	EventQueue eventq.Backend
 	// RateEpsilon is the fair-share significance threshold; it also gates
 	// how often the packet engine's residual capacities recompute.
@@ -145,7 +141,7 @@ func New(cfg Config) *Simulator {
 	if cfg.Topology == nil {
 		panic("hybrid: Config.Topology is required")
 	}
-	k := simcore.New(simcore.Config{Backend: cfg.EventQueue, UseCalendarQueue: cfg.UseCalendarQueue})
+	k := simcore.New(simcore.Config{Backend: cfg.EventQueue})
 	net := dataplane.NewNetwork(cfg.Topology, cfg.Miss)
 	links := cfg.Links
 	if links == nil {
@@ -167,19 +163,18 @@ func New(cfg Config) *Simulator {
 		},
 	})
 	s.flow = flowsim.New(flowsim.Config{
-		Topology:         cfg.Topology,
-		Kernel:           k,
-		Network:          net,
-		Controller:       cfg.Controller,
-		Miss:             cfg.Miss,
-		ControlLatency:   cfg.ControlLatency,
-		TCP:              cfg.TCP,
-		StatsEvery:       cfg.StatsEvery,
-		UseCalendarQueue: cfg.UseCalendarQueue,
-		RateEpsilon:      cfg.RateEpsilon,
-		Links:            links,
-		OnApply:          s.pkt.NotifyApplied,
-		OnRateShift:      s.applyRateShift,
+		Topology:       cfg.Topology,
+		Kernel:         k,
+		Network:        net,
+		Controller:     cfg.Controller,
+		Miss:           cfg.Miss,
+		ControlLatency: cfg.ControlLatency,
+		TCP:            cfg.TCP,
+		StatsEvery:     cfg.StatsEvery,
+		RateEpsilon:    cfg.RateEpsilon,
+		Links:          links,
+		OnApply:        s.pkt.NotifyApplied,
+		OnRateShift:    s.applyRateShift,
 		// Topology dynamics apply once, at the flow engine (which owns
 		// the shared state flips, table wipes, and PortStatus punts);
 		// these hooks propagate the data-plane consequences to the packet

@@ -463,6 +463,13 @@ func (s *Simulator) dropPacket(p *packet) {
 // record emits the flow's statistics record at Finish.
 func (s *Simulator) record(f *pktFlow, sims []*Simulator) {
 	r, _ := s.assemble(f, sims)
+	s.addRecord(r)
+}
+
+// addRecord emits one finished record and tallies its outcome, so a
+// Packet run reports the same completion counters as Flow and Hybrid.
+func (s *Simulator) addRecord(r stats.FlowRecord) {
+	s.col.CountOutcome(r)
 	s.col.AddFlow(r)
 }
 
@@ -606,7 +613,7 @@ func (s *Simulator) emitFinal(idx int32, r stats.FlowRecord) {
 		s.finPending[idx] = r
 		return
 	}
-	s.col.AddFlow(r)
+	s.addRecord(r)
 	s.finNext++
 	for {
 		r2, ok := s.finPending[s.finNext]
@@ -614,7 +621,7 @@ func (s *Simulator) emitFinal(idx int32, r stats.FlowRecord) {
 			return
 		}
 		delete(s.finPending, s.finNext)
-		s.col.AddFlow(r2)
+		s.addRecord(r2)
 		s.finNext++
 	}
 }

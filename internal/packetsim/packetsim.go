@@ -95,15 +95,10 @@ type Config struct {
 	Controller flowsim.Controller
 	// ControlLatency delays every switch↔controller message (default 1ms).
 	ControlLatency simtime.Duration
-	// UseCalendarQueue selects the calendar event queue (shared-kernel
-	// ablation switch; ignored when Kernel is supplied).
-	//
-	// Deprecated: set EventQueue to eventq.BackendCalendar instead. A
-	// non-default EventQueue wins when both are set.
-	UseCalendarQueue bool
-	// EventQueue selects the event-queue backend (heap, calendar, timing
-	// wheel, or auto) for the engine's kernel and, in sharded runs, every
-	// per-shard kernel. Ignored when Kernel is supplied.
+	// EventQueue selects the event-queue backend (timing wheel by
+	// default; the heap is the test oracle) for the engine's kernel and,
+	// in sharded runs, every per-shard kernel. Ignored when Kernel is
+	// supplied.
 	EventQueue eventq.Backend
 
 	// Shards > 1 runs the engine on the sharded multi-core executor:
@@ -502,7 +497,7 @@ func New(cfg Config) *Simulator {
 	k := cfg.Kernel
 	ownKernel := k == nil
 	if ownKernel {
-		k = simcore.New(simcore.Config{Backend: cfg.EventQueue, UseCalendarQueue: cfg.UseCalendarQueue})
+		k = simcore.New(simcore.Config{Backend: cfg.EventQueue})
 	}
 	net := cfg.Network
 	if net == nil {
@@ -849,8 +844,9 @@ func (s *Simulator) Begin() {
 }
 
 // Finish merges the shards' collectors and accounting, records every
-// flow not already emitted by the incremental finalize path, and returns
-// the collector; calling it again is a no-op. Emission order is flow-ID
+// flow not already emitted by the incremental finalize path, sets
+// EventsRun to the dispatch count summed over shards, and returns the
+// collector; calling it again is a no-op. Emission order is flow-ID
 // order throughout: the incrementally finalized prefix already streamed
 // in ID order, and this loop continues from finNext.
 func (s *Simulator) Finish() *stats.Collector {
@@ -865,11 +861,12 @@ func (s *Simulator) Finish() *stats.Collector {
 		if r, ok := s.finPending[int32(idx)]; ok {
 			// Finalized early but held for ID order: emit as recorded.
 			delete(s.finPending, int32(idx))
-			s.col.AddFlow(r)
+			s.addRecord(r)
 			continue
 		}
 		s.record(s.flows[idx], sims)
 	}
+	s.col.EventsRun = s.EventsDispatched()
 	return s.col
 }
 

@@ -84,7 +84,7 @@ func (s *Simulator) initShards() {
 	for i := range clones {
 		c := new(Simulator)
 		*c = *s // share topology, network, and the dense state arrays
-		c.k = simcore.New(simcore.Config{Backend: s.cfg.EventQueue, UseCalendarQueue: s.cfg.UseCalendarQueue})
+		c.k = simcore.New(simcore.Config{Backend: s.cfg.EventQueue})
 		c.pool = simcore.Pool[event]{}
 		c.col = stats.NewCollector(s.cfg.StatsEvery)
 		c.shardID = int32(i)

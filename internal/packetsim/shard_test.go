@@ -352,3 +352,29 @@ func TestShardedActuallyShards(t *testing.T) {
 		}
 	}
 }
+
+// TestCollectorRunCounters pins that a Packet run fills the same run
+// counters a Flow or Hybrid run does: EventsRun is the dispatch count
+// summed over shards, and FlowsCompleted tallies the completed records —
+// both used to read 0.
+func TestCollectorRunCounters(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		topo, tr := goldenFatTree()
+		sim := New(Config{Topology: topo, Miss: dataplane.MissDrop, Shards: shards})
+		installMACRoutes(sim.Network())
+		sim.Load(tr)
+		col := mustRun(sim, simtime.Time(2*simtime.Second))
+		if col.EventsRun == 0 || col.EventsRun != sim.EventsDispatched() {
+			t.Errorf("K=%d: EventsRun = %d, want EventsDispatched() = %d", shards, col.EventsRun, sim.EventsDispatched())
+		}
+		var completed uint64
+		for _, r := range col.Flows() {
+			if r.Completed {
+				completed++
+			}
+		}
+		if completed == 0 || col.FlowsCompleted != completed {
+			t.Errorf("K=%d: FlowsCompleted = %d, want %d completed records", shards, col.FlowsCompleted, completed)
+		}
+	}
+}

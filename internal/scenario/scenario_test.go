@@ -9,6 +9,7 @@ import (
 	"horse/internal/addr"
 	"horse/internal/controller"
 	"horse/internal/dataplane"
+	"horse/internal/eventq"
 	"horse/internal/flowsim"
 	"horse/internal/header"
 	"horse/internal/hybrid"
@@ -303,10 +304,10 @@ func TestGoldenCrossEngineFailureParity(t *testing.T) {
 
 // TestScenarioReplayByteDeterministic is the replay property: the same
 // scenario produces byte-identical flow and link CSVs on repeat runs and
-// across the heap/calendar event-queue implementations. (The -parallel
+// across the wheel/heap event-queue implementations. (The -parallel
 // half of the property lives in experiments: TestE8ParallelDeterminism.)
 func TestScenarioReplayByteDeterministic(t *testing.T) {
-	render := func(calendar bool) (string, string) {
+	render := func(q eventq.Backend) (string, string) {
 		topo := netgraph.LeafSpine(4, 2, 2, netgraph.Gig, netgraph.TenGig)
 		g := traffic.NewGenerator(91)
 		tr := g.PoissonArrivals(traffic.PoissonConfig{
@@ -316,7 +317,7 @@ func TestScenarioReplayByteDeterministic(t *testing.T) {
 		sim := flowsim.New(flowsim.Config{
 			Topology: topo, Controller: controller.NewChain(&controller.ECMPLoadBalancer{}),
 			Miss: dataplane.MissController, StatsEvery: 100 * simtime.Millisecond,
-			UseCalendarQueue: calendar,
+			EventQueue: q,
 		})
 		RandomLinkFailures(topo, FailureConfig{
 			Seed: 7, MTBF: simtime.Second, Recovery: 200 * simtime.Millisecond,
@@ -333,14 +334,14 @@ func TestScenarioReplayByteDeterministic(t *testing.T) {
 		}
 		return flows.String(), links.String()
 	}
-	f1, l1 := render(false)
-	f2, l2 := render(false)
-	f3, l3 := render(true)
+	f1, l1 := render(eventq.BackendWheel)
+	f2, l2 := render(eventq.BackendWheel)
+	f3, l3 := render(eventq.BackendHeap)
 	if f1 != f2 || l1 != l2 {
-		t.Fatal("repeat replay diverged with the heap queue")
+		t.Fatal("repeat replay diverged with the wheel queue")
 	}
 	if f1 != f3 || l1 != l3 {
-		t.Fatal("heap and calendar queues diverged on the same scenario")
+		t.Fatal("wheel and heap queues diverged on the same scenario")
 	}
 	if len(f1) == 0 || f1 == "id,arrival_s,end_s,size_bits,sent_bits,outcome,fct_s,path_len,punts\n" {
 		t.Fatal("replay produced no flow records")

@@ -13,10 +13,11 @@
 //     order, regardless of queue implementation. Order keys derive from
 //     stable simulation entities, which is what lets the sharded executor
 //     (simcore/shard) reproduce a serial run's dispatch order exactly.
-//   - A Peek-free fast path: an unbounded dispatch loop only inspects the
-//     queue head (Peek) when a pre-advance hook has deferred work pending;
-//     otherwise it pops directly. Bounded runs pay one Peek per event to
-//     honor the bound without disturbing tie order.
+//   - One look at the queue head per dispatch: the loop asks the queue
+//     for its earliest event no later than a bound (eventq's PopUntil) —
+//     the run bound, or the current instant while a pre-advance hook has
+//     deferred work pending — so an event beyond the bound stays queued,
+//     tie order undisturbed, without a Peek-then-Pop pair.
 //   - Pre-advance hooks: an engine may defer work that must settle before
 //     virtual time advances past the current instant (flowsim's batched
 //     fair-share re-solve). The kernel drains pending hooks exactly when
@@ -48,16 +49,11 @@ type Event interface {
 
 // Config parameterizes a Kernel.
 type Config struct {
-	// Backend selects the event-queue implementation (heap by default).
+	// Backend selects the event-queue implementation: the timing wheel by
+	// default; eventq.BackendHeap is the determinism oracle tests compare
+	// it against.
 	Backend eventq.Backend
-	// UseCalendarQueue selects the calendar event queue instead of the
-	// binary heap (the original E6 ablation switch).
-	//
-	// Deprecated: set Backend to eventq.BackendCalendar. A non-default
-	// Backend wins when both are set.
-	UseCalendarQueue bool
-	// Queue, if non-nil, is used directly and overrides Backend and
-	// UseCalendarQueue.
+	// Queue, if non-nil, is used directly and overrides Backend.
 	Queue eventq.Queue
 }
 
@@ -84,11 +80,7 @@ type Kernel struct {
 func New(cfg Config) *Kernel {
 	q := cfg.Queue
 	if q == nil {
-		b := cfg.Backend
-		if b == eventq.BackendHeap && cfg.UseCalendarQueue {
-			b = eventq.BackendCalendar
-		}
-		q = eventq.New(b)
+		q = eventq.New(cfg.Backend)
 	}
 	k := &Kernel{q: q}
 	k.qc, _ = q.(eventq.Canceler)
@@ -100,6 +92,10 @@ func (k *Kernel) Now() simtime.Time { return k.now }
 
 // Len returns the number of scheduled events.
 func (k *Kernel) Len() int { return k.q.Len() }
+
+// Queue returns the event queue the kernel runs on, so a test can assert
+// which backend a configuration selected.
+func (k *Kernel) Queue() eventq.Queue { return k.q }
 
 // NextTime returns the firing time of the earliest queued event, or
 // simtime.Never when the queue is empty. The sharded executor uses it to
@@ -174,10 +170,10 @@ type Timer struct {
 }
 
 // ScheduleCancelable queues an event and returns a Timer that can remove
-// it before it fires. On a Canceler-capable queue (every built-in
-// backend) cancellation truly removes the event — on the wheel in O(1),
-// on heap/calendar by marking the entry dead without ever touching the
-// event again — so the engine can recycle the envelope immediately. On an
+// it before it fires. On a Canceler-capable queue (both built-in
+// backends) cancellation truly removes the event — on the wheel in O(1),
+// on the heap by marking the entry dead without ever touching the event
+// again — so the engine can recycle the envelope immediately. On an
 // externally supplied non-Canceler queue the event is wrapped in a pooled
 // envelope that no-ops when cancelled, preserving exact scheduling
 // semantics at the cost of a corpse dispatch.
@@ -339,39 +335,33 @@ func (k *Kernel) RunContext(ctx context.Context, until simtime.Time) error {
 const ctxPollEvery = 256
 
 // next removes and returns the earliest runnable event, honoring
-// pre-advance hooks: deferred work settles before the clock would advance
-// (the drain may schedule events earlier than the stalled head, so the
-// queue is re-examined after each pass). Returns nil when everything has
-// drained or the head lies beyond the bound (the clock then parks at the
-// bound). On the common unbounded path — no hook pending — this is a
-// single Pop with no head inspection (the Peek-free fast path).
+// pre-advance hooks: while deferred work is pending only events at the
+// current instant may run, and once none is left the work settles before
+// the clock would advance (the drain may schedule events earlier than the
+// stalled head, so the queue is re-examined after each pass). Returns nil
+// when everything has drained or the head lies beyond the bound (the
+// clock then parks at the bound). Either way the queue head is inspected
+// once, by PopUntil.
 func (k *Kernel) next(until simtime.Time) Event {
 	for {
-		if k.anyPending() {
-			head := k.q.Peek()
-			if head == nil || head.Time() > k.now {
-				k.drainHooks()
-				if head == nil && k.q.Len() == 0 {
-					return nil
-				}
-				continue
-			}
+		bound, pending := until, k.anyPending()
+		if pending && k.now < bound {
+			bound = k.now
 		}
-		if until != simtime.Never {
-			head := k.q.Peek()
-			if head == nil {
+		if ev := k.q.PopUntil(bound); ev != nil {
+			return ev.(Event)
+		}
+		if pending {
+			k.drainHooks()
+			if k.q.Len() == 0 {
 				return nil
 			}
-			if head.Time() > until {
-				k.now = until
-				return nil
-			}
+			continue
 		}
-		ev := k.q.Pop()
-		if ev == nil {
-			return nil
+		if k.q.Len() > 0 {
+			k.now = until
 		}
-		return ev.(Event)
+		return nil
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"horse/internal/eventq"
 	"horse/internal/simtime"
 )
 
@@ -27,8 +28,8 @@ func (e *testEvent) Release() {
 }
 
 func TestRunDispatchOrder(t *testing.T) {
-	for _, calendar := range []bool{false, true} {
-		k := New(Config{UseCalendarQueue: calendar})
+	for _, b := range []eventq.Backend{eventq.BackendWheel, eventq.BackendHeap} {
+		k := New(Config{Backend: b})
 		var got []int
 		times := []simtime.Time{30, 10, 20, 10, 0}
 		for i, at := range times {
@@ -39,7 +40,7 @@ func TestRunDispatchOrder(t *testing.T) {
 		want := []int{4, 1, 3, 2, 0} // time order, FIFO ties
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("calendar=%v: dispatch order %v, want %v", calendar, got, want)
+				t.Fatalf("%v: dispatch order %v, want %v", b, got, want)
 			}
 		}
 		if k.Dispatched() != uint64(len(times)) {

@@ -29,9 +29,7 @@ type options struct {
 	rateEpsilon   float64
 	rateEpsSet    bool
 	fullRecompute bool
-	calendar      bool
 	eventQueue    EventQueue
-	eventQSet     bool
 	shards        int
 	shardWorkers  int
 	workersSet    bool
@@ -59,9 +57,6 @@ type options struct {
 // (so option order never matters).
 func (o *options) validate() error {
 	bad := func(opt, reason string) error { return &BuildError{Option: opt, Reason: reason} }
-	if o.calendar && o.eventQSet && o.eventQueue != EventQueueCalendar {
-		return bad("WithEventQueue", fmt.Sprintf("conflicts with WithCalendarQueue (which means WithEventQueue(EventQueueCalendar), not %v); drop one", o.eventQueue))
-	}
 	switch o.fidelity {
 	case Flow:
 		if o.packetSet {
@@ -211,56 +206,35 @@ func WithFullRecompute() Option {
 // EventQueue selects the simulation kernel's event-queue backend.
 type EventQueue int
 
-// Event-queue backends. All four dispatch events in exactly the same
-// order — (time, order key, FIFO) — so results are byte-identical across
-// backends; they differ only in cost profile.
+// Event-queue backends. Both dispatch events in exactly the same order —
+// (time, order key, FIFO) — so results are byte-identical across
+// backends; they differ only in cost.
 const (
-	// EventQueueHeap is the binary min-heap: O(log n) operations, the
-	// lowest constant factors, allocation-free. The default.
-	EventQueueHeap EventQueue = iota
-	// EventQueueCalendar is the calendar queue (Brown 1988): amortized
-	// O(1) for uniformly spread event times (the E6 ablation backend).
-	EventQueueCalendar
 	// EventQueueWheel is the hierarchical timing wheel: O(1) schedule and
-	// O(1) true cancellation, the backend for timer-dominated workloads
-	// (million-flow runs rescheduling completions and RTOs constantly).
-	EventQueueWheel
-	// EventQueueAuto starts on the heap and migrates once to the wheel if
-	// cancelable timers dominate the early event mix. Deterministic: the
-	// decision depends only on the schedule sequence.
-	EventQueueAuto
+	// O(1) true cancellation. The default, and the queue every engine is
+	// tuned for.
+	EventQueueWheel EventQueue = iota
+	// EventQueueHeap is the binary min-heap: O(log n) operations. It is
+	// kept as the determinism oracle the wheel is tested against; select
+	// it to cross-check a result, not for speed.
+	EventQueueHeap
 )
 
-// String returns the wire name of the backend ("heap", "calendar",
-// "wheel", "auto").
+// String returns the wire name of the backend ("wheel", "heap").
 func (q EventQueue) String() string {
 	return eventq.Backend(q).String()
 }
 
 // WithEventQueue selects the kernel's event-queue backend (default
-// EventQueueHeap; any fidelity). In sharded runs every per-shard kernel
+// EventQueueWheel; any fidelity). In sharded runs every per-shard kernel
 // uses the selected backend. Results do not depend on the choice — only
 // run time does.
 func WithEventQueue(q EventQueue) Option {
 	return func(o *options) error {
-		if q < EventQueueHeap || q > EventQueueAuto {
+		if q != EventQueueWheel && q != EventQueueHeap {
 			return &BuildError{Option: "WithEventQueue", Reason: fmt.Sprintf("unknown event queue %d", q)}
 		}
 		o.eventQueue = q
-		o.eventQSet = true
-		return nil
-	}
-}
-
-// WithCalendarQueue selects the calendar event queue instead of the
-// binary heap (the E6 ablation switch, any fidelity).
-//
-// Deprecated: use WithEventQueue(EventQueueCalendar). The two remain
-// equivalent; combining WithCalendarQueue with a different WithEventQueue
-// selection is a build error.
-func WithCalendarQueue() Option {
-	return func(o *options) error {
-		o.calendar = true
 		return nil
 	}
 }

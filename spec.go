@@ -96,20 +96,14 @@ func SpecOptions(o wire.OptionsSpec) ([]Option, error) {
 	if o.FullRecompute {
 		opts = append(opts, WithFullRecompute())
 	}
-	if o.CalendarQueue {
-		opts = append(opts, WithCalendarQueue())
-	}
+	// o.CalendarQueue and the "calendar"/"auto" names are horse-wire/v1
+	// aliases for the default wheel: those backends are gone, and every
+	// backend yields byte-identical records, so old specs keep running.
 	switch o.EventQueue {
-	case "":
-		// The default (heap) — no option.
+	case "", wire.EventQueueWheel, "calendar", "auto":
+		// The default (wheel) — no option.
 	case wire.EventQueueHeap:
 		opts = append(opts, WithEventQueue(EventQueueHeap))
-	case wire.EventQueueCalendar:
-		opts = append(opts, WithEventQueue(EventQueueCalendar))
-	case wire.EventQueueWheel:
-		opts = append(opts, WithEventQueue(EventQueueWheel))
-	case wire.EventQueueAuto:
-		opts = append(opts, WithEventQueue(EventQueueAuto))
 	default:
 		return nil, &BuildError{Option: "WithEventQueue", Reason: fmt.Sprintf("unknown event queue %q", o.EventQueue)}
 	}

@@ -2,12 +2,17 @@ package horse_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"horse"
 	"horse/api/wire"
+	"horse/internal/eventq"
+	"horse/internal/simcore"
 )
 
 // specFixture is a small deterministic session: two explicit demands on
@@ -245,5 +250,114 @@ func TestSpecOptionsDefaults(t *testing.T) {
 	// default-built engine (flow fidelity).
 	if _, err := eng.Run(context.Background(), until); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSpecEventQueueAliases is the wire-compatibility contract for the
+// removed backends: the checked-in v1 fixture naming "calendar" (with the
+// older calendar_queue switch set), and "auto", still build and run, on
+// the default queue, with records identical to a spec that names none.
+func TestSpecEventQueueAliases(t *testing.T) {
+	b, err := os.ReadFile(filepath.Join("api", "wire", "testdata", "v1", "submit-event-queue-calendar.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var f wire.Frame
+	if err := json.Unmarshal(b, &f); err != nil {
+		t.Fatal(err)
+	}
+	var p wire.SubmitParams
+	if err := json.Unmarshal(f.Params, &p); err != nil {
+		t.Fatal(err)
+	}
+	run := func(queue string, calendar bool) []horse.FlowRecord {
+		t.Helper()
+		spec := p.Spec
+		spec.Options.EventQueue, spec.Options.CalendarQueue = queue, calendar
+		eng, until, err := horse.NewFromSpec(&spec)
+		if err != nil {
+			t.Fatalf("event_queue %q: %v", queue, err)
+		}
+		if !onWheel(eng) {
+			t.Fatalf("event_queue %q: engine is not on the wheel", queue)
+		}
+		col, err := eng.Run(context.Background(), until)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return col.Flows()
+	}
+	want := run("", false)
+	if len(want) == 0 {
+		t.Fatal("fixture produced no records")
+	}
+	for _, alias := range []struct {
+		queue    string
+		calendar bool
+	}{
+		{p.Spec.Options.EventQueue, p.Spec.Options.CalendarQueue}, // as checked in
+		{"auto", false},
+		{"", true},
+	} {
+		got := run(alias.queue, alias.calendar)
+		if len(got) != len(want) {
+			t.Fatalf("event_queue %q: %d records, default %d", alias.queue, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("event_queue %q: record %d differs:\n default %+v\n   alias %+v", alias.queue, i, want[i], got[i])
+			}
+		}
+	}
+}
+
+// onWheel reports whether the engine's kernel runs on the timing wheel.
+func onWheel(eng horse.Engine) bool {
+	var k *simcore.Kernel
+	switch e := eng.(type) {
+	case *horse.Simulator:
+		k = e.Kernel()
+	case *horse.PacketSimulator:
+		k = e.Kernel()
+	case *horse.HybridSimulator:
+		k = e.Kernel()
+	}
+	_, ok := k.Queue().(*eventq.Wheel)
+	return ok
+}
+
+// TestDefaultQueueIsWheel pins the default at every layer: an engine
+// built with no queue option (each fidelity), a spec with event_queue "",
+// and a zero simcore.Config all get the wheel; the heap is built only
+// when named.
+func TestDefaultQueueIsWheel(t *testing.T) {
+	for _, fid := range []horse.Fidelity{horse.Flow, horse.Packet, horse.Hybrid} {
+		eng, err := horse.New(horse.Star(4, horse.Gig), horse.WithFidelity(fid))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !onWheel(eng) {
+			t.Errorf("horse.New(%v) with no queue option is not on the wheel", fid)
+		}
+	}
+	eng, _, err := horse.NewFromSpec(specFixture())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !onWheel(eng) {
+		t.Error(`NewFromSpec with event_queue "" is not on the wheel`)
+	}
+	if _, ok := simcore.New(simcore.Config{}).Queue().(*eventq.Wheel); !ok {
+		t.Error("simcore.New(Config{}) is not on the wheel")
+	}
+	if horse.EventQueue(0) != horse.EventQueueWheel || eventq.Backend(0) != eventq.BackendWheel {
+		t.Error("the zero EventQueue / Backend is not the wheel")
+	}
+	heap, err := horse.New(horse.Star(4, horse.Gig), horse.WithEventQueue(horse.EventQueueHeap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := heap.(*horse.Simulator).Kernel().Queue().(*eventq.Heap); !ok {
+		t.Error("WithEventQueue(EventQueueHeap) did not build the heap oracle")
 	}
 }
