@@ -14,7 +14,7 @@ test:
 	$(GO) test -shuffle=on ./...
 
 race:
-	$(GO) test -race ./internal/runner/... ./internal/eventq/... ./internal/fairshare/... ./internal/flowsim/... ./internal/simcore/... ./internal/simcore/shard/... ./internal/packetsim/... ./internal/hybrid/... ./internal/scenario/... ./internal/service/... ./internal/linkmodel/...
+	$(GO) test -race ./internal/runner/... ./internal/eventq/... ./internal/fairshare/... ./internal/flowsim/... ./internal/simcore/... ./internal/simcore/shard/... ./internal/packetsim/... ./internal/hybrid/... ./internal/scenario/... ./internal/service/... ./api/wire/... ./internal/linkmodel/...
 	$(GO) test -race -run 'TestParallel|TestE8Parallel|TestE6Shape|TestE10Parallel' ./internal/experiments/...
 	$(GO) test -race -run 'TestShardDeterminism' ./internal/packetsim/
 	$(GO) test -race -run 'TestBalanceDeterminismMatrix|TestScriptedStealMigrates|TestControllerShardingComponents' ./internal/packetsim/
@@ -48,17 +48,19 @@ scaling-gate:
 	$(GO) run ./cmd/horsebench -quick -only E9 -parallel 1 -json BENCH_scaling.json -compare BENCH_baseline.json
 
 # A short native-fuzzing pass over the trace codec, the windowed
-# streaming reader, the timing-wheel cascade/overflow paths, the
-# steal-schedule determinism property (any legal migration schedule
-# yields byte-identical records), and the link-model parity property
-# (any model parameters, seed, shard count, backend, and balancing mode
-# reproduce the serial heap run). Seed corpora are f.Add'd in the fuzz
+# streaming reader, the timing-wheel cascade/overflow paths, the wire
+# Record-frame codec against encoding/json, the steal-schedule
+# determinism property (any legal migration schedule yields
+# byte-identical records), and the link-model parity property (any model
+# parameters, seed, shard count, backend, and balancing mode reproduce
+# the serial heap run). Seed corpora are f.Add'd in the fuzz
 # targets plus any checked-in testdata/fuzz entries; the simulation
 # fuzzers run fewer iterations because every exec runs full simulations.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzTraceRoundTrip -fuzztime=1000x ./internal/traffic/
 	$(GO) test -run='^$$' -fuzz=FuzzStreamVsReadCSV -fuzztime=1000x ./internal/traffic/
 	$(GO) test -run='^$$' -fuzz=FuzzWheelVsHeap -fuzztime=1000x ./internal/eventq/
+	$(GO) test -run='^$$' -fuzz=FuzzRecordFrameCodec -fuzztime=1000x ./api/wire/
 	$(GO) test -run='^$$' -fuzz=FuzzStealSchedule -fuzztime=150x ./internal/packetsim/
 	$(GO) test -run='^$$' -fuzz=FuzzLinkModelParity -fuzztime=25x ./internal/packetsim/
 

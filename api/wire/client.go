@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -27,7 +28,43 @@ type Client struct {
 	pending map[uint64]chan *Frame
 	streams map[string]*Stream
 	readErr error
+
+	// Reader-goroutine state: the canonical Record-frame prefix under the
+	// negotiated version, the chunk Event.Record pointers are handed out
+	// of, and the events decoded in the current read burst, all bound for
+	// the stream burstTo.
+	recHead string
+	slab    []Record
+	burst   []Event
+	burstTo *Stream
 }
+
+// Sizes of the reader's buffers. The read buffer bounds a burst: every
+// complete frame one Read returned is decoded before the stream's
+// consumers are woken, once.
+const (
+	readBufBytes = 64 << 10
+	recordSlab   = 256 // Records per allocation
+)
+
+// DecodeError reports a line from the server that is not a frame (Session
+// and Event empty: the connection fails) or an event whose payload does
+// not decode (that session's stream fails; Recv and Drain return it once
+// the events before it are consumed).
+type DecodeError struct {
+	Session string
+	Event   string
+	Err     error
+}
+
+func (e *DecodeError) Error() string {
+	if e.Event == "" {
+		return fmt.Sprintf("wire: bad frame: %v", e.Err)
+	}
+	return fmt.Sprintf("wire: session %s: bad %s event: %v", e.Session, e.Event, e.Err)
+}
+
+func (e *DecodeError) Unwrap() error { return e.Err }
 
 // Dial connects and performs the Hello handshake offering every version
 // this package speaks. network/addr are net.Dial arguments ("unix",
@@ -66,7 +103,7 @@ func DialAddr(addr string) (*Client, error) {
 func NewClient(conn net.Conn) (*Client, error) {
 	c := &Client{
 		conn:    conn,
-		br:      bufio.NewReader(conn),
+		br:      bufio.NewReaderSize(conn, readBufBytes),
 		pending: map[uint64]chan *Frame{},
 		streams: map[string]*Stream{},
 	}
@@ -78,9 +115,13 @@ func NewClient(conn net.Conn) (*Client, error) {
 	}
 	// The handshake response is read synchronously, before the reader
 	// goroutine exists: nothing else can arrive first.
-	resp, err := c.readFrame()
+	line, err := c.readLine()
 	if err != nil {
 		return nil, fmt.Errorf("wire: handshake: %w", err)
+	}
+	var resp Frame
+	if err := json.Unmarshal(line, &resp); err != nil {
+		return nil, fmt.Errorf("wire: handshake: %w", &DecodeError{Err: err})
 	}
 	if resp.Error != nil {
 		return nil, resp.Error
@@ -88,6 +129,7 @@ func NewClient(conn net.Conn) (*Client, error) {
 	if err := json.Unmarshal(resp.Result, &c.welcome); err != nil {
 		return nil, fmt.Errorf("wire: handshake: %w", err)
 	}
+	c.recHead = recordFramePrefix(c.welcome.Version)
 	go c.readLoop()
 	return c, nil
 }
@@ -113,41 +155,131 @@ func (c *Client) write(f *Frame) error {
 	return err
 }
 
-func (c *Client) readFrame() (*Frame, error) {
-	line, err := c.br.ReadBytes('\n')
-	if err != nil {
-		return nil, err
+// readLine returns the next newline-terminated line. It aliases the read
+// buffer, so it is valid until the next call — except a line longer than
+// the buffer, which is assembled in a slice of its own.
+func (c *Client) readLine() ([]byte, error) {
+	line, err := c.br.ReadSlice('\n')
+	if err != bufio.ErrBufferFull {
+		return line, err
 	}
-	var f Frame
-	if err := json.Unmarshal(line, &f); err != nil {
-		return nil, fmt.Errorf("wire: bad frame: %w", err)
+	long := append([]byte(nil), line...)
+	for err == bufio.ErrBufferFull {
+		line, err = c.br.ReadSlice('\n')
+		long = append(long, line...)
 	}
-	return &f, nil
+	return long, err
 }
 
+// readLoop routes frames until the connection fails. Events are gathered
+// per read burst: they reach their stream when no further complete line
+// is buffered, so consumers are woken once per burst, and never wait on
+// bytes the server has not sent yet.
 func (c *Client) readLoop() {
 	for {
-		f, err := c.readFrame()
+		line, err := c.readLine()
+		if err == nil {
+			err = c.route(line)
+		}
 		if err != nil {
+			c.flushBurst()
 			c.fail(err)
 			return
 		}
-		switch {
-		case f.ID != 0:
-			c.mu.Lock()
-			ch := c.pending[f.ID]
-			delete(c.pending, f.ID)
-			c.mu.Unlock()
-			if ch != nil {
-				ch <- f
-			}
-		case f.Event != "" && f.Session != "":
-			c.mu.Lock()
-			st := c.ensureStreamLocked(f.Session)
-			c.mu.Unlock()
-			st.push(f)
+		if buffered, _ := c.br.Peek(c.br.Buffered()); bytes.IndexByte(buffered, '\n') < 0 {
+			c.flushBurst()
 		}
 	}
+}
+
+// route handles one line: a canonical Record frame on the fast path,
+// anything else through encoding/json. A returned error fails the
+// connection.
+func (c *Client) route(line []byte) error {
+	if len(c.slab) == 0 {
+		c.slab = make([]Record, recordSlab)
+	}
+	rec := &c.slab[0] // consumed only if this line turns out to be a Record
+	if session, ok := decodeRecordFrame(line, c.recHead, rec); ok {
+		c.slab = c.slab[1:]
+		c.enqueue(c.stream(session), Event{Kind: EventRecord, Record: rec})
+		return nil
+	}
+
+	var f Frame
+	if err := json.Unmarshal(line, &f); err != nil {
+		return &DecodeError{Err: err}
+	}
+	switch {
+	case f.ID != 0:
+		c.mu.Lock()
+		ch := c.pending[f.ID]
+		delete(c.pending, f.ID)
+		c.mu.Unlock()
+		if ch != nil {
+			ch <- &f
+		}
+	case f.Event != "" && f.Session != "":
+		st := c.stream([]byte(f.Session))
+		ev := Event{Kind: f.Event}
+		var err error
+		switch f.Event {
+		case EventProgress:
+			ev.Progress = &ProgressEvent{}
+			err = json.Unmarshal(f.Data, ev.Progress)
+		case EventRecord:
+			c.slab = c.slab[1:]
+			ev.Record = rec
+			err = json.Unmarshal(f.Data, rec)
+		case EventDone:
+			ev.Done = &DoneEvent{}
+			err = json.Unmarshal(f.Data, ev.Done)
+		default:
+			return nil // an event kind newer than this client: skip it
+		}
+		if err != nil {
+			// Only this session is unreadable; the events before the bad
+			// one stay deliverable, the connection stays up.
+			c.flushBurst()
+			st.fail(&DecodeError{Session: f.Session, Event: f.Event, Err: err})
+			return nil
+		}
+		c.enqueue(st, ev)
+	}
+	return nil
+}
+
+// stream returns the session's stream. Consecutive events almost always
+// share a session, so the burst's stream is checked before the map.
+func (c *Client) stream(session []byte) *Stream {
+	if st := c.burstTo; st != nil && st.session == string(session) {
+		return st
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if st := c.streams[string(session)]; st != nil {
+		return st
+	}
+	return c.ensureStreamLocked(string(session))
+}
+
+// enqueue adds ev to the burst, delivering the pending events first if
+// they belong to another stream.
+func (c *Client) enqueue(st *Stream, ev Event) {
+	if st != c.burstTo {
+		c.flushBurst()
+		c.burstTo = st
+	}
+	c.burst = append(c.burst, ev)
+}
+
+func (c *Client) flushBurst() {
+	if len(c.burst) == 0 {
+		return
+	}
+	c.burstTo.push(c.burst)
+	clear(c.burst) // the stream holds the Event pointers now
+	c.burst = c.burst[:0]
 }
 
 func (c *Client) fail(err error) {
@@ -299,7 +431,8 @@ type Stream struct {
 
 	mu   sync.Mutex
 	cond *sync.Cond
-	buf  []Event
+	buf  []Event // buf[head:] is unconsumed
+	head int
 	done bool
 	err  error
 }
@@ -313,34 +446,30 @@ func newStream(session string) *Stream {
 // Session returns the stream's session ID.
 func (s *Stream) Session() string { return s.session }
 
-func (s *Stream) push(f *Frame) {
-	ev := Event{Kind: f.Event}
-	switch f.Event {
-	case EventProgress:
-		ev.Progress = &ProgressEvent{}
-		if json.Unmarshal(f.Data, ev.Progress) != nil {
-			return
-		}
-	case EventRecord:
-		ev.Record = &Record{}
-		if json.Unmarshal(f.Data, ev.Record) != nil {
-			return
-		}
-	case EventDone:
-		ev.Done = &DoneEvent{}
-		if json.Unmarshal(f.Data, ev.Done) != nil {
-			return
-		}
-	default:
+// push appends one burst of events (copying them) and wakes consumers
+// once. A failed stream accepts nothing more: its consumers are told of
+// the failure, not handed a stream with a hole in it.
+func (s *Stream) push(evs []Event) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.err != nil {
 		return
 	}
-	s.mu.Lock()
-	s.buf = append(s.buf, ev)
-	if ev.Kind == EventDone {
-		s.done = true
+	if s.head > 0 && s.head >= len(s.buf)/2 {
+		// At least half the buffer is consumed: slide the rest down so a
+		// consumer that lags without ever catching up keeps it bounded by
+		// its backlog.
+		n := copy(s.buf, s.buf[s.head:])
+		clear(s.buf[n:])
+		s.buf, s.head = s.buf[:n], 0
+	}
+	s.buf = append(s.buf, evs...)
+	for i := range evs {
+		if evs[i].Done != nil {
+			s.done = true
+		}
 	}
 	s.cond.Broadcast()
-	s.mu.Unlock()
 }
 
 // rearm clears a consumed Done marker so a repeated Watch on the same
@@ -349,7 +478,7 @@ func (s *Stream) push(f *Frame) {
 // connection are not supported.)
 func (s *Stream) rearm() {
 	s.mu.Lock()
-	if s.done && len(s.buf) == 0 {
+	if s.done && s.head == len(s.buf) {
 		s.done = false
 	}
 	s.mu.Unlock()
@@ -366,14 +495,19 @@ func (s *Stream) fail(err error) {
 
 // Recv returns the next event, blocking until one arrives. After the
 // Done event has been consumed it returns io.EOF; a connection failure
-// before Done surfaces as that error.
+// or an undecodable event (*DecodeError) before Done surfaces as that
+// error, after the events that preceded it.
 func (s *Stream) Recv() (Event, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
-		if len(s.buf) > 0 {
-			ev := s.buf[0]
-			s.buf = s.buf[1:]
+		if s.head < len(s.buf) {
+			ev := s.buf[s.head]
+			s.buf[s.head] = Event{}
+			s.head++
+			if s.head == len(s.buf) {
+				s.buf, s.head = s.buf[:0], 0
+			}
 			return ev, nil
 		}
 		if s.done {

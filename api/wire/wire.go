@@ -24,6 +24,21 @@
 // Events carry no id — they are server-initiated pushes bound to a
 // session the connection subscribed to (via Watch, or a Submit with
 // Stream set).
+//
+// Everything is encoded and decoded with encoding/json except the Record
+// event frame, the one message whose count scales with the simulation.
+// AppendRecordFrame writes it without reflection, byte for byte what
+// json.Marshal would write, and the server emits Record frames only in
+// that one canonical form. Client recognises the canonical form with a
+// hand-written scanner and hands any other line — other field order,
+// escapes, whitespace, unknown or missing fields, every other kind of
+// frame — to encoding/json, so a peer that writes Record frames some
+// other valid way is decoded just the same, only slower. The canonical
+// form is therefore not part of the protocol: clients must not depend on
+// it. FuzzRecordFrameCodec holds both halves to encoding/json.
+//
+// A Stream reports an event it cannot decode as a *DecodeError rather
+// than skipping it, so a client never miscounts records silently.
 package wire
 
 import (

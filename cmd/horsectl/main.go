@@ -24,6 +24,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"flag"
@@ -126,25 +127,13 @@ func runLocal(args []string) error {
 		return err
 	}
 
-	out := io.Writer(os.Stdout)
-	if *flows != "" {
-		f, err := os.Create(*flows)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
+	out, err := openRecordCSV(*flows)
+	if err != nil {
+		return err
 	}
-	fmt.Fprintln(out, "id,arrival_s,end_s,size_bits,sent_bits,completed,outcome,path_len,punts")
-	var sinkErr error
+	defer out.close()
 	eng, until, err := horse.NewFromSpec(&spec, horse.WithRecordSink(func(fr horse.FlowRecord) {
-		r := wire.FromRecord(fr)
-		if _, werr := fmt.Fprintf(out, "%d,%.9f,%.9f,%g,%g,%t,%s,%d,%d\n",
-			r.ID, float64(r.ArrivalNs)/1e9, float64(r.EndNs)/1e9,
-			float64(r.SizeBits), float64(r.SentBits),
-			r.Completed, r.Outcome, r.PathLen, r.Punts); werr != nil && sinkErr == nil {
-			sinkErr = werr
-		}
+		out.add(wire.FromRecord(fr))
 	}))
 	if err != nil {
 		return err
@@ -153,8 +142,8 @@ func runLocal(args []string) error {
 	if err != nil {
 		return err
 	}
-	if sinkErr != nil {
-		return sinkErr
+	if err := out.close(); err != nil {
+		return err
 	}
 	fmt.Fprintf(os.Stderr, "horsectl: run done at t=%.3fs\n", eng.Now().Seconds())
 	fmt.Fprintf(os.Stderr, "run:      %d events\n", col.EventsRun)
@@ -179,33 +168,73 @@ func watch(c *wire.Client, args []string) error {
 	return drain(st.Session, stream, *flows)
 }
 
+// recordCSV is the record sink of run, submit -watch and watch: one CSV
+// row per record, the same bytes whichever way the record arrived, behind
+// a buffer so a row is not a syscall. Write errors are sticky in the
+// buffer and surface from close.
+type recordCSV struct {
+	w *bufio.Writer
+	f *os.File // nil when writing to stdout
+	n int      // rows written
+}
+
+// openRecordCSV opens path (stdout if empty) and writes the header.
+func openRecordCSV(path string) (*recordCSV, error) {
+	c := &recordCSV{w: bufio.NewWriter(os.Stdout)}
+	if path != "" {
+		f, err := os.Create(path)
+		if err != nil {
+			return nil, err
+		}
+		c.f, c.w = f, bufio.NewWriter(f)
+	}
+	c.w.WriteString("id,arrival_s,end_s,size_bits,sent_bits,completed,outcome,path_len,punts\n")
+	return c, nil
+}
+
+func (c *recordCSV) add(r wire.Record) {
+	c.n++
+	fmt.Fprintf(c.w, "%d,%.9f,%.9f,%g,%g,%t,%s,%d,%d\n",
+		r.ID, float64(r.ArrivalNs)/1e9, float64(r.EndNs)/1e9,
+		float64(r.SizeBits), float64(r.SentBits),
+		r.Completed, r.Outcome, r.PathLen, r.Punts)
+}
+
+// close flushes and closes the file, returning the first error. A second
+// call (the deferred one, after the success path has checked the first)
+// does nothing.
+func (c *recordCSV) close() error {
+	err := c.w.Flush()
+	if c.f != nil {
+		if cerr := c.f.Close(); err == nil {
+			err = cerr
+		}
+		c.f = nil
+	}
+	return err
+}
+
 // drain consumes a session stream: records as CSV, progress to stderr,
 // then the final summary in cmd/horse's report format.
 func drain(session string, stream *wire.Stream, flowsOut string) error {
-	out := io.Writer(os.Stdout)
-	if flowsOut != "" {
-		f, err := os.Create(flowsOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
+	out, err := openRecordCSV(flowsOut)
+	if err != nil {
+		return err
 	}
-	fmt.Fprintln(out, "id,arrival_s,end_s,size_bits,sent_bits,completed,outcome,path_len,punts")
-	n := 0
+	defer out.close()
 	done, err := stream.Drain(
 		func(p wire.ProgressEvent) {
+			// Rows become visible at least once per progress report; a
+			// failed flush resurfaces from close.
+			out.w.Flush()
 			fmt.Fprintf(os.Stderr, "horsectl: t=%.3fs events=%d records=%d\n",
-				float64(p.NowNs)/1e9, p.Events, n)
+				float64(p.NowNs)/1e9, p.Events, out.n)
 		},
-		func(r wire.Record) {
-			n++
-			fmt.Fprintf(out, "%d,%.9f,%.9f,%g,%g,%t,%s,%d,%d\n",
-				r.ID, float64(r.ArrivalNs)/1e9, float64(r.EndNs)/1e9,
-				float64(r.SizeBits), float64(r.SentBits),
-				r.Completed, r.Outcome, r.PathLen, r.Punts)
-		})
+		out.add)
 	if err != nil {
+		return err
+	}
+	if err := out.close(); err != nil {
 		return err
 	}
 	printDone(session, done)

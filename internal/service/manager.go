@@ -170,7 +170,9 @@ type session struct {
 	err     error
 	summary *wire.Summary
 	col     *stats.Collector // retained results of non-streamed sessions
-	subs    []*Subscriber
+	// subs is copy-on-write: publish iterates a snapshot outside the lock,
+	// so Watch replaces the slice instead of appending in place.
+	subs []*Subscriber
 }
 
 // Submit validates and admits one session. The engine is built eagerly —
@@ -216,15 +218,14 @@ func (m *Manager) Submit(spec *wire.SessionSpec, name string, stream bool, sub *
 		horse.WithProgressEvery(m.cfg.ProgressEvery, func(p horse.Progress) {
 			s.nowNs.Store(int64(p.Now))
 			s.events.Store(p.Events)
-			s.publish(Push{Session: s.id, Event: wire.EventProgress,
+			s.publish(&Push{Session: s.id, Event: wire.EventProgress,
 				Progress: &wire.ProgressEvent{NowNs: int64(p.Now), Events: p.Events}})
 		}),
 	}
 	if stream {
 		extra = append(extra, horse.WithRecordSink(func(r horse.FlowRecord) {
 			s.records++
-			rec := wire.FromRecord(r)
-			s.publish(Push{Session: s.id, Event: wire.EventRecord, Record: &rec})
+			s.publish(&Push{Session: s.id, Event: wire.EventRecord, Record: wire.FromRecord(r)})
 		}))
 	}
 	eng, until, err := horse.NewFromSpec(spec, extra...)
@@ -334,23 +335,31 @@ func (s *session) finalize(col *stats.Collector, err error) {
 		if sub.closed() {
 			continue
 		}
-		if !s.stream && col != nil {
-			for _, r := range col.Flows() {
-				rec := wire.FromRecord(r)
-				sub.send(Push{Session: s.id, Event: wire.EventRecord, Record: &rec})
-			}
+		if !s.stream {
+			s.replay(col, sub)
 		}
-		sub.send(Push{Session: s.id, Event: wire.EventDone, Done: done})
+		sub.send(&Push{Session: s.id, Event: wire.EventDone, Done: done})
+	}
+}
+
+// replay sends a retained collector's records (none if col is nil).
+func (s *session) replay(col *stats.Collector, sub *Subscriber) {
+	if col == nil {
+		return
+	}
+	p := Push{Session: s.id, Event: wire.EventRecord}
+	for _, r := range col.Flows() {
+		p.Record = wire.FromRecord(r)
+		sub.send(&p)
 	}
 }
 
 // publish delivers a push to every live subscriber, in subscription
 // order. Runs on the simulation goroutine (record sinks, progress
 // hooks): delivery order per session is exactly engine order.
-func (s *session) publish(p Push) {
+func (s *session) publish(p *Push) {
 	s.mu.Lock()
-	subs := make([]*Subscriber, len(s.subs))
-	copy(subs, s.subs)
+	subs := s.subs
 	s.mu.Unlock()
 	for _, sub := range subs {
 		sub.send(p)
@@ -496,15 +505,10 @@ func (m *Manager) Watch(id string, sub *Subscriber) (wire.SessionStatus, error) 
 		col := s.col
 		done := s.doneEventLocked()
 		s.mu.Unlock()
-		if col != nil {
-			for _, r := range col.Flows() {
-				rec := wire.FromRecord(r)
-				sub.send(Push{Session: s.id, Event: wire.EventRecord, Record: &rec})
-			}
-		}
-		sub.send(Push{Session: s.id, Event: wire.EventDone, Done: done})
+		s.replay(col, sub)
+		sub.send(&Push{Session: s.id, Event: wire.EventDone, Done: done})
 	default:
-		s.subs = append(s.subs, sub)
+		s.subs = append(s.subs[:len(s.subs):len(s.subs)], sub)
 		s.mu.Unlock()
 	}
 	return s.status(), nil

@@ -66,7 +66,7 @@ func drainSession(t *testing.T, sub *service.Subscriber, session string) ([]wire
 			}
 			switch p.Event {
 			case wire.EventRecord:
-				recs = append(recs, *p.Record)
+				recs = append(recs, p.Record)
 			case wire.EventDone:
 				return recs, *p.Done
 			}

@@ -226,36 +226,9 @@ func (sv *Server) handle(c *serverConn) {
 		return
 	}
 
-	// Push pump: one subscriber carries every watched session's events,
-	// written as event frames interleaved with responses. When the
-	// subscriber closes, the pump flushes whatever is still buffered
-	// (shutdown relies on this to deliver the final Done events) before
-	// signalling pumpDone.
-	c.sub = NewSubscriber(256)
+	c.sub = NewSubscriber(subscriberPushes)
 	c.pumpStarted.Store(true)
-	go func() {
-		defer close(c.pumpDone)
-		for {
-			select {
-			case p := <-c.sub.C():
-				if c.writeFrame(pushFrame(p)) != nil {
-					c.sub.Close()
-					return
-				}
-			case <-c.sub.quit:
-				for {
-					select {
-					case p := <-c.sub.C():
-						if c.writeFrame(pushFrame(p)) != nil {
-							return
-						}
-					default:
-						return
-					}
-				}
-			}
-		}
-	}()
+	go c.pump()
 
 	for sc.Scan() {
 		f, werr := decodeFrame(sc.Bytes())
@@ -285,19 +258,76 @@ func decodeFrame(line []byte) (*wire.Frame, *wire.Error) {
 	return &f, nil
 }
 
-func pushFrame(p Push) *wire.Frame {
-	f := &wire.Frame{Event: p.Event, Session: p.Session}
-	var payload interface{}
-	switch p.Event {
-	case wire.EventProgress:
-		payload = p.Progress
-	case wire.EventRecord:
-		payload = p.Record
-	case wire.EventDone:
+// Bounds on what a connection buffers server-side. A session publishing
+// to a client that has stopped reading parks after at most
+// subscriberPushes queued pushes plus one pump buffer of encoded frames
+// (plus whatever the kernel's socket buffer holds).
+const (
+	subscriberPushes = 256
+	pushFlushBytes   = 32 << 10
+)
+
+// pump is the connection's push pump: one subscriber carries every
+// watched session's events, written as event frames interleaved with
+// responses at frame boundaries. It blocks for the first push of a
+// burst, encodes everything already queued behind it into one buffer, and
+// issues one Write — when the queue is momentarily empty or the buffer
+// passes pushFlushBytes, whichever comes first, so a lone record is never
+// held back waiting for company. When the subscriber closes, the pump
+// writes whatever is still queued (shutdown relies on this to deliver the
+// final Done events) and exits, closing pumpDone.
+func (c *serverConn) pump() {
+	defer close(c.pumpDone)
+	buf := make([]byte, 0, pushFlushBytes+4096) // the last frame of a burst overshoots
+	quit := c.sub.quit
+	for {
+		if quit != nil {
+			select {
+			case p := <-c.sub.c:
+				buf = c.appendPush(buf, &p)
+			case <-quit:
+				quit = nil // flush mode: no more blocking
+			}
+		}
+		for queued := true; queued && len(buf) < pushFlushBytes; {
+			select {
+			case p := <-c.sub.c:
+				buf = c.appendPush(buf, &p)
+			default:
+				queued = false
+			}
+		}
+		if len(buf) == 0 {
+			return // closed and drained
+		}
+		c.writeMu.Lock()
+		_, err := c.Write(buf)
+		c.writeMu.Unlock()
+		if err != nil {
+			c.sub.Close()
+			return
+		}
+		buf = buf[:0]
+	}
+}
+
+// appendPush appends p's event frame and its newline to buf. Record
+// frames, the per-flow volume, come from the wire package's append
+// encoder; Progress and Done are rare and go through encoding/json.
+func (c *serverConn) appendPush(buf []byte, p *Push) []byte {
+	if p.Event == wire.EventRecord {
+		buf = wire.AppendRecordFrame(buf, c.version, p.Session, &p.Record)
+		return append(buf, '\n')
+	}
+	var payload interface{} = p.Progress
+	if p.Event == wire.EventDone {
 		payload = p.Done
 	}
-	f.Data, _ = json.Marshal(payload)
-	return f
+	f := wire.Frame{V: c.version, Event: p.Event, Session: p.Session}
+	f.Data, _ = json.Marshal(payload) // both payloads are plain structs
+	b, _ := json.Marshal(&f)
+	buf = append(buf, b...)
+	return append(buf, '\n')
 }
 
 // dispatch handles one request frame. A returned error tears the

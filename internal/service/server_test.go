@@ -16,9 +16,13 @@ import (
 	"horse/internal/simtime"
 )
 
-// startServer runs a wire server on a unix socket and returns its
-// address. Everything is torn down with the test.
-func startServer(t *testing.T, cfg service.Config) string {
+// unixListener is a listening unix socket and the path to dial it by.
+type unixListener struct {
+	l    net.Listener
+	addr string
+}
+
+func listenUnix(t testing.TB) unixListener {
 	t.Helper()
 	// t.TempDir can exceed the unix socket path limit; use a short one.
 	dir, err := os.MkdirTemp("", "horsed")
@@ -31,20 +35,28 @@ func startServer(t *testing.T, cfg service.Config) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := service.NewServer(service.New(cfg), "horsed-test")
-	served := make(chan error, 1)
-	go func() { served <- srv.Serve(l) }()
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			t.Errorf("shutdown: %v", err)
-		}
-		if err := <-served; err != nil {
-			t.Errorf("serve: %v", err)
-		}
-	})
-	return path
+	return unixListener{l: l, addr: path}
+}
+
+// startServer runs a wire server on a unix socket and returns its
+// address. Everything is torn down with the test.
+func startServer(t *testing.T, cfg service.Config) string {
+	t.Helper()
+	u := listenUnix(t)
+	serve(t, service.New(cfg), u.l)
+	return u.addr
+}
+
+// dialRawUnix connects without a wire.Client: the test speaks the
+// protocol itself.
+func dialRawUnix(t *testing.T, path string) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("unix", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	return conn
 }
 
 func dialTest(t *testing.T, path string) *wire.Client {

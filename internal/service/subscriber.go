@@ -14,8 +14,11 @@ type Push struct {
 	// Event is wire.EventProgress, wire.EventRecord, or wire.EventDone.
 	Event    string
 	Progress *wire.ProgressEvent
-	Record   *wire.Record
-	Done     *wire.DoneEvent
+	// Record is carried by value: records are the one push whose count
+	// scales with the simulation, and a pointer would cost an allocation
+	// each.
+	Record wire.Record
+	Done   *wire.DoneEvent
 }
 
 // Subscriber is one consumer of session push events — in the daemon, one
@@ -53,11 +56,11 @@ func (s *Subscriber) Close() {
 	s.once.Do(func() { close(s.quit) })
 }
 
-// send delivers p unless the subscriber is closed.
-func (s *Subscriber) send(p Push) {
+// send delivers *p unless the subscriber is closed.
+func (s *Subscriber) send(p *Push) {
 	select {
 	case <-s.quit:
-	case s.c <- p:
+	case s.c <- *p:
 	}
 }
 
