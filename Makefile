@@ -16,9 +16,7 @@ test:
 race:
 	$(GO) test -race ./internal/runner/... ./internal/eventq/... ./internal/fairshare/... ./internal/flowsim/... ./internal/simcore/... ./internal/simcore/shard/... ./internal/packetsim/... ./internal/hybrid/... ./internal/scenario/... ./internal/service/... ./api/wire/... ./internal/linkmodel/...
 	$(GO) test -race -run 'TestParallel|TestE8Parallel|TestE6Shape|TestE10Parallel' ./internal/experiments/...
-	$(GO) test -race -run 'TestShardDeterminism' ./internal/packetsim/
-	$(GO) test -race -run 'TestBalanceDeterminismMatrix|TestScriptedStealMigrates|TestControllerShardingComponents' ./internal/packetsim/
-	$(GO) test -race -run 'TestLinkModelShardParity' ./internal/packetsim/
+	$(GO) test -race -run='^$$' -fuzz=FuzzPortSchedule -fuzztime=2000x ./internal/packetsim/
 	$(GO) test -race -run 'TestParallelMatchesSerial' ./internal/fairshare/
 	$(GO) test -race -run 'TestStreamEquivalence' .
 
@@ -53,9 +51,12 @@ scaling-gate:
 # determinism property (any legal migration schedule yields
 # byte-identical records), and the link-model parity property (any model
 # parameters, seed, shard count, backend, and balancing mode reproduce
-# the serial heap run). Seed corpora are f.Add'd in the fuzz
-# targets plus any checked-in testdata/fuzz entries; the simulation
-# fuzzers run fewer iterations because every exec runs full simulations.
+# the serial heap run), and the port-schedule property (the one-event
+# transmitter agrees with the two-event reference model on any scenario
+# of flows, failures, link models, external load and polls). Seed corpora
+# are f.Add'd in the fuzz targets plus any checked-in testdata/fuzz
+# entries; the whole-fabric simulation fuzzers run fewer iterations
+# because every exec runs full simulations.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzTraceRoundTrip -fuzztime=1000x ./internal/traffic/
 	$(GO) test -run='^$$' -fuzz=FuzzStreamVsReadCSV -fuzztime=1000x ./internal/traffic/
@@ -63,6 +64,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzRecordFrameCodec -fuzztime=1000x ./api/wire/
 	$(GO) test -run='^$$' -fuzz=FuzzStealSchedule -fuzztime=150x ./internal/packetsim/
 	$(GO) test -run='^$$' -fuzz=FuzzLinkModelParity -fuzztime=25x ./internal/packetsim/
+	$(GO) test -run='^$$' -fuzz=FuzzPortSchedule -fuzztime=2000x ./internal/packetsim/
 
 # End-to-end daemon smoke: horsed on a unix socket, horsectl submit with
 # streamed records, a mid-run cancel, and a SIGTERM drain.

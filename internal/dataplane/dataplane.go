@@ -43,6 +43,13 @@ type Switch struct {
 
 	// PacketIns counts punts to the controller.
 	PacketIns uint64
+
+	// gen advances whenever anything Process reads may have changed:
+	// Apply, ExpireEntries and Reset bump it themselves, and the engines
+	// call Invalidate when a port of this switch changes liveness. The
+	// tables, groups and meters must not be mutated any other way
+	// (TestStateMutatesOnlyBehindGen scans the module for it).
+	gen uint64
 }
 
 // NewSwitch returns an initialized switch for the given topology node.
@@ -58,6 +65,7 @@ func NewSwitch(node netgraph.NodeID, miss MissBehavior) *Switch {
 // — modeling a switch crash: a restarted switch comes back with empty
 // tables and must be re-programmed by the controller.
 func (s *Switch) Reset() {
+	s.gen++
 	for i := range s.Tables {
 		s.Tables[i] = openflow.NewFlowTable()
 	}
@@ -65,10 +73,21 @@ func (s *Switch) Reset() {
 	s.Meters = openflow.NewMeterTable()
 }
 
+// Gen returns the switch's decision generation. A Decision computed by
+// Process stays valid for its key exactly as long as Gen is unchanged,
+// which is what lets the packet engine memoize per-flow decisions.
+func (s *Switch) Gen() uint64 { return s.gen }
+
+// Invalidate advances Gen for a change outside the OpenFlow state that
+// Process depends on — a port of this switch going up or down (group
+// bucket liveness).
+func (s *Switch) Invalidate() { s.gen++ }
+
 // Apply executes a FlowMod/GroupMod/MeterMod against the switch state at
 // time now. It returns an error for malformed messages (unknown table,
 // reserved IDs); the simulator surfaces these as controller bugs.
 func (s *Switch) Apply(msg openflow.Message, now simtime.Time) error {
+	s.gen++
 	switch m := msg.(type) {
 	case *openflow.FlowMod:
 		if int(m.Table) >= NumTables {
@@ -162,6 +181,7 @@ func (s *Switch) NextExpiry() simtime.Time {
 // notification contents cannot drift between fidelities.
 func (s *Switch) ExpireEntries(now simtime.Time) []*openflow.FlowRemoved {
 	var removed []*openflow.FlowRemoved
+	s.gen++
 	for tid, t := range s.Tables {
 		for _, e := range t.Expire(now) {
 			idle := e.IdleTimeout > 0 && now >= e.LastUsed.Add(e.IdleTimeout)

@@ -413,3 +413,42 @@ func TestApplyTimeoutPlumbed(t *testing.T) {
 		t.Error("timeout/install time not plumbed")
 	}
 }
+
+// TestGenAdvances: every way the outcome of Process can change advances
+// Gen, which is what the packet engine's decision memo is validated by.
+func TestGenAdvances(t *testing.T) {
+	s := NewSwitch(1, MissDrop)
+	last := s.Gen()
+	step := func(what string) {
+		t.Helper()
+		if g := s.Gen(); g == last {
+			t.Errorf("%s left Gen at %d", what, g)
+		} else {
+			last = g
+		}
+	}
+	add := &openflow.FlowMod{Op: openflow.FlowAdd, Priority: 1, Match: header.MatchAll,
+		Instr: openflow.Apply(openflow.Output(1)), HardTimeout: simtime.Second}
+	if err := s.Apply(add, 0); err != nil {
+		t.Fatal(err)
+	}
+	step("FlowAdd")
+	if err := s.Apply(&openflow.GroupMod{Op: openflow.GroupAdd, GroupID: 1, Type: openflow.GroupSelect}, 0); err != nil {
+		t.Fatal(err)
+	}
+	step("GroupAdd")
+	if err := s.Apply(&openflow.MeterMod{Op: openflow.MeterAdd, MeterID: 1, RateBps: 1}, 0); err != nil {
+		t.Fatal(err)
+	}
+	step("MeterAdd")
+	if got := s.ExpireEntries(simtime.Time(2 * simtime.Second)); len(got) != 1 {
+		t.Fatalf("expired %d entries, want 1", len(got))
+	}
+	step("ExpireEntries")
+	s.Apply(&openflow.FlowMod{Op: openflow.FlowDelete, Match: header.MatchAll}, 0)
+	step("FlowDelete")
+	s.Invalidate()
+	step("Invalidate")
+	s.Reset()
+	step("Reset")
+}

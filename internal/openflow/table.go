@@ -2,7 +2,6 @@ package openflow
 
 import (
 	"fmt"
-	"sort"
 
 	"horse/internal/header"
 	"horse/internal/simtime"
@@ -82,10 +81,6 @@ type FlowTable struct {
 	// order, and Lookup merges the two streams.
 	byDst map[header.MAC][]*FlowEntry
 	rest  []*FlowEntry
-
-	// Table counters.
-	Lookups uint64
-	Matched uint64
 }
 
 // NewFlowTable returns an empty table.
@@ -166,17 +161,15 @@ func (t *FlowTable) Add(e *FlowEntry, now simtime.Time) {
 	}
 	t.nextSeq++
 	e.seq = t.nextSeq
-	t.entries = append(t.entries, e)
-	sort.SliceStable(t.entries, func(i, j int) bool { return entryLess(t.entries[i], t.entries[j]) })
+	t.entries = insertSorted(t.entries, e)
 	t.indexAdd(e)
 }
 
 // Lookup returns the highest-priority entry matching the key, or nil for a
-// table miss. It updates table counters but not entry counters — the data
-// plane owns those because a "packet count" at flow granularity depends on
-// flow volume.
+// table miss. It does not update entry counters — the data plane owns
+// those because a "packet count" at flow granularity depends on flow
+// volume.
 func (t *FlowTable) Lookup(key header.FlowKey) *FlowEntry {
-	t.Lookups++
 	// Merge the per-destination bucket with the rest list in priority
 	// order, returning the first match encountered.
 	bucket := t.byDst[key.EthDst]
@@ -194,7 +187,6 @@ func (t *FlowTable) Lookup(key header.FlowKey) *FlowEntry {
 			e, rest = rest[0], rest[1:]
 		}
 		if e.Match.Matches(key) {
-			t.Matched++
 			return e
 		}
 	}

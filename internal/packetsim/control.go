@@ -248,6 +248,9 @@ func (s *Simulator) portStats(dp netgraph.NodeID, port netgraph.PortNum) *openfl
 		}
 		txDir := s.dirFrom(dp, p)
 		rxDir := txDir ^ 1 // the opposite direction of the same link
+		if op := s.ports[txDir]; op != nil {
+			s.settle(txDir, op)
+		}
 		ps := openflow.PortStats{
 			Port: p, LinkBps: l.BandwidthBps, Up: l.Up,
 			TxBits: s.txBits[txDir], RxBits: s.rxBits[rxDir],
@@ -281,7 +284,10 @@ const meterBurst = 0.05
 // meterAdmit refills the token bucket for (sw, id) and admits the packet
 // if tokens cover it; otherwise the meter drops the packet.
 func (s *Simulator) meterAdmit(sw netgraph.NodeID, id openflow.MeterID, bits float64) bool {
-	m := s.net.Switches[sw].Meters.Get(id)
+	if id == 0 {
+		return true // "no meter" on a memoized entry
+	}
+	m := s.switches[sw].Meters.Get(id)
 	if m == nil || m.RateBps <= 0 {
 		return true
 	}

@@ -43,6 +43,7 @@ func (s *Simulator) handleLinkChange(id netgraph.LinkID, up bool) {
 // topology change.
 func (s *Simulator) handleLinkDegrade(id netgraph.LinkID, m linkmodel.Model) {
 	s.links.SetLink(id, m)
+	s.NotifyLinkDegrade(id, m)
 	s.observers.Notify(simevent.Observation{
 		At: s.k.Now(), Kind: simevent.LinkDegrade, Link: id, Up: m == nil,
 	})
@@ -70,20 +71,69 @@ func (s *Simulator) applyLinkState(id netgraph.LinkID, up bool, silent netgraph.
 // pending serialization is cancelled, and packets mid-propagation are
 // invalidated via the link epoch. Recovery needs no action: the queues
 // drained at failure time and transmitters restart with the next packet.
+// Either way the endpoint switches' memoized decisions are invalidated:
+// group bucket selection watches port liveness.
 func (s *Simulator) NotifyLinkChange(id netgraph.LinkID, up bool) {
+	l := s.topo.Link(id)
+	for _, end := range []netgraph.NodeID{l.A, l.B} {
+		if sw := s.switches[end]; sw != nil {
+			sw.Invalidate()
+		}
+	}
 	if up {
 		return
 	}
 	for _, dir := range []int32{int32(id) << 1, int32(id)<<1 | 1} {
 		s.linkEpoch[dir]++
-		if op := s.ports[dir]; op != nil {
-			op.txGen++ // cancel the in-flight evTxDone
-			for i, p := range op.queue {
-				s.losePacket(p)
-				op.queue[i] = nil
-			}
-			op.queue = op.queue[:0]
-			op.busy = false
+		op := s.ports[dir]
+		if op == nil {
+			continue
+		}
+		// A head whose serialization ended before now is on the wire (the
+		// epoch bump loses it at arrival); one still serializing — or
+		// ending exactly now, since topology changes order first in an
+		// instant — is lost here with the rest of the queue, and its
+		// already scheduled arrival is neutralised.
+		s.settle(dir, op)
+		op.txGen++ // cancel the in-flight evTxDone
+		op.armed = false
+		if len(op.queue) > 0 && op.lazy {
+			op.queue[0].dead = true
+		}
+		for i, p := range op.queue {
+			s.losePacket(p)
+			op.queue[i] = nil
+		}
+		op.queue = op.queue[:0]
+	}
+}
+
+// NotifyLinkDegrade reacts to a link-model change on the shared registry
+// (hybrid runs: the flow engine applied it). A model's Corrupt draw is
+// dated at the end of serialization, so a frame caught in service whose
+// arrival was already scheduled is handed to the two-event transmitter:
+// the scheduled arrival is neutralised and a copy departs through
+// evTxDone. Removing a model needs nothing — depart finds none and draws
+// nothing.
+func (s *Simulator) NotifyLinkDegrade(id netgraph.LinkID, m linkmodel.Model) {
+	if m == nil {
+		return
+	}
+	for _, dir := range []int32{int32(id) << 1, int32(id)<<1 | 1} {
+		op := s.ports[dir]
+		if op == nil {
+			continue
+		}
+		s.settle(dir, op)
+		if len(op.queue) == 0 || !op.lazy {
+			continue
+		}
+		head := *op.queue[0]
+		op.queue[0].dead = true
+		op.queue[0] = &head
+		op.lazy = false
+		if !op.armed {
+			s.armTxDone(dir, op)
 		}
 	}
 }

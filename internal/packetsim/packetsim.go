@@ -161,8 +161,28 @@ type Simulator struct {
 	lastTx    []float64 // txBits at the previous stats sample
 	linkEpoch []uint64
 
-	// dirAt maps (node, port) to the transmit direction index.
-	dirAt [][]int32
+	// dirAt maps (node, port) to the transmit direction index. hostTx is
+	// each host's transmit direction on its access link (-1 for switches
+	// and unattached hosts) and switches is net.Switches by NodeID — both
+	// fixed at New, so the per-packet path probes no map.
+	dirAt    [][]int32
+	hostTx   []int32
+	switches []*dataplane.Switch
+
+	// lazyTx reports that every link has a positive propagation delay —
+	// the precondition of the one-event transmitter (see startTx). late
+	// says the event being dispatched orders after evTxDone at its
+	// instant (evSend, evRTO, evStats): only such an event may retire a
+	// head whose serialization ends exactly now. Per-clone.
+	lazyTx bool
+	late   bool
+
+	// memo holds each switch's forward-decision memo and memoGen the
+	// dataplane.Switch.Gen it was filled under; see memoSlot. Allocated
+	// on a switch's first memoizable decision; written only by the
+	// switch's owning shard.
+	memo    []*[memoSlots]memoSlot
+	memoGen []uint64
 
 	// extLoad is the external (flow-level) load per transmit direction in
 	// a hybrid run; the transmitter sees only the residual capacity.
@@ -284,27 +304,48 @@ type Simulator struct {
 	finished bool
 }
 
-// outPort is a link-direction transmitter with a drop-tail queue.
+// outPort is a link-direction transmitter with a drop-tail queue. The
+// head of a non-empty queue is in service until freeAt.
 type outPort struct {
 	link    *netgraph.Link
 	from    netgraph.NodeID
 	queue   []*packet
-	busy    bool
 	dropped uint64
 	// txGen cancels the pending serialization-done event when a link
 	// failure flushes the queue: evTxDone fires only when its stamp still
 	// matches, so a transmitter restarted after recovery cannot be popped
 	// early by a stale completion.
 	txGen uint64
+	// freeAt is when the head's serialization ends. armed says an evTxDone
+	// is scheduled for it (always, once a second packet queues behind it);
+	// an unarmed head is retired by whoever touches the port next (settle).
+	// lazy says the head's arrival was scheduled at start of service, so
+	// its evTxDone — if any — only pops it.
+	freeAt simtime.Time
+	armed  bool
+	lazy   bool
+	// ghostAt is the instant a head was retired at an exact freeAt tie by
+	// an event ordering before its evTxDone: until that instant ends, the
+	// two-event transmitter would still count it against the queue limit.
+	ghostAt simtime.Time
 }
 
+// packet stays in the 48-byte size class: the flags and the VLAN ride in
+// what used to be padding.
 type packet struct {
 	flow    *pktFlow
-	seq     int  // data sequence number (packet index)
-	ack     bool // true for ACKs
-	ackSeq  int  // cumulative ACK (next expected seq)
+	seq     int // data sequence number (packet index)
+	ackSeq  int // cumulative ACK (next expected seq)
 	bits    float64
+	ack     bool // true for ACKs
 	retrans bool
+	// dead marks a frame a link failure or a model install took off the
+	// wire after its arrival was scheduled: the arrival is then a no-op
+	// (whoever set the flag did the accounting).
+	dead bool
+	// vlan is the VLAN ID the packet carries (0 = untagged), rewritten by
+	// set-/pop-VLAN actions hop by hop like Network.Walk's key.
+	vlan uint16
 }
 
 // puntedPkt is a packet parked at a switch awaiting control-plane action.
@@ -543,9 +584,27 @@ func New(cfg Config) *Simulator {
 	}
 	// (node, port) → transmit direction index.
 	s.dirAt = make([][]int32, nNodes)
+	s.lazyTx = true
 	for _, l := range topo.Links() {
 		s.setDir(l.A, l.APort, int32(l.ID)<<1)
 		s.setDir(l.B, l.BPort, int32(l.ID)<<1|1)
+		if l.Delay <= 0 {
+			s.lazyTx = false
+		}
+	}
+	s.hostTx = make([]int32, nNodes)
+	s.switches = make([]*dataplane.Switch, nNodes)
+	s.memo = make([]*[memoSlots]memoSlot, nNodes)
+	s.memoGen = make([]uint64, nNodes)
+	for n := netgraph.NodeID(0); int(n) < nNodes; n++ {
+		s.hostTx[n] = -1
+		s.switches[n] = net.Switches[n]
+		if topo.Node(n).Kind != netgraph.KindHost {
+			continue
+		}
+		if sw, swPort := topo.AttachedSwitch(n); sw >= 0 {
+			s.hostTx[n] = s.dirFrom(n, topo.LinkAt(sw, swPort).PortAt(n))
+		}
 	}
 	s.ctx = flowsim.NewContext(s)
 	s.clones = []*Simulator{s}
@@ -871,12 +930,16 @@ func (s *Simulator) Finish() *stats.Collector {
 }
 
 func (s *Simulator) dispatch(e *event) {
+	s.late = e.kind == evSend || e.kind == evRTO || e.kind == evStats
 	switch e.kind {
 	case evSend:
 		s.trySend(e.flow)
 	case evTxDone:
 		s.txDone(e.dir, e.gen)
 	case evArriveNode:
+		if e.pkt.dead {
+			return
+		}
 		if e.gen != s.linkEpoch[e.dir] {
 			// The link died under the packet mid-propagation.
 			s.losePacket(e.pkt)
