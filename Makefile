@@ -45,8 +45,9 @@ bench-compare:
 scaling-gate:
 	$(GO) run ./cmd/horsebench -quick -only E9 -parallel 1 -json BENCH_scaling.json -compare BENCH_baseline.json
 
-# A short native-fuzzing pass over the trace codec, the windowed
-# streaming reader, the timing-wheel cascade/overflow paths, the wire
+# A short native-fuzzing pass over the trace codec, the CSV writer
+# against encoding/csv, the windowed streaming reader (its strict scanner
+# and encoding/csv fallback against ReadCSV), the timing-wheel cascade/overflow paths, the wire
 # Record-frame codec against encoding/json, the steal-schedule
 # determinism property (any legal migration schedule yields
 # byte-identical records), and the link-model parity property (any model
@@ -59,6 +60,7 @@ scaling-gate:
 # because every exec runs full simulations.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzTraceRoundTrip -fuzztime=1000x ./internal/traffic/
+	$(GO) test -run='^$$' -fuzz=FuzzWriteCSV -fuzztime=1000x ./internal/traffic/
 	$(GO) test -run='^$$' -fuzz=FuzzStreamVsReadCSV -fuzztime=1000x ./internal/traffic/
 	$(GO) test -run='^$$' -fuzz=FuzzWheelVsHeap -fuzztime=1000x ./internal/eventq/
 	$(GO) test -run='^$$' -fuzz=FuzzRecordFrameCodec -fuzztime=1000x ./api/wire/

@@ -223,7 +223,16 @@ type PortLive func(netgraph.PortNum) bool
 
 // Process runs key through the switch pipeline starting at table 0.
 func (s *Switch) Process(key header.FlowKey, live PortLive) Decision {
-	d := Decision{Out: netgraph.NoPort, Key: key}
+	var d Decision
+	s.process(&d, key, live)
+	return d
+}
+
+// process is Process into d, appending the matched entries and meters to
+// whatever d.Entries and d.Meters already hold (the path walk passes its
+// accumulators to avoid a slice per hop); every other field is reset.
+func (s *Switch) process(d *Decision, key header.FlowKey, live PortLive) {
+	*d = Decision{Out: netgraph.NoPort, Key: key, Entries: d.Entries, Meters: d.Meters}
 	table := openflow.TableID(0)
 	for {
 		e := s.Tables[table].Lookup(d.Key)
@@ -241,21 +250,21 @@ func (s *Switch) Process(key header.FlowKey, live PortLive) Decision {
 					d.Drop = true
 				}
 			}
-			return d
+			return
 		}
 		d.Entries = append(d.Entries, e)
 		if e.Instr.Meter != 0 {
 			d.Meters = append(d.Meters, e.Instr.Meter)
 		}
-		s.applyActions(e.Instr.Actions, &d, live)
+		s.applyActions(e.Instr.Actions, d, live)
 		if d.Drop {
-			return d
+			return
 		}
 		if e.Instr.HasGoto && e.Instr.GotoTable > table && int(e.Instr.GotoTable) < NumTables {
 			table = e.Instr.GotoTable
 			continue
 		}
-		return d
+		return
 	}
 }
 

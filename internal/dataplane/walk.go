@@ -83,6 +83,17 @@ type PathResult struct {
 	FloodReaches bool
 	// ExitKey is the flow key on delivery (after any rewrites).
 	ExitKey header.FlowKey
+
+	// Walk scratch kept with the result so WalkInto reuses it: the
+	// (switch, key) states visited, for loop detection, and one switch's
+	// meters.
+	seen   []visit
+	meters []openflow.MeterID
+}
+
+type visit struct {
+	node netgraph.NodeID
+	key  header.FlowKey
 }
 
 // Network is the collection of switch states over a topology, plus the walk
@@ -90,70 +101,107 @@ type PathResult struct {
 type Network struct {
 	Topo     *netgraph.Topology
 	Switches map[netgraph.NodeID]*Switch
+
+	// byID is Switches as a dense table by NodeID (nil for hosts) and
+	// live each node's port-liveness oracle, built once so the per-hop
+	// path allocates nothing.
+	byID []*Switch
+	live []PortLive
 }
 
 // NewNetwork creates a Network with a switch (of the given miss behavior)
 // for every switch node in the topology.
 func NewNetwork(topo *netgraph.Topology, miss MissBehavior) *Network {
-	n := &Network{Topo: topo, Switches: make(map[netgraph.NodeID]*Switch)}
+	n := &Network{
+		Topo:     topo,
+		Switches: make(map[netgraph.NodeID]*Switch),
+		byID:     make([]*Switch, topo.NumNodes()),
+		live:     make([]PortLive, topo.NumNodes()),
+	}
 	for _, id := range topo.Switches() {
 		n.Switches[id] = NewSwitch(id, miss)
+		n.byID[id] = n.Switches[id]
+	}
+	for i := range n.live {
+		id := netgraph.NodeID(i)
+		n.live[i] = func(p netgraph.PortNum) bool {
+			l := topo.LinkAt(id, p)
+			return l != nil && l.Up
+		}
 	}
 	return n
 }
 
+// Switch returns the state of switch id, or nil when id is not a switch.
+func (n *Network) Switch(id netgraph.NodeID) *Switch {
+	if int(id) < 0 || int(id) >= len(n.byID) {
+		return nil
+	}
+	return n.byID[id]
+}
+
 // PortLiveFunc returns the liveness oracle for a switch: a port is live if
 // its link exists and is up.
-func (n *Network) PortLiveFunc(sw netgraph.NodeID) PortLive {
-	return func(p netgraph.PortNum) bool {
-		l := n.Topo.LinkAt(sw, p)
-		return l != nil && l.Up
-	}
-}
+func (n *Network) PortLiveFunc(sw netgraph.NodeID) PortLive { return n.live[sw] }
 
 // Walk resolves the path of a flow with the given key from a source host to
 // a destination host. dst may be -1 when unknown (delivery is then detected
 // by reaching any host matching the key's EthDst — Horse identifies hosts
 // by MAC, so normally dst is known).
 func (n *Network) Walk(key header.FlowKey, src, dst netgraph.NodeID) PathResult {
-	res := PathResult{ExitKey: key}
+	var res PathResult
+	n.WalkInto(&res, key, src, dst)
+	return res
+}
+
+// WalkInto is Walk writing into res: the previous contents are replaced,
+// and the backing arrays of its slices are reused, so a caller that keeps
+// one PathResult per walker resolves paths without allocating.
+func (n *Network) WalkInto(res *PathResult, key header.FlowKey, src, dst netgraph.NodeID) {
+	*res = PathResult{
+		ExitKey:   key,
+		Hops:      res.Hops[:0],
+		Entries:   res.Entries[:0],
+		Meters:    res.Meters[:0],
+		PacketIns: res.PacketIns[:0],
+		seen:      res.seen[:0],
+		meters:    res.meters,
+	}
 	sw, inPort := n.Topo.AttachedSwitch(src)
 	if sw < 0 {
 		res.Terminal = Stuck
 		res.At = src
-		return res
+		return
 	}
 	if l := n.Topo.LinkAt(sw, inPort); l == nil || !l.Up {
 		res.Terminal = Stuck
 		res.At = src
-		return res
+		return
 	}
 
-	type visit struct {
-		node netgraph.NodeID
-		key  header.FlowKey
-	}
-	seen := make(map[visit]bool)
 	cur, curIn, curKey := sw, inPort, key
-
 	maxHops := 4*n.Topo.NumNodes() + 8
 	for hop := 0; hop < maxHops; hop++ {
-		v := visit{cur, curKey}
-		if seen[v] {
-			res.Terminal = Looped
-			res.At = cur
-			return res
+		// Paths are a handful of hops, so a linear scan of the states
+		// visited so far beats a map.
+		for i := range res.seen {
+			if res.seen[i].node == cur && res.seen[i].key == curKey {
+				res.Terminal = Looped
+				res.At = cur
+				return
+			}
 		}
-		seen[v] = true
+		res.seen = append(res.seen, visit{cur, curKey})
 
-		s := n.Switches[cur]
+		s := n.Switch(cur)
 		if s == nil {
 			res.Terminal = Stuck
 			res.At = cur
-			return res
+			return
 		}
-		d := s.Process(curKey, n.PortLiveFunc(cur))
-		res.Entries = append(res.Entries, d.Entries...)
+		d := Decision{Entries: res.Entries, Meters: res.meters[:0]}
+		s.process(&d, curKey, n.live[cur])
+		res.Entries, res.meters = d.Entries, d.Meters
 		for _, m := range d.Meters {
 			res.Meters = append(res.Meters, MeterRef{Switch: cur, Meter: m})
 		}
@@ -164,18 +212,18 @@ func (n *Network) Walk(key header.FlowKey, src, dst netgraph.NodeID) PathResult 
 		case d.Drop:
 			res.Terminal = Dropped
 			res.At = cur
-			return res
+			return
 		case d.Flood:
 			res.Terminal = Flooded
 			res.At = cur
 			res.FloodReaches = n.floodReaches(cur, curIn, dst)
-			return res
+			return
 		case d.Out != netgraph.NoPort:
 			link := n.Topo.LinkAt(cur, d.Out)
 			if link == nil || !link.Up {
 				res.Terminal = Stuck
 				res.At = cur
-				return res
+				return
 			}
 			next, nextPort := link.Peer(cur)
 			res.Hops = append(res.Hops, Hop{Switch: cur, InPort: curIn, OutPort: d.Out, Link: link})
@@ -183,28 +231,27 @@ func (n *Network) Walk(key header.FlowKey, src, dst netgraph.NodeID) PathResult 
 				if next == dst || dst < 0 {
 					res.Terminal = Delivered
 					res.ExitKey = d.Key
-					return res
+					return
 				}
 				// Delivered to the wrong host: the policy misdirected the
 				// flow; classify as dropped there.
 				res.Terminal = Dropped
 				res.At = next
-				return res
+				return
 			}
 			cur, curIn, curKey = next, nextPort, d.Key
 		case d.ToController:
 			res.Terminal = Punted
 			res.At = cur
-			return res
+			return
 		default:
 			res.Terminal = Dropped
 			res.At = cur
-			return res
+			return
 		}
 	}
 	res.Terminal = Looped
 	res.At = cur
-	return res
 }
 
 // floodReaches reports whether flooding from sw (excluding inPort) would

@@ -79,6 +79,15 @@ type Queue interface {
 	Peek() Event
 	// Len returns the number of queued (live, uncancelled) events.
 	Len() int
+	// Reserve takes the next n FIFO sequence numbers without queuing
+	// anything and returns the first; events pushed later sort after all
+	// of them on ties. An ingestion cursor reserves one number per demand
+	// up front and pushes each demand lazily with its own number, so ties
+	// break exactly as if the whole trace had been pushed at once.
+	Reserve(n int) uint64
+	// PushSeq schedules an event under a sequence number obtained from
+	// Reserve (each number used at most once) instead of the next one.
+	PushSeq(ev Event, seq uint64)
 }
 
 // Canceler is the optional cancellation capability of a Queue. Engines
@@ -257,6 +266,18 @@ func NewHeap() *Heap { return &Heap{} }
 func (q *Heap) Push(ev Event) {
 	q.seq++
 	q.items.push(item{ev: ev, t: ev.Time(), key: orderKeyOf(ev), seq: q.seq})
+}
+
+// Reserve takes the next n sequence numbers and returns the first.
+func (q *Heap) Reserve(n int) uint64 {
+	base := q.seq + 1
+	q.seq += uint64(n)
+	return base
+}
+
+// PushSeq schedules an event under a reserved sequence number.
+func (q *Heap) PushSeq(ev Event, seq uint64) {
+	q.items.push(item{ev: ev, t: ev.Time(), key: orderKeyOf(ev), seq: seq})
 }
 
 // PushCancelable schedules an event and returns a cancellation handle.

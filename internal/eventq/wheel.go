@@ -95,21 +95,37 @@ func (w *Wheel) windowEnd(level int) uint64 {
 }
 
 // Push schedules an event.
-func (w *Wheel) Push(ev Event) { w.push(ev) }
+func (w *Wheel) Push(ev Event) {
+	w.seq++
+	w.push(ev, w.seq)
+}
 
 // PushCancelable schedules an event and returns a cancellation handle.
 func (w *Wheel) PushCancelable(ev Event) Handle {
-	n := w.push(ev)
+	w.seq++
+	n := w.push(ev, w.seq)
 	return Handle{n: n, gen: n.gen}
 }
 
-func (w *Wheel) push(ev Event) *node {
-	w.seq++
+// Reserve takes the next n sequence numbers and returns the first.
+func (w *Wheel) Reserve(n int) uint64 {
+	base := w.seq + 1
+	w.seq += uint64(n)
+	return base
+}
+
+// PushSeq schedules an event under a reserved sequence number. Slots and
+// the overflow list are unordered and the ready run and late heap order
+// by the full (time, key, seq) triple, so an out-of-order seq lands
+// exactly where the heap would put it.
+func (w *Wheel) PushSeq(ev Event, seq uint64) { w.push(ev, seq) }
+
+func (w *Wheel) push(ev Event, seq uint64) *node {
 	n := w.pool.get()
 	n.ev = ev
 	n.t = ev.Time()
 	n.key = orderKeyOf(ev)
-	n.seq = w.seq
+	n.seq = seq
 	if d := tickOf(n.t); d > w.cur {
 		w.insertAhead(n, d)
 	} else {

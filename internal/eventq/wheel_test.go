@@ -79,7 +79,7 @@ func TestCancelSemantics(t *testing.T) {
 // qop is one step of a scripted queue workload, shared by the randomized
 // cross-backend test and the fuzz target.
 type qop struct {
-	kind byte   // 0 push, 1 push-cancelable, 2 cancel, 3 pop, 4 peek, 5 pop-until
+	kind byte   // 0 push, 1 push-cancelable, 2 cancel, 3 pop, 4 peek, 5 pop-until, 6 reserve, 7 push-seq
 	dt   int64  // firing-time (or pop bound) offset from the drive clock (ns)
 	key  uint64 // order key
 	idx  int    // which recorded handle to cancel
@@ -92,6 +92,7 @@ func driveScript(q Queue, ops []qop) []string {
 	c, _ := q.(Canceler)
 	var out []string
 	var handles []Handle
+	var reserved []uint64 // reserved sequence numbers not yet pushed
 	clock := simtime.Time(0)
 	id := 0
 	for _, op := range ops {
@@ -125,6 +126,22 @@ func driveScript(q Queue, ops []qop) []string {
 				ke := ev.(*keyedEvent)
 				clock = ke.t
 				out = append(out, fmt.Sprintf("pop %d@%d", ke.id, int64(ke.t)))
+			}
+		case 6:
+			n := int(op.key%8) + 1
+			base := q.Reserve(n)
+			for i := 0; i < n; i++ {
+				reserved = append(reserved, base+uint64(i))
+			}
+			out = append(out, fmt.Sprintf("reserve %d", base))
+		case 7:
+			// Reserved numbers are used in any order the script picks,
+			// interleaved with ordinary pushes.
+			if len(reserved) > 0 {
+				i := op.idx % len(reserved)
+				q.PushSeq(&keyedEvent{t: clock.Add(simtime.Duration(op.dt)), key: op.key, id: id}, reserved[i])
+				reserved = append(reserved[:i], reserved[i+1:]...)
+				id++
 			}
 		case 4:
 			ev := q.Peek()
@@ -185,7 +202,7 @@ func TestCrossBackendCancelProperty(t *testing.T) {
 		n := 200 + rng.Intn(1200)
 		ops := make([]qop, n)
 		for i := range ops {
-			op := qop{kind: byte(rng.Intn(6)), key: uint64(rng.Intn(5))}
+			op := qop{kind: byte(rng.Intn(8)), key: uint64(rng.Intn(5))}
 			// Mostly pushes so the population grows; dt spread over
 			// exponentially many scales so slots, cascades, and overflow
 			// all trigger.
@@ -217,7 +234,7 @@ func decodeOps(data []byte) []qop {
 			dt = -dt
 		}
 		ops = append(ops, qop{
-			kind: b[0] % 6,
+			kind: b[0] % 8,
 			dt:   dt,
 			key:  uint64(b[5]),
 			idx:  int(b[6])<<8 | int(b[7]),
@@ -266,6 +283,13 @@ func FuzzWheelVsHeap(f *testing.F) {
 		seed4 = append(seed4, byte([]byte{3, 0, 1, 5, 2, 4}[i%6]), 0, 0, 0, 0, byte(i*91), 0, byte(i), 0, 0)
 	}
 	f.Add(seed4)
+	// Reserved sequence numbers pushed out of order among ordinary pushes
+	// at shared instants and keys: the ingestion-cursor pattern.
+	seed5 := make([]byte, 0, 1200)
+	for i := 0; i < 120; i++ {
+		seed5 = append(seed5, byte([]byte{6, 7, 0, 7, 3, 7, 5}[i%7]), 0, byte(i%3), 4, 0, byte(i%2), 0, byte(i*13), 0, 0)
+	}
+	f.Add(seed5)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ops := decodeOps(data)
 		if len(ops) == 0 {

@@ -427,36 +427,41 @@ func e3Spec(o Options) *spec {
 	for _, sc := range scenarios {
 		sc := sc
 		sp.cell(sc.name, func() [][]string {
+			var trF traffic.Trace
 			// Flow-level run (proactive state so both sides see identical rules).
-			topoF := sc.mkTopo()
-			trF := sc.mkTr(topoF)
-			startF := o.now()
-			engF := mustEngine(horse.New(topoF,
-				horse.WithController(&controller.ProactiveMAC{}),
-				horse.WithMiss(dataplane.MissDrop),
-				// With µs control latency the proactive installs beat the
-				// first arrival, so both simulators see identical rules.
-				horse.WithControlLatency(simtime.Microsecond),
-				horse.WithStatsEvery(100*simtime.Millisecond),
-				horse.WithTCP(tcpmodel.Params{RTT: sc.rtt, MSS: 1500, InitialWindow: 10}),
-			))
-			engF.Load(trF)
-			colF, _ := engF.Run(context.Background(), simtime.Time(sc.window))
-			wallF := o.since(startF)
+			colF, wallF := o.minWall(e3Runs, func() (*stats.Collector, time.Duration) {
+				topoF := sc.mkTopo()
+				trF = sc.mkTr(topoF)
+				startF := o.now()
+				engF := mustEngine(horse.New(topoF,
+					horse.WithController(&controller.ProactiveMAC{}),
+					horse.WithMiss(dataplane.MissDrop),
+					// With µs control latency the proactive installs beat the
+					// first arrival, so both simulators see identical rules.
+					horse.WithControlLatency(simtime.Microsecond),
+					horse.WithStatsEvery(100*simtime.Millisecond),
+					horse.WithTCP(tcpmodel.Params{RTT: sc.rtt, MSS: 1500, InitialWindow: 10}),
+				))
+				engF.Load(trF)
+				col, _ := engF.Run(context.Background(), simtime.Time(sc.window))
+				return col, o.since(startF)
+			})
 
 			// Packet-level run with identical pre-installed state.
-			topoP := sc.mkTopo()
-			trP := sc.mkTr(topoP)
-			engP := mustEngine(horse.New(topoP,
-				horse.WithFidelity(horse.Packet),
-				horse.WithMiss(dataplane.MissDrop),
-				horse.WithStatsEvery(100*simtime.Millisecond),
-			))
-			installMACRoutes(engP.Network())
-			startP := o.now()
-			engP.Load(trP)
-			colP, _ := engP.Run(context.Background(), simtime.Time(sc.window))
-			wallP := o.since(startP)
+			colP, wallP := o.minWall(e3Runs, func() (*stats.Collector, time.Duration) {
+				topoP := sc.mkTopo()
+				trP := sc.mkTr(topoP)
+				engP := mustEngine(horse.New(topoP,
+					horse.WithFidelity(horse.Packet),
+					horse.WithMiss(dataplane.MissDrop),
+					horse.WithStatsEvery(100*simtime.Millisecond),
+				))
+				installMACRoutes(engP.Network())
+				startP := o.now()
+				engP.Load(trP)
+				col, _ := engP.Run(context.Background(), simtime.Time(sc.window))
+				return col, o.since(startP)
+			})
 
 			fctF, fctP := colF.FCTs(), colP.FCTs()
 			w1 := metrics.W1Distance(fctF, fctP)
@@ -476,6 +481,24 @@ func e3Spec(o Options) *spec {
 		"expected shape: FCT relative error within ~10-20% (fs-sdn premise), packet-level wall time orders of magnitude higher",
 	)
 	return sp
+}
+
+// e3Runs is how many times E3 runs each side of a row. Runs are
+// deterministic, so only the wall differs between them, and the reported
+// wall is the smallest: host load can only inflate a wall, so one busy
+// moment cannot invert the speedup column.
+const e3Runs = 5
+
+// minWall calls run n times and returns the last run's collector with the
+// smallest wall any run took.
+func (o Options) minWall(n int, run func() (*stats.Collector, time.Duration)) (*stats.Collector, time.Duration) {
+	col, best := run()
+	for i := 1; i < n; i++ {
+		var wall time.Duration
+		col, wall = run()
+		best = min(best, wall)
+	}
+	return col, best
 }
 
 // utilMAE computes the mean absolute error between mean link utilizations

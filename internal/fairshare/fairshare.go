@@ -210,8 +210,10 @@ func (a *Allocator) Capacity(r ResourceID) float64 {
 // AddFlow registers a flow with the given demand (bits/second, or
 // Unlimited) crossing the given resources. Resources not yet declared get
 // zero capacity until SetCapacity is called. Adding an existing ID replaces
-// the flow. Duplicate resources in the route are collapsed.
-func (a *Allocator) AddFlow(id FlowID, demand float64, resources []ResourceID) {
+// the flow. Duplicate resources in the route are collapsed. It returns the
+// flow's dense slot, which every Changed entry for the flow repeats until
+// RemoveFlow, so a caller can index its own per-flow state by slot.
+func (a *Allocator) AddFlow(id FlowID, demand float64, resources []ResourceID) int32 {
 	if _, ok := a.flowIdx[id]; ok {
 		a.RemoveFlow(id)
 	}
@@ -248,6 +250,7 @@ func (a *Allocator) AddFlow(id FlowID, demand float64, resources []ResourceID) {
 		// A flow crossing nothing is bottlenecked only by demand.
 		f.rate = demand
 	}
+	return fi
 }
 
 // RemoveFlow deregisters a flow, marking its resources dirty.
@@ -346,6 +349,7 @@ func (a *Allocator) ResourceUsage(r ResourceID) float64 {
 // Changed describes a flow whose allocated rate moved in a recompute.
 type Changed struct {
 	ID      FlowID
+	Slot    int32 // the slot AddFlow returned for ID
 	OldRate float64
 	NewRate float64
 }
@@ -778,7 +782,7 @@ func (a *Allocator) solve(comp []int32, w *solveWorker) {
 		old := f.rate
 		f.rate = newRate
 		if a.significant(old, newRate) {
-			w.changed = append(w.changed, Changed{ID: f.id, OldRate: old, NewRate: newRate})
+			w.changed = append(w.changed, Changed{ID: f.id, Slot: fi, OldRate: old, NewRate: newRate})
 		}
 	}
 }

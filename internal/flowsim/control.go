@@ -3,6 +3,7 @@ package flowsim
 import (
 	"horse/internal/netgraph"
 	"horse/internal/openflow"
+	"horse/internal/simcore"
 	"horse/internal/simtime"
 	"horse/internal/stats"
 )
@@ -117,7 +118,7 @@ func (s *Simulator) sendToController(msg openflow.Message) {
 // handleToSwitch applies a controller message at its datapath.
 func (s *Simulator) handleToSwitch(msg openflow.Message) {
 	dp := msg.Datapath()
-	sw := s.net.Switches[dp]
+	sw := s.net.Switch(dp)
 	if sw == nil {
 		return // message to a non-switch: controller bug, dropped
 	}
@@ -156,9 +157,9 @@ func (s *Simulator) handleToSwitch(msg openflow.Message) {
 	case *openflow.PacketOut:
 		// The buffered first packet is released; the waiting flow retries
 		// resolution (rules installed alongside typically complete it).
-		for _, f := range s.waiting[dp] {
-			if f.Key == m.Key {
-				s.markDirty(f)
+		for _, r := range s.waiting[dp] {
+			if r.f.Key == m.Key {
+				s.markDirty(r.f)
 			}
 		}
 		s.notifyApply(msg)
@@ -196,15 +197,13 @@ func (s *Simulator) portStats(dp netgraph.NodeID, port netgraph.PortNum) *openfl
 		// Tx direction: from dp outward.
 		txRes := linkResource(l.ID, l.A == dp)
 		rxRes := linkResource(l.ID, l.B == dp)
-		txL, rxL := s.ledgers[txRes], s.ledgers[rxRes]
-		ps := openflow.PortStats{Port: p, LinkBps: l.BandwidthBps, Up: l.Up}
-		if txL != nil {
-			txL.settle(s.k.Now())
-			ps.TxBits, ps.TxRateBps = txL.bits, txL.rate
-		}
-		if rxL != nil {
-			rxL.settle(s.k.Now())
-			ps.RxBits, ps.RxRateBps = rxL.bits, rxL.rate
+		txL, rxL := &s.ledgers[txRes], &s.ledgers[rxRes]
+		txL.settle(s.k.Now())
+		rxL.settle(s.k.Now())
+		ps := openflow.PortStats{
+			Port: p, LinkBps: l.BandwidthBps, Up: l.Up,
+			TxBits: txL.bits, TxRateBps: txL.rate,
+			RxBits: rxL.bits, RxRateBps: rxL.rate,
 		}
 		reply.Stats = append(reply.Stats, ps)
 	}
@@ -214,18 +213,16 @@ func (s *Simulator) portStats(dp netgraph.NodeID, port netgraph.PortNum) *openfl
 // scheduleExpiry arms a timeout check for a switch at its earliest entry
 // expiry, avoiding duplicate events for the same instant.
 func (s *Simulator) scheduleExpiry(dp netgraph.NodeID) {
-	next := s.net.Switches[dp].NextExpiry()
+	next := s.net.Switch(dp).NextExpiry()
 	if next == simtime.Never {
 		return
 	}
-	if cur, ok := s.expiryAt[dp]; ok && cur <= next && cur >= s.k.Now() {
+	if cur := s.expiryAt[dp]; cur <= next && cur >= s.k.Now() {
 		return // an earlier (or equal) check is already scheduled
 	}
 	// The outstanding check (if any) is later than next: replace it
 	// instead of stacking a second event beside it.
-	if t, ok := s.expiryTimer[dp]; ok {
-		s.k.Cancel(t)
-	}
+	s.k.Cancel(s.expiryTimer[dp])
 	s.expiryAt[dp] = next
 	s.expiryTimer[dp] = s.schedTimer(event{at: next, kind: evExpiry, sw: dp})
 }
@@ -233,9 +230,9 @@ func (s *Simulator) scheduleExpiry(dp netgraph.NodeID) {
 // handleExpiry evicts expired entries on a switch, notifies the controller
 // with FlowRemoved, re-resolves affected flows, and re-arms the timer.
 func (s *Simulator) handleExpiry(dp netgraph.NodeID) {
-	delete(s.expiryAt, dp)
-	delete(s.expiryTimer, dp)
-	sw := s.net.Switches[dp]
+	s.expiryAt[dp] = simtime.Never
+	s.expiryTimer[dp] = simcore.Timer{}
+	sw := s.net.Switch(dp)
 	if sw == nil {
 		return
 	}
@@ -244,8 +241,8 @@ func (s *Simulator) handleExpiry(dp netgraph.NodeID) {
 	// flow traversing this switch before judging expiry. (A real switch
 	// updates the timestamp per packet; this is the flow-level analogue.)
 	s.drainAlloc()
-	for _, f := range s.flowsAt[dp] {
-		if f.state == StateActive && f.rate > 0 {
+	for _, r := range s.flowsAt[dp] {
+		if f := r.f; f.state == StateActive && f.rate > 0 {
 			s.settleFlow(f)
 		}
 	}

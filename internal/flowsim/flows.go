@@ -1,9 +1,10 @@
 package flowsim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"horse/internal/dataplane"
 	"horse/internal/fairshare"
@@ -22,10 +23,33 @@ import (
 // counters.
 const packetBits = 1500 * 8
 
+// flowRef is one entry of a per-switch flow list: the flow, and the index
+// of the Flow.atPos (flowsAt) or Flow.parks (waiting) element that
+// records the entry's position.
+type flowRef struct {
+	f *Flow
+	i int32
+}
+
+// parkPos is a flow's entry in the waiting list of switch sw.
+type parkPos struct {
+	sw  netgraph.NodeID
+	pos int32
+}
+
+// attachment is a node's access point: the switch and port
+// Topology.AttachedSwitch reports and the link joining them.
+type attachment struct {
+	sw   netgraph.NodeID
+	port netgraph.PortNum
+	link *netgraph.Link
+}
+
 // handleArrival creates the Flow and resolves its first path.
-func (s *Simulator) handleArrival(d traffic.Demand) {
+func (s *Simulator) handleArrival(d *traffic.Demand) {
 	s.nextID++
-	f := &Flow{
+	f := s.newFlow()
+	*f = Flow{
 		ID:         s.nextID,
 		Key:        d.Key,
 		Src:        d.Src,
@@ -38,7 +62,16 @@ func (s *Simulator) handleArrival(d traffic.Demand) {
 		lastSettle: s.k.Now(),
 		Deadline:   simtime.Never,
 		waitingAt:  -1,
-		puntedAt:   make(map[netgraph.NodeID]bool),
+		slot:       f.slot,
+		allocSlot:  -1,
+		gen:        f.gen,
+		hops:       f.hops[:0],
+		atPos:      f.atPos[:0],
+		entries:    f.entries[:0],
+		meterRefs:  f.meterRefs[:0],
+		resources:  f.resources[:0],
+		puntedAt:   f.puntedAt[:0],
+		parks:      f.parks[:0],
 	}
 	if d.Duration > 0 {
 		f.Deadline = s.k.Now().Add(d.Duration)
@@ -46,21 +79,33 @@ func (s *Simulator) handleArrival(d traffic.Demand) {
 	if f.AppRateBps <= 0 {
 		f.AppRateBps = math.Inf(1)
 	}
-	s.flows[f.ID] = f
 	s.col.FlowsStarted++
 	s.resolve(f)
+}
+
+// newFlow takes a free slot's Flow, or grows the slot table.
+func (s *Simulator) newFlow() *Flow {
+	if n := len(s.free); n > 0 {
+		slot := s.free[n-1]
+		s.free = s.free[:n-1]
+		return s.flows[slot]
+	}
+	f := &Flow{slot: int32(len(s.flows))}
+	s.flows = append(s.flows, f)
+	return f
 }
 
 // resolve walks the flow through the data plane and transitions its state
 // according to the outcome.
 func (s *Simulator) resolve(f *Flow) {
-	res := s.net.Walk(f.Key, f.Src, f.Dst)
+	res := &s.walk
+	s.net.WalkInto(res, f.Key, f.Src, f.Dst)
 
 	// Emit PacketIns for punting switches the flow has not yet punted at
 	// (a flow's buffered first packet produces one PacketIn per switch).
 	for _, sw := range res.PacketIns {
-		if !f.puntedAt[sw] {
-			f.puntedAt[sw] = true
+		if !slices.Contains(f.puntedAt, sw) {
+			f.puntedAt = append(f.puntedAt, sw)
 			f.punts++
 			s.col.PacketIns++
 			s.sendToController(&openflow.PacketIn{
@@ -94,9 +139,8 @@ func (s *Simulator) resolve(f *Flow) {
 // ingress port if sw is the first switch, otherwise NoPort — sufficient
 // for the controller apps, which key on the flow, not the port).
 func inPortAt(s *Simulator, f *Flow, sw netgraph.NodeID) netgraph.PortNum {
-	at, port := s.topo.AttachedSwitch(f.Src)
-	if at == sw {
-		return port
+	if a := s.ingress[f.Src]; a.sw == sw {
+		return a.port
 	}
 	return netgraph.NoPort
 }
@@ -110,10 +154,10 @@ func (s *Simulator) park(f *Flow, at netgraph.NodeID) {
 	}
 	f.state = StateWaiting
 	f.waitingAt = at
-	if s.waiting[at] == nil {
-		s.waiting[at] = make(map[FlowID]*Flow)
+	if !slices.ContainsFunc(f.parks, func(p parkPos) bool { return p.sw == at }) {
+		f.parks = append(f.parks, parkPos{at, int32(len(s.waiting[at]))})
+		s.waiting[at] = append(s.waiting[at], flowRef{f, int32(len(f.parks) - 1)})
 	}
-	s.waiting[at][f.ID] = f
 	// Open-ended flows still end at their deadline even while waiting.
 	s.k.Cancel(f.completion)
 	f.completion = simcore.Timer{}
@@ -123,47 +167,69 @@ func (s *Simulator) park(f *Flow, at netgraph.NodeID) {
 	}
 }
 
-// unpark removes a flow from the waiting index.
+// unpark removes a flow from the waiting list of the switch it waits at.
 func (s *Simulator) unpark(f *Flow) {
-	if f.waitingAt >= 0 {
-		delete(s.waiting[f.waitingAt], f.ID)
-		f.waitingAt = -1
+	if f.waitingAt < 0 {
+		return
 	}
+	s.leave(f, slices.IndexFunc(f.parks, func(p parkPos) bool { return p.sw == f.waitingAt }))
+	f.waitingAt = -1
+}
+
+// leave removes f from the waiting list f.parks[i] names.
+func (s *Simulator) leave(f *Flow, i int) {
+	p := f.parks[i]
+	list := s.waiting[p.sw]
+	last := int32(len(list) - 1)
+	if moved := list[last]; p.pos != last {
+		list[p.pos] = moved
+		moved.f.parks[moved.i].pos = p.pos
+	}
+	list[last] = flowRef{}
+	s.waiting[p.sw] = list[:last]
+	if j := len(f.parks) - 1; i != j {
+		f.parks[i] = f.parks[j]
+		s.waiting[f.parks[i].sw][f.parks[i].pos].i = int32(i)
+	}
+	f.parks = f.parks[:len(f.parks)-1]
+}
+
+// release returns a finalized flow's slot to the free list, first taking
+// it off the waiting lists it still sits on.
+func (s *Simulator) release(f *Flow) {
+	for len(f.parks) > 0 {
+		s.leave(f, len(f.parks)-1)
+	}
+	s.free = append(s.free, f.slot)
 }
 
 // activate installs the flow on the allocator with its resolved path.
-func (s *Simulator) activate(f *Flow, res dataplane.PathResult) {
+func (s *Simulator) activate(f *Flow, res *dataplane.PathResult) {
 	s.settleFlow(f)
 	// Tear down previous registration (path may have changed).
 	wasActive := f.state == StateActive
-	oldPath := f.hops
 	s.deactivate(f)
 	s.unpark(f)
 
-	f.state = StateActive
-	f.hops = res.Hops
-	f.entries = res.Entries
-	f.meterRefs = res.Meters
-	f.Key = res.ExitKey
-	f.lastPathLen = len(res.Hops)
-
 	// Path changes are counted against the last transmitting path, which
 	// survives park/reactivate cycles (outage reroutes count too).
-	if f.prevHops != nil && !samePath(f.prevHops, res.Hops) {
+	if len(f.hops) > 0 && !samePath(f.hops, res.Hops) {
 		f.pathChanges++
 		s.col.PathChanges++
 		s.col.AddReroute(s.k.Now())
 	}
-	f.prevHops = res.Hops
+	f.state = StateActive
+	f.hops = append(f.hops[:0], res.Hops...)
+	f.entries = append(f.entries[:0], res.Entries...)
+	f.meterRefs = append(f.meterRefs[:0], res.Meters...)
+	f.Key = res.ExitKey
+	f.lastPathLen = len(res.Hops)
 	if !wasActive {
 		f.txStart = s.k.Now()
 	}
-	_ = oldPath
 	// The flow found a path; if its rules are later evicted it punts as a
 	// fresh episode, so clear the PacketIn dedup set.
-	if len(f.puntedAt) > 0 {
-		f.puntedAt = make(map[netgraph.NodeID]bool)
-	}
+	f.puntedAt = f.puntedAt[:0]
 
 	// Resources: every link direction along the path plus every meter.
 	f.resources = f.resources[:0]
@@ -173,7 +239,7 @@ func (s *Simulator) activate(f *Flow, res dataplane.PathResult) {
 	}
 	// The first hop's ingress link (host → first switch) also carries the
 	// flow.
-	if hostLink := s.hostLink(f.Src); hostLink != nil {
+	if hostLink := s.ingress[f.Src].link; hostLink != nil {
 		fwd := hostLink.A == f.Src
 		f.resources = append(f.resources, linkResource(hostLink.ID, fwd))
 	}
@@ -192,15 +258,22 @@ func (s *Simulator) activate(f *Flow, res dataplane.PathResult) {
 		e.FlowCount++
 		e.LastUsed = s.k.Now()
 	}
-	// Index by traversed switch for re-resolution.
-	for _, h := range f.hops {
-		if s.flowsAt[h.Switch] == nil {
-			s.flowsAt[h.Switch] = make(map[FlowID]*Flow)
+	// Index by traversed switch for re-resolution, once per switch.
+	f.atPos = f.atPos[:0]
+	for i, h := range f.hops {
+		pos := int32(-1)
+		if !crossed(f.hops[:i], h.Switch) {
+			pos = int32(len(s.flowsAt[h.Switch]))
+			s.flowsAt[h.Switch] = append(s.flowsAt[h.Switch], flowRef{f, int32(i)})
 		}
-		s.flowsAt[h.Switch][f.ID] = f
+		f.atPos = append(f.atPos, pos)
 	}
 
-	s.alloc.AddFlow(fairshare.FlowID(f.ID), s.currentDemand(f), f.resources)
+	f.allocSlot = s.alloc.AddFlow(fairshare.FlowID(f.ID), s.currentDemand(f), f.resources)
+	if int(f.allocSlot) >= len(s.byAlloc) {
+		s.byAlloc = append(s.byAlloc, make([]*Flow, int(f.allocSlot)+1-len(s.byAlloc))...)
+	}
+	s.byAlloc[f.allocSlot] = f
 	s.markRateShift(f.resources)
 	s.recomputeAndApply()
 
@@ -210,13 +283,14 @@ func (s *Simulator) activate(f *Flow, res dataplane.PathResult) {
 	s.scheduleCompletion(f)
 }
 
-// hostLink returns the (single) link attaching a host.
-func (s *Simulator) hostLink(host netgraph.NodeID) *netgraph.Link {
-	sw, port := s.topo.AttachedSwitch(host)
-	if sw < 0 {
-		return nil
+// crossed reports whether any of hops is at switch sw.
+func crossed(hops []dataplane.Hop, sw netgraph.NodeID) bool {
+	for _, h := range hops {
+		if h.Switch == sw {
+			return true
+		}
 	}
-	return s.topo.LinkAt(sw, port)
+	return false
 }
 
 func samePath(a, b []dataplane.Hop) bool {
@@ -232,23 +306,40 @@ func samePath(a, b []dataplane.Hop) bool {
 }
 
 // deactivate removes an active flow from the allocator and indexes without
-// finalizing it. Caller must settle first.
+// finalizing it; its hops stay as the last transmitting path. Caller must
+// settle first.
 func (s *Simulator) deactivate(f *Flow) {
-	if f.state != StateActive {
+	if f.state != StateActive || f.allocSlot < 0 {
 		return
 	}
 	// Ledger: the flow's rate leaves its resources.
 	s.adjustLedgers(f, -f.rate)
 	f.rate = 0
 	s.alloc.RemoveFlow(fairshare.FlowID(f.ID))
+	s.byAlloc[f.allocSlot] = nil
+	f.allocSlot = -1
 	s.markRateShift(f.resources)
-	for _, h := range f.hops {
-		delete(s.flowsAt[h.Switch], f.ID)
+	for i, h := range f.hops {
+		if pos := f.atPos[i]; pos >= 0 {
+			s.unindex(h.Switch, pos)
+		}
 	}
-	f.hops = nil
-	f.entries = nil
-	f.meterRefs = nil
+	f.entries = f.entries[:0]
+	f.meterRefs = f.meterRefs[:0]
 	s.recomputeAndApply()
+}
+
+// unindex removes entry pos of flowsAt[sw], moving the last entry into
+// its place.
+func (s *Simulator) unindex(sw netgraph.NodeID, pos int32) {
+	list := s.flowsAt[sw]
+	last := int32(len(list) - 1)
+	if moved := list[last]; pos != last {
+		list[pos] = moved
+		moved.f.atPos[moved.i] = pos
+	}
+	list[last] = flowRef{}
+	s.flowsAt[sw] = list[:last]
 }
 
 // currentDemand is the flow's offered load right now. TCP flows offer
@@ -283,7 +374,7 @@ func (s *Simulator) refreshPathLoss(f *Flow) {
 		fwd := h.Link.A == h.Switch
 		deliver *= 1 - s.links.LossRate(h.Link.ID, fwd)
 	}
-	if hostLink := s.hostLink(f.Src); hostLink != nil {
+	if hostLink := s.ingress[f.Src].link; hostLink != nil {
 		fwd := hostLink.A == f.Src
 		deliver *= 1 - s.links.LossRate(hostLink.ID, fwd)
 	}
@@ -319,11 +410,10 @@ func (s *Simulator) adjustLedgers(f *Flow, delta float64) {
 		return
 	}
 	for _, r := range f.resources {
-		l := s.ledgers[r]
-		if l == nil {
-			l = &resLedger{last: s.k.Now()}
-			s.ledgers[r] = l
+		if r >= meterResourceBase {
+			continue
 		}
+		l := &s.ledgers[r]
 		l.settle(s.k.Now())
 		l.rate += delta
 		if l.rate < 0 {
@@ -374,13 +464,13 @@ func (s *Simulator) drainAlloc() {
 	if len(changed) == 0 && len(s.shiftPending) == 0 {
 		return
 	}
-	sort.Slice(changed, func(i, j int) bool { return changed[i].ID < changed[j].ID })
+	slices.SortFunc(changed, func(a, b fairshare.Changed) int { return cmp.Compare(a.ID, b.ID) })
 	shifted := s.shiftScratch[:0]
 	shifted = append(shifted, s.shiftPending...)
 	s.shiftPending = s.shiftPending[:0]
 	settled := s.parallelSettle(changed)
 	for i, c := range changed {
-		f := s.flows[FlowID(c.ID)]
+		f := s.byAlloc[c.Slot]
 		if f == nil || f.state != StateActive {
 			continue
 		}
@@ -400,7 +490,7 @@ func (s *Simulator) drainAlloc() {
 		}
 	}
 	if s.cfg.OnRateShift != nil && len(shifted) > 0 {
-		sort.Slice(shifted, func(i, j int) bool { return shifted[i] < shifted[j] })
+		slices.Sort(shifted)
 		dedup := shifted[:1]
 		for _, r := range shifted[1:] {
 			if r != dedup[len(dedup)-1] {
@@ -446,7 +536,7 @@ func (s *Simulator) parallelSettle(changed []fairshare.Changed) []float64 {
 			ID: fmt.Sprintf("settle%d", w),
 			Run: func() struct{} {
 				for i := lo; i < hi; i++ {
-					f := s.flows[FlowID(changed[i].ID)]
+					f := s.byAlloc[changed[i].Slot]
 					if f == nil || f.state != StateActive || now <= f.lastSettle {
 						continue
 					}
@@ -556,14 +646,13 @@ func (s *Simulator) finalize(f *Flow, completed bool, outcome string) {
 		PathLen:   f.lastPathLen,
 		Punts:     f.punts,
 	})
-	if s.recordSink != nil {
-		// Streaming mode: the record has left the building and nothing
-		// re-resolves a Done flow (markDirty and the batch runner both
-		// skip them; in-flight events hold the pointer and die on the gen
-		// stamp), so the flow state can be reclaimed — the piece that
-		// keeps multi-million-flow runs at bounded memory.
-		delete(s.flows, f.ID)
-		delete(s.dirtyFlows, f.ID)
+	// The record is out and nothing re-resolves a Done flow (markDirty
+	// skips them, the batch runner releases them) or fires on it (both of
+	// its timers are cancelled above), so its slot is recycled — what
+	// keeps a streamed multi-million-flow run at memory for the flows
+	// live at once. A flow still in the pending batch is released there.
+	if !f.dirty && !s.finished {
+		s.release(f)
 	}
 }
 
@@ -649,7 +738,7 @@ func (s *Simulator) handleRamp(f *Flow) {
 
 // meter dereferences a meter ref against the owning switch.
 func (s *Simulator) meter(mr dataplane.MeterRef) *openflow.Meter {
-	sw := s.net.Switches[mr.Switch]
+	sw := s.net.Switch(mr.Switch)
 	if sw == nil {
 		return nil
 	}
@@ -658,10 +747,11 @@ func (s *Simulator) meter(mr dataplane.MeterRef) *openflow.Meter {
 
 // markDirty queues a flow for batched re-resolution at the current instant.
 func (s *Simulator) markDirty(f *Flow) {
-	if f.state == StateDone {
+	if f.state == StateDone || f.dirty {
 		return
 	}
-	s.dirtyFlows[f.ID] = f
+	f.dirty = true
+	s.dirty = append(s.dirty, f)
 	if !s.batchPending {
 		s.batchPending = true
 		s.sched(event{at: s.k.Now(), kind: evResolveBatch})
@@ -670,34 +760,33 @@ func (s *Simulator) markDirty(f *Flow) {
 
 // markSwitchDirty queues every flow parked at or traversing a switch.
 func (s *Simulator) markSwitchDirty(sw netgraph.NodeID) {
-	for _, f := range s.waiting[sw] {
-		s.markDirty(f)
+	for _, r := range s.waiting[sw] {
+		s.markDirty(r.f)
 	}
-	for _, f := range s.flowsAt[sw] {
-		s.markDirty(f)
+	for _, r := range s.flowsAt[sw] {
+		s.markDirty(r.f)
 	}
 }
 
-// handleResolveBatch re-resolves all dirty flows in ID order.
+// handleResolveBatch re-resolves all dirty flows in ID order. Marks made
+// while the batch runs go to the next batch, as do the flows they name.
 func (s *Simulator) handleResolveBatch() {
 	s.batchPending = false
-	if len(s.dirtyFlows) == 0 {
-		return
+	batch := s.dirty
+	s.dirty = s.dirtySpare[:0]
+	for _, f := range batch {
+		f.dirty = false
 	}
-	ids := make([]FlowID, 0, len(s.dirtyFlows))
-	for id := range s.dirtyFlows {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	batch := s.dirtyFlows
-	s.dirtyFlows = make(map[FlowID]*Flow)
-	for _, id := range ids {
-		f := batch[id]
+	slices.SortFunc(batch, byID)
+	for _, f := range batch {
 		if f.state == StateDone {
+			s.release(f) // finalized while marked: finalize left it to us
 			continue
 		}
 		s.resolve(f)
 	}
+	clear(batch)
+	s.dirtySpare = batch[:0]
 }
 
 // handleLinkChange applies a scheduled link state change. The scripted
@@ -723,8 +812,11 @@ func (s *Simulator) applyLinkChange(id netgraph.LinkID, up bool, silent netgraph
 	s.reapplyLinkCapacity(l)
 	s.recomputeAndApply()
 
+	// Flows at either end re-resolve — among them every flow crossing
+	// the link, since a hop's egress link is attached to the hop's switch
+	// (their entries may now pick live group buckets, or blackhole).
 	for _, end := range []netgraph.NodeID{l.A, l.B} {
-		if s.net.Switches[end] != nil {
+		if s.net.Switch(end) != nil {
 			if end != silent {
 				// A crashed (silent) switch cannot announce its own
 				// ports. While detached, sendToController pends the
@@ -734,25 +826,12 @@ func (s *Simulator) applyLinkChange(id netgraph.LinkID, up bool, silent netgraph
 			s.markSwitchDirty(end)
 		}
 	}
-	// Flows crossing the link must re-resolve (their entries may now pick
-	// live group buckets, or blackhole).
-	for _, f := range s.flows {
-		if f.state != StateActive {
-			continue
-		}
-		for _, h := range f.hops {
-			if h.Link.ID == id {
-				s.markDirty(f)
-				break
-			}
-		}
-	}
 	// A recovered link can also unblock waiting flows anywhere (e.g.
 	// flood reachability); cheap conservative choice: retry all waiting.
 	if up {
-		for _, m := range s.waiting {
-			for _, f := range m {
-				s.markDirty(f)
+		for _, list := range s.waiting {
+			for _, r := range list {
+				s.markDirty(r.f)
 			}
 		}
 	}
@@ -847,7 +926,7 @@ func (s *Simulator) armRateStep(id netgraph.LinkID) {
 // announce PortStatus; the dead switch cannot); a restart brings the links
 // back up — with the tables still empty — and both ends announce.
 func (s *Simulator) handleSwitchChange(sw netgraph.NodeID, up bool) {
-	swState := s.net.Switches[sw]
+	swState := s.net.Switch(sw)
 	if swState == nil || !s.fstate.SetSwitch(sw, up) {
 		return
 	}
@@ -858,9 +937,11 @@ func (s *Simulator) handleSwitchChange(sw netgraph.NodeID, up bool) {
 		// flows punted at this switch — a FlowMod in flight dies with the
 		// tables — so clear the PacketIn dedup: a post-restart punt must
 		// announce itself afresh.
-		for _, m := range s.waiting {
-			for _, f := range m {
-				delete(f.puntedAt, sw)
+		for _, list := range s.waiting {
+			for _, r := range list {
+				if i := slices.Index(r.f.puntedAt, sw); i >= 0 {
+					r.f.puntedAt = slices.Delete(r.f.puntedAt, i, i+1)
+				}
 			}
 		}
 		s.markSwitchDirty(sw)
@@ -900,10 +981,10 @@ func (s *Simulator) handleCtrlChange(attached bool) {
 		// been lost while detached, so clear the dedup sets and
 		// re-resolve (a still-missing rule re-punts with a fresh
 		// PacketIn, like a switch re-punting on reconnect).
-		for _, m := range s.waiting {
-			for _, f := range m {
-				clear(f.puntedAt)
-				s.markDirty(f)
+		for _, list := range s.waiting {
+			for _, r := range list {
+				r.f.puntedAt = r.f.puntedAt[:0]
+				s.markDirty(r.f)
 			}
 		}
 	}

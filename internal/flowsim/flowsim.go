@@ -17,11 +17,12 @@
 package flowsim
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 
 	"horse/internal/dataplane"
 	"horse/internal/eventq"
@@ -80,21 +81,40 @@ type Flow struct {
 	lastSettle simtime.Time
 	gen        uint64 // backstop: invalidates stale completion/ramp events
 
+	// slot is the flow's index in Simulator.flows; allocSlot its slot in
+	// the allocator while registered there (-1 otherwise). dirty is set
+	// while the flow sits in the pending re-resolve batch.
+	slot      int32
+	allocSlot int32
+	dirty     bool
+
 	// Outstanding timer handles: cancelling removes the event from the
 	// queue outright (no dead corpse waiting to fire as a gen-stamped
 	// no-op). The gen stamp stays as a defensive second line.
 	completion simcore.Timer
 	ramp       simcore.Timer
 
-	// Path state.
+	// Path state. hops is the last transmitting path: it survives
+	// park/reactivate cycles so a reroute is detected against it. atPos
+	// parallels hops with the flow's position in Simulator.flowsAt of that
+	// hop's switch (-1 for a switch the path already crossed). Every slice
+	// keeps its capacity when the slot is recycled.
 	hops        []dataplane.Hop
-	prevHops    []dataplane.Hop
+	atPos       []int32
 	lastPathLen int
 	entries     []*openflow.FlowEntry
 	meterRefs   []dataplane.MeterRef
 	resources   []fairshare.ResourceID
-	waitingAt   netgraph.NodeID
-	puntedAt    map[netgraph.NodeID]bool
+	// waitingAt is the switch the flow waits at (-1 if none). parks lists
+	// every switch whose waiting list holds the flow, with its position
+	// there: unpark leaves only waitingAt's list, so a flow re-parked at
+	// another switch stays listed where it waited before — and is
+	// re-resolved when that switch changes — until it finishes.
+	waitingAt netgraph.NodeID
+	parks     []parkPos
+	// puntedAt lists the switches that have a PacketIn out for the flow's
+	// current punt episode (one per switch).
+	puntedAt []netgraph.NodeID
 
 	// TCP state: flow-level AIMD over the offered demand.
 	txStart   simtime.Time // when transmission (re)started
@@ -108,19 +128,6 @@ type Flow struct {
 	punts       int
 	pathChanges int
 }
-
-// State returns the flow's lifecycle state.
-func (f *Flow) State() FlowState { return f.state }
-
-// Rate returns the current allocated rate in bits/second.
-func (f *Flow) Rate() float64 { return f.rate }
-
-// Sent returns the bits transferred so far (settled; current to the last
-// event that touched the flow).
-func (f *Flow) Sent() float64 { return f.sent }
-
-// Path returns the switch hops of the current path (nil while waiting).
-func (f *Flow) Path() []dataplane.Hop { return f.hops }
 
 // Controller is the control-plane logic attached to a simulation: the
 // paper's lightweight modular "policy generator". Start runs before any
@@ -252,23 +259,22 @@ const (
 )
 
 type event struct {
-	at   simtime.Time
-	kind evKind
-	sim  *Simulator
-
-	flow   *Flow
-	gen    uint64
-	demand traffic.Demand
-	msg    openflow.Message
-	sw     netgraph.NodeID
-	link   netgraph.LinkID
-	up     bool
-	// chain marks a reader-pulled arrival: firing it pulls the next
-	// demand from the trace reader (exactly one chained arrival is
-	// outstanding at a time).
-	chain bool
+	at    simtime.Time
+	sim   *Simulator
+	flow  *Flow
+	gen   uint64
+	msg   openflow.Message
 	fn    func()
 	model linkmodel.Model
+	// arr is the ingestion cursor whose pending demand an evArrival
+	// delivers; nil for an InjectAt arrival, whose demand waits in
+	// sim.injected[slot].
+	arr  *arrivals
+	sw   netgraph.NodeID
+	link netgraph.LinkID
+	slot int32
+	kind evKind
+	up   bool
 }
 
 func (e *event) Time() simtime.Time { return e.at }
@@ -366,28 +372,52 @@ type Simulator struct {
 	pool      simcore.Pool[event]
 
 	alloc  *fairshare.Allocator
-	flows  map[FlowID]*Flow
 	nextID FlowID
 
-	// waiting flows parked at a switch; flowsAt indexes active flows by
-	// traversed switch for re-resolution on state changes.
-	waiting map[netgraph.NodeID]map[FlowID]*Flow
-	flowsAt map[netgraph.NodeID]map[FlowID]*Flow
+	// flows is the slot table: every Flow ever built, by Flow.slot. A
+	// finalized flow's slot goes on free and its Flow (with the capacity
+	// of its buffers) is reused by a later arrival, so the table is as
+	// large as the most flows live at once. Finalized slots hold a Done
+	// flow, which every scan skips. byAlloc maps allocator slots
+	// (fairshare.Changed.Slot) back to registered flows.
+	flows   []*Flow
+	free    []int32
+	byAlloc []*Flow
 
-	ledgers map[fairshare.ResourceID]*resLedger
+	// waiting holds the flows parked at each switch (see Flow.parks) and
+	// flowsAt the active flows traversing it (for re-resolution on state
+	// changes), both by NodeID. Removal swaps the last entry into the
+	// hole, using the positions each flow keeps.
+	waiting [][]flowRef
+	flowsAt [][]flowRef
+
+	// ledgers backs port counters and stats replies, by link resource
+	// (link<<1|forward). Meter resources have no ledger: nothing reads one.
+	ledgers []resLedger
 	col     *stats.Collector
 	ctrl    Controller
 	ctx     *Context
 
-	// batched re-resolution
-	dirtyFlows   map[FlowID]*Flow
+	// ingress is each node's attachment: the switch and port
+	// AttachedSwitch reports and the link between them (nil if none).
+	ingress []attachment
+
+	// walk is the scratch result every path walk fills; activate copies
+	// the path into the flow's own buffers.
+	walk dataplane.PathResult
+
+	// Batched re-resolution: the flows marked dirty at this instant (each
+	// once, by Flow.dirty), resolved in ID order by one evResolveBatch.
+	// dirtySpare is the other buffer of the pair.
+	dirty        []*Flow
+	dirtySpare   []*Flow
 	batchPending bool
 
-	// per-switch scheduled expiry instants, to avoid duplicate events;
-	// expiryTimer holds the outstanding check so a reschedule cancels it
-	// instead of stacking a second event beside it.
-	expiryAt    map[netgraph.NodeID]simtime.Time
-	expiryTimer map[netgraph.NodeID]simcore.Timer
+	// Per-switch scheduled expiry instants (simtime.Never when none), to
+	// avoid duplicate events; expiryTimer holds the outstanding check so a
+	// reschedule cancels it instead of stacking a second event beside it.
+	expiryAt    []simtime.Time
+	expiryTimer []simcore.Timer
 
 	// allocDirty defers fair-share re-solving: events at the same virtual
 	// instant (an epoch's worth of arrivals, say) trigger one solve when
@@ -399,7 +429,7 @@ type Simulator struct {
 	// hybrid run shares it with the packet engine. modelGen invalidates
 	// outstanding rate-step timers when a link's model changes.
 	links    *linkmodel.Set
-	modelGen map[netgraph.LinkID]uint64
+	modelGen []uint64
 
 	// fstate composes overlapping scripted outages (links, switches, and
 	// controller detach all nest by counting) and records the link
@@ -419,14 +449,15 @@ type Simulator struct {
 	observers  simevent.Observers
 	recordSink func(stats.FlowRecord)
 
-	// reader, when set, streams demands in one at a time (bounded-memory
-	// ingestion): exactly one chained arrival event is outstanding, and
-	// firing it pulls the next demand. readerLast enforces the
-	// nondecreasing-Start contract; readerErr holds the first reader
-	// failure (ingestion stops; Run surfaces it).
-	reader     traffic.Reader
-	readerLast simtime.Time
-	readerErr  error
+	// reader, when set, becomes an ingestion cursor at Begin; readerErr
+	// holds the first reader failure (ingestion stops; Run surfaces it).
+	reader    traffic.Reader
+	readerErr error
+
+	// injected holds the demands of outstanding InjectAt arrivals, by the
+	// event's slot; injectFree lists the reusable slots.
+	injected   []traffic.Demand
+	injectFree []int32
 
 	begun    bool
 	finished bool
@@ -458,6 +489,7 @@ func New(cfg Config) *Simulator {
 	if net == nil {
 		net = dataplane.NewNetwork(cfg.Topology, cfg.Miss)
 	}
+	nodes, links := cfg.Topology.NumNodes(), cfg.Topology.NumLinks()
 	s := &Simulator{
 		cfg:         cfg,
 		topo:        cfg.Topology,
@@ -465,21 +497,29 @@ func New(cfg Config) *Simulator {
 		k:           k,
 		ownKernel:   ownKernel,
 		alloc:       fairshare.New(),
-		flows:       make(map[FlowID]*Flow),
-		waiting:     make(map[netgraph.NodeID]map[FlowID]*Flow),
-		flowsAt:     make(map[netgraph.NodeID]map[FlowID]*Flow),
-		ledgers:     make(map[fairshare.ResourceID]*resLedger),
+		waiting:     make([][]flowRef, nodes),
+		flowsAt:     make([][]flowRef, nodes),
+		ledgers:     make([]resLedger, 2*links),
 		col:         stats.NewCollector(cfg.StatsEvery),
 		ctrl:        cfg.Controller,
-		dirtyFlows:  make(map[FlowID]*Flow),
-		expiryAt:    make(map[netgraph.NodeID]simtime.Time),
-		expiryTimer: make(map[netgraph.NodeID]simcore.Timer),
+		ingress:     make([]attachment, nodes),
+		expiryAt:    make([]simtime.Time, nodes),
+		expiryTimer: make([]simcore.Timer, nodes),
 		fstate:      dataplane.NewFailureState(cfg.Topology),
 		links:       cfg.Links,
-		modelGen:    make(map[netgraph.LinkID]uint64),
+		modelGen:    make([]uint64, links),
 	}
 	if s.links == nil {
-		s.links = linkmodel.NewSet(1, len(cfg.Topology.Links()))
+		s.links = linkmodel.NewSet(1, links)
+	}
+	for n := range s.ingress {
+		s.expiryAt[n] = simtime.Never
+		a := attachment{}
+		a.sw, a.port = s.topo.AttachedSwitch(netgraph.NodeID(n))
+		if a.sw >= 0 {
+			a.link = s.topo.LinkAt(a.sw, a.port)
+		}
+		s.ingress[n] = a
 	}
 	s.alloc.Epsilon = cfg.RateEpsilon
 	s.ctx = NewContext(s)
@@ -492,7 +532,6 @@ func New(cfg Config) *Simulator {
 		for _, fwd := range []bool{true, false} {
 			r := linkResource(l.ID, fwd)
 			s.alloc.SetCapacity(r, l.BandwidthBps*s.links.RateScale(l.ID, fwd, 0))
-			s.ledgers[r] = &resLedger{}
 		}
 		s.armRateStep(l.ID)
 	}
@@ -514,9 +553,6 @@ func (s *Simulator) Topology() *netgraph.Topology { return s.topo }
 
 // Kernel returns the simulation kernel driving this simulator.
 func (s *Simulator) Kernel() *simcore.Kernel { return s.k }
-
-// Flow returns a flow by ID (nil if unknown).
-func (s *Simulator) Flow(id FlowID) *Flow { return s.flows[id] }
 
 // Allocator exposes the bandwidth allocator (read-mostly; used by stats
 // sampling and tests).
@@ -555,24 +591,56 @@ func (s *Simulator) LinkRateBps(l netgraph.LinkID, forward bool) float64 {
 	return s.alloc.ResourceUsage(linkResource(l, forward))
 }
 
-// Load schedules every demand in the trace.
+// Load schedules every demand in the trace. The simulator keeps tr
+// (without copying it) until the last of its demands has arrived, so the
+// caller must not modify it after Load.
+//
+// Load queues one arrival at a time: it reserves len(tr) FIFO sequence
+// numbers from the kernel, and each firing arrival queues the trace's
+// next one, in (Start, index) order, under the number an eager push of
+// the whole trace would have given it. That arrival is always the
+// earliest of the trace's remaining ones under the queue's (time, key,
+// seq) order, so every dispatch sees the queue minimum an eager Load would
+// have — the run is event-for-event identical — while the queue and the
+// envelope pool hold one arrival per Load instead of one per demand.
 func (s *Simulator) Load(tr traffic.Trace) {
-	for _, d := range tr {
-		s.InjectAt(d)
+	if len(tr) == 0 {
+		return
 	}
+	a := &arrivals{tr: tr, base: s.k.Reserve(len(tr))}
+	if !tr.Sorted() {
+		a.order = make([]int32, len(tr))
+		for i := range a.order {
+			a.order[i] = int32(i)
+		}
+		slices.SortStableFunc(a.order, func(x, y int32) int { return cmp.Compare(tr[x].Start, tr[y].Start) })
+	}
+	s.queueArrival(a)
 }
 
-// InjectAt schedules one demand at its start time.
+// InjectAt schedules one demand at its start time, as a single eager
+// push (the hybrid engine routes demands to this engine one at a time).
+// The demand waits in a reused slot of s.injected, so the envelope needs
+// no room for it.
 func (s *Simulator) InjectAt(d traffic.Demand) {
-	s.sched(event{at: d.Start, kind: evArrival, demand: d})
+	var slot int32
+	if n := len(s.injectFree); n > 0 {
+		slot = s.injectFree[n-1]
+		s.injectFree = s.injectFree[:n-1]
+		s.injected[slot] = d
+	} else {
+		slot = int32(len(s.injected))
+		s.injected = append(s.injected, d)
+	}
+	s.sched(event{at: d.Start, kind: evArrival, slot: slot})
 }
 
 // SetTraceReader streams the workload in from r instead of (or in
 // addition to) Load: demands are pulled one at a time as virtual time
 // reaches them, so arbitrarily long traces ingest with one demand
 // buffered. r must yield nondecreasing Start times. Because every
-// arrival — eager or streamed — carries the same order key and arrivals
-// dispatch FIFO among themselves, a streamed run's records are
+// arrival — loaded, injected or streamed — carries the same order key and
+// arrivals dispatch FIFO among themselves, a streamed run's records are
 // byte-identical to Load of the same sequence. Install before Run; a
 // reader error stops ingestion and is returned by Run (or TraceErr).
 func (s *Simulator) SetTraceReader(r traffic.Reader) {
@@ -586,23 +654,58 @@ func (s *Simulator) SetTraceReader(r traffic.Reader) {
 // drivers (hybrid) check it after the run; standalone Run returns it.
 func (s *Simulator) TraceErr() error { return s.readerErr }
 
-// pullArrival pulls the next demand from the trace reader and schedules
-// it as the single outstanding chained arrival.
-func (s *Simulator) pullArrival() {
-	d, err := s.reader.Next()
-	if err != nil {
-		if err != io.EOF {
-			s.readerErr = err
+// arrivals is an ingestion cursor, the one path by which traces enter the
+// engine: exactly one of its arrivals is queued at a time, and firing it
+// queues the next. A Load cursor walks tr in (Start, index) order — order
+// is the stable index permutation of an unsorted trace, nil for a sorted
+// one — and queues demand i under the reserved seq base+i. A reader
+// cursor pulls from r and queues each demand under a fresh seq, which is
+// the position an eager push at pull time would take.
+type arrivals struct {
+	tr    traffic.Trace
+	order []int32
+	next  int // position in the walk of the next demand to queue
+	base  uint64
+
+	r    traffic.Reader
+	last simtime.Time
+
+	// pending is the queued arrival's demand.
+	pending traffic.Demand
+}
+
+// queueArrival queues the cursor's next arrival, if any.
+func (s *Simulator) queueArrival(a *arrivals) {
+	if a.r != nil {
+		d, err := a.r.Next()
+		if err != nil {
+			if err != io.EOF {
+				s.readerErr = err
+			}
+			return
 		}
+		if d.Start < a.last {
+			s.readerErr = fmt.Errorf("flowsim: trace reader went backwards (%v after %v): %w",
+				d.Start, a.last, traffic.ErrTraceOrder)
+			return
+		}
+		a.last = d.Start
+		a.pending = d
+		s.sched(event{at: d.Start, kind: evArrival, arr: a})
 		return
 	}
-	if d.Start < s.readerLast {
-		s.readerErr = fmt.Errorf("flowsim: trace reader went backwards (%v after %v): %w",
-			d.Start, s.readerLast, traffic.ErrTraceOrder)
+	if a.next == len(a.tr) {
 		return
 	}
-	s.readerLast = d.Start
-	s.sched(event{at: d.Start, kind: evArrival, demand: d, chain: true})
+	i := a.next
+	if a.order != nil {
+		i = int(a.order[i])
+	}
+	a.next++
+	a.pending = a.tr[i]
+	e := s.pool.Get()
+	*e = event{at: a.pending.Start, kind: evArrival, arr: a, sim: s}
+	s.k.ScheduleSeq(e, a.base+uint64(i))
 }
 
 // ScheduleLinkChange schedules a link failure (up=false) or recovery.
@@ -698,7 +801,7 @@ func (s *Simulator) Begin() {
 		s.sched(event{at: simtime.Time(s.cfg.StatsEvery), kind: evStatsTick})
 	}
 	if s.reader != nil {
-		s.pullArrival()
+		s.queueArrival(&arrivals{r: s.reader})
 	}
 }
 
@@ -715,10 +818,17 @@ func (s *Simulator) Finish() *stats.Collector {
 func (s *Simulator) dispatch(e *event) {
 	switch e.kind {
 	case evArrival:
-		s.handleArrival(e.demand)
-		if e.chain {
-			s.pullArrival()
+		// The cursor queues its next arrival before this one is handled,
+		// which is when an eager push would already have had it queued.
+		var d traffic.Demand
+		if a := e.arr; a != nil {
+			d = a.pending
+			s.queueArrival(a)
+		} else {
+			d = s.injected[e.slot]
+			s.injectFree = append(s.injectFree, e.slot)
 		}
+		s.handleArrival(&d)
 	case evComplete:
 		if e.flow.gen == e.gen && e.flow.state != StateDone {
 			e.flow.completion = simcore.Timer{}
@@ -768,15 +878,14 @@ func (s *Simulator) dispatch(e *event) {
 func (s *Simulator) finish() {
 	s.drainAlloc()
 	s.finished = true
-	ids := make([]FlowID, 0, len(s.flows))
-	for id, f := range s.flows {
+	var live []*Flow
+	for _, f := range s.flows {
 		if f.state != StateDone {
-			ids = append(ids, id)
+			live = append(live, f)
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		f := s.flows[id]
+	slices.SortFunc(live, byID)
+	for _, f := range live {
 		s.settleFlow(f)
 		outcome := "running"
 		if f.state == StateWaiting {
@@ -789,15 +898,19 @@ func (s *Simulator) finish() {
 // checkInvariants is used by tests: it verifies internal consistency
 // between the allocator, the flow set, and the ledgers.
 func (s *Simulator) checkInvariants() error {
-	for id, f := range s.flows {
+	for _, f := range s.flows {
 		if f.state == StateActive {
-			if s.alloc.Rate(fairshare.FlowID(id)) < 0 {
-				return fmt.Errorf("flow %d has negative allocator rate", id)
+			if s.alloc.Rate(fairshare.FlowID(f.ID)) < 0 {
+				return fmt.Errorf("flow %d has negative allocator rate", f.ID)
 			}
 			if !math.IsInf(f.remaining, 1) && f.remaining < -1 {
-				return fmt.Errorf("flow %d oversent: remaining=%g", id, f.remaining)
+				return fmt.Errorf("flow %d oversent: remaining=%g", f.ID, f.remaining)
 			}
 		}
 	}
 	return nil
 }
+
+// byID orders flows by FlowID, the order every batch of flows is
+// processed in.
+func byID(a, b *Flow) int { return cmp.Compare(a.ID, b.ID) }

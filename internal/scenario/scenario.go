@@ -131,7 +131,8 @@ type Engine interface {
 	Collector() *stats.Collector
 	// Now returns the current virtual time.
 	Now() simtime.Time
-	// Load schedules every demand in the trace.
+	// Load schedules every demand in the trace. The engine may read tr
+	// until the run ends, so it must not be modified after Load.
 	Load(tr traffic.Trace)
 	// Run executes until the event queue drains, virtual time exceeds
 	// until (simtime.Never = no bound), or ctx is cancelled — in which

@@ -126,6 +126,16 @@ func (k *Kernel) Dispatched() uint64 { return k.dispatched }
 // instant (after everything already queued there).
 func (k *Kernel) Schedule(ev Event) { k.q.Push(ev) }
 
+// Reserve takes n consecutive FIFO sequence numbers from the queue and
+// returns the first (see eventq.Queue.Reserve). ScheduleSeq later queues
+// an event under one of them, so a cursor that keeps one of n pending
+// events queued at a time dispatches them exactly where n eager Schedule
+// calls made at Reserve time would have.
+func (k *Kernel) Reserve(n int) uint64 { return k.q.Reserve(n) }
+
+// ScheduleSeq queues an event under a sequence number from Reserve.
+func (k *Kernel) ScheduleSeq(ev Event, seq uint64) { k.q.PushSeq(ev, seq) }
+
 // Extract drains the queue and returns, in dequeue order, every event for
 // which match returns true; the rest are re-pushed in dequeue order, so
 // their relative (time, key, FIFO) order is preserved exactly. The sharded

@@ -1,11 +1,13 @@
 package traffic
 
 import (
-	"container/heap"
+	"bufio"
+	"bytes"
 	"encoding/csv"
 	"errors"
 	"fmt"
 	"io"
+	"sort"
 
 	"horse/internal/simtime"
 )
@@ -47,45 +49,30 @@ func (r *sliceReader) Next() (Demand, error) {
 	return d, nil
 }
 
-// heapItem pairs a parsed demand with its input sequence number.
-type heapItem struct {
+// windowItem pairs a parsed demand with its input sequence number.
+type windowItem struct {
 	d   Demand
 	seq int
 }
 
-// demandHeap is a min-heap on (Start, arrival sequence): the sequence
-// tiebreak keeps equal-Start rows in input order, so an already-sorted
-// input streams through byte-identically to ReadCSV.
-type demandHeap []heapItem
-
-func (h demandHeap) Len() int { return len(h) }
-func (h demandHeap) Less(i, j int) bool {
-	if h[i].d.Start != h[j].d.Start {
-		return h[i].d.Start < h[j].d.Start
-	}
-	return h[i].seq < h[j].seq
-}
-func (h demandHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *demandHeap) Push(x any)   { *h = append(*h, x.(heapItem)) }
-func (h *demandHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
 // windowReader re-sorts a nearly-sorted source through a bounded
-// lookahead heap and enforces the Reader ordering contract.
+// lookahead window and enforces the Reader ordering contract. The window
+// is a ring kept sorted on (Start, input sequence): a row no earlier than
+// the newest one — every row of a sorted input — is appended at the back
+// in O(1), a displaced row is binary-inserted behind every row with the
+// same Start (so equal-Start rows keep input order and an already-sorted
+// input streams through byte-identically to ReadCSV), and the front is
+// always the minimum.
 type windowReader struct {
 	pull    func() (Demand, error)
 	window  int
-	h       demandHeap
+	ring    []windowItem // len is a power of two
+	head, n int
 	seq     int
 	last    simtime.Time
 	started bool
 	err     error
-	done    bool // source exhausted; drain the heap
+	done    bool // source exhausted; drain the window
 }
 
 func newWindowReader(pull func() (Demand, error), window int) *windowReader {
@@ -95,11 +82,34 @@ func newWindowReader(pull func() (Demand, error), window int) *windowReader {
 	return &windowReader{pull: pull, window: window}
 }
 
+// at returns the i-th oldest item of the window.
+func (r *windowReader) at(i int) *windowItem { return &r.ring[(r.head+i)&(len(r.ring)-1)] }
+
+// insert adds one item at its sorted position.
+func (r *windowReader) insert(it windowItem) {
+	if r.n == len(r.ring) {
+		grown := make([]windowItem, max(16, 2*len(r.ring)))
+		for i := 0; i < r.n; i++ {
+			grown[i] = *r.at(i)
+		}
+		r.ring, r.head = grown, 0
+	}
+	i := r.n
+	if i > 0 && it.d.Start < r.at(i-1).d.Start {
+		i = sort.Search(r.n, func(j int) bool { return r.at(j).d.Start > it.d.Start })
+		for j := r.n; j > i; j-- {
+			*r.at(j) = *r.at(j - 1)
+		}
+	}
+	*r.at(i) = it
+	r.n++
+}
+
 func (r *windowReader) Next() (Demand, error) {
 	if r.err != nil {
 		return Demand{}, r.err
 	}
-	for !r.done && len(r.h) < r.window {
+	for !r.done && r.n < r.window {
 		d, err := r.pull()
 		if err == io.EOF {
 			r.done = true
@@ -109,14 +119,17 @@ func (r *windowReader) Next() (Demand, error) {
 			r.err = err
 			return Demand{}, err
 		}
-		heap.Push(&r.h, heapItem{d, r.seq})
+		r.insert(windowItem{d, r.seq})
 		r.seq++
 	}
-	if len(r.h) == 0 {
+	if r.n == 0 {
 		r.err = io.EOF
 		return Demand{}, io.EOF
 	}
-	min := heap.Pop(&r.h).(heapItem)
+	min := *r.at(0)
+	*r.at(0) = windowItem{}
+	r.head = (r.head + 1) & (len(r.ring) - 1)
+	r.n--
 	if r.started && min.d.Start < r.last {
 		r.err = fmt.Errorf("traffic: row %d starts at %v, after later rows already emitted (lookahead window %d): %w",
 			min.seq+1, min.d.Start, r.window, ErrTraceOrder)
@@ -132,10 +145,11 @@ func (r *windowReader) Next() (Demand, error) {
 // buffer that re-sorts rows displaced by less than the window. Inputs in
 // nondecreasing Start order stream through in exactly ReadCSV's row
 // order; a row out of order by more than the window fails with
-// ErrTraceOrder. The header is validated eagerly.
+// ErrTraceOrder. The header is validated eagerly. It accepts exactly the
+// inputs ReadCSV accepts and parses them to the same demands.
 func NewCSVReader(r io.Reader, window int) (Reader, error) {
-	cr := csv.NewReader(r)
-	hdr, err := cr.Read()
+	sc := &csvScanner{br: bufio.NewReader(r)}
+	hdr, err := sc.header()
 	if err == io.EOF {
 		return nil, fmt.Errorf("traffic: empty trace file")
 	}
@@ -145,23 +159,127 @@ func NewCSVReader(r io.Reader, window int) (Reader, error) {
 	if len(hdr) != len(traceHeader) || hdr[0] != traceHeader[0] {
 		return nil, fmt.Errorf("traffic: unrecognized trace header %v", hdr)
 	}
-	line := 1 // header consumed
-	pull := func() (Demand, error) {
-		row, err := cr.Read()
-		if err == io.EOF {
+	return newWindowReader(sc.next, window), nil
+}
+
+// csvScanner reads trace records. Canonical lines — no quote, no CR, not
+// blank, exactly one field per trace column — are split in place and
+// parsed straight from the read buffer, with no per-row allocation; on
+// such a line encoding/csv would return the very same fields. At the
+// first other line the scanner hands that line and the rest of the input
+// to encoding/csv, for good.
+type csvScanner struct {
+	br     *bufio.Reader
+	cr     *csv.Reader // set once the scanner has fallen back
+	line   int         // records read, header included
+	fields [len(traceHeader)][]byte
+}
+
+// header reads the header record.
+func (sc *csvScanner) header() ([]string, error) {
+	b, err := sc.br.ReadSlice('\n')
+	if err == io.EOF && len(b) == 0 {
+		return nil, io.EOF
+	}
+	if (err == nil || err == io.EOF) && sc.split(b) {
+		sc.line++
+		hdr := make([]string, len(sc.fields))
+		for i, f := range sc.fields {
+			hdr[i] = string(f)
+		}
+		return hdr, nil
+	}
+	if err != nil && err != io.EOF && err != bufio.ErrBufferFull {
+		return nil, err
+	}
+	// encoding/csv sets the field count from the header, as ReadCSV does.
+	sc.fallBack(b, 0)
+	hdr, err := sc.cr.Read()
+	sc.line++
+	return hdr, err
+}
+
+// next parses the next record.
+func (sc *csvScanner) next() (Demand, error) {
+	if sc.cr == nil {
+		b, err := sc.br.ReadSlice('\n')
+		if err == io.EOF && len(b) == 0 {
 			return Demand{}, io.EOF
 		}
-		if err != nil {
+		if (err == nil || err == io.EOF) && sc.split(b) {
+			sc.line++
+			return parseTraceRow(sc.fields[:], sc.line)
+		}
+		if err != nil && err != io.EOF && err != bufio.ErrBufferFull {
 			return Demand{}, fmt.Errorf("traffic: reading trace: %w", err)
 		}
-		line++
-		d, err := parseTraceRow(row, line)
-		if err != nil {
-			return Demand{}, err
-		}
-		return d, nil
+		sc.fallBack(b, len(traceHeader))
 	}
-	return newWindowReader(pull, window), nil
+	row, err := sc.cr.Read()
+	if err == io.EOF {
+		return Demand{}, io.EOF
+	}
+	if err != nil {
+		return Demand{}, fmt.Errorf("traffic: reading trace: %w", err)
+	}
+	sc.line++
+	return parseTraceRow(row, sc.line)
+}
+
+// split splits a canonical line into sc.fields and reports whether it was
+// one.
+func (sc *csvScanner) split(b []byte) bool {
+	if n := len(b); n > 0 && b[n-1] == '\n' {
+		b = b[:n-1]
+	}
+	if len(b) == 0 {
+		return false
+	}
+	f, start := 0, 0
+	for i, c := range b {
+		switch c {
+		case '"', '\r':
+			return false
+		case ',':
+			if f == len(sc.fields)-1 {
+				return false
+			}
+			sc.fields[f] = b[start:i]
+			f, start = f+1, i+1
+		}
+	}
+	if f != len(sc.fields)-1 {
+		return false
+	}
+	sc.fields[f] = b[start:]
+	return true
+}
+
+// fallBack switches to encoding/csv, starting at pending (the unconsumed
+// line, which aliases the read buffer). fields is the record width it
+// enforces (0: set by the first record). The lines already scanned are
+// replayed as blank lines, which encoding/csv skips but counts, so its
+// errors cite lines of the whole input.
+func (sc *csvScanner) fallBack(pending []byte, fields int) {
+	done := blankLines(sc.line)
+	rest := append([]byte(nil), pending...)
+	sc.cr = csv.NewReader(io.MultiReader(&done, bytes.NewReader(rest), sc.br))
+	sc.cr.FieldsPerRecord = fields
+}
+
+// blankLines reads as that many newlines.
+type blankLines int
+
+func (n *blankLines) Read(p []byte) (int, error) {
+	if *n == 0 {
+		return 0, io.EOF
+	}
+	k := min(len(p), int(*n))
+	for i := range p[:k] {
+		p[i] = '\n'
+	}
+	*n -= blankLines(k)
+	return k, nil
 }
 
 // NewPoissonReader generates the same arrival stream as

@@ -25,6 +25,20 @@ func FuzzStreamVsReadCSV(f *testing.F) {
 	f.Add([]byte(hdr+"3,2,3,17,1,2,1,1,0,false\n1,3,2,17,2,1,1,1,0,false\n2,2,3,6,3,4,9,9,1,true\n"), uint16(4))
 	f.Add([]byte("not,a,trace\n1,2,3\n"), uint16(3))
 	f.Add([]byte(hdr+"0,0,1,17,1000,80,1e6,notafloat,0,false\n"), uint16(8))
+	// Lines the strict scanner declines, at the header and mid-stream:
+	// each hands the rest of the input to encoding/csv, which must then
+	// accept and reject exactly what ReadCSV does.
+	row := "0,0,1,17,1000,80,1e6,1e6,0,false\n"
+	f.Add([]byte(hdr+row+`0.5,"1",0,6,1001,443,inf,inf,2,true`+"\n"+row), uint16(3))
+	f.Add([]byte(hdr+row+"0.5,1,0,6,1001,443,inf,inf,2,true\r\n"+row), uint16(3))
+	f.Add([]byte(hdr+row+"\n"+row), uint16(2))
+	f.Add([]byte(hdr+row+"0.5,1,0,6\n"+row), uint16(2))
+	f.Add([]byte(hdr+row+" 0.5,1,0,6,1001,443,inf,inf,2,true\n"), uint16(2))
+	f.Add([]byte(`"start_s",src,dst,proto,src_port,dst_port,size_bits,rate_bps,duration_s,tcp`+"\r\n"+row+row), uint16(1))
+	f.Add([]byte("\n"+hdr+row), uint16(1))
+	f.Add([]byte(hdr+row+`1,2,3,17,1,2,"in`+"\n"+`f",1,0,false`+"\n"), uint16(5))
+	f.Add([]byte(hdr+row+"0.5,1,0,6,1001,443,inf,inf,2,true,extra\n"), uint16(2))
+	f.Add([]byte(hdr+"0,0,1,17,1000,80,1e6,1e6,0,false"), uint16(1))
 
 	f.Fuzz(func(t *testing.T, data []byte, window uint16) {
 		w := int(window%64) + 1

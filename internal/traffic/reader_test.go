@@ -145,7 +145,7 @@ func TestCSVReaderHeaderErrors(t *testing.T) {
 }
 
 func TestCSVReaderBadRow(t *testing.T) {
-	data := strings.Join(traceHeader, ",") + "\n0,0,1,17,1000,80,1e6,notafloat,0,false\n"
+	data := strings.Join(traceHeader[:], ",") + "\n0,0,1,17,1000,80,1e6,notafloat,0,false\n"
 	r, err := NewCSVReader(strings.NewReader(data), 0)
 	if err != nil {
 		t.Fatal(err)

@@ -2,10 +2,13 @@ package traffic
 
 import (
 	"bytes"
+	"encoding/csv"
 	"math"
+	"strconv"
 	"testing"
 
 	"horse/internal/header"
+	"horse/internal/netgraph"
 	"horse/internal/simtime"
 )
 
@@ -86,4 +89,64 @@ func floatEq(a, b float64) bool {
 		return true
 	}
 	return a == b
+}
+
+// csvWriterOracle is WriteCSV as encoding/csv.Writer writes it, one
+// formatted string per field: the reference FuzzWriteCSV holds the
+// hand-built rows to.
+func csvWriterOracle(tr Trace) []byte {
+	var buf bytes.Buffer
+	cw := csv.NewWriter(&buf)
+	cw.Write(traceHeader[:])
+	ff := func(v float64) string {
+		if math.IsInf(v, 1) {
+			return "inf"
+		}
+		return strconv.FormatFloat(v, 'g', -1, 64)
+	}
+	for _, d := range tr {
+		cw.Write([]string{
+			strconv.FormatFloat(d.Start.Seconds(), 'g', -1, 64),
+			strconv.Itoa(int(d.Src)),
+			strconv.Itoa(int(d.Dst)),
+			strconv.Itoa(int(d.Key.Proto)),
+			strconv.Itoa(int(d.Key.SrcPort)),
+			strconv.Itoa(int(d.Key.DstPort)),
+			ff(d.SizeBits),
+			ff(d.RateBps),
+			strconv.FormatFloat(d.Duration.Seconds(), 'g', -1, 64),
+			strconv.FormatBool(d.TCP),
+		})
+	}
+	cw.Flush()
+	return buf.Bytes()
+}
+
+// FuzzWriteCSV holds WriteCSV byte for byte to encoding/csv.Writer on
+// arbitrary demands: every numeric form strconv can print (±Inf, NaN, −0,
+// subnormals, exponents from 1e21 up) and every port and node ID. Run the
+// smoke pass with `make fuzz-smoke`.
+func FuzzWriteCSV(f *testing.F) {
+	f.Add(int64(1500000), int32(3), int32(7), uint8(17), uint16(40000), uint16(80), 1e6, 5e7, int64(0), false)
+	f.Add(int64(0), int32(0), int32(1), uint8(6), uint16(65535), uint16(65535), math.Inf(1), math.Inf(1), int64(2e9), true)
+	f.Add(int64(-1), int32(-1), int32(math.MaxInt32), uint8(255), uint16(0), uint16(0), math.Inf(-1), math.NaN(), int64(-5), false)
+	f.Add(int64(math.MaxInt64), int32(math.MinInt32), int32(2), uint8(0), uint16(1), uint16(2), math.Copysign(0, -1), 5e-324, int64(math.MinInt64), true)
+	f.Add(int64(1e18), int32(1), int32(2), uint8(17), uint16(30000), uint16(80), 1e21, 1.7976931348623157e308, int64(1), false)
+	f.Fuzz(func(t *testing.T, start int64, src, dst int32, proto uint8, sport, dport uint16, size, rate float64, dur int64, tcp bool) {
+		d := Demand{
+			Src: netgraph.NodeID(src), Dst: netgraph.NodeID(dst),
+			Start: simtime.Time(start), SizeBits: size, RateBps: rate,
+			Duration: simtime.Duration(dur), TCP: tcp,
+		}
+		d.Key.Proto, d.Key.SrcPort, d.Key.DstPort = proto, sport, dport
+		tr := Trace{d, d}
+		tr[1].TCP = !tcp
+		var got bytes.Buffer
+		if err := tr.WriteCSV(&got); err != nil {
+			t.Fatal(err)
+		}
+		if want := csvWriterOracle(tr); !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("WriteCSV differs from encoding/csv:\n got %q\nwant %q", got.Bytes(), want)
+		}
+	})
 }

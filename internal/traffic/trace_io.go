@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"bufio"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -13,42 +14,59 @@ import (
 )
 
 // traceHeader is the CSV column set, stable across versions.
-var traceHeader = []string{
+var traceHeader = [...]string{
 	"start_s", "src", "dst", "proto", "src_port", "dst_port",
 	"size_bits", "rate_bps", "duration_s", "tcp",
 }
 
 // WriteCSV serializes the trace. Infinite sizes/rates are written as "inf".
+// The output is what encoding/csv.Writer produces for the same fields: no
+// numeric or boolean field ever needs quoting, so each row is built in one
+// reused buffer and written through one bufio.Writer.
 func (tr Trace) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(traceHeader); err != nil {
-		return err
+	bw := bufio.NewWriter(w)
+	row := make([]byte, 0, 256)
+	for i, h := range traceHeader {
+		if i > 0 {
+			row = append(row, ',')
+		}
+		row = append(row, h...)
 	}
-	ff := func(v float64) string {
+	row = append(row, '\n')
+	bw.Write(row)
+	ff := func(b []byte, v float64) []byte {
 		if math.IsInf(v, 1) {
-			return "inf"
+			return append(b, "inf"...)
 		}
-		return strconv.FormatFloat(v, 'g', -1, 64)
+		return strconv.AppendFloat(b, v, 'g', -1, 64)
 	}
-	for _, d := range tr {
-		rec := []string{
-			strconv.FormatFloat(d.Start.Seconds(), 'g', -1, 64),
-			strconv.Itoa(int(d.Src)),
-			strconv.Itoa(int(d.Dst)),
-			strconv.Itoa(int(d.Key.Proto)),
-			strconv.Itoa(int(d.Key.SrcPort)),
-			strconv.Itoa(int(d.Key.DstPort)),
-			ff(d.SizeBits),
-			ff(d.RateBps),
-			strconv.FormatFloat(d.Duration.Seconds(), 'g', -1, 64),
-			strconv.FormatBool(d.TCP),
-		}
-		if err := cw.Write(rec); err != nil {
+	for i := range tr {
+		d := &tr[i]
+		row = strconv.AppendFloat(row[:0], d.Start.Seconds(), 'g', -1, 64)
+		row = append(row, ',')
+		row = strconv.AppendInt(row, int64(d.Src), 10)
+		row = append(row, ',')
+		row = strconv.AppendInt(row, int64(d.Dst), 10)
+		row = append(row, ',')
+		row = strconv.AppendInt(row, int64(d.Key.Proto), 10)
+		row = append(row, ',')
+		row = strconv.AppendInt(row, int64(d.Key.SrcPort), 10)
+		row = append(row, ',')
+		row = strconv.AppendInt(row, int64(d.Key.DstPort), 10)
+		row = append(row, ',')
+		row = ff(row, d.SizeBits)
+		row = append(row, ',')
+		row = ff(row, d.RateBps)
+		row = append(row, ',')
+		row = strconv.AppendFloat(row, d.Duration.Seconds(), 'g', -1, 64)
+		row = append(row, ',')
+		row = strconv.AppendBool(row, d.TCP)
+		row = append(row, '\n')
+		if _, err := bw.Write(row); err != nil {
 			return err
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return bw.Flush()
 }
 
 // ReadCSV parses a trace written by WriteCSV. Flow keys are rebuilt from
@@ -77,39 +95,39 @@ func ReadCSV(r io.Reader) (Trace, error) {
 }
 
 // parseTraceRow decodes one data row (line is the 1-based file line, for
-// errors). Shared by ReadCSV and the windowed NewCSVReader so both accept
-// exactly the same inputs.
-func parseTraceRow(row []string, line int) (Demand, error) {
+// errors). ReadCSV passes encoding/csv's fields, the streaming reader its
+// scanner's byte slices, so both accept exactly the same inputs.
+func parseTraceRow[T string | []byte](row []T, line int) (Demand, error) {
 	fail := func(err error) (Demand, error) {
 		return Demand{}, fmt.Errorf("traffic: trace line %d: %w", line, err)
 	}
-	pf := func(s string) (float64, error) {
-		if s == "inf" {
+	pf := func(s T) (float64, error) {
+		if string(s) == "inf" {
 			return math.Inf(1), nil
 		}
-		return strconv.ParseFloat(s, 64)
+		return strconv.ParseFloat(string(s), 64)
 	}
-	start, err := strconv.ParseFloat(row[0], 64)
+	start, err := strconv.ParseFloat(string(row[0]), 64)
 	if err != nil {
 		return fail(err)
 	}
-	src, err := strconv.Atoi(row[1])
+	src, err := strconv.Atoi(string(row[1]))
 	if err != nil {
 		return fail(err)
 	}
-	dst, err := strconv.Atoi(row[2])
+	dst, err := strconv.Atoi(string(row[2]))
 	if err != nil {
 		return fail(err)
 	}
-	proto, err := strconv.Atoi(row[3])
+	proto, err := strconv.Atoi(string(row[3]))
 	if err != nil {
 		return fail(err)
 	}
-	sport, err := strconv.Atoi(row[4])
+	sport, err := strconv.Atoi(string(row[4]))
 	if err != nil {
 		return fail(err)
 	}
-	dport, err := strconv.Atoi(row[5])
+	dport, err := strconv.Atoi(string(row[5]))
 	if err != nil {
 		return fail(err)
 	}
@@ -121,11 +139,11 @@ func parseTraceRow(row []string, line int) (Demand, error) {
 	if err != nil {
 		return fail(err)
 	}
-	durS, err := strconv.ParseFloat(row[8], 64)
+	durS, err := strconv.ParseFloat(string(row[8]), 64)
 	if err != nil {
 		return fail(err)
 	}
-	tcp, err := strconv.ParseBool(row[9])
+	tcp, err := strconv.ParseBool(string(row[9]))
 	if err != nil {
 		return fail(err)
 	}

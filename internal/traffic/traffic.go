@@ -40,9 +40,22 @@ type Demand struct {
 type Trace []Demand
 
 // Sort orders the trace by start time (stable, so generation order breaks
-// ties deterministically).
+// ties deterministically). An already-sorted trace is left as is: a
+// stable sort of sorted input is the identity.
 func (tr Trace) Sort() {
-	sort.SliceStable(tr, func(i, j int) bool { return tr[i].Start < tr[j].Start })
+	if !tr.Sorted() {
+		sort.SliceStable(tr, func(i, j int) bool { return tr[i].Start < tr[j].Start })
+	}
+}
+
+// Sorted reports whether the trace's start times are nondecreasing.
+func (tr Trace) Sorted() bool {
+	for i := 1; i < len(tr); i++ {
+		if tr[i].Start < tr[i-1].Start {
+			return false
+		}
+	}
+	return true
 }
 
 // TotalBits sums the finite flow volumes in the trace.
@@ -144,7 +157,10 @@ func (g *Generator) PoissonArrivals(cfg PoissonConfig) Trace {
 	if len(cfg.Hosts) < 2 || cfg.Lambda <= 0 || cfg.Horizon <= 0 {
 		return nil
 	}
-	var tr Trace
+	// Room for the expected count plus four standard deviations, so the
+	// slice almost never regrows.
+	n := min(cfg.Lambda*cfg.Horizon.Seconds(), 1<<24)
+	tr := make(Trace, 0, int(n+4*math.Sqrt(n))+1)
 	t := simtime.Time(0)
 	for {
 		d, ok := g.nextPoisson(cfg, &t)
@@ -314,27 +330,36 @@ func (g *Generator) Replay(m *Matrix, cfg ReplayConfig) Trace {
 	if dstPort == 0 {
 		dstPort = header.PortHTTP
 	}
-	var tr Trace
-	for start := simtime.Time(0); start < simtime.Time(cfg.Horizon); start = start.Add(cfg.Epoch) {
-		mult := cfg.Mod.At(start)
-		for i, src := range m.Hosts {
-			for j, dst := range m.Hosts {
-				rate := m.Rates[i][j] * mult
-				if rate <= 0 || rate < cfg.MinRateBps {
-					continue
+	// epochFlows calls fn for every epoch flow, in start order.
+	epochFlows := func(fn func(start simtime.Time, i, j int, rate float64)) {
+		for start := simtime.Time(0); start < simtime.Time(cfg.Horizon); start = start.Add(cfg.Epoch) {
+			mult := cfg.Mod.At(start)
+			for i := range m.Hosts {
+				for j := range m.Hosts {
+					rate := m.Rates[i][j] * mult
+					if rate <= 0 || rate < cfg.MinRateBps {
+						continue
+					}
+					fn(start, i, j, rate)
 				}
-				tr = append(tr, Demand{
-					Key:      addr.FlowKeyBetween(src, dst, header.ProtoTCP, g.srcPort(), dstPort),
-					Src:      src,
-					Dst:      dst,
-					Start:    start,
-					SizeBits: math.Inf(1),
-					RateBps:  rate,
-					Duration: cfg.Epoch,
-				})
 			}
 		}
 	}
+	n := 0
+	epochFlows(func(simtime.Time, int, int, float64) { n++ })
+	tr := make(Trace, 0, n)
+	epochFlows(func(start simtime.Time, i, j int, rate float64) {
+		src, dst := m.Hosts[i], m.Hosts[j]
+		tr = append(tr, Demand{
+			Key:      addr.FlowKeyBetween(src, dst, header.ProtoTCP, g.srcPort(), dstPort),
+			Src:      src,
+			Dst:      dst,
+			Start:    start,
+			SizeBits: math.Inf(1),
+			RateBps:  rate,
+			Duration: cfg.Epoch,
+		})
+	})
 	tr.Sort()
 	return tr
 }
