@@ -54,7 +54,10 @@ scaling-gate:
 # parameters, seed, shard count, backend, and balancing mode reproduce
 # the serial heap run), and the port-schedule property (the one-event
 # transmitter agrees with the two-event reference model on any scenario
-# of flows, failures, link models, external load and polls). Seed corpora
+# of flows, failures, link models, external load and polls), and the
+# fair-share exactness property (the heap-driven solver's rates and change
+# lists are bit-identical to eager progressive filling through every
+# recompute entry point; IXP-sized inputs make its execs slow). Seed corpora
 # are f.Add'd in the fuzz targets plus any checked-in testdata/fuzz
 # entries; the whole-fabric simulation fuzzers run fewer iterations
 # because every exec runs full simulations.
@@ -67,6 +70,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzStealSchedule -fuzztime=150x ./internal/packetsim/
 	$(GO) test -run='^$$' -fuzz=FuzzLinkModelParity -fuzztime=25x ./internal/packetsim/
 	$(GO) test -run='^$$' -fuzz=FuzzPortSchedule -fuzztime=2000x ./internal/packetsim/
+	$(GO) test -run='^$$' -fuzz=FuzzSolveExact -fuzztime=200x ./internal/fairshare/
 
 # End-to-end daemon smoke: horsed on a unix socket, horsectl submit with
 # streamed records, a mid-run cancel, and a SIGTERM drain.

@@ -46,10 +46,11 @@ func (l *ECMPLoadBalancer) installAll(ctx *flowsim.Context) {
 	nextGroup := make(map[netgraph.NodeID]openflow.GroupID)
 	groupOf := make(map[netgraph.NodeID]map[portSet]openflow.GroupID)
 
+	switches := topo.Switches()
 	for _, host := range topo.Hosts() {
 		next := topo.ECMPNextHops(host, l.cost())
 		mac := addr.HostMAC(host)
-		for _, sw := range topo.Switches() {
+		for _, sw := range switches {
 			nhs := next[sw]
 			if len(nhs) == 0 {
 				continue

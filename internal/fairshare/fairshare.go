@@ -13,6 +13,17 @@
 // Both modes produce identical allocations (property-tested); the E6
 // ablation benchmarks their cost.
 //
+// A fill iteration does not scan every resource. On a large component,
+// resources wait in a min-heap keyed by a conservative lower bound on the
+// fill level at which each can saturate. A resource is brought up to date
+// only when the next candidate level reaches its bound, by replaying the
+// updates it missed. Almost every iteration of an IXP-shaped component is
+// a demand freeze, so a solve costs O(F·deg·log R + iterations + replay of
+// resources that come near) rather than O(iterations·R). The allocation is
+// bit-identical to eager progressive filling: exact_test.go holds the
+// eager solver as an oracle and fuzzes every recompute entry point against
+// it.
+//
 // Internally the sharing state is flat: flows and resources live in dense
 // slots addressed by small integers, adjacency is slice-of-int32 in both
 // directions, and every solve runs on reusable scratch buffers with
@@ -87,10 +98,15 @@ type Allocator struct {
 	// infinitesimal re-allocations. Zero means report every change.
 	Epsilon float64
 
-	// Stats.
+	// Stats. FillSteps counts progressive-filling iterations;
+	// ResidualSteps counts per-resource residual updates, so
+	// ResidualSteps/FillSteps is the number of resources the solver
+	// actually looked at per iteration.
 	FullSolves      uint64
 	ComponentSolves uint64
 	FlowsVisited    uint64
+	FillSteps       uint64
+	ResidualSteps   uint64
 
 	scratch solveScratch
 }
@@ -110,6 +126,7 @@ type solveScratch struct {
 	resMark    []uint32  // touched-this-solve marks, indexed by resource slot
 	remaining  []float64 // residual capacity, indexed by resource slot
 	active     []int32   // unfrozen flows crossing, indexed by resource slot
+	lazy       []lazyRes // replay and saturation-bound state, by resource slot
 
 	comp  []int32 // flow slots being solved
 	queue []int32 // BFS frontier of resource slots
@@ -130,15 +147,49 @@ type solveScratch struct {
 // indexed by flow or resource slot and components are slot-disjoint, so
 // those can be shared; these are one-per-in-flight-solve.
 type solveWorker struct {
-	order     []int32 // demand-sorted unfrozen flows
-	activeRes []int32 // resource slots still binding
-	changed   []Changed
-	marks     []compMark // per-component spans of changed (parallel merge)
-	visited   uint64
+	order   []int32 // demand-sorted unfrozen flows
+	changed []Changed
+	marks   []compMark // per-component spans of changed (parallel merge)
+
+	visited, fillSteps, residualSteps uint64
 
 	// Progressive-filling state shared between solve and freezeFlow.
 	level       float64
 	activeCount int
+	lazy        bool        // resources wait in heap until they come near
+	iter        int32       // current fill iteration, from 1
+	deltas      []float64   // deltas[i] is the increment of iteration i
+	hist        []histEntry // active-count decrements, linked per resource
+	heap        []heapEntry // resources not yet near, keyed by saturation bound
+	near        []int32     // resources that may bind this iteration
+	window      int32       // iterations a key's rounding margin covers
+	rekeyAt     int32       // last iteration the heap keys' margins cover
+	slack       float64     // relative rounding margin of a key
+}
+
+// lazyRes is the solver's per-resource state: remaining[k] is exact as of
+// iteration exactAt, after whose freezes base flows were active; the
+// decrements since then are listed from head to tail in the worker's hist.
+// approx is an estimate of the residual at fill level lc, kept current by
+// freezeFlow in O(1), from which the saturation bound is derived without
+// replaying anything.
+type lazyRes struct {
+	approx, lc    float64
+	exactAt, base int32
+	head, tail    int32
+}
+
+// histEntry records that one flow on a resource froze in iteration iter, so
+// every update after iter sees one active flow fewer.
+type histEntry struct {
+	iter, next int32
+}
+
+// heapEntry is a resource in the solver's min-heap on key, a lower bound on
+// the fill level at which the resource can bind.
+type heapEntry struct {
+	key float64
+	k   int32
 }
 
 // compMark records where a component's changes begin inside a worker's
@@ -372,6 +423,9 @@ func (s *solveScratch) ensureScratch(nFlows, nRes int) {
 	s.resMark = growZero(s.resMark, nRes)
 	s.remaining = growFloat(s.remaining, nRes)
 	s.active = growInt32(s.active, nRes)
+	if len(s.lazy) < nRes {
+		s.lazy = append(s.lazy, make([]lazyRes, nRes-len(s.lazy))...)
+	}
 }
 
 func growZero(b []uint32, n int) []uint32 {
@@ -402,24 +456,40 @@ func growInt32(b []int32, n int) []int32 {
 // returned slice is reused by the next recompute; consume it before then.
 func (a *Allocator) RecomputeAll() []Changed {
 	a.FullSolves++
-	a.clearDirty()
-	s := &a.scratch
-	s.ensureScratch(len(a.flows), len(a.res))
 	cnt, pos, grouped := a.groupComponents()
 
 	// Solve each component. pos[r] points one past the component's end.
-	s.beginPass()
-	w := &s.worker
-	w.changed = w.changed[:0]
-	w.visited = 0
+	w := a.serialWorker()
 	for r, c := range cnt {
 		if c == 0 {
 			continue
 		}
 		a.solve(grouped[pos[r]-c:pos[r]], w)
 	}
-	a.FlowsVisited += w.visited
+	a.collect(w)
 	return w.changed
+}
+
+// serialWorker opens a recompute pass on the serial worker.
+func (a *Allocator) serialWorker() *solveWorker {
+	a.scratch.beginPass()
+	w := &a.scratch.worker
+	w.reset()
+	return w
+}
+
+// reset empties a worker's change list and work counters.
+func (w *solveWorker) reset() {
+	w.changed = w.changed[:0]
+	w.marks = w.marks[:0]
+	w.visited, w.fillSteps, w.residualSteps = 0, 0, 0
+}
+
+// collect adds a worker's work counters to the allocator's stats.
+func (a *Allocator) collect(w *solveWorker) {
+	a.FlowsVisited += w.visited
+	a.FillSteps += w.fillSteps
+	a.ResidualSteps += w.residualSteps
 }
 
 // RecomputeAllParallel is RecomputeAll with the independent component
@@ -433,11 +503,9 @@ func (a *Allocator) RecomputeAllParallel(workers int) []Changed {
 		return a.RecomputeAll()
 	}
 	a.FullSolves++
-	a.clearDirty()
-	s := &a.scratch
-	s.ensureScratch(len(a.flows), len(a.res))
 	cnt, pos, grouped := a.groupComponents()
 
+	s := &a.scratch
 	roots := s.compRoots[:0]
 	for r, c := range cnt {
 		if c > 0 {
@@ -446,18 +514,16 @@ func (a *Allocator) RecomputeAllParallel(workers int) []Changed {
 	}
 	s.compRoots = roots
 	ncomp := len(roots)
-	s.beginPass()
 	if ncomp <= 1 {
-		w := &s.worker
-		w.changed = w.changed[:0]
-		w.visited = 0
+		w := a.serialWorker()
 		if ncomp == 1 {
 			r := roots[0]
 			a.solve(grouped[pos[r]-cnt[r]:pos[r]], w)
 		}
-		a.FlowsVisited += w.visited
+		a.collect(w)
 		return w.changed
 	}
+	s.beginPass()
 	if workers > ncomp {
 		workers = ncomp
 	}
@@ -470,9 +536,7 @@ func (a *Allocator) RecomputeAllParallel(workers int) []Changed {
 	var wg sync.WaitGroup
 	for g := range ws {
 		w := &ws[g]
-		w.changed = w.changed[:0]
-		w.marks = w.marks[:0]
-		w.visited = 0
+		w.reset()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -510,18 +574,21 @@ func (a *Allocator) RecomputeAllParallel(workers int) []Changed {
 		}
 	}
 	for g := range ws {
-		a.FlowsVisited += ws[g].visited
+		a.collect(&ws[g])
 	}
 	s.worker.changed = out
 	return out
 }
 
-// groupComponents splits live routed flows into sharing-graph components
-// with a union-find over resource slots and buckets them with a counting
-// sort. Component r's flow slots are grouped[pos[r]-cnt[r]:pos[r]]
-// (pos[r] is left one past the component's end).
+// groupComponents clears the dirty marks, splits live routed flows into
+// sharing-graph components with a union-find over resource slots and
+// buckets them with a counting sort. Component r's flow slots are
+// grouped[pos[r]-cnt[r]:pos[r]] (pos[r] is left one past the component's
+// end).
 func (a *Allocator) groupComponents() (cnt, pos, grouped []int32) {
+	a.clearDirty()
 	s := &a.scratch
+	s.ensureScratch(len(a.flows), len(a.res))
 
 	// Union resources along every live flow's route.
 	parent := growInt32(s.ufParent, len(a.res))[:len(a.res)]
@@ -598,6 +665,15 @@ func (a *Allocator) Recompute() []Changed {
 		return nil
 	}
 	a.ComponentSolves++
+	w := a.serialWorker()
+	a.solve(a.dirtyComponent(), w)
+	a.collect(w)
+	return w.changed
+}
+
+// dirtyComponent clears the dirty marks and returns the flow slots of every
+// component that touches a dirty resource.
+func (a *Allocator) dirtyComponent() []int32 {
 	s := &a.scratch
 	s.ensureScratch(len(a.flows), len(a.res))
 	s.epoch++
@@ -637,14 +713,19 @@ func (a *Allocator) Recompute() []Changed {
 		}
 	}
 	s.queue, s.comp = queue, comp
-	s.beginPass()
-	w := &s.worker
-	w.changed = w.changed[:0]
-	w.visited = 0
-	a.solve(comp, w)
-	a.FlowsVisited += w.visited
-	return w.changed
+	return comp
 }
+
+// tiny is the absolute slack of the fill loop: a flow within tiny of its
+// demand is demand-limited, a resource with at most tiny left is exhausted.
+const tiny = 1e-9
+
+// heapGain is how many times the flow↔resource edges the estimated work of
+// scanning every resource on every iteration must exceed before solve keeps
+// resources in the heap: the heap's bookkeeping costs a few steps per
+// freeze per resource, which on a small or densely shared component is
+// more than a scan. Tests set it to 0 or +Inf to force either strategy.
+var heapGain = 16.0
 
 // solve runs progressive filling over the given flow slots (assumed to be
 // a union of whole components) inside an open pass (beginPass) and appends
@@ -652,18 +733,30 @@ func (a *Allocator) Recompute() []Changed {
 // components with distinct workers are safe: the scratch buffers solve
 // touches are all flow- or resource-indexed.
 //
-// The implementation exploits two structural facts to stay near
-// O((F+R)·log F + iterations·R): all unfrozen flows share the same
-// cumulative fill level, so demand-limited flows freeze in sorted demand
-// order (no per-iteration scan over flows); and saturated resources are
-// swap-removed from the active scan list.
+// Every unfrozen flow holds the same fill level, so demand-limited flows
+// freeze in sorted demand order without a scan over flows. On a large
+// component resources are not scanned either: each waits in a min-heap
+// keyed by a lower bound on the level at which it can bind, and only those
+// whose bound the next candidate level reaches are brought up to date, by
+// replaying the iterations they missed. The cost is O(F·deg·log R +
+// iterations + replay of resources that come near) rather than
+// O(iterations·R). Where the scan is estimated to be cheap (see heapGain)
+// every active resource is near on every iteration instead.
+//
+// Exactness contract: the result is bit-identical to eager progressive
+// filling, which updates every active resource on every iteration, under
+// either strategy. The sequence of increments is the same, a replay applies
+// the same floating-point update per iteration as the eager loop does, and
+// a key's rounding margin (see key) guarantees that a resource left in the
+// heap neither sets the increment nor exhausts in that iteration.
 func (a *Allocator) solve(comp []int32, w *solveWorker) {
 	w.visited += uint64(len(comp))
 	s := &a.scratch
 	ep := s.solveEpoch
 
 	order := w.order[:0]
-	activeRes := w.activeRes[:0]
+	near := w.near[:0]
+	edges, finite := 0, 0
 	for _, fi := range comp {
 		f := &a.flows[fi]
 		for _, k := range f.res {
@@ -671,7 +764,7 @@ func (a *Allocator) solve(comp []int32, w *solveWorker) {
 				s.resMark[k] = ep
 				s.remaining[k] = a.res[k].capacity
 				s.active[k] = 0
-				activeRes = append(activeRes, k)
+				near = append(near, k)
 			}
 		}
 		if f.demand <= 0 {
@@ -681,6 +774,10 @@ func (a *Allocator) solve(comp []int32, w *solveWorker) {
 		}
 		for _, k := range f.res {
 			s.active[k]++
+		}
+		edges += len(f.res)
+		if f.demand < Unlimited {
+			finite++
 		}
 		order = append(order, fi)
 	}
@@ -692,11 +789,36 @@ func (a *Allocator) solve(comp []int32, w *solveWorker) {
 	})
 	nextDemand := 0 // index into order of the next demand-freeze candidate
 	w.activeCount = len(order)
-
-	const tiny = 1e-9
 	w.level = 0 // common fill level of unfrozen flows
+	w.iter = 0
+
+	// An iteration normally freezes a flow or exhausts a resource, so
+	// there are about min(F, R+finite) of them; the estimate only picks
+	// the strategy.
+	nr := len(near)
+	w.lazy = float64(min(len(order), nr+finite))*float64(nr) > heapGain*float64(edges)
+	if w.lazy {
+		w.deltas = append(w.deltas[:0], 0)
+		w.hist = w.hist[:0]
+		w.window = int32(len(order))
+		w.setWindow()
+		h := w.heap[:0]
+		for _, k := range near {
+			if s.active[k] == 0 {
+				continue // no unfrozen flow crosses it: it can never bind
+			}
+			s.lazy[k] = lazyRes{approx: s.remaining[k], base: s.active[k], head: -1, tail: -1}
+			h = append(h, heapEntry{key: a.key(k, w), k: k})
+		}
+		w.heap = h
+		w.heapify()
+	}
 
 	for w.activeCount > 0 {
+		w.iter++
+		if w.lazy && w.iter > w.rekeyAt {
+			a.rekey(w)
+		}
 		// Advance past already-frozen heads of the demand order.
 		for nextDemand < len(order) && s.frozen[order[nextDemand]] == ep {
 			nextDemand++
@@ -708,17 +830,44 @@ func (a *Allocator) solve(comp []int32, w *solveWorker) {
 				delta = d
 			}
 		}
-		for x := 0; x < len(activeRes); {
-			k := activeRes[x]
-			if s.active[k] == 0 {
-				activeRes[x] = activeRes[len(activeRes)-1]
-				activeRes = activeRes[:len(activeRes)-1]
-				continue
+		if w.lazy {
+			// reach bounds the level this iteration can end at; every
+			// resource whose key reaches it is brought up to date and
+			// competes, exactly as in a scan.
+			reach := w.level + max(delta, 0)
+			near = near[:0]
+			for len(w.heap) > 0 && w.heap[0].key <= reach {
+				k := w.pop()
+				if s.active[k] == 0 {
+					continue // every flow on it froze: it can never bind again
+				}
+				if key := a.key(k, w); key > reach {
+					w.push(key, k) // its key was stale
+					continue
+				}
+				a.replay(k, w.iter-1, w)
+				near = append(near, k)
+				inc := s.remaining[k] / float64(s.active[k])
+				if inc < delta {
+					delta = inc
+				}
+				if r := w.level + max(inc, 0); r < reach {
+					reach = r
+				}
 			}
-			if inc := s.remaining[k] / float64(s.active[k]); inc < delta {
-				delta = inc
+		} else {
+			for x := 0; x < len(near); {
+				k := near[x]
+				if s.active[k] == 0 {
+					near[x] = near[len(near)-1]
+					near = near[:len(near)-1]
+					continue
+				}
+				if inc := s.remaining[k] / float64(s.active[k]); inc < delta {
+					delta = inc
+				}
+				x++
 			}
-			x++
 		}
 		if math.IsInf(delta, 1) {
 			break // no binding constraint (unlimited flows on uncapacitated paths)
@@ -728,10 +877,19 @@ func (a *Allocator) solve(comp []int32, w *solveWorker) {
 		}
 		// Apply the increment. Unfrozen allocations are implicit: every
 		// unfrozen flow sits exactly at the fill level, materialized only
-		// when the flow freezes (or at loop exit).
+		// when the flow freezes (or at loop exit). Resources not near are
+		// updated when they are replayed.
+		w.fillSteps++
+		w.residualSteps += uint64(len(near))
 		w.level += delta
-		for _, k := range activeRes {
+		for _, k := range near {
 			s.remaining[k] -= delta * float64(s.active[k])
+		}
+		if w.lazy {
+			w.deltas = append(w.deltas, delta)
+			for _, k := range near {
+				s.lazy[k] = lazyRes{approx: s.remaining[k], lc: w.level, exactAt: w.iter, base: s.active[k], head: -1, tail: -1}
+			}
 		}
 		// Freeze demand-satisfied flows (heads of the sorted order).
 		progressed := false
@@ -751,7 +909,8 @@ func (a *Allocator) solve(comp []int32, w *solveWorker) {
 		}
 		// Freeze flows on exhausted resources (via reverse adjacency, so
 		// the cost is proportional to the frozen flows' degree, not F).
-		for _, k := range activeRes {
+		// Only near resources can have exhausted.
+		for _, k := range near {
 			if s.remaining[k] > tiny {
 				continue
 			}
@@ -762,18 +921,26 @@ func (a *Allocator) solve(comp []int32, w *solveWorker) {
 				}
 			}
 		}
+		if w.lazy {
+			for _, k := range near {
+				if s.active[k] > 0 {
+					w.push(a.key(k, w), k)
+				}
+			}
+		}
 		if delta == 0 && !progressed {
 			break // guard against livelock on degenerate inputs
 		}
 	}
+	w.near = near
 
 	// Materialize never-frozen flows at the final fill level.
 	for _, fi := range order {
 		if s.frozen[fi] != ep {
-			s.allocVal[fi] = math.Min(w.level, a.flows[fi].demand)
+			s.allocVal[fi] = min(w.level, a.flows[fi].demand)
 		}
 	}
-	w.order, w.activeRes = order, activeRes
+	w.order = order
 
 	// Publish and diff.
 	for _, fi := range comp {
@@ -793,10 +960,170 @@ func (a *Allocator) freezeFlow(fi int32, w *solveWorker) {
 	s := &a.scratch
 	f := &a.flows[fi]
 	s.frozen[fi] = s.solveEpoch
-	s.allocVal[fi] = math.Min(w.level, f.demand)
+	s.allocVal[fi] = min(w.level, f.demand)
 	w.activeCount--
 	for _, k := range f.res {
 		s.active[k]--
+	}
+	if w.lazy {
+		a.logFreeze(f, w)
+	}
+}
+
+// logFreeze records a freeze's decrements for the resources that still
+// have active flows and were not updated this iteration, and moves their
+// residual estimates to the current level.
+func (a *Allocator) logFreeze(f *flowSlot, w *solveWorker) {
+	s := &a.scratch
+	for _, k := range f.res {
+		n := s.active[k]
+		if n == 0 {
+			continue // an inactive resource is never replayed again
+		}
+		lr := &s.lazy[k]
+		if lr.exactAt == w.iter {
+			lr.base = n // exact at this level: nothing to log
+			continue
+		}
+		lr.approx -= float64(n+1) * (w.level - lr.lc)
+		lr.lc = w.level
+		e := int32(len(w.hist))
+		w.hist = append(w.hist, histEntry{iter: w.iter, next: -1})
+		if lr.tail >= 0 {
+			w.hist[lr.tail].next = e
+		} else {
+			lr.head = e
+		}
+		lr.tail = e
+	}
+}
+
+// replay brings remaining[k] up to date as of iteration to by applying
+// every update it missed, each with the active count that iteration saw.
+// The update is the eager loop's expression, kept textually identical so
+// that the compiler fuses it (or not) the same way.
+func (a *Allocator) replay(k, to int32, w *solveWorker) {
+	s := &a.scratch
+	lr := &s.lazy[k]
+	r, n, e := s.remaining[k], lr.base, lr.head
+	for i := lr.exactAt + 1; i <= to; {
+		// Updates i..end see n active flows; a decrement logged in
+		// iteration j takes effect from update j+1.
+		end := to
+		if e >= 0 {
+			end = min(end, w.hist[e].iter)
+		}
+		for _, delta := range w.deltas[i : end+1] {
+			r -= delta * float64(n)
+		}
+		i = end + 1
+		for e >= 0 && w.hist[e].iter < i {
+			n--
+			e = w.hist[e].next
+		}
+	}
+	w.residualSteps += uint64(to - lr.exactAt)
+	s.remaining[k] = r
+	// Every logged decrement is from iteration to or earlier, so the
+	// current count includes them all; later ones in this iteration go to
+	// base.
+	*lr = lazyRes{approx: r, lc: w.level, exactAt: to, base: s.active[k], head: -1, tail: -1}
+}
+
+// key returns a lower bound on the fill level at which resource k can
+// saturate, valid until iteration w.rekeyAt. The estimate lc + approx/a
+// only grows as flows freeze. Its error against the eager residual is at
+// most (2n+3)·2⁻⁵³·(|r|+b·L) for n iterations since the exact residual r
+// with b active flows, L the level checked; the margin takes n as the
+// window length and adds twice the exhaustion slack, so a resource whose
+// key is above a level cannot bind or exhaust at or below it.
+func (a *Allocator) key(k int32, w *solveWorker) float64 {
+	s := &a.scratch
+	lr := &s.lazy[k]
+	na := float64(s.active[k])
+	sat := lr.lc + lr.approx/na
+	if math.IsNaN(sat) {
+		return math.Inf(-1) // a NaN residual exhausts at once, as in a scan
+	}
+	if math.IsInf(sat, 1) {
+		return sat // uncapacitated resources never bind
+	}
+	margin := w.slack*(math.Abs(s.remaining[k])+float64(lr.base)*math.Abs(sat)) + 2*tiny
+	return sat - margin/na
+}
+
+// setWindow opens a window of w.window iterations from the current one,
+// and sizes the key margin to cover it.
+func (w *solveWorker) setWindow() {
+	w.rekeyAt = w.iter + w.window
+	w.slack = 16 * float64(w.window+2) * 0x1p-53
+}
+
+// rekey replays every waiting resource to the previous iteration and
+// rebuilds the heap, opening a new margin window. Solves whose iteration
+// count stays within the number of flows never get here.
+func (a *Allocator) rekey(w *solveWorker) {
+	s := &a.scratch
+	w.setWindow()
+	h := w.heap[:0]
+	for _, e := range w.heap {
+		if s.active[e.k] > 0 {
+			a.replay(e.k, w.iter-1, w)
+			h = append(h, heapEntry{key: a.key(e.k, w), k: e.k})
+		}
+	}
+	w.heap = h
+	w.heapify()
+}
+
+// The heap is a plain binary min-heap on key. Equal keys may pop in any
+// order: the set popped in an iteration, not its order, decides the result.
+
+func (w *solveWorker) heapify() {
+	for i := len(w.heap)/2 - 1; i >= 0; i-- {
+		w.down(i)
+	}
+}
+
+func (w *solveWorker) push(key float64, k int32) {
+	w.heap = append(w.heap, heapEntry{key: key, k: k})
+	h := w.heap
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if h[p].key <= h[i].key {
+			break
+		}
+		h[p], h[i] = h[i], h[p]
+		i = p
+	}
+}
+
+func (w *solveWorker) pop() int32 {
+	h := w.heap
+	k := h[0].k
+	last := len(h) - 1
+	h[0] = h[last]
+	w.heap = h[:last]
+	w.down(0)
+	return k
+}
+
+func (w *solveWorker) down(i int) {
+	h := w.heap
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1].key < h[c].key {
+			c++
+		}
+		if h[i].key <= h[c].key {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
 	}
 }
 
@@ -807,7 +1134,7 @@ func (a *Allocator) significant(old, new float64) bool {
 	if a.Epsilon <= 0 {
 		return true
 	}
-	base := math.Max(math.Abs(old), math.Abs(new))
+	base := max(math.Abs(old), math.Abs(new))
 	if base == 0 {
 		return false
 	}

@@ -7,7 +7,7 @@ package netgraph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"horse/internal/simtime"
 )
@@ -51,19 +51,18 @@ type Node struct {
 	Name string
 	Kind NodeKind
 
-	// ports maps port number to the link attached there.
-	ports map[PortNum]LinkID
-	// nextPort is the next port number to assign.
-	nextPort PortNum
+	// ports[p-1] is the link attached at port p. Connect numbers a node's
+	// ports 1, 2, … in order, so the table is dense and ascending by both
+	// port number and link ID.
+	ports []LinkID
 }
 
 // Ports returns the attached port numbers in ascending order.
 func (n *Node) Ports() []PortNum {
-	out := make([]PortNum, 0, len(n.ports))
-	for p := range n.ports {
-		out = append(out, p)
+	out := make([]PortNum, len(n.ports))
+	for i := range out {
+		out[i] = PortNum(i + 1)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -131,10 +130,7 @@ func (t *Topology) addNode(name string, kind NodeKind) NodeID {
 		panic(fmt.Sprintf("netgraph: duplicate node name %q", name))
 	}
 	id := NodeID(len(t.nodes))
-	t.nodes = append(t.nodes, &Node{
-		ID: id, Name: name, Kind: kind,
-		ports: make(map[PortNum]LinkID), nextPort: 1,
-	})
+	t.nodes = append(t.nodes, &Node{ID: id, Name: name, Kind: kind})
 	t.byName[name] = id
 	return id
 }
@@ -149,13 +145,11 @@ func (t *Topology) Connect(a, b NodeID, bandwidthBps float64, delay simtime.Dura
 	id := LinkID(len(t.links))
 	l := &Link{
 		ID: id, A: a, B: b,
-		APort: na.nextPort, BPort: nb.nextPort,
+		APort: PortNum(len(na.ports) + 1), BPort: PortNum(len(nb.ports) + 1),
 		BandwidthBps: bandwidthBps, Delay: delay, Up: true,
 	}
-	na.ports[na.nextPort] = id
-	nb.ports[nb.nextPort] = id
-	na.nextPort++
-	nb.nextPort++
+	na.ports = append(na.ports, id)
+	nb.ports = append(nb.ports, id)
 	t.links = append(t.links, l)
 	return id
 }
@@ -230,49 +224,40 @@ func (t *Topology) byKind(k NodeKind) []NodeID {
 
 // LinkAt returns the link attached to the given port of a node, or nil.
 func (t *Topology) LinkAt(n NodeID, p PortNum) *Link {
-	id, ok := t.node(n).ports[p]
-	if !ok {
+	ports := t.node(n).ports
+	if p == NoPort || int(p) > len(ports) {
 		return nil
 	}
-	return t.links[id]
+	return t.links[ports[p-1]]
 }
 
 // PortToward returns the local port on `from` whose link leads directly to
 // `to`, or NoPort if the nodes are not adjacent via an up link. When
 // multiple parallel links exist the lowest-numbered up port wins.
 func (t *Topology) PortToward(from, to NodeID) PortNum {
-	n := t.node(from)
-	best := NoPort
-	for p, lid := range n.ports {
+	for i, lid := range t.node(from).ports {
 		l := t.links[lid]
 		if !l.Up {
 			continue
 		}
-		peer, _ := l.Peer(from)
-		if peer == to && (best == NoPort || p < best) {
-			best = p
+		if peer, _ := l.Peer(from); peer == to {
+			return PortNum(i + 1)
 		}
 	}
-	return best
+	return NoPort
 }
 
 // Neighbors returns the IDs of nodes adjacent to n over up links, sorted.
 func (t *Topology) Neighbors(n NodeID) []NodeID {
-	seen := make(map[NodeID]bool)
 	var out []NodeID
 	for _, lid := range t.node(n).ports {
-		l := t.links[lid]
-		if !l.Up {
-			continue
-		}
-		peer, _ := l.Peer(n)
-		if !seen[peer] {
-			seen[peer] = true
+		if l := t.links[lid]; l.Up {
+			peer, _ := l.Peer(n)
 			out = append(out, peer)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // SetLinkUp changes a link's operational state. The caller (the simulator)
@@ -295,19 +280,11 @@ func (t *Topology) HostOfPort(sw NodeID, p PortNum) NodeID {
 
 // AttachedSwitch returns the switch a host connects to and the switch-side
 // port, or (-1, NoPort) if the host is isolated. Hosts are single-homed in
-// Horse; with multiple links the lowest link ID wins.
+// Horse; with multiple links the lowest link ID, which is port 1, wins.
 func (t *Topology) AttachedSwitch(host NodeID) (NodeID, PortNum) {
 	h := t.node(host)
-	bestLink := LinkID(-1)
-	for _, lid := range h.ports {
-		if bestLink == -1 || lid < bestLink {
-			bestLink = lid
-		}
-	}
-	if bestLink == -1 {
+	if len(h.ports) == 0 {
 		return -1, NoPort
 	}
-	l := t.links[bestLink]
-	peer, peerPort := l.Peer(host)
-	return peer, peerPort
+	return t.links[h.ports[0]].Peer(host)
 }

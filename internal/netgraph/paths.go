@@ -1,8 +1,8 @@
 package netgraph
 
 import (
-	"container/heap"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -45,17 +45,43 @@ type pqItem struct {
 	dist float64
 }
 
+// pq is a binary min-heap on dist. Its sift steps are container/heap's, so
+// entries of equal dist pop in the same order they always have.
 type pq []pqItem
 
-func (q pq) Len() int            { return len(q) }
-func (q pq) Less(i, j int) bool  { return q[i].dist < q[j].dist }
-func (q pq) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *pq) Push(x interface{}) { *q = append(*q, x.(pqItem)) }
-func (q *pq) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
+func (q *pq) push(it pqItem) {
+	h := append(*q, it)
+	for j := len(h) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !(h[j].dist < h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+	*q = h
+}
+
+func (q *pq) pop() pqItem {
+	h := *q
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h[j2].dist < h[j].dist {
+			j = j2
+		}
+		if !(h[j].dist < h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	it := h[n]
+	*q = h[:n]
 	return it
 }
 
@@ -91,16 +117,14 @@ func (t *Topology) dijkstra(src NodeID, cost Cost, banned map[LinkID]bool) (dist
 		prev[i] = -1
 	}
 	dist[src] = 0
-	q := &pq{{node: src, dist: 0}}
-	for q.Len() > 0 {
-		it := heap.Pop(q).(pqItem)
+	q := pq{{node: src, dist: 0}}
+	for len(q) > 0 {
+		it := q.pop()
 		if it.dist > dist[it.node] {
 			continue // stale entry
 		}
-		node := t.nodes[it.node]
-		// Iterate ports in sorted order for determinism.
-		for _, p := range node.Ports() {
-			lid := node.ports[p]
+		// Ports in ascending order, for determinism.
+		for _, lid := range t.nodes[it.node].ports {
 			l := t.links[lid]
 			if !l.Up || (banned != nil && banned[lid]) {
 				continue
@@ -114,7 +138,7 @@ func (t *Topology) dijkstra(src NodeID, cost Cost, banned map[LinkID]bool) (dist
 			if nd < dist[peer] || (nd == dist[peer] && prev[peer] > it.node) {
 				dist[peer] = nd
 				prev[peer] = it.node
-				heap.Push(q, pqItem{node: peer, dist: nd})
+				q.push(pqItem{node: peer, dist: nd})
 			}
 		}
 	}
@@ -145,29 +169,33 @@ func (t *Topology) ECMPNextHops(dst NodeID, cost Cost) [][]NodeID {
 	dist, _ := t.dijkstra(dst, cost, nil)
 	out := make([][]NodeID, len(t.nodes))
 	const eps = 1e-12
-	for v := range t.nodes {
+	// Every node's hops are carved from one buffer: a link is a candidate
+	// hop from each of its two ends at most.
+	buf := make([]NodeID, 0, 2*len(t.links))
+	for v, node := range t.nodes {
 		if math.IsInf(dist[v], 1) || NodeID(v) == dst {
 			continue
 		}
-		node := t.nodes[v]
-		var hops []NodeID
-		seen := make(map[NodeID]bool)
-		for _, p := range node.Ports() {
-			l := t.links[node.ports[p]]
+		start := len(buf)
+		for _, lid := range node.ports {
+			l := t.links[lid]
 			if !l.Up {
 				continue
 			}
-			u, _ := l.Peer(NodeID(v))
-			if seen[u] {
-				continue
-			}
-			if dist[u]+cost(l) <= dist[v]+eps {
-				hops = append(hops, u)
-				seen[u] = true
+			if u, _ := l.Peer(NodeID(v)); dist[u]+cost(l) <= dist[v]+eps {
+				buf = append(buf, u)
 			}
 		}
-		sort.Slice(hops, func(i, j int) bool { return hops[i] < hops[j] })
-		out[v] = hops
+		if len(buf) == start {
+			continue
+		}
+		// Sorted by node ID, one entry per neighbor however many parallel
+		// links lead to it.
+		hops := buf[start:]
+		slices.Sort(hops)
+		hops = slices.Compact(hops)
+		buf = buf[:start+len(hops)]
+		out[v] = buf[start:len(buf):len(buf)]
 	}
 	return out
 }
