@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench benchmark-smoke bench-baseline bench-compare scaling-gate fuzz-smoke service-smoke lint ci api api-check
+.PHONY: all build test race bench benchmark-smoke bench-baseline bench-compare fuzz-smoke service-smoke lint ci api api-check
 
 all: build
 
@@ -14,10 +14,9 @@ test:
 	$(GO) test -shuffle=on ./...
 
 race:
-	$(GO) test -race ./internal/runner/... ./internal/eventq/... ./internal/fairshare/... ./internal/flowsim/... ./internal/simcore/... ./internal/simcore/shard/... ./internal/packetsim/... ./internal/hybrid/... ./internal/scenario/... ./internal/service/... ./api/wire/... ./internal/linkmodel/...
+	$(GO) test -race ./internal/runner/... ./internal/eventq/... ./internal/fairshare/... ./internal/flowsim/... ./internal/simcore/... ./internal/packetsim/... ./internal/hybrid/... ./internal/scenario/... ./internal/service/... ./api/wire/... ./internal/linkmodel/...
 	$(GO) test -race -run 'TestParallel|TestE8Parallel|TestE6Shape|TestE10Parallel' ./internal/experiments/...
 	$(GO) test -race -run='^$$' -fuzz=FuzzPortSchedule -fuzztime=2000x ./internal/packetsim/
-	$(GO) test -race -run 'TestParallelMatchesSerial' ./internal/fairshare/
 	$(GO) test -race -run 'TestStreamEquivalence' .
 
 bench:
@@ -40,19 +39,12 @@ bench-baseline:
 bench-compare:
 	$(GO) run ./cmd/horsebench -quick -parallel 1 -json BENCH_new.json -compare BENCH_baseline.json
 
-# The CI scaling-gate, locally: E9 at the quick grid gated against the
-# committed baseline's speedup floor (plus its deterministic columns).
-scaling-gate:
-	$(GO) run ./cmd/horsebench -quick -only E9 -parallel 1 -json BENCH_scaling.json -compare BENCH_baseline.json
-
 # A short native-fuzzing pass over the trace codec, the CSV writer
 # against encoding/csv, the windowed streaming reader (its strict scanner
 # and encoding/csv fallback against ReadCSV), the timing-wheel cascade/overflow paths, the wire
-# Record-frame codec against encoding/json, the steal-schedule
-# determinism property (any legal migration schedule yields
-# byte-identical records), and the link-model parity property (any model
-# parameters, seed, shard count, backend, and balancing mode reproduce
-# the serial heap run), and the port-schedule property (the one-event
+# Record-frame codec against encoding/json, the link-model parity
+# property (any model parameters and seed run identically on the wheel
+# and the heap), the port-schedule property (the one-event
 # transmitter agrees with the two-event reference model on any scenario
 # of flows, failures, link models, external load and polls), and the
 # fair-share exactness property (the heap-driven solver's rates and change
@@ -67,7 +59,6 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzStreamVsReadCSV -fuzztime=1000x ./internal/traffic/
 	$(GO) test -run='^$$' -fuzz=FuzzWheelVsHeap -fuzztime=1000x ./internal/eventq/
 	$(GO) test -run='^$$' -fuzz=FuzzRecordFrameCodec -fuzztime=1000x ./api/wire/
-	$(GO) test -run='^$$' -fuzz=FuzzStealSchedule -fuzztime=150x ./internal/packetsim/
 	$(GO) test -run='^$$' -fuzz=FuzzLinkModelParity -fuzztime=25x ./internal/packetsim/
 	$(GO) test -run='^$$' -fuzz=FuzzPortSchedule -fuzztime=2000x ./internal/packetsim/
 	$(GO) test -run='^$$' -fuzz=FuzzSolveExact -fuzztime=200x ./internal/fairshare/

@@ -654,7 +654,8 @@ const (
 	EventQueueHeap  = "heap"
 )
 
-// Shard-balancing mode names on the wire (OptionsSpec.ShardBalancing).
+// Shard-balancing mode names v1 defined (OptionsSpec.ShardBalancing).
+// They are accepted and ignored; any other name is rejected.
 const (
 	BalanceUniform  = "uniform"
 	BalanceWeighted = "weighted"
@@ -713,13 +714,14 @@ type OptionsSpec struct {
 	// backends, are accepted as aliases for the wheel. Results are
 	// byte-identical across backends; only run time differs.
 	EventQueue string `json:"event_queue,omitempty"`
-	// Shards enables multi-core execution.
-	Shards int `json:"shards,omitempty"`
-	// ShardWorkers bounds the shard worker pool (packet engine).
-	ShardWorkers *int `json:"shard_workers,omitempty"`
-	// ShardBalancing selects the sharded packet engine's load balancing:
-	// "" (default uniform) | "uniform" | "weighted" | "steal". Results are
-	// byte-identical across modes; only wall-clock time differs.
+	// Shards, ShardWorkers and ShardBalancing configured a sharded
+	// executor that was removed because it ran slower than the serial
+	// engine. They are accepted and ignored: specs that set them keep
+	// decoding and run serially with unchanged records. A negative shard
+	// count or a balancing name other than "uniform", "weighted" or
+	// "steal" is still rejected.
+	Shards         int    `json:"shards,omitempty"`
+	ShardWorkers   *int   `json:"shard_workers,omitempty"`
 	ShardBalancing string `json:"shard_balancing,omitempty"`
 	// QueuePackets sets the drop-tail queue capacity (pointer so 0 is
 	// expressible).
@@ -741,17 +743,6 @@ type OptionsSpec struct {
 }
 
 // Workers is the session's worker-budget cost: how many workers of the
-// daemon's shared budget the session occupies while running. A sharded
-// packet engine costs its worker-pool width (ShardWorkers when bounded,
-// else one per shard); a sharded flow engine costs its settle-scan
-// fan-out; everything else costs one.
-func (o OptionsSpec) Workers() int {
-	n := o.Shards
-	if o.Fidelity == FidelityPacket && o.ShardWorkers != nil && *o.ShardWorkers > 0 {
-		n = *o.ShardWorkers
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
+// daemon's shared budget the session occupies while running. Every engine
+// runs on one goroutine, so every session costs one.
+func (o OptionsSpec) Workers() int { return 1 }

@@ -165,8 +165,9 @@ const (
 	// CodeQueueFull rejects a submission when the admission queue is at
 	// capacity.
 	CodeQueueFull = "queue-full"
-	// CodeTooLarge rejects a session whose worker cost exceeds the
-	// daemon's total budget (it could never be scheduled).
+	// CodeTooLarge rejected a session whose worker cost exceeded the
+	// daemon's total budget. Every session now costs one worker, so the
+	// daemon no longer sends it; the code stays reserved in v1.
 	CodeTooLarge = "too-large"
 	// CodeNotRetirable rejects retiring a session that is still queued
 	// or running (cancel it first).

@@ -247,6 +247,8 @@ func TestTimelineCompile(t *testing.T) {
 	}
 }
 
+// TestOptionsSpecWorkers: every session costs one worker, whatever the
+// ignored v1 shard fields say.
 func TestOptionsSpecWorkers(t *testing.T) {
 	two := 2
 	cases := []struct {
@@ -254,9 +256,9 @@ func TestOptionsSpecWorkers(t *testing.T) {
 		want int
 	}{
 		{OptionsSpec{}, 1},
-		{OptionsSpec{Shards: 4}, 4},
-		{OptionsSpec{Fidelity: FidelityPacket, Shards: 8, ShardWorkers: &two}, 2},
-		{OptionsSpec{Fidelity: FidelityFlow, Shards: 8, ShardWorkers: &two}, 8},
+		{OptionsSpec{Shards: 4}, 1},
+		{OptionsSpec{Fidelity: FidelityPacket, Shards: 8, ShardWorkers: &two}, 1},
+		{OptionsSpec{Fidelity: FidelityHybrid, Shards: 8, ShardBalancing: BalanceSteal}, 1},
 	}
 	for _, c := range cases {
 		if got := c.o.Workers(); got != c.want {
@@ -426,6 +428,24 @@ func TestV1Fixtures(t *testing.T) {
 		}
 		if _, err := Timeline(spec.Scenario, topo); err != nil {
 			t.Fatal(err)
+		}
+	})
+
+	// A v1 submit carrying the sharded-executor fields, which the daemon
+	// now accepts and ignores (TestSpecShardFieldsIgnored in the root
+	// package runs this fixture).
+	t.Run("submit-shards", func(t *testing.T) {
+		f := decode(t, "submit-shards.json")
+		var p SubmitParams
+		if err := json.Unmarshal(f.Params, &p); err != nil {
+			t.Fatal(err)
+		}
+		o := p.Spec.Options
+		if o.Shards != 4 || o.ShardWorkers == nil || *o.ShardWorkers != 2 || o.ShardBalancing != BalanceSteal {
+			t.Fatalf("options %+v, want shards 4, shard_workers 2, shard_balancing %q", o, BalanceSteal)
+		}
+		if o.Workers() != 1 {
+			t.Fatalf("Workers() = %d, want 1", o.Workers())
 		}
 	})
 

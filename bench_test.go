@@ -7,7 +7,6 @@ package horse_test
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"horse"
@@ -141,44 +140,6 @@ func BenchmarkE8Resilience(b *testing.B) {
 			[]horse.Duration{500 * horse.Millisecond},
 			[]horse.Duration{200 * horse.Millisecond},
 		)
-	}
-}
-
-// benchE9 times one packet-level fat-tree run at a shard count; the
-// BenchmarkE9Sharded/K=N variants divide out as the speedup curve
-// (compare ns/op across K — on a multi-core machine K=4 should run the
-// same event population >1.5× faster than K=1).
-func benchE9(b *testing.B, shards int) {
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		topo := horse.FatTree(4, horse.Gig)
-		gen := horse.NewGenerator(101)
-		tr := gen.PoissonArrivals(horse.PoissonConfig{
-			Hosts: topo.Hosts(), Lambda: 40 * float64(len(topo.Hosts())),
-			Horizon: 200 * horse.Millisecond,
-			Sizes:   horse.FixedSize(1e6), TCPFraction: 0.5, CBRRateBps: 2e7,
-		})
-		eng, err := horse.New(topo,
-			horse.WithFidelity(horse.Packet), horse.WithMiss(horse.MissDrop),
-			horse.WithShards(shards),
-		)
-		if err != nil {
-			b.Fatal(err)
-		}
-		horse.InstallMACRoutes(eng.Network())
-		eng.Load(tr)
-		b.StartTimer()
-		if _, err := eng.Run(context.Background(), horse.Time(2*horse.Second)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE9Sharded is the E9 scaling matrix: the identical event
-// population at K ∈ {1, 2, 4}.
-func BenchmarkE9Sharded(b *testing.B) {
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("K=%d", shards), func(b *testing.B) { benchE9(b, shards) })
 	}
 }
 

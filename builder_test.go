@@ -136,35 +136,57 @@ func TestBuilderLegacyParityFlow(t *testing.T) {
 }
 
 // TestBuilderLegacyParityPacket pins builder/legacy parity for the packet
-// engine on the golden fat tree with pre-installed routes, serial and
-// sharded.
+// engine on the golden fat tree with pre-installed routes.
 func TestBuilderLegacyParityPacket(t *testing.T) {
 	window := horse.Time(2 * horse.Second)
-	for _, shards := range []int{1, 2} {
-		topoL, trL := fatTreeWorkload()
-		legacy := horse.NewPacketSimulator(horse.PacketConfig{
-			Topology: topoL, Miss: horse.MissDrop, Shards: shards,
-		})
-		horse.InstallMACRoutes(legacy.Network())
-		legacy.Load(trL)
-		colL := legacy.RunUntil(window)
+	topoL, trL := fatTreeWorkload()
+	legacy := horse.NewPacketSimulator(horse.PacketConfig{Topology: topoL, Miss: horse.MissDrop})
+	horse.InstallMACRoutes(legacy.Network())
+	legacy.Load(trL)
+	colL := legacy.RunUntil(window)
 
-		topoB, trB := fatTreeWorkload()
-		eng, err := horse.New(topoB,
-			horse.WithFidelity(horse.Packet),
-			horse.WithMiss(horse.MissDrop),
-			horse.WithShards(shards),
-		)
-		if err != nil {
-			t.Fatal(err)
+	topoB, trB := fatTreeWorkload()
+	eng, err := horse.New(topoB, horse.WithFidelity(horse.Packet), horse.WithMiss(horse.MissDrop))
+	if err != nil {
+		t.Fatal(err)
+	}
+	horse.InstallMACRoutes(eng.Network())
+	eng.Load(trB)
+	colB, err := eng.Run(context.Background(), window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertCollectorsEqual(t, "fat-tree/packet", colL, colB)
+}
+
+// TestWithShardsIsSerial pins the compatibility contract of WithShards:
+// any shard count runs the serial engine, so records and counters match a
+// run without the option at every fidelity.
+func TestWithShardsIsSerial(t *testing.T) {
+	window := horse.Time(2 * horse.Second)
+	for _, fid := range []horse.Fidelity{horse.Flow, horse.Packet, horse.Hybrid} {
+		run := func(extra ...horse.Option) *horse.Collector {
+			topo, tr := fatTreeWorkload()
+			opts := []horse.Option{
+				horse.WithFidelity(fid),
+				horse.WithController(horse.NewChain(&horse.ProactiveMAC{})),
+				horse.WithMiss(horse.MissController),
+			}
+			if fid == horse.Hybrid {
+				opts = append(opts, horse.WithPacketFraction(0.5))
+			}
+			eng, err := horse.New(topo, append(opts, extra...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng.Load(tr)
+			col, err := eng.Run(context.Background(), window)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return col
 		}
-		horse.InstallMACRoutes(eng.Network())
-		eng.Load(trB)
-		colB, err := eng.Run(context.Background(), window)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertCollectorsEqual(t, "fat-tree/packet", colL, colB)
+		assertCollectorsEqual(t, fid.String()+"/shards=4", run(), run(horse.WithShards(4)))
 	}
 }
 
@@ -451,16 +473,16 @@ func TestRunCancellationFlow(t *testing.T) {
 	}
 }
 
-// TestRunCancellationShardedPacket: the sharded executor honors
-// cancellation at window barriers.
-func TestRunCancellationShardedPacket(t *testing.T) {
+// TestRunCancellationPacket: a packet run whose context is already
+// cancelled stops at the first cancellation poll and still records every
+// loaded flow.
+func TestRunCancellationPacket(t *testing.T) {
 	topo, tr := fatTreeWorkload()
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // cancelled before the run: must stop at the first barrier
+	cancel()
 	eng, err := horse.New(topo,
 		horse.WithFidelity(horse.Packet),
 		horse.WithMiss(horse.MissDrop),
-		horse.WithShards(2),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -560,7 +582,7 @@ func TestBuildErrors(t *testing.T) {
 		{"fraction out of range", []horse.Option{horse.WithPacketFraction(1.5)}},
 		{"fraction on flow engine", []horse.Option{horse.WithPacketFraction(0.5)}},
 		{"tcp on packet engine", []horse.Option{horse.WithFidelity(horse.Packet), horse.WithTCP(horse.TCPParams{RTT: horse.Millisecond})}},
-		{"shards on hybrid", []horse.Option{horse.WithFidelity(horse.Hybrid), horse.WithPacketFraction(0.5), horse.WithShards(2)}},
+		{"negative shards", []horse.Option{horse.WithShards(-1)}},
 		{"negative stats period", []horse.Option{horse.WithStatsEvery(-horse.Second)}},
 		{"nil controller", []horse.Option{horse.WithController(nil)}},
 		{"nil sink", []horse.Option{horse.WithRecordSink(nil)}},
@@ -568,9 +590,6 @@ func TestBuildErrors(t *testing.T) {
 		{"full recompute on packet", []horse.Option{horse.WithFidelity(horse.Packet), horse.WithFullRecompute()}},
 		{"queue on flow", []horse.Option{horse.WithQueuePackets(10)}},
 		{"scenario with unknown link", []horse.Option{horse.WithScenario(horse.NewScenario().LinkDown(0, 99))}},
-		{"balancing out of range", []horse.Option{horse.WithFidelity(horse.Packet), horse.WithShards(2), horse.WithShardBalancing(horse.ShardBalancing(9))}},
-		{"balancing on flow", []horse.Option{horse.WithShardBalancing(horse.BalanceWeighted)}},
-		{"balancing without shards", []horse.Option{horse.WithFidelity(horse.Packet), horse.WithShardBalancing(horse.BalanceSteal)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -34,7 +34,7 @@ func main() {
 		socket        = flag.String("socket", "", "unix socket path to listen on")
 		tcp           = flag.String("tcp", "", "TCP address to listen on (e.g. 127.0.0.1:7117)")
 		maxSessions   = flag.Int("max-sessions", 0, "max concurrently running sessions (0 = GOMAXPROCS)")
-		maxWorkers    = flag.Int("max-workers", 0, "total shard-worker budget across running sessions (0 = GOMAXPROCS)")
+		maxWorkers    = flag.Int("max-workers", 0, "total worker budget across running sessions; each session costs one (0 = GOMAXPROCS)")
 		queueLimit    = flag.Int("queue", 0, "admission queue length (0 = default 64)")
 		progressEvery = flag.Duration("progress-every", 100*time.Millisecond, "virtual-time period of progress pushes")
 		drainTimeout  = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for sessions to finalize")

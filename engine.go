@@ -35,8 +35,7 @@ const (
 	// max–min fair-shared rates, orders of magnitude fewer events.
 	Flow Fidelity = iota
 	// Packet simulates every packet: store-and-forward switching,
-	// drop-tail queues, window-based TCP. The accuracy baseline, and the
-	// fidelity that shards across cores (WithShards).
+	// drop-tail queues, window-based TCP. The accuracy baseline.
 	Packet
 	// Hybrid runs flagged flows packet-by-packet and the rest at flow
 	// level, under one clock and one control plane (WithPacketFraction).
@@ -160,7 +159,6 @@ func New(topo *Topology, opts ...Option) (Engine, error) {
 			FullRecompute:  o.fullRecompute,
 			EventQueue:     eventq.Backend(o.eventQueue),
 			RateEpsilon:    o.rateEpsilon,
-			Shards:         o.shards,
 			Links:          links,
 		})
 	case Packet:
@@ -173,9 +171,6 @@ func New(topo *Topology, opts ...Option) (Engine, error) {
 			Controller:     o.controller,
 			ControlLatency: o.controlLat,
 			EventQueue:     eventq.Backend(o.eventQueue),
-			Shards:         o.shards,
-			ShardWorkers:   o.shardWorkers,
-			Balance:        packetsim.BalanceMode(o.balance),
 			Links:          links,
 		})
 	case Hybrid:

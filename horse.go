@@ -324,7 +324,7 @@ func NewPacketSimulator(cfg PacketConfig) *PacketSimulator { return packetsim.Ne
 
 // InstallMACRoutes pre-installs shortest-path MAC forwarding for every
 // host on a network's switches — the identical-pre-installed-state
-// methodology of the E3/E9 packet baselines.
+// methodology of the E3 packet baseline.
 func InstallMACRoutes(n *Network) { dataplane.InstallMACRoutes(n) }
 
 // Hybrid fidelity: both engines coupled under one kernel.

@@ -26,17 +26,6 @@ var (
 	fullE7Fractions  = []float64{0, 0.25, 0.5, 0.75, 1}
 	fullE8MTBFs      = []simtime.Duration{500 * simtime.Millisecond, 2 * simtime.Second}
 	fullE8Recoveries = []simtime.Duration{100 * simtime.Millisecond, 400 * simtime.Millisecond}
-	fullE9Arities    = []int{4, 8}
-	fullE9Shards     = []int{1, 2, 4, 8}
-	fullE10Shards    = []int{1, 4}
-)
-
-// Quick-grid constants for -quick -only runs. These must match the grids
-// experiments.QuickWith hands the same spec, or a -compare against a
-// quick-suite baseline fails on row count — a loud, self-detecting drift.
-var (
-	quickE9Arities = []int{4}
-	quickE9Shards  = []int{1, 4}
 )
 
 // Main parses args, runs the selected experiments, prints the tables to
@@ -46,7 +35,7 @@ func Main(name string, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet(name, flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	quick := fs.Bool("quick", false, "run the reduced suite")
-	only := fs.String("only", "", "run a single experiment (E1..E10)")
+	only := fs.String("only", "", "run a single experiment (E1..E8, E10)")
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "worker pool size for independent experiment cells")
 	jsonOut := fs.String("json", "", "write a horse-bench/v1 JSON report to this path (\"-\" = stdout)")
 	compare := fs.String("compare", "", "gate this run against a baseline horse-bench/v1 report; regressions exit 1")
@@ -87,17 +76,11 @@ func Main(name string, args []string, stdout, stderr io.Writer) int {
 		"E8": func() []*experiments.Table {
 			return []*experiments.Table{experiments.E8With(opts, fullE8MTBFs, fullE8Recoveries)}
 		},
-		"E9": func() []*experiments.Table {
-			if *quick {
-				return []*experiments.Table{experiments.E9With(opts, quickE9Arities, quickE9Shards)}
-			}
-			return []*experiments.Table{experiments.E9With(opts, fullE9Arities, fullE9Shards)}
-		},
 		"E10": func() []*experiments.Table {
 			if *quick {
-				return []*experiments.Table{experiments.E10QuickWith(opts, fullE10Shards)}
+				return []*experiments.Table{experiments.E10QuickWith(opts)}
 			}
-			return []*experiments.Table{experiments.E10With(opts, fullE10Shards)}
+			return []*experiments.Table{experiments.E10With(opts)}
 		},
 	}[strings.ToUpper(*only)]
 	if !ok {

@@ -45,10 +45,8 @@ func LoadReport(path string) (*experiments.Report, error) {
 //     deterministic, so any drift means engine behavior changed — a
 //     deliberate change regenerates the baseline (make bench-baseline).
 //   - "wall-ms" may not regress beyond the relative tolerance, and
-//     "events/ms" (throughput) and "speedup" (the sharded-scaling gate:
-//     serial wall over this arm's wall) may not fall beyond it, on rows
-//     whose baseline wall clears the noise floor. Improvements never
-//     fail.
+//     "events/ms" (throughput) may not fall beyond it, on rows whose
+//     baseline wall clears the noise floor. Improvements never fail.
 //   - any "parity" cell reading DIVERGED fails outright — those columns
 //     carry the engines' own determinism contracts.
 //   - tables/rows present in the baseline must still exist; new tables
@@ -115,12 +113,7 @@ func Compare(old, cur *experiments.Report, tol float64) []string {
 						fail("%s %s: %s %.1f vs baseline %.1f (+%.0f%% > %.0f%%)",
 							nt.ID, rowName(nt.Rows[ri]), col, nv, ov, (nv/ov-1)*100, tol*100)
 					}
-				case colThroughput, colSpeedup:
-					// Speedup is the scaling gate: the ratio of the cell's
-					// serial wall to this arm's wall may not fall below the
-					// committed floor. Same lower-bound rule as throughput —
-					// ratios of same-cell timings, so the same wall floor and
-					// comparability guards apply.
+				case colThroughput:
 					if !timing {
 						continue
 					}
@@ -177,7 +170,6 @@ const (
 	colEvents
 	colWall
 	colThroughput
-	colSpeedup
 )
 
 func columnKind(name string) colKind {
@@ -186,14 +178,11 @@ func columnKind(name string) colKind {
 		return colEvents
 	case strings.HasSuffix(name, "wall-ms"):
 		return colWall
+	// E3's cross-fidelity "speedup" column divides by sub-millisecond
+	// flow-engine walls and is noise-dominated — it stays ungated on
+	// purpose.
 	case strings.Contains(name, "events/ms") || strings.Contains(name, "events/sec"):
 		return colThroughput
-	// Exactly the sharded-scaling ratio (serial wall / arm wall, same
-	// cell, same fidelity). E3's cross-fidelity "speedup" column divides
-	// by sub-millisecond flow-engine walls and is noise-dominated — it
-	// stays ungated on purpose.
-	case name == "shard-speedup":
-		return colSpeedup
 	}
 	return colOther
 }

@@ -75,18 +75,15 @@ func (c *Chain) Handle(ctx *flowsim.Context, msg openflow.Message) {
 
 // ForkableApp is the app-level analogue of flowsim.Forker: ForkApp
 // returns an independent instance equivalent to a freshly constructed
-// one. An app should implement it only when its reactions are
-// component-local up to idempotent re-installs (see flowsim.Forker for
-// the exact contract) — apps that accumulate cross-switch state callers
-// read after a run (Monitor) must not.
+// one. Apps that accumulate state callers read after a run (Monitor)
+// must not implement it.
 type ForkableApp interface {
 	App
 	ForkApp() App
 }
 
-// Fork implements flowsim.Forker: a Chain forks iff every app does. The
-// sharded packet engine uses it to run one controller instance per
-// connected component; a nil return keeps the single-instance path.
+// Fork implements flowsim.Forker: a Chain forks iff every app does, and
+// returns nil otherwise.
 func (c *Chain) Fork() flowsim.Controller {
 	apps := make([]App, len(c.Apps))
 	for i, a := range c.Apps {

@@ -24,8 +24,7 @@ type ProactiveMAC struct {
 func (*ProactiveMAC) Name() string { return "proactive-mac" }
 
 // ForkApp implements ForkableApp: rule installation derives purely from
-// the topology, and the PortStatus resync re-installs identical rules, so
-// per-component instances compose to exactly the serial behavior.
+// the topology, so a fresh instance behaves exactly like this one did.
 func (p *ProactiveMAC) ForkApp() App { return &ProactiveMAC{Cost: p.Cost} }
 
 // Start implements flowsim.Controller.
@@ -99,9 +98,8 @@ type ReactiveMAC struct {
 // Name implements App.
 func (*ReactiveMAC) Name() string { return "reactive-mac" }
 
-// ForkApp implements ForkableApp: reactive installs follow PacketIns,
-// which are per-switch and therefore component-local, and the resync
-// reaction re-installs only the idempotent table-0 defaults.
+// ForkApp implements ForkableApp: reactive installs follow PacketIns and
+// the app keeps no state a caller reads after the run.
 func (r *ReactiveMAC) ForkApp() App {
 	return &ReactiveMAC{IdleTimeout: r.IdleTimeout, Cost: r.Cost}
 }

@@ -11,9 +11,7 @@
 // benchmark's eventq probe, construct it by name and require the wheel to
 // match it. Both dequeue events in nondecreasing time order and break
 // ties by order key (Keyed) and then insertion order, so a simulation run
-// is fully deterministic for a given input sequence — and, with
-// entity-derived keys, reproducible by the sharded executor regardless of
-// how scheduling interleaves.
+// is fully deterministic for a given input sequence.
 //
 // Both implement Canceler: PushCancelable returns a Handle and Cancel
 // removes the event before it fires, instead of the generation-stamp
@@ -36,13 +34,11 @@ type Event interface {
 
 // Keyed is an Event that carries a deterministic order key. Queues sort by
 // (time, key, insertion order): at one instant, smaller keys fire first,
-// and equal keys keep FIFO order. Keys exist for parallel determinism —
-// a sharded run cannot reproduce the global insertion order of a serial
-// run, but it can reproduce (time, key) because keys derive from stable
-// simulation entities (link direction, datapath, flow), not from schedule
-// history. Engines that want identical results at any shard count stamp
-// every event; events without keys sort after all keyed events at the
-// same instant (DefaultOrderKey) in plain FIFO order.
+// and equal keys keep FIFO order. Keys derive from stable simulation
+// entities (link direction, datapath, flow), not from schedule history,
+// so same-instant order is fixed by what the events are about rather
+// than by who scheduled them first. Events without keys sort after all
+// keyed events at the same instant (DefaultOrderKey) in plain FIFO order.
 type Keyed interface {
 	Event
 	// OrderKey returns the event's order key. It must not change while

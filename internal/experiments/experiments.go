@@ -1014,192 +1014,9 @@ func e8Spec(o Options, mtbfs, recoveries []simtime.Duration) *spec {
 	return sp
 }
 
-// E9ShardScaling is the multi-core evaluation: the packet engine on
-// fat-tree fabrics of growing arity, swept over shard counts, measuring
-// events/sec and the speedup against the serial engine — with an in-cell
-// byte-parity check of Records() against the serial reference, since the
-// sharded executor's contract is "same records at any K". A second,
-// partition-hostile cell (a star of fat-trees with the load skewed onto
-// one tree) sweeps the balancing modes: uniform edge-cut vs
-// event-rate-weighted partitioning vs barrier work stealing.
-func E9ShardScaling(arities, shardCounts []int) *Table {
-	return E9With(Options{}, arities, shardCounts)
-}
-
-// E9With is E9ShardScaling under explicit execution options.
-func E9With(o Options, arities, shardCounts []int) *Table {
-	return runSpecs(o, []*spec{e9Spec(o, arities, shardCounts)})[0]
-}
-
-// e9Window bounds every E9 run.
-const e9Window = simtime.Time(2 * simtime.Second)
-
-// e9Scenario builds the E9 workload for one fat-tree arity: pre-installed
-// MAC routes (the E3 identical-state methodology — E9 measures the
-// executor, not the control plane) and a mixed CBR/TCP Poisson load that
-// crosses pods, so cut links carry real traffic.
-func e9Scenario(k int) (*netgraph.Topology, traffic.Trace) {
-	topo := netgraph.FatTree(k, netgraph.Gig)
-	g := traffic.NewGenerator(101)
-	tr := g.PoissonArrivals(traffic.PoissonConfig{
-		Hosts: topo.Hosts(), Lambda: 40 * float64(len(topo.Hosts())),
-		Horizon: 200 * simtime.Millisecond,
-		Sizes:   traffic.FixedSize(1e6), TCPFraction: 0.5, CBRRateBps: 2e7,
-	})
-	return topo, tr
-}
-
-// e9SkewScenario builds the partition-hostile E9 cell: a star of three
-// k=4 fat-trees where the Poisson load runs at full per-host intensity
-// inside tree 0 and only a light cross-tree background touches the hub
-// cut. Uniform edge-cut partitions are even by switch count here but
-// wildly uneven by event rate — the scenario the balancing modes exist
-// for.
-func e9SkewScenario() (*netgraph.Topology, traffic.Trace) {
-	topo := netgraph.StarOfFatTrees(3, 4, netgraph.Gig)
-	hosts := topo.Hosts() // tree t owns hosts[16t : 16t+16]
-	g := traffic.NewGenerator(131)
-	hot := g.PoissonArrivals(traffic.PoissonConfig{
-		Hosts: hosts[:16], Lambda: 40 * 16,
-		Horizon: 200 * simtime.Millisecond,
-		Sizes:   traffic.FixedSize(1e6), TCPFraction: 0.5, CBRRateBps: 2e7,
-	})
-	bg := g.PoissonArrivals(traffic.PoissonConfig{
-		Hosts: hosts[16:], Lambda: 2 * 32,
-		Horizon: 200 * simtime.Millisecond,
-		Sizes:   traffic.FixedSize(5e5), CBRRateBps: 2e7,
-	})
-	tr := append(hot, bg...)
-	tr.Sort()
-	return topo, tr
-}
-
-func e9Spec(o Options, arities, shardCounts []int) *spec {
-	sp := &spec{table: &Table{
-		ID:    "E9",
-		Title: "Sharded multi-core scaling: fabric × shard count × balancing",
-		Columns: []string{
-			"topo", "fat-tree-k", "switches", "hosts", "flows", "shards", "queue",
-			"balance", "pkt-hops", "events", "wall-ms", "events/ms", "shard-speedup", "parity",
-		},
-	}}
-	for _, k := range arities {
-		k := k
-		sp.cell(fmt.Sprintf("k=%d", k), func() [][]string {
-			var rows [][]string
-			run := func(shards int, q horse.EventQueue) (*stats.Collector, *packetsim.Simulator, time.Duration) {
-				topo, tr := e9Scenario(k)
-				eng := mustEngine(horse.New(topo,
-					horse.WithFidelity(horse.Packet),
-					horse.WithMiss(dataplane.MissDrop),
-					horse.WithShards(shards),
-					horse.WithEventQueue(q),
-				))
-				installMACRoutes(eng.Network())
-				eng.Load(tr)
-				start := o.now()
-				col, _ := eng.Run(context.Background(), e9Window)
-				return col, eng.(*packetsim.Simulator), o.since(start)
-			}
-			// The serial heap run is the reference for every (queue, shards)
-			// arm: parity across both dimensions at once pins the executor
-			// contract AND the backends' identical dispatch order.
-			colRef, simRef, wallRef := run(1, horse.EventQueueHeap)
-			ref := colRef.Flows()
-			for _, q := range []horse.EventQueue{horse.EventQueueHeap, horse.EventQueueWheel} {
-				for _, shards := range shardCounts {
-					col, sim, wall := colRef, simRef, wallRef
-					if shards != 1 || q != horse.EventQueueHeap {
-						col, sim, wall = run(shards, q)
-					}
-					recs := col.Flows()
-					topo := sim.Topology()
-					ev := sim.EventsDispatched()
-					rows = append(rows, []string{
-						"fat-tree",
-						fmt.Sprintf("%d", k),
-						fmt.Sprintf("%d", len(topo.Switches())),
-						fmt.Sprintf("%d", len(topo.Hosts())),
-						fmt.Sprintf("%d", len(recs)),
-						fmt.Sprintf("%d", shards),
-						q.String(),
-						"uniform",
-						di(sim.PacketsForwarded()), di(ev), ms(wall),
-						f2(float64(ev) / math.Max(float64(wall.Microseconds())/1000, 1)),
-						f2(float64(wallRef) / math.Max(float64(wall), 1)),
-						e9Parity(recs, ref),
-					})
-				}
-			}
-			return rows
-		})
-	}
-	sp.cell("skewed-star", func() [][]string {
-		var rows [][]string
-		run := func(shards int, b horse.ShardBalancing) (*stats.Collector, *packetsim.Simulator, time.Duration) {
-			topo, tr := e9SkewScenario()
-			opts := []horse.Option{
-				horse.WithFidelity(horse.Packet),
-				horse.WithMiss(dataplane.MissDrop),
-				horse.WithShards(shards),
-				horse.WithEventQueue(horse.EventQueueHeap),
-			}
-			if shards > 1 {
-				opts = append(opts, horse.WithShardBalancing(b))
-			}
-			eng := mustEngine(horse.New(topo, opts...))
-			installMACRoutes(eng.Network())
-			eng.Load(tr)
-			start := o.now()
-			col, _ := eng.Run(context.Background(), e9Window)
-			return col, eng.(*packetsim.Simulator), o.since(start)
-		}
-		// Serial heap reference; every balancing arm must reproduce it
-		// byte-for-byte — the pinned invariant of weighted partitioning
-		// and barrier stealing.
-		colRef, simRef, wallRef := run(1, horse.BalanceUniform)
-		ref := colRef.Flows()
-		for _, b := range []horse.ShardBalancing{horse.BalanceUniform, horse.BalanceWeighted, horse.BalanceSteal} {
-			for _, shards := range shardCounts {
-				if b != horse.BalanceUniform && shards < 2 {
-					continue // balancing is a no-op on a single shard
-				}
-				col, sim, wall := colRef, simRef, wallRef
-				if shards != 1 {
-					col, sim, wall = run(shards, b)
-				}
-				recs := col.Flows()
-				topo := sim.Topology()
-				ev := sim.EventsDispatched()
-				rows = append(rows, []string{
-					"star-of-trees",
-					"4",
-					fmt.Sprintf("%d", len(topo.Switches())),
-					fmt.Sprintf("%d", len(topo.Hosts())),
-					fmt.Sprintf("%d", len(recs)),
-					fmt.Sprintf("%d", shards),
-					"heap",
-					b.String(),
-					di(sim.PacketsForwarded()), di(ev), ms(wall),
-					f2(float64(ev) / math.Max(float64(wall.Microseconds())/1000, 1)),
-					f2(float64(wallRef) / math.Max(float64(wall), 1)),
-					e9Parity(recs, ref),
-				})
-			}
-		}
-		return rows
-	})
-	sp.table.Notes = append(sp.table.Notes,
-		"expected shape: events/ms grows with shard count on multi-core hardware (speedup > 1 for K > 1); parity stays identical at every K, every queue backend, and every balancing mode",
-		"skewed star: weighted/steal arms should beat the uniform arm at the same shard count — uniform edge-cut leaves the hot tree behind few shards",
-		"wall times are contended when sibling cells share the pool; the speedup column divides same-cell runs, and CI runners with few cores report speedup ~1",
-	)
-	return sp
-}
-
-// e9Parity byte-compares an arm's flow records against the cell's serial
-// reference.
-func e9Parity(recs, ref []stats.FlowRecord) string {
+// parity byte-compares an arm's flow records against the cell's
+// reference run.
+func parity(recs, ref []stats.FlowRecord) string {
 	if len(recs) != len(ref) {
 		return "DIVERGED"
 	}
@@ -1215,22 +1032,20 @@ func e9Parity(recs, ref []stats.FlowRecord) string {
 // models (internal/linkmodel) swept across loss regimes and all three
 // fidelities, measuring goodput, retransmit ratio, corruption drops, and
 // FCT stretch against a pristine-link baseline of the identical
-// workload — with in-cell byte-parity of every sharded/backend arm
-// against the serial heap reference, since the linkmodel contract is
-// "same records at any shard count and any queue backend, models on".
-func E10DegradedLinks(shardCounts []int) *Table {
-	return E10With(Options{}, shardCounts)
-}
+// workload — with in-cell byte-parity of the wheel arm against the heap
+// reference, since the linkmodel contract is "same records on any queue
+// backend, models on".
+func E10DegradedLinks() *Table { return E10With(Options{}) }
 
 // E10With is E10DegradedLinks under explicit execution options.
-func E10With(o Options, shardCounts []int) *Table {
-	return runSpecs(o, []*spec{e10Spec(o, e10Models(), shardCounts)})[0]
+func E10With(o Options) *Table {
+	return runSpecs(o, []*spec{e10Spec(o, e10Models())})[0]
 }
 
 // E10QuickWith is the reduced-model-grid E10 the Quick suite runs (the
 // -quick -only E10 arm must match it for baseline comparisons).
-func E10QuickWith(o Options, shardCounts []int) *Table {
-	return runSpecs(o, []*spec{e10Spec(o, e10QuickModels(), shardCounts)})[0]
+func E10QuickWith(o Options) *Table {
+	return runSpecs(o, []*spec{e10Spec(o, e10QuickModels())})[0]
 }
 
 // e10Model is one degradation arm of the E10 sweep.
@@ -1268,9 +1083,9 @@ func e10QuickModels() []e10Model {
 const e10Window = simtime.Time(2 * simtime.Second)
 
 // e10Scenario builds the fixed fabric and workload every E10 arm
-// degrades: a k=4 fat-tree under a cross-pod CBR/TCP Poisson load (the
-// E9 fabric at a gentler arrival rate, so loss — not queueing — is the
-// dominant effect being measured).
+// degrades: a k=4 fat-tree under a cross-pod CBR/TCP Poisson load at a
+// gentle arrival rate, so loss — not queueing — is the dominant effect
+// being measured.
 func e10Scenario() (*netgraph.Topology, traffic.Trace) {
 	topo := netgraph.FatTree(4, netgraph.Gig)
 	g := traffic.NewGenerator(107)
@@ -1282,12 +1097,12 @@ func e10Scenario() (*netgraph.Topology, traffic.Trace) {
 	return topo, tr
 }
 
-func e10Spec(o Options, models []e10Model, shardCounts []int) *spec {
+func e10Spec(o Options, models []e10Model) *spec {
 	sp := &spec{table: &Table{
 		ID:    "E10",
-		Title: "Degraded links: loss model × fidelity × shards, vs pristine baseline",
+		Title: "Degraded links: loss model × fidelity × queue, vs pristine baseline",
 		Columns: []string{
-			"model", "param", "fidelity", "shards", "queue", "balance",
+			"model", "param", "fidelity", "queue",
 			"completed", "goodput-mbps", "retx-ratio", "corrupted", "fct-stretch", "parity",
 		},
 	}}
@@ -1296,7 +1111,7 @@ func e10Spec(o Options, models []e10Model, shardCounts []int) *spec {
 	// methodology: proactive MAC rules installed before the first arrival,
 	// so every fidelity forwards on the same paths and the deltas below
 	// measure the link models, not the control plane.
-	run := func(fid horse.Fidelity, m horse.LinkModel, shards int, q horse.EventQueue, b horse.ShardBalancing) *stats.Collector {
+	run := func(fid horse.Fidelity, m horse.LinkModel, q horse.EventQueue) *stats.Collector {
 		topo, tr := e10Scenario()
 		opts := []horse.Option{
 			horse.WithFidelity(fid),
@@ -1312,11 +1127,6 @@ func e10Spec(o Options, models []e10Model, shardCounts []int) *spec {
 		}
 		if fid == horse.Hybrid {
 			opts = append(opts, horse.WithPacketFraction(0.5))
-		} else if shards > 1 {
-			opts = append(opts, horse.WithShards(shards))
-		}
-		if b != horse.BalanceUniform {
-			opts = append(opts, horse.WithShardBalancing(b))
 		}
 		if m != nil {
 			opts = append(opts, horse.WithLinkModel(m), horse.WithLinkModelSeed(7))
@@ -1353,64 +1163,34 @@ func e10Spec(o Options, models []e10Model, shardCounts []int) *spec {
 		return n
 	}
 
-	// One cell per (model, fidelity): the pristine baseline and the serial
-	// degraded reference are simulated once per cell and shared by every
-	// shard/backend arm; rows assemble in grid order, so the table stays
-	// byte-identical for any -parallel.
+	// One cell per (model, fidelity): the pristine baseline and the heap
+	// reference with the model on are simulated once per cell and the
+	// wheel arm is compared against the latter; rows assemble in grid
+	// order, so the table stays byte-identical for any -parallel.
 	for _, mdl := range models {
 		for _, fid := range []horse.Fidelity{horse.Flow, horse.Packet, horse.Hybrid} {
 			mdl, fid := mdl, fid
 			sp.cell(fmt.Sprintf("%s-%s/%s", mdl.name, mdl.param, fid), func() [][]string {
-				clean := run(fid, nil, 1, horse.EventQueueHeap, horse.BalanceUniform)
+				clean := run(fid, nil, horse.EventQueueHeap)
 				cleanFCT := metrics.Mean(clean.FCTs())
-
-				// Serial heap run with the model on: the parity reference.
-				refCol := run(fid, mdl.m, 1, horse.EventQueueHeap, horse.BalanceUniform)
+				refCol := run(fid, mdl.m, horse.EventQueueHeap)
 				ref := refCol.Flows()
 
-				// The arm grid per fidelity: the packet engine sweeps
-				// shards × backend plus a BalanceSteal arm, the flow engine
-				// sweeps shards, the (serial-only) hybrid sweeps backends.
-				type arm struct {
-					shards int
-					q      horse.EventQueue
-					b      horse.ShardBalancing
-				}
-				var arms []arm
-				switch fid {
-				case horse.Packet:
-					for _, q := range []horse.EventQueue{horse.EventQueueHeap, horse.EventQueueWheel} {
-						for _, s := range shardCounts {
-							arms = append(arms, arm{s, q, horse.BalanceUniform})
-						}
-					}
-					if max := shardCounts[len(shardCounts)-1]; max > 1 {
-						arms = append(arms, arm{max, horse.EventQueueHeap, horse.BalanceSteal})
-					}
-				case horse.Flow:
-					for _, s := range shardCounts {
-						arms = append(arms, arm{s, horse.EventQueueHeap, horse.BalanceUniform})
-					}
-				case horse.Hybrid:
-					arms = append(arms, arm{1, horse.EventQueueHeap, horse.BalanceUniform}, arm{1, horse.EventQueueWheel, horse.BalanceUniform})
-				}
-
 				var rows [][]string
-				for _, a := range arms {
+				for _, q := range []horse.EventQueue{horse.EventQueueHeap, horse.EventQueueWheel} {
 					col := refCol
-					if a.shards != 1 || a.q != horse.EventQueueHeap || a.b != horse.BalanceUniform {
-						col = run(fid, mdl.m, a.shards, a.q, a.b)
+					if q != horse.EventQueueHeap {
+						col = run(fid, mdl.m, q)
 					}
 					stretch := 0.0
 					if cleanFCT > 0 {
 						stretch = metrics.Mean(col.FCTs()) / cleanFCT
 					}
 					rows = append(rows, []string{
-						mdl.name, mdl.param, fid.String(),
-						fmt.Sprintf("%d", a.shards), a.q.String(), a.b.String(),
+						mdl.name, mdl.param, fid.String(), q.String(),
 						fmt.Sprintf("%d", completed(col)), f2(goodput(col)),
 						f3(retxRatio(col)), di(col.PacketsCorrupted), f2(stretch),
-						e9Parity(col.Flows(), ref),
+						parity(col.Flows(), ref),
 					})
 				}
 				return rows
@@ -1419,7 +1199,7 @@ func e10Spec(o Options, models []e10Model, shardCounts []int) *spec {
 	}
 	sp.table.Notes = append(sp.table.Notes,
 		"expected shape: goodput falls and retx-ratio/fct-stretch rise with loss; adaptive-rate degrades goodput with no corruption drops",
-		"contract: parity stays identical at every shard count, queue backend, and balancing mode with models enabled — the linkmodel streams are seed-deterministic and owner-shard-driven",
+		"contract: parity stays identical on either queue backend with models enabled — the linkmodel streams are seed-deterministic",
 	)
 	return sp
 }
@@ -1440,8 +1220,7 @@ func AllWith(o Options) []*Table {
 		e7Spec(o, []float64{0, 0.25, 0.5, 0.75, 1}),
 		e8Spec(o, []simtime.Duration{500 * simtime.Millisecond, 2 * simtime.Second},
 			[]simtime.Duration{100 * simtime.Millisecond, 400 * simtime.Millisecond}),
-		e9Spec(o, []int{4, 8}, []int{1, 2, 4, 8}),
-		e10Spec(o, e10Models(), []int{1, 4}),
+		e10Spec(o, e10Models()),
 	})
 }
 
@@ -1460,7 +1239,6 @@ func QuickWith(o Options) []*Table {
 		e7Spec(o, []float64{0, 0.5, 1}),
 		e8Spec(o, []simtime.Duration{500 * simtime.Millisecond},
 			[]simtime.Duration{200 * simtime.Millisecond}),
-		e9Spec(o, []int{4}, []int{1, 4}),
-		e10Spec(o, e10QuickModels(), []int{1, 4}),
+		e10Spec(o, e10QuickModels()),
 	})
 }

@@ -196,52 +196,17 @@ func TestE8Shape(t *testing.T) {
 	}
 }
 
-// TestE9Shape pins the scaling table's structure: the fat-tree cell
-// sweeps queue backends at uniform balance, the skewed-star cell sweeps
-// balancing modes, and every arm holds byte-parity with its serial
-// reference.
-func TestE9Shape(t *testing.T) {
-	tb := E9ShardScaling([]int{4}, []int{1, 4})
-	// fat-tree: 2 queues × 2 shard counts; skewed star: uniform × {1,4}
-	// plus weighted and steal at 4 shards only.
-	if len(tb.Rows) != 4+4 {
-		t.Fatalf("rows = %d, want 8", len(tb.Rows))
-	}
-	topo := colIndex(tb, "topo")
-	balance := colIndex(tb, "balance")
-	parity := colIndex(tb, "parity")
-	ev := colIndex(tb, "events")
-	seen := map[string]bool{}
-	for i, row := range tb.Rows {
-		if row[parity] != "identical" {
-			t.Errorf("row %d (%s/%s) parity = %q", i, row[topo], row[balance], row[parity])
-		}
-		if cell(t, tb, i, ev) == 0 {
-			t.Errorf("row %d ran no events", i)
-		}
-		if row[topo] == "star-of-trees" {
-			seen[row[balance]] = true
-		}
-	}
-	for _, b := range []string{"uniform", "weighted", "steal"} {
-		if !seen[b] {
-			t.Errorf("skewed-star cell missing a %q arm", b)
-		}
-	}
-}
-
 // TestE10Shape pins the degraded-link table's structure and physics: the
 // lossy arms corrupt frames and retransmit at packet level, the fluid
 // engine folds loss into FCT inflation without per-frame drops, the
-// adaptive-rate model degrades with zero corruption — and every
-// shard/backend/balancing arm holds byte-parity with its serial heap
-// reference, models enabled.
+// adaptive-rate model degrades with zero corruption — and every wheel
+// arm holds byte-parity with its heap reference, models enabled.
 func TestE10Shape(t *testing.T) {
-	tb := runSpecs(Options{}, []*spec{e10Spec(Options{}, e10QuickModels(), []int{1, 4})})[0]
-	// Per model: flow {1,4} + packet {1,4}×{heap,wheel}+steal + hybrid
-	// {heap,wheel} = 9 rows; the quick grid has two models.
-	if len(tb.Rows) != 18 {
-		t.Fatalf("rows = %d, want 18", len(tb.Rows))
+	tb := runSpecs(Options{}, []*spec{e10Spec(Options{}, e10QuickModels())})[0]
+	// Per model: {flow, packet, hybrid} × {heap, wheel} = 6 rows; the
+	// quick grid has two models.
+	if len(tb.Rows) != 12 {
+		t.Fatalf("rows = %d, want 12", len(tb.Rows))
 	}
 	model := colIndex(tb, "model")
 	fid := colIndex(tb, "fidelity")
@@ -291,7 +256,7 @@ func TestE10Shape(t *testing.T) {
 func TestE10ParallelDeterminism(t *testing.T) {
 	mk := func(par int) string {
 		o := Options{Parallel: par, Now: frozenClock}
-		return renderTables([]*Table{runSpecs(o, []*spec{e10Spec(o, e10QuickModels()[:1], []int{1, 4})})[0]})
+		return renderTables([]*Table{runSpecs(o, []*spec{e10Spec(o, e10QuickModels()[:1])})[0]})
 	}
 	seq, par := mk(1), mk(4)
 	if seq != par {

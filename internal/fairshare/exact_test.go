@@ -148,18 +148,17 @@ func (a *Allocator) eagerRecompute() []Changed {
 		return nil
 	}
 	a.ComponentSolves++
-	w := a.serialWorker()
+	w := a.openPass()
 	a.solveEager(a.dirtyComponent(), w)
 	a.collect(w)
 	return w.changed
 }
 
-// eagerRecomputeAll is RecomputeAll with the oracle solver. It is also the
-// oracle for RecomputeAllParallel, whose change list is RecomputeAll's.
+// eagerRecomputeAll is RecomputeAll with the oracle solver.
 func (a *Allocator) eagerRecomputeAll() []Changed {
 	a.FullSolves++
 	cnt, pos, grouped := a.groupComponents()
-	w := a.serialWorker()
+	w := a.openPass()
 	for r, c := range cnt {
 		if c > 0 {
 			a.solveEager(grouped[pos[r]-c:pos[r]], w)
@@ -198,8 +197,6 @@ var recomputeModes = []struct {
 }{
 	{"Recompute", (*Allocator).Recompute, (*Allocator).eagerRecompute},
 	{"RecomputeAll", (*Allocator).RecomputeAll, (*Allocator).eagerRecomputeAll},
-	{"Parallel2", func(a *Allocator) []Changed { return a.RecomputeAllParallel(2) }, (*Allocator).eagerRecomputeAll},
-	{"Parallel4", func(a *Allocator) []Changed { return a.RecomputeAllParallel(4) }, (*Allocator).eagerRecomputeAll},
 }
 
 // checkExact solves in through every entry point and against the oracle,
@@ -207,15 +204,14 @@ var recomputeModes = []struct {
 // requiring bit-identical rates and identical change lists each time. It
 // does so with solve's own choice of strategy and with each forced. A
 // large instance is one IXP-shaped component, on which solve already
-// picks the heap and the parallel entry points run the serial path, so it
-// checks only the combinations that differ (the race detector makes each
-// eager solve of it cost a quarter second).
+// picks the heap, so it skips forcing the heap (the race detector makes
+// each eager solve of it cost a quarter second).
 func checkExact(t testing.TB, in *instance, seed int64) {
 	t.Helper()
 	defer func(g float64) { heapGain = g }(heapGain)
 	gains, modes := []float64{heapGain, 0, math.Inf(1)}, recomputeModes
 	if len(in.demands) > 1000 {
-		gains, modes = []float64{heapGain, math.Inf(1)}, recomputeModes[:2]
+		gains = []float64{heapGain, math.Inf(1)}
 	}
 	for _, gain := range gains {
 		heapGain = gain

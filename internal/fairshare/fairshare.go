@@ -38,8 +38,6 @@ import (
 	"cmp"
 	"math"
 	"slices"
-	"sync"
-	"sync/atomic"
 )
 
 // ResourceID identifies a capacity-constrained resource. The caller assigns
@@ -136,20 +134,15 @@ type solveScratch struct {
 	compCount []int32
 	compPos   []int32
 	compFlows []int32
-	compRoots []int32
 
-	worker  solveWorker   // the serial solve path's working set
-	workers []solveWorker // pooled working sets for RecomputeAllParallel
+	worker solveWorker
 }
 
-// solveWorker is the per-solve working set that cannot be shared when
-// components are solved concurrently. Every other scratch buffer is
-// indexed by flow or resource slot and components are slot-disjoint, so
-// those can be shared; these are one-per-in-flight-solve.
+// solveWorker is the per-solve working set: the buffers and fill state a
+// solve uses beyond the flow- and resource-indexed scratch arrays.
 type solveWorker struct {
 	order   []int32 // demand-sorted unfrozen flows
 	changed []Changed
-	marks   []compMark // per-component spans of changed (parallel merge)
 
 	visited, fillSteps, residualSteps uint64
 
@@ -192,18 +185,9 @@ type heapEntry struct {
 	k   int32
 }
 
-// compMark records where a component's changes begin inside a worker's
-// changed slice, so RecomputeAllParallel can stitch per-worker results
-// back into ascending-component order (the serial order).
-type compMark struct {
-	seq   int32 // component sequence number, ascending root order
-	start int32 // offset into the worker's changed slice
-}
-
 // beginPass opens one freeze/touch epoch for a recompute pass. A single
-// epoch serves every component solved in the pass — serially or
-// concurrently — because the epoch-stamped slots of distinct components
-// are disjoint.
+// epoch serves every component solved in the pass, because the
+// epoch-stamped slots of distinct components are disjoint.
 func (s *solveScratch) beginPass() {
 	s.solveEpoch++
 	if s.solveEpoch == 0 { // uint32 wrap: stale marks could alias, so reset
@@ -459,7 +443,7 @@ func (a *Allocator) RecomputeAll() []Changed {
 	cnt, pos, grouped := a.groupComponents()
 
 	// Solve each component. pos[r] points one past the component's end.
-	w := a.serialWorker()
+	w := a.openPass()
 	for r, c := range cnt {
 		if c == 0 {
 			continue
@@ -470,8 +454,8 @@ func (a *Allocator) RecomputeAll() []Changed {
 	return w.changed
 }
 
-// serialWorker opens a recompute pass on the serial worker.
-func (a *Allocator) serialWorker() *solveWorker {
+// openPass opens a recompute pass and returns its emptied worker.
+func (a *Allocator) openPass() *solveWorker {
 	a.scratch.beginPass()
 	w := &a.scratch.worker
 	w.reset()
@@ -481,7 +465,6 @@ func (a *Allocator) serialWorker() *solveWorker {
 // reset empties a worker's change list and work counters.
 func (w *solveWorker) reset() {
 	w.changed = w.changed[:0]
-	w.marks = w.marks[:0]
 	w.visited, w.fillSteps, w.residualSteps = 0, 0, 0
 }
 
@@ -490,94 +473,6 @@ func (a *Allocator) collect(w *solveWorker) {
 	a.FlowsVisited += w.visited
 	a.FillSteps += w.fillSteps
 	a.ResidualSteps += w.residualSteps
-}
-
-// RecomputeAllParallel is RecomputeAll with the independent component
-// solves fanned across up to workers goroutines. Rates, stats, and the
-// returned change list are identical to RecomputeAll: components are
-// claimed dynamically, but each worker records per-component spans of its
-// change list and the spans are stitched back together in ascending
-// component order afterwards. workers <= 1 falls back to the serial path.
-func (a *Allocator) RecomputeAllParallel(workers int) []Changed {
-	if workers <= 1 {
-		return a.RecomputeAll()
-	}
-	a.FullSolves++
-	cnt, pos, grouped := a.groupComponents()
-
-	s := &a.scratch
-	roots := s.compRoots[:0]
-	for r, c := range cnt {
-		if c > 0 {
-			roots = append(roots, int32(r))
-		}
-	}
-	s.compRoots = roots
-	ncomp := len(roots)
-	if ncomp <= 1 {
-		w := a.serialWorker()
-		if ncomp == 1 {
-			r := roots[0]
-			a.solve(grouped[pos[r]-cnt[r]:pos[r]], w)
-		}
-		a.collect(w)
-		return w.changed
-	}
-	s.beginPass()
-	if workers > ncomp {
-		workers = ncomp
-	}
-	if len(s.workers) < workers {
-		s.workers = append(s.workers, make([]solveWorker, workers-len(s.workers))...)
-	}
-	ws := s.workers[:workers]
-
-	var next atomic.Int32
-	var wg sync.WaitGroup
-	for g := range ws {
-		w := &ws[g]
-		w.reset()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				seq := next.Add(1) - 1
-				if int(seq) >= ncomp {
-					return
-				}
-				r := roots[seq]
-				w.marks = append(w.marks, compMark{seq: seq, start: int32(len(w.changed))})
-				a.solve(grouped[pos[r]-cnt[r]:pos[r]], w)
-			}
-		}()
-	}
-	wg.Wait()
-
-	// Stitch per-component change spans into ascending component order.
-	// Each worker's marks already ascend, so a cursor per worker suffices.
-	out := s.worker.changed[:0]
-	cursor := make([]int, len(ws))
-	for seq := int32(0); seq < int32(ncomp); seq++ {
-		for g := range ws {
-			w := &ws[g]
-			if cursor[g] >= len(w.marks) || w.marks[cursor[g]].seq != seq {
-				continue
-			}
-			start := w.marks[cursor[g]].start
-			end := int32(len(w.changed))
-			if cursor[g]+1 < len(w.marks) {
-				end = w.marks[cursor[g]+1].start
-			}
-			out = append(out, w.changed[start:end]...)
-			cursor[g]++
-			break
-		}
-	}
-	for g := range ws {
-		a.collect(&ws[g])
-	}
-	s.worker.changed = out
-	return out
 }
 
 // groupComponents clears the dirty marks, splits live routed flows into
@@ -665,7 +560,7 @@ func (a *Allocator) Recompute() []Changed {
 		return nil
 	}
 	a.ComponentSolves++
-	w := a.serialWorker()
+	w := a.openPass()
 	a.solve(a.dirtyComponent(), w)
 	a.collect(w)
 	return w.changed
@@ -729,9 +624,7 @@ var heapGain = 16.0
 
 // solve runs progressive filling over the given flow slots (assumed to be
 // a union of whole components) inside an open pass (beginPass) and appends
-// the changed flows to w.changed. Concurrent solves of slot-disjoint
-// components with distinct workers are safe: the scratch buffers solve
-// touches are all flow- or resource-indexed.
+// the changed flows to w.changed.
 //
 // Every unfrozen flow holds the same fill level, so demand-limited flows
 // freeze in sorted demand order without a scan over flows. On a large

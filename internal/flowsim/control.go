@@ -31,23 +31,13 @@ type Engine interface {
 // controller could learn: the topology (assumed discovered), virtual time,
 // message sending, and timers.
 type Context struct {
-	eng   Engine
-	scope func(netgraph.NodeID) bool // nil = every switch is in scope
+	eng Engine
 }
 
 // NewContext wraps an engine for controller use. Engines call it
 // internally; it is exported for engines living outside this package (the
 // packet-level simulator).
 func NewContext(eng Engine) *Context { return &Context{eng: eng} }
-
-// NewScopedContext wraps an engine for one forked controller instance of a
-// sharded run (see Forker): Send silently drops any message whose datapath
-// is outside inScope, so component-blind loops (install defaults on every
-// switch) fan out across instances without duplication — each instance's
-// surviving sends cover exactly its own component.
-func NewScopedContext(eng Engine, inScope func(netgraph.NodeID) bool) *Context {
-	return &Context{eng: eng, scope: inScope}
-}
 
 // Now returns the current virtual time.
 func (c *Context) Now() simtime.Time { return c.eng.Now() }
@@ -58,14 +48,8 @@ func (c *Context) Now() simtime.Time { return c.eng.Now() }
 func (c *Context) Topology() *netgraph.Topology { return c.eng.Topology() }
 
 // Send delivers a control message to its datapath after the configured
-// control latency. A scoped context (NewScopedContext) drops messages to
-// switches outside its component.
-func (c *Context) Send(msg openflow.Message) {
-	if c.scope != nil && !c.scope(msg.Datapath()) {
-		return
-	}
-	c.eng.SendToSwitch(msg)
-}
+// control latency.
+func (c *Context) Send(msg openflow.Message) { c.eng.SendToSwitch(msg) }
 
 // After schedules fn to run on the controller after d.
 func (c *Context) After(d simtime.Duration, fn func()) { c.eng.After(d, fn) }

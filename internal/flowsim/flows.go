@@ -2,7 +2,6 @@ package flowsim
 
 import (
 	"cmp"
-	"fmt"
 	"math"
 	"slices"
 
@@ -11,7 +10,6 @@ import (
 	"horse/internal/linkmodel"
 	"horse/internal/netgraph"
 	"horse/internal/openflow"
-	"horse/internal/runner"
 	"horse/internal/simcore"
 	"horse/internal/simevent"
 	"horse/internal/simtime"
@@ -449,36 +447,26 @@ func (s *Simulator) drainAlloc() {
 	}
 	s.allocDirty = false
 	var changed []fairshare.Changed
-	switch {
-	case s.cfg.FullRecompute && s.cfg.Shards > 1:
-		// Sharing-graph components solve independently; fan them across
-		// the same worker count the settle pool uses. Identical output to
-		// RecomputeAll (the allocator stitches changes back into
-		// component order), so determinism is unaffected.
-		changed = s.alloc.RecomputeAllParallel(s.cfg.Shards)
-	case s.cfg.FullRecompute:
+	if s.cfg.FullRecompute {
 		changed = s.alloc.RecomputeAll()
-	default:
+	} else {
 		changed = s.alloc.Recompute()
 	}
 	if len(changed) == 0 && len(s.shiftPending) == 0 {
 		return
 	}
 	slices.SortFunc(changed, func(a, b fairshare.Changed) int { return cmp.Compare(a.ID, b.ID) })
-	shifted := s.shiftScratch[:0]
-	shifted = append(shifted, s.shiftPending...)
+	s.shifted.reset()
+	for _, r := range s.shiftPending {
+		s.shifted.add(r)
+	}
 	s.shiftPending = s.shiftPending[:0]
-	settled := s.parallelSettle(changed)
-	for i, c := range changed {
+	for _, c := range changed {
 		f := s.byAlloc[c.Slot]
 		if f == nil || f.state != StateActive {
 			continue
 		}
-		if settled != nil {
-			s.applySettle(f, settled[i])
-		} else {
-			s.settleFlow(f)
-		}
+		s.settleFlow(f)
 		s.adjustLedgers(f, c.NewRate-f.rate)
 		f.rate = c.NewRate
 		s.col.RateChanges++
@@ -486,88 +474,66 @@ func (s *Simulator) drainAlloc() {
 		// A rate change may open growth room for a TCP flow.
 		s.scheduleRamp(f)
 		if s.cfg.OnRateShift != nil {
-			shifted = append(shifted, f.resources...)
-		}
-	}
-	if s.cfg.OnRateShift != nil && len(shifted) > 0 {
-		slices.Sort(shifted)
-		dedup := shifted[:1]
-		for _, r := range shifted[1:] {
-			if r != dedup[len(dedup)-1] {
-				dedup = append(dedup, r)
+			for _, r := range f.resources {
+				s.shifted.add(r)
 			}
 		}
-		s.shiftScratch = shifted
-		s.cfg.OnRateShift(dedup)
+	}
+	if s.cfg.OnRateShift != nil && len(s.shifted.ids) > 0 {
+		s.cfg.OnRateShift(s.shifted.sorted())
 	}
 }
 
-// parallelSettleMin is the drain size below which fanning the settle scan
-// out costs more than the arithmetic it parallelizes.
-const parallelSettleMin = 256
-
-// parallelSettle computes, for every changed flow, the bits it transferred
-// since its last settle — the pure, per-flow half of the drain — on a
-// worker pool of Config.Shards workers. Returns nil (caller settles
-// serially) when the pool is not configured or the drain is small. The
-// computation per flow is the exact expression settleFlow evaluates, so
-// the fanned-out drain is bit-identical to the serial one; the mutating
-// half (flow totals, shared switch entries, ledgers) stays with the
-// caller's serial apply pass.
-func (s *Simulator) parallelSettle(changed []fairshare.Changed) []float64 {
-	if s.cfg.Shards <= 1 || len(changed) < parallelSettleMin {
-		return nil
-	}
-	out := make([]float64, len(changed))
-	now := s.k.Now()
-	workers := s.cfg.Shards
-	chunk := (len(changed) + workers - 1) / workers
-	var cells []runner.Cell[struct{}]
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if lo >= len(changed) {
-			break
-		}
-		if hi > len(changed) {
-			hi = len(changed)
-		}
-		cells = append(cells, runner.Cell[struct{}]{
-			ID: fmt.Sprintf("settle%d", w),
-			Run: func() struct{} {
-				for i := lo; i < hi; i++ {
-					f := s.byAlloc[changed[i].Slot]
-					if f == nil || f.state != StateActive || now <= f.lastSettle {
-						continue
-					}
-					out[i] = f.rate * now.Sub(f.lastSettle).Seconds()
-				}
-				return struct{}{}
-			},
-		})
-	}
-	runner.Run(cells, workers)
-	return out
+// resourceSet collects the distinct resource IDs one drain reports through
+// OnRateShift. A drain lists the resources of every changed flow, and
+// flows share links, so most additions are repeats: epoch marks (dense by
+// link resource, a map for the few meter resources) drop them on the way
+// in, and only the distinct IDs are sorted.
+type resourceSet struct {
+	ids    []fairshare.ResourceID
+	mark   []uint32 // by link resource: epoch of the drain that listed it
+	meters map[fairshare.ResourceID]uint32
+	epoch  uint32
 }
 
-// applySettle is settleFlow with the transferred bits precomputed by
-// parallelSettle.
-func (s *Simulator) applySettle(f *Flow, bits float64) {
-	if f.state == StateActive && s.k.Now() > f.lastSettle && bits > 0 {
-		f.sent += bits
-		if !math.IsInf(f.remaining, 1) {
-			f.remaining -= bits
-			if f.remaining < 0 {
-				f.remaining = 0
-			}
-		}
-		for _, e := range f.entries {
-			e.Bytes += uint64(bits / 8)
-			e.Packets += uint64(bits/packetBits) + 1
-			e.LastUsed = s.k.Now()
-		}
+// reset empties the set for a new drain.
+func (rs *resourceSet) reset() {
+	rs.ids = rs.ids[:0]
+	rs.epoch++
+	if rs.epoch == 0 { // uint32 wrap: stale marks could alias, so clear
+		clear(rs.mark)
+		clear(rs.meters)
+		rs.epoch = 1
 	}
-	f.lastSettle = s.k.Now()
+}
+
+// add lists r unless this drain already has.
+func (rs *resourceSet) add(r fairshare.ResourceID) {
+	if r < meterResourceBase {
+		if int(r) >= len(rs.mark) {
+			rs.mark = append(rs.mark, make([]uint32, int(r)+1-len(rs.mark))...)
+		}
+		if rs.mark[r] == rs.epoch {
+			return
+		}
+		rs.mark[r] = rs.epoch
+	} else {
+		if rs.meters == nil {
+			rs.meters = make(map[fairshare.ResourceID]uint32)
+		}
+		if rs.meters[r] == rs.epoch {
+			return
+		}
+		rs.meters[r] = rs.epoch
+	}
+	rs.ids = append(rs.ids, r)
+}
+
+// sorted returns the listed IDs in ascending order. The slice is reused by
+// the next drain.
+func (rs *resourceSet) sorted() []fairshare.ResourceID {
+	slices.Sort(rs.ids)
+	return rs.ids
 }
 
 // scheduleCompletion (re)schedules the flow's completion event based on its
@@ -814,9 +780,12 @@ func (s *Simulator) applyLinkChange(id netgraph.LinkID, up bool, silent netgraph
 
 	// Flows at either end re-resolve — among them every flow crossing
 	// the link, since a hop's egress link is attached to the hop's switch
-	// (their entries may now pick live group buckets, or blackhole).
+	// (their entries may now pick live group buckets, or blackhole). Port
+	// liveness feeds group bucket selection, so both endpoint switches'
+	// decisions change generation (the dataplane.Switch.Gen contract).
 	for _, end := range []netgraph.NodeID{l.A, l.B} {
-		if s.net.Switch(end) != nil {
+		if sw := s.net.Switch(end); sw != nil {
+			sw.Invalidate()
 			if end != silent {
 				// A crashed (silent) switch cannot announce its own
 				// ports. While detached, sendToController pends the

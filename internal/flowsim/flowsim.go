@@ -138,16 +138,11 @@ type Controller interface {
 	Handle(ctx *Context, msg openflow.Message)
 }
 
-// Forker is an optional Controller capability used by the sharded packet
-// engine to partition control-plane state per connected component: Fork
-// returns an independent instance equivalent to a freshly constructed one
-// (no shared mutable state with the receiver), or nil when this
-// controller cannot fork. A controller should declare Fork only when its
-// reactions are component-local up to idempotent re-installs: each forked
-// instance runs under a scoped Context that silently drops sends to
-// switches outside its component, and the union of the instances'
-// surviving messages must equal the multiset a single serial instance
-// would have produced.
+// Forker is an optional Controller capability: Fork returns an
+// independent instance equivalent to a freshly constructed one (no shared
+// mutable state with the receiver), or nil when this controller cannot
+// fork. What-if runs that branch one warmed-up simulation into several
+// futures need one controller instance per branch.
 type Forker interface {
 	Controller
 	Fork() Controller
@@ -194,15 +189,6 @@ type Config struct {
 	// with FailureState — a dead link has capacity 0 whatever its model
 	// says.
 	Links *linkmodel.Set
-
-	// Shards > 1 fans the settle scan of the rate-shift drain — the
-	// per-flow transferred-bits computation after every fair-share
-	// re-solve — across a worker pool of that size. The solve itself and
-	// the apply pass stay serial (they mutate shared allocator, ledger,
-	// and switch-entry state), so results are bit-identical to the
-	// serial path for any value; the win shows on drains touching
-	// thousands of flows (shared-fabric churn, E6-style workloads).
-	Shards int
 
 	// Kernel attaches the simulator to an externally owned simulation
 	// kernel so several engines share one virtual clock (hybrid runs).
@@ -439,9 +425,9 @@ type Simulator struct {
 
 	// shiftPending accumulates resources whose membership changed outside
 	// a solve (flow activate/deactivate) so OnRateShift still reports
-	// them; shiftScratch is the reusable dedup buffer.
+	// them; shifted is the drain's deduplicated report.
 	shiftPending []fairshare.ResourceID
-	shiftScratch []fairshare.ResourceID
+	shifted      resourceSet
 
 	// observers receive applied network-dynamics events (the public
 	// Observe hook); recordSink, when set, streams finished-flow records

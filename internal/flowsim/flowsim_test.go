@@ -287,6 +287,37 @@ func TestLinkFailureStallsThenRecovers(t *testing.T) {
 	}
 }
 
+// TestLinkChangesAdvanceGen pins the dataplane.Switch.Gen contract on the
+// flow engine: a scripted link flip, and the link flips a neighbor's crash
+// and restart cause, change the decision generation of every switch whose
+// port changed liveness. No controller is attached, so no FlowMod bumps
+// Gen on its own.
+func TestLinkChangesAdvanceGen(t *testing.T) {
+	topo := netgraph.Dumbbell(1, 1, netgraph.Gig, netgraph.Gig)
+	sim := New(Config{Topology: topo})
+	sl, sr := topo.MustLookup("sL"), topo.MustLookup("sR")
+	core := topo.LinkAt(sl, topo.PortToward(sl, sr)).ID
+	left := sim.Network().Switch(sl)
+	ms := func(n int) simtime.Time { return simtime.Time(n) * simtime.Time(simtime.Millisecond) }
+	var gens []uint64
+	for i := 1; i <= 5; i++ {
+		sim.After(ms(2*i).Sub(0), func() { gens = append(gens, left.Gen()) })
+	}
+	sim.ScheduleLinkChange(ms(3), core, false)
+	sim.ScheduleLinkChange(ms(5), core, true)
+	sim.ScheduleSwitchChange(ms(7), sr, false)
+	sim.ScheduleSwitchChange(ms(9), sr, true)
+	mustRun(sim, ms(20))
+	if len(gens) != 5 {
+		t.Fatalf("sampled Gen %d times, want 5", len(gens))
+	}
+	for i := 1; i < len(gens); i++ {
+		if gens[i] <= gens[i-1] {
+			t.Errorf("sL Gen did not advance across change %d: %v", i, gens)
+		}
+	}
+}
+
 func TestStatsTickSampling(t *testing.T) {
 	topo := netgraph.Dumbbell(1, 1, netgraph.Gig, netgraph.TenGig)
 	sim := New(Config{

@@ -13,10 +13,8 @@
 // LossRate into the TCP throughput model (tcpmodel.MathisCap) and
 // applies RateScale as a time-varying fair-share capacity; a hybrid run
 // hands the same Set to both engines so they see one channel. State is
-// keyed by link direction and advanced only by the direction's owning
-// handler, so sharded runs stay byte-identical to serial ones: the
-// per-direction draw sequence is a pure function of the seed and the
-// frames that direction carried.
+// keyed by link direction, so the per-direction draw sequence is a pure
+// function of the seed and the frames that direction carried.
 package linkmodel
 
 import (
@@ -39,7 +37,7 @@ type Model interface {
 	LossRate() float64
 	// Corrupt advances the per-direction state by one transmitted frame
 	// and reports whether that frame was corrupted. Only the packet
-	// engine calls it, once per frame, on the direction's owning shard.
+	// engine calls it, once per frame.
 	Corrupt(st *State) bool
 	// RateScale returns the capacity multiplier in (0, 1] in effect at
 	// the given instant. Pure in (st.Seed(), at): it must not mutate st.
@@ -53,10 +51,7 @@ type Model interface {
 
 // State is the mutable per-link-direction model state: the corruption
 // RNG stream and the burst-model channel state. It belongs to exactly
-// one link direction and, in sharded runs, is written only by that
-// direction's owning shard — it migrates with the direction's entity
-// group under work stealing because the Set's backing array is shared
-// by every clone.
+// one link direction.
 type State struct {
 	seed uint64 // immutable per-direction identity
 	rng  uint64 // frame-level draw stream position
@@ -176,8 +171,8 @@ func (GilbertElliott) StepEvery() simtime.Duration { return 0 }
 // Every, each window draws a channel quality that picks one of Levels
 // discrete rate steps, and the transmit rate scales between Floor (worst
 // step) and 1.0 (best step). The draw is a pure hash of (direction seed,
-// window index), so every engine — and every shard — computes the same
-// scale for the same instant without sharing mutable state, and the flow
+// window index), so every engine computes the same scale for the same
+// instant without sharing mutable state, and the flow
 // engine's fair-share allocator sees the step sequence as a time-varying
 // capacity (the utility max-min framing).
 type AdaptiveRate struct {
@@ -229,10 +224,7 @@ func (m AdaptiveRate) StepEvery() simtime.Duration {
 // Set is the per-link-direction model registry one engine run consults
 // (a hybrid run shares one Set between both engines). Directions index
 // as link*2 for A→B and link*2+1 for B→A. The zero Set is not usable;
-// build with NewSet. Engines mutate it only at simulation instants
-// (scripted degrade/restore events execute single-threaded), and shard
-// clones share the backing arrays, so model state moves with entity
-// groups for free.
+// build with NewSet. Engines mutate it only at simulation instants.
 type Set struct {
 	seed   uint64
 	models []Model

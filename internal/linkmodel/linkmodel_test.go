@@ -10,8 +10,7 @@ import (
 
 // TestStateDeterminism pins the seed-reproducibility contract: the same
 // (seed, dir) replays the identical draw stream, different dirs diverge,
-// and a copied State replays exactly from the copy point (the property
-// shard migration relies on).
+// and a copied State replays exactly from the copy point.
 func TestStateDeterminism(t *testing.T) {
 	a := NewState(7, 4)
 	b := NewState(7, 4)

@@ -124,11 +124,8 @@ func FatTree(k int, link LinkSpec) *Topology {
 // StarOfFatTrees builds n k-ary fat-trees joined by a central hub switch:
 // every core switch of every tree connects to the hub with the same link
 // spec. Node names carry a per-tree prefix ("t0_core0", "t1_h3", ...);
-// the hub is "hub". The fabric is deliberately partition-hostile: a
-// uniform edge-cut split puts one tree per part and looks balanced by
-// switch count, but a workload concentrated on one tree makes that tree's
-// shard the wall-clock bottleneck — the scenario weighted partitioning
-// and window-barrier work stealing exist to fix.
+// the hub is "hub". Every tree-to-tree path crosses the hub, so traffic
+// concentrated on one tree leaves the rest of the fabric idle.
 func StarOfFatTrees(n, k int, link LinkSpec) *Topology {
 	if n < 1 {
 		panic("netgraph: star-of-fat-trees needs at least 1 tree")

@@ -250,6 +250,26 @@ func TestFatTreeShape(t *testing.T) {
 	}
 }
 
+func TestStarOfFatTreesShape(t *testing.T) {
+	n, k := 3, 4
+	topo := StarOfFatTrees(n, k, Gig)
+	perTree := (k/2)*(k/2) + k*k
+	if got := len(topo.Switches()); got != n*perTree+1 {
+		t.Errorf("switches = %d, want %d", got, n*perTree+1)
+	}
+	if got := len(topo.Hosts()); got != n*k*k*k/4 {
+		t.Errorf("hosts = %d, want %d", got, n*k*k*k/4)
+	}
+	// Tree-to-tree: edge → agg → core → hub → core → agg → edge, plus the
+	// two access hops.
+	if !topo.Reachable(topo.MustLookup("h0"), topo.MustLookup("h32")) {
+		t.Fatal("trees are not joined through the hub")
+	}
+	if d := topo.Diameter(); d != 8 {
+		t.Errorf("star-of-fat-trees diameter = %d, want 8", d)
+	}
+}
+
 func TestRandomConnectedIsConnected(t *testing.T) {
 	topo := RandomConnected(30, 0.05, 42, Gig, TenGig)
 	nodes := topo.Nodes()

@@ -1,10 +1,7 @@
 // Control-plane attachment of the packet engine: punts with buffered
 // packets, latency-modeled message delivery, rule installation, timeout
 // expiry, and stats replies — the packet-granular mirror of
-// flowsim/control.go, speaking the same flowsim.Controller interface. In
-// sharded runs the controller lives on shard 0; switch-originated
-// messages cross to it (and its replies cross back) through the barrier
-// outboxes, with the control latency as lookahead.
+// flowsim/control.go, speaking the same flowsim.Controller interface.
 package packetsim
 
 import (
@@ -30,12 +27,9 @@ func (s *Simulator) SendToSwitch(msg openflow.Message) {
 	s.sched(event{at: s.k.Now().Add(s.cfg.ControlLatency), kind: evToSwitch, msg: msg, node: msg.Datapath()})
 }
 
-// After implements flowsim.Engine: fn runs on the controller after d. The
-// event carries the scheduling clone's shard (dir is unused by evTimer
-// otherwise) so a sharded run fires the timer on the controller instance
-// that armed it, whichever shard that instance is homed on.
+// After implements flowsim.Engine: fn runs on the controller after d.
 func (s *Simulator) After(d simtime.Duration, fn func()) {
-	s.sched(event{at: s.k.Now().Add(d), kind: evTimer, fn: fn, dir: s.shardID})
+	s.sched(event{at: s.k.Now().Add(d), kind: evTimer, fn: fn})
 }
 
 // sendToController delivers a switch-originated message: to the punt sink
@@ -45,7 +39,7 @@ func (s *Simulator) After(d simtime.Duration, fn func()) {
 // for PortStatus) messages caught in flight when the channel breaks.
 func (s *Simulator) sendToController(msg openflow.Message) {
 	if s.fstate.ControllerDetached() {
-		s.notePending(msg)
+		s.fstate.NotePendingStatus(msg)
 		return
 	}
 	if s.cfg.PuntSink != nil {
@@ -235,7 +229,7 @@ func (s *Simulator) handleExpiry(dp netgraph.NodeID) {
 // previous request for the same port (first request reports the average
 // since the epoch) — the polling-delta a real controller computes anyway.
 // Receive counters are the bits observed arriving on the switch's side of
-// each link, so the reply reads only state this switch's shard owns.
+// each link.
 func (s *Simulator) portStats(dp netgraph.NodeID, port netgraph.PortNum) *openflow.PortStatsReply {
 	reply := &openflow.PortStatsReply{Switch: dp, At: s.k.Now()}
 	for _, p := range s.topo.Node(dp).Ports() {

@@ -12,7 +12,7 @@ import (
 )
 
 // trySend lets a flow emit as many packets as its window (TCP) or schedule
-// (CBR) currently allows. Runs on the flow's sender shard.
+// (CBR) currently allows.
 func (s *Simulator) trySend(f *pktFlow) {
 	if f.srcDead || f.senderStopped {
 		return
@@ -95,7 +95,7 @@ func (s *Simulator) sendAck(f *pktFlow) {
 }
 
 // enqueue places a packet on an output direction's drop-tail queue and
-// starts the transmitter if idle. Runs on the transmitting node's shard.
+// starts the transmitter if idle.
 func (s *Simulator) enqueue(p *packet, dir int32) {
 	if dir < 0 {
 		s.dropPacket(p)
@@ -277,8 +277,7 @@ func (s *Simulator) depart(p *packet, dir int32, op *outPort) {
 		return
 	}
 	// Frame corruption consults the direction's link model exactly once
-	// per transmitted frame, here on the direction's owning shard — the
-	// single writer of its model state. A corrupted frame is counted
+	// per transmitted frame. A corrupted frame is counted
 	// separately from outage loss and then dropped like any other (TCP
 	// recovers it via dup-ACKs/RTO, UDP resolves the packet where it
 	// died).
@@ -294,13 +293,12 @@ func (s *Simulator) depart(p *packet, dir int32, op *outPort) {
 // event carries the direction's epoch at transmit time; a link failure
 // before delivery either catches the frame still serializing (the flush
 // loses it then and marks it dead) or bumps the epoch so it is lost
-// mid-propagation. Epochs mutate only between windows, so this cross-shard
-// read is safe in sharded runs.
+// mid-propagation.
 func (s *Simulator) schedArrival(p *packet, dir int32, at simtime.Time) {
 	s.sched(event{at: at, kind: evArriveNode, pkt: p, dir: dir, gen: s.linkEpoch[dir]})
 }
 
-// arrive processes a packet arriving at a node. Runs on the node's shard.
+// arrive processes a packet arriving at a node.
 func (s *Simulator) arrive(p *packet, node netgraph.NodeID, in netgraph.PortNum) {
 	n := s.topo.Node(node)
 	if n.Kind == netgraph.KindHost {
@@ -459,9 +457,8 @@ func (s *Simulator) keyOf(p *packet) header.FlowKey {
 	return k
 }
 
-// deliver handles a packet reaching a host. Runs on the host's shard —
-// for data packets, the flow's receiver side, whose state nothing else
-// writes.
+// deliver handles a packet reaching a host — for data packets, the flow's
+// receiver side, whose state nothing else writes.
 func (s *Simulator) deliver(p *packet, host netgraph.NodeID) {
 	f := p.flow
 	// The packet ends its life here on every path below (any ACK it
@@ -482,7 +479,7 @@ func (s *Simulator) deliver(p *packet, host netgraph.NodeID) {
 			// Duplicate after full receive (a retransmission crossed the
 			// final ACK): re-ACK so the sender quiesces. Real TCP does
 			// exactly this; the sender learns completion only from the
-			// ACK stream — no out-of-band state crosses the shards.
+			// ACK stream.
 			s.sendAck(f)
 			return
 		}
@@ -500,19 +497,18 @@ func (s *Simulator) deliver(p *packet, host netgraph.NodeID) {
 	}
 	// UDP/CBR: each data packet resolves exactly once (delivered here or
 	// dropped wherever it died); completion is "every packet resolved",
-	// dated by the last resolution — assembled at Finish from the
-	// per-shard counters.
+	// dated by the last resolution.
 	s.resolveUDP(f)
 }
 
-// resolveUDP accounts one UDP data packet reaching its end of life on
-// this shard (delivery at the receiver or a drop anywhere en route).
+// resolveUDP accounts one UDP data packet reaching its end of life
+// (delivery at the receiver or a drop anywhere en route).
 func (s *Simulator) resolveUDP(f *pktFlow) {
 	s.udpRes[f.idx]++
 	s.udpLast[f.idx] = s.k.Now()
 }
 
-// handleAck advances the TCP sender. Runs on the sender shard.
+// handleAck advances the TCP sender.
 func (s *Simulator) handleAck(f *pktFlow, ackSeq int) {
 	if f.srcDead || f.senderStopped {
 		return
@@ -607,8 +603,8 @@ func (s *Simulator) dropPacket(p *packet) {
 }
 
 // record emits the flow's statistics record at Finish.
-func (s *Simulator) record(f *pktFlow, sims []*Simulator) {
-	r, _ := s.assemble(f, sims)
+func (s *Simulator) record(f *pktFlow) {
+	r, _ := s.assemble(f)
 	s.addRecord(r)
 }
 
@@ -620,26 +616,17 @@ func (s *Simulator) addRecord(r stats.FlowRecord) {
 }
 
 // assemble builds the flow's statistics record, assembling completion
-// from the single-writer candidates: the earliest of the deadline stop
-// (sender), the full receive (receiver), and — for UDP — the last packet
-// resolution once every packet is accounted for. That earliest candidate
-// is exactly the completion a serial run's first-finisher logic hits.
-// final reports whether the record is time-invariant — a completed,
-// live-source flow assembles identically whenever it is read, so the
-// incremental finalize path may emit and evict it mid-run; srcDead and
-// still-running outcomes date their records s.k.Now() and must wait for
-// Finish.
-func (s *Simulator) assemble(f *pktFlow, sims []*Simulator) (stats.FlowRecord, bool) {
-	punts := 0
-	var resolved int64
-	resolvedLast := simtime.Time(0)
-	for _, c := range sims {
-		punts += int(c.puntsBy[f.idx])
-		resolved += int64(c.udpRes[f.idx])
-		if c.udpLast[f.idx] > resolvedLast {
-			resolvedLast = c.udpLast[f.idx]
-		}
-	}
+// from the sides' candidates: the earliest of the deadline stop (sender),
+// the full receive (receiver), and — for UDP — the last packet resolution
+// once every packet is accounted for. final reports whether the record is
+// time-invariant — a completed, live-source flow assembles identically
+// whenever it is read, so the incremental finalize path may emit and
+// evict it mid-run; srcDead and still-running outcomes date their records
+// s.k.Now() and must wait for Finish.
+func (s *Simulator) assemble(f *pktFlow) (stats.FlowRecord, bool) {
+	punts := int(s.puntsBy[f.idx])
+	resolved := int64(s.udpRes[f.idx])
+	resolvedLast := s.udpLast[f.idx]
 	end := simtime.Never
 	if f.deadlineDoneAt < end {
 		end = f.deadlineDoneAt
@@ -681,8 +668,7 @@ func (s *Simulator) assemble(f *pktFlow, sims []*Simulator) (stats.FlowRecord, b
 
 // senderQuiesced reports that the flow can never emit another packet: its
 // source is dead, its deadline stopped it, or the transfer is fully acked
-// (TCP) / fully emitted (CBR). Every field is sender-owned; the
-// coordinator reads them at drain points, after the owning window.
+// (TCP) / fully emitted (CBR).
 func senderQuiesced(f *pktFlow) bool {
 	if f.srcDead || f.senderStopped {
 		return true
@@ -693,9 +679,8 @@ func senderQuiesced(f *pktFlow) bool {
 	return f.nextSeq >= f.packets
 }
 
-// noteFin queues a finalize check for f at this clone's next drain point
-// (end of the current dispatch in serial runs, the window barrier in
-// sharded ones). Duplicates are fine: tryFinalize is idempotent.
+// noteFin queues a finalize check for f at the end of the current
+// dispatch. Duplicates are fine: tryFinalize is idempotent.
 func (s *Simulator) noteFin(f *pktFlow) {
 	if f.done {
 		return
@@ -703,42 +688,30 @@ func (s *Simulator) noteFin(f *pktFlow) {
 	s.finHints = append(s.finHints, f.idx)
 }
 
-// drainFin runs the queued finalize checks of every clone. Called on the
-// coordinator (or the serial engine) only, at single-threaded points
-// where all clone writes are published: after each dispatch serially,
-// at window barriers (exchange) sharded.
+// drainFin runs the queued finalize checks.
 func (s *Simulator) drainFin() {
-	if s.finished || s.simsAll == nil {
+	if s.finished || !s.begun || len(s.finHints) == 0 {
 		return
 	}
-	for _, c := range s.simsAll {
-		if len(c.finHints) == 0 {
-			continue
-		}
-		for _, idx := range c.finHints {
-			s.tryFinalize(idx)
-		}
-		c.finHints = c.finHints[:0]
+	for _, idx := range s.finHints {
+		s.tryFinalize(idx)
 	}
+	s.finHints = s.finHints[:0]
 }
 
 // tryFinalize records flow idx the moment its record can no longer
-// change — sender quiesced, zero packets live on any clone, and a
-// completed outcome — and evicts its state. Incomplete flows (srcDead,
+// change — sender quiesced, zero packets live, and a completed outcome —
+// and evicts its state. Incomplete flows (srcDead,
 // still running at the horizon) date their records at Finish instead.
 func (s *Simulator) tryFinalize(idx int32) {
 	f := s.flows[idx]
 	if f == nil || f.done || !senderQuiesced(f) {
 		return
 	}
-	live := int32(0)
-	for _, c := range s.simsAll {
-		live += c.liveBy[idx]
-	}
-	if live != 0 {
+	if s.liveBy[idx] != 0 {
 		return
 	}
-	r, final := s.assemble(f, s.simsAll)
+	r, final := s.assemble(f)
 	if !final {
 		return
 	}
@@ -772,21 +745,14 @@ func (s *Simulator) emitFinal(idx int32, r stats.FlowRecord) {
 	}
 }
 
-// sampleStats snapshots per-direction throughput state for the directions
-// this shard owns. Utilization is approximated by the transmitted bits
-// since the previous sample.
+// sampleStats snapshots per-direction throughput state. Utilization is
+// approximated by the transmitted bits since the previous sample.
 func (s *Simulator) sampleStats() {
 	period := s.cfg.StatsEvery.Seconds()
 	if period <= 0 {
 		return
 	}
 	for dir := int32(0); int(dir) < len(s.ports); dir++ {
-		// Ownership comes from the direction index alone: peeking at
-		// s.ports first would race with another shard's lazy outPort
-		// store on a direction it owns.
-		if s.nshards > 1 && s.partOf[dirFromNode(s.dirLink(dir), dir)] != s.shardID {
-			continue
-		}
 		op := s.ports[dir]
 		if op == nil {
 			continue

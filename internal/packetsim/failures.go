@@ -5,14 +5,8 @@
 // dynamic-network contract. The Notify* entry points carry only the
 // data-plane consequences, so the hybrid coupler can propagate a change
 // the flow engine already applied (topology flip, table wipe, PortStatus)
-// without doubling it.
-//
-// In sharded runs every handler here executes on the coordinator between
-// windows (scripted changes mutate ports, punt buffers, and epochs owned
-// by many shards); the barrier publishes the writes before any shard
-// resumes. ClassTopoChange makes the serial engine fire these first at an
-// instant too, so both execution modes order failure against traffic
-// identically.
+// without doubling it. ClassTopoChange makes these fire first at an
+// instant, so an outage is in effect before that instant's traffic.
 package packetsim
 
 import (
@@ -38,9 +32,7 @@ func (s *Simulator) handleLinkChange(id netgraph.LinkID, up bool) {
 // degradation model on both directions of the link (nil restores it).
 // It is orthogonal to the operational state — FailureState still decides
 // up/down, and the model only shapes traffic while the link is up — so
-// no queue flush or PortStatus is involved. In sharded runs the handler
-// executes on the coordinator between windows, like every scripted
-// topology change.
+// no queue flush or PortStatus is involved.
 func (s *Simulator) handleLinkDegrade(id netgraph.LinkID, m linkmodel.Model) {
 	s.links.SetLink(id, m)
 	s.NotifyLinkDegrade(id, m)

@@ -10,17 +10,15 @@ import (
 )
 
 // runGoldenDegraded runs the golden fat-tree with a link-degradation
-// model installed on every link, at the given shard count, backend, and
-// balancing mode.
-func runGoldenDegraded(m linkmodel.Model, seed uint64, shards int, q eventq.Backend, b BalanceMode) shardRunResult {
+// model installed on every link, on the given event-queue backend.
+func runGoldenDegraded(m linkmodel.Model, seed uint64, q eventq.Backend) runResult {
 	topo, tr := goldenFatTree()
 	links := linkmodel.NewSet(seed, topo.NumLinks())
 	links.SetDefault(m)
 	sim := New(Config{
-		Topology: topo, Miss: dataplane.MissDrop, Shards: shards,
+		Topology: topo, Miss: dataplane.MissDrop,
 		StatsEvery: 20 * simtime.Millisecond,
 		EventQueue: q,
-		Balance:    b,
 		Links:      links,
 	})
 	installMACRoutes(sim.Network())
@@ -29,11 +27,11 @@ func runGoldenDegraded(m linkmodel.Model, seed uint64, shards int, q eventq.Back
 	return snapshot(sim, col)
 }
 
-// TestLinkModelShardParity pins the determinism contract with models
-// enabled: corruption streams are owner-shard-driven and seed-keyed, so
-// Records(), samples, and counters stay byte-identical to the serial
-// heap reference at every shard count, backend, and balancing mode.
-func TestLinkModelShardParity(t *testing.T) {
+// TestLinkModelBackendParity pins the determinism contract with models
+// enabled: corruption streams are seed-keyed per link direction, so
+// Records(), samples, and counters on the wheel stay byte-identical to
+// the heap reference.
+func TestLinkModelBackendParity(t *testing.T) {
 	models := []struct {
 		name string
 		m    linkmodel.Model
@@ -49,15 +47,8 @@ func TestLinkModelShardParity(t *testing.T) {
 	for _, mc := range models {
 		mc := mc
 		t.Run(mc.name, func(t *testing.T) {
-			ref := runGoldenDegraded(mc.m, 7, 0, eventq.BackendHeap, BalanceUniform)
-			for _, shards := range []int{2, 4} {
-				diffRuns(t, mc.name+"-heap", ref,
-					runGoldenDegraded(mc.m, 7, shards, eventq.BackendHeap, BalanceUniform), shards)
-				diffRuns(t, mc.name+"-wheel", ref,
-					runGoldenDegraded(mc.m, 7, shards, eventq.BackendWheel, BalanceUniform), shards)
-			}
-			diffRuns(t, mc.name+"-steal", ref,
-				runGoldenDegraded(mc.m, 7, 4, eventq.BackendHeap, BalanceSteal), 4)
+			ref := runGoldenDegraded(mc.m, 7, eventq.BackendHeap)
+			diffRuns(t, mc.name, ref, runGoldenDegraded(mc.m, 7, eventq.BackendWheel))
 		})
 	}
 }
@@ -66,8 +57,8 @@ func TestLinkModelShardParity(t *testing.T) {
 // the drop pattern (same everything else) — the seed is live, not inert.
 func TestLinkModelSeedSensitivity(t *testing.T) {
 	m := linkmodel.BernoulliLoss{P: 0.03}
-	a := runGoldenDegraded(m, 7, 0, eventq.BackendHeap, BalanceUniform)
-	b := runGoldenDegraded(m, 8, 0, eventq.BackendHeap, BalanceUniform)
+	a := runGoldenDegraded(m, 7, eventq.BackendHeap)
+	b := runGoldenDegraded(m, 8, eventq.BackendHeap)
 	if a.lost == b.lost && len(a.records) == len(b.records) {
 		same := true
 		for i := range a.records {
@@ -83,16 +74,14 @@ func TestLinkModelSeedSensitivity(t *testing.T) {
 }
 
 // FuzzLinkModelParity is the pinned invariant of the link-model streams:
-// for ANY model parameters, corruption seed, shard count, queue backend,
-// and balancing mode, a degraded run is byte-identical to the serial
-// heap run of the same model and seed. Unlike the steal fuzzer the
-// reference depends on the fuzzed model, so both runs execute per input.
+// for ANY model parameters and corruption seed, a degraded run on the
+// wheel is byte-identical to the heap run of the same model and seed.
 func FuzzLinkModelParity(f *testing.F) {
-	f.Add(uint8(0), uint8(3), uint8(0), uint64(7), uint8(4), false, false)
-	f.Add(uint8(1), uint8(5), uint8(30), uint64(1), uint8(2), true, false)
-	f.Add(uint8(2), uint8(4), uint8(25), uint64(99), uint8(4), false, true)
-	f.Add(uint8(1), uint8(100), uint8(100), uint64(7), uint8(8), true, true)
-	f.Fuzz(func(t *testing.T, kind, p1, p2 uint8, seed uint64, shards uint8, wheel, steal bool) {
+	f.Add(uint8(0), uint8(3), uint8(0), uint64(7))
+	f.Add(uint8(1), uint8(5), uint8(30), uint64(1))
+	f.Add(uint8(2), uint8(4), uint8(25), uint64(99))
+	f.Add(uint8(1), uint8(100), uint8(100), uint64(7))
+	f.Fuzz(func(t *testing.T, kind, p1, p2 uint8, seed uint64) {
 		var m linkmodel.Model
 		switch kind % 3 {
 		case 0:
@@ -118,16 +107,7 @@ func FuzzLinkModelParity(f *testing.F) {
 		if seed == 0 {
 			seed = 1
 		}
-		k := 2 + int(shards%7)
-		q := eventq.BackendHeap
-		if wheel {
-			q = eventq.BackendWheel
-		}
-		b := BalanceUniform
-		if steal {
-			b = BalanceSteal
-		}
-		ref := runGoldenDegraded(m, seed, 0, eventq.BackendHeap, BalanceUniform)
-		diffRuns(t, "fuzz-linkmodel", ref, runGoldenDegraded(m, seed, k, q, b), k)
+		ref := runGoldenDegraded(m, seed, eventq.BackendHeap)
+		diffRuns(t, "fuzz-linkmodel", ref, runGoldenDegraded(m, seed, eventq.BackendWheel))
 	})
 }

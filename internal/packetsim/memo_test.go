@@ -1,7 +1,6 @@
 package packetsim
 
 import (
-	"fmt"
 	"testing"
 
 	"horse/internal/addr"
@@ -156,38 +155,30 @@ func TestMemoExpiryInvalidates(t *testing.T) {
 // TestMemoFastFailoverReselects: a fast-failover group must move the flow
 // to the backup trunk with the first packet after the primary dies and
 // back with the first packet after it recovers — the memo is keyed by
-// port liveness too. Serial and sharded (the liveness change executes on
-// the coordinator, the memo belongs to the switch's shard).
+// port liveness too.
 func TestMemoFastFailoverReselects(t *testing.T) {
-	for _, shards := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			f := newMemoFabric()
-			sim := New(Config{Topology: f.topo, Miss: dataplane.MissDrop, Shards: shards})
-			dst := header.Match{}.WithEthDst(addr.HostMAC(f.h1))
-			a, b := f.port(f.s0, 2), f.port(f.s0, 3)
-			s0 := sim.Network().Switches[f.s0]
-			if err := s0.Apply(&openflow.GroupMod{Switch: f.s0, Op: openflow.GroupAdd, GroupID: 1, Type: openflow.GroupFastFailover,
-				Buckets: []*openflow.Bucket{
-					{WatchPort: a, Actions: []openflow.Action{openflow.Output(a)}},
-					{WatchPort: b, Actions: []openflow.Action{openflow.Output(b)}},
-				}}, 0); err != nil {
-				t.Fatal(err)
-			}
-			s0.Apply(&openflow.FlowMod{Switch: f.s0, Op: openflow.FlowAdd, Priority: 10, Match: dst,
-				Instr: openflow.Apply(openflow.GroupAction(1))}, 0)
-			sim.Network().Switches[f.s1].Apply(flowMod(f.s1, openflow.FlowAdd, 10, dst, f.port(f.s1, 4)), 0)
-			sim.Load(f.flow(40))
-			sim.ScheduleLinkChange(hop(10), 2, false)
-			sim.ScheduleLinkChange(hop(25), 2, true)
-			col := mustRun(sim, simtime.Time(10*simtime.Millisecond))
-			if sim.nshards != min(shards, 2) {
-				t.Fatalf("ran on %d shards, want %d", sim.nshards, min(shards, 2))
-			}
-			requireMemo(t, sim, f.s0)
-			if a, b := rx(sim, 2), rx(sim, 3); a != 25 || b != 15 || col.PacketsLost != 0 {
-				t.Errorf("trunk A carried %d packets, trunk B %d, %d lost; want 25, 15, 0", a, b, col.PacketsLost)
-			}
-		})
+	f := newMemoFabric()
+	sim := New(Config{Topology: f.topo, Miss: dataplane.MissDrop})
+	dst := header.Match{}.WithEthDst(addr.HostMAC(f.h1))
+	a, b := f.port(f.s0, 2), f.port(f.s0, 3)
+	s0 := sim.Network().Switches[f.s0]
+	if err := s0.Apply(&openflow.GroupMod{Switch: f.s0, Op: openflow.GroupAdd, GroupID: 1, Type: openflow.GroupFastFailover,
+		Buckets: []*openflow.Bucket{
+			{WatchPort: a, Actions: []openflow.Action{openflow.Output(a)}},
+			{WatchPort: b, Actions: []openflow.Action{openflow.Output(b)}},
+		}}, 0); err != nil {
+		t.Fatal(err)
+	}
+	s0.Apply(&openflow.FlowMod{Switch: f.s0, Op: openflow.FlowAdd, Priority: 10, Match: dst,
+		Instr: openflow.Apply(openflow.GroupAction(1))}, 0)
+	sim.Network().Switches[f.s1].Apply(flowMod(f.s1, openflow.FlowAdd, 10, dst, f.port(f.s1, 4)), 0)
+	sim.Load(f.flow(40))
+	sim.ScheduleLinkChange(hop(10), 2, false)
+	sim.ScheduleLinkChange(hop(25), 2, true)
+	col := mustRun(sim, simtime.Time(10*simtime.Millisecond))
+	requireMemo(t, sim, f.s0)
+	if a, b := rx(sim, 2), rx(sim, 3); a != 25 || b != 15 || col.PacketsLost != 0 {
+		t.Errorf("trunk A carried %d packets, trunk B %d, %d lost; want 25, 15, 0", a, b, col.PacketsLost)
 	}
 }
 

@@ -17,23 +17,6 @@
 // packet granularity (E7). In hybrid runs the engine shares its kernel and
 // network with a flow-level simulator and punts through a PuntSink
 // instead of owning the controller.
-//
-// # Parallel execution
-//
-// With Config.Shards > 1 the engine partitions the topology
-// (netgraph.PartitionK), runs one kernel loop per shard on a worker pool,
-// and synchronizes conservatively on the cut's minimum propagation delay
-// (simcore/shard). Every mutable entity — output port, switch state, punt
-// buffer, flow sender, flow receiver — has exactly one owning shard, so
-// windows run lock-free; cross-cut packet and control-message events ride
-// per-shard outboxes and merge at window barriers in (time, order key,
-// per-source FIFO) order. Because events carry deterministic order keys
-// (simcore.OrderKey) in serial runs too, a K-shard run dispatches
-// interacting events in exactly the serial order: Records() is
-// byte-identical for any Shards value, including the Shards <= 1 serial
-// path. Scripted topology changes execute single-threaded between windows
-// (they mutate many shards' state); controllers run on shard 0 and see
-// that shard's collector.
 package packetsim
 
 import (
@@ -96,28 +79,9 @@ type Config struct {
 	// ControlLatency delays every switch↔controller message (default 1ms).
 	ControlLatency simtime.Duration
 	// EventQueue selects the event-queue backend (timing wheel by
-	// default; the heap is the test oracle) for the engine's kernel and,
-	// in sharded runs, every per-shard kernel. Ignored when Kernel is
+	// default; the heap is the test oracle). Ignored when Kernel is
 	// supplied.
 	EventQueue eventq.Backend
-
-	// Shards > 1 runs the engine on the sharded multi-core executor:
-	// the topology is edge-cut partitioned into up to Shards parts, each
-	// with its own event loop, synchronized on the cut's minimum
-	// propagation delay. Records() is byte-identical to the serial engine
-	// for any value. Ignored (serial execution) for shared-kernel /
-	// hybrid runs, and when the cut admits no positive lookahead.
-	Shards int
-	// ShardWorkers bounds the worker pool driving shard windows (0 means
-	// one worker per shard).
-	ShardWorkers int
-	// Balance selects the shard load-balancing mode: BalanceUniform
-	// edge-cut partitions by switch count (the historical default),
-	// BalanceWeighted partitions by demand-derived event-rate weights at
-	// Begin, and BalanceSteal additionally migrates whole-entity ownership
-	// from hot shards to idle ones at window barriers. Records() stays
-	// byte-identical to the serial engine under every mode.
-	Balance BalanceMode
 
 	// Kernel attaches the engine to an externally owned simulation kernel
 	// (hybrid runs). Nil means the engine creates and drives its own.
@@ -132,13 +96,7 @@ type Config struct {
 	PuntSink func(msg openflow.Message)
 }
 
-// Simulator is a packet-level simulation run. In a sharded run one
-// Simulator value exists per shard: clones share the immutable topology,
-// the dataplane network, and the dense per-entity state arrays (each
-// entry written only by its owning shard), while the kernel, event pool,
-// collector, and outbox are per-clone. The coordinator (the value New
-// returns) owns the global kernel for scripted topology changes and is
-// the only clone whose Run/Finish the caller drives.
+// Simulator is a packet-level simulation run.
 type Simulator struct {
 	cfg       Config
 	topo      *netgraph.Topology
@@ -148,13 +106,11 @@ type Simulator struct {
 	pool      simcore.Pool[event]
 
 	flows []*pktFlow
-	col   *stats.Collector // per-clone; merged into the coordinator at Finish
+	col   *stats.Collector
 
-	counter uint64 // packets forwarded (per-clone; merged at Finish)
+	counter uint64 // packets forwarded
 
 	// Dense per-link-direction state, indexed by dir (link<<1 | fromB).
-	// Entries are written only by the direction's owning shard, except
-	// linkEpoch, which scripted link failures bump between windows.
 	ports     []*outPort
 	txBits    []float64 // bits serialized onto the wire per direction
 	rxBits    []float64 // bits observed arriving per direction
@@ -173,132 +129,73 @@ type Simulator struct {
 	// the precondition of the one-event transmitter (see startTx). late
 	// says the event being dispatched orders after evTxDone at its
 	// instant (evSend, evRTO, evStats): only such an event may retire a
-	// head whose serialization ends exactly now. Per-clone.
+	// head whose serialization ends exactly now.
 	lazyTx bool
 	late   bool
 
 	// memo holds each switch's forward-decision memo and memoGen the
 	// dataplane.Switch.Gen it was filled under; see memoSlot. Allocated
-	// on a switch's first memoizable decision; written only by the
-	// switch's owning shard.
+	// on a switch's first memoizable decision.
 	memo    []*[memoSlots]memoSlot
 	memoGen []uint64
 
 	// extLoad is the external (flow-level) load per transmit direction in
 	// a hybrid run; the transmitter sees only the residual capacity.
-	// Hybrid runs are serial, so a plain map suffices.
 	extLoad map[int32]float64
 
 	// fstate composes overlapping scripted outages (links, switches, and
 	// controller detach all nest by counting; the detach count gates the
 	// control channel in standalone runs — in hybrid runs the flow
 	// engine's control plane owns it) and records link changes missed
-	// while detached for the reattach resync. Sharded runs mutate it only
-	// between windows; in-window pendings buffer per clone.
-	fstate        *dataplane.FailureState
-	pendingStatus []openflow.Message
+	// while detached for the reattach resync.
+	fstate *dataplane.FailureState
 
 	// links is the degradation registry (never nil; empty when no model
-	// is installed). Clones share it: each direction's corruption state
-	// is advanced only inside its transmitter's txDone, which runs on
-	// the direction's owning shard, and scripted degrade events execute
-	// on the coordinator between windows.
+	// is installed).
 	links *linkmodel.Set
 
-	// Control plane state. Dense per-node state is written only by the
-	// node's owning shard; the controller itself runs on shard 0.
+	// Control plane state.
 	ctrl           flowsim.Controller
 	ctx            *flowsim.Context
 	punted         [][]*puntedPkt
 	expiryAt       []simtime.Time  // Never = no check scheduled
-	expiryTimer    []simcore.Timer // outstanding check; owner-shard writes only
+	expiryTimer    []simcore.Timer // outstanding check
 	meters         []map[openflow.MeterID]*meterBucket
 	statsReqAt     []simtime.Time // last PortStatsRequest per tx direction
 	statsReqTxBits []float64      // tx bits at that request
 	statsReqRxBits []float64      // rx bits at that request
 
-	// Per-clone, per-flow accounting merged at Finish: PacketIns
-	// triggered, and (UDP) packets resolved — delivered or dropped — with
-	// the last resolution instant, which is what dates a CBR completion.
+	// Per-flow accounting: PacketIns triggered, and (UDP) packets
+	// resolved — delivered or dropped — with the last resolution instant,
+	// which is what dates a CBR completion.
 	puntsBy []int32
 	udpRes  []int32
 	udpLast []simtime.Time
 
-	// liveBy counts this clone's packet births minus deaths per flow; the
-	// cross-clone sum is the flow's packets still in flight anywhere.
-	// finHints queues flow indices whose finalize condition may have
-	// flipped, drained by the coordinator after each dispatch (serial) or
-	// at window barriers (sharded) — the points where cross-clone reads
-	// are safe.
+	// liveBy counts packet births minus deaths per flow: the flow's
+	// packets still in flight. finHints queues flow indices whose
+	// finalize condition may have flipped, drained after each dispatch.
 	liveBy   []int32
 	finHints []int32
 
-	// Incremental-finalize state (coordinator-only). A flow whose sender
-	// has quiesced, whose packets have all resolved, and whose record is
-	// time-invariant is recorded immediately and its state evicted;
-	// finNext/finPending reorder emissions into flow-ID order so the
-	// record stream stays byte-identical to the all-at-Finish path.
-	// simsAll caches allSims() for the per-dispatch drain.
-	simsAll    []*Simulator
+	// Incremental-finalize state. A flow whose sender has quiesced, whose
+	// packets have all resolved, and whose record is time-invariant is
+	// recorded immediately and its state evicted; finNext/finPending
+	// reorder emissions into flow-ID order so the record stream stays
+	// byte-identical to the all-at-Finish path.
 	finNext    int32
 	finPending map[int32]stats.FlowRecord
 
-	// Streaming ingestion (coordinator-only): reader, when set, pulls
-	// demands in one at a time through chained evIngest events on the
-	// coordinator kernel — which in sharded runs also bounds every
-	// window, so no shard outruns an arrival that has not loaded yet.
+	// Streaming ingestion: reader, when set, pulls demands in one at a
+	// time through chained evIngest events.
 	reader     traffic.Reader
 	readerLast simtime.Time
 	readerErr  error
 	nextDemand traffic.Demand
 
-	// Sharding. nshards <= 1 means the serial path: clones == {self}.
 	// observers receive applied network-dynamics events (the public
-	// Observe hook); in sharded runs the handlers — and therefore the
-	// notifications — execute on the coordinator between windows.
+	// Observe hook).
 	observers simevent.Observers
-
-	// Progress reporting (coordinator-only state): serial runs ride a
-	// kernel pre-advance hook, sharded runs report at window barriers.
-	progressFn    simevent.ProgressFunc
-	progressEvery simtime.Duration
-	progressNext  simtime.Time
-
-	nshards       int
-	shardID       int32
-	isCoordinator bool
-	partOf        []int32 // node → owning shard
-	clones        []*Simulator
-	outbox        []outMsg
-	pendingProtos []event // events scheduled before Begin (sharded runs)
-	lookahead     simtime.Duration
-	dispatched    uint64 // total events across kernels, set after a sharded Run
-
-	// Controller sharding (nshards > 1). compOf labels every node with its
-	// switch-graph connected component, ctrlHome maps component → owning
-	// shard, and ctrlBy/ctrlCtx hold each component's controller instance
-	// and its (scoped) context. The backing arrays are allocated before
-	// clone construction so every clone shares them; elements mutate only
-	// at single-threaded points (Begin). Single-component topologies, and
-	// controllers that cannot Fork, collapse to one instance — placed on
-	// the shard owning the plurality of switches instead of pinned to 0.
-	compOf   []int32
-	ncomp    int
-	ctrlHome []int32
-	ctrlBy   []flowsim.Controller
-	ctrlCtx  []*flowsim.Context
-
-	// Work stealing (coordinator-only, BalanceSteal). exec exposes
-	// SetLookahead for post-migration horizon updates; lastDisp holds
-	// per-shard dispatch counters at the previous barrier; stealScript,
-	// when set (tests), overrides the steal policy with an explicit
-	// schedule — any legal schedule yields byte-identical records.
-	exec        *shardExec
-	lastDisp    []uint64
-	stealDelta  []uint64
-	stealCool   int
-	stealRound  int
-	stealScript func(round int) []stealChoice
 
 	begun    bool
 	finished bool
@@ -355,16 +252,12 @@ type puntedPkt struct {
 	miss bool // table miss (vs explicit output:controller)
 }
 
-// pktFlow is the state of one transfer, split by owner so a sharded run
-// never writes a field from two shards: the sender side (source host's
-// shard) and the receiver side (destination host's shard) communicate
-// only through packets, and completion is assembled at Finish from the
-// single-writer completion candidates — exactly the first of them a
-// serial run would have hit.
+// pktFlow is the state of one transfer, split into a sender side and a
+// receiver side that communicate only through packets; completion is the
+// earliest of the sides' completion candidates (see assemble).
 type pktFlow struct {
 	id      int64
 	idx     int32 // dense index (id - 1)
-	home    int32 // owning shard of the sender side
 	demand  traffic.Demand
 	packets int // total data packets to send (finite flows)
 
@@ -390,7 +283,7 @@ type pktFlow struct {
 	rtoGen   uint64 // backstop: invalidates stale evRTO events
 	// rto is the outstanding retransmission timer: every re-arm cancels
 	// the previous event outright instead of leaving a corpse to fire as
-	// a gen-stamped no-op. Written only by the sender shard.
+	// a gen-stamped no-op.
 	rto simcore.Timer
 
 	// Receiver-owned state.
@@ -405,8 +298,7 @@ type pktFlow struct {
 	sentBits    float64
 
 	// done marks a flow already recorded (and evicted) by the incremental
-	// finalize path. Written only by the coordinator at drain points;
-	// shard clones read it no earlier than the following window.
+	// finalize path.
 	done bool
 }
 
@@ -457,12 +349,10 @@ type event struct {
 
 func (e *event) Time() simtime.Time { return e.at }
 
-// OrderKey implements eventq.Keyed: the deterministic tie-break that makes
-// dispatch order — and therefore Records() — independent of the shard
-// count. Keys derive from stable entities (link direction, datapath, flow
-// index), never from schedule history; events of one (kind, entity) pair
-// are generated by a single shard, so FIFO order within a key is
-// reproducible too.
+// OrderKey implements eventq.Keyed: the deterministic tie-break of
+// same-instant events. Keys derive from stable entities (link direction,
+// datapath, flow index), never from schedule history, so every queue
+// backend dispatches the same order.
 func (e *event) OrderKey() uint64 {
 	switch e.kind {
 	case evLinkChange, evLinkDegrade:
@@ -499,17 +389,13 @@ func (e *event) OrderKey() uint64 {
 	}
 }
 
-// Fire implements simcore.Event. After the dispatch, the serial engine
-// (and, for global-kernel events, the sharded coordinator — which only
-// fires between windows) drains queued finalize hints: end-of-dispatch is
-// the earliest point where a flow's just-flipped completion state is
-// fully written.
+// Fire implements simcore.Event. After the dispatch the engine drains
+// queued finalize hints: end-of-dispatch is the earliest point where a
+// flow's just-flipped completion state is fully written.
 func (e *event) Fire() {
 	s := e.sim
 	s.dispatch(e)
-	if s.nshards <= 1 || s.isCoordinator {
-		s.drainFin()
-	}
+	s.drainFin()
 }
 
 // Release implements simcore.Event: recycle the envelope. Generation
@@ -519,6 +405,22 @@ func (e *event) Release() {
 	s := e.sim
 	*e = event{}
 	s.pool.Put(e)
+}
+
+// sched schedules a pooled copy of proto on the kernel.
+func (s *Simulator) sched(proto event) {
+	e := s.pool.Get()
+	*e = proto
+	e.sim = s
+	s.k.Schedule(e)
+}
+
+// schedTimer schedules a pooled copy of proto as a cancelable timer.
+func (s *Simulator) schedTimer(proto event) simcore.Timer {
+	e := s.pool.Get()
+	*e = proto
+	e.sim = s
+	return s.k.ScheduleCancelable(e)
 }
 
 // New builds a packet-level simulator.
@@ -573,8 +475,6 @@ func New(cfg Config) *Simulator {
 		statsReqAt:     make([]simtime.Time, nDirs),
 		statsReqTxBits: make([]float64, nDirs),
 		statsReqRxBits: make([]float64, nDirs),
-
-		nshards: 1,
 	}
 	for i := range s.expiryAt {
 		s.expiryAt[i] = simtime.Never
@@ -607,8 +507,6 @@ func New(cfg Config) *Simulator {
 		}
 	}
 	s.ctx = flowsim.NewContext(s)
-	s.clones = []*Simulator{s}
-	s.initShards()
 	return s
 }
 
@@ -653,23 +551,23 @@ func (s *Simulator) Now() simtime.Time { return s.k.Now() }
 // Topology implements flowsim.Engine.
 func (s *Simulator) Topology() *netgraph.Topology { return s.topo }
 
-// Kernel returns the simulation kernel driving this engine (the
-// coordinator kernel of a sharded run).
+// Kernel returns the simulation kernel driving this engine.
 func (s *Simulator) Kernel() *simcore.Kernel { return s.k }
 
 // PacketsForwarded returns how many packet hops were simulated — the work
-// metric E3 reports next to wall-clock time. Valid after Finish.
+// metric E3 reports next to wall-clock time.
 func (s *Simulator) PacketsForwarded() uint64 { return s.counter }
 
-// EventsDispatched returns the number of kernel events fired across every
-// shard — the events/sec numerator of the E9 scaling sweep. Valid after
+// EventsDispatched returns the number of kernel events fired. Valid after
 // Run returns.
-func (s *Simulator) EventsDispatched() uint64 {
-	if s.dispatched > 0 {
-		return s.dispatched
-	}
-	return s.k.Dispatched()
-}
+func (s *Simulator) EventsDispatched() uint64 { return s.k.Dispatched() }
+
+// ShardLoads returns nil: the engine always runs serial.
+//
+// Deprecated: it reported the per-shard dispatch histogram of the sharded
+// executor, which was removed because the serial loop beat it at every
+// shard count measured.
+func (s *Simulator) ShardLoads() []uint64 { return nil }
 
 // Load schedules the demands.
 func (s *Simulator) Load(tr traffic.Trace) {
@@ -678,10 +576,9 @@ func (s *Simulator) Load(tr traffic.Trace) {
 	}
 }
 
-// loadOne admits one demand: builds its flow, grows the per-clone
+// loadOne admits one demand: builds its flow, grows the per-flow
 // accounting arrays when the run has already begun (streamed ingestion),
-// and schedules the first send. Runs on the coordinator — pre-Run, or
-// between windows via evIngest.
+// and schedules the first send.
 func (s *Simulator) loadOne(d traffic.Demand) {
 	f := &pktFlow{
 		id:       int64(len(s.flows) + 1),
@@ -709,28 +606,22 @@ func (s *Simulator) loadOne(d traffic.Demand) {
 	if !f.tcp && d.RateBps > 0 && !math.IsInf(d.RateBps, 1) {
 		f.cbrInterval = simtime.TransferTime(DataPacketBits, d.RateBps)
 	}
-	if s.partOf != nil {
-		f.home = s.partOf[d.Src]
-	}
 	s.flows = append(s.flows, f)
 	if s.begun {
-		for _, c := range s.allSims() {
-			c.puntsBy = append(c.puntsBy, 0)
-			c.udpRes = append(c.udpRes, 0)
-			c.udpLast = append(c.udpLast, 0)
-			c.liveBy = append(c.liveBy, 0)
-		}
+		s.puntsBy = append(s.puntsBy, 0)
+		s.udpRes = append(s.udpRes, 0)
+		s.udpLast = append(s.udpLast, 0)
+		s.liveBy = append(s.liveBy, 0)
 	}
 	s.sched(event{at: d.Start, kind: evSend, flow: f})
 }
 
 // SetTraceReader streams the workload in from r instead of (or after) a
 // Load: exactly one demand is buffered, pulled through chained evIngest
-// events on the coordinator kernel as virtual time reaches each arrival.
-// Ingestion preserves the eager dispatch order exactly (see the evIngest
-// order key), and in sharded runs the pending ingest bounds every window,
-// so records stay byte-identical to Load of the same sequence — for
-// demands that start within the run's horizon. r must yield nondecreasing
+// events as virtual time reaches each arrival. Ingestion preserves the
+// eager dispatch order exactly (see the evIngest order key), so records
+// stay byte-identical to Load of the same sequence — for demands that
+// start within the run's horizon. r must yield nondecreasing
 // Start times. Install before Run; a reader error stops ingestion and is
 // returned by Run (or TraceErr).
 func (s *Simulator) SetTraceReader(r traffic.Reader) {
@@ -798,21 +689,15 @@ func (s *Simulator) ScheduleLinkDegrade(at simtime.Time, link netgraph.LinkID, m
 
 // Run executes until the queue drains, virtual time passes until, or ctx
 // is cancelled. It returns the collector — on cancellation a partial but
-// consistent one (sharded runs stop at a window barrier, so every
-// delivered event's effects are published), together with ctx.Err(). Run
-// may be called once, and only on a simulator that owns its kernel;
-// shared-kernel engines are driven via Begin / kernel.Run / Finish.
+// consistent one — together with ctx.Err(). Run may be called once, and
+// only on a simulator that owns its kernel; shared-kernel engines are
+// driven via Begin / kernel.Run / Finish.
 func (s *Simulator) Run(ctx context.Context, until simtime.Time) (*stats.Collector, error) {
 	if !s.ownKernel {
 		panic("packetsim: Run on a shared-kernel simulator; drive the shared kernel instead")
 	}
 	s.Begin()
-	var err error
-	if s.nshards > 1 {
-		err = s.runSharded(ctx, until)
-	} else {
-		err = s.k.RunContext(ctx, until)
-	}
+	err := s.k.RunContext(ctx, until)
 	col := s.Finish()
 	if err == nil {
 		err = s.readerErr
@@ -829,32 +714,24 @@ func (s *Simulator) RunUntil(until simtime.Time) *stats.Collector {
 }
 
 // Observe registers an observer of applied network dynamics (link and
-// switch state flips, controller detach/reattach). Register before Run;
-// observers run on the coordinator, between windows in sharded runs.
+// switch state flips, controller detach/reattach). Register before Run.
 func (s *Simulator) Observe(fn simevent.Observer) { s.observers.Add(fn) }
 
 // SetRecordSink streams every stats.FlowRecord to sink instead of
 // accumulating it in the collector. Records emit in flow-ID (load) order:
 // most flows finalize — and free their state — the moment their outcome
 // freezes mid-run, and Finish emits whatever remains, so the stream is
-// byte-identical to what Collector().Flows() would have held, for any
-// shard count. Install before Run.
+// byte-identical to what Collector().Flows() would have held. Install
+// before Run.
 func (s *Simulator) SetRecordSink(sink func(stats.FlowRecord)) {
 	s.col.SetFlowSink(sink)
 }
 
 // SetProgress arms progress reporting: fn receives a simevent.Progress at
-// most once per `every` of virtual time — off the kernel pre-advance path
-// in serial runs, at window barriers in sharded ones. Install before Run.
+// most once per `every` of virtual time, off the kernel pre-advance path.
+// Install before Run.
 func (s *Simulator) SetProgress(every simtime.Duration, fn simevent.ProgressFunc) {
 	if every <= 0 || fn == nil {
-		return
-	}
-	if s.nshards > 1 {
-		// Reported by exchange() at barriers, off the fields below.
-		s.progressFn = fn
-		s.progressEvery = every
-		s.progressNext = simtime.Time(every)
 		return
 	}
 	simevent.ArmProgress(s.k, every, fn)
@@ -866,45 +743,23 @@ func (s *Simulator) Begin() {
 		panic("packetsim: Run called twice")
 	}
 	s.begun = true
-	s.simsAll = s.allSims()
-	for _, c := range s.simsAll {
-		c.puntsBy = make([]int32, len(s.flows))
-		c.udpRes = make([]int32, len(s.flows))
-		c.udpLast = make([]simtime.Time, len(s.flows))
-		c.liveBy = make([]int32, len(s.flows))
-	}
-	if s.nshards > 1 {
-		// Demands are loaded: replace the uniform partition with the
-		// event-rate-weighted one (when configured) before any pending
-		// event is routed to an owner.
-		s.rebalance()
-		s.routePending()
-	}
+	s.puntsBy = make([]int32, len(s.flows))
+	s.udpRes = make([]int32, len(s.flows))
+	s.udpLast = make([]simtime.Time, len(s.flows))
+	s.liveBy = make([]int32, len(s.flows))
 	if s.ctrl != nil {
-		if s.nshards > 1 {
-			// The controller is homed per connected component (scoped
-			// per-component instances when it can Fork, one relocated
-			// instance otherwise); Start hands out each home clone's
-			// context, so After-closures captured by apps schedule
-			// through that shard's own clock and routing.
-			s.startControllerSharded()
-		} else {
-			s.ctrl.Start(s.ctx)
-		}
+		s.ctrl.Start(s.ctx)
 	}
 	if s.cfg.StatsEvery > 0 {
-		for i := 0; i < s.nshards; i++ {
-			s.sched(event{at: simtime.Time(s.cfg.StatsEvery), kind: evStats, node: netgraph.NodeID(i)})
-		}
+		s.sched(event{at: simtime.Time(s.cfg.StatsEvery), kind: evStats})
 	}
 	if s.reader != nil {
 		s.pullIngest()
 	}
 }
 
-// Finish merges the shards' collectors and accounting, records every
-// flow not already emitted by the incremental finalize path, sets
-// EventsRun to the dispatch count summed over shards, and returns the
+// Finish records every flow not already emitted by the incremental
+// finalize path, sets EventsRun to the dispatch count, and returns the
 // collector; calling it again is a no-op. Emission order is flow-ID
 // order throughout: the incrementally finalized prefix already streamed
 // in ID order, and this loop continues from finNext.
@@ -914,8 +769,6 @@ func (s *Simulator) Finish() *stats.Collector {
 	}
 	s.drainFin()
 	s.finished = true
-	s.mergeShards()
-	sims := s.allSims()
 	for idx := int(s.finNext); idx < len(s.flows); idx++ {
 		if r, ok := s.finPending[int32(idx)]; ok {
 			// Finalized early but held for ID order: emit as recorded.
@@ -923,7 +776,7 @@ func (s *Simulator) Finish() *stats.Collector {
 			s.addRecord(r)
 			continue
 		}
-		s.record(s.flows[idx], sims)
+		s.record(s.flows[idx])
 	}
 	s.col.EventsRun = s.EventsDispatched()
 	return s.col
@@ -966,15 +819,8 @@ func (s *Simulator) dispatch(e *event) {
 			// The channel broke while the message was in flight: it is
 			// lost at delivery. A lost PortStatus still resyncs on
 			// reattach (the link change it announced goes pending).
-			s.notePending(e.msg)
+			s.fstate.NotePendingStatus(e.msg)
 			return
-		}
-		if s.nshards > 1 && len(s.ctrlBy) > 0 {
-			comp := s.compOf[e.node]
-			if c := s.ctrlBy[comp]; c != nil {
-				c.Handle(s.ctrlCtx[comp], e.msg)
-				return
-			}
 		}
 		s.ctrl.Handle(s.ctx, e.msg)
 	case evExpiry:

@@ -217,9 +217,8 @@ func TestPacketVsFlowLevelAgreement(t *testing.T) {
 // cancellation — before the Canceler rework the corpse stayed queued and
 // fired as a gen-stamped no-op). The queue must therefore be empty at
 // completion, and draining anything left must not retransmit or mutate
-// sender state. Completion is purely message-driven (the sender learns it
-// from the ACK stream, never from receiver state), which is what keeps
-// the sender and receiver shards independent in sharded runs.
+// sender state. Completion is purely message-driven: the sender learns it
+// from the ACK stream, never from receiver state.
 func TestRTOGenerationCancelsStaleTimer(t *testing.T) {
 	topo := dumbbell(1e9)
 	k := simcore.New(simcore.Config{})

@@ -32,7 +32,6 @@ import (
 // the scenario topology (see build).
 type portScenario struct {
 	queue      int
-	shards     int
 	seed       uint64               // link-model corruption seed
 	edge       [5]netgraph.LinkSpec // h0-s0, h1-s0, h2-s0, s1-h3, s1-h4
 	trunk      netgraph.LinkSpec    // s0-s1
@@ -144,7 +143,7 @@ func (sc *portScenario) runEngine() portOutcome {
 	rec := &pollRecorder{}
 	sim := New(Config{
 		Topology: topo, Miss: dataplane.MissDrop, QueuePackets: sc.queue,
-		StatsEvery: sc.statsEvery, Links: links, Shards: sc.shards,
+		StatsEvery: sc.statsEvery, Links: links,
 		Controller: rec, ControlLatency: simtime.Microsecond,
 	})
 	installMACRoutes(sim.Network())
@@ -158,21 +157,19 @@ func (sc *portScenario) runEngine() portOutcome {
 	for _, e := range sc.polls {
 		sim.at(e.at, &openflow.PortStatsRequest{Switch: sws[e.sw], Port: netgraph.NoPort})
 	}
-	if sc.shards <= 1 {
-		for _, e := range sc.loads {
-			e := e
-			sim.sched(event{at: e.at, kind: evTimer, fn: func() {
-				sim.SetExternalLoad(netgraph.LinkID(e.link), e.fwd, e.bps)
-			}})
-		}
-		for _, e := range sc.injects {
-			e := e
-			sim.sched(event{at: e.at, kind: evTimer, fn: func() {
-				if f := sim.flows[e.flow]; f != nil {
-					sim.emit(f, 0, true)
-				}
-			}})
-		}
+	for _, e := range sc.loads {
+		e := e
+		sim.sched(event{at: e.at, kind: evTimer, fn: func() {
+			sim.SetExternalLoad(netgraph.LinkID(e.link), e.fwd, e.bps)
+		}})
+	}
+	for _, e := range sc.injects {
+		e := e
+		sim.sched(event{at: e.at, kind: evTimer, fn: func() {
+			if f := sim.flows[e.flow]; f != nil {
+				sim.emit(f, 0, true)
+			}
+		}})
 	}
 	col := mustRun(sim, sc.until)
 	out := portOutcome{
@@ -549,29 +546,27 @@ func (sc *portScenario) runReference() portOutcome {
 	for _, e := range sc.polls {
 		r.sched(refEvent{at: e.at, kind: refPoll, node: sws[e.sw]})
 	}
-	if sc.shards <= 1 {
-		for _, e := range sc.loads {
-			e := e
-			r.sched(refEvent{at: e.at, kind: refTimer, fn: func() {
-				dir := int32(e.link) << 1
-				if !e.fwd {
-					dir |= 1
-				}
-				if e.bps <= 0 {
-					delete(r.extLoad, dir)
-				} else {
-					r.extLoad[dir] = e.bps
-				}
-			}})
-		}
-		for _, e := range sc.injects {
-			e := e
-			r.sched(refEvent{at: e.at, kind: refTimer, fn: func() {
-				if !r.flows[e.flow].done {
-					r.emit(e.flow)
-				}
-			}})
-		}
+	for _, e := range sc.loads {
+		e := e
+		r.sched(refEvent{at: e.at, kind: refTimer, fn: func() {
+			dir := int32(e.link) << 1
+			if !e.fwd {
+				dir |= 1
+			}
+			if e.bps <= 0 {
+				delete(r.extLoad, dir)
+			} else {
+				r.extLoad[dir] = e.bps
+			}
+		}})
+	}
+	for _, e := range sc.injects {
+		e := e
+		r.sched(refEvent{at: e.at, kind: refTimer, fn: func() {
+			if !r.flows[e.flow].done {
+				r.emit(e.flow)
+			}
+		}})
 	}
 	r.sched(refEvent{at: simtime.Time(sc.statsEvery), kind: refStats})
 	for r.q.Len() > 0 && r.q[0].at <= sc.until {
@@ -773,25 +768,21 @@ func TestPortScheduleScenarios(t *testing.T) {
 	for name, mk := range cases {
 		mk := mk
 		t.Run(name, func(t *testing.T) {
-			for _, shards := range []int{1, 2} {
-				sc := baseScenario()
-				mk(sc)
-				sc.shards = shards
-				sc.check(t)
-			}
+			sc := baseScenario()
+			mk(sc)
+			sc.check(t)
 		})
 	}
 }
 
 // randomScenario derives a scenario from a seed. Instants are drawn on a
 // grid of half serialization times so exact ties are common.
-func randomScenario(seed uint64, queue, nEvents, shards uint8) *portScenario {
+func randomScenario(seed uint64, queue, nEvents uint8) *portScenario {
 	rng := rand.New(rand.NewSource(int64(seed)))
 	rates := []float64{1e9, 1e9, 5e8, 2.5e8}
 	sc := baseScenario()
 	sc.seed = seed | 1
 	sc.queue = 1 + int(queue%6)
-	sc.shards = 1 + int(shards%2)
 	for i := range sc.edge {
 		sc.edge[i].BandwidthBps = rates[rng.Intn(len(rates))]
 		sc.edge[i].Delay = simtime.Duration(rng.Intn(5)) * simtime.Microsecond // 0: the all-eager fallback
@@ -839,9 +830,9 @@ func randomScenario(seed uint64, queue, nEvents, shards uint8) *portScenario {
 // two-event reference agree on every observable.
 func FuzzPortSchedule(f *testing.F) {
 	for seed := uint64(1); seed <= 24; seed++ {
-		f.Add(seed, uint8(seed), uint8(5*seed), uint8(seed))
+		f.Add(seed, uint8(seed), uint8(5*seed))
 	}
-	f.Fuzz(func(t *testing.T, seed uint64, queue, nEvents, shards uint8) {
-		randomScenario(seed, queue, nEvents, shards).check(t)
+	f.Fuzz(func(t *testing.T, seed uint64, queue, nEvents uint8) {
+		randomScenario(seed, queue, nEvents).check(t)
 	})
 }

@@ -7,119 +7,24 @@ import (
 	"horse/internal/controller"
 	"horse/internal/dataplane"
 	"horse/internal/eventq"
-	"horse/internal/netgraph"
 	"horse/internal/simtime"
 	"horse/internal/stats"
-	"horse/internal/traffic"
 )
-
-// streamOpts selects the bounded-memory variants under test: feeding the
-// workload through a traffic.Reader instead of Load, and/or draining
-// records through SetRecordSink instead of the retained collector.
-type streamOpts struct {
-	reader bool
-	sink   bool
-}
-
-// runGoldenStream runs the golden fat-tree scenario with the selected
-// streaming variants and returns the same snapshot the retained helpers
-// produce (records taken from the sink when one is installed).
-func runGoldenStream(shards int, q eventq.Backend, opt streamOpts) shardRunResult {
-	topo, tr := goldenFatTree()
-	sim := New(Config{
-		Topology: topo, Miss: dataplane.MissDrop, Shards: shards,
-		StatsEvery: 20 * simtime.Millisecond,
-		EventQueue: q,
-	})
-	installMACRoutes(sim.Network())
-	var streamed []stats.FlowRecord
-	if opt.sink {
-		sim.SetRecordSink(func(r stats.FlowRecord) { streamed = append(streamed, r) })
-	}
-	if opt.reader {
-		sim.SetTraceReader(traffic.TraceReader(tr))
-	} else {
-		sim.Load(tr)
-	}
-	col := mustRun(sim, simtime.Time(2*simtime.Second))
-	res := snapshot(sim, col)
-	if opt.sink {
-		if n := len(col.Flows()); n != 0 {
-			panic("sink mode retained records in the collector")
-		}
-		res.records = streamed
-	}
-	return res
-}
-
-// runFailuresStream is runFailures with the streaming variants applied.
-func runFailuresStream(shards int, mk func() controller.App, opt streamOpts) shardRunResult {
-	topo, tr := goldenFatTree()
-	sim := New(Config{
-		Topology: topo, Miss: dataplane.MissController, Shards: shards,
-		Controller:     controller.NewChain(mk()),
-		ControlLatency: simtime.Millisecond,
-	})
-	links := topo.Links()
-	var core []netgraph.LinkID
-	for _, l := range links {
-		if topo.Node(l.A).Kind == netgraph.KindSwitch && topo.Node(l.B).Kind == netgraph.KindSwitch {
-			core = append(core, l.ID)
-		}
-	}
-	sim.ScheduleLinkChange(simtime.Time(15*simtime.Millisecond), core[0], false)
-	sim.ScheduleLinkChange(simtime.Time(60*simtime.Millisecond), core[0], true)
-	sim.ScheduleLinkChange(simtime.Time(40*simtime.Millisecond), core[len(core)/2], false)
-	sim.ScheduleLinkChange(simtime.Time(90*simtime.Millisecond), core[len(core)/2], true)
-	agg := topo.MustLookup("agg1_0")
-	sim.ScheduleSwitchChange(simtime.Time(30*simtime.Millisecond), agg, false)
-	sim.ScheduleSwitchChange(simtime.Time(75*simtime.Millisecond), agg, true)
-	var streamed []stats.FlowRecord
-	if opt.sink {
-		sim.SetRecordSink(func(r stats.FlowRecord) { streamed = append(streamed, r) })
-	}
-	if opt.reader {
-		sim.SetTraceReader(traffic.TraceReader(tr))
-	} else {
-		sim.Load(tr)
-	}
-	col := mustRun(sim, simtime.Time(2*simtime.Second))
-	res := snapshot(sim, col)
-	if opt.sink {
-		res.records = streamed
-	}
-	return res
-}
 
 // TestStreamedMatchesRetained is the packetsim half of the bounded-memory
 // equivalence contract: the incrementally-finalized sink sequence must be
-// byte-identical to the retained Records() order at every shard count and
-// event-queue backend, on both the golden scenario and the scripted
-// failure scenario.
+// byte-identical to the retained Records() order on either event-queue
+// backend, on both the golden scenario and the scripted failure scenario.
 func TestStreamedMatchesRetained(t *testing.T) {
-	backends := []struct {
-		name string
-		q    eventq.Backend
-	}{
-		{"heap", eventq.BackendHeap},
-		{"wheel", eventq.BackendWheel},
-	}
-	for _, b := range backends {
-		want := runGoldenQueue(0, b.q)
+	proactive := func() controller.App { return &controller.ProactiveMAC{} }
+	for _, q := range []eventq.Backend{eventq.BackendHeap, eventq.BackendWheel} {
+		want := runGolden(q, streamOpts{})
 		if len(want.records) == 0 {
 			t.Fatal("golden scenario produced no records")
 		}
-		for _, shards := range []int{1, 4} {
-			got := runGoldenStream(shards, b.q, streamOpts{sink: true})
-			diffRuns(t, "golden-streamed/"+b.name, want, got, shards)
-		}
-	}
-	want := runFailures(0, func() controller.App { return &controller.ProactiveMAC{} })
-	for _, shards := range []int{1, 4} {
-		got := runFailuresStream(shards,
-			func() controller.App { return &controller.ProactiveMAC{} },
-			streamOpts{sink: true})
-		diffRuns(t, "failures-streamed", want, got, shards)
+		diffRuns(t, "golden-streamed/"+q.String(), want, runGolden(q, streamOpts{sink: true}))
+		diffRuns(t, "failures-streamed/"+q.String(), runFailures(q, proactive, streamOpts{}),
+			runFailures(q, proactive, streamOpts{sink: true}))
 	}
 }
 
@@ -154,24 +59,16 @@ func TestStreamedEvictsFlows(t *testing.T) {
 
 // TestReaderMatchesLoad pins windowed trace ingestion: feeding the golden
 // workload through SetTraceReader must reproduce the eager Load run
-// byte-for-byte — records, samples, and counters — at every shard count,
-// with and without the record sink.
+// byte-for-byte — records, samples, and counters — with and without the
+// record sink.
 func TestReaderMatchesLoad(t *testing.T) {
-	want := runGolden(0)
-	for _, shards := range []int{0, 1, 4} {
-		got := runGoldenStream(shards, eventq.BackendHeap, streamOpts{reader: true})
-		diffRuns(t, "reader", want, got, shards)
-		both := runGoldenStream(shards, eventq.BackendHeap, streamOpts{reader: true, sink: true})
-		diffRuns(t, "reader+sink", want, both, shards)
-	}
-	wantF := runFailures(0, func() controller.App { return &controller.ProactiveMAC{} })
-	for _, shards := range []int{0, 4} {
-		got := runFailuresStream(shards,
-			func() controller.App { return &controller.ProactiveMAC{} },
-			streamOpts{reader: true, sink: true})
-		diffRuns(t, "reader-failures", wantF, got, shards)
-	}
-	if !reflect.DeepEqual(want.records, runGoldenStream(0, eventq.BackendHeap, streamOpts{reader: true}).records) {
+	want := runGolden(eventq.BackendHeap, streamOpts{})
+	diffRuns(t, "reader", want, runGolden(eventq.BackendHeap, streamOpts{reader: true}))
+	diffRuns(t, "reader+sink", want, runGolden(eventq.BackendHeap, streamOpts{reader: true, sink: true}))
+	proactive := func() controller.App { return &controller.ProactiveMAC{} }
+	diffRuns(t, "reader-failures", runFailures(eventq.BackendWheel, proactive, streamOpts{}),
+		runFailures(eventq.BackendWheel, proactive, streamOpts{reader: true, sink: true}))
+	if !reflect.DeepEqual(want.records, runGolden(eventq.BackendHeap, streamOpts{reader: true}).records) {
 		t.Fatal("reader run is not repeatable")
 	}
 }

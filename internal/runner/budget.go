@@ -7,11 +7,11 @@ import (
 
 // Budget is a shared capacity account for long-lived consumers of the
 // worker pool — the admission-control backing of the service daemon,
-// where every running session holds as many units as the shard workers
-// it fans across. Unlike Run, which owns its workers for the duration of
-// one batch, a Budget tracks units across independent acquire/release
-// lifetimes, so a session manager can decide deterministically whether
-// the next queued session fits before it starts.
+// where every running session holds the units its spec costs. Unlike
+// Run, which owns its workers for the duration of one batch, a Budget
+// tracks units across independent acquire/release lifetimes, so a
+// session manager can decide deterministically whether the next queued
+// session fits before it starts.
 //
 // Budget is safe for concurrent use. Acquisition is non-blocking by
 // design (TryAcquire): callers that need queueing implement their own

@@ -124,8 +124,7 @@ type Engine interface {
 	// Network returns the shared OpenFlow data-plane state (switch
 	// tables), e.g. for pre-installing rules.
 	Network() *dataplane.Network
-	// Kernel returns the discrete-event kernel driving the engine (the
-	// coordinator kernel of a sharded run).
+	// Kernel returns the discrete-event kernel driving the engine.
 	Kernel() *simcore.Kernel
 	// Collector returns the engine's statistics collector.
 	Collector() *stats.Collector

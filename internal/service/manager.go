@@ -47,7 +47,6 @@ type Config struct {
 	MaxSessions int
 	// MaxWorkers is the total worker budget running sessions may hold: a
 	// session costs its OptionsSpec.Workers() (default GOMAXPROCS).
-	// Sessions costing more than the whole budget are rejected outright.
 	MaxWorkers int
 	// QueueLimit bounds the FIFO admission queue (default 64).
 	QueueLimit int
@@ -87,16 +86,6 @@ type QueueFullError struct {
 
 func (e *QueueFullError) Error() string {
 	return fmt.Sprintf("service: admission queue full (%d queued)", e.Limit)
-}
-
-// BudgetError rejects a session whose worker cost exceeds the entire
-// budget — it could never be scheduled.
-type BudgetError struct {
-	Cost, Budget int
-}
-
-func (e *BudgetError) Error() string {
-	return fmt.Sprintf("service: session needs %d workers, budget is %d", e.Cost, e.Budget)
 }
 
 // NotFoundError names an unknown session.
@@ -192,10 +181,6 @@ func (m *Manager) Submit(spec *wire.SessionSpec, name string, stream bool, sub *
 	if m.draining {
 		m.mu.Unlock()
 		return wire.SessionStatus{}, ErrDraining
-	}
-	if cost > m.budget.Cap() {
-		m.mu.Unlock()
-		return wire.SessionStatus{}, &BudgetError{Cost: cost, Budget: m.budget.Cap()}
 	}
 	if len(m.queue) >= m.cfg.QueueLimit {
 		m.mu.Unlock()

@@ -212,10 +212,9 @@ func TestRetainedReplayMatchesOneShot(t *testing.T) {
 // into it: the first progress push fills the buffer, the second blocks
 // the simulation goroutine. Deterministic mid-run state for the
 // admission and cancellation tests.
-func parkedSession(t *testing.T, mgr *service.Manager, workers int) (wire.SessionStatus, *service.Subscriber) {
+func parkedSession(t *testing.T, mgr *service.Manager) (wire.SessionStatus, *service.Subscriber) {
 	t.Helper()
 	spec := busySpec()
-	spec.Options.Shards = workers
 	sub := service.NewSubscriber(1)
 	st, err := mgr.Submit(spec, "parked", true, sub)
 	if err != nil {
@@ -237,37 +236,36 @@ func parkedSession(t *testing.T, mgr *service.Manager, workers int) (wire.Sessio
 	}
 }
 
+// TestAdmissionBudgetFIFO: the worker budget, not the session limit,
+// holds a session back — every session costs one worker, whatever shard
+// fields its spec carries — and the queued session runs once the budget
+// frees.
 func TestAdmissionBudgetFIFO(t *testing.T) {
 	mgr := service.New(service.Config{
 		MaxSessions:   2,
-		MaxWorkers:    2,
+		MaxWorkers:    1,
 		ProgressEvery: simtime.Millisecond,
 	})
 
 	// A costs the whole budget and parks mid-run.
-	a, subA := parkedSession(t, mgr, 2)
+	a, subA := parkedSession(t, mgr)
 	defer subA.Close()
-	if a.State != wire.StateRunning || a.Workers != 2 {
+	if a.State != wire.StateRunning || a.Workers != 1 {
 		t.Fatalf("session A %+v", a)
 	}
 
-	// B fits the session limit but not the worker budget: queued.
+	// B fits the session limit but not the worker budget: queued. Its
+	// ignored shard fields do not change its cost.
 	subB := service.NewSubscriber(4096)
 	defer subB.Close()
-	b, err := mgr.Submit(flowSpec(), "", true, subB)
+	spec := flowSpec()
+	spec.Options.Shards = 4
+	b, err := mgr.Submit(spec, "", true, subB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.State != wire.StateQueued {
-		t.Fatalf("session B admitted at %q, want queued (budget exhausted)", b.State)
-	}
-
-	// C could never run: its cost exceeds the entire budget.
-	over := busySpec()
-	over.Options.Shards = 3
-	var berr *service.BudgetError
-	if _, err := mgr.Submit(over, "", false, nil); !errors.As(err, &berr) {
-		t.Fatalf("oversized submit: %v, want *BudgetError", err)
+	if b.State != wire.StateQueued || b.Workers != 1 {
+		t.Fatalf("session B %+v, want queued at cost 1 (budget exhausted)", b)
 	}
 
 	// Draining A's subscriber unparks it; on completion B runs.
@@ -289,7 +287,7 @@ func TestQueueFull(t *testing.T) {
 		QueueLimit:    1,
 		ProgressEvery: simtime.Millisecond,
 	})
-	a, subA := parkedSession(t, mgr, 1)
+	a, subA := parkedSession(t, mgr)
 	defer subA.Close()
 
 	if _, err := mgr.Submit(flowSpec(), "", false, nil); err != nil {
@@ -309,7 +307,7 @@ func TestCancelQueued(t *testing.T) {
 		MaxWorkers:    1,
 		ProgressEvery: simtime.Millisecond,
 	})
-	a, subA := parkedSession(t, mgr, 1)
+	a, subA := parkedSession(t, mgr)
 	defer subA.Close()
 
 	subB := service.NewSubscriber(64)
@@ -338,7 +336,7 @@ func TestCancelQueued(t *testing.T) {
 
 func TestCancelRunningPartialResults(t *testing.T) {
 	mgr := service.New(service.Config{ProgressEvery: simtime.Millisecond})
-	a, subA := parkedSession(t, mgr, 1)
+	a, subA := parkedSession(t, mgr)
 	defer subA.Close()
 
 	if _, err := mgr.Cancel(a.Session); err != nil {
@@ -370,7 +368,7 @@ func TestCancelRunningPartialResults(t *testing.T) {
 
 func TestRetireGuards(t *testing.T) {
 	mgr := service.New(service.Config{ProgressEvery: simtime.Millisecond})
-	a, subA := parkedSession(t, mgr, 1)
+	a, subA := parkedSession(t, mgr)
 	defer subA.Close()
 
 	var nr *service.NotRetirableError
@@ -394,7 +392,7 @@ func TestDrainCancelsEverything(t *testing.T) {
 		MaxWorkers:    1,
 		ProgressEvery: simtime.Millisecond,
 	})
-	a, subA := parkedSession(t, mgr, 1)
+	a, subA := parkedSession(t, mgr)
 	defer subA.Close()
 	subB := service.NewSubscriber(64)
 	defer subB.Close()

@@ -11,8 +11,8 @@ import (
 	"horse/internal/simtime"
 )
 
-// mixedSpecs is one spec per fidelity/sharding shape the manager must
-// multiplex: flow, sharded flow, packet, sharded packet, and hybrid.
+// mixedSpecs is one spec per fidelity the manager must multiplex: flow,
+// packet, and hybrid.
 // Every spec is deterministic, so daemon-run records must be
 // byte-identical to a one-shot run of the same spec.
 func mixedSpecs() []*wire.SessionSpec {
@@ -32,17 +32,9 @@ func mixedSpecs() []*wire.SessionSpec {
 	}
 	flow := base()
 
-	flowSharded := base()
-	flowSharded.Options.Shards = 2
-
 	packet := base()
 	packet.Options.Fidelity = wire.FidelityPacket
 	packet.Workload.Poisson.Lambda = 50 // packet-level events are ~1000x denser
-
-	packetSharded := base()
-	packetSharded.Options.Fidelity = wire.FidelityPacket
-	packetSharded.Options.Shards = 2
-	packetSharded.Workload.Poisson.Lambda = 50
 
 	hybrid := base()
 	hybrid.Options.Fidelity = wire.FidelityHybrid
@@ -50,7 +42,7 @@ func mixedSpecs() []*wire.SessionSpec {
 	hybrid.Options.PacketFraction = &pf
 	hybrid.Workload.Poisson.Lambda = 100
 
-	return []*wire.SessionSpec{flow, flowSharded, packet, packetSharded, hybrid}
+	return []*wire.SessionSpec{flow, packet, hybrid}
 }
 
 // TestConcurrentSessionsParity drives many concurrent sessions of mixed

@@ -396,7 +396,6 @@ func toWireError(err error) *wire.Error {
 		specErr      *wire.SpecError
 		eventErr     *horse.ScenarioEventError
 		queueFull    *QueueFullError
-		budgetErr    *BudgetError
 		notFound     *NotFoundError
 		notRetirable *NotRetirableError
 	)
@@ -407,8 +406,6 @@ func toWireError(err error) *wire.Error {
 		return &wire.Error{Code: wire.CodeDraining, Message: err.Error()}
 	case errors.As(err, &queueFull):
 		return &wire.Error{Code: wire.CodeQueueFull, Message: err.Error()}
-	case errors.As(err, &budgetErr):
-		return &wire.Error{Code: wire.CodeTooLarge, Message: err.Error()}
 	case errors.As(err, &notFound):
 		return &wire.Error{Code: wire.CodeNotFound, Message: err.Error()}
 	case errors.As(err, &notRetirable):

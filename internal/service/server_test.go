@@ -217,11 +217,6 @@ func TestServerErrorCodes(t *testing.T) {
 
 	err = c.Call("Explode", struct{}{}, nil)
 	expectCode(err, wire.CodeBadRequest)
-
-	over := flowSpec()
-	over.Options.Shards = 1 << 20
-	_, _, err = c.Submit(wire.SubmitParams{Spec: *over})
-	expectCode(err, wire.CodeTooLarge)
 }
 
 // TestServerVersionNegotiation speaks the handshake by hand: an

@@ -188,7 +188,7 @@ func TestIdleFlush(t *testing.T) {
 
 	// A holds the only slot, so B queues and can be given its second
 	// subscriber before it starts.
-	a, subA := parkedSession(t, mgr, 1)
+	a, subA := parkedSession(t, mgr)
 	st, stream, err := c.Submit(wire.SubmitParams{Spec: *flowSpec(), Stream: true})
 	if err != nil {
 		t.Fatal(err)

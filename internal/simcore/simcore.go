@@ -11,8 +11,8 @@
 //   - Determinism: events fire in nondecreasing time order, breaking ties
 //     by deterministic order key (eventq.Keyed) and then FIFO schedule
 //     order, regardless of queue implementation. Order keys derive from
-//     stable simulation entities, which is what lets the sharded executor
-//     (simcore/shard) reproduce a serial run's dispatch order exactly.
+//     stable simulation entities, so every queue backend dispatches the
+//     same sequence.
 //   - One look at the queue head per dispatch: the loop asks the queue
 //     for its earliest event no later than a bound (eventq's PopUntil) —
 //     the run bound, or the current instant while a pre-advance hook has
@@ -97,26 +97,6 @@ func (k *Kernel) Len() int { return k.q.Len() }
 // which backend a configuration selected.
 func (k *Kernel) Queue() eventq.Queue { return k.q }
 
-// NextTime returns the firing time of the earliest queued event, or
-// simtime.Never when the queue is empty. The sharded executor uses it to
-// compute the conservative window bound across shard kernels.
-func (k *Kernel) NextTime() simtime.Time {
-	h := k.q.Peek()
-	if h == nil {
-		return simtime.Never
-	}
-	return h.Time()
-}
-
-// AdvanceTo moves the clock forward to t without dispatching anything (a
-// no-op when t is not ahead of the clock). The sharded executor uses it to
-// park the coordinator clock at barrier instants and at the run bound.
-func (k *Kernel) AdvanceTo(t simtime.Time) {
-	if t != simtime.Never && t > k.now {
-		k.now = t
-	}
-}
-
 // Dispatched returns how many events have fired — the work metric shared
 // across all engines on this kernel (E7 reports it as events/sec).
 func (k *Kernel) Dispatched() uint64 { return k.dispatched }
@@ -135,38 +115,6 @@ func (k *Kernel) Reserve(n int) uint64 { return k.q.Reserve(n) }
 
 // ScheduleSeq queues an event under a sequence number from Reserve.
 func (k *Kernel) ScheduleSeq(ev Event, seq uint64) { k.q.PushSeq(ev, seq) }
-
-// Extract drains the queue and returns, in dequeue order, every event for
-// which match returns true; the rest are re-pushed in dequeue order, so
-// their relative (time, key, FIFO) order is preserved exactly. The sharded
-// executor's work stealing uses it at window barriers to move a migrated
-// entity's queued events to the new owner's kernel.
-//
-// Extract must only be called when no live Timer handle points into this
-// queue: popping invalidates eventq handles, so the caller cancels every
-// pending cancelable event first (collecting re-arm state) and re-arms
-// after the move. Events sharing an exact (time, key) pair always belong
-// to one entity (keys derive from stable entities), so a whole-entity
-// match can never split a FIFO tie group between keepers and movers.
-func (k *Kernel) Extract(match func(Event) bool) []Event {
-	var movers, keepers []Event
-	for {
-		ev := k.q.Pop()
-		if ev == nil {
-			break
-		}
-		e := ev.(Event)
-		if match(e) {
-			movers = append(movers, e)
-		} else {
-			keepers = append(keepers, e)
-		}
-	}
-	for _, e := range keepers {
-		k.q.Push(e)
-	}
-	return movers
-}
 
 // Timer is a handle on one cancelable scheduled event. The zero Timer is
 // valid and cancels as a no-op; handles go stale once the event fires or
@@ -286,8 +234,8 @@ func (k *Kernel) drainHooks() {
 // Run executes events until the queue drains or the next event lies beyond
 // until (use simtime.Never for no bound). On the time bound the clock
 // advances to until and the out-of-bound event stays queued, so Run may be
-// called repeatedly with increasing bounds to step a simulation — the
-// window loop of the sharded executor. Leaving the event in the queue (as
+// called repeatedly with increasing bounds to step a simulation. Leaving
+// the event in the queue (as
 // opposed to popping and staging it) keeps its (time, key, seq) position
 // intact, so stepping never perturbs tie order.
 func (k *Kernel) Run(until simtime.Time) {
@@ -381,8 +329,7 @@ func (k *Kernel) next(until simtime.Time) Event {
 // datapath, flow index) breaks the tie. Both engines MUST use the same
 // class for equivalent control-plane events — it is what keeps a hybrid
 // run (where the flow engine owns the control plane) dispatch-identical
-// to a standalone packet run, and what lets the sharded executor merge
-// cross-shard events into exactly the serial order.
+// to a standalone packet run.
 //
 // Classes are ordered so that at one instant: scripted topology changes
 // land first (the outage is in effect before that instant's traffic),

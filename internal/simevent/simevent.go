@@ -74,8 +74,8 @@ func (o Observation) String() string {
 }
 
 // Observer receives observations. Observers run synchronously on the
-// simulation goroutine (the coordinator, in sharded runs): they may read
-// engine state but must not mutate it or block.
+// simulation goroutine: they may read engine state but must not mutate it
+// or block.
 type Observer func(Observation)
 
 // Observers is an ordered multiplexer of observers. The zero value is
@@ -103,8 +103,8 @@ func (o *Observers) Notify(obs Observation) {
 func (o *Observers) Empty() bool { return len(o.fns) == 0 }
 
 // Progress is one progress report of a running engine, emitted from the
-// kernel's pre-advance path (so all work at the reported instant has
-// settled) or, in sharded runs, at window barriers.
+// kernel's pre-advance path, so all work at the reported instant has
+// settled.
 type Progress struct {
 	// Now is the virtual time reached.
 	Now simtime.Time

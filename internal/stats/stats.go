@@ -179,11 +179,6 @@ func (c *Collector) Counters() Counters {
 // LinkSeries returns the utilization time series.
 func (c *Collector) LinkSeries() []LinkSample { return c.linkSeries }
 
-// ReplaceLinkSeries swaps in a merged utilization time series — the
-// sharded engines sample per shard and install the deterministically
-// sorted union here at Finish.
-func (c *Collector) ReplaceLinkSeries(s []LinkSample) { c.linkSeries = s }
-
 // FCTs returns completion times in seconds for all completed flows.
 func (c *Collector) FCTs() []float64 {
 	var out []float64

@@ -10,8 +10,8 @@ import (
 // goldenDegradedRun executes the golden degraded fat-tree through the
 // facade: a k=4 fat-tree, a seeded mixed CBR/TCP Poisson workload, a
 // Gilbert–Elliott default model on every link, and one adaptive-rate
-// override — at the given fidelity and shard count.
-func goldenDegradedRun(t *testing.T, fid horse.Fidelity, shards int, degraded bool) *horse.Collector {
+// override — at the given fidelity.
+func goldenDegradedRun(t *testing.T, fid horse.Fidelity, degraded bool) *horse.Collector {
 	t.Helper()
 	topo := horse.FatTree(4, horse.Gig)
 	opts := []horse.Option{
@@ -22,9 +22,6 @@ func goldenDegradedRun(t *testing.T, fid horse.Fidelity, shards int, degraded bo
 	}
 	if fid != horse.Packet {
 		opts = append(opts, horse.WithTCP(horse.TCPParams{RTT: 500 * horse.Microsecond, MSS: 1500, InitialWindow: 10}))
-	}
-	if shards > 1 {
-		opts = append(opts, horse.WithShards(shards))
 	}
 	if degraded {
 		radio := topo.Links()[0].ID
@@ -55,13 +52,13 @@ func goldenDegradedRun(t *testing.T, fid horse.Fidelity, shards int, degraded bo
 // packet fidelity, and each engine must express the degradation in its
 // own vocabulary — per-frame corruption drops and retransmits at packet
 // level, loss-capped (slower, but uncorrupted) fluid flows at flow
-// level — while repeat runs and sharded flow runs stay byte-identical.
+// level — while repeat runs stay byte-identical.
 func TestGoldenDegradedFatTree(t *testing.T) {
 	for _, fid := range []horse.Fidelity{horse.Flow, horse.Packet} {
 		fid := fid
 		t.Run(fid.String(), func(t *testing.T) {
-			clean := goldenDegradedRun(t, fid, 1, false)
-			col := goldenDegradedRun(t, fid, 1, true)
+			clean := goldenDegradedRun(t, fid, false)
+			col := goldenDegradedRun(t, fid, true)
 
 			if fid == horse.Packet {
 				if col.PacketsCorrupted == 0 {
@@ -102,20 +99,14 @@ func TestGoldenDegradedFatTree(t *testing.T) {
 				}
 			}
 
-			// Determinism: a repeat run reproduces the records exactly, and
-			// (both engines shard) so does a 4-shard run.
-			for name, again := range map[string]*horse.Collector{
-				"repeat":   goldenDegradedRun(t, fid, 1, true),
-				"4-shards": goldenDegradedRun(t, fid, 4, true),
-			} {
-				a, b := col.Flows(), again.Flows()
-				if len(a) != len(b) {
-					t.Fatalf("%s: %d records vs %d", name, len(a), len(b))
-				}
-				for i := range a {
-					if a[i] != b[i] {
-						t.Fatalf("%s: record %d diverged:\n%+v\nvs\n%+v", name, i, a[i], b[i])
-					}
+			// Determinism: a repeat run reproduces the records exactly.
+			a, b := col.Flows(), goldenDegradedRun(t, fid, true).Flows()
+			if len(a) != len(b) {
+				t.Fatalf("repeat: %d records vs %d", len(a), len(b))
+			}
+			for i := range a {
+				if a[i] != b[i] {
+					t.Fatalf("repeat: record %d diverged:\n%+v\nvs\n%+v", i, a[i], b[i])
 				}
 			}
 		})

@@ -30,11 +30,6 @@ type options struct {
 	rateEpsSet    bool
 	fullRecompute bool
 	eventQueue    EventQueue
-	shards        int
-	shardWorkers  int
-	workersSet    bool
-	balance       ShardBalancing
-	balanceSet    bool
 	queuePackets  int
 	queueSet      bool
 	rtoMin        Duration
@@ -68,16 +63,7 @@ func (o *options) validate() error {
 		if o.rtoSet {
 			return bad("WithRTOMin", "the Flow engine has no retransmission timer; applies to Packet and Hybrid")
 		}
-		if o.workersSet {
-			return bad("WithShardWorkers", "only the Packet engine runs the sharded executor")
-		}
-		if o.balanceSet {
-			return bad("WithShardBalancing", "only the Packet engine runs the sharded executor")
-		}
 	case Packet:
-		if o.balanceSet && o.shards == 0 {
-			return bad("WithShardBalancing", "balancing applies to sharded runs; add WithShards(k)")
-		}
 		if o.packetSet {
 			return bad("WithPacketFraction", "only a Hybrid engine splits the demand stream; set WithFidelity(horse.Hybrid)")
 		}
@@ -91,15 +77,6 @@ func (o *options) validate() error {
 			return bad("WithFullRecompute", "the Packet engine has no fair-share allocator; applies to Flow only")
 		}
 	case Hybrid:
-		if o.shards != 0 {
-			return bad("WithShards", "the Hybrid coupler shares one kernel and runs serial; applies to Flow and Packet")
-		}
-		if o.workersSet {
-			return bad("WithShardWorkers", "only the Packet engine runs the sharded executor")
-		}
-		if o.balanceSet {
-			return bad("WithShardBalancing", "only the Packet engine runs the sharded executor")
-		}
 		if o.fullRecompute {
 			return bad("WithFullRecompute", "applies to Flow only")
 		}
@@ -226,9 +203,8 @@ func (q EventQueue) String() string {
 }
 
 // WithEventQueue selects the kernel's event-queue backend (default
-// EventQueueWheel; any fidelity). In sharded runs every per-shard kernel
-// uses the selected backend. Results do not depend on the choice — only
-// run time does.
+// EventQueueWheel; any fidelity). Results do not depend on the choice —
+// only run time does.
 func WithEventQueue(q EventQueue) Option {
 	return func(o *options) error {
 		if q != EventQueueWheel && q != EventQueueHeap {
@@ -239,77 +215,18 @@ func WithEventQueue(q EventQueue) Option {
 	}
 }
 
-// WithShards enables multi-core execution with up to k shards. On a
-// Packet engine the topology is edge-cut partitioned and each shard runs
-// its own event loop (records stay byte-identical for any k); on a Flow
-// engine the fair-share settle scan fans across a k-worker pool. Not
-// applicable to Hybrid (shared-kernel runs are serial).
+// WithShards is accepted for compatibility and changes nothing: every
+// engine runs serial, whatever k. Packet runs once had a sharded
+// multi-core executor behind this option; it was slower than the serial
+// event loop at every shard count measured and was removed. A negative
+// k is still an error.
+//
+// Deprecated: omit the option.
 func WithShards(k int) Option {
 	return func(o *options) error {
 		if k < 0 {
 			return &BuildError{Option: "WithShards", Reason: fmt.Sprintf("negative shard count %d", k)}
 		}
-		o.shards = k
-		return nil
-	}
-}
-
-// ShardBalancing selects how a sharded Packet engine places and re-places
-// work across shards. Every mode preserves the determinism contract:
-// records are byte-identical to the serial engine at any shard count.
-type ShardBalancing int
-
-const (
-	// BalanceUniform edge-cut partitions by switch count (the default).
-	BalanceUniform ShardBalancing = iota
-	// BalanceWeighted partitions by demand-derived event-rate weights: the
-	// expected packet load of each flow is charged to its endpoint
-	// switches, so shards even out expected event load rather than switch
-	// count.
-	BalanceWeighted
-	// BalanceSteal is BalanceWeighted plus window-barrier work stealing:
-	// when one shard's dispatch rate dominates a window, a whole switch
-	// group (the switch, its hosts, their flows and timers) migrates to
-	// the coldest shard between windows.
-	BalanceSteal
-)
-
-// String returns the wire name of the mode ("uniform", "weighted",
-// "steal").
-func (b ShardBalancing) String() string {
-	switch b {
-	case BalanceWeighted:
-		return "weighted"
-	case BalanceSteal:
-		return "steal"
-	default:
-		return "uniform"
-	}
-}
-
-// WithShardBalancing selects the load-balancing mode of a sharded Packet
-// engine (default BalanceUniform). Requires WithShards; Packet fidelity
-// only. Results do not depend on the choice — only wall-clock time does.
-func WithShardBalancing(b ShardBalancing) Option {
-	return func(o *options) error {
-		if b < BalanceUniform || b > BalanceSteal {
-			return &BuildError{Option: "WithShardBalancing", Reason: fmt.Sprintf("unknown balancing mode %d", b)}
-		}
-		o.balance = b
-		o.balanceSet = true
-		return nil
-	}
-}
-
-// WithShardWorkers bounds the worker pool driving shard windows (default:
-// one worker per shard) — Packet fidelity only.
-func WithShardWorkers(n int) Option {
-	return func(o *options) error {
-		if n < 0 {
-			return &BuildError{Option: "WithShardWorkers", Reason: fmt.Sprintf("negative worker count %d", n)}
-		}
-		o.shardWorkers = n
-		o.workersSet = true
 		return nil
 	}
 }
@@ -409,8 +326,8 @@ func WithLinkModelFor(link LinkID, m LinkModel) Option {
 
 // WithLinkModelSeed seeds the link models' corruption streams (default
 // 1). Two runs with the same seed, workload, and models draw identical
-// per-direction corruption sequences at every fidelity, shard count, and
-// event-queue backend; changing the seed redraws them.
+// per-direction corruption sequences at every fidelity and event-queue
+// backend; changing the seed redraws them.
 func WithLinkModelSeed(seed uint64) Option {
 	return func(o *options) error {
 		if seed == 0 {
@@ -450,9 +367,8 @@ func WithScenario(tl *Scenario) Option {
 // of accumulating records in the Collector — the bounded-memory results
 // path for multi-million-flow runs. The stream carries exactly the
 // records, in exactly the order, Collector().Flows() would have held: the
-// Flow engine delivers as flows finish (and reclaims their state), the
-// Packet engine at Finish after the sharded barrier merge, the Hybrid
-// coupler after load-order renumbering.
+// Flow and Packet engines deliver as flows finish (and reclaim their
+// state), the Hybrid coupler after load-order renumbering.
 func WithRecordSink(sink func(FlowRecord)) Option {
 	return func(o *options) error {
 		if sink == nil {
@@ -470,8 +386,8 @@ func WithRecordSink(sink func(FlowRecord)) Option {
 // nondecreasing Start order (NewTraceCSVReader buffers a bounded window
 // to absorb local disorder; an out-of-window row fails the run with
 // ErrTraceOrder). Streamed runs produce byte-identical records to Load
-// of the same sequence at every fidelity, shard count, and event-queue
-// backend. Load may still be called for extra demands; they schedule
+// of the same sequence at every fidelity and event-queue backend. Load
+// may still be called for extra demands; they schedule
 // eagerly alongside the stream.
 func WithTraceReader(r TraceReader) Option {
 	return func(o *options) error {
@@ -484,9 +400,8 @@ func WithTraceReader(r TraceReader) Option {
 }
 
 // WithProgress reports run progress to fn once per DefaultProgressEvery
-// of virtual time, driven off the kernel's pre-advance path (window
-// barriers, in sharded runs). Use WithProgressEvery for a different
-// period.
+// of virtual time, driven off the kernel's pre-advance path. Use
+// WithProgressEvery for a different period.
 func WithProgress(fn ProgressFunc) Option {
 	return WithProgressEvery(DefaultProgressEvery, fn)
 }

@@ -107,21 +107,15 @@ func SpecOptions(o wire.OptionsSpec) ([]Option, error) {
 	default:
 		return nil, &BuildError{Option: "WithEventQueue", Reason: fmt.Sprintf("unknown event queue %q", o.EventQueue)}
 	}
-	if o.Shards != 0 {
-		opts = append(opts, WithShards(o.Shards))
-	}
-	if o.ShardWorkers != nil {
-		opts = append(opts, WithShardWorkers(*o.ShardWorkers))
+	// Shards, ShardWorkers and ShardBalancing are horse-wire/v1 fields of
+	// the removed sharded executor: accepted and ignored, so old specs
+	// keep running (serially, with the records they always had). A
+	// balancing name v1 never knew is still an error.
+	if o.Shards < 0 {
+		return nil, &BuildError{Option: "WithShards", Reason: fmt.Sprintf("negative shard count %d", o.Shards)}
 	}
 	switch o.ShardBalancing {
-	case "":
-		// The default (uniform) — no option.
-	case wire.BalanceUniform:
-		opts = append(opts, WithShardBalancing(BalanceUniform))
-	case wire.BalanceWeighted:
-		opts = append(opts, WithShardBalancing(BalanceWeighted))
-	case wire.BalanceSteal:
-		opts = append(opts, WithShardBalancing(BalanceSteal))
+	case "", wire.BalanceUniform, wire.BalanceWeighted, wire.BalanceSteal:
 	default:
 		return nil, &BuildError{Option: "WithShardBalancing", Reason: fmt.Sprintf("unknown balancing mode %q", o.ShardBalancing)}
 	}

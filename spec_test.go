@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"horse"
@@ -205,7 +206,7 @@ func TestNewFromSpecValidation(t *testing.T) {
 		{"bad miss", barely(func(s *wire.SessionSpec) { s.Options.Miss = "explode" }), true},
 		{"bad option combo", barely(func(s *wire.SessionSpec) {
 			s.Options.Fidelity = wire.FidelityHybrid
-			s.Options.Shards = 4
+			s.Options.FullRecompute = true
 			pf := 0.5
 			s.Options.PacketFraction = &pf
 		}), true},
@@ -213,10 +214,6 @@ func TestNewFromSpecValidation(t *testing.T) {
 			s.Options.Fidelity = wire.FidelityPacket
 			s.Options.Shards = 4
 			s.Options.ShardBalancing = "lopsided"
-		}), true},
-		{"balancing without shards", barely(func(s *wire.SessionSpec) {
-			s.Options.Fidelity = wire.FidelityPacket
-			s.Options.ShardBalancing = wire.BalanceSteal
 		}), true},
 	}
 	for _, c := range cases {
@@ -250,6 +247,53 @@ func TestSpecOptionsDefaults(t *testing.T) {
 	// default-built engine (flow fidelity).
 	if _, err := eng.Run(context.Background(), until); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSpecShardFieldsIgnored is the wire-compatibility contract for the
+// removed sharded executor: the checked-in v1 fixture setting shards,
+// shard_workers and shard_balancing still builds and runs, with records
+// identical to the same spec without them.
+func TestSpecShardFieldsIgnored(t *testing.T) {
+	b, err := os.ReadFile(filepath.Join("api", "wire", "testdata", "v1", "submit-shards.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var f wire.Frame
+	if err := json.Unmarshal(b, &f); err != nil {
+		t.Fatal(err)
+	}
+	var p wire.SubmitParams
+	if err := json.Unmarshal(f.Params, &p); err != nil {
+		t.Fatal(err)
+	}
+	run := func(spec wire.SessionSpec) []horse.FlowRecord {
+		t.Helper()
+		eng, until, err := horse.NewFromSpec(&spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		col, err := eng.Run(context.Background(), until)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return col.Flows()
+	}
+	got := run(p.Spec)
+	plain := p.Spec
+	plain.Options.Shards, plain.Options.ShardWorkers, plain.Options.ShardBalancing = 0, nil, ""
+	want := run(plain)
+	completed := 0
+	for _, r := range want {
+		if r.Completed {
+			completed++
+		}
+	}
+	if completed == 0 {
+		t.Fatal("fixture completed no flows")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("shard fields changed the records: %d vs %d", len(got), len(want))
 	}
 }
 
