@@ -655,7 +655,8 @@ const (
 )
 
 // Shard-balancing mode names v1 defined (OptionsSpec.ShardBalancing).
-// They are accepted and ignored; any other name is rejected.
+// They are validated as v1 did and otherwise ignored; any other name is
+// rejected.
 const (
 	BalanceUniform  = "uniform"
 	BalanceWeighted = "weighted"
@@ -717,9 +718,11 @@ type OptionsSpec struct {
 	// Shards, ShardWorkers and ShardBalancing configured a sharded
 	// executor that was removed because it ran slower than the serial
 	// engine. They are accepted and ignored: specs that set them keep
-	// decoding and run serially with unchanged records. A negative shard
-	// count or a balancing name other than "uniform", "weighted" or
-	// "steal" is still rejected.
+	// decoding and run serially with unchanged records. The v1 rules on
+	// them still hold: a negative count, shards on the hybrid engine,
+	// shard_workers or shard_balancing outside a packet spec, balancing
+	// without shards, and a balancing name other than "uniform",
+	// "weighted" or "steal" are rejected.
 	Shards         int    `json:"shards,omitempty"`
 	ShardWorkers   *int   `json:"shard_workers,omitempty"`
 	ShardBalancing string `json:"shard_balancing,omitempty"`

@@ -161,19 +161,16 @@ func TestBuilderLegacyParityPacket(t *testing.T) {
 
 // TestWithShardsIsSerial pins the compatibility contract of WithShards:
 // any shard count runs the serial engine, so records and counters match a
-// run without the option at every fidelity.
+// run without the option on both fidelities that accept it.
 func TestWithShardsIsSerial(t *testing.T) {
 	window := horse.Time(2 * horse.Second)
-	for _, fid := range []horse.Fidelity{horse.Flow, horse.Packet, horse.Hybrid} {
+	for _, fid := range []horse.Fidelity{horse.Flow, horse.Packet} {
 		run := func(extra ...horse.Option) *horse.Collector {
 			topo, tr := fatTreeWorkload()
 			opts := []horse.Option{
 				horse.WithFidelity(fid),
 				horse.WithController(horse.NewChain(&horse.ProactiveMAC{})),
 				horse.WithMiss(horse.MissController),
-			}
-			if fid == horse.Hybrid {
-				opts = append(opts, horse.WithPacketFraction(0.5))
 			}
 			eng, err := horse.New(topo, append(opts, extra...)...)
 			if err != nil {
@@ -473,16 +470,17 @@ func TestRunCancellationFlow(t *testing.T) {
 	}
 }
 
-// TestRunCancellationPacket: a packet run whose context is already
-// cancelled stops at the first cancellation poll and still records every
-// loaded flow.
-func TestRunCancellationPacket(t *testing.T) {
+// TestRunCancellationShardedPacket: a packet run built with WithShards —
+// the serial engine — whose context is already cancelled stops at the
+// first cancellation poll and still records every loaded flow.
+func TestRunCancellationShardedPacket(t *testing.T) {
 	topo, tr := fatTreeWorkload()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	eng, err := horse.New(topo,
 		horse.WithFidelity(horse.Packet),
 		horse.WithMiss(horse.MissDrop),
+		horse.WithShards(2),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -582,6 +580,7 @@ func TestBuildErrors(t *testing.T) {
 		{"fraction out of range", []horse.Option{horse.WithPacketFraction(1.5)}},
 		{"fraction on flow engine", []horse.Option{horse.WithPacketFraction(0.5)}},
 		{"tcp on packet engine", []horse.Option{horse.WithFidelity(horse.Packet), horse.WithTCP(horse.TCPParams{RTT: horse.Millisecond})}},
+		{"shards on hybrid", []horse.Option{horse.WithFidelity(horse.Hybrid), horse.WithPacketFraction(0.5), horse.WithShards(2)}},
 		{"negative shards", []horse.Option{horse.WithShards(-1)}},
 		{"negative stats period", []horse.Option{horse.WithStatsEvery(-horse.Second)}},
 		{"nil controller", []horse.Option{horse.WithController(nil)}},

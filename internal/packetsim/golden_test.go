@@ -120,11 +120,15 @@ func runFailures(q eventq.Backend, mk func() controller.App, opt streamOpts) run
 		Controller:     controller.NewChain(mk()),
 		ControlLatency: simtime.Millisecond,
 	})
-	// Fail two core-facing links mid-run (with recovery) and crash one
-	// aggregation switch across a window of the workload.
-	links := topo.Links()
+	scriptFailures(sim, topo)
+	return runStreamed(sim, tr, opt)
+}
+
+// scriptFailures fails two core-facing links mid-run (with recovery) and
+// crashes one aggregation switch across a window of the golden workload.
+func scriptFailures(sim *Simulator, topo *netgraph.Topology) {
 	var core []netgraph.LinkID
-	for _, l := range links {
+	for _, l := range topo.Links() {
 		if topo.Node(l.A).Kind == netgraph.KindSwitch && topo.Node(l.B).Kind == netgraph.KindSwitch {
 			core = append(core, l.ID)
 		}
@@ -136,7 +140,6 @@ func runFailures(q eventq.Backend, mk func() controller.App, opt streamOpts) run
 	agg := topo.MustLookup("agg1_0")
 	sim.ScheduleSwitchChange(simtime.Time(30*simtime.Millisecond), agg, false)
 	sim.ScheduleSwitchChange(simtime.Time(75*simtime.Millisecond), agg, true)
-	return runStreamed(sim, tr, opt)
 }
 
 func diffRuns(t *testing.T, name string, want, got runResult) {
@@ -159,28 +162,6 @@ func diffRuns(t *testing.T, name string, want, got runResult) {
 	if want.started != got.started || want.lost != got.lost || want.punts != got.punts ||
 		want.mods != got.mods || want.hops != got.hops {
 		t.Errorf("%s: counters diverged: want %+v got %+v", name, want, got)
-	}
-}
-
-// TestBackendParity: the golden and scripted-failure scenarios dispatch
-// identically on the heap and the wheel — records, samples and every
-// counter — and repeat runs reproduce themselves.
-func TestBackendParity(t *testing.T) {
-	heap := runGolden(eventq.BackendHeap, streamOpts{})
-	if len(heap.records) == 0 {
-		t.Fatal("golden scenario produced no records")
-	}
-	diffRuns(t, "golden", heap, runGolden(eventq.BackendWheel, streamOpts{}))
-	diffRuns(t, "golden-repeat", heap, runGolden(eventq.BackendHeap, streamOpts{}))
-	for _, mk := range []func() controller.App{
-		func() controller.App { return &controller.ProactiveMAC{} },
-		func() controller.App { return &controller.ECMPLoadBalancer{} },
-	} {
-		ref := runFailures(eventq.BackendHeap, mk, streamOpts{})
-		if ref.mods == 0 {
-			t.Fatal("control plane installed nothing")
-		}
-		diffRuns(t, "failures", ref, runFailures(eventq.BackendWheel, mk, streamOpts{}))
 	}
 }
 

@@ -27,32 +27,6 @@ func runGoldenDegraded(m linkmodel.Model, seed uint64, q eventq.Backend) runResu
 	return snapshot(sim, col)
 }
 
-// TestLinkModelBackendParity pins the determinism contract with models
-// enabled: corruption streams are seed-keyed per link direction, so
-// Records(), samples, and counters on the wheel stay byte-identical to
-// the heap reference.
-func TestLinkModelBackendParity(t *testing.T) {
-	models := []struct {
-		name string
-		m    linkmodel.Model
-	}{
-		{"bernoulli", linkmodel.BernoulliLoss{P: 0.03}},
-		{"gilbert-elliott", linkmodel.GilbertElliott{
-			PGoodBad: 0.05, PBadGood: 0.3, LossGood: 0.001, LossBad: 0.5,
-		}},
-		{"adaptive-rate", linkmodel.AdaptiveRate{
-			Levels: 4, Floor: 0.25, Every: 10 * simtime.Millisecond,
-		}},
-	}
-	for _, mc := range models {
-		mc := mc
-		t.Run(mc.name, func(t *testing.T) {
-			ref := runGoldenDegraded(mc.m, 7, eventq.BackendHeap)
-			diffRuns(t, mc.name, ref, runGoldenDegraded(mc.m, 7, eventq.BackendWheel))
-		})
-	}
-}
-
 // TestLinkModelSeedSensitivity: changing the corruption seed must change
 // the drop pattern (same everything else) — the seed is live, not inert.
 func TestLinkModelSeedSensitivity(t *testing.T) {

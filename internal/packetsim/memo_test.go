@@ -152,13 +152,14 @@ func TestMemoExpiryInvalidates(t *testing.T) {
 	}
 }
 
-// TestMemoFastFailoverReselects: a fast-failover group must move the flow
-// to the backup trunk with the first packet after the primary dies and
-// back with the first packet after it recovers — the memo is keyed by
-// port liveness too.
-func TestMemoFastFailoverReselects(t *testing.T) {
+// memoFastFailover: a fast-failover group must move the flow to the
+// backup trunk with the first packet after the primary dies and back with
+// the first packet after it recovers — the memo is keyed by port liveness
+// too. build makes the engine (table misses drop) on the fabric's
+// topology; TestMemoFastFailoverReselects runs it through the façade.
+func memoFastFailover(t *testing.T, build func(*netgraph.Topology) *Simulator) {
 	f := newMemoFabric()
-	sim := New(Config{Topology: f.topo, Miss: dataplane.MissDrop})
+	sim := build(f.topo)
 	dst := header.Match{}.WithEthDst(addr.HostMAC(f.h1))
 	a, b := f.port(f.s0, 2), f.port(f.s0, 3)
 	s0 := sim.Network().Switches[f.s0]

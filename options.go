@@ -30,6 +30,7 @@ type options struct {
 	rateEpsSet    bool
 	fullRecompute bool
 	eventQueue    EventQueue
+	shards        int
 	queuePackets  int
 	queueSet      bool
 	rtoMin        Duration
@@ -77,6 +78,9 @@ func (o *options) validate() error {
 			return bad("WithFullRecompute", "the Packet engine has no fair-share allocator; applies to Flow only")
 		}
 	case Hybrid:
+		if o.shards != 0 {
+			return bad("WithShards", "the Hybrid engine never accepted a shard count; applies to Flow and Packet")
+		}
 		if o.fullRecompute {
 			return bad("WithFullRecompute", "applies to Flow only")
 		}
@@ -218,8 +222,9 @@ func WithEventQueue(q EventQueue) Option {
 // WithShards is accepted for compatibility and changes nothing: every
 // engine runs serial, whatever k. Packet runs once had a sharded
 // multi-core executor behind this option; it was slower than the serial
-// event loop at every shard count measured and was removed. A negative
-// k is still an error.
+// event loop at every shard count measured and was removed. What the
+// option always rejected it still rejects: a negative k, and any k on a
+// Hybrid engine.
 //
 // Deprecated: omit the option.
 func WithShards(k int) Option {
@@ -227,6 +232,7 @@ func WithShards(k int) Option {
 		if k < 0 {
 			return &BuildError{Option: "WithShards", Reason: fmt.Sprintf("negative shard count %d", k)}
 		}
+		o.shards = k
 		return nil
 	}
 }

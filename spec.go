@@ -109,13 +109,20 @@ func SpecOptions(o wire.OptionsSpec) ([]Option, error) {
 	}
 	// Shards, ShardWorkers and ShardBalancing are horse-wire/v1 fields of
 	// the removed sharded executor: accepted and ignored, so old specs
-	// keep running (serially, with the records they always had). A
-	// balancing name v1 never knew is still an error.
-	if o.Shards < 0 {
-		return nil, &BuildError{Option: "WithShards", Reason: fmt.Sprintf("negative shard count %d", o.Shards)}
+	// keep running (serially, with the records they always had). The rules
+	// v1 put on them still hold, so a spec it rejected is still rejected.
+	if o.Shards != 0 {
+		opts = append(opts, WithShards(o.Shards))
+	}
+	if o.ShardWorkers != nil && (*o.ShardWorkers < 0 || fid != Packet) {
+		return nil, &BuildError{Option: "WithShardWorkers", Reason: fmt.Sprintf("worker count %d: must be non-negative, on the Packet engine", *o.ShardWorkers)}
 	}
 	switch o.ShardBalancing {
-	case "", wire.BalanceUniform, wire.BalanceWeighted, wire.BalanceSteal:
+	case "":
+	case wire.BalanceUniform, wire.BalanceWeighted, wire.BalanceSteal:
+		if fid != Packet || o.Shards == 0 {
+			return nil, &BuildError{Option: "WithShardBalancing", Reason: "balancing applies to sharded Packet runs; add shards"}
+		}
 	default:
 		return nil, &BuildError{Option: "WithShardBalancing", Reason: fmt.Sprintf("unknown balancing mode %q", o.ShardBalancing)}
 	}

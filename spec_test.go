@@ -206,7 +206,7 @@ func TestNewFromSpecValidation(t *testing.T) {
 		{"bad miss", barely(func(s *wire.SessionSpec) { s.Options.Miss = "explode" }), true},
 		{"bad option combo", barely(func(s *wire.SessionSpec) {
 			s.Options.Fidelity = wire.FidelityHybrid
-			s.Options.FullRecompute = true
+			s.Options.Shards = 4
 			pf := 0.5
 			s.Options.PacketFraction = &pf
 		}), true},
@@ -214,6 +214,15 @@ func TestNewFromSpecValidation(t *testing.T) {
 			s.Options.Fidelity = wire.FidelityPacket
 			s.Options.Shards = 4
 			s.Options.ShardBalancing = "lopsided"
+		}), true},
+		{"balancing without shards", barely(func(s *wire.SessionSpec) {
+			s.Options.Fidelity = wire.FidelityPacket
+			s.Options.ShardBalancing = wire.BalanceSteal
+		}), true},
+		{"shard workers on flow", barely(func(s *wire.SessionSpec) {
+			two := 2
+			s.Options.Shards = 4
+			s.Options.ShardWorkers = &two
 		}), true},
 	}
 	for _, c := range cases {

@@ -28,22 +28,29 @@ var streamVariants = []streamVariant{
 // streamCase is one cell of the equivalence matrix.
 type streamCase struct {
 	fidelity horse.Fidelity
+	shards   int
 	queue    horse.EventQueue
 }
 
-// streamMatrix is the battery's fidelity × backend coverage.
+// streamMatrix is the battery's fidelity × shards × backend coverage.
+// WithShards runs the serial engine at any count, so the shard dimension
+// pins that the option stays a no-op on every streaming path; the Hybrid
+// engine rejects it, so its shard dimension is the plain run.
 func streamMatrix() []streamCase {
 	var cases []streamCase
 	for _, q := range []horse.EventQueue{horse.EventQueueHeap, horse.EventQueueWheel} {
-		for _, fid := range []horse.Fidelity{horse.Flow, horse.Packet, horse.Hybrid} {
-			cases = append(cases, streamCase{fid, q})
+		for _, shards := range []int{1, 4} {
+			cases = append(cases,
+				streamCase{horse.Flow, shards, q},
+				streamCase{horse.Packet, shards, q})
 		}
+		cases = append(cases, streamCase{horse.Hybrid, 0, q})
 	}
 	return cases
 }
 
 func (c streamCase) String() string {
-	return fmt.Sprintf("%v/%v", c.fidelity, c.queue)
+	return fmt.Sprintf("%v/shards=%d/%v", c.fidelity, c.shards, c.queue)
 }
 
 // runStream executes one scenario cell and returns the record sequence
@@ -58,6 +65,9 @@ func runStream(t *testing.T, c streamCase, v streamVariant,
 		horse.WithController(horse.NewChain(&horse.ProactiveMAC{})),
 		horse.WithMiss(horse.MissController),
 		horse.WithEventQueue(c.queue),
+	}
+	if c.shards > 0 {
+		opts = append(opts, horse.WithShards(c.shards))
 	}
 	if c.fidelity == horse.Hybrid {
 		opts = append(opts, horse.WithPacketFraction(0.5))
@@ -123,8 +133,8 @@ func diffStream(t *testing.T, label string, v streamVariant,
 // TestStreamEquivalenceBattery is the cross-path equivalence contract of
 // the bounded-memory PR: on the golden fat-tree workload, every streaming
 // variant (record sink, trace reader, both) reproduces the retained run
-// byte-for-byte at fidelity {Flow, Packet, Hybrid} × event queue {heap,
-// wheel}. CI runs this battery under -race.
+// byte-for-byte at fidelity {Flow, Packet, Hybrid} × shards {1, 4} ×
+// event queue {heap, wheel}. CI runs this battery under -race.
 func TestStreamEquivalenceBattery(t *testing.T) {
 	topo, tr := fatTreeWorkload()
 	until := horse.Time(2 * horse.Second)
@@ -150,9 +160,9 @@ func TestStreamEquivalenceFailures(t *testing.T) {
 	topo, tr, tl := failureWorkload()
 	until := horse.Time(4 * horse.Second)
 	cases := []streamCase{
-		{horse.Flow, horse.EventQueueHeap},
-		{horse.Packet, horse.EventQueueWheel},
-		{horse.Hybrid, horse.EventQueueHeap},
+		{horse.Flow, 1, horse.EventQueueHeap},
+		{horse.Packet, 4, horse.EventQueueWheel},
+		{horse.Hybrid, 0, horse.EventQueueHeap},
 	}
 	for _, c := range cases {
 		t.Run(c.String(), func(t *testing.T) {

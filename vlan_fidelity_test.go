@@ -59,6 +59,7 @@ func TestVLANRewriteAcrossFidelities(t *testing.T) {
 	cases := map[string][]horse.Option{
 		"flow":          {horse.WithFidelity(horse.Flow)},
 		"packet":        {horse.WithFidelity(horse.Packet)},
+		"packet-k2":     {horse.WithFidelity(horse.Packet), horse.WithShards(2)},
 		"hybrid-all":    {horse.WithFidelity(horse.Hybrid), horse.WithPacketFraction(1)},
 		"hybrid-halved": {horse.WithFidelity(horse.Hybrid), horse.WithPacketFraction(0.5)},
 	}
