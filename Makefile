@@ -44,8 +44,8 @@ bench-compare:
 # and encoding/csv fallback against ReadCSV), the timing-wheel cascade/overflow paths, the wire
 # Record-frame codec against encoding/json, the link-model parity
 # property (any model parameters and seed run identically on the wheel
-# and the heap), the port-schedule property (the one-event
-# transmitter agrees with the two-event reference model on any scenario
+# and the heap), the port-schedule property (the FIFO transmitter,
+# departures fixed at enqueue, agrees with the two-event reference model on any scenario
 # of flows, failures, link models, external load and polls), and the
 # fair-share exactness property (the heap-driven solver's rates and change
 # lists are bit-identical to eager progressive filling through every

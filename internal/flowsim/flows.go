@@ -832,6 +832,9 @@ func (s *Simulator) reapplyLinkCapacity(l *netgraph.Link) {
 // Orthogonal to operational state: a link inside a scripted outage keeps
 // capacity 0 until it recovers, at which point the model's scale applies.
 func (s *Simulator) handleLinkDegrade(id netgraph.LinkID, m linkmodel.Model) {
+	if s.cfg.BeforeLinkDegrade != nil {
+		s.cfg.BeforeLinkDegrade(id)
+	}
 	s.links.SetLink(id, m)
 	s.modelGen[id]++
 	s.reapplyLinkCapacity(s.topo.Link(id))

@@ -212,10 +212,13 @@ type Config struct {
 	// the hook the hybrid coupler uses to flush the packet engine's
 	// dead-link queues under the shared clock.
 	OnLinkChange func(link netgraph.LinkID, up bool)
+	// BeforeLinkDegrade, when set, runs before a link-model change is
+	// applied to the registry — the hook a co-resident packet engine uses
+	// to settle frames that left under the old model.
+	BeforeLinkDegrade func(link netgraph.LinkID)
 	// OnLinkDegrade, when set, observes every applied link-model change
-	// (m is nil for a restore) — for co-resident engines that keep their
-	// own view of the degradation registry. Hybrid runs don't need it:
-	// both engines read one shared Set.
+	// (m is nil for a restore) — the hook a co-resident packet engine
+	// uses to re-time queued frames to the new model's rate.
 	OnLinkDegrade func(link netgraph.LinkID, m linkmodel.Model)
 	// OnSwitchChange, when set, observes every applied switch
 	// crash/restart, after its link changes (which fire OnLinkChange).

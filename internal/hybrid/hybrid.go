@@ -180,6 +180,7 @@ func New(cfg Config) *Simulator {
 		// these hooks propagate the data-plane consequences to the packet
 		// engine at the same virtual instant.
 		OnLinkChange:       s.pkt.NotifyLinkChange,
+		BeforeLinkDegrade:  s.pkt.SettleLink,
 		OnLinkDegrade:      s.pkt.NotifyLinkDegrade,
 		OnSwitchChange:     s.pkt.NotifySwitchChange,
 		OnControllerChange: s.pkt.NotifyControllerChange,

@@ -9,6 +9,7 @@ import (
 	"horse/internal/dataplane"
 	"horse/internal/flowsim"
 	"horse/internal/header"
+	"horse/internal/linkmodel"
 	"horse/internal/netgraph"
 	"horse/internal/openflow"
 	"horse/internal/packetsim"
@@ -284,5 +285,117 @@ func TestHybridCouplingThrottlesPackets(t *testing.T) {
 	// threshold is stable.)
 	if float64(squeezed) < 1.5*float64(alone) {
 		t.Errorf("coupling missing: FCT alone %v vs with background %v", alone, squeezed)
+	}
+}
+
+// TestHybridFailureAtDepartureMatchesStandalone: a link failure landing
+// exactly when a lone frame finishes serializing loses that frame at the
+// failure instant, as the standalone packet engine does. In a hybrid run
+// the flow engine applies the failure, so the packet engine settles its
+// port inside a flow-engine event and must judge the tie by that event's
+// order key — not by the class of the last packet event (here the
+// frame's own send, which orders after the instant's departures). The
+// frame is the flow's last, so its loss dates the UDP record's End.
+func TestHybridFailureAtDepartureMatchesStandalone(t *testing.T) {
+	const packets = 4
+	interval := 120 * simtime.Microsecond
+	failAt := simtime.Time(packets-1) * simtime.Time(interval)
+	failAt = failAt.Add(simtime.TransferTime(packetsim.DataPacketBits, 1e9))
+	build := func() (*netgraph.Topology, traffic.Trace) {
+		topo := netgraph.New()
+		s0 := topo.AddSwitch("s0")
+		h0, h1 := topo.AddHost("h0"), topo.AddHost("h1")
+		topo.Connect(h0, s0, 1e9, 2*simtime.Microsecond) // link 0
+		topo.Connect(s0, h1, 1e9, 2*simtime.Microsecond)
+		rate := packetsim.DataPacketBits / interval.Seconds()
+		return topo, traffic.Trace{cbr(h0, h1, 0, packets*packetsim.DataPacketBits, rate, 30000)}
+	}
+	until := simtime.Time(10 * simtime.Millisecond)
+
+	topoS, trS := build()
+	standalone := packetsim.New(packetsim.Config{Topology: topoS, Miss: dataplane.MissDrop})
+	installMACRoutes(standalone.Network())
+	standalone.Load(trS)
+	standalone.ScheduleLinkChange(failAt, 0, false)
+	colS := mustRun(standalone, until)
+
+	topoH, trH := build()
+	hyb := New(Config{Topology: topoH, Miss: dataplane.MissDrop, PacketLevel: Fraction(1)})
+	installMACRoutes(hyb.Network())
+	hyb.Load(trH)
+	hyb.ScheduleLinkChange(failAt, 0, false)
+	mustRun(hyb, until)
+
+	rs, rh := colS.Flows(), hyb.Records()
+	if len(rs) != 1 || len(rh) != 1 {
+		t.Fatalf("records: standalone %d, hybrid %d, want 1 each", len(rs), len(rh))
+	}
+	if rs[0].End != failAt {
+		t.Fatalf("standalone End %v, want the failure instant %v", rs[0].End, failAt)
+	}
+	if rh[0] != rs[0] {
+		t.Errorf("hybrid record %+v\nstandalone      %+v", rh[0], rs[0])
+	}
+	if lost := hyb.PacketCollector().PacketsLost; lost != colS.PacketsLost || lost != 1 {
+		t.Errorf("packets lost: hybrid %d, standalone %d, want 1", lost, colS.PacketsLost)
+	}
+}
+
+// TestHybridModelChangeMatchesStandalone: frames that left a lossy link
+// before its model changes draw their corruption verdicts from the model
+// they crossed, as in a standalone packet run. The flow engine applies the
+// change to the shared registry, so the packet engine must settle the link
+// first (BeforeLinkDegrade). Two senders fill s0's port toward h1; the
+// change lands while that backlog drains, with several departed frames
+// still propagating on the 100 µs link.
+func TestHybridModelChangeMatchesStandalone(t *testing.T) {
+	build := func() (*netgraph.Topology, traffic.Trace) {
+		topo := netgraph.New()
+		s0 := topo.AddSwitch("s0")
+		h0, h1, h2 := topo.AddHost("h0"), topo.AddHost("h1"), topo.AddHost("h2")
+		topo.Connect(h0, s0, 1e9, 2*simtime.Microsecond)
+		topo.Connect(h2, s0, 1e9, 2*simtime.Microsecond)
+		topo.Connect(s0, h1, 1e9, 100*simtime.Microsecond) // link 2
+		size := 40.0 * packetsim.DataPacketBits
+		return topo, traffic.Trace{cbr(h0, h1, 0, size, 1e9, 30000), cbr(h2, h1, 0, size, 1e9, 30001)}
+	}
+	changes := []struct {
+		at simtime.Time
+		m  linkmodel.Model
+	}{
+		{0, linkmodel.BernoulliLoss{P: 0.5}},
+		{simtime.Time(700 * simtime.Microsecond), linkmodel.BernoulliLoss{P: 0.1}},
+	}
+	until := simtime.Time(10 * simtime.Millisecond)
+
+	topoS, trS := build()
+	standalone := packetsim.New(packetsim.Config{Topology: topoS, Miss: dataplane.MissDrop})
+	installMACRoutes(standalone.Network())
+	standalone.Load(trS)
+	for _, c := range changes {
+		standalone.ScheduleLinkDegrade(c.at, 2, c.m)
+	}
+	colS := mustRun(standalone, until)
+
+	topoH, trH := build()
+	hyb := New(Config{Topology: topoH, Miss: dataplane.MissDrop, PacketLevel: Fraction(1)})
+	installMACRoutes(hyb.Network())
+	hyb.Load(trH)
+	for _, c := range changes {
+		hyb.ScheduleLinkDegrade(c.at, 2, c.m)
+	}
+	mustRun(hyb, until)
+
+	rs, rh := colS.Flows(), hyb.Records()
+	if len(rs) != 2 || len(rh) != 2 {
+		t.Fatalf("records: standalone %d, hybrid %d, want 2 each", len(rs), len(rh))
+	}
+	for i := range rs {
+		if rh[i] != rs[i] {
+			t.Errorf("flow %d: hybrid %+v\n standalone %+v", i+1, rh[i], rs[i])
+		}
+	}
+	if c := hyb.PacketCollector().PacketsCorrupted; c != colS.PacketsCorrupted || c == 0 {
+		t.Errorf("corrupted frames: hybrid %d, standalone %d (want equal, nonzero)", c, colS.PacketsCorrupted)
 	}
 }

@@ -24,12 +24,12 @@ func (s *Simulator) SendToSwitch(msg openflow.Message) {
 	if s.fstate.ControllerDetached() {
 		return
 	}
-	s.sched(event{at: s.k.Now().Add(s.cfg.ControlLatency), kind: evToSwitch, msg: msg, node: msg.Datapath()})
+	s.schedCold(event{at: s.k.Now().Add(s.cfg.ControlLatency), kind: evToSwitch, dir: int32(msg.Datapath())}, coldPayload{msg: msg})
 }
 
 // After implements flowsim.Engine: fn runs on the controller after d.
 func (s *Simulator) After(d simtime.Duration, fn func()) {
-	s.sched(event{at: s.k.Now().Add(d), kind: evTimer, fn: fn})
+	s.schedCold(event{at: s.k.Now().Add(d), kind: evTimer}, coldPayload{fn: fn})
 }
 
 // sendToController delivers a switch-originated message: to the punt sink
@@ -49,7 +49,7 @@ func (s *Simulator) sendToController(msg openflow.Message) {
 	if s.ctrl == nil {
 		return
 	}
-	s.sched(event{at: s.k.Now().Add(s.cfg.ControlLatency), kind: evToController, msg: msg, node: msg.Datapath()})
+	s.schedCold(event{at: s.k.Now().Add(s.cfg.ControlLatency), kind: evToController, dir: int32(msg.Datapath())}, coldPayload{msg: msg})
 }
 
 // puntPacket parks a packet at a switch pending control-plane action and
@@ -204,7 +204,7 @@ func (s *Simulator) scheduleExpiry(dp netgraph.NodeID) {
 	// instead of stacking a second event beside it.
 	s.k.Cancel(s.expiryTimer[dp])
 	s.expiryAt[dp] = next
-	s.expiryTimer[dp] = s.schedTimer(event{at: next, kind: evExpiry, node: dp})
+	s.expiryTimer[dp] = s.schedTimer(event{at: next, kind: evExpiry, dir: int32(dp)})
 }
 
 // handleExpiry evicts expired entries (idle timers see the per-packet

@@ -94,8 +94,12 @@ func (s *Simulator) sendAck(f *pktFlow) {
 	s.enqueue(ack, s.hostTx[f.demand.Dst])
 }
 
-// enqueue places a packet on an output direction's drop-tail queue and
-// starts the transmitter if idle.
+// enqueue places a packet on an output direction's drop-tail FIFO. A FIFO
+// port with a known rate fixes every frame's departure the moment it joins
+// the queue — it starts when the frame ahead of it ends, or now on an idle
+// port — so its arrival at the far end is scheduled here and the
+// transmitter costs no event of its own. Rate changes re-time the frames
+// that have not started yet (retime).
 func (s *Simulator) enqueue(p *packet, dir int32) {
 	if dir < 0 {
 		s.dropPacket(p)
@@ -104,7 +108,9 @@ func (s *Simulator) enqueue(p *packet, dir int32) {
 	op := s.ports[dir]
 	if op == nil {
 		l := s.dirLink(dir)
-		op = &outPort{link: l, from: dirFromNode(l, dir), ghostAt: -1}
+		op = &outPort{link: l, from: dirFromNode(l, dir), delay: max(l.Delay, simtime.Nanosecond)}
+		op.to, op.toPort = l.Peer(op.from)
+		op.toHost = s.topo.Node(op.to).Kind == netgraph.KindHost
 		s.ports[dir] = op
 	}
 	if !op.link.Up {
@@ -113,61 +119,77 @@ func (s *Simulator) enqueue(p *packet, dir int32) {
 		return
 	}
 	s.settle(dir, op)
-	now := s.k.Now()
-	// occ is the occupancy the two-event transmitter would see here. It
-	// exceeds len(queue) by one at an exact freeAt tie seen by an event
-	// that orders before the head's evTxDone (an arrival, a rule install):
-	// settle left that head alone, and a head retired by an earlier such
-	// event of this instant still counts (ghostAt).
-	occ := len(op.queue)
-	tie := occ == 1 && !op.armed && op.freeAt == now
-	if !tie && op.ghostAt == now && !s.late {
-		occ++
-	}
-	if occ >= s.cfg.QueuePackets {
+	if op.n >= s.cfg.QueuePackets {
 		op.dropped++
 		s.dropPacket(p)
 		return
 	}
-	if tie {
-		// Back-to-back frames on equal-rate links land here: the head
-		// departs now and p starts now, exactly when its evTxDone would
-		// have started it — nothing between the two can observe the port.
-		s.retireHead(dir, op)
-		op.ghostAt = now
+	start := s.k.Now()
+	if op.n > 0 {
+		start = op.at(op.n - 1).end
 	}
-	op.queue = append(op.queue, p)
-	switch {
-	case len(op.queue) == 1:
-		s.startTx(dir, op)
-	case !op.armed:
-		s.armTxDone(dir, op)
+	end := start.Add(simtime.TransferTime(p.bits, s.txRate(dir, op, start)))
+	op.push(txFrame{p: p, end: end})
+	s.schedArrival(p, dir, end.Add(op.delay))
+}
+
+// settle retires the frames that have left dir: every one whose
+// serialization ended before now, and one ending exactly now if the
+// event being dispatched orders after the instant's departure position
+// (txDoneKey) or nothing is being dispatched (every event of the instant
+// has fired). That is the queue the two-event transmitter held at this
+// point of the instant, so every reader of the port — enqueue, stats
+// sampling, port-stats replies, a failure, a rate or model change,
+// Finish — settles first. Retiring counts the frame's bits and draws its
+// corruption verdict, once per frame in departure order.
+func (s *Simulator) settle(dir int32, op *outPort) {
+	now := s.k.Now()
+	for op.n > 0 {
+		if end := op.at(0).end; end > now || (end == now && !s.departedNow(dir)) {
+			return
+		}
+		f := op.pop()
+		s.txBits[dir] += f.p.bits
+		if !s.links.Empty() && s.links.Corrupt(netgraph.LinkID(dir>>1), dir&1 == 0) {
+			// Counted apart from outage loss, then dropped like any other
+			// loss at its departure instant (TCP recovers it via dup-ACKs
+			// or RTO; UDP resolves the packet where it died).
+			f.p.dead = true
+			s.col.PacketsCorrupted++
+			s.dropAt(f.p, f.end)
+		}
 	}
 }
 
-// settle retires a head nobody waited for once its serialization is over
-// (no evTxDone was armed for it; see startTx). Every reader of the port —
-// enqueue, stats sampling, port-stats replies, the failure flush, a model
-// install — settles first, so the lazy retirement is unobservable. At an
-// exact tie the head counts as departed only for events that order after
-// evTxDone (s.late).
-func (s *Simulator) settle(dir int32, op *outPort) {
-	if len(op.queue) == 0 || op.armed {
+// departedNow reports whether a frame of dir whose serialization ends
+// exactly now has left, per the rule in settle.
+func (s *Simulator) departedNow(dir int32) bool {
+	key, dispatching := s.k.DispatchKey()
+	return !dispatching || key > txDoneKey(dir)
+}
+
+// retime re-derives the departures of the frames queued behind the one in
+// service after one of dir's rate inputs changed (external load, link
+// model): each starts when the frame ahead ends, at the rate in effect
+// then. A frame whose departure moves gets a fresh copy with a new
+// arrival; the old arrival dies with the original.
+func (s *Simulator) retime(dir int32) {
+	op := s.ports[dir]
+	if op == nil {
 		return
 	}
-	if now := s.k.Now(); op.freeAt < now || (op.freeAt == now && s.late) {
-		s.retireHead(dir, op)
+	s.settle(dir, op)
+	for i := 1; i < op.n; i++ {
+		f, start := op.at(i), op.at(i-1).end
+		end := start.Add(simtime.TransferTime(f.p.bits, s.txRate(dir, op, start)))
+		if end == f.end {
+			continue
+		}
+		moved := *f.p
+		f.p.dead = true
+		f.p, f.end = &moved, end
+		s.schedArrival(f.p, dir, end.Add(op.delay))
 	}
-}
-
-// retireHead pops the head at the end of its serialization.
-func (s *Simulator) retireHead(dir int32, op *outPort) *packet {
-	p := op.queue[0]
-	copy(op.queue, op.queue[1:])
-	op.queue[len(op.queue)-1] = nil
-	op.queue = op.queue[:len(op.queue)-1]
-	s.txBits[dir] += p.bits
-	return p
 }
 
 // minResidualFrac floors the residual capacity a hybrid-coupled
@@ -177,24 +199,17 @@ func (s *Simulator) retireHead(dir int32, op *outPort) *packet {
 // leftovers).
 const minResidualFrac = 0.01
 
-// txRate returns the transmit rate of a direction: line rate scaled by
-// the direction's link model (rate adaptation) minus any flow-level load
-// the hybrid coupler reported for it. RateScale is pure, so evaluating
-// it per transmission start perturbs nothing.
-func (s *Simulator) txRate(dir int32, op *outPort) float64 {
+// txRate returns the rate of a frame starting on dir at start: line rate
+// scaled by the direction's link model (rate adaptation) minus any
+// flow-level load the hybrid coupler reported for it. RateScale is pure
+// in time, so it is evaluated at the frame's start whenever that is.
+func (s *Simulator) txRate(dir int32, op *outPort, start simtime.Time) float64 {
 	bw := op.link.BandwidthBps
 	if !s.links.Empty() {
-		bw *= s.links.RateScale(netgraph.LinkID(dir>>1), dir&1 == 0, s.k.Now())
+		bw *= s.links.RateScale(netgraph.LinkID(dir>>1), dir&1 == 0, start)
 	}
-	if len(s.extLoad) == 0 {
-		return bw
-	}
-	full := bw
-	if load, ok := s.extLoad[dir]; ok {
-		bw -= load
-		if min := full * minResidualFrac; bw < min {
-			bw = min
-		}
+	if load := s.extLoad[dir]; load > 0 {
+		bw = max(bw-load, bw*minResidualFrac)
 	}
 	return bw
 }
@@ -203,110 +218,28 @@ func (s *Simulator) txRate(dir int32, op *outPort) float64 {
 // external (flow-level) load occupies the link, so serialization sees only
 // the residual capacity. The hybrid coupler calls it whenever fair-share
 // rates shift by more than the configured epsilon; bps <= 0 clears the
-// load. In-flight serializations keep their old finish time; the next
-// packet sees the new rate.
+// load. The frame in service keeps its finish time; the ones queued
+// behind it are re-timed to the new rate.
 func (s *Simulator) SetExternalLoad(link netgraph.LinkID, forward bool, bps float64) {
 	dir := int32(link) << 1
 	if !forward {
 		dir |= 1
 	}
-	if bps <= 0 {
-		delete(s.extLoad, dir)
+	bps = max(bps, 0)
+	if s.extLoad[dir] == bps {
 		return
 	}
 	s.extLoad[dir] = bps
-}
-
-// startTx begins serializing the head-of-line packet. A frame's arrival
-// time is known the moment its service starts, so the arrival is scheduled
-// here and the transmitter costs no event of its own unless a second
-// packet queues behind the head (enqueue arms evTxDone then, and only
-// then does drop-tail occupancy depend on the exact departure order).
-// The two-event form — evTxDone departs the frame, then the arrival is
-// scheduled — remains for directions with a link model, whose Corrupt
-// draw and accounting are dated at the end of serialization, and for
-// topologies with a zero-delay link, where a frame could reach its next
-// port within the instant it departs and the tie rules of settle and
-// enqueue (which lean on event-class order within an instant) would not
-// hold.
-func (s *Simulator) startTx(dir int32, op *outPort) {
-	p := op.queue[0]
-	now := s.k.Now()
-	op.freeAt = now.Add(simtime.TransferTime(p.bits, s.txRate(dir, op)))
-	op.lazy = s.lazyTx && (s.links.Empty() || s.links.Model(netgraph.LinkID(dir>>1), dir&1 == 0) == nil)
-	if !op.lazy {
-		s.armTxDone(dir, op)
-		return
-	}
-	s.schedArrival(p, dir, op.freeAt.Add(op.link.Delay))
-	if len(op.queue) > 1 {
-		s.armTxDone(dir, op)
-	}
-}
-
-// armTxDone schedules the head's serialization-done event.
-func (s *Simulator) armTxDone(dir int32, op *outPort) {
-	op.armed = true
-	s.sched(event{at: op.freeAt, kind: evTxDone, dir: dir, gen: op.txGen})
-}
-
-// txDone finishes serialization: the head departs and the next queued
-// packet starts. A stale generation stamp means a link failure flushed
-// this transmitter after the event was armed — the flush already accounted
-// for the packet.
-func (s *Simulator) txDone(dir int32, gen uint64) {
-	op := s.ports[dir]
-	if op == nil || op.txGen != gen || len(op.queue) == 0 {
-		return
-	}
-	op.armed = false
-	p := s.retireHead(dir, op)
-	if !op.lazy {
-		s.depart(p, dir, op)
-	}
-	if len(op.queue) > 0 {
-		s.startTx(dir, op)
-	}
-}
-
-// depart puts a frame whose arrival was not scheduled at start of service
-// onto the wire.
-func (s *Simulator) depart(p *packet, dir int32, op *outPort) {
-	if !op.link.Up {
-		s.losePacket(p)
-		return
-	}
-	// Frame corruption consults the direction's link model exactly once
-	// per transmitted frame. A corrupted frame is counted
-	// separately from outage loss and then dropped like any other (TCP
-	// recovers it via dup-ACKs/RTO, UDP resolves the packet where it
-	// died).
-	if !s.links.Empty() && s.links.Corrupt(netgraph.LinkID(dir>>1), dir&1 == 0) {
-		s.col.PacketsCorrupted++
-		s.dropPacket(p)
-		return
-	}
-	s.schedArrival(p, dir, s.k.Now().Add(op.link.Delay))
+	s.retime(dir)
 }
 
 // schedArrival schedules a frame's arrival at the far end of dir. The
-// event carries the direction's epoch at transmit time; a link failure
-// before delivery either catches the frame still serializing (the flush
-// loses it then and marks it dead) or bumps the epoch so it is lost
+// event carries the direction's epoch at enqueue; a link failure before
+// delivery either catches the frame still queued or serializing (the
+// flush loses it then and marks it dead) or bumps the epoch so it is lost
 // mid-propagation.
 func (s *Simulator) schedArrival(p *packet, dir int32, at simtime.Time) {
 	s.sched(event{at: at, kind: evArriveNode, pkt: p, dir: dir, gen: s.linkEpoch[dir]})
-}
-
-// arrive processes a packet arriving at a node.
-func (s *Simulator) arrive(p *packet, node netgraph.NodeID, in netgraph.PortNum) {
-	n := s.topo.Node(node)
-	if n.Kind == netgraph.KindHost {
-		s.deliver(p, node)
-		return
-	}
-	s.counter++
-	s.forward(p, node, in, false)
 }
 
 // memoSlot is one remembered forward decision of a switch: "packets of
@@ -498,14 +431,17 @@ func (s *Simulator) deliver(p *packet, host netgraph.NodeID) {
 	// UDP/CBR: each data packet resolves exactly once (delivered here or
 	// dropped wherever it died); completion is "every packet resolved",
 	// dated by the last resolution.
-	s.resolveUDP(f)
+	s.resolveUDP(f, s.k.Now())
 }
 
-// resolveUDP accounts one UDP data packet reaching its end of life
-// (delivery at the receiver or a drop anywhere en route).
-func (s *Simulator) resolveUDP(f *pktFlow) {
+// resolveUDP accounts one UDP data packet reaching its end of life at
+// instant at (delivery at the receiver or a drop anywhere en route). A
+// corruption can be dated before resolutions already accounted (see
+// settle), so the last resolution is the latest instant, not the latest
+// call.
+func (s *Simulator) resolveUDP(f *pktFlow, at simtime.Time) {
 	s.udpRes[f.idx]++
-	s.udpLast[f.idx] = s.k.Now()
+	s.udpLast[f.idx] = max(s.udpLast[f.idx], at)
 }
 
 // handleAck advances the TCP sender.
@@ -588,9 +524,12 @@ func (s *Simulator) losePacket(p *packet) {
 	s.dropPacket(p)
 }
 
-// dropPacket accounts for a lost packet. TCP recovers via dup-ACKs/RTO;
-// CBR/UDP losses resolve the packet where it died.
-func (s *Simulator) dropPacket(p *packet) {
+// dropPacket accounts for a packet lost now.
+func (s *Simulator) dropPacket(p *packet) { s.dropAt(p, s.k.Now()) }
+
+// dropAt accounts for a packet lost at instant at. TCP recovers via
+// dup-ACKs/RTO; CBR/UDP losses resolve the packet where it died.
+func (s *Simulator) dropAt(p *packet, at simtime.Time) {
 	s.liveBy[p.flow.idx]--
 	s.noteFin(p.flow)
 	if p.ack {
@@ -599,7 +538,7 @@ func (s *Simulator) dropPacket(p *packet) {
 	if p.flow.tcp {
 		return // sender-side timers handle it
 	}
-	s.resolveUDP(p.flow)
+	s.resolveUDP(p.flow, at)
 }
 
 // record emits the flow's statistics record at Finish.

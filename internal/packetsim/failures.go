@@ -34,6 +34,7 @@ func (s *Simulator) handleLinkChange(id netgraph.LinkID, up bool) {
 // up/down, and the model only shapes traffic while the link is up — so
 // no queue flush or PortStatus is involved.
 func (s *Simulator) handleLinkDegrade(id netgraph.LinkID, m linkmodel.Model) {
+	s.SettleLink(id)
 	s.links.SetLink(id, m)
 	s.NotifyLinkDegrade(id, m)
 	s.observers.Notify(simevent.Observation{
@@ -59,10 +60,11 @@ func (s *Simulator) applyLinkState(id netgraph.LinkID, up bool, silent netgraph.
 // NotifyLinkChange applies the data-plane consequences of a link state
 // change without touching the topology or the control plane — the entry
 // point the hybrid coupler drives after the flow engine flipped the shared
-// state. On failure, every packet queued on either direction is lost, the
-// pending serialization is cancelled, and packets mid-propagation are
-// invalidated via the link epoch. Recovery needs no action: the queues
-// drained at failure time and transmitters restart with the next packet.
+// state. On failure, every frame still queued or serializing on either
+// direction is lost and its scheduled arrival neutralised, and packets
+// mid-propagation are invalidated via the link epoch. Recovery needs no
+// action: the queues drained at failure time and transmitters restart
+// with the next packet.
 // Either way the endpoint switches' memoized decisions are invalidated:
 // group bucket selection watches port liveness.
 func (s *Simulator) NotifyLinkChange(id netgraph.LinkID, up bool) {
@@ -81,53 +83,40 @@ func (s *Simulator) NotifyLinkChange(id netgraph.LinkID, up bool) {
 		if op == nil {
 			continue
 		}
-		// A head whose serialization ended before now is on the wire (the
-		// epoch bump loses it at arrival); one still serializing — or
+		// A frame whose serialization ended before now is on the wire
+		// (the epoch bump loses it at arrival); the rest — including one
 		// ending exactly now, since topology changes order first in an
-		// instant — is lost here with the rest of the queue, and its
-		// already scheduled arrival is neutralised.
+		// instant — are lost here.
 		s.settle(dir, op)
-		op.txGen++ // cancel the in-flight evTxDone
-		op.armed = false
-		if len(op.queue) > 0 && op.lazy {
-			op.queue[0].dead = true
+		for op.n > 0 {
+			f := op.pop()
+			f.p.dead = true
+			s.losePacket(f.p)
 		}
-		for i, p := range op.queue {
-			s.losePacket(p)
-			op.queue[i] = nil
-		}
-		op.queue = op.queue[:0]
 	}
 }
 
-// NotifyLinkDegrade reacts to a link-model change on the shared registry
-// (hybrid runs: the flow engine applied it). A model's Corrupt draw is
-// dated at the end of serialization, so a frame caught in service whose
-// arrival was already scheduled is handed to the two-event transmitter:
-// the scheduled arrival is neutralised and a copy departs through
-// evTxDone. Removing a model needs nothing — depart finds none and draws
-// nothing.
-func (s *Simulator) NotifyLinkDegrade(id netgraph.LinkID, m linkmodel.Model) {
-	if m == nil {
-		return
-	}
+// SettleLink retires the frames that have left either direction of a
+// link, drawing their corruption verdicts under the model they crossed.
+// Call it before the link's model changes; the hybrid coupler has the
+// flow engine, which applies model changes to the shared registry, call
+// it first (flowsim.Config.BeforeLinkDegrade).
+func (s *Simulator) SettleLink(id netgraph.LinkID) {
 	for _, dir := range []int32{int32(id) << 1, int32(id)<<1 | 1} {
-		op := s.ports[dir]
-		if op == nil {
-			continue
-		}
-		s.settle(dir, op)
-		if len(op.queue) == 0 || !op.lazy {
-			continue
-		}
-		head := *op.queue[0]
-		op.queue[0].dead = true
-		op.queue[0] = &head
-		op.lazy = false
-		if !op.armed {
-			s.armTxDone(dir, op)
+		if op := s.ports[dir]; op != nil {
+			s.settle(dir, op)
 		}
 	}
+}
+
+// NotifyLinkDegrade reacts to a link-model change on the registry (in
+// hybrid runs the flow engine applied it): the model's RateScale may
+// differ from the old one's, so the frames queued behind the one in
+// service are re-timed. Corruption needs nothing — each frame draws its
+// verdict from whatever model its direction has when it leaves.
+func (s *Simulator) NotifyLinkDegrade(id netgraph.LinkID, _ linkmodel.Model) {
+	s.retime(int32(id) << 1)
+	s.retime(int32(id)<<1 | 1)
 }
 
 // handleSwitchChange applies a scheduled switch crash or restart.

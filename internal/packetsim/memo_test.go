@@ -65,7 +65,13 @@ func flowMod(sw netgraph.NodeID, op openflow.FlowModOp, prio int, m header.Match
 // at schedules a controller message for application at exactly t (it
 // orders before that instant's packet arrivals).
 func (s *Simulator) at(t simtime.Time, msg openflow.Message) {
-	s.sched(event{at: t, kind: evToSwitch, node: msg.Datapath(), msg: msg})
+	s.schedCold(event{at: t, kind: evToSwitch, dir: int32(msg.Datapath())}, coldPayload{msg: msg})
+}
+
+// timerAt runs fn from a controller-timer event at exactly t (it orders
+// before that instant's data-plane events).
+func (s *Simulator) timerAt(t simtime.Time, fn func()) {
+	s.schedCold(event{at: t, kind: evTimer}, coldPayload{fn: fn})
 }
 
 func requireMemo(t *testing.T, s *Simulator, sw netgraph.NodeID) {
@@ -241,7 +247,7 @@ func TestMemoBufferedBypass(t *testing.T) {
 	tr := f.flow(1)
 	sim.Load(tr)
 	planted := &openflow.FlowEntry{}
-	sim.sched(event{at: hop(1), kind: evTimer, fn: func() {
+	sim.timerAt(hop(1), func() {
 		if len(sim.punted[f.s0]) != 1 {
 			t.Errorf("%d packets parked at s0, want 1", len(sim.punted[f.s0]))
 		}
@@ -252,7 +258,7 @@ func TestMemoBufferedBypass(t *testing.T) {
 		sim.memo[f.s0][memoIndex(0, 0)] = memoSlot{e0: planted, tag: 0, out: uint16(f.port(f.s0, 1))}
 		// A PacketOut with no actions re-enters the pipeline as buffered.
 		sim.handlePacketOut(&openflow.PacketOut{Switch: f.s0, Key: tr[0].Key})
-	}})
+	})
 	mustRun(sim, simtime.Time(10*simtime.Millisecond))
 	if got := rx(sim, 4); got != 1 {
 		t.Errorf("h1 received %d packets, want the released one (memo read by a buffered packet?)", got)

@@ -46,7 +46,11 @@ const (
 
 // Config parameterizes a packet-level run.
 type Config struct {
-	// Topology is required.
+	// Topology is required. A link with Delay <= 0 propagates frames in
+	// 1 ns: the transmitter schedules each arrival when the frame is
+	// queued, which keeps the dispatch order of the classic two-event
+	// transmitter only if an arrival can never land in the instant of its
+	// own departure.
 	Topology *netgraph.Topology
 	// QueuePackets is the per-output-port drop-tail queue capacity
 	// (default 100 packets, the classic router default). It also bounds
@@ -104,6 +108,7 @@ type Simulator struct {
 	k         *simcore.Kernel
 	ownKernel bool
 	pool      simcore.Pool[event]
+	coldPool  simcore.Pool[coldPayload]
 
 	flows []*pktFlow
 	col   *stats.Collector
@@ -125,14 +130,6 @@ type Simulator struct {
 	hostTx   []int32
 	switches []*dataplane.Switch
 
-	// lazyTx reports that every link has a positive propagation delay —
-	// the precondition of the one-event transmitter (see startTx). late
-	// says the event being dispatched orders after evTxDone at its
-	// instant (evSend, evRTO, evStats): only such an event may retire a
-	// head whose serialization ends exactly now.
-	lazyTx bool
-	late   bool
-
 	// memo holds each switch's forward-decision memo and memoGen the
 	// dataplane.Switch.Gen it was filled under; see memoSlot. Allocated
 	// on a switch's first memoizable decision.
@@ -140,8 +137,9 @@ type Simulator struct {
 	memoGen []uint64
 
 	// extLoad is the external (flow-level) load per transmit direction in
-	// a hybrid run; the transmitter sees only the residual capacity.
-	extLoad map[int32]float64
+	// a hybrid run (0 = none); the transmitter sees only the residual
+	// capacity.
+	extLoad []float64
 
 	// fstate composes overlapping scripted outages (links, switches, and
 	// controller detach all nest by counting; the detach count gates the
@@ -201,30 +199,53 @@ type Simulator struct {
 	finished bool
 }
 
-// outPort is a link-direction transmitter with a drop-tail queue. The
-// head of a non-empty queue is in service until freeAt.
+// outPort is a link-direction transmitter: a drop-tail FIFO of the frames
+// that have not left yet, each with the instant its serialization ends.
+// The front frame is in service; the rest start back to back behind it.
+// ring is a power-of-two circular buffer holding n frames from head.
 type outPort struct {
-	link    *netgraph.Link
-	from    netgraph.NodeID
-	queue   []*packet
+	link *netgraph.Link
+	from netgraph.NodeID
+	// to and toPort are the receiving end; toHost says it is a host.
+	to      netgraph.NodeID
+	toPort  netgraph.PortNum
+	toHost  bool
+	delay   simtime.Duration // propagation delay, at least 1 ns
+	ring    []txFrame
+	head    int
+	n       int
 	dropped uint64
-	// txGen cancels the pending serialization-done event when a link
-	// failure flushes the queue: evTxDone fires only when its stamp still
-	// matches, so a transmitter restarted after recovery cannot be popped
-	// early by a stale completion.
-	txGen uint64
-	// freeAt is when the head's serialization ends. armed says an evTxDone
-	// is scheduled for it (always, once a second packet queues behind it);
-	// an unarmed head is retired by whoever touches the port next (settle).
-	// lazy says the head's arrival was scheduled at start of service, so
-	// its evTxDone — if any — only pops it.
-	freeAt simtime.Time
-	armed  bool
-	lazy   bool
-	// ghostAt is the instant a head was retired at an exact freeAt tie by
-	// an event ordering before its evTxDone: until that instant ends, the
-	// two-event transmitter would still count it against the queue limit.
-	ghostAt simtime.Time
+}
+
+// txFrame is one queued frame and the end of its serialization.
+type txFrame struct {
+	p   *packet
+	end simtime.Time
+}
+
+// at returns the i-th queued frame (0 is the one in service).
+func (op *outPort) at(i int) *txFrame { return &op.ring[(op.head+i)&(len(op.ring)-1)] }
+
+// push appends a frame, doubling the ring when it is full.
+func (op *outPort) push(f txFrame) {
+	if op.n == len(op.ring) {
+		ring := make([]txFrame, max(2, 2*len(op.ring)))
+		for i := 0; i < op.n; i++ {
+			ring[i] = *op.at(i)
+		}
+		op.ring, op.head = ring, 0
+	}
+	op.n++
+	*op.at(op.n - 1) = f
+}
+
+// pop removes and returns the front frame.
+func (op *outPort) pop() txFrame {
+	f := op.ring[op.head]
+	op.ring[op.head] = txFrame{}
+	op.head = (op.head + 1) & (len(op.ring) - 1)
+	op.n--
+	return f
 }
 
 // packet stays in the 48-byte size class: the flags and the VLAN ride in
@@ -236,8 +257,9 @@ type packet struct {
 	bits    float64
 	ack     bool // true for ACKs
 	retrans bool
-	// dead marks a frame a link failure or a model install took off the
-	// wire after its arrival was scheduled: the arrival is then a no-op
+	// dead marks a frame whose scheduled arrival must not happen — a link
+	// failure flushed it, its link model corrupted it, or a rate change
+	// re-timed it under a fresh copy: the arrival is then a no-op
 	// (whoever set the flag did the accounting).
 	dead bool
 	// vlan is the VLAN ID the packet carries (0 = untagged), rewritten by
@@ -315,7 +337,6 @@ type evKind uint8
 
 const (
 	evSend evKind = iota // sender may emit (CBR tick or window opened)
-	evTxDone
 	evArriveNode
 	evRTO
 	evStats
@@ -330,49 +351,61 @@ const (
 	evLinkDegrade
 )
 
-// event is the pooled kernel envelope of this engine.
+// event is the pooled kernel envelope of this engine, 56 bytes. dir is the
+// link direction an arrival traveled, or the entity of the other kinds:
+// the node of evToSwitch, evToController, evExpiry, evSwitchChange and
+// evStats, the link of evLinkChange and evLinkDegrade, the flow index of
+// evIngest. The payloads only control, timer and degrade events carry
+// ride in a pooled side struct.
 type event struct {
-	at    simtime.Time
-	kind  evKind
-	sim   *Simulator
-	flow  *pktFlow
-	pkt   *packet
-	dir   int32 // link direction (evTxDone: transmitter; evArriveNode: traveled)
-	node  netgraph.NodeID
-	gen   uint64
+	at   simtime.Time
+	sim  *Simulator
+	flow *pktFlow
+	pkt  *packet
+	cold *coldPayload
+	gen  uint64
+	dir  int32
+	kind evKind
+	up   bool
+}
+
+// coldPayload is the rarely used part of an event: the message of
+// evToSwitch/evToController, the callback of evTimer, the model of
+// evLinkDegrade.
+type coldPayload struct {
 	msg   openflow.Message
 	fn    func()
-	link  netgraph.LinkID
-	up    bool
 	model linkmodel.Model
 }
 
 func (e *event) Time() simtime.Time { return e.at }
 
+// txDoneKey is where the two-event transmitter's serialization-done event
+// sorted at its instant; a frame whose serialization ends exactly now has
+// left dir for an event that orders after it (see settle).
+func txDoneKey(dir int32) uint64 { return simcore.OrderKey(simcore.ClassData+1, uint32(dir)) }
+
 // OrderKey implements eventq.Keyed: the deterministic tie-break of
 // same-instant events. Keys derive from stable entities (link direction,
 // datapath, flow index), never from schedule history, so every queue
-// backend dispatches the same order.
+// backend dispatches the same order. ClassData+1 is reserved for the
+// frame departures the transmitter dates without events (txDoneKey).
 func (e *event) OrderKey() uint64 {
 	switch e.kind {
-	case evLinkChange, evLinkDegrade:
-		return simcore.OrderKey(simcore.ClassTopoChange, uint32(e.link))
-	case evSwitchChange:
-		return simcore.OrderKey(simcore.ClassTopoChange, uint32(e.node))
+	case evLinkChange, evLinkDegrade, evSwitchChange:
+		return simcore.OrderKey(simcore.ClassTopoChange, uint32(e.dir))
 	case evCtrlChange:
 		return simcore.OrderKey(simcore.ClassTopoChange, ^uint32(0))
 	case evToSwitch:
-		return simcore.OrderKey(simcore.ClassToSwitch, uint32(e.node))
+		return simcore.OrderKey(simcore.ClassToSwitch, uint32(e.dir))
 	case evExpiry:
-		return simcore.OrderKey(simcore.ClassExpiry, uint32(e.node))
+		return simcore.OrderKey(simcore.ClassExpiry, uint32(e.dir))
 	case evToController:
-		return simcore.OrderKey(simcore.ClassToController, uint32(e.node))
+		return simcore.OrderKey(simcore.ClassToController, uint32(e.dir))
 	case evTimer:
 		return simcore.OrderKey(simcore.ClassTimer, 0)
 	case evArriveNode:
 		return simcore.OrderKey(simcore.ClassData+0, uint32(e.dir))
-	case evTxDone:
-		return simcore.OrderKey(simcore.ClassData+1, uint32(e.dir))
 	case evSend:
 		return simcore.OrderKey(simcore.ClassData+2, uint32(e.flow.idx))
 	case evIngest:
@@ -385,7 +418,7 @@ func (e *event) OrderKey() uint64 {
 	case evRTO:
 		return simcore.OrderKey(simcore.ClassData+3, uint32(e.flow.idx))
 	default: // evStats
-		return simcore.OrderKey(simcore.ClassData+4, uint32(e.node))
+		return simcore.OrderKey(simcore.ClassData+4, uint32(e.dir))
 	}
 }
 
@@ -403,6 +436,10 @@ func (e *event) Fire() {
 // acting for their former flows.
 func (e *event) Release() {
 	s := e.sim
+	if c := e.cold; c != nil {
+		*c = coldPayload{}
+		s.coldPool.Put(c)
+	}
 	*e = event{}
 	s.pool.Put(e)
 }
@@ -413,6 +450,13 @@ func (s *Simulator) sched(proto event) {
 	*e = proto
 	e.sim = s
 	s.k.Schedule(e)
+}
+
+// schedCold schedules proto with its cold payload in a pooled side struct.
+func (s *Simulator) schedCold(proto event, c coldPayload) {
+	proto.cold = s.coldPool.Get()
+	*proto.cold = c
+	s.sched(proto)
 }
 
 // schedTimer schedules a pooled copy of proto as a cancelable timer.
@@ -462,7 +506,7 @@ func New(cfg Config) *Simulator {
 		rxBits:    make([]float64, nDirs),
 		lastTx:    make([]float64, nDirs),
 		linkEpoch: make([]uint64, nDirs),
-		extLoad:   make(map[int32]float64),
+		extLoad:   make([]float64, nDirs),
 
 		fstate: dataplane.NewFailureState(topo),
 		links:  cfg.Links,
@@ -484,13 +528,9 @@ func New(cfg Config) *Simulator {
 	}
 	// (node, port) → transmit direction index.
 	s.dirAt = make([][]int32, nNodes)
-	s.lazyTx = true
 	for _, l := range topo.Links() {
 		s.setDir(l.A, l.APort, int32(l.ID)<<1)
 		s.setDir(l.B, l.BPort, int32(l.ID)<<1|1)
-		if l.Delay <= 0 {
-			s.lazyTx = false
-		}
 	}
 	s.hostTx = make([]int32, nNodes)
 	s.switches = make([]*dataplane.Switch, nNodes)
@@ -660,7 +700,7 @@ func (s *Simulator) pullIngest() {
 // counted, the transmitters idle until recovery, and both endpoint
 // switches punt PortStatus to the attached controller.
 func (s *Simulator) ScheduleLinkChange(at simtime.Time, link netgraph.LinkID, up bool) {
-	s.sched(event{at: at, kind: evLinkChange, link: link, up: up})
+	s.sched(event{at: at, kind: evLinkChange, dir: int32(link), up: up})
 }
 
 // ScheduleSwitchChange schedules a switch crash (up=false) or restart: a
@@ -668,7 +708,7 @@ func (s *Simulator) ScheduleLinkChange(at simtime.Time, link netgraph.LinkID, up
 // and loses its punt-parked packets; a restart brings the links back up
 // with the tables still empty.
 func (s *Simulator) ScheduleSwitchChange(at simtime.Time, sw netgraph.NodeID, up bool) {
-	s.sched(event{at: at, kind: evSwitchChange, node: sw, up: up})
+	s.sched(event{at: at, kind: evSwitchChange, dir: int32(sw), up: up})
 }
 
 // ScheduleControllerChange schedules a controller detach (attached=false)
@@ -684,7 +724,7 @@ func (s *Simulator) ScheduleControllerChange(at simtime.Time, attached bool) {
 // outages — a degraded link that fails loses packets like any dead link,
 // and keeps corrupting frames once it recovers.
 func (s *Simulator) ScheduleLinkDegrade(at simtime.Time, link netgraph.LinkID, m linkmodel.Model) {
-	s.sched(event{at: at, kind: evLinkDegrade, link: link, model: m})
+	s.schedCold(event{at: at, kind: evLinkDegrade, dir: int32(link)}, coldPayload{model: m})
 }
 
 // Run executes until the queue drains, virtual time passes until, or ctx
@@ -762,10 +802,17 @@ func (s *Simulator) Begin() {
 // finalize path, sets EventsRun to the dispatch count, and returns the
 // collector; calling it again is a no-op. Emission order is flow-ID
 // order throughout: the incrementally finalized prefix already streamed
-// in ID order, and this loop continues from finNext.
+// in ID order, and this loop continues from finNext. Every port settles
+// first, so a frame that left by the horizon has its corruption verdict
+// counted even though its arrival lies beyond.
 func (s *Simulator) Finish() *stats.Collector {
 	if s.finished {
 		return s.col
+	}
+	for dir, op := range s.ports {
+		if op != nil {
+			s.settle(int32(dir), op)
+		}
 	}
 	s.drainFin()
 	s.finished = true
@@ -783,13 +830,15 @@ func (s *Simulator) Finish() *stats.Collector {
 }
 
 func (s *Simulator) dispatch(e *event) {
-	s.late = e.kind == evSend || e.kind == evRTO || e.kind == evStats
 	switch e.kind {
 	case evSend:
 		s.trySend(e.flow)
-	case evTxDone:
-		s.txDone(e.dir, e.gen)
 	case evArriveNode:
+		op := s.ports[e.dir]
+		if !e.pkt.dead && !s.links.Empty() {
+			// The frame's corruption verdict is drawn when it retires.
+			s.settle(e.dir, op)
+		}
 		if e.pkt.dead {
 			return
 		}
@@ -799,9 +848,12 @@ func (s *Simulator) dispatch(e *event) {
 			return
 		}
 		s.rxBits[e.dir] += e.pkt.bits
-		l := s.dirLink(e.dir)
-		peer, peerPort := l.Peer(dirFromNode(l, e.dir))
-		s.arrive(e.pkt, peer, peerPort)
+		if op.toHost {
+			s.deliver(e.pkt, op.to)
+			return
+		}
+		s.counter++
+		s.forward(e.pkt, op.to, op.toPort, false)
 	case evRTO:
 		// armRTO cancels before re-arming, so at most one RTO event is in
 		// flight per flow and the firing one is what f.rto points at.
@@ -811,32 +863,32 @@ func (s *Simulator) dispatch(e *event) {
 		}
 	case evStats:
 		s.sampleStats()
-		s.sched(event{at: s.k.Now().Add(s.cfg.StatsEvery), kind: evStats, node: e.node})
+		s.sched(event{at: s.k.Now().Add(s.cfg.StatsEvery), kind: evStats, dir: e.dir})
 	case evToSwitch:
-		s.handleToSwitch(e.msg)
+		s.handleToSwitch(e.cold.msg)
 	case evToController:
 		if s.fstate.ControllerDetached() {
 			// The channel broke while the message was in flight: it is
 			// lost at delivery. A lost PortStatus still resyncs on
 			// reattach (the link change it announced goes pending).
-			s.fstate.NotePendingStatus(e.msg)
+			s.fstate.NotePendingStatus(e.cold.msg)
 			return
 		}
-		s.ctrl.Handle(s.ctx, e.msg)
+		s.ctrl.Handle(s.ctx, e.cold.msg)
 	case evExpiry:
-		s.handleExpiry(e.node)
+		s.handleExpiry(netgraph.NodeID(e.dir))
 	case evTimer:
-		e.fn()
+		e.cold.fn()
 	case evLinkChange:
-		s.handleLinkChange(e.link, e.up)
+		s.handleLinkChange(netgraph.LinkID(e.dir), e.up)
 	case evSwitchChange:
-		s.handleSwitchChange(e.node, e.up)
+		s.handleSwitchChange(netgraph.NodeID(e.dir), e.up)
 	case evCtrlChange:
 		s.handleCtrlChange(e.up)
 	case evIngest:
 		s.loadOne(s.nextDemand)
 		s.pullIngest()
 	case evLinkDegrade:
-		s.handleLinkDegrade(e.link, e.model)
+		s.handleLinkDegrade(netgraph.LinkID(e.dir), e.cold.model)
 	}
 }

@@ -19,9 +19,10 @@ import (
 	"horse/internal/traffic"
 )
 
-// This file pins the one-event transmitter (startTx/settle/enqueue) to the
-// two-event transmitter it replaced. refNet below is that transmitter kept
-// as a reference model: every frame costs an evTxDone that pops the queue
+// This file pins the engine's transmitter — a FIFO whose departures are
+// fixed at enqueue (enqueue/settle/retime) — to the two-event transmitter
+// it replaced. refNet below is that transmitter kept as a reference
+// model: every frame costs a serialization-done event that pops the queue
 // head, draws corruption, schedules the arrival and starts the next frame,
 // with the engine's event classes and order keys. portScenario drives the
 // engine and the model with the same UDP flows, link failures, link-model
@@ -64,17 +65,37 @@ type scnDegrade struct {
 	m    linkmodel.Model // nil restores
 }
 
+// scnLoad sets a direction's external load from a controller-timer event,
+// or with late from a data-class event (lateKey) — the two sides of the
+// departure position a rate change can land on, as the hybrid coupler's
+// callers do.
 type scnLoad struct {
 	at   simtime.Time
 	link int
 	fwd  bool
 	bps  float64
+	late bool
 }
 
+// lateKey orders a data-class call after every departure of its instant
+// and after that instant's sends (ClassData+2 with an entity no flow has).
+var lateKey = simcore.OrderKey(simcore.ClassData+2, ^uint32(0))
+
+// dataCall runs fn from a kernel event keyed lateKey.
+type dataCall struct {
+	at simtime.Time
+	fn func()
+}
+
+func (c *dataCall) Time() simtime.Time { return c.at }
+func (c *dataCall) OrderKey() uint64   { return lateKey }
+func (c *dataCall) Fire()              { c.fn() }
+func (c *dataCall) Release()           {}
+
 // scnInject emits one extra packet of a flow from a controller-timer class
-// event, so a host port sees enqueues that order before its evTxDone (like
-// the ACK-clocked sends of a TCP flow) next to the evSend ones that order
-// after it.
+// event, so a host port sees enqueues that order before its departures
+// (like the ACK-clocked sends of a TCP flow) next to the evSend ones that
+// order after them.
 type scnInject struct {
 	at   simtime.Time
 	flow int
@@ -159,17 +180,20 @@ func (sc *portScenario) runEngine() portOutcome {
 	}
 	for _, e := range sc.loads {
 		e := e
-		sim.sched(event{at: e.at, kind: evTimer, fn: func() {
-			sim.SetExternalLoad(netgraph.LinkID(e.link), e.fwd, e.bps)
-		}})
+		set := func() { sim.SetExternalLoad(netgraph.LinkID(e.link), e.fwd, e.bps) }
+		if e.late {
+			sim.k.Schedule(&dataCall{at: e.at, fn: set})
+		} else {
+			sim.timerAt(e.at, set)
+		}
 	}
 	for _, e := range sc.injects {
 		e := e
-		sim.sched(event{at: e.at, kind: evTimer, fn: func() {
+		sim.timerAt(e.at, func() {
 			if f := sim.flows[e.flow]; f != nil {
 				sim.emit(f, 0, true)
 			}
-		}})
+		})
 	}
 	col := mustRun(sim, sc.until)
 	out := portOutcome{
@@ -197,6 +221,7 @@ const (
 	refLink
 	refDegrade
 	refTimer
+	refLate // refTimer keyed lateKey
 	refPoll
 )
 
@@ -299,6 +324,8 @@ func (r *refNet) sched(e refEvent) {
 		e.key = simcore.OrderKey(simcore.ClassToSwitch, uint32(e.node))
 	case refTimer:
 		e.key = simcore.OrderKey(simcore.ClassTimer, 0)
+	case refLate:
+		e.key = lateKey
 	case refArrive:
 		e.key = simcore.OrderKey(simcore.ClassData+0, uint32(e.dir))
 	case refTxDone:
@@ -422,7 +449,10 @@ func (r *refNet) txDone(dir int32, gen uint64) {
 		r.out.corrupted++
 		r.drop(p)
 	default:
-		r.sched(refEvent{at: r.now.Add(op.link.Delay), kind: refArrive, pkt: p, dir: dir, gen: r.epoch[dir]})
+		// A zero-delay link propagates in 1 ns, as in the engine (see
+		// packetsim.Config.Topology).
+		delay := max(op.link.Delay, simtime.Nanosecond)
+		r.sched(refEvent{at: r.now.Add(delay), kind: refArrive, pkt: p, dir: dir, gen: r.epoch[dir]})
 	}
 	if len(op.queue) > 0 {
 		r.startTx(dir, op)
@@ -548,7 +578,11 @@ func (sc *portScenario) runReference() portOutcome {
 	}
 	for _, e := range sc.loads {
 		e := e
-		r.sched(refEvent{at: e.at, kind: refTimer, fn: func() {
+		kind := refTimer
+		if e.late {
+			kind = refLate
+		}
+		r.sched(refEvent{at: e.at, kind: kind, fn: func() {
 			dir := int32(e.link) << 1
 			if !e.fwd {
 				dir |= 1
@@ -593,7 +627,7 @@ func (sc *portScenario) runReference() portOutcome {
 			r.linkChange(e.link, e.up)
 		case refDegrade:
 			r.links.SetLink(e.link, e.m)
-		case refTimer:
+		case refTimer, refLate:
 			e.fn()
 		case refPoll:
 			r.poll(e.node)
@@ -681,6 +715,29 @@ func baseScenario() *portScenario {
 // transmitter does, so scenario instants built from it tie exactly.
 func ser(bps float64) simtime.Duration { return simtime.TransferTime(DataPacketBits, bps) }
 
+// loadsAtTrunkEdges builds a backlogged trunk whose external load changes
+// exactly at two frame boundaries, then mid-frame, each from a timer or
+// (late) a data-class event.
+func loadsAtTrunkEdges(s simtime.Duration, late bool) func(*portScenario) {
+	return func(sc *portScenario) {
+		sc.queue = 8
+		sc.flows = []scnFlow{{0, 3, 0, 40, 1e9}, {1, 4, 0, 40, 1e9}}
+		sc.loads = []scnLoad{
+			{trunkEdge(s, 6), 5, true, 5e8, late},
+			{trunkEdge(s, 11), 5, true, 7.5e8, late},
+			{trunkEdge(s, 15).Add(s / 2), 5, true, 0, late},
+		}
+	}
+}
+
+// trunkEdge is the end of the j-th back-to-back trunk frame in the base
+// fabric when line-rate senders start at 0 behind hosts on s0: their
+// first frames reach s0 together at s+2µs, and the trunk then serializes
+// one frame per s (ser(1e9)) with the rest queued.
+func trunkEdge(s simtime.Duration, j int) simtime.Time {
+	return simtime.Time(s + 2*simtime.Microsecond).Add(simtime.Duration(j) * s)
+}
+
 // TestPortScheduleScenarios hand-builds the cases the lazy transmitter's
 // exactness argument leans on.
 func TestPortScheduleScenarios(t *testing.T) {
@@ -731,9 +788,9 @@ func TestPortScheduleScenarios(t *testing.T) {
 			sc.queue = 8
 			sc.flows = []scnFlow{{0, 3, 0, 40, 1e9}, {1, 4, 0, 40, 1e9}}
 			sc.loads = []scnLoad{
-				{simtime.Time(5 * s), 5, true, 6e8},
-				{simtime.Time(9*s + s/2), 5, true, 9.99e8},
-				{simtime.Time(30 * s), 5, true, 0},
+				{simtime.Time(5 * s), 5, true, 6e8, false},
+				{simtime.Time(9*s + s/2), 5, true, 9.99e8, false},
+				{simtime.Time(30 * s), 5, true, 0, false},
 			}
 		},
 		// Timer-class sends of one flow share the host port with the evSend
@@ -747,15 +804,69 @@ func TestPortScheduleScenarios(t *testing.T) {
 				sc.injects = append(sc.injects, scnInject{simtime.Time(i) * simtime.Time(s), 1})
 			}
 		},
-		// Over a zero-delay link a frame reaches its next port within the
-		// instant it departs — after that instant's other arrivals, whatever
-		// its direction's order key. The engine keeps the two-event form
-		// everywhere then (lazyTx): h0's frames must queue behind h1's at s0.
+		// A zero-delay link propagates in 1 ns in both transmitters. h0
+		// starts 1 ns before h1's edge delay runs out, so the two flows'
+		// frames reach s0 in the same instants and contend for the trunk
+		// by arrival order key.
 		"zero-delay edge": func(sc *portScenario) {
 			sc.queue = 2
 			sc.edge[0].Delay = 0
-			sc.flows = []scnFlow{{0, 3, simtime.Time(sc.edge[1].Delay), 30, 1e9}, {1, 4, 0, 30, 1e9}}
+			sc.flows = []scnFlow{{0, 3, simtime.Time(sc.edge[1].Delay - simtime.Nanosecond), 30, 1e9}, {1, 4, 0, 30, 1e9}}
 			sc.links = []scnLink{{simtime.Time(10 * s), 5, false}, {simtime.Time(14 * s), 5, true}}
+		},
+		// Three line-rate senders into the trunk: its queue runs three and
+		// more frames deep while samples and polls read it at every tie.
+		"deep trunk queue": func(sc *portScenario) {
+			sc.queue = 6
+			sc.flows = []scnFlow{{0, 3, 0, 40, 1e9}, {1, 4, 0, 40, 1e9}, {2, 3, 0, 40, 1e9}}
+			for i := 2; i < 40; i += 5 {
+				sc.polls = append(sc.polls, scnPoll{trunkEdge(s, i), i % 2})
+			}
+			sc.statsEvery = s / 2
+		},
+		// Rate changes exactly at a queued trunk frame's start: from a
+		// timer the frame starting now takes the new rate; from a
+		// data-class event it has already started at the old one.
+		"external load at a queued frame's start (timer)":      loadsAtTrunkEdges(s, false),
+		"external load at a queued frame's start (data class)": loadsAtTrunkEdges(s, true),
+		// Models installed, replaced and removed while the trunk queue is
+		// deep: queued frames re-time to the new RateScale, and frames
+		// that left before the change draw from the model they crossed.
+		"model install and removal mid-queue": func(sc *portScenario) {
+			sc.queue = 8
+			sc.flows = []scnFlow{{0, 3, 0, 50, 1e9}, {1, 4, 0, 50, 1e9}}
+			sc.degrades = []scnDegrade{
+				{trunkEdge(s, 4).Add(s / 3), 5, linkmodel.AdaptiveRate{Levels: 3, Floor: 0.3, Every: 10 * simtime.Microsecond}},
+				{trunkEdge(s, 9).Add(s / 2), 5, linkmodel.GilbertElliott{PGoodBad: 0.3, PBadGood: 0.3, LossGood: 0.05, LossBad: 0.7}},
+				{trunkEdge(s, 14), 5, nil},
+				{trunkEdge(s, 20).Add(s / 4), 5, linkmodel.BernoulliLoss{P: 0.4}},
+				{trunkEdge(s, 26), 5, linkmodel.AdaptiveRate{Levels: 4, Floor: 0.5, Every: 7 * simtime.Microsecond}},
+				{trunkEdge(s, 31).Add(s / 5), 5, nil},
+			}
+		},
+		// Frames still propagating on a lossy trunk at the horizon left
+		// before it, so their corruption verdicts count. Two senders keep
+		// the trunk queue full until their last frames reach s0 (at
+		// trunkEdge(99)); the horizon falls while the backlog drains.
+		"lossy trunk at the horizon": func(sc *portScenario) {
+			sc.queue = 64
+			sc.trunk.Delay = 100 * simtime.Microsecond
+			sc.flows = []scnFlow{{0, 3, 0, 100, 1e9}, {1, 4, 0, 100, 1e9}}
+			sc.degrades = []scnDegrade{{0, 5, linkmodel.BernoulliLoss{P: 0.5}}}
+			sc.until = trunkEdge(s, 99).Add(3 * sc.trunk.Delay)
+			sc.statsEvery = simtime.Second // no sample settles the trunk first
+		},
+		// The trunk fails exactly when a queued frame would start: the
+		// frame ending now is lost with the queue behind it.
+		"failure at a queued frame's start": func(sc *portScenario) {
+			sc.queue = 8
+			sc.flows = []scnFlow{{0, 3, 0, 40, 1e9}, {1, 4, 0, 40, 1e9}}
+			sc.links = []scnLink{
+				{trunkEdge(s, 7), 5, false},
+				{trunkEdge(s, 12), 5, true},
+				{trunkEdge(s, 20), 5, false},
+				{trunkEdge(s, 20).Add(s / 2), 5, true},
+			}
 		},
 		"polls at ties": func(sc *portScenario) {
 			sc.flows = []scnFlow{{0, 3, 0, 40, 1e9}, {4, 1, 0, 40, 1e9}}
@@ -785,7 +896,7 @@ func randomScenario(seed uint64, queue, nEvents uint8) *portScenario {
 	sc.queue = 1 + int(queue%6)
 	for i := range sc.edge {
 		sc.edge[i].BandwidthBps = rates[rng.Intn(len(rates))]
-		sc.edge[i].Delay = simtime.Duration(rng.Intn(5)) * simtime.Microsecond // 0: the all-eager fallback
+		sc.edge[i].Delay = simtime.Duration(rng.Intn(5)) * simtime.Microsecond // 0: runs as 1 ns
 	}
 	sc.trunk.BandwidthBps = rates[rng.Intn(len(rates))]
 	half := ser(1e9) / 2
@@ -808,7 +919,9 @@ func randomScenario(seed uint64, queue, nEvents uint8) *portScenario {
 		case 1:
 			sc.degrades = append(sc.degrades, scnDegrade{at(), link, models[rng.Intn(len(models))]})
 		case 2:
-			sc.loads = append(sc.loads, scnLoad{at(), link, rng.Intn(2) == 0, float64(rng.Intn(11)) * 1e8})
+			// Every other load comes from a data-class event; the class is
+			// not drawn, so older seeds replay the same scenarios.
+			sc.loads = append(sc.loads, scnLoad{at(), link, rng.Intn(2) == 0, float64(rng.Intn(11)) * 1e8, i&1 == 1})
 		case 3:
 			sc.injects = append(sc.injects, scnInject{at(), rng.Intn(len(sc.flows))})
 		case 4:
@@ -826,11 +939,29 @@ func randomScenario(seed uint64, queue, nEvents uint8) *portScenario {
 	return sc
 }
 
-// FuzzPortSchedule: for any scenario the one-event transmitter and the
+// FuzzPortSchedule: for any scenario the FIFO transmitter and the
 // two-event reference agree on every observable.
 func FuzzPortSchedule(f *testing.F) {
 	for seed := uint64(1); seed <= 24; seed++ {
 		f.Add(seed, uint8(seed), uint8(5*seed))
+	}
+	// Scenarios picked for shapes the seeds above rarely reach; every one
+	// runs queues three and more frames deep somewhere.
+	for _, c := range []struct {
+		seed           uint64
+		queue, nEvents uint8
+	}{
+		{75, 16, 212},   // external load at a queued frame's start, from a timer
+		{126, 117, 107}, // the same
+		{626, 33, 207},  // external load at a queued frame's start, from a data-class event
+		{128, 131, 133}, // the same
+		{47, 76, 104},   // models installed mid-queue
+		{478, 21, 75},   // a model removed mid-queue
+		{103, 212, 64},  // the same
+		{166, 141, 115}, // a failure at a queued frame's start
+		{116, 47, 233},  // the same, next to a model install
+	} {
+		f.Add(c.seed, c.queue, c.nEvents)
 	}
 	f.Fuzz(func(t *testing.T, seed uint64, queue, nEvents uint8) {
 		randomScenario(seed, queue, nEvents).check(t)

@@ -74,6 +74,8 @@ type Kernel struct {
 	hooks      []hook
 	dispatched uint64
 	envPool    Pool[cancelEnv]
+	// cur is the event being dispatched (nil between dispatches).
+	cur Event
 }
 
 // New builds a kernel over the configured queue.
@@ -248,9 +250,28 @@ func (k *Kernel) Run(until simtime.Time) {
 			k.now = t
 		}
 		k.dispatched++
+		k.cur = ev
 		ev.Fire()
+		k.cur = nil
 		ev.Release()
 	}
+}
+
+// DispatchKey returns the order key of the event being dispatched
+// (eventq.DefaultOrderKey for an unkeyed one) and true, or false between
+// dispatches: while pre-advance hooks drain and after Run returns, which
+// in an uninterrupted run is after every event of the current instant
+// has fired. An engine whose state changes at an implicit position in
+// the instant's order (the packet engine's frame departures) compares
+// the key against that position.
+func (k *Kernel) DispatchKey() (uint64, bool) {
+	if k.cur == nil {
+		return 0, false
+	}
+	if kd, ok := k.cur.(eventq.Keyed); ok {
+		return kd.OrderKey(), true
+	}
+	return eventq.DefaultOrderKey, true
 }
 
 // RunContext is Run with cooperative cancellation: the dispatch loop
@@ -276,7 +297,9 @@ func (k *Kernel) RunContext(ctx context.Context, until simtime.Time) error {
 				k.now = t
 			}
 			k.dispatched++
+			k.cur = ev
 			ev.Fire()
+			k.cur = nil
 			ev.Release()
 		}
 		select {

@@ -120,6 +120,53 @@ func TestPreAdvanceDrainOnEmpty(t *testing.T) {
 	}
 }
 
+// keyedEvent is a testEvent with an order key.
+type keyedEvent struct {
+	testEvent
+	key uint64
+}
+
+func (e *keyedEvent) OrderKey() uint64 { return e.key }
+
+// TestDispatchKey: the key of the event being dispatched is visible to it
+// (DefaultOrderKey for an unkeyed one); pre-advance hooks and code outside
+// Run see none.
+func TestDispatchKey(t *testing.T) {
+	k := New(Config{})
+	var got []uint64
+	record := func(*testEvent) {
+		if key, ok := k.DispatchKey(); ok {
+			got = append(got, key)
+		} else {
+			got = append(got, 1)
+		}
+	}
+	dirty := false
+	k.AddPreAdvance(func() bool { return dirty }, func() {
+		dirty = false
+		record(nil)
+	})
+	k.Schedule(&keyedEvent{testEvent{at: 5, fire: record}, OrderKey(ClassData+1, 7)})
+	k.Schedule(&keyedEvent{testEvent{at: 5, fire: func(e *testEvent) { record(e); dirty = true }}, OrderKey(ClassTimer, 0)})
+	k.Schedule(&testEvent{at: 9, fire: record})
+	if _, ok := k.DispatchKey(); ok {
+		t.Fatal("DispatchKey reports an event before Run")
+	}
+	k.Run(simtime.Never)
+	want := []uint64{OrderKey(ClassTimer, 0), OrderKey(ClassData+1, 7), 1, eventq.DefaultOrderKey}
+	if len(got) != len(want) {
+		t.Fatalf("keys %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("keys %v, want %v", got, want)
+		}
+	}
+	if _, ok := k.DispatchKey(); ok {
+		t.Fatal("DispatchKey reports an event after Run")
+	}
+}
+
 // TestPoolRecycles: envelopes cycle through the pool without disturbing
 // dispatch, and steady-state reuse allocates nothing new.
 func TestPoolRecycles(t *testing.T) {
