@@ -49,7 +49,9 @@ bench-compare:
 # of flows, failures, link models, external load and polls), and the
 # fair-share exactness property (the heap-driven solver's rates and change
 # lists are bit-identical to eager progressive filling through every
-# recompute entry point; IXP-sized inputs make its execs slow). Seed corpora
+# recompute entry point; IXP-sized inputs make its execs slow), and the
+# in-order record emitter (emits exactly what the map-based reorder buffer
+# it replaced did, on any index permutation with holes). Seed corpora
 # are f.Add'd in the fuzz targets plus any checked-in testdata/fuzz
 # entries; the whole-fabric simulation fuzzers run fewer iterations
 # because every exec runs full simulations.
@@ -62,6 +64,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzLinkModelParity -fuzztime=25x ./internal/packetsim/
 	$(GO) test -run='^$$' -fuzz=FuzzPortSchedule -fuzztime=2000x ./internal/packetsim/
 	$(GO) test -run='^$$' -fuzz=FuzzSolveExact -fuzztime=200x ./internal/fairshare/
+	$(GO) test -run='^$$' -fuzz=FuzzInOrder -fuzztime=2000x ./internal/stats/
 
 # End-to-end daemon smoke: horsed on a unix socket, horsectl submit with
 # streamed records, a mid-run cancel, and a SIGTERM drain.

@@ -47,7 +47,7 @@ func failureWorkload() (*horse.Topology, horse.Trace, *horse.Scenario) {
 func assertCollectorsEqual(t *testing.T, name string, want, got *horse.Collector) {
 	t.Helper()
 	if !reflect.DeepEqual(want.Flows(), got.Flows()) {
-		t.Errorf("%s: flow records differ (legacy %d vs builder %d)", name, len(want.Flows()), len(got.Flows()))
+		t.Errorf("%s: flow records differ (%d vs %d)", name, len(want.Flows()), len(got.Flows()))
 	}
 	if !reflect.DeepEqual(want.LinkSeries(), got.LinkSeries()) {
 		t.Errorf("%s: link series differ", name)
@@ -65,98 +65,8 @@ func assertCollectorsEqual(t *testing.T, name string, want, got *horse.Collector
 	g := counters{got.FlowsStarted, got.FlowsCompleted, got.FlowsDropped, got.FlowsLooped, got.FlowsStuck,
 		got.PacketIns, got.FlowMods, got.RateChanges, got.PathChanges, got.PacketsLost}
 	if w != g {
-		t.Errorf("%s: counters differ: legacy %+v vs builder %+v", name, w, g)
+		t.Errorf("%s: counters differ: want %+v, got %+v", name, w, g)
 	}
-}
-
-// TestBuilderLegacyParityFlow pins that a builder-constructed flow engine
-// produces byte-identical results to the legacy constructor — golden
-// fat-tree and scripted-failure scenario.
-func TestBuilderLegacyParityFlow(t *testing.T) {
-	window := horse.Time(10 * horse.Second)
-
-	topoL, trL := fatTreeWorkload()
-	legacy := horse.NewSimulator(horse.Config{
-		Topology:   topoL,
-		Controller: horse.NewChain(&horse.ECMPLoadBalancer{}),
-		Miss:       horse.MissController,
-		StatsEvery: 10 * horse.Millisecond,
-	})
-	legacy.Load(trL)
-	colL := legacy.RunUntil(window)
-
-	topoB, trB := fatTreeWorkload()
-	eng, err := horse.New(topoB,
-		horse.WithController(horse.NewChain(&horse.ECMPLoadBalancer{})),
-		horse.WithMiss(horse.MissController),
-		horse.WithStatsEvery(10*horse.Millisecond),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Load(trB)
-	colB, err := eng.Run(context.Background(), window)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertCollectorsEqual(t, "fat-tree/flow", colL, colB)
-
-	// Scripted failure: legacy Apply+Load vs WithScenario (which applies
-	// at New, before Load — the same relative order).
-	topoL2, trL2, tlL := failureWorkload()
-	legacy2 := horse.NewSimulator(horse.Config{
-		Topology:   topoL2,
-		Controller: horse.NewChain(&horse.ProactiveMAC{}),
-		Miss:       horse.MissController,
-	})
-	if err := tlL.Apply(legacy2, window); err != nil {
-		t.Fatal(err)
-	}
-	legacy2.Load(trL2)
-	colL2 := legacy2.RunUntil(window)
-
-	topoB2, trB2, tlB := failureWorkload()
-	eng2, err := horse.New(topoB2,
-		horse.WithController(horse.NewChain(&horse.ProactiveMAC{})),
-		horse.WithMiss(horse.MissController),
-		horse.WithScenario(tlB),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng2.Load(trB2)
-	colB2, err := eng2.Run(context.Background(), window)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(colL2.RerouteTimes()) == 0 {
-		t.Error("failure scenario never rerouted (scenario not applied?)")
-	}
-	assertCollectorsEqual(t, "failure/flow", colL2, colB2)
-}
-
-// TestBuilderLegacyParityPacket pins builder/legacy parity for the packet
-// engine on the golden fat tree with pre-installed routes.
-func TestBuilderLegacyParityPacket(t *testing.T) {
-	window := horse.Time(2 * horse.Second)
-	topoL, trL := fatTreeWorkload()
-	legacy := horse.NewPacketSimulator(horse.PacketConfig{Topology: topoL, Miss: horse.MissDrop})
-	horse.InstallMACRoutes(legacy.Network())
-	legacy.Load(trL)
-	colL := legacy.RunUntil(window)
-
-	topoB, trB := fatTreeWorkload()
-	eng, err := horse.New(topoB, horse.WithFidelity(horse.Packet), horse.WithMiss(horse.MissDrop))
-	if err != nil {
-		t.Fatal(err)
-	}
-	horse.InstallMACRoutes(eng.Network())
-	eng.Load(trB)
-	colB, err := eng.Run(context.Background(), window)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertCollectorsEqual(t, "fat-tree/packet", colL, colB)
 }
 
 // TestWithShardsIsSerial pins the compatibility contract of WithShards:
@@ -184,46 +94,6 @@ func TestWithShardsIsSerial(t *testing.T) {
 			return col
 		}
 		assertCollectorsEqual(t, fid.String()+"/shards=4", run(), run(horse.WithShards(4)))
-	}
-}
-
-// TestBuilderLegacyParityHybrid pins builder/legacy parity for the hybrid
-// coupler under a scripted failure at a 50% packet share.
-func TestBuilderLegacyParityHybrid(t *testing.T) {
-	window := horse.Time(10 * horse.Second)
-
-	topoL, trL, tlL := failureWorkload()
-	legacy := horse.NewHybridSimulator(horse.HybridConfig{
-		Topology:    topoL,
-		Controller:  horse.NewChain(&horse.ProactiveMAC{}),
-		Miss:        horse.MissController,
-		PacketLevel: horse.PacketFraction(0.5),
-	})
-	if err := tlL.Apply(legacy, window); err != nil {
-		t.Fatal(err)
-	}
-	legacy.Load(trL)
-	colL := legacy.RunUntil(window)
-
-	topoB, trB, tlB := failureWorkload()
-	eng, err := horse.New(topoB,
-		horse.WithFidelity(horse.Hybrid),
-		horse.WithController(horse.NewChain(&horse.ProactiveMAC{})),
-		horse.WithMiss(horse.MissController),
-		horse.WithPacketFraction(0.5),
-		horse.WithScenario(tlB),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Load(trB)
-	colB, err := eng.Run(context.Background(), window)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertCollectorsEqual(t, "failure/hybrid", colL, colB)
-	if !reflect.DeepEqual(legacy.Records(), eng.(*horse.HybridSimulator).Records()) {
-		t.Error("failure/hybrid: merged Records differ")
 	}
 }
 
@@ -267,7 +137,7 @@ func TestRecordSinkStreamsIdenticalRecords(t *testing.T) {
 // TestHybridMidRunCollectorDoesNotDuplicateSink: a Collector() snapshot
 // taken from a mid-run hook (Collector is on the Engine interface, so
 // progress/observer callbacks can reach it) must not stream records to
-// the sink — only the end-of-Run delivery does, exactly once.
+// the sink — records reach it once each, from the emitter.
 func TestHybridMidRunCollectorDoesNotDuplicateSink(t *testing.T) {
 	window := horse.Time(10 * horse.Second)
 	run := func(peek bool) []horse.FlowRecord {
@@ -396,11 +266,11 @@ func TestRecordSinkMillionFlows(t *testing.T) {
 			if len(col.Flows()) != 0 {
 				t.Errorf("collector retained %d records in sink mode", len(col.Flows()))
 			}
-			// Completion is judged from the streamed records themselves:
-			// the Flow engine also counts FlowsCompleted on the collector,
-			// but the Packet engine's counters have never included it.
 			if completed != n {
 				t.Errorf("completed %d of %d", completed, n)
+			}
+			if col.FlowsCompleted != n {
+				t.Errorf("FlowsCompleted = %d, want %d", col.FlowsCompleted, n)
 			}
 			if peak > tc.budget {
 				t.Errorf("peak heap %d MiB exceeds the %d MiB budget",

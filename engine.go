@@ -22,7 +22,7 @@ import (
 // Collector / Now. The concrete type behind the interface is *Simulator,
 // *PacketSimulator, or *HybridSimulator per the configured fidelity;
 // type-assert when an engine-specific accessor (e.g. HybridSimulator's
-// Records) is needed.
+// Split) is needed.
 type Engine = scenario.Engine
 
 // Fidelity selects the engine granularity behind New: the dial the
@@ -111,7 +111,7 @@ const DefaultProgressEvery = Second
 // Every option validates eagerly: New returns a *BuildError (and no
 // engine) for out-of-range arguments or options that do not apply to the
 // selected fidelity, instead of panicking deep inside a constructor.
-// Defaults match the zero-value legacy Configs: Flow fidelity, no
+// Defaults match the engines' zero-value Configs: Flow fidelity, no
 // controller, MissDrop, 1 ms control latency, no stats sampling.
 func New(topo *Topology, opts ...Option) (Engine, error) {
 	if topo == nil {

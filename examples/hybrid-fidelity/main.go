@@ -70,12 +70,15 @@ func run(p float64) (map[int64]float64, uint64) {
 		Hosts: topo.Hosts(), Lambda: 30, Horizon: 400 * horse.Millisecond,
 		Sizes: horse.FixedSize(2e6), TCPFraction: 0.5, CBRRateBps: 2e7,
 	}))
-	if _, err := eng.Run(context.Background(), horse.Time(30*horse.Second)); err != nil {
+	col, err := eng.Run(context.Background(), horse.Time(30*horse.Second))
+	if err != nil {
 		log.Fatal(err)
 	}
 
+	// Records are numbered in load order at every fidelity, so IDs
+	// compare across arms.
 	out := make(map[int64]float64)
-	for _, r := range eng.(*horse.HybridSimulator).Records() {
+	for _, r := range col.Flows() {
 		if r.Completed {
 			out[r.ID] = r.FCT().Seconds()
 		}

@@ -150,8 +150,6 @@ type (
 type (
 	// Simulator is a flow-level Horse simulation run.
 	Simulator = flowsim.Simulator
-	// Config parameterizes a Simulator.
-	Config = flowsim.Config
 	// Controller is the control-plane interface.
 	Controller = flowsim.Controller
 	// Context is the API controllers use to act on the network.
@@ -175,15 +173,6 @@ const (
 	// MissController punts unmatched flows to the controller.
 	MissController = dataplane.MissController
 )
-
-// NewSimulator builds a flow-level simulator from a legacy Config.
-//
-// Deprecated: use New with WithFidelity(Flow) (the default) and the
-// matching options — see the "Migrating to the unified API" section of
-// the README. NewSimulator remains as a thin wrapper so existing code
-// keeps building; note that Run now takes a context (RunUntil is the
-// drop-in for the old signature).
-func NewSimulator(cfg Config) *Simulator { return flowsim.New(cfg) }
 
 // Controller applications (the modular policy generator).
 type (
@@ -309,18 +298,10 @@ type (
 	// PacketSimulator is the per-packet engine (baseline comparator, and
 	// a controller-attached simulator in its own right).
 	PacketSimulator = packetsim.Simulator
-	// PacketConfig parameterizes it.
-	PacketConfig = packetsim.Config
 	// Network is the shared data-plane state (switch tables) behind an
 	// engine, exposed for pre-installing rules.
 	Network = dataplane.Network
 )
-
-// NewPacketSimulator builds the packet-level engine from a legacy Config.
-//
-// Deprecated: use New with WithFidelity(Packet) — see the "Migrating to
-// the unified API" section of the README.
-func NewPacketSimulator(cfg PacketConfig) *PacketSimulator { return packetsim.New(cfg) }
 
 // InstallMACRoutes pre-installs shortest-path MAC forwarding for every
 // host on a network's switches — the identical-pre-installed-state
@@ -332,22 +313,9 @@ type (
 	// HybridSimulator runs flagged flows packet-by-packet and the rest at
 	// flow level, under one clock and one control plane.
 	HybridSimulator = hybrid.Simulator
-	// HybridConfig parameterizes a hybrid run.
-	HybridConfig = hybrid.Config
 	// Kernel is the shared discrete-event simulation core.
 	Kernel = simcore.Kernel
 )
-
-// NewHybridSimulator builds a hybrid-fidelity simulator from a legacy
-// Config.
-//
-// Deprecated: use New with WithFidelity(Hybrid) and WithPacketFraction —
-// see the "Migrating to the unified API" section of the README.
-func NewHybridSimulator(cfg HybridConfig) *HybridSimulator { return hybrid.New(cfg) }
-
-// PacketFraction flags ~p of the demand stream for packet-level
-// simulation in a HybridConfig (spread evenly over load order).
-func PacketFraction(p float64) func(i int, d traffic.Demand) bool { return hybrid.Fraction(p) }
 
 // Scenario engine: scripted failures and dynamics across all engines.
 type (
@@ -355,12 +323,6 @@ type (
 	// switch outages, controller detach, demand surges) that drives any
 	// engine — flow-level, packet-level, or hybrid.
 	Scenario = scenario.Timeline
-	// ScenarioEngine is the simulator surface a Scenario compiles onto —
-	// the same interface as Engine, now that the scenario surface and the
-	// public engine surface are one.
-	//
-	// Deprecated: use Engine.
-	ScenarioEngine = scenario.Engine
 	// ScenarioEventError reports a timeline event Apply/Validate rejected.
 	ScenarioEventError = scenario.EventError
 	// ScenarioOutcome summarizes what a scripted disruption cost a run.

@@ -7,8 +7,7 @@ import (
 	"horse/internal/stats"
 )
 
-// mustRun drives an engine through the context-aware Run API — the
-// replacement for the deprecated RunUntil — under a background context.
+// mustRun drives an engine through Run under a background context.
 // Background contexts cannot cancel, so a returned error is a bug and
 // panics the test.
 func mustRun(sim interface {

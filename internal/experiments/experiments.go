@@ -850,7 +850,7 @@ func e7Spec(o Options, fractions []float64) *spec {
 			start := o.now()
 			col, _ := eng.Run(context.Background(), e7Window)
 			wall := o.since(start)
-			recs := hyb.Records()
+			recs := col.Flows()
 
 			// Accuracy: mean relative FCT error over flows completed in
 			// both this arm and the reference.

@@ -124,12 +124,10 @@ func (s *Simulator) resolve(f *Flow) {
 		s.settleFlow(f)
 		s.deactivate(f)
 		s.finalize(f, false, "dropped")
-		s.col.FlowsDropped++
 	case dataplane.Looped:
 		s.settleFlow(f)
 		s.deactivate(f)
 		s.finalize(f, false, "looped")
-		s.col.FlowsLooped++
 	}
 }
 
@@ -582,7 +580,6 @@ func (s *Simulator) handleComplete(f *Flow) {
 		completed = false
 	}
 	s.finalize(f, completed, outcome)
-	s.col.FlowsCompleted++
 }
 
 // finalize records the flow and marks it done.

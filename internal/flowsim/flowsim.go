@@ -20,7 +20,6 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"io"
 	"math"
 	"slices"
 
@@ -433,15 +432,12 @@ type Simulator struct {
 	shifted      resourceSet
 
 	// observers receive applied network-dynamics events (the public
-	// Observe hook); recordSink, when set, streams finished-flow records
-	// and lets finalized flows be evicted (bounded-memory runs).
-	observers  simevent.Observers
-	recordSink func(stats.FlowRecord)
+	// Observe hook).
+	observers simevent.Observers
 
-	// reader, when set, becomes an ingestion cursor at Begin; readerErr
-	// holds the first reader failure (ingestion stops; Run surfaces it).
-	reader    traffic.Reader
-	readerErr error
+	// reader, when set, becomes an ingestion cursor at Begin; it keeps the
+	// first reader failure (ingestion stops; Run surfaces it).
+	reader *traffic.Ingest
 
 	// injected holds the demands of outstanding InjectAt arrivals, by the
 	// event's slot; injectFree lists the reusable slots.
@@ -631,17 +627,13 @@ func (s *Simulator) InjectAt(d traffic.Demand) {
 // arrival — loaded, injected or streamed — carries the same order key and
 // arrivals dispatch FIFO among themselves, a streamed run's records are
 // byte-identical to Load of the same sequence. Install before Run; a
-// reader error stops ingestion and is returned by Run (or TraceErr).
+// reader error stops ingestion and is returned by Run.
 func (s *Simulator) SetTraceReader(r traffic.Reader) {
 	if s.begun {
 		panic("flowsim: SetTraceReader after Run")
 	}
-	s.reader = r
+	s.reader = traffic.NewIngest("flowsim", r)
 }
-
-// TraceErr reports the first trace-reader failure, if any. Shared-kernel
-// drivers (hybrid) check it after the run; standalone Run returns it.
-func (s *Simulator) TraceErr() error { return s.readerErr }
 
 // arrivals is an ingestion cursor, the one path by which traces enter the
 // engine: exactly one of its arrivals is queued at a time, and firing it
@@ -656,8 +648,7 @@ type arrivals struct {
 	next  int // position in the walk of the next demand to queue
 	base  uint64
 
-	r    traffic.Reader
-	last simtime.Time
+	r *traffic.Ingest
 
 	// pending is the queued arrival's demand.
 	pending traffic.Demand
@@ -666,19 +657,10 @@ type arrivals struct {
 // queueArrival queues the cursor's next arrival, if any.
 func (s *Simulator) queueArrival(a *arrivals) {
 	if a.r != nil {
-		d, err := a.r.Next()
-		if err != nil {
-			if err != io.EOF {
-				s.readerErr = err
-			}
+		d, ok := a.r.Next()
+		if !ok {
 			return
 		}
-		if d.Start < a.last {
-			s.readerErr = fmt.Errorf("flowsim: trace reader went backwards (%v after %v): %w",
-				d.Start, a.last, traffic.ErrTraceOrder)
-			return
-		}
-		a.last = d.Start
 		a.pending = d
 		s.sched(event{at: d.Start, kind: evArrival, arr: a})
 		return
@@ -742,17 +724,9 @@ func (s *Simulator) Run(ctx context.Context, until simtime.Time) (*stats.Collect
 	err := s.k.RunContext(ctx, until)
 	col := s.Finish()
 	if err == nil {
-		err = s.readerErr
+		err = s.reader.Err()
 	}
 	return col, err
-}
-
-// RunUntil is Run without a lifecycle: no cancellation, no error.
-//
-// Deprecated: use Run with a context.
-func (s *Simulator) RunUntil(until simtime.Time) *stats.Collector {
-	col, _ := s.Run(context.Background(), until)
-	return col
 }
 
 // Observe registers an observer of applied network dynamics (link and
@@ -765,10 +739,7 @@ func (s *Simulator) Observe(fn simevent.Observer) { s.observers.Add(fn) }
 // accumulated them, and evicts finalized flow state — so a multi-million-
 // flow run completes with O(1) record memory (Collector().Flows() stays
 // empty). Install before Run.
-func (s *Simulator) SetRecordSink(sink func(stats.FlowRecord)) {
-	s.recordSink = sink
-	s.col.SetFlowSink(sink)
-}
+func (s *Simulator) SetRecordSink(sink func(stats.FlowRecord)) { s.col.SetFlowSink(sink) }
 
 // SetProgress arms progress reporting: fn receives a simevent.Progress at
 // most once per `every` of virtual time, driven off the kernel's

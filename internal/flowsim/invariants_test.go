@@ -180,6 +180,17 @@ func TestWaitingFlowExpiresAtDeadline(t *testing.T) {
 	if f.SentBits != 0 {
 		t.Errorf("waiting flow sent %g bits", f.SentBits)
 	}
+	// The completion counter agrees with the records: an expired flow did
+	// not complete.
+	completed := uint64(0)
+	for _, r := range col.Flows() {
+		if r.Completed {
+			completed++
+		}
+	}
+	if col.FlowsCompleted != completed {
+		t.Errorf("FlowsCompleted = %d, want %d (the records with Completed set)", col.FlowsCompleted, completed)
+	}
 }
 
 // TestRunNeverTerminatesWithStats: an open-ended Run must still terminate

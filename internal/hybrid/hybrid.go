@@ -23,10 +23,9 @@
 package hybrid
 
 import (
+	"cmp"
 	"context"
-	"fmt"
-	"io"
-	"sort"
+	"slices"
 
 	"horse/internal/dataplane"
 	"horse/internal/eventq"
@@ -101,39 +100,30 @@ type Simulator struct {
 	flow *flowsim.Simulator
 	pkt  *packetsim.Simulator
 
-	// Per-engine load-order bookkeeping: the trace index of the i-th
-	// demand handed to each engine, plus its start time (to undo the
-	// arrival sort when mapping flow-engine IDs back to trace indices).
-	flowIdx    []int
-	flowStarts []simtime.Time
-	pktIdx     []int
-	loaded     int
+	// Load-order bookkeeping: every record is renumbered to its trace
+	// index (ID = index + 1). The packet engine numbers flows in load
+	// order, so pktIdx maps its IDs directly. The flow engine numbers them
+	// in arrival order, so flowRank maps its IDs; it is extended, as
+	// records need it, from the flow-level demands not yet ranked: eager
+	// (loaded before Run) and streamed (loaded by ingestion).
+	pktIdx   []int
+	flowRank []int
+	eager    []arrival
+	streamed []arrival
+	loaded   int
 
-	// sink, when set, streams the merged (load-order) records instead of
-	// accumulating them in the merged collector; merged caches the
-	// collector built at the end of Run so repeated Collector() calls
-	// cannot re-stream.
-	sink   func(stats.FlowRecord)
-	merged *stats.Collector
-
-	// Streaming delivery state (sink != nil, armed by startStream): each
-	// sub-engine record renumbers to its trace ID as it finalizes and
-	// emits through streamCol's flow sink in load order, reordered by the
-	// streamNext/streamPending buffer. flowRank maps flow-engine IDs to
-	// trace indices, precomputed before the run (eager loads only — reader
-	// ingestion arrives already in arrival order, so flowIdx is the map).
-	streaming     bool
-	flowRank      []int
-	streamCol     *stats.Collector
-	streamNext    int
-	streamPending map[int]stats.FlowRecord
+	// col is the merged collector. Both sub-engines stream their records
+	// to the hybrid, which renumbers them and puts them into records, the
+	// one in-order emitter: it delivers them to col in trace order, where
+	// they are retained or, with a record sink installed, streamed. The
+	// sub-engines' counters fold into col whenever it is read.
+	col     *stats.Collector
+	records *stats.InOrder
 
 	// Trace-reader ingestion: one demand buffered, pulled as virtual time
 	// reaches each start (see SetTraceReader).
-	reader     traffic.Reader
-	readerLast simtime.Time
-	readerErr  error
-	begun      bool
+	reader *traffic.Ingest
+	begun  bool
 }
 
 // New builds a hybrid simulator over the configured topology.
@@ -147,7 +137,8 @@ func New(cfg Config) *Simulator {
 	if links == nil {
 		links = linkmodel.NewSet(1, len(cfg.Topology.Links()))
 	}
-	s := &Simulator{cfg: cfg, k: k, net: net}
+	s := &Simulator{cfg: cfg, k: k, net: net, col: stats.NewCollector(cfg.StatsEvery)}
+	s.records = stats.NewInOrder(s.col.AddFlow)
 	s.pkt = packetsim.New(packetsim.Config{
 		Topology:     cfg.Topology,
 		Kernel:       k,
@@ -185,6 +176,12 @@ func New(cfg Config) *Simulator {
 		OnSwitchChange:     s.pkt.NotifySwitchChange,
 		OnControllerChange: s.pkt.NotifyControllerChange,
 	})
+	s.flow.SetRecordSink(func(r stats.FlowRecord) {
+		if idx, ok := s.flowTraceIndex(r.ID); ok {
+			s.emit(idx, r)
+		}
+	})
+	s.pkt.SetRecordSink(func(r stats.FlowRecord) { s.emit(s.pktIdx[r.ID-1], r) })
 	return s
 }
 
@@ -242,16 +239,14 @@ func (s *Simulator) Now() simtime.Time { return s.k.Now() }
 func (s *Simulator) Observe(fn simevent.Observer) { s.flow.Observe(fn) }
 
 // SetRecordSink streams every merged stats.FlowRecord to sink in load
-// (trace) order — the same records, in the same order,
-// Collector().Flows() would have held. Records are renumbered and
-// delivered incrementally as flows finalize: both sub-engines run with
-// their own sinks installed and evict per-flow state as they go, so a
-// multi-million-flow hybrid run holds no retained record set on either
-// side of the merge. Delivery is gated through a reorder buffer keyed by
-// trace index (a record emits once every lower trace index has emitted),
-// which in practice stays near-empty because completion order tracks
-// start order. Install before Run.
-func (s *Simulator) SetRecordSink(sink func(stats.FlowRecord)) { s.sink = sink }
+// (trace) order instead of retaining it — the same records, in the same
+// order, Collector().Flows() would have held, because both go through one
+// path: the sub-engines stream every record to the hybrid as their flows
+// finalize (evicting per-flow state as they go), and the hybrid renumbers
+// it and emits it through a reorder buffer keyed by trace index, which in
+// practice stays near-empty because completion order tracks start order.
+// Install before Run.
+func (s *Simulator) SetRecordSink(sink func(stats.FlowRecord)) { s.col.SetFlowSink(sink) }
 
 // SetProgress arms progress reporting off the shared kernel's pre-advance
 // path: fn receives a simevent.Progress at most once per `every` of
@@ -278,7 +273,7 @@ func (s *Simulator) PacketsForwarded() uint64 { return s.pkt.PacketsForwarded() 
 
 // Split reports how many loaded demands went to each engine.
 func (s *Simulator) Split() (packetFlows, flowFlows int) {
-	return len(s.pktIdx), len(s.flowIdx)
+	return len(s.pktIdx), s.loaded - len(s.pktIdx)
 }
 
 // Load splits the trace across the engines per cfg.PacketLevel. Call any
@@ -297,8 +292,11 @@ func (s *Simulator) loadDemand(d traffic.Demand) {
 		s.pktIdx = append(s.pktIdx, s.loaded)
 	} else {
 		s.flow.InjectAt(d)
-		s.flowIdx = append(s.flowIdx, s.loaded)
-		s.flowStarts = append(s.flowStarts, d.Start)
+		if s.begun {
+			s.streamed = append(s.streamed, arrival{d.Start, s.loaded})
+		} else {
+			s.eager = append(s.eager, arrival{d.Start, s.loaded})
+		}
 	}
 	s.loaded++
 }
@@ -308,37 +306,24 @@ func (s *Simulator) loadDemand(d traffic.Demand) {
 // reaches them and split across the engines exactly as Load would, so
 // arbitrarily long traces ingest with one demand buffered. r must yield
 // nondecreasing Start times; a reader error stops ingestion and is
-// returned by Run (or TraceErr). The ingest event carries the flow
-// engine's arrival order key, and each engine's first per-flow event
-// follows it under the sub-engine FIFO/key contracts, so a streamed run
-// reproduces the eager run's records byte for byte. Install before Run.
+// returned by Run. The ingest event carries the flow engine's arrival
+// order key, and each engine's first per-flow event follows it under the
+// sub-engine FIFO/key contracts, so a streamed run reproduces the eager
+// run's records byte for byte. Install before Run.
 func (s *Simulator) SetTraceReader(r traffic.Reader) {
 	if s.begun {
 		panic("hybrid: SetTraceReader after Run")
 	}
-	s.reader = r
+	s.reader = traffic.NewIngest("hybrid", r)
 }
-
-// TraceErr reports the first trace-reader failure, if any (also folded
-// into Run's error).
-func (s *Simulator) TraceErr() error { return s.readerErr }
 
 // pullNext buffers the reader's next demand as an ingest event at its
 // start time — one outstanding demand, the bounded-lookahead invariant.
 func (s *Simulator) pullNext() {
-	d, err := s.reader.Next()
-	if err != nil {
-		if err != io.EOF {
-			s.readerErr = err
-		}
+	d, ok := s.reader.Next()
+	if !ok {
 		return
 	}
-	if d.Start < s.readerLast {
-		s.readerErr = fmt.Errorf("hybrid: trace reader went backwards (%v after %v): %w",
-			d.Start, s.readerLast, traffic.ErrTraceOrder)
-		return
-	}
-	s.readerLast = d.Start
 	s.k.Schedule(&ingestEvent{s: s, at: d.Start, d: d})
 }
 
@@ -367,7 +352,7 @@ func (e *ingestEvent) Fire() {
 // together with ctx.Err(). Run may be called once.
 func (s *Simulator) Run(ctx context.Context, until simtime.Time) (*stats.Collector, error) {
 	s.begun = true
-	s.startStream()
+	slices.SortStableFunc(s.eager, func(a, b arrival) int { return cmp.Compare(a.start, b.start) })
 	s.flow.Begin()
 	s.pkt.Begin()
 	if s.reader != nil {
@@ -376,192 +361,80 @@ func (s *Simulator) Run(ctx context.Context, until simtime.Time) (*stats.Collect
 	err := s.k.RunContext(ctx, until)
 	s.flow.Finish()
 	s.pkt.Finish()
-	s.finishStream()
+	// Trace indices that never produced a record — a demand past the time
+	// bound, or a canceled run — leave holes the flush skips.
+	s.records.Flush()
 	if err == nil {
-		err = s.readerErr
+		err = s.reader.Err()
 	}
-	s.merged = s.buildCollector()
-	return s.merged, err
+	s.foldCounters()
+	fc := s.flow.Collector()
+	for _, smp := range fc.LinkSeries() {
+		s.col.AddLinkSample(smp)
+	}
+	for _, at := range fc.RerouteTimes() {
+		s.col.AddReroute(at)
+	}
+	return s.col, err
 }
 
-// startStream arms incremental streamed delivery when a record sink is
-// installed: both sub-engines get sinks that renumber each record to its
-// trace ID and hand it to the reorder buffer, and (for eager loads) the
-// flow engine's arrival-rank → trace-index map is precomputed — the same
-// map the retained Records() derives by stable-sorting after the fact.
-func (s *Simulator) startStream() {
-	if s.sink == nil {
-		return
-	}
-	s.streaming = true
-	s.streamCol = stats.NewCollector(0)
-	s.streamCol.SetFlowSink(s.sink)
-	s.streamPending = make(map[int]stats.FlowRecord)
-	if s.reader == nil {
-		order := make([]int, len(s.flowIdx))
-		for i := range order {
-			order[i] = i
-		}
-		sort.SliceStable(order, func(a, b int) bool {
-			return s.flowStarts[order[a]] < s.flowStarts[order[b]]
-		})
-		s.flowRank = make([]int, len(order))
-		for i, o := range order {
-			s.flowRank[i] = s.flowIdx[o]
-		}
-	}
-	s.flow.SetRecordSink(func(r stats.FlowRecord) {
-		if idx, ok := s.flowTraceIndex(r.ID); ok {
-			s.streamEmit(idx, r)
-		}
-	})
-	s.pkt.SetRecordSink(func(r stats.FlowRecord) {
-		if r.ID >= 1 && int(r.ID) <= len(s.pktIdx) {
-			s.streamEmit(s.pktIdx[r.ID-1], r)
-		}
-	})
+// arrival is a loaded flow-level demand awaiting its flow-engine ID.
+type arrival struct {
+	start simtime.Time
+	idx   int // trace index
 }
 
-// flowTraceIndex maps a flow-engine record ID to its trace index. Reader
-// ingestion delivers demands in nondecreasing start order, so the flow
-// engine's arrival order equals ingestion order and flowIdx itself is
-// the map; eager loads use the precomputed rank map. IDs outside either
-// map (possible only on partial, canceled runs) report !ok.
+// flowTraceIndex maps a flow-engine record ID to its trace index. Every
+// arrival shares one order key and dispatches FIFO, so the flow engine
+// numbers demands by start time and, on ties, in load order: the eager
+// demands (sorted stably by start at Run) merged with the streamed ones
+// (ingested in start order), eager first on ties. A flow has an ID only
+// once it has arrived, and every demand that arrives before it has been
+// loaded by then, so merging up to the ID is exact for eager, streamed
+// and mixed loads alike. An ID beyond every loaded demand cannot occur;
+// it reports !ok rather than panic.
 func (s *Simulator) flowTraceIndex(id int64) (int, bool) {
-	if s.reader != nil {
-		if id < 1 || int(id) > len(s.flowIdx) {
+	for int64(len(s.flowRank)) < id {
+		var next arrival
+		switch {
+		case len(s.eager) > 0 && (len(s.streamed) == 0 || s.eager[0].start <= s.streamed[0].start):
+			next, s.eager = s.eager[0], s.eager[1:]
+		case len(s.streamed) > 0:
+			next, s.streamed = s.streamed[0], s.streamed[1:]
+		default:
 			return 0, false
 		}
-		return s.flowIdx[id-1], true
+		s.flowRank = append(s.flowRank, next.idx)
 	}
-	if id < 1 || int(id) > len(s.flowRank) {
+	if id < 1 {
 		return 0, false
 	}
 	return s.flowRank[id-1], true
 }
 
-// streamEmit delivers one renumbered record in load order: records ahead
-// of the next expected trace index park in the reorder buffer and drain
-// the moment the gap closes.
-func (s *Simulator) streamEmit(idx int, r stats.FlowRecord) {
+// emit renumbers a sub-engine record to its trace ID and hands it to the
+// in-order emitter.
+func (s *Simulator) emit(idx int, r stats.FlowRecord) {
 	r.ID = int64(idx + 1)
-	if idx != s.streamNext {
-		s.streamPending[idx] = r
-		return
-	}
-	s.streamCol.AddFlow(r)
-	s.streamCol.CountOutcome(r)
-	s.streamNext++
-	for {
-		r2, ok := s.streamPending[s.streamNext]
-		if !ok {
-			return
-		}
-		delete(s.streamPending, s.streamNext)
-		s.streamCol.AddFlow(r2)
-		s.streamCol.CountOutcome(r2)
-		s.streamNext++
-	}
+	s.records.Put(idx, r)
 }
 
-// finishStream flushes records still parked behind a trace index that
-// never produced one — a demand past the time bound, or a canceled run —
-// in ascending trace order, which keeps the overall stream identical to
-// the retained Records() sequence (it skips the same holes).
-func (s *Simulator) finishStream() {
-	if !s.streaming || len(s.streamPending) == 0 {
-		return
-	}
-	keys := make([]int, 0, len(s.streamPending))
-	for k := range s.streamPending {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	for _, k := range keys {
-		r := s.streamPending[k]
-		delete(s.streamPending, k)
-		s.streamCol.AddFlow(r)
-		s.streamCol.CountOutcome(r)
-	}
-}
-
-// RunUntil is Run without a lifecycle: no cancellation, no error.
-//
-// Deprecated: use Run with a context.
-func (s *Simulator) RunUntil(until simtime.Time) *stats.Collector {
-	col, _ := s.Run(context.Background(), until)
-	return col
-}
-
-// Records returns one record per demand that produced one, ordered and
-// re-numbered by load order (ID = trace index + 1) regardless of which
-// engine simulated it — the comparable unit for fidelity sweeps. The
-// load-order map derives from whatever bookkeeping exists at call time,
-// so after a canceled Run it covers the partial trace: records whose IDs
-// fall outside the maps are skipped, never a panic. With a record sink
-// installed the sub-engines retain nothing and Records reports empty —
-// the records went to the sink.
-func (s *Simulator) Records() []stats.FlowRecord {
-	out := make([]stats.FlowRecord, 0, len(s.flowIdx)+len(s.pktIdx))
-	// The flow engine numbers flows in arrival order: stable-sort the
-	// flow-level subset by start time to recover trace indices.
-	order := make([]int, len(s.flowIdx))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return s.flowStarts[order[a]] < s.flowStarts[order[b]] })
-	for _, r := range s.flow.Collector().Flows() {
-		if r.ID < 1 || int(r.ID) > len(order) {
-			continue
-		}
-		r.ID = int64(s.flowIdx[order[r.ID-1]] + 1)
-		out = append(out, r)
-	}
-	// The packet engine numbers flows in load order directly.
-	for _, r := range s.pkt.Collector().Flows() {
-		if r.ID < 1 || int(r.ID) > len(s.pktIdx) {
-			continue
-		}
-		r.ID = int64(s.pktIdx[r.ID-1] + 1)
-		out = append(out, r)
-	}
-	sort.SliceStable(out, func(a, b int) bool { return out[a].ID < out[b].ID })
-	return out
-}
-
-// Collector merges both engines' output: the flow engine's link series and
-// control counters, every Records entry, and the kernel's dispatch count
-// as EventsRun (the hybrid's total work metric). After Run it returns the
-// collector Run built; before, it assembles a fresh snapshot.
+// Collector returns the merged collector: every record emitted so far, in
+// trace order (none when a record sink is installed), the flow engine's
+// link series and reroute times (once Run has ended), the outcome
+// tallies, both engines' summed packet and punt counters, the flow
+// engine's control counters, and the kernel's dispatch count as EventsRun
+// (the hybrid's total work metric).
 func (s *Simulator) Collector() *stats.Collector {
-	if s.merged != nil {
-		return s.merged
-	}
-	// Mid-run snapshots cannot duplicate records in the stream: with a
-	// sink installed the records flow through streamEmit as flows
-	// finalize, and buildCollector only folds the accumulated tallies.
-	return s.buildCollector()
+	s.foldCounters()
+	return s.col
 }
 
-// buildCollector assembles the merged collector. With a record sink the
-// records were already streamed incrementally (streamEmit), so only the
-// outcome tallies fold in; otherwise the retained Records() accumulate.
-func (s *Simulator) buildCollector() *stats.Collector {
-	fc, pc := s.flow.Collector(), s.pkt.Collector()
-	col := stats.NewCollector(s.cfg.StatsEvery)
-	for _, smp := range fc.LinkSeries() {
-		col.AddLinkSample(smp)
-	}
-	if s.streaming {
-		col.FlowsCompleted = s.streamCol.FlowsCompleted
-		col.FlowsDropped = s.streamCol.FlowsDropped
-		col.FlowsLooped = s.streamCol.FlowsLooped
-	} else {
-		for _, r := range s.Records() {
-			col.AddFlow(r)
-			col.CountOutcome(r)
-		}
-	}
+// foldCounters copies the sub-engines' counters into the merged
+// collector; it is idempotent. The outcome tallies are the merged
+// collector's own.
+func (s *Simulator) foldCounters() {
+	fc, pc, col := s.flow.Collector(), s.pkt.Collector(), s.col
 	col.FlowsStarted = fc.FlowsStarted + pc.FlowsStarted
 	col.PacketIns = fc.PacketIns + pc.PacketIns
 	col.FlowMods = fc.FlowMods
@@ -571,9 +444,5 @@ func (s *Simulator) buildCollector() *stats.Collector {
 	col.PacketsCorrupted = fc.PacketsCorrupted + pc.PacketsCorrupted
 	col.PacketsSent = fc.PacketsSent + pc.PacketsSent
 	col.Retransmits = fc.Retransmits + pc.Retransmits
-	for _, at := range fc.RerouteTimes() {
-		col.AddReroute(at)
-	}
 	col.EventsRun = s.k.Dispatched()
-	return col
 }

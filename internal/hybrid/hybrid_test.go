@@ -171,7 +171,7 @@ func TestHybridFullPacketMatchesStandalone(t *testing.T) {
 	})
 	hyb.Load(trH)
 	mustRun(hyb, simtime.Time(simtime.Minute))
-	recs := hyb.Records()
+	recs := hyb.Collector().Flows()
 
 	flowsS := colS.Flows()
 	if len(recs) != len(flowsS) {
@@ -206,10 +206,10 @@ func TestHybridSplitRunsBothEngines(t *testing.T) {
 	})
 	hyb.Load(tr)
 	col := mustRun(hyb, simtime.Time(simtime.Minute))
-	if len(hyb.pktIdx) == 0 || len(hyb.flowIdx) == 0 {
-		t.Fatalf("split degenerate: pkt=%d flow=%d", len(hyb.pktIdx), len(hyb.flowIdx))
+	if pkt, flow := hyb.Split(); pkt == 0 || flow == 0 {
+		t.Fatalf("split degenerate: pkt=%d flow=%d", pkt, flow)
 	}
-	recs := hyb.Records()
+	recs := col.Flows()
 	if len(recs) != len(tr) {
 		t.Fatalf("%d records for %d demands", len(recs), len(tr))
 	}
@@ -265,7 +265,7 @@ func TestHybridCouplingThrottlesPackets(t *testing.T) {
 		installMACRoutes(hyb.Network())
 		hyb.Load(tr)
 		mustRun(hyb, simtime.Time(10*simtime.Second))
-		for _, r := range hyb.Records() {
+		for _, r := range hyb.Collector().Flows() {
 			if r.ID == 1 {
 				if !r.Completed {
 					t.Fatalf("foreground did not complete (background=%v)", withBackground)
@@ -326,7 +326,7 @@ func TestHybridFailureAtDepartureMatchesStandalone(t *testing.T) {
 	hyb.ScheduleLinkChange(failAt, 0, false)
 	mustRun(hyb, until)
 
-	rs, rh := colS.Flows(), hyb.Records()
+	rs, rh := colS.Flows(), hyb.Collector().Flows()
 	if len(rs) != 1 || len(rh) != 1 {
 		t.Fatalf("records: standalone %d, hybrid %d, want 1 each", len(rs), len(rh))
 	}
@@ -386,7 +386,7 @@ func TestHybridModelChangeMatchesStandalone(t *testing.T) {
 	}
 	mustRun(hyb, until)
 
-	rs, rh := colS.Flows(), hyb.Records()
+	rs, rh := colS.Flows(), hyb.Collector().Flows()
 	if len(rs) != 2 || len(rh) != 2 {
 		t.Fatalf("records: standalone %d, hybrid %d, want 2 each", len(rs), len(rh))
 	}

@@ -56,7 +56,7 @@ func runSplit(t *testing.T, opt hybridOpts) ([]stats.FlowRecord, stats.Counters)
 		}
 		return streamed, col.Counters()
 	}
-	return hyb.Records(), col.Counters()
+	return hyb.Collector().Flows(), col.Counters()
 }
 
 // diffCounters compares merged counter snapshots modulo EventsRun, which
@@ -71,8 +71,8 @@ func diffCounters(t *testing.T, name string, want, got stats.Counters) {
 }
 
 // TestHybridStreamedMatchesRetained is the hybrid half of the
-// bounded-memory equivalence contract: the incrementally renumbered sink
-// stream must be byte-identical to the retained Records() order — and the
+// bounded-memory equivalence contract: the sink stream must be
+// byte-identical to the retained Collector().Flows() order — and the
 // trace-reader ingestion path must reproduce the eager Load run — on both
 // event-queue backends, in every combination.
 func TestHybridStreamedMatchesRetained(t *testing.T) {
@@ -109,10 +109,10 @@ func TestHybridStreamedMatchesRetained(t *testing.T) {
 	}
 }
 
-// TestHybridCancelPartialRecords is the regression for Records() after a
-// canceled Run: the partial bookkeeping must yield a consistent
+// TestHybridCancelPartialRecords is the regression for the merged records
+// after a canceled Run: the partial bookkeeping must yield a consistent
 // load-order record set — never a panic on IDs the maps don't cover —
-// and the streamed path must flush its reorder buffer the same way.
+// identically retained and streamed.
 func TestHybridCancelPartialRecords(t *testing.T) {
 	run := func(sink bool) ([]stats.FlowRecord, error) {
 		topo, tr := reactiveScenario()
@@ -139,7 +139,7 @@ func TestHybridCancelPartialRecords(t *testing.T) {
 		if sink {
 			return streamed, err
 		}
-		return hyb.Records(), err
+		return hyb.Collector().Flows(), err
 	}
 	retained, err := run(false)
 	if err != context.Canceled {
@@ -155,6 +155,55 @@ func TestHybridCancelPartialRecords(t *testing.T) {
 	for i := 1; i < len(retained); i++ {
 		if retained[i].ID <= retained[i-1].ID {
 			t.Errorf("records out of load order at %d: %d after %d", i, retained[i].ID, retained[i-1].ID)
+		}
+	}
+}
+
+// TestHybridMixedLoadAndReader: an eager Load combined with trace-reader
+// ingestion. The latest demand is loaded eagerly, so it is trace index 0,
+// and the two earlier ones stream in after it; the flow engine still
+// numbers them by arrival. Records must carry trace IDs — 1 → the 40 ms
+// demand, 2 → 0 ms, 3 → 20 ms — identically retained and streamed.
+func TestHybridMixedLoadAndReader(t *testing.T) {
+	for _, p := range []float64{0, 0.5, 1} {
+		run := func(sink bool) ([]stats.FlowRecord, stats.Counters) {
+			topo, tr := reactiveScenario()
+			hyb := New(Config{
+				Topology: topo, Miss: dataplane.MissController,
+				Controller:     controller.NewChain(&controller.ReactiveMAC{}),
+				ControlLatency: simtime.Millisecond,
+				TCP:            tcpmodel.Params{RTT: 2200 * simtime.Microsecond, MSS: 1500, InitialWindow: 10},
+				PacketLevel:    Fraction(p),
+			})
+			var streamed []stats.FlowRecord
+			if sink {
+				hyb.SetRecordSink(func(r stats.FlowRecord) { streamed = append(streamed, r) })
+			}
+			hyb.Load(tr[2:])
+			hyb.SetTraceReader(traffic.TraceReader(tr[:2]))
+			col := mustRun(hyb, simtime.Time(simtime.Minute))
+			if sink {
+				return streamed, col.Counters()
+			}
+			return col.Flows(), col.Counters()
+		}
+		retained, wantC := run(false)
+		streamed, gotC := run(true)
+		if !reflect.DeepEqual(retained, streamed) {
+			t.Errorf("p=%g: streamed records differ from retained:\nretained %+v\nstreamed %+v", p, retained, streamed)
+		}
+		if wantC != gotC {
+			t.Errorf("p=%g: counters differ:\nretained %+v\nstreamed %+v", p, wantC, gotC)
+		}
+		wantArrival := []simtime.Duration{40 * simtime.Millisecond, 0, 20 * simtime.Millisecond}
+		if len(retained) != len(wantArrival) {
+			t.Fatalf("p=%g: %d records, want %d", p, len(retained), len(wantArrival))
+		}
+		for i, r := range retained {
+			if r.ID != int64(i+1) || r.Arrival != simtime.Time(wantArrival[i]) {
+				t.Errorf("p=%g: record %d = ID %d arriving %v, want ID %d arriving %v",
+					p, i, r.ID, r.Arrival, i+1, wantArrival[i])
+			}
 		}
 	}
 }

@@ -541,19 +541,6 @@ func (s *Simulator) dropAt(p *packet, at simtime.Time) {
 	s.resolveUDP(p.flow, at)
 }
 
-// record emits the flow's statistics record at Finish.
-func (s *Simulator) record(f *pktFlow) {
-	r, _ := s.assemble(f)
-	s.addRecord(r)
-}
-
-// addRecord emits one finished record and tallies its outcome, so a
-// Packet run reports the same completion counters as Flow and Hybrid.
-func (s *Simulator) addRecord(r stats.FlowRecord) {
-	s.col.CountOutcome(r)
-	s.col.AddFlow(r)
-}
-
 // assemble builds the flow's statistics record, assembling completion
 // from the sides' candidates: the earliest of the deadline stop (sender),
 // the full receive (receiver), and — for UDP — the last packet resolution
@@ -657,31 +644,7 @@ func (s *Simulator) tryFinalize(idx int32) {
 	f.done = true
 	f.received = nil
 	s.flows[idx] = nil
-	s.emitFinal(idx, r)
-}
-
-// emitFinal emits r once every lower-indexed flow has emitted, parking
-// it otherwise, so AddFlow order is exactly flow-ID order — the same
-// sequence the all-at-Finish path produces.
-func (s *Simulator) emitFinal(idx int32, r stats.FlowRecord) {
-	if idx != s.finNext {
-		if s.finPending == nil {
-			s.finPending = make(map[int32]stats.FlowRecord)
-		}
-		s.finPending[idx] = r
-		return
-	}
-	s.addRecord(r)
-	s.finNext++
-	for {
-		r2, ok := s.finPending[s.finNext]
-		if !ok {
-			return
-		}
-		delete(s.finPending, s.finNext)
-		s.addRecord(r2)
-		s.finNext++
-	}
+	s.records.Put(int(idx), r)
 }
 
 // sampleStats snapshots per-direction throughput state. Utilization is

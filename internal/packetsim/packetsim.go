@@ -21,8 +21,6 @@ package packetsim
 
 import (
 	"context"
-	"fmt"
-	"io"
 	"math"
 
 	"horse/internal/dataplane"
@@ -176,19 +174,15 @@ type Simulator struct {
 	liveBy   []int32
 	finHints []int32
 
-	// Incremental-finalize state. A flow whose sender has quiesced, whose
-	// packets have all resolved, and whose record is time-invariant is
-	// recorded immediately and its state evicted; finNext/finPending
-	// reorder emissions into flow-ID order so the record stream stays
-	// byte-identical to the all-at-Finish path.
-	finNext    int32
-	finPending map[int32]stats.FlowRecord
+	// records delivers every flow's record to the collector in flow-ID
+	// order. A flow whose sender has quiesced, whose packets have all
+	// resolved, and whose record is time-invariant is put the moment that
+	// holds, and its state evicted; Finish puts the rest.
+	records *stats.InOrder
 
 	// Streaming ingestion: reader, when set, pulls demands in one at a
 	// time through chained evIngest events.
-	reader     traffic.Reader
-	readerLast simtime.Time
-	readerErr  error
+	reader     *traffic.Ingest
 	nextDemand traffic.Demand
 
 	// observers receive applied network-dynamics events (the public
@@ -520,6 +514,7 @@ func New(cfg Config) *Simulator {
 		statsReqTxBits: make([]float64, nDirs),
 		statsReqRxBits: make([]float64, nDirs),
 	}
+	s.records = stats.NewInOrder(s.col.AddFlow)
 	for i := range s.expiryAt {
 		s.expiryAt[i] = simtime.Never
 	}
@@ -663,34 +658,21 @@ func (s *Simulator) loadOne(d traffic.Demand) {
 // stay byte-identical to Load of the same sequence — for demands that
 // start within the run's horizon. r must yield nondecreasing
 // Start times. Install before Run; a reader error stops ingestion and is
-// returned by Run (or TraceErr).
+// returned by Run.
 func (s *Simulator) SetTraceReader(r traffic.Reader) {
 	if s.begun {
 		panic("packetsim: SetTraceReader after Run")
 	}
-	s.reader = r
+	s.reader = traffic.NewIngest("packetsim", r)
 }
-
-// TraceErr reports the first trace-reader failure, if any. Shared-kernel
-// drivers (hybrid) check it after the run; standalone Run returns it.
-func (s *Simulator) TraceErr() error { return s.readerErr }
 
 // pullIngest pulls the next demand and schedules its ingest event at the
 // demand's start instant, stamping the flow index it will assign.
 func (s *Simulator) pullIngest() {
-	d, err := s.reader.Next()
-	if err != nil {
-		if err != io.EOF {
-			s.readerErr = err
-		}
+	d, ok := s.reader.Next()
+	if !ok {
 		return
 	}
-	if d.Start < s.readerLast {
-		s.readerErr = fmt.Errorf("packetsim: trace reader went backwards (%v after %v): %w",
-			d.Start, s.readerLast, traffic.ErrTraceOrder)
-		return
-	}
-	s.readerLast = d.Start
 	s.nextDemand = d
 	s.sched(event{at: d.Start, kind: evIngest, dir: int32(len(s.flows))})
 }
@@ -740,17 +722,9 @@ func (s *Simulator) Run(ctx context.Context, until simtime.Time) (*stats.Collect
 	err := s.k.RunContext(ctx, until)
 	col := s.Finish()
 	if err == nil {
-		err = s.readerErr
+		err = s.reader.Err()
 	}
 	return col, err
-}
-
-// RunUntil is Run without a lifecycle: no cancellation, no error.
-//
-// Deprecated: use Run with a context.
-func (s *Simulator) RunUntil(until simtime.Time) *stats.Collector {
-	col, _ := s.Run(context.Background(), until)
-	return col
 }
 
 // Observe registers an observer of applied network dynamics (link and
@@ -758,11 +732,11 @@ func (s *Simulator) RunUntil(until simtime.Time) *stats.Collector {
 func (s *Simulator) Observe(fn simevent.Observer) { s.observers.Add(fn) }
 
 // SetRecordSink streams every stats.FlowRecord to sink instead of
-// accumulating it in the collector. Records emit in flow-ID (load) order:
-// most flows finalize — and free their state — the moment their outcome
-// freezes mid-run, and Finish emits whatever remains, so the stream is
-// byte-identical to what Collector().Flows() would have held. Install
-// before Run.
+// accumulating it in the collector. Records reach the collector in
+// flow-ID (load) order on one path either way — most flows finalize, and
+// free their state, the moment their outcome freezes mid-run, and Finish
+// puts the rest — so the stream is exactly what Collector().Flows() would
+// have held. Install before Run.
 func (s *Simulator) SetRecordSink(sink func(stats.FlowRecord)) {
 	s.col.SetFlowSink(sink)
 }
@@ -798,13 +772,11 @@ func (s *Simulator) Begin() {
 	}
 }
 
-// Finish records every flow not already emitted by the incremental
-// finalize path, sets EventsRun to the dispatch count, and returns the
-// collector; calling it again is a no-op. Emission order is flow-ID
-// order throughout: the incrementally finalized prefix already streamed
-// in ID order, and this loop continues from finNext. Every port settles
-// first, so a frame that left by the horizon has its corruption verdict
-// counted even though its arrival lies beyond.
+// Finish puts every flow the incremental finalize path has not into the
+// record emitter, sets EventsRun to the dispatch count, and returns the
+// collector; calling it again is a no-op. Every port settles first, so a
+// frame that left by the horizon has its corruption verdict counted even
+// though its arrival lies beyond.
 func (s *Simulator) Finish() *stats.Collector {
 	if s.finished {
 		return s.col
@@ -816,14 +788,11 @@ func (s *Simulator) Finish() *stats.Collector {
 	}
 	s.drainFin()
 	s.finished = true
-	for idx := int(s.finNext); idx < len(s.flows); idx++ {
-		if r, ok := s.finPending[int32(idx)]; ok {
-			// Finalized early but held for ID order: emit as recorded.
-			delete(s.finPending, int32(idx))
-			s.addRecord(r)
-			continue
+	for idx, f := range s.flows {
+		if f != nil {
+			r, _ := s.assemble(f)
+			s.records.Put(idx, r)
 		}
-		s.record(s.flows[idx])
 	}
 	s.col.EventsRun = s.EventsDispatched()
 	return s.col

@@ -214,7 +214,7 @@ func TestScriptedOutageAcceptance(t *testing.T) {
 	tlH.Apply(hyb, simtime.Never)
 	hyb.Load(trH)
 	mustRun(hyb, outageWindow)
-	recsH := hyb.Records()
+	recsH := hyb.Collector().Flows()
 	recsP := colP.Flows()
 	if len(recsH) != len(recsP) {
 		t.Fatalf("hybrid %d records vs standalone %d", len(recsH), len(recsP))

@@ -33,9 +33,14 @@ type FlowRecord struct {
 	SizeBits  float64
 	SentBits  float64
 	Completed bool
-	Outcome   string // "completed", "dropped", "looped", "stuck", "killed"
-	PathLen   int
-	Punts     int // PacketIns this flow triggered
+	// Outcome is how the flow ended: "completed", "dropped" (a table
+	// miss or dead source discarded it), "looped" (a forwarding loop),
+	// "expired-waiting" (its deadline passed while parked at a table
+	// miss), or — for flows still live when the run stopped — "running"
+	// or "waiting".
+	Outcome string
+	PathLen int
+	Punts   int // PacketIns this flow triggered
 }
 
 // FCT returns the flow completion time.
@@ -99,8 +104,19 @@ func (c *Collector) AddLinkSample(s LinkSample) { c.linkSeries = append(c.linkSe
 // returned.
 func (c *Collector) SetFlowSink(sink func(FlowRecord)) { c.flowSink = sink }
 
-// AddFlow records a finished flow (or streams it to the flow sink).
+// AddFlow records a finished flow (or streams it to the flow sink) and
+// tallies its outcome into FlowsCompleted, FlowsDropped or FlowsLooped —
+// the one place those counters move, so they always agree with the
+// records.
 func (c *Collector) AddFlow(r FlowRecord) {
+	switch {
+	case r.Completed:
+		c.FlowsCompleted++
+	case r.Outcome == "dropped":
+		c.FlowsDropped++
+	case r.Outcome == "looped":
+		c.FlowsLooped++
+	}
 	if c.flowSink != nil {
 		c.flowSink(r)
 		return
@@ -118,20 +134,6 @@ func (c *Collector) RerouteTimes() []simtime.Time { return c.reroutes }
 
 // Flows returns all finished flow records.
 func (c *Collector) Flows() []FlowRecord { return c.flows }
-
-// CountOutcome tallies a record's terminal outcome into the completion
-// counters — the fold a merging driver (hybrid) applies per record, so a
-// streamed run accumulates the same totals the retained path counts.
-func (c *Collector) CountOutcome(r FlowRecord) {
-	switch {
-	case r.Completed:
-		c.FlowsCompleted++
-	case r.Outcome == "dropped":
-		c.FlowsDropped++
-	case r.Outcome == "looped":
-		c.FlowsLooped++
-	}
-}
 
 // Counters is a point-in-time copy of a Collector's event counters — the
 // value type the service daemon's status and done summaries encode onto

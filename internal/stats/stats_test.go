@@ -104,3 +104,29 @@ func TestFlowSinkDivertsRecords(t *testing.T) {
 		t.Errorf("streamed = %v, want records 2 and 3 in order", got)
 	}
 }
+
+// TestAddFlowTalliesOutcomes: the outcome counters move with AddFlow, and
+// only there, whether the record is retained or streamed.
+func TestAddFlowTalliesOutcomes(t *testing.T) {
+	for _, sink := range []bool{false, true} {
+		c := NewCollector(0)
+		if sink {
+			c.SetFlowSink(func(FlowRecord) {})
+		}
+		for _, r := range []FlowRecord{
+			{Completed: true, Outcome: "completed"},
+			{Completed: true, Outcome: "completed"},
+			{Outcome: "dropped"},
+			{Outcome: "looped"},
+			{Outcome: "expired-waiting"},
+			{Outcome: "running"},
+			{Outcome: "waiting"},
+		} {
+			c.AddFlow(r)
+		}
+		if c.FlowsCompleted != 2 || c.FlowsDropped != 1 || c.FlowsLooped != 1 {
+			t.Errorf("sink=%v: completed/dropped/looped = %d/%d/%d, want 2/1/1",
+				sink, c.FlowsCompleted, c.FlowsDropped, c.FlowsLooped)
+		}
+	}
+}

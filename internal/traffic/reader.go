@@ -367,3 +367,50 @@ func (m *mergeReader) Next() (Demand, error) {
 	}
 	return d, nil
 }
+
+// Ingest is an engine's end of a Reader: it enforces the nondecreasing
+// Start contract and keeps the stream's first failure. Next reports
+// ok=false once the stream ends — at io.EOF, on a reader error, or on a
+// demand that starts before its predecessor (an error wrapping
+// ErrTraceOrder) — and Err then says which.
+type Ingest struct {
+	who  string
+	r    Reader
+	last simtime.Time
+	err  error
+	done bool
+}
+
+// NewIngest wraps r for the engine named who, which prefixes order
+// errors.
+func NewIngest(who string, r Reader) *Ingest { return &Ingest{who: who, r: r} }
+
+// Next returns the stream's next demand, or ok=false once it has ended.
+func (in *Ingest) Next() (d Demand, ok bool) {
+	if in.done {
+		return Demand{}, false
+	}
+	d, err := in.r.Next()
+	if err == nil && d.Start < in.last {
+		err = fmt.Errorf("%s: trace reader went backwards (%v after %v): %w",
+			in.who, d.Start, in.last, ErrTraceOrder)
+	}
+	if err != nil {
+		in.done = true
+		if err != io.EOF {
+			in.err = err
+		}
+		return Demand{}, false
+	}
+	in.last = d.Start
+	return d, true
+}
+
+// Err reports the failure that ended the stream: nil for a clean end, a
+// stream still open, or a nil Ingest.
+func (in *Ingest) Err() error {
+	if in == nil {
+		return nil
+	}
+	return in.err
+}

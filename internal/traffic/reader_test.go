@@ -219,3 +219,34 @@ func TestMergeReaders(t *testing.T) {
 		t.Fatalf("empty merge: %v, want io.EOF", err)
 	}
 }
+
+// TestIngestOrderGuard: the engines' shared reader end stops at EOF with
+// no error, and at the first demand that starts before its predecessor
+// with an error wrapping ErrTraceOrder that stays put.
+func TestIngestOrderGuard(t *testing.T) {
+	at := func(ms int) Demand { return Demand{Start: simtime.Time(ms) * simtime.Time(simtime.Millisecond)} }
+	in := NewIngest("eng", TraceReader(Trace{at(1), at(1), at(2)}))
+	for i := 0; i < 3; i++ {
+		if _, ok := in.Next(); !ok {
+			t.Fatalf("demand %d: stream ended early (%v)", i, in.Err())
+		}
+	}
+	if _, ok := in.Next(); ok || in.Err() != nil {
+		t.Fatalf("at EOF: ok=%v err=%v, want false, nil", ok, in.Err())
+	}
+
+	in = NewIngest("eng", TraceReader(Trace{at(2), at(1), at(3)}))
+	in.Next()
+	if _, ok := in.Next(); ok {
+		t.Fatal("a backwards demand was accepted")
+	}
+	if !errors.Is(in.Err(), ErrTraceOrder) || !strings.HasPrefix(in.Err().Error(), "eng: ") {
+		t.Fatalf("err = %v, want an eng-prefixed ErrTraceOrder", in.Err())
+	}
+	if _, ok := in.Next(); ok {
+		t.Fatal("stream resumed after an order error")
+	}
+	if (*Ingest)(nil).Err() != nil {
+		t.Fatal("nil Ingest reports an error")
+	}
+}

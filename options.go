@@ -372,9 +372,11 @@ func WithScenario(tl *Scenario) Option {
 // WithRecordSink streams every FlowRecord to sink as it finalizes instead
 // of accumulating records in the Collector — the bounded-memory results
 // path for multi-million-flow runs. The stream carries exactly the
-// records, in exactly the order, Collector().Flows() would have held: the
-// Flow and Packet engines deliver as flows finish (and reclaim their
-// state), the Hybrid coupler after load-order renumbering.
+// records, in exactly the order, Collector().Flows() would have held:
+// every engine has one delivery path, and a run without a sink is one
+// whose sink appends to the Collector. Engines deliver as flows finish
+// (and reclaim their state); the Hybrid coupler renumbers to load order
+// first.
 func WithRecordSink(sink func(FlowRecord)) Option {
 	return func(o *options) error {
 		if sink == nil {

@@ -2,7 +2,9 @@ package horse_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"reflect"
 	"testing"
 
@@ -11,11 +13,14 @@ import (
 
 // streamVariant selects the bounded-memory paths under test at the façade
 // level: output streaming (WithRecordSink), input streaming
-// (WithTraceReader), or both, against the retained baseline.
+// (WithTraceReader), or both, against the retained baseline. mixed splits
+// the input instead: even-indexed demands through Load, odd-indexed ones
+// through WithTraceReader.
 type streamVariant struct {
 	name   string
 	sink   bool
 	reader bool
+	mixed  bool
 }
 
 var streamVariants = []streamVariant{
@@ -81,15 +86,29 @@ func runStream(t *testing.T, c streamCase, v streamVariant,
 			streamed = append(streamed, r)
 		}))
 	}
-	if v.reader {
+	load := tr
+	switch {
+	case v.reader:
 		opts = append(opts, horse.WithTraceReader(horse.NewTraceReader(tr)))
+		load = nil
+	case v.mixed:
+		var odd horse.Trace
+		load = nil
+		for i, d := range tr {
+			if i%2 == 0 {
+				load = append(load, d)
+			} else {
+				odd = append(odd, d)
+			}
+		}
+		opts = append(opts, horse.WithTraceReader(horse.NewTraceReader(odd)))
 	}
 	eng, err := horse.New(topo, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !v.reader {
-		eng.Load(tr)
+	if load != nil {
+		eng.Load(load)
 	}
 	col, err := eng.Run(context.Background(), until)
 	if err != nil {
@@ -131,10 +150,12 @@ func diffStream(t *testing.T, label string, v streamVariant,
 }
 
 // TestStreamEquivalenceBattery is the cross-path equivalence contract of
-// the bounded-memory PR: on the golden fat-tree workload, every streaming
-// variant (record sink, trace reader, both) reproduces the retained run
-// byte-for-byte at fidelity {Flow, Packet, Hybrid} × shards {1, 4} ×
-// event queue {heap, wheel}. CI runs this battery under -race.
+// the bounded-memory paths: on the golden fat-tree workload, every
+// streaming variant (record sink, trace reader, both) reproduces the
+// retained run byte-for-byte at fidelity {Flow, Packet, Hybrid} × shards
+// {1, 4} × event queue {heap, wheel}. A half-Load, half-reader input
+// numbers records differently from the baseline, so its sink run is held
+// to its own retained run. CI runs this battery under -race.
 func TestStreamEquivalenceBattery(t *testing.T) {
 	topo, tr := fatTreeWorkload()
 	until := horse.Time(2 * horse.Second)
@@ -148,6 +169,14 @@ func TestStreamEquivalenceBattery(t *testing.T) {
 				got, gotC := runStream(t, c, v, topo, tr, nil, until)
 				diffStream(t, c.String()+"/"+v.name, v, want, got, wantC, gotC)
 			}
+			mixed := streamVariant{name: "load+reader", mixed: true}
+			want, wantC = runStream(t, c, mixed, topo, tr, nil, until)
+			if len(want) != len(tr) {
+				t.Fatalf("load+reader retained %d records for %d demands", len(want), len(tr))
+			}
+			mixed.sink = true
+			got, gotC := runStream(t, c, mixed, topo, tr, nil, until)
+			diffStream(t, c.String()+"/load+reader+sink", mixed, want, got, wantC, gotC)
 		})
 	}
 }
@@ -175,5 +204,45 @@ func TestStreamEquivalenceFailures(t *testing.T) {
 				diffStream(t, c.String()+"/"+v.name, v, want, got, wantC, gotC)
 			}
 		})
+	}
+}
+
+// backwardsReader yields its demands as given, whatever their order.
+type backwardsReader struct{ tr horse.Trace }
+
+func (r *backwardsReader) Next() (horse.Demand, error) {
+	if len(r.tr) == 0 {
+		return horse.Demand{}, io.EOF
+	}
+	d := r.tr[0]
+	r.tr = r.tr[1:]
+	return d, nil
+}
+
+// TestTraceReaderOrderError: every fidelity stops ingesting at a demand
+// that starts before its predecessor and returns ErrTraceOrder from Run.
+func TestTraceReaderOrderError(t *testing.T) {
+	topo, tr := fatTreeWorkload()
+	bad := horse.Trace{tr[1], tr[0]}
+	if bad[0].Start == bad[1].Start {
+		t.Fatal("workload's first two demands start together")
+	}
+	for _, fid := range []horse.Fidelity{horse.Flow, horse.Packet, horse.Hybrid} {
+		opts := []horse.Option{
+			horse.WithFidelity(fid),
+			horse.WithController(horse.NewChain(&horse.ProactiveMAC{})),
+			horse.WithMiss(horse.MissController),
+			horse.WithTraceReader(&backwardsReader{tr: bad}),
+		}
+		if fid == horse.Hybrid {
+			opts = append(opts, horse.WithPacketFraction(0.5))
+		}
+		eng, err := horse.New(topo, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Run(context.Background(), horse.Never); !errors.Is(err, horse.ErrTraceOrder) {
+			t.Errorf("%v: Run error = %v, want ErrTraceOrder", fid, err)
+		}
 	}
 }
