@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench benchmark-smoke bench-baseline bench-compare fuzz-smoke service-smoke lint ci api api-check
+.PHONY: all build test race bench benchmark-smoke bench-baseline bench-compare fuzz-smoke service-smoke lint ci api api-check loc
 
 all: build
 
@@ -27,6 +27,13 @@ bench:
 # scale and check the metric tables against BENCHMARK.json.
 benchmark-smoke:
 	$(GO) test -C benchmark ./...
+
+# The two line counts every CHANGES entry states: non-test Go and test Go,
+# both excluding benchmark/ (a module of its own).
+GOFILES = find . -name '*.go' -not -path './benchmark/*' -not -path './.*'
+loc:
+	@echo "non-test Go: $$($(GOFILES) -not -name '*_test.go' | xargs cat | wc -l)"
+	@echo "test Go:     $$($(GOFILES) -name '*_test.go' | xargs cat | wc -l)"
 
 # Regenerate the committed benchmark baseline (do this deliberately, on a
 # quiet machine, when a PR intentionally changes event counts or

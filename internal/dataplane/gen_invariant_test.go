@@ -15,15 +15,15 @@ import (
 // code mutates a switch's Tables, Groups or Meters directly (Apply,
 // ExpireEntries and Reset bump Gen; a direct sw.Tables[i].Add would serve
 // stale decisions at packet fidelity only), and link liveness changes only
-// where an engine's NotifyLinkChange/Invalidate follows.
+// where the control plane's Invalidate follows.
 func TestStateMutatesOnlyBehindGen(t *testing.T) {
 	mutators := map[string]bool{"Add": true, "Delete": true, "DeleteStrict": true, "Expire": true}
 	state := map[string]bool{"Tables": true, "Groups": true, "Meters": true}
-	// The two engines' link-change handlers, which invalidate right after.
+	// The control plane's link-change handler, which invalidates right
+	// after.
 	mayFlipLinks := map[string]bool{
-		"internal/netgraph/netgraph.go":  true,
-		"internal/flowsim/flows.go":      true,
-		"internal/packetsim/failures.go": true,
+		"internal/netgraph/netgraph.go": true,
+		"internal/flowsim/control.go":   true,
 	}
 	// stateField names the field behind x.Tables[i], x.Groups or x.Meters.
 	// The check is syntactic, so a bare x.Tables (a report's tables, say)
@@ -72,7 +72,7 @@ func TestStateMutatesOnlyBehindGen(t *testing.T) {
 						fset.Position(n.Pos()), field, sel.Sel.Name)
 				}
 				if sel.Sel.Name == "SetLinkUp" && !mayFlipLinks[rel] {
-					t.Errorf("%s: SetLinkUp outside the engines' link-change handlers skips Switch.Invalidate",
+					t.Errorf("%s: SetLinkUp outside the control plane's link-change handler skips Switch.Invalidate",
 						fset.Position(n.Pos()))
 				}
 			case *ast.AssignStmt:

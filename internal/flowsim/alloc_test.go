@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"horse/internal/dataplane"
 	"horse/internal/header"
@@ -12,6 +13,14 @@ import (
 	"horse/internal/stats"
 	"horse/internal/traffic"
 )
+
+// TestEventSize pins the slim envelope: every schedule copies one and
+// every release clears one. Control-plane events are the ControlPlane's.
+func TestEventSize(t *testing.T) {
+	if n := unsafe.Sizeof(event{}); n > 48 {
+		t.Errorf("event is %d bytes, want <= 48", n)
+	}
+}
 
 // TestFlowAllocsPerFlow pins the allocation cost of the streamed path
 // end to end — CSV scan, arrival, walk, solve, completion, record sink —

@@ -1,241 +1,521 @@
 package flowsim
 
 import (
+	"horse/internal/dataplane"
+	"horse/internal/linkmodel"
 	"horse/internal/netgraph"
 	"horse/internal/openflow"
 	"horse/internal/simcore"
+	"horse/internal/simevent"
 	"horse/internal/simtime"
 	"horse/internal/stats"
 )
-
-// Engine is the simulator-side surface behind a Context. Both the
-// flow-level engine and the packet-level engine implement it, so one
-// Controller implementation drives either fidelity (and, through the
-// hybrid coupler, both at once).
-type Engine interface {
-	// Now returns the current virtual time.
-	Now() simtime.Time
-	// Topology returns the simulated topology.
-	Topology() *netgraph.Topology
-	// Collector returns the engine's statistics collector.
-	Collector() *stats.Collector
-	// SendToSwitch delivers a controller→switch message to its datapath
-	// after the engine's control latency.
-	SendToSwitch(msg openflow.Message)
-	// After schedules fn on the controller after d.
-	After(d simtime.Duration, fn func())
-}
 
 // Context is the API a Controller uses to interact with the simulation. It
 // deliberately exposes no data-plane internals beyond what a real
 // controller could learn: the topology (assumed discovered), virtual time,
 // message sending, and timers.
 type Context struct {
-	eng Engine
+	p *ControlPlane
 }
 
-// NewContext wraps an engine for controller use. Engines call it
-// internally; it is exported for engines living outside this package (the
-// packet-level simulator).
-func NewContext(eng Engine) *Context { return &Context{eng: eng} }
-
 // Now returns the current virtual time.
-func (c *Context) Now() simtime.Time { return c.eng.Now() }
+func (c *Context) Now() simtime.Time { return c.p.k.Now() }
 
 // Topology returns the network topology. Controllers treat it as
 // discovered state (LLDP equivalent); link Up flags reflect what
 // PortStatus messages have announced.
-func (c *Context) Topology() *netgraph.Topology { return c.eng.Topology() }
+func (c *Context) Topology() *netgraph.Topology { return c.p.topo }
 
 // Send delivers a control message to its datapath after the configured
 // control latency.
-func (c *Context) Send(msg openflow.Message) { c.eng.SendToSwitch(msg) }
+func (c *Context) Send(msg openflow.Message) { c.p.SendToSwitch(msg) }
 
 // After schedules fn to run on the controller after d.
-func (c *Context) After(d simtime.Duration, fn func()) { c.eng.After(d, fn) }
+func (c *Context) After(d simtime.Duration, fn func()) { c.p.After(d, fn) }
 
 // Collector exposes simulation statistics (read-only use) so monitoring
 // apps can export what they observe alongside ground truth.
-func (c *Context) Collector() *stats.Collector { return c.eng.Collector() }
+func (c *Context) Collector() *stats.Collector { return c.p.col }
 
-// SendToSwitch implements Engine: the message applies at its datapath
-// after the control latency. While the controller is detached the message
-// is lost (the control channel is the thing that failed); messages
-// already emitted before the break are in the network and still arrive.
-func (s *Simulator) SendToSwitch(msg openflow.Message) {
-	if s.fstate.ControllerDetached() {
-		return
-	}
-	s.sched(event{
-		at:   s.k.Now().Add(s.cfg.ControlLatency),
-		kind: evToSwitch,
-		msg:  msg,
-	})
+// Attachment is an engine attached to a ControlPlane: its reactions to
+// control-plane actions that depend on how it models traffic. The plane
+// calls every attached engine, in attach order, at the point named.
+type Attachment interface {
+	// Applied follows a FlowMod, GroupMod, MeterMod or PacketOut the plane
+	// applied at the message's datapath.
+	Applied(msg openflow.Message)
+	// AddPortStats adds the engine's counters to every entry of reply.
+	AddPortStats(reply *openflow.PortStatsReply)
+	// BeforeExpiry brings what the idle timers of switch sw read up to
+	// now; AfterExpiry follows the eviction of at least one of its entries.
+	BeforeExpiry(sw netgraph.NodeID)
+	AfterExpiry(sw netgraph.NodeID)
+	// LinkFlipped follows a link's state flip, before its ends announce it.
+	LinkFlipped(l *netgraph.Link)
+	// BeforeLinkModel and AfterLinkModel bracket a change of the link's
+	// model in the shared registry.
+	BeforeLinkModel(link netgraph.LinkID)
+	AfterLinkModel(link netgraph.LinkID)
+	// SwitchCrashed follows the table wipe of switch sw, before its links
+	// go down.
+	SwitchCrashed(sw netgraph.NodeID)
+	// ControllerReattached follows the reattach resync of the controller.
+	ControllerReattached()
 }
 
-// After implements Engine: fn runs on the controller after d.
-func (s *Simulator) After(d simtime.Duration, fn func()) {
-	s.sched(event{at: s.k.Now().Add(d), kind: evTimer, fn: fn})
+// ControlPlane is the one control plane of a run, whatever its fidelity:
+// the controller's Context, latency-modeled message delivery in both
+// directions, message application to the shared network, per-switch rule
+// expiry, and scripted network dynamics (link, switch and controller
+// failures, link-model changes). The engines attached to it share its
+// kernel, network and link registry, and react through Attachment.
+type ControlPlane struct {
+	k       *simcore.Kernel
+	topo    *netgraph.Topology
+	net     *dataplane.Network
+	links   *linkmodel.Set
+	col     *stats.Collector
+	ctrl    Controller
+	ctx     *Context
+	latency simtime.Duration
+	pool    simcore.Pool[ctlEvent]
+	engines []Attachment
+	started bool
+
+	// fstate composes overlapping scripted outages (links, switches, and
+	// controller detach all nest by counting) and records the link
+	// changes a detached controller missed, so reattach can
+	// resynchronize its topology view with current-state PortStatus.
+	fstate *dataplane.FailureState
+
+	// Per-switch scheduled expiry instants (simtime.Never when none), to
+	// avoid duplicate events; expiryTimer holds the outstanding check so a
+	// reschedule cancels it instead of stacking a second event beside it.
+	expiryAt    []simtime.Time
+	expiryTimer []simcore.Timer
+
+	// observers receive applied network-dynamics events (the public
+	// Observe hook).
+	observers simevent.Observers
+}
+
+// NewControlPlane builds the control plane of a run on kernel k over
+// network net. links is the link-model registry the attached engines read
+// (nil builds a pristine one); the plane counts applied FlowMods into col,
+// which is also what Context.Collector returns. ctrl is the controller;
+// with none (nil), switch-to-controller messages are dropped at the
+// switch. latency delays every message in both directions (0 means 1 ms).
+func NewControlPlane(k *simcore.Kernel, net *dataplane.Network, links *linkmodel.Set, col *stats.Collector, ctrl Controller, latency simtime.Duration) *ControlPlane {
+	topo := net.Topo
+	if links == nil {
+		links = linkmodel.NewSet(1, topo.NumLinks())
+	}
+	if latency == 0 {
+		latency = simtime.Millisecond
+	}
+	p := &ControlPlane{
+		k: k, topo: topo, net: net, links: links, col: col, ctrl: ctrl, latency: latency,
+		fstate:      dataplane.NewFailureState(topo),
+		expiryAt:    make([]simtime.Time, topo.NumNodes()),
+		expiryTimer: make([]simcore.Timer, topo.NumNodes()),
+	}
+	for n := range p.expiryAt {
+		p.expiryAt[n] = simtime.Never
+	}
+	p.ctx = &Context{p: p}
+	return p
+}
+
+// Attach adds an engine's reactions, which run after those of every
+// engine attached before it.
+func (p *ControlPlane) Attach(a Attachment) { p.engines = append(p.engines, a) }
+
+// Kernel returns the kernel the plane schedules on.
+func (p *ControlPlane) Kernel() *simcore.Kernel { return p.k }
+
+// Network returns the data-plane state messages apply to.
+func (p *ControlPlane) Network() *dataplane.Network { return p.net }
+
+// Links returns the link-model registry.
+func (p *ControlPlane) Links() *linkmodel.Set { return p.links }
+
+// Controller returns the controller, or nil when the run has none.
+func (p *ControlPlane) Controller() Controller { return p.ctrl }
+
+// Start starts the controller; calls after the first are no-ops, so every
+// attached engine may call it as it begins.
+func (p *ControlPlane) Start() {
+	if p.started {
+		return
+	}
+	p.started = true
+	if p.ctrl != nil {
+		p.ctrl.Start(p.ctx)
+	}
+}
+
+// Observe registers an observer of applied network dynamics (link and
+// switch state flips, controller detach/reattach, link-model changes).
+// Register before Run; observers run synchronously at the instant a change
+// takes effect.
+func (p *ControlPlane) Observe(fn simevent.Observer) { p.observers.Add(fn) }
+
+// SendToSwitch delivers a controller→switch message to its datapath after
+// the control latency. While the controller is detached the message is
+// lost (the control channel is the thing that failed); messages already
+// emitted before the break are in the network and still arrive.
+func (p *ControlPlane) SendToSwitch(msg openflow.Message) {
+	if p.fstate.ControllerDetached() {
+		return
+	}
+	p.sched(ctlEvent{at: p.k.Now().Add(p.latency), kind: ctlToSwitch, id: int32(msg.Datapath()), msg: msg})
+}
+
+// After schedules fn as a controller timer d from now.
+func (p *ControlPlane) After(d simtime.Duration, fn func()) {
+	p.sched(ctlEvent{at: p.k.Now().Add(d), kind: ctlTimer, fn: fn})
 }
 
 // SendToController delivers a switch-originated message to the controller
-// after the control latency. It is exported so a co-resident packet
-// engine (hybrid runs) can punt into the same control plane.
-func (s *Simulator) SendToController(msg openflow.Message) { s.sendToController(msg) }
-
-// sendToController delivers a switch-originated message after the control
-// latency; a detached controller never sees it. The dispatch side drops
-// (and pends, for PortStatus) messages caught in flight when the channel
-// breaks — see evToController in dispatch.
-func (s *Simulator) sendToController(msg openflow.Message) {
-	if s.fstate.ControllerDetached() {
-		s.fstate.NotePendingStatus(msg)
+// after the control latency. With no controller it is dropped; a detached
+// controller never sees it, and the delivery side likewise drops (and
+// pends, for PortStatus) messages caught in flight when the channel
+// breaks.
+func (p *ControlPlane) SendToController(msg openflow.Message) {
+	if p.ctrl == nil {
 		return
 	}
-	s.sched(event{
-		at:   s.k.Now().Add(s.cfg.ControlLatency),
-		kind: evToController,
-		msg:  msg,
-	})
+	if p.fstate.ControllerDetached() {
+		p.fstate.NotePendingStatus(msg)
+		return
+	}
+	p.sched(ctlEvent{at: p.k.Now().Add(p.latency), kind: ctlToController, id: int32(msg.Datapath()), msg: msg})
 }
 
-// handleToSwitch applies a controller message at its datapath.
-func (s *Simulator) handleToSwitch(msg openflow.Message) {
-	dp := msg.Datapath()
-	sw := s.net.Switch(dp)
-	if sw == nil {
-		return // message to a non-switch: controller bug, dropped
+// ScheduleLinkChange schedules a link failure (up=false) or recovery. The
+// scripted link state composes with switch liveness: a link "recovering"
+// under a crashed endpoint stays down until the switch restarts.
+func (p *ControlPlane) ScheduleLinkChange(at simtime.Time, link netgraph.LinkID, up bool) {
+	p.sched(ctlEvent{at: at, kind: ctlLinkChange, id: int32(link), up: up})
+}
+
+// ScheduleSwitchChange schedules a switch crash (up=false) or restart. A
+// crash wipes the switch's OpenFlow state and takes every attached link
+// down; a restart brings the links back with the tables still empty, so
+// the controller must re-program it.
+func (p *ControlPlane) ScheduleSwitchChange(at simtime.Time, sw netgraph.NodeID, up bool) {
+	p.sched(ctlEvent{at: at, kind: ctlSwitchChange, id: int32(sw), up: up})
+}
+
+// ScheduleControllerChange schedules a controller detach (attached=false)
+// or reattach. While detached, messages in both directions are lost; on
+// reattach, the links that changed meanwhile announce their current state
+// and the engines re-announce the traffic they hold for the controller.
+func (p *ControlPlane) ScheduleControllerChange(at simtime.Time, attached bool) {
+	p.sched(ctlEvent{at: at, kind: ctlCtrlChange, up: attached})
+}
+
+// ScheduleLinkDegrade schedules a link-model change: m installs a
+// degradation model on both directions of the link at `at` (nil restores
+// the pristine link). Orthogonal to ScheduleLinkChange — FailureState
+// still decides up/down, and the model shapes traffic only while the link
+// is up.
+func (p *ControlPlane) ScheduleLinkDegrade(at simtime.Time, link netgraph.LinkID, m linkmodel.Model) {
+	p.sched(ctlEvent{at: at, kind: ctlLinkDegrade, id: int32(link), model: m})
+}
+
+type ctlKind uint8
+
+const (
+	ctlToSwitch ctlKind = iota
+	ctlToController
+	ctlTimer
+	ctlExpiry
+	ctlLinkChange
+	ctlSwitchChange
+	ctlCtrlChange
+	ctlLinkDegrade
+)
+
+// ctlEvent is the plane's pooled kernel envelope. id is the datapath of a
+// message or expiry, the link of a link or model change, the switch of a
+// switch change.
+type ctlEvent struct {
+	at    simtime.Time
+	p     *ControlPlane
+	msg   openflow.Message
+	fn    func()
+	model linkmodel.Model
+	id    int32
+	kind  ctlKind
+	up    bool
+}
+
+func (e *ctlEvent) Time() simtime.Time { return e.at }
+
+// OrderKey implements eventq.Keyed with the kernel-wide class scheme
+// (simcore.OrderKey): at one instant, scripted dynamics first, then
+// deliveries to switches, expiries, deliveries to the controller and
+// controller timers, all before the engines' data-plane events.
+func (e *ctlEvent) OrderKey() uint64 {
+	switch e.kind {
+	case ctlLinkChange, ctlLinkDegrade, ctlSwitchChange:
+		return simcore.OrderKey(simcore.ClassTopoChange, uint32(e.id))
+	case ctlCtrlChange:
+		return simcore.OrderKey(simcore.ClassTopoChange, ^uint32(0))
+	case ctlToSwitch:
+		return simcore.OrderKey(simcore.ClassToSwitch, uint32(e.id))
+	case ctlExpiry:
+		return simcore.OrderKey(simcore.ClassExpiry, uint32(e.id))
+	case ctlToController:
+		return simcore.OrderKey(simcore.ClassToController, uint32(e.id))
+	default: // ctlTimer
+		return simcore.OrderKey(simcore.ClassTimer, 0)
 	}
-	if s.fstate.SwitchIsDown(dp) {
-		// A crashed switch cannot apply anything; the message is lost,
-		// so the restart genuinely comes back with empty tables.
+}
+
+// Fire implements simcore.Event.
+func (e *ctlEvent) Fire() {
+	p := e.p
+	switch e.kind {
+	case ctlToSwitch:
+		p.Deliver(e.msg)
+	case ctlToController:
+		if p.fstate.ControllerDetached() {
+			// The channel broke while the message was in flight: it is
+			// lost at delivery. A lost PortStatus still resyncs on
+			// reattach (the link change it announced goes pending).
+			p.fstate.NotePendingStatus(e.msg)
+			return
+		}
+		p.ctrl.Handle(p.ctx, e.msg)
+	case ctlTimer:
+		e.fn()
+	case ctlExpiry:
+		p.handleExpiry(netgraph.NodeID(e.id))
+	case ctlLinkChange:
+		p.fstate.SetLink(netgraph.LinkID(e.id), e.up)
+		p.applyLinkChange(netgraph.LinkID(e.id), -1)
+	case ctlSwitchChange:
+		p.handleSwitchChange(netgraph.NodeID(e.id), e.up)
+	case ctlCtrlChange:
+		p.handleCtrlChange(e.up)
+	case ctlLinkDegrade:
+		p.handleLinkDegrade(netgraph.LinkID(e.id), e.model)
+	}
+}
+
+// Release implements simcore.Event: recycle the envelope.
+func (e *ctlEvent) Release() {
+	p := e.p
+	*e = ctlEvent{}
+	p.pool.Put(e)
+}
+
+func (p *ControlPlane) sched(proto ctlEvent) { p.k.Schedule(p.envelope(proto)) }
+
+// envelope returns a pooled copy of proto.
+func (p *ControlPlane) envelope(proto ctlEvent) *ctlEvent {
+	e := p.pool.Get()
+	*e = proto
+	e.p = p
+	return e
+}
+
+// Deliver applies a controller→switch message at its datapath now, which
+// is what a delivery SendToSwitch scheduled does when it fires. A message
+// to a non-switch (a controller bug) or to a crashed switch is lost, so a
+// restart genuinely comes back with empty tables.
+func (p *ControlPlane) Deliver(msg openflow.Message) {
+	dp := msg.Datapath()
+	sw := p.net.Switch(dp)
+	if sw == nil || p.fstate.SwitchIsDown(dp) {
 		return
 	}
 	switch m := msg.(type) {
-	case *openflow.FlowMod, *openflow.GroupMod:
-		if err := sw.Apply(msg, s.k.Now()); err != nil {
+	case *openflow.FlowMod, *openflow.GroupMod, *openflow.MeterMod:
+		if err := sw.Apply(msg, p.k.Now()); err != nil {
 			return
 		}
-		s.col.FlowMods++
-		s.scheduleExpiry(dp)
-		s.markSwitchDirty(dp)
-		s.notifyApply(msg)
-	case *openflow.MeterMod:
-		if err := sw.Apply(msg, s.k.Now()); err != nil {
-			return
+		p.col.FlowMods++
+		if _, meter := m.(*openflow.MeterMod); !meter {
+			p.scheduleExpiry(dp)
 		}
-		s.col.FlowMods++
-		// Update allocator capacity for the meter resource.
-		r := meterResource(dp, m.MeterID)
-		switch m.Op {
-		case openflow.MeterAdd, openflow.MeterModify:
-			s.alloc.SetCapacity(r, m.RateBps)
-		case openflow.MeterDelete:
-			// Flows re-resolve and drop the resource; in the interim the
-			// meter no longer polices.
-			s.alloc.SetCapacity(r, 1e18)
-		}
-		s.recomputeAndApply()
-		s.markSwitchDirty(dp)
-		s.notifyApply(msg)
+		p.applied(msg)
 	case *openflow.PacketOut:
-		// The buffered first packet is released; the waiting flow retries
-		// resolution (rules installed alongside typically complete it).
-		for _, r := range s.waiting[dp] {
-			if r.f.Key == m.Key {
-				s.markDirty(r.f)
-			}
-		}
-		s.notifyApply(msg)
+		p.applied(msg)
 	case *openflow.PortStatsRequest:
-		s.sendToController(s.portStats(dp, m.Port))
+		p.SendToController(p.portStats(dp, m.Port))
 	case *openflow.FlowStatsRequest:
-		s.sendToController(sw.FlowStats(m, s.k.Now()))
+		p.SendToController(sw.FlowStats(m, p.k.Now()))
 	case *openflow.BarrierRequest:
-		s.sendToController(&openflow.BarrierReply{Switch: dp, Xid: m.Xid})
+		p.SendToController(&openflow.BarrierReply{Switch: dp, Xid: m.Xid})
 	}
 }
 
-// notifyApply reports an applied controller message to the co-resident
-// engine hook (hybrid runs).
-func (s *Simulator) notifyApply(msg openflow.Message) {
-	if s.cfg.OnApply != nil {
-		s.cfg.OnApply(msg)
+func (p *ControlPlane) applied(msg openflow.Message) {
+	for _, e := range p.engines {
+		e.Applied(msg)
 	}
 }
 
-// portStats builds a PortStatsReply from the resource ledgers.
-func (s *Simulator) portStats(dp netgraph.NodeID, port netgraph.PortNum) *openflow.PortStatsReply {
-	s.drainAlloc()
-	reply := &openflow.PortStatsReply{Switch: dp, At: s.k.Now()}
-	node := s.topo.Node(dp)
-	ports := node.Ports()
-	for _, p := range ports {
-		if port != netgraph.NoPort && p != port {
+// portStats builds a PortStatsReply for one port of dp (every port with
+// NoPort), summing the counters of every attached engine.
+func (p *ControlPlane) portStats(dp netgraph.NodeID, port netgraph.PortNum) *openflow.PortStatsReply {
+	reply := &openflow.PortStatsReply{Switch: dp, At: p.k.Now()}
+	for _, pn := range p.topo.Node(dp).Ports() {
+		if port != netgraph.NoPort && pn != port {
 			continue
 		}
-		l := s.topo.LinkAt(dp, p)
-		if l == nil {
-			continue
+		if l := p.topo.LinkAt(dp, pn); l != nil {
+			reply.Stats = append(reply.Stats, openflow.PortStats{Port: pn, LinkBps: l.BandwidthBps, Up: l.Up})
 		}
-		// Tx direction: from dp outward.
-		txRes := linkResource(l.ID, l.A == dp)
-		rxRes := linkResource(l.ID, l.B == dp)
-		txL, rxL := &s.ledgers[txRes], &s.ledgers[rxRes]
-		txL.settle(s.k.Now())
-		rxL.settle(s.k.Now())
-		ps := openflow.PortStats{
-			Port: p, LinkBps: l.BandwidthBps, Up: l.Up,
-			TxBits: txL.bits, TxRateBps: txL.rate,
-			RxBits: rxL.bits, RxRateBps: rxL.rate,
-		}
-		reply.Stats = append(reply.Stats, ps)
+	}
+	for _, e := range p.engines {
+		e.AddPortStats(reply)
 	}
 	return reply
 }
 
 // scheduleExpiry arms a timeout check for a switch at its earliest entry
 // expiry, avoiding duplicate events for the same instant.
-func (s *Simulator) scheduleExpiry(dp netgraph.NodeID) {
-	next := s.net.Switch(dp).NextExpiry()
+func (p *ControlPlane) scheduleExpiry(dp netgraph.NodeID) {
+	next := p.net.Switch(dp).NextExpiry()
 	if next == simtime.Never {
 		return
 	}
-	if cur := s.expiryAt[dp]; cur <= next && cur >= s.k.Now() {
+	if cur := p.expiryAt[dp]; cur <= next && cur >= p.k.Now() {
 		return // an earlier (or equal) check is already scheduled
 	}
 	// The outstanding check (if any) is later than next: replace it
 	// instead of stacking a second event beside it.
-	s.k.Cancel(s.expiryTimer[dp])
-	s.expiryAt[dp] = next
-	s.expiryTimer[dp] = s.schedTimer(event{at: next, kind: evExpiry, sw: dp})
+	p.k.Cancel(p.expiryTimer[dp])
+	p.expiryAt[dp] = next
+	p.expiryTimer[dp] = p.k.ScheduleCancelable(p.envelope(ctlEvent{at: next, kind: ctlExpiry, id: int32(dp)}))
 }
 
 // handleExpiry evicts expired entries on a switch, notifies the controller
-// with FlowRemoved, re-resolves affected flows, and re-arms the timer.
-func (s *Simulator) handleExpiry(dp netgraph.NodeID) {
-	s.expiryAt[dp] = simtime.Never
-	s.expiryTimer[dp] = simcore.Timer{}
-	sw := s.net.Switch(dp)
+// with FlowRemoved, and re-arms the timer. Traffic that hit an evicted
+// rule re-resolves (flow engine) or misses and punts again (packet
+// engine).
+func (p *ControlPlane) handleExpiry(dp netgraph.NodeID) {
+	p.expiryAt[dp] = simtime.Never
+	p.expiryTimer[dp] = simcore.Timer{}
+	sw := p.net.Switch(dp)
 	if sw == nil {
 		return
 	}
-	// Idle timers must see current usage: at flow granularity an entry's
-	// LastUsed only advances when a flow settles, so settle every active
-	// flow traversing this switch before judging expiry. (A real switch
-	// updates the timestamp per packet; this is the flow-level analogue.)
-	s.drainAlloc()
-	for _, r := range s.flowsAt[dp] {
-		if f := r.f; f.state == StateActive && f.rate > 0 {
-			s.settleFlow(f)
-		}
+	for _, e := range p.engines {
+		e.BeforeExpiry(dp)
 	}
-	removed := sw.ExpireEntries(s.k.Now())
+	removed := sw.ExpireEntries(p.k.Now())
 	for _, fr := range removed {
-		s.sendToController(fr)
+		p.SendToController(fr)
 	}
 	if len(removed) > 0 {
-		s.markSwitchDirty(dp)
+		for _, e := range p.engines {
+			e.AfterExpiry(dp)
+		}
 	}
-	s.scheduleExpiry(dp)
+	p.scheduleExpiry(dp)
+}
+
+// applyLinkChange moves a link to the state every scripted failure in
+// effect implies (no-op when already there): topology flip, decision
+// invalidation at both ends (port liveness feeds group bucket selection —
+// the dataplane.Switch.Gen contract), the engines' reactions, and
+// PortStatus from both ends except silent, a crashed switch that cannot
+// announce its own ports (pass -1 normally). While detached, the
+// PortStatus pends for the reattach resync instead.
+func (p *ControlPlane) applyLinkChange(id netgraph.LinkID, silent netgraph.NodeID) {
+	l := p.topo.Link(id)
+	up := p.fstate.LinkDesired(id)
+	if l.Up == up {
+		return
+	}
+	p.topo.SetLinkUp(id, up)
+	ends := [2]netgraph.NodeID{l.A, l.B}
+	for _, end := range ends {
+		if sw := p.net.Switch(end); sw != nil {
+			sw.Invalidate()
+		}
+	}
+	for _, e := range p.engines {
+		e.LinkFlipped(l)
+	}
+	for _, end := range ends {
+		if end != silent && p.net.Switch(end) != nil {
+			p.SendToController(&openflow.PortStatus{Switch: end, Port: l.PortAt(end), Up: up})
+		}
+	}
+	p.observers.Notify(simevent.Observation{
+		At: p.k.Now(), Kind: simevent.LinkChange, Link: id, Up: up,
+	})
+}
+
+// handleSwitchChange applies a switch crash or restart: a crash wipes the
+// switch's OpenFlow state and takes every attached link down (neighbors
+// announce PortStatus; the dead switch cannot); a restart brings the links
+// back up — with the tables still empty — and both ends announce.
+func (p *ControlPlane) handleSwitchChange(id netgraph.NodeID, up bool) {
+	sw := p.net.Switch(id)
+	if sw == nil || !p.fstate.SetSwitch(id, up) {
+		return
+	}
+	silent := netgraph.NodeID(-1)
+	if !up {
+		sw.Reset()
+		for _, e := range p.engines {
+			e.SwitchCrashed(id)
+		}
+		silent = id
+	}
+	for _, pn := range p.topo.Node(id).Ports() {
+		// LinkDesired keeps a restart from reviving a link still inside
+		// its own scripted outage (and a crash from "double-failing" one).
+		if l := p.topo.LinkAt(id, pn); l != nil {
+			p.applyLinkChange(l.ID, silent)
+		}
+	}
+	p.observers.Notify(simevent.Observation{
+		At: p.k.Now(), Kind: simevent.SwitchChange, Switch: id, Up: up,
+	})
+}
+
+// handleCtrlChange applies a controller detach or reattach. Outages nest
+// by counting (FailureState.SetController): only the reattach matching the
+// first detach restores the channel. On reattach, links that changed while
+// detached announce their CURRENT state first, so PortStatus-driven
+// controllers reconverge on the truth before the engines re-announce what
+// they hold.
+func (p *ControlPlane) handleCtrlChange(attached bool) {
+	if !p.fstate.SetController(attached) {
+		return // no state flip (nested, or nothing to reattach)
+	}
+	if attached {
+		p.fstate.ResyncPortStatus(p.net, p.SendToController)
+		for _, e := range p.engines {
+			e.ControllerReattached()
+		}
+	}
+	p.observers.Notify(simevent.Observation{
+		At: p.k.Now(), Kind: simevent.ControllerChange, Up: attached,
+	})
+}
+
+// handleLinkDegrade installs m on both directions of a link in the shared
+// registry (nil restores it), between the engines' before and after
+// reactions.
+func (p *ControlPlane) handleLinkDegrade(id netgraph.LinkID, m linkmodel.Model) {
+	for _, e := range p.engines {
+		e.BeforeLinkModel(id)
+	}
+	p.links.SetLink(id, m)
+	for _, e := range p.engines {
+		e.AfterLinkModel(id)
+	}
+	p.observers.Notify(simevent.Observation{
+		At: p.k.Now(), Kind: simevent.LinkDegrade, Link: id, Up: m == nil,
+	})
 }

@@ -39,6 +39,9 @@ func (q *dispatchLog) PopUntil(until simtime.Time) eventq.Event {
 		}
 		q.log = append(q.log, entry)
 	}
+	if e, ok := ev.(*ctlEvent); ok {
+		q.log = append(q.log, fmt.Sprintf("%d k%x ctl%d", e.at, e.OrderKey(), e.kind))
+	}
 	return ev
 }
 
@@ -77,11 +80,13 @@ func runCursorArm(topo *netgraph.Topology, until simtime.Time, cancelAt simtime.
 	if cancelAt > 0 {
 		ctrl = &cancelAfter{ctrl, cancelAt, cancel}
 	}
-	sim := New(Config{Topology: topo, Kernel: k, Controller: ctrl, Miss: dataplane.MissController})
+	col := stats.NewCollector(0)
+	p := NewControlPlane(k, dataplane.NewNetwork(topo, dataplane.MissController), nil, col, ctrl, 0)
+	sim := newOn(p, Config{}, col)
 	feed(sim)
 	sim.Begin()
 	k.RunContext(ctx, until)
-	col := sim.Finish()
+	sim.Finish()
 	return cursorArm{records: col.Flows(), events: col.EventsRun, log: q.log}
 }
 

@@ -7,11 +7,9 @@ import (
 
 	"horse/internal/dataplane"
 	"horse/internal/fairshare"
-	"horse/internal/linkmodel"
 	"horse/internal/netgraph"
 	"horse/internal/openflow"
 	"horse/internal/simcore"
-	"horse/internal/simevent"
 	"horse/internal/simtime"
 	"horse/internal/stats"
 	"horse/internal/traffic"
@@ -106,7 +104,7 @@ func (s *Simulator) resolve(f *Flow) {
 			f.puntedAt = append(f.puntedAt, sw)
 			f.punts++
 			s.col.PacketIns++
-			s.sendToController(&openflow.PacketIn{
+			s.plane.SendToController(&openflow.PacketIn{
 				Switch: sw,
 				InPort: inPortAt(s, f, sw),
 				Key:    f.Key,
@@ -752,61 +750,93 @@ func (s *Simulator) handleResolveBatch() {
 	s.dirtySpare = batch[:0]
 }
 
-// handleLinkChange applies a scheduled link state change. The scripted
-// link state composes with switch liveness through linkDesired, so a link
-// "recovering" under a crashed endpoint stays down until the switch
-// restarts.
-func (s *Simulator) handleLinkChange(id netgraph.LinkID, up bool) {
-	s.fstate.SetLink(id, up)
-	s.applyLinkChange(id, s.fstate.LinkDesired(id), -1)
+// Applied implements Attachment: flows at the switch re-resolve against
+// the new rules. A MeterMod also re-caps the meter's resource; a PacketOut
+// releases the buffered first packets of the flows it names, which retry
+// resolution (rules installed alongside typically complete them).
+func (s *Simulator) Applied(msg openflow.Message) {
+	dp := msg.Datapath()
+	switch m := msg.(type) {
+	case *openflow.FlowMod, *openflow.GroupMod:
+		s.markSwitchDirty(dp)
+	case *openflow.MeterMod:
+		r := meterResource(dp, m.MeterID)
+		switch m.Op {
+		case openflow.MeterAdd, openflow.MeterModify:
+			s.alloc.SetCapacity(r, m.RateBps)
+		case openflow.MeterDelete:
+			// Flows re-resolve and drop the resource; in the interim the
+			// meter no longer polices.
+			s.alloc.SetCapacity(r, 1e18)
+		}
+		s.recomputeAndApply()
+		s.markSwitchDirty(dp)
+	case *openflow.PacketOut:
+		for _, r := range s.waiting[dp] {
+			if r.f.Key == m.Key {
+				s.markDirty(r.f)
+			}
+		}
+	}
 }
 
-// applyLinkChange flips a link's state (no-op when already there),
-// updates capacities, notifies the controller, and re-resolves affected
-// flows (modeling data-plane liveness for groups and blackholing for
-// plain port rules). silent names a crashed switch that cannot emit
-// PortStatus (pass -1 normally).
-func (s *Simulator) applyLinkChange(id netgraph.LinkID, up bool, silent netgraph.NodeID) {
-	l := s.topo.Link(id)
-	if l.Up == up {
-		return
+// AddPortStats implements Attachment from the resource ledgers: bits
+// carried so far and the current aggregate rate, per direction.
+func (s *Simulator) AddPortStats(reply *openflow.PortStatsReply) {
+	s.drainAlloc()
+	now := s.k.Now()
+	for i := range reply.Stats {
+		ps := &reply.Stats[i]
+		l := s.topo.LinkAt(reply.Switch, ps.Port)
+		tx, rx := &s.ledgers[linkResource(l.ID, l.A == reply.Switch)], &s.ledgers[linkResource(l.ID, l.B == reply.Switch)]
+		tx.settle(now)
+		rx.settle(now)
+		ps.TxBits += tx.bits
+		ps.TxRateBps += tx.rate
+		ps.RxBits += rx.bits
+		ps.RxRateBps += rx.rate
 	}
-	s.topo.SetLinkUp(id, up)
+}
+
+// BeforeExpiry implements Attachment. Idle timers must see current usage:
+// at flow granularity an entry's LastUsed only advances when a flow
+// settles, so every active flow traversing the switch settles first. (A
+// real switch updates the timestamp per packet; this is the flow-level
+// analogue.)
+func (s *Simulator) BeforeExpiry(sw netgraph.NodeID) {
+	s.drainAlloc()
+	for _, r := range s.flowsAt[sw] {
+		if f := r.f; f.state == StateActive && f.rate > 0 {
+			s.settleFlow(f)
+		}
+	}
+}
+
+// AfterExpiry implements Attachment: flows at the switch re-resolve
+// without the evicted entries.
+func (s *Simulator) AfterExpiry(sw netgraph.NodeID) { s.markSwitchDirty(sw) }
+
+// LinkFlipped implements Attachment: the link's capacity re-applies, and
+// the flows at either end re-resolve — among them every flow crossing the
+// link, since a hop's egress link is attached to the hop's switch (their
+// entries may now pick live group buckets, or blackhole). A recovered
+// link can also unblock waiting flows anywhere (e.g. flood reachability);
+// the cheap conservative choice is to retry them all.
+func (s *Simulator) LinkFlipped(l *netgraph.Link) {
 	s.reapplyLinkCapacity(l)
 	s.recomputeAndApply()
-
-	// Flows at either end re-resolve — among them every flow crossing
-	// the link, since a hop's egress link is attached to the hop's switch
-	// (their entries may now pick live group buckets, or blackhole). Port
-	// liveness feeds group bucket selection, so both endpoint switches'
-	// decisions change generation (the dataplane.Switch.Gen contract).
-	for _, end := range []netgraph.NodeID{l.A, l.B} {
-		if sw := s.net.Switch(end); sw != nil {
-			sw.Invalidate()
-			if end != silent {
-				// A crashed (silent) switch cannot announce its own
-				// ports. While detached, sendToController pends the
-				// link for the reattach resync instead.
-				s.sendToController(&openflow.PortStatus{Switch: end, Port: l.PortAt(end), Up: up})
-			}
+	for _, end := range [2]netgraph.NodeID{l.A, l.B} {
+		if s.net.Switch(end) != nil {
 			s.markSwitchDirty(end)
 		}
 	}
-	// A recovered link can also unblock waiting flows anywhere (e.g.
-	// flood reachability); cheap conservative choice: retry all waiting.
-	if up {
+	if l.Up {
 		for _, list := range s.waiting {
 			for _, r := range list {
 				s.markDirty(r.f)
 			}
 		}
 	}
-	if s.cfg.OnLinkChange != nil {
-		s.cfg.OnLinkChange(id, up)
-	}
-	s.observers.Notify(simevent.Observation{
-		At: s.k.Now(), Kind: simevent.LinkChange, Link: id, Up: up,
-	})
 }
 
 // reapplyLinkCapacity pushes a link's current effective capacity — zero
@@ -822,17 +852,16 @@ func (s *Simulator) reapplyLinkCapacity(l *netgraph.Link) {
 	}
 }
 
-// handleLinkDegrade applies a scheduled link-model change: m installs a
-// degradation model on both directions of the link (nil restores it).
-// The effective capacity re-applies immediately, crossing flows refresh
-// their Mathis loss caps, and time-varying models arm a rate-step timer.
-// Orthogonal to operational state: a link inside a scripted outage keeps
-// capacity 0 until it recovers, at which point the model's scale applies.
-func (s *Simulator) handleLinkDegrade(id netgraph.LinkID, m linkmodel.Model) {
-	if s.cfg.BeforeLinkDegrade != nil {
-		s.cfg.BeforeLinkDegrade(id)
-	}
-	s.links.SetLink(id, m)
+// BeforeLinkModel implements Attachment; the flow engine has nothing in
+// flight to settle.
+func (s *Simulator) BeforeLinkModel(netgraph.LinkID) {}
+
+// AfterLinkModel implements Attachment: the link's effective capacity
+// re-applies at once, crossing flows refresh their Mathis loss caps, and
+// a time-varying model arms a rate-step timer. A link inside a scripted
+// outage keeps capacity 0 until it recovers, when the model's scale
+// applies.
+func (s *Simulator) AfterLinkModel(id netgraph.LinkID) {
 	s.modelGen[id]++
 	s.reapplyLinkCapacity(s.topo.Link(id))
 	for _, f := range s.flows {
@@ -854,12 +883,6 @@ func (s *Simulator) handleLinkDegrade(id netgraph.LinkID, m linkmodel.Model) {
 	}
 	s.recomputeAndApply()
 	s.armRateStep(id)
-	if s.cfg.OnLinkDegrade != nil {
-		s.cfg.OnLinkDegrade(id, m)
-	}
-	s.observers.Notify(simevent.Observation{
-		At: s.k.Now(), Kind: simevent.LinkDegrade, Link: id, Up: m == nil,
-	})
 }
 
 // armRateStep schedules the next fair-share capacity re-application for
@@ -878,7 +901,7 @@ func (s *Simulator) armRateStep(id netgraph.LinkID) {
 	}
 	gen := s.modelGen[id]
 	at := simtime.Time((uint64(s.k.Now())/uint64(every) + 1) * uint64(every))
-	s.sched(event{at: at, kind: evTimer, fn: func() {
+	s.plane.After(at.Sub(s.k.Now()), func() {
 		if s.modelGen[id] != gen {
 			return
 		}
@@ -887,82 +910,36 @@ func (s *Simulator) armRateStep(id netgraph.LinkID) {
 		if s.k.Len() > 0 {
 			s.armRateStep(id)
 		}
-	}})
-}
-
-// handleSwitchChange applies a switch crash or restart: a crash wipes the
-// switch's OpenFlow state and takes every attached link down (neighbors
-// announce PortStatus; the dead switch cannot); a restart brings the links
-// back up — with the tables still empty — and both ends announce.
-func (s *Simulator) handleSwitchChange(sw netgraph.NodeID, up bool) {
-	swState := s.net.Switch(sw)
-	if swState == nil || !s.fstate.SetSwitch(sw, up) {
-		return
-	}
-	silent := netgraph.NodeID(-1)
-	if !up {
-		swState.Reset()
-		// The crash voids whatever the controller did (or was doing) for
-		// flows punted at this switch — a FlowMod in flight dies with the
-		// tables — so clear the PacketIn dedup: a post-restart punt must
-		// announce itself afresh.
-		for _, list := range s.waiting {
-			for _, r := range list {
-				if i := slices.Index(r.f.puntedAt, sw); i >= 0 {
-					r.f.puntedAt = slices.Delete(r.f.puntedAt, i, i+1)
-				}
-			}
-		}
-		s.markSwitchDirty(sw)
-		silent = sw
-	}
-	for _, p := range s.topo.Node(sw).Ports() {
-		l := s.topo.LinkAt(sw, p)
-		if l == nil {
-			continue
-		}
-		// LinkDesired keeps a restart from reviving a link still inside
-		// its own scripted outage (and a crash from "double-failing" one).
-		s.applyLinkChange(l.ID, s.fstate.LinkDesired(l.ID), silent)
-	}
-	if s.cfg.OnSwitchChange != nil {
-		s.cfg.OnSwitchChange(sw, up)
-	}
-	s.observers.Notify(simevent.Observation{
-		At: s.k.Now(), Kind: simevent.SwitchChange, Switch: sw, Up: up,
 	})
 }
 
-// handleCtrlChange applies a controller detach or reattach. Outages nest
-// by counting (FailureState.SetController), like link and switch
-// failures: only the reattach matching the first detach restores the
-// channel.
-func (s *Simulator) handleCtrlChange(attached bool) {
-	if !s.fstate.SetController(attached) {
-		return // no state flip (nested, or nothing to reattach)
-	}
-	if attached {
-		// Resync first: links that changed while detached announce their
-		// CURRENT state, so PortStatus-driven controllers reconverge on
-		// the truth before any re-punted PacketIns arrive.
-		s.fstate.ResyncPortStatus(s.net, s.sendToController)
-		// Waiting flows re-announce: their original PacketIns may have
-		// been lost while detached, so clear the dedup sets and
-		// re-resolve (a still-missing rule re-punts with a fresh
-		// PacketIn, like a switch re-punting on reconnect).
-		for _, list := range s.waiting {
-			for _, r := range list {
-				r.f.puntedAt = r.f.puntedAt[:0]
-				s.markDirty(r.f)
+// SwitchCrashed implements Attachment. The crash voids whatever the
+// controller did (or was doing) for flows punted at the switch — a FlowMod
+// in flight dies with the tables — so their PacketIn dedup forgets it (a
+// post-restart punt announces itself afresh), and the flows at the switch
+// re-resolve.
+func (s *Simulator) SwitchCrashed(sw netgraph.NodeID) {
+	for _, list := range s.waiting {
+		for _, r := range list {
+			if i := slices.Index(r.f.puntedAt, sw); i >= 0 {
+				r.f.puntedAt = slices.Delete(r.f.puntedAt, i, i+1)
 			}
 		}
 	}
-	if s.cfg.OnControllerChange != nil {
-		s.cfg.OnControllerChange(attached)
+	s.markSwitchDirty(sw)
+}
+
+// ControllerReattached implements Attachment: waiting flows re-announce.
+// Their original PacketIns may have been lost while detached, so the dedup
+// sets clear and the flows re-resolve (a still-missing rule re-punts with
+// a fresh PacketIn, like a switch re-punting on reconnect).
+func (s *Simulator) ControllerReattached() {
+	for _, list := range s.waiting {
+		for _, r := range list {
+			r.f.puntedAt = r.f.puntedAt[:0]
+			s.markDirty(r.f)
+		}
 	}
-	s.observers.Notify(simevent.Observation{
-		At: s.k.Now(), Kind: simevent.ControllerChange, Up: attached,
-	})
 }
 
 // handleStatsTick samples link utilization and reschedules itself.

@@ -174,7 +174,7 @@ type Config struct {
 	// FullRecompute disables incremental fair-share solving (E6 ablation).
 	FullRecompute bool
 	// EventQueue selects the kernel's event-queue backend (timing wheel
-	// by default; the heap is the test oracle). Ignored when Kernel is set.
+	// by default; the heap is the test oracle).
 	EventQueue eventq.Backend
 	// RateEpsilon is the relative rate-change threshold below which rate
 	// changes do not reschedule events (default 1%).
@@ -189,43 +189,11 @@ type Config struct {
 	// says.
 	Links *linkmodel.Set
 
-	// Kernel attaches the simulator to an externally owned simulation
-	// kernel so several engines share one virtual clock (hybrid runs).
-	// Nil means the simulator creates and drives its own kernel, and Run
-	// works as usual; with an external kernel the owner calls Begin,
-	// drives the kernel, then calls Finish.
-	Kernel *simcore.Kernel
-	// Network attaches an externally owned data plane so several engines
-	// share switch state (hybrid runs). Nil means a private network.
-	Network *dataplane.Network
-	// OnApply, when set, observes every controller→switch message after
-	// it has been applied to the network — the hook a co-resident packet
-	// engine uses to retry punted packets once rules install.
-	OnApply func(openflow.Message)
 	// OnRateShift, when set, is called after a fair-share drain with the
 	// deduplicated resource IDs whose aggregate allocation shifted by
 	// more than RateEpsilon. The hybrid coupler uses it to re-derive the
 	// residual link capacity the packet engine sees.
 	OnRateShift func(resources []fairshare.ResourceID)
-	// OnLinkChange, when set, observes every applied link state change —
-	// the hook the hybrid coupler uses to flush the packet engine's
-	// dead-link queues under the shared clock.
-	OnLinkChange func(link netgraph.LinkID, up bool)
-	// BeforeLinkDegrade, when set, runs before a link-model change is
-	// applied to the registry — the hook a co-resident packet engine uses
-	// to settle frames that left under the old model.
-	BeforeLinkDegrade func(link netgraph.LinkID)
-	// OnLinkDegrade, when set, observes every applied link-model change
-	// (m is nil for a restore) — the hook a co-resident packet engine
-	// uses to re-time queued frames to the new model's rate.
-	OnLinkDegrade func(link netgraph.LinkID, m linkmodel.Model)
-	// OnSwitchChange, when set, observes every applied switch
-	// crash/restart, after its link changes (which fire OnLinkChange).
-	OnSwitchChange func(sw netgraph.NodeID, up bool)
-	// OnControllerChange, when set, observes controller detach/reattach —
-	// the hook a co-resident packet engine uses to re-announce parked
-	// packets once the control channel returns.
-	OnControllerChange func(attached bool)
 }
 
 type evKind uint8
@@ -234,61 +202,32 @@ const (
 	evArrival evKind = iota
 	evComplete
 	evRamp
-	evToSwitch
-	evToController
-	evLinkChange
 	evStatsTick
-	evTimer
-	evExpiry
 	evResolveBatch
-	evSwitchChange
-	evCtrlChange
-	evLinkDegrade
 )
 
+// event is the engine's pooled kernel envelope, 48 bytes: the control
+// plane's events (deliveries, timers, expiries, dynamics) are the
+// ControlPlane's own.
 type event struct {
-	at    simtime.Time
-	sim   *Simulator
-	flow  *Flow
-	gen   uint64
-	msg   openflow.Message
-	fn    func()
-	model linkmodel.Model
+	at   simtime.Time
+	sim  *Simulator
+	flow *Flow
+	gen  uint64
 	// arr is the ingestion cursor whose pending demand an evArrival
 	// delivers; nil for an InjectAt arrival, whose demand waits in
 	// sim.injected[slot].
 	arr  *arrivals
-	sw   netgraph.NodeID
-	link netgraph.LinkID
 	slot int32
 	kind evKind
-	up   bool
 }
 
 func (e *event) Time() simtime.Time { return e.at }
 
-// OrderKey implements eventq.Keyed with the kernel-wide class scheme
-// (simcore.OrderKey). Control-plane kinds use the same classes and
-// entities as the packet engine's, which pins the cross-engine dispatch
-// order of hybrid runs: a FlowMod delivery scheduled by this engine
-// sorts against the packet engine's same-instant data events exactly
-// where a standalone packet run would sort its own delivery.
+// OrderKey implements eventq.Keyed: the engine's data-plane classes,
+// which fire after every control-plane class at an instant.
 func (e *event) OrderKey() uint64 {
 	switch e.kind {
-	case evLinkChange, evLinkDegrade:
-		return simcore.OrderKey(simcore.ClassTopoChange, uint32(e.link))
-	case evSwitchChange:
-		return simcore.OrderKey(simcore.ClassTopoChange, uint32(e.sw))
-	case evCtrlChange:
-		return simcore.OrderKey(simcore.ClassTopoChange, ^uint32(0))
-	case evToSwitch:
-		return simcore.OrderKey(simcore.ClassToSwitch, uint32(e.msg.Datapath()))
-	case evExpiry:
-		return simcore.OrderKey(simcore.ClassExpiry, uint32(e.sw))
-	case evToController:
-		return simcore.OrderKey(simcore.ClassToController, uint32(e.msg.Datapath()))
-	case evTimer:
-		return simcore.OrderKey(simcore.ClassTimer, 0)
 	case evArrival:
 		return simcore.OrderKey(simcore.ClassData+0, 0)
 	case evComplete:
@@ -303,11 +242,7 @@ func (e *event) OrderKey() uint64 {
 }
 
 // Fire implements simcore.Event: execute on dispatch.
-func (e *event) Fire() {
-	s := e.sim
-	s.col.EventsRun++
-	s.dispatch(e)
-}
+func (e *event) Fire() { e.sim.dispatch(e) }
 
 // Release implements simcore.Event: recycle the envelope. Stale-event
 // safety comes from the generation stamps (Flow.gen) checked in dispatch,
@@ -353,6 +288,7 @@ func (l *resLedger) settle(now simtime.Time) {
 // InjectAt / ScheduleLinkChange, execute with Run.
 type Simulator struct {
 	cfg       Config
+	plane     *ControlPlane
 	topo      *netgraph.Topology
 	net       *dataplane.Network
 	k         *simcore.Kernel
@@ -383,8 +319,6 @@ type Simulator struct {
 	// (link<<1|forward). Meter resources have no ledger: nothing reads one.
 	ledgers []resLedger
 	col     *stats.Collector
-	ctrl    Controller
-	ctx     *Context
 
 	// ingress is each node's attachment: the switch and port
 	// AttachedSwitch reports and the link between them (nil if none).
@@ -401,39 +335,23 @@ type Simulator struct {
 	dirtySpare   []*Flow
 	batchPending bool
 
-	// Per-switch scheduled expiry instants (simtime.Never when none), to
-	// avoid duplicate events; expiryTimer holds the outstanding check so a
-	// reschedule cancels it instead of stacking a second event beside it.
-	expiryAt    []simtime.Time
-	expiryTimer []simcore.Timer
-
 	// allocDirty defers fair-share re-solving: events at the same virtual
 	// instant (an epoch's worth of arrivals, say) trigger one solve when
 	// time advances, not one per event. The kernel drains it through the
 	// registered pre-advance hook.
 	allocDirty bool
 
-	// links is the degradation-model registry (never nil after New); a
-	// hybrid run shares it with the packet engine. modelGen invalidates
+	// links is the control plane's degradation-model registry; a hybrid
+	// run shares it with the packet engine. modelGen invalidates
 	// outstanding rate-step timers when a link's model changes.
 	links    *linkmodel.Set
 	modelGen []uint64
-
-	// fstate composes overlapping scripted outages (links, switches, and
-	// controller detach all nest by counting) and records the link
-	// changes a detached controller missed, so reattach can
-	// resynchronize its topology view with current-state PortStatus.
-	fstate *dataplane.FailureState
 
 	// shiftPending accumulates resources whose membership changed outside
 	// a solve (flow activate/deactivate) so OnRateShift still reports
 	// them; shifted is the drain's deduplicated report.
 	shiftPending []fairshare.ResourceID
 	shifted      resourceSet
-
-	// observers receive applied network-dynamics events (the public
-	// Observe hook).
-	observers simevent.Observers
 
 	// reader, when set, becomes an ingestion cursor at Begin; it keeps the
 	// first reader failure (ingestion stops; Run surfaces it).
@@ -448,57 +366,58 @@ type Simulator struct {
 	finished bool
 }
 
-// New builds a simulator over the configured topology.
+// New builds a simulator over the configured topology, with a control
+// plane of its own.
 func New(cfg Config) *Simulator {
 	if cfg.Topology == nil {
 		panic("flowsim: Config.Topology is required")
 	}
-	if cfg.Controller == nil {
-		cfg.Controller = NopController{}
+	k := simcore.New(simcore.Config{Backend: cfg.EventQueue})
+	ctrl := cfg.Controller
+	if ctrl == nil {
+		ctrl = NopController{}
 	}
-	if cfg.ControlLatency == 0 {
-		cfg.ControlLatency = simtime.Millisecond
-	}
+	col := stats.NewCollector(cfg.StatsEvery)
+	p := NewControlPlane(k, dataplane.NewNetwork(cfg.Topology, cfg.Miss), cfg.Links, col, ctrl, cfg.ControlLatency)
+	s := newOn(p, cfg, col)
+	s.ownKernel = true
+	return s
+}
+
+// NewOn builds a simulator attached to control plane p, whose kernel,
+// network, link registry, controller and control latency it shares with
+// the plane's other engines; cfg's Topology, EventQueue, Miss, Controller,
+// ControlLatency and Links are not read. The plane's owner drives the
+// kernel: Begin, the kernel's run, then Finish.
+func NewOn(p *ControlPlane, cfg Config) *Simulator {
+	return newOn(p, cfg, stats.NewCollector(cfg.StatsEvery))
+}
+
+func newOn(p *ControlPlane, cfg Config, col *stats.Collector) *Simulator {
 	if cfg.TCP.RTT == 0 {
 		cfg.TCP = tcpmodel.DefaultParams()
 	}
 	if cfg.RateEpsilon == 0 {
 		cfg.RateEpsilon = 0.01
 	}
-	k := cfg.Kernel
-	ownKernel := k == nil
-	if ownKernel {
-		k = simcore.New(simcore.Config{Backend: cfg.EventQueue})
-	}
-	net := cfg.Network
-	if net == nil {
-		net = dataplane.NewNetwork(cfg.Topology, cfg.Miss)
-	}
-	nodes, links := cfg.Topology.NumNodes(), cfg.Topology.NumLinks()
+	topo := p.net.Topo
+	nodes, links := topo.NumNodes(), topo.NumLinks()
 	s := &Simulator{
-		cfg:         cfg,
-		topo:        cfg.Topology,
-		net:         net,
-		k:           k,
-		ownKernel:   ownKernel,
-		alloc:       fairshare.New(),
-		waiting:     make([][]flowRef, nodes),
-		flowsAt:     make([][]flowRef, nodes),
-		ledgers:     make([]resLedger, 2*links),
-		col:         stats.NewCollector(cfg.StatsEvery),
-		ctrl:        cfg.Controller,
-		ingress:     make([]attachment, nodes),
-		expiryAt:    make([]simtime.Time, nodes),
-		expiryTimer: make([]simcore.Timer, nodes),
-		fstate:      dataplane.NewFailureState(cfg.Topology),
-		links:       cfg.Links,
-		modelGen:    make([]uint64, links),
-	}
-	if s.links == nil {
-		s.links = linkmodel.NewSet(1, links)
+		cfg:      cfg,
+		plane:    p,
+		topo:     topo,
+		net:      p.net,
+		k:        p.k,
+		alloc:    fairshare.New(),
+		waiting:  make([][]flowRef, nodes),
+		flowsAt:  make([][]flowRef, nodes),
+		ledgers:  make([]resLedger, 2*links),
+		col:      col,
+		ingress:  make([]attachment, nodes),
+		links:    p.links,
+		modelGen: make([]uint64, links),
 	}
 	for n := range s.ingress {
-		s.expiryAt[n] = simtime.Never
 		a := attachment{}
 		a.sw, a.port = s.topo.AttachedSwitch(netgraph.NodeID(n))
 		if a.sw >= 0 {
@@ -506,8 +425,8 @@ func New(cfg Config) *Simulator {
 		}
 		s.ingress[n] = a
 	}
+	p.Attach(s)
 	s.alloc.Epsilon = cfg.RateEpsilon
-	s.ctx = NewContext(s)
 	// The kernel settles deferred fair-share work exactly when virtual
 	// time would advance, so all events at one instant share a solve.
 	s.k.AddPreAdvance(func() bool { return s.allocDirty }, s.drainAlloc)
@@ -679,34 +598,29 @@ func (s *Simulator) queueArrival(a *arrivals) {
 	s.k.ScheduleSeq(e, a.base+uint64(i))
 }
 
-// ScheduleLinkChange schedules a link failure (up=false) or recovery.
+// ScheduleLinkChange schedules a link failure (up=false) or recovery; see
+// ControlPlane.ScheduleLinkChange.
 func (s *Simulator) ScheduleLinkChange(at simtime.Time, link netgraph.LinkID, up bool) {
-	s.sched(event{at: at, kind: evLinkChange, link: link, up: up})
+	s.plane.ScheduleLinkChange(at, link, up)
 }
 
-// ScheduleSwitchChange schedules a switch crash (up=false) or restart. A
-// crash takes every attached link down and wipes the switch's OpenFlow
-// state; a restart brings the links back with the tables still empty, so
-// the controller must re-program it.
+// ScheduleSwitchChange schedules a switch crash (up=false) or restart; see
+// ControlPlane.ScheduleSwitchChange.
 func (s *Simulator) ScheduleSwitchChange(at simtime.Time, sw netgraph.NodeID, up bool) {
-	s.sched(event{at: at, kind: evSwitchChange, sw: sw, up: up})
+	s.plane.ScheduleSwitchChange(at, sw, up)
 }
 
-// ScheduleLinkDegrade schedules a link-model change: m installs a
-// degradation model on both directions of the link at `at` (nil restores
-// the pristine link). Orthogonal to ScheduleLinkChange — FailureState
-// still decides up/down, and the model shapes traffic only while the
-// link is up.
+// ScheduleLinkDegrade schedules a link-model change (nil m restores the
+// pristine link); see ControlPlane.ScheduleLinkDegrade.
 func (s *Simulator) ScheduleLinkDegrade(at simtime.Time, link netgraph.LinkID, m linkmodel.Model) {
-	s.sched(event{at: at, kind: evLinkDegrade, link: link, model: m})
+	s.plane.ScheduleLinkDegrade(at, link, m)
 }
 
 // ScheduleControllerChange schedules a controller detach (attached=false)
-// or reattach. While detached, messages in both directions are lost; on
-// reattach, waiting flows re-announce themselves with fresh PacketIns
-// (modeling switches re-punting after the control channel returns).
+// or reattach; on reattach, waiting flows re-announce themselves with
+// fresh PacketIns. See ControlPlane.ScheduleControllerChange.
 func (s *Simulator) ScheduleControllerChange(at simtime.Time, attached bool) {
-	s.sched(event{at: at, kind: evCtrlChange, up: attached})
+	s.plane.ScheduleControllerChange(at, attached)
 }
 
 // Run executes the simulation until the event queue drains, virtual time
@@ -729,10 +643,9 @@ func (s *Simulator) Run(ctx context.Context, until simtime.Time) (*stats.Collect
 	return col, err
 }
 
-// Observe registers an observer of applied network dynamics (link and
-// switch state flips, controller detach/reattach). Register before Run;
-// observers run synchronously at the instant a change takes effect.
-func (s *Simulator) Observe(fn simevent.Observer) { s.observers.Add(fn) }
+// Observe registers an observer of applied network dynamics; see
+// ControlPlane.Observe.
+func (s *Simulator) Observe(fn simevent.Observer) { s.plane.Observe(fn) }
 
 // SetRecordSink streams every stats.FlowRecord to sink the moment the
 // flow finalizes, in exactly the order the collector would have
@@ -756,7 +669,7 @@ func (s *Simulator) Begin() {
 		panic("flowsim: Run called twice")
 	}
 	s.begun = true
-	s.ctrl.Start(s.ctx)
+	s.plane.Start()
 	if s.cfg.StatsEvery > 0 {
 		s.sched(event{at: simtime.Time(s.cfg.StatsEvery), kind: evStatsTick})
 	}
@@ -765,12 +678,14 @@ func (s *Simulator) Begin() {
 	}
 }
 
-// Finish settles and records every unfinished flow and returns the
-// collector. It is the second half of Run, exposed for shared-kernel
-// (hybrid) drivers; calling it again is a no-op.
+// Finish settles and records every unfinished flow, sets EventsRun to the
+// kernel's dispatch count, and returns the collector. It is the second
+// half of Run, exposed for shared-kernel (hybrid) drivers; calling it
+// again is a no-op.
 func (s *Simulator) Finish() *stats.Collector {
 	if !s.finished {
 		s.finish()
+		s.col.EventsRun = s.k.Dispatched()
 	}
 	return s.col
 }
@@ -803,33 +718,10 @@ func (s *Simulator) dispatch(e *event) {
 		} else {
 			e.flow.ramping = false
 		}
-	case evToSwitch:
-		s.handleToSwitch(e.msg)
-	case evToController:
-		if s.fstate.ControllerDetached() {
-			// The channel broke while the message was in flight: it is
-			// lost at delivery. A lost PortStatus still resyncs on
-			// reattach (the link change it announced goes pending).
-			s.fstate.NotePendingStatus(e.msg)
-			return
-		}
-		s.ctrl.Handle(s.ctx, e.msg)
-	case evLinkChange:
-		s.handleLinkChange(e.link, e.up)
 	case evStatsTick:
 		s.handleStatsTick()
-	case evTimer:
-		e.fn()
-	case evExpiry:
-		s.handleExpiry(e.sw)
 	case evResolveBatch:
 		s.handleResolveBatch()
-	case evSwitchChange:
-		s.handleSwitchChange(e.sw, e.up)
-	case evCtrlChange:
-		s.handleCtrlChange(e.up)
-	case evLinkDegrade:
-		s.handleLinkDegrade(e.link, e.model)
 	}
 }
 

@@ -301,7 +301,7 @@ func TestLinkChangesAdvanceGen(t *testing.T) {
 	ms := func(n int) simtime.Time { return simtime.Time(n) * simtime.Time(simtime.Millisecond) }
 	var gens []uint64
 	for i := 1; i <= 5; i++ {
-		sim.After(ms(2*i).Sub(0), func() { gens = append(gens, left.Gen()) })
+		sim.plane.After(ms(2*i).Sub(0), func() { gens = append(gens, left.Gen()) })
 	}
 	sim.ScheduleLinkChange(ms(3), core, false)
 	sim.ScheduleLinkChange(ms(5), core, true)

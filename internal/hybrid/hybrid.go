@@ -4,13 +4,16 @@
 // background stays flow-level, all under a single virtual clock and a
 // single OpenFlow control plane:
 //
-//   - Both engines share one simcore.Kernel, so their events interleave in
-//     strict time order, and one dataplane.Network, so a FlowMod installs
-//     once and both fidelities forward through it.
-//   - The controller attaches to the flow engine; packet-engine punts are
-//     routed into the same control plane (PuntSink), and applied messages
-//     echo back to the packet engine (OnApply → NotifyApplied) so parked
-//     packets retry the pipeline when rules install.
+//   - The run has one flowsim.ControlPlane, with the flow engine and then
+//     the packet engine attached to it. Both share its simcore.Kernel, so
+//     their events interleave in strict time order, and its
+//     dataplane.Network, so a FlowMod installs once and both fidelities
+//     forward through it.
+//   - The plane delivers and applies every control message, runs rule
+//     expiry and applies network dynamics once; each engine reacts to
+//     them in its own terms (flows re-resolve, parked packets retry the
+//     pipeline, queues flush), so both fidelities punt into, and hear
+//     from, the same controller.
 //   - Coupling is one-way by construction: whenever the fair-share
 //     allocator shifts a link direction's aggregate flow-level rate by
 //     more than RateEpsilon (OnRateShift), that rate is subtracted from
@@ -33,7 +36,6 @@ import (
 	"horse/internal/flowsim"
 	"horse/internal/linkmodel"
 	"horse/internal/netgraph"
-	"horse/internal/openflow"
 	"horse/internal/packetsim"
 	"horse/internal/simcore"
 	"horse/internal/simevent"
@@ -94,11 +96,11 @@ func Fraction(p float64) func(i int, d traffic.Demand) bool {
 // Simulator runs both engines on one kernel. Create with New, feed with
 // Load, execute with Run.
 type Simulator struct {
-	cfg  Config
-	k    *simcore.Kernel
-	net  *dataplane.Network
-	flow *flowsim.Simulator
-	pkt  *packetsim.Simulator
+	cfg   Config
+	k     *simcore.Kernel
+	plane *flowsim.ControlPlane
+	flow  *flowsim.Simulator
+	pkt   *packetsim.Simulator
 
 	// Load-order bookkeeping: every record is renumbered to its trace
 	// index (ID = index + 1). The packet engine numbers flows in load
@@ -132,49 +134,22 @@ func New(cfg Config) *Simulator {
 		panic("hybrid: Config.Topology is required")
 	}
 	k := simcore.New(simcore.Config{Backend: cfg.EventQueue})
-	net := dataplane.NewNetwork(cfg.Topology, cfg.Miss)
-	links := cfg.Links
-	if links == nil {
-		links = linkmodel.NewSet(1, len(cfg.Topology.Links()))
+	ctrl := cfg.Controller
+	if ctrl == nil {
+		ctrl = flowsim.NopController{}
 	}
-	s := &Simulator{cfg: cfg, k: k, net: net, col: stats.NewCollector(cfg.StatsEvery)}
+	s := &Simulator{cfg: cfg, k: k, col: stats.NewCollector(cfg.StatsEvery)}
 	s.records = stats.NewInOrder(s.col.AddFlow)
-	s.pkt = packetsim.New(packetsim.Config{
-		Topology:     cfg.Topology,
-		Kernel:       k,
-		Network:      net,
-		Miss:         cfg.Miss,
+	s.plane = flowsim.NewControlPlane(k, dataplane.NewNetwork(cfg.Topology, cfg.Miss), cfg.Links, s.col, ctrl, cfg.ControlLatency)
+	s.flow = flowsim.NewOn(s.plane, flowsim.Config{
+		TCP:         cfg.TCP,
+		StatsEvery:  cfg.StatsEvery,
+		RateEpsilon: cfg.RateEpsilon,
+		OnRateShift: s.applyRateShift,
+	})
+	s.pkt = packetsim.NewOn(s.plane, packetsim.Config{
 		QueuePackets: cfg.QueuePackets,
 		RTOMin:       cfg.RTOMin,
-		Links:        links,
-		PuntSink: func(msg openflow.Message) {
-			// Packet-engine punts enter the shared control plane with the
-			// same modeled latency as flow-level ones.
-			s.flow.SendToController(msg)
-		},
-	})
-	s.flow = flowsim.New(flowsim.Config{
-		Topology:       cfg.Topology,
-		Kernel:         k,
-		Network:        net,
-		Controller:     cfg.Controller,
-		Miss:           cfg.Miss,
-		ControlLatency: cfg.ControlLatency,
-		TCP:            cfg.TCP,
-		StatsEvery:     cfg.StatsEvery,
-		RateEpsilon:    cfg.RateEpsilon,
-		Links:          links,
-		OnApply:        s.pkt.NotifyApplied,
-		OnRateShift:    s.applyRateShift,
-		// Topology dynamics apply once, at the flow engine (which owns
-		// the shared state flips, table wipes, and PortStatus punts);
-		// these hooks propagate the data-plane consequences to the packet
-		// engine at the same virtual instant.
-		OnLinkChange:       s.pkt.NotifyLinkChange,
-		BeforeLinkDegrade:  s.pkt.SettleLink,
-		OnLinkDegrade:      s.pkt.NotifyLinkDegrade,
-		OnSwitchChange:     s.pkt.NotifySwitchChange,
-		OnControllerChange: s.pkt.NotifyControllerChange,
 	})
 	s.flow.SetRecordSink(func(r stats.FlowRecord) {
 		if idx, ok := s.flowTraceIndex(r.ID); ok {
@@ -185,34 +160,28 @@ func New(cfg Config) *Simulator {
 	return s
 }
 
-// ScheduleLinkChange schedules a link failure (up=false) or recovery,
-// applied to both engines under the shared clock: the flow engine flips
-// the shared topology and control plane, and the packet engine flushes its
-// dead-link queues at the same instant.
+// ScheduleLinkChange schedules a link failure (up=false) or recovery; see
+// flowsim.ControlPlane.ScheduleLinkChange.
 func (s *Simulator) ScheduleLinkChange(at simtime.Time, link netgraph.LinkID, up bool) {
-	s.flow.ScheduleLinkChange(at, link, up)
+	s.plane.ScheduleLinkChange(at, link, up)
 }
 
-// ScheduleLinkDegrade schedules a link-model change across both engines:
-// the flow engine applies it (capacity re-scale, TCP loss caps) to the
-// shared Set, which the packet engine reads per frame — one channel,
-// both fidelities. Passing nil m restores the pristine link.
+// ScheduleLinkDegrade schedules a link-model change (nil m restores the
+// pristine link); see flowsim.ControlPlane.ScheduleLinkDegrade.
 func (s *Simulator) ScheduleLinkDegrade(at simtime.Time, link netgraph.LinkID, m linkmodel.Model) {
-	s.flow.ScheduleLinkDegrade(at, link, m)
+	s.plane.ScheduleLinkDegrade(at, link, m)
 }
 
-// ScheduleSwitchChange schedules a switch crash or restart across both
-// engines (table wipe on the shared network, packet flushes, PortStatus).
+// ScheduleSwitchChange schedules a switch crash or restart; see
+// flowsim.ControlPlane.ScheduleSwitchChange.
 func (s *Simulator) ScheduleSwitchChange(at simtime.Time, sw netgraph.NodeID, up bool) {
-	s.flow.ScheduleSwitchChange(at, sw, up)
+	s.plane.ScheduleSwitchChange(at, sw, up)
 }
 
-// ScheduleControllerChange schedules a controller detach or reattach. The
-// controller attaches to the flow engine, whose gate also covers packet
-// punts (they route through the same control plane via the punt sink); on
-// reattach, both engines' parked work re-announces.
+// ScheduleControllerChange schedules a controller detach or reattach; see
+// flowsim.ControlPlane.ScheduleControllerChange.
 func (s *Simulator) ScheduleControllerChange(at simtime.Time, attached bool) {
-	s.flow.ScheduleControllerChange(at, attached)
+	s.plane.ScheduleControllerChange(at, attached)
 }
 
 // applyRateShift recomputes the residual capacity the packet engine sees
@@ -233,10 +202,9 @@ func (s *Simulator) Kernel() *simcore.Kernel { return s.k }
 // Now returns the current virtual time of the shared kernel.
 func (s *Simulator) Now() simtime.Time { return s.k.Now() }
 
-// Observe registers an observer of applied network dynamics. Topology and
-// control-plane changes apply once, at the flow engine (which owns the
-// shared state flips), so observers register there.
-func (s *Simulator) Observe(fn simevent.Observer) { s.flow.Observe(fn) }
+// Observe registers an observer of applied network dynamics; see
+// flowsim.ControlPlane.Observe.
+func (s *Simulator) Observe(fn simevent.Observer) { s.plane.Observe(fn) }
 
 // SetRecordSink streams every merged stats.FlowRecord to sink in load
 // (trace) order instead of retaining it — the same records, in the same
@@ -259,7 +227,7 @@ func (s *Simulator) SetProgress(every simtime.Duration, fn simevent.ProgressFunc
 func (s *Simulator) Topology() *netgraph.Topology { return s.cfg.Topology }
 
 // Network exposes the shared data-plane state.
-func (s *Simulator) Network() *dataplane.Network { return s.net }
+func (s *Simulator) Network() *dataplane.Network { return s.plane.Network() }
 
 // FlowCollector returns the flow engine's collector (control-plane
 // counters, link-utilization series).
@@ -423,21 +391,20 @@ func (s *Simulator) emit(idx int, r stats.FlowRecord) {
 // trace order (none when a record sink is installed), the flow engine's
 // link series and reroute times (once Run has ended), the outcome
 // tallies, both engines' summed packet and punt counters, the flow
-// engine's control counters, and the kernel's dispatch count as EventsRun
-// (the hybrid's total work metric).
+// engine's rate and path counters, the control plane's FlowMods, and the
+// kernel's dispatch count as EventsRun (the hybrid's total work metric).
 func (s *Simulator) Collector() *stats.Collector {
 	s.foldCounters()
 	return s.col
 }
 
 // foldCounters copies the sub-engines' counters into the merged
-// collector; it is idempotent. The outcome tallies are the merged
-// collector's own.
+// collector; it is idempotent. The outcome tallies and FlowMods (counted
+// by the control plane) are the merged collector's own.
 func (s *Simulator) foldCounters() {
 	fc, pc, col := s.flow.Collector(), s.pkt.Collector(), s.col
 	col.FlowsStarted = fc.FlowsStarted + pc.FlowsStarted
 	col.PacketIns = fc.PacketIns + pc.PacketIns
-	col.FlowMods = fc.FlowMods
 	col.RateChanges = fc.RateChanges
 	col.PathChanges = fc.PathChanges
 	col.PacketsLost = fc.PacketsLost + pc.PacketsLost

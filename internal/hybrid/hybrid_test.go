@@ -2,6 +2,7 @@ package hybrid
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"horse/internal/addr"
@@ -148,48 +149,295 @@ func reactiveScenario() (*netgraph.Topology, traffic.Trace) {
 	return topo, tr
 }
 
-// TestHybridFullPacketMatchesStandalone is the acceptance contract: at
-// 100% packet fidelity a reactive (controller-driven) hybrid run produces
-// the identical completion set — same flows, same outcomes, same FCTs —
-// as the standalone controller-attached packet engine.
+// dynamics is the scripting surface both engines offer.
+type dynamics interface {
+	ScheduleLinkChange(at simtime.Time, link netgraph.LinkID, up bool)
+	ScheduleSwitchChange(at simtime.Time, sw netgraph.NodeID, up bool)
+	ScheduleControllerChange(at simtime.Time, attached bool)
+	ScheduleLinkDegrade(at simtime.Time, link netgraph.LinkID, m linkmodel.Model)
+}
+
+// parityCase is one scripted run that a hybrid engine at 100% packet
+// level must reproduce exactly.
+type parityCase struct {
+	name  string
+	build func() (*netgraph.Topology, traffic.Trace)
+	// reactive runs ReactiveMAC over table-miss punts; otherwise switches
+	// drop misses and forward over pre-installed MAC routes.
+	reactive bool
+	script   func(d dynamics)
+	until    simtime.Time
+	// check asserts that the standalone run exercised what the case names.
+	check func(t *testing.T, recs []stats.FlowRecord, col *stats.Collector)
+}
+
+// TestHybridFullPacketMatchesStandalone is the acceptance contract of the
+// one control plane: at 100% packet fidelity a hybrid run produces the
+// records — same flows, outcomes, FCTs, bytes — and the loss, corruption,
+// punt and rule-install counts of the standalone packet engine, with the
+// controller attached or not, across every kind of scripted dynamics.
 func TestHybridFullPacketMatchesStandalone(t *testing.T) {
+	ms := func(n float64) simtime.Time { return simtime.Time(n * float64(simtime.Millisecond)) }
+	// The reactive dumbbell's bottleneck is link 0 between sL (node 0) and
+	// sR; flow 0 starts at 0, and its first packet reaches sL at 62 µs.
+	const bottleneck, sL = netgraph.LinkID(0), netgraph.NodeID(0)
+	lost := func(t *testing.T, _ []stats.FlowRecord, col *stats.Collector) {
+		if col.PacketsLost == 0 {
+			t.Error("standalone run lost no packets")
+		}
+	}
+	cases := []parityCase{
+		{name: "reactive", build: reactiveScenario, reactive: true, until: simtime.Time(simtime.Minute)},
+		{
+			name: "link-down-up", build: reactiveScenario, reactive: true, until: simtime.Time(simtime.Minute),
+			script: func(d dynamics) {
+				d.ScheduleLinkChange(ms(10), bottleneck, false)
+				d.ScheduleLinkChange(ms(30), bottleneck, true)
+			},
+			check: lost,
+		},
+		{
+			// Before the first rules install at 1 ms every packet of flow 0
+			// parks at sL; the crash loses them.
+			name: "switch-crash-restart-punts-parked", build: reactiveScenario, reactive: true, until: simtime.Time(simtime.Minute),
+			script: func(d dynamics) {
+				d.ScheduleSwitchChange(ms(0.7), sL, false)
+				d.ScheduleSwitchChange(ms(5), sL, true)
+			},
+			check: lost,
+		},
+		{
+			// Detached from the start, every punt parks with its PacketIn
+			// lost; the reattach re-announces them all.
+			name: "controller-detach-reattach-punts-parked", build: reactiveScenario, reactive: true, until: simtime.Time(simtime.Minute),
+			script: func(d dynamics) {
+				d.ScheduleControllerChange(0, false)
+				d.ScheduleControllerChange(ms(10), true)
+			},
+			check: func(t *testing.T, recs []stats.FlowRecord, col *stats.Collector) {
+				if col.PacketIns <= uint64(len(recs)) {
+					t.Errorf("%d PacketIns for %d flows: nothing re-announced", col.PacketIns, len(recs))
+				}
+			},
+		},
+		{
+			name: "link-model-install-removal", build: reactiveScenario, reactive: true, until: simtime.Time(simtime.Minute),
+			script: func(d dynamics) {
+				d.ScheduleLinkDegrade(ms(5), bottleneck, linkmodel.BernoulliLoss{P: 0.2})
+				d.ScheduleLinkDegrade(ms(50), bottleneck, nil)
+			},
+			check: func(t *testing.T, _ []stats.FlowRecord, col *stats.Collector) {
+				if col.PacketsCorrupted == 0 {
+					t.Error("no frame corrupted under the installed model")
+				}
+			},
+		},
+		failureAtDeparture(),
+		modelChangeMidBacklog(),
+		rateModelMidBacklog(),
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			miss, ctrl := dataplane.MissDrop, func() flowsim.Controller { return nil }
+			if c.reactive {
+				miss = dataplane.MissController
+				ctrl = func() flowsim.Controller { return controller.NewChain(&controller.ReactiveMAC{}) }
+			}
+			script := func(d dynamics) {
+				if c.script != nil {
+					c.script(d)
+				}
+			}
+
+			topoS, trS := c.build()
+			standalone := packetsim.New(packetsim.Config{
+				Topology: topoS, Miss: miss, Controller: ctrl(), ControlLatency: simtime.Millisecond,
+			})
+			if !c.reactive {
+				installMACRoutes(standalone.Network())
+			}
+			standalone.Load(trS)
+			script(standalone)
+			colS := mustRun(standalone, c.until)
+
+			topoH, trH := c.build()
+			hyb := New(Config{
+				Topology: topoH, Miss: miss, Controller: ctrl(), ControlLatency: simtime.Millisecond,
+				PacketLevel: Fraction(1.0),
+			})
+			if !c.reactive {
+				installMACRoutes(hyb.Network())
+			}
+			hyb.Load(trH)
+			script(hyb)
+			colH := mustRun(hyb, c.until)
+
+			rs, rh := colS.Flows(), colH.Flows()
+			if len(rs) != len(trS) || len(rh) != len(rs) {
+				t.Fatalf("records: standalone %d, hybrid %d, want %d", len(rs), len(rh), len(trS))
+			}
+			for i := range rs {
+				if rh[i] != rs[i] {
+					t.Errorf("record %d: hybrid %+v\n standalone   %+v", i, rh[i], rs[i])
+				}
+			}
+			if colH.PacketsLost != colS.PacketsLost || colH.PacketsCorrupted != colS.PacketsCorrupted ||
+				colH.PacketIns != colS.PacketIns || colH.FlowMods != colS.FlowMods {
+				t.Errorf("lost/corrupted/packet-ins/flow-mods: hybrid %d/%d/%d/%d, standalone %d/%d/%d/%d",
+					colH.PacketsLost, colH.PacketsCorrupted, colH.PacketIns, colH.FlowMods,
+					colS.PacketsLost, colS.PacketsCorrupted, colS.PacketIns, colS.FlowMods)
+			}
+			if c.reactive && colS.FlowMods == 0 {
+				t.Error("the controller installed nothing")
+			}
+			if c.check != nil {
+				c.check(t, rs, colS)
+			}
+		})
+	}
+}
+
+// failureAtDeparture: a link failure landing exactly when a lone frame
+// finishes serializing loses that frame at the failure instant. The
+// control plane applies the failure, so the packet engine settles its
+// port inside a control-plane event and must judge the tie by that
+// event's order key — not by the class of the last packet event (here the
+// frame's own send, which orders after the instant's departures). The
+// frame is the flow's last, so its loss dates the UDP record's End.
+func failureAtDeparture() parityCase {
+	const packets = 4
+	interval := 120 * simtime.Microsecond
+	failAt := simtime.Time(packets-1) * simtime.Time(interval)
+	failAt = failAt.Add(simtime.TransferTime(packetsim.DataPacketBits, 1e9))
+	return parityCase{
+		name: "failure-at-departure",
+		build: func() (*netgraph.Topology, traffic.Trace) {
+			topo := netgraph.New()
+			s0 := topo.AddSwitch("s0")
+			h0, h1 := topo.AddHost("h0"), topo.AddHost("h1")
+			topo.Connect(h0, s0, 1e9, 2*simtime.Microsecond) // link 0
+			topo.Connect(s0, h1, 1e9, 2*simtime.Microsecond)
+			rate := packetsim.DataPacketBits / interval.Seconds()
+			return topo, traffic.Trace{cbr(h0, h1, 0, packets*packetsim.DataPacketBits, rate, 30000)}
+		},
+		script: func(d dynamics) { d.ScheduleLinkChange(failAt, 0, false) },
+		until:  simtime.Time(10 * simtime.Millisecond),
+		check: func(t *testing.T, recs []stats.FlowRecord, col *stats.Collector) {
+			if recs[0].End != failAt || col.PacketsLost != 1 {
+				t.Errorf("End %v with %d lost, want the failure instant %v with 1 lost", recs[0].End, col.PacketsLost, failAt)
+			}
+		},
+	}
+}
+
+// modelChangeMidBacklog: frames that left a lossy link before its model
+// changes draw their corruption verdicts from the model they crossed, so
+// the packet engine settles the link before the plane swaps the model.
+// Two senders fill s0's port toward h1; the change lands while that
+// backlog drains, with several departed frames still propagating on the
+// 100 µs link.
+func modelChangeMidBacklog() parityCase {
+	return parityCase{
+		name: "model-change-mid-backlog",
+		build: func() (*netgraph.Topology, traffic.Trace) {
+			topo := netgraph.New()
+			s0 := topo.AddSwitch("s0")
+			h0, h1, h2 := topo.AddHost("h0"), topo.AddHost("h1"), topo.AddHost("h2")
+			topo.Connect(h0, s0, 1e9, 2*simtime.Microsecond)
+			topo.Connect(h2, s0, 1e9, 2*simtime.Microsecond)
+			topo.Connect(s0, h1, 1e9, 100*simtime.Microsecond) // link 2
+			size := 40.0 * packetsim.DataPacketBits
+			return topo, traffic.Trace{cbr(h0, h1, 0, size, 1e9, 30000), cbr(h2, h1, 0, size, 1e9, 30001)}
+		},
+		script: func(d dynamics) {
+			d.ScheduleLinkDegrade(0, 2, linkmodel.BernoulliLoss{P: 0.5})
+			d.ScheduleLinkDegrade(simtime.Time(700*simtime.Microsecond), 2, linkmodel.BernoulliLoss{P: 0.1})
+		},
+		until: simtime.Time(10 * simtime.Millisecond),
+		check: func(t *testing.T, _ []stats.FlowRecord, col *stats.Collector) {
+			if col.PacketsCorrupted == 0 {
+				t.Error("no frame corrupted")
+			}
+		},
+	}
+}
+
+// rateModelMidBacklog: a rate-adapting model installed and removed while
+// s0's port toward h1 holds a backlog re-times the queued frames both
+// times, so the packet engine re-times after the plane swaps the model.
+func rateModelMidBacklog() parityCase {
+	c := modelChangeMidBacklog()
+	c.name = "rate-model-mid-backlog"
+	c.script = func(d dynamics) {
+		d.ScheduleLinkDegrade(simtime.Time(300*simtime.Microsecond), 2, linkmodel.AdaptiveRate{Levels: 4, Floor: 0.25, Every: 50 * simtime.Microsecond})
+		d.ScheduleLinkDegrade(simtime.Time(700*simtime.Microsecond), 2, nil)
+	}
+	c.check = func(t *testing.T, recs []stats.FlowRecord, _ *stats.Collector) {
+		// At line rate both flows' 80 frames leave s0 by 962 µs.
+		if end := max(recs[0].End, recs[1].End); end < simtime.Time(simtime.Millisecond+100*simtime.Microsecond) {
+			t.Errorf("last flow ends at %v: the model did not slow the backlog", end)
+		}
+	}
+	return c
+}
+
+// portPoller polls every switch's port counters every 200 ms for the
+// first second and keeps the replies.
+type portPoller struct{ replies []openflow.PortStatsReply }
+
+func (*portPoller) Name() string { return "port-poller" }
+
+func (p *portPoller) Start(ctx *flowsim.Context) {
+	ctx.After(200*simtime.Millisecond, func() {
+		for _, sw := range ctx.Topology().Switches() {
+			ctx.Send(&openflow.PortStatsRequest{Switch: sw, Port: netgraph.NoPort})
+		}
+		if ctx.Now() < simtime.Time(simtime.Second) {
+			p.Start(ctx)
+		}
+	})
+}
+
+func (p *portPoller) Handle(_ *flowsim.Context, msg openflow.Message) {
+	if r, ok := msg.(*openflow.PortStatsReply); ok {
+		p.replies = append(p.replies, *r)
+	}
+}
+
+// TestHybridPortStatsCountPackets: a hybrid run's PortStatsReply sums the
+// counters of both engines, so at 100% packet level it answers exactly
+// what the standalone packet engine does — bits and rates.
+func TestHybridPortStatsCountPackets(t *testing.T) {
 	topoS, trS := reactiveScenario()
+	pollS := &portPoller{}
 	standalone := packetsim.New(packetsim.Config{
 		Topology: topoS, Miss: dataplane.MissController,
-		Controller:     controller.NewChain(&controller.ReactiveMAC{}),
-		ControlLatency: simtime.Millisecond,
+		Controller: controller.NewChain(&controller.ReactiveMAC{}, pollS),
 	})
 	standalone.Load(trS)
-	colS := mustRun(standalone, simtime.Time(simtime.Minute))
+	mustRun(standalone, simtime.Time(simtime.Minute))
 
 	topoH, trH := reactiveScenario()
+	pollH := &portPoller{}
 	hyb := New(Config{
 		Topology: topoH, Miss: dataplane.MissController,
-		Controller:     controller.NewChain(&controller.ReactiveMAC{}),
-		ControlLatency: simtime.Millisecond,
-		PacketLevel:    Fraction(1.0),
+		Controller:  controller.NewChain(&controller.ReactiveMAC{}, pollH),
+		PacketLevel: Fraction(1.0),
 	})
 	hyb.Load(trH)
 	mustRun(hyb, simtime.Time(simtime.Minute))
-	recs := hyb.Collector().Flows()
 
-	flowsS := colS.Flows()
-	if len(recs) != len(flowsS) {
-		t.Fatalf("hybrid %d records vs standalone %d", len(recs), len(flowsS))
+	if len(pollS.replies) == 0 || !reflect.DeepEqual(pollH.replies, pollS.replies) {
+		t.Fatalf("hybrid replies %+v\nstandalone     %+v", pollH.replies, pollS.replies)
 	}
-	for i, rs := range flowsS {
-		rh := recs[i]
-		if rh.ID != rs.ID {
-			t.Fatalf("record %d: id %d vs %d", i, rh.ID, rs.ID)
+	var bits float64
+	for _, r := range pollS.replies {
+		for _, ps := range r.Stats {
+			bits += ps.TxBits
 		}
-		if rh.Completed != rs.Completed || rh.Outcome != rs.Outcome {
-			t.Errorf("flow %d: hybrid (%v,%s) vs standalone (%v,%s)",
-				rs.ID, rh.Completed, rh.Outcome, rs.Completed, rs.Outcome)
-		}
-		if rh.End != rs.End || rh.SentBits != rs.SentBits {
-			t.Errorf("flow %d: hybrid end=%v sent=%g vs standalone end=%v sent=%g",
-				rs.ID, rh.End, rh.SentBits, rs.End, rs.SentBits)
-		}
+	}
+	if bits == 0 {
+		t.Error("no port carried traffic")
 	}
 }
 
@@ -285,117 +533,5 @@ func TestHybridCouplingThrottlesPackets(t *testing.T) {
 	// threshold is stable.)
 	if float64(squeezed) < 1.5*float64(alone) {
 		t.Errorf("coupling missing: FCT alone %v vs with background %v", alone, squeezed)
-	}
-}
-
-// TestHybridFailureAtDepartureMatchesStandalone: a link failure landing
-// exactly when a lone frame finishes serializing loses that frame at the
-// failure instant, as the standalone packet engine does. In a hybrid run
-// the flow engine applies the failure, so the packet engine settles its
-// port inside a flow-engine event and must judge the tie by that event's
-// order key — not by the class of the last packet event (here the
-// frame's own send, which orders after the instant's departures). The
-// frame is the flow's last, so its loss dates the UDP record's End.
-func TestHybridFailureAtDepartureMatchesStandalone(t *testing.T) {
-	const packets = 4
-	interval := 120 * simtime.Microsecond
-	failAt := simtime.Time(packets-1) * simtime.Time(interval)
-	failAt = failAt.Add(simtime.TransferTime(packetsim.DataPacketBits, 1e9))
-	build := func() (*netgraph.Topology, traffic.Trace) {
-		topo := netgraph.New()
-		s0 := topo.AddSwitch("s0")
-		h0, h1 := topo.AddHost("h0"), topo.AddHost("h1")
-		topo.Connect(h0, s0, 1e9, 2*simtime.Microsecond) // link 0
-		topo.Connect(s0, h1, 1e9, 2*simtime.Microsecond)
-		rate := packetsim.DataPacketBits / interval.Seconds()
-		return topo, traffic.Trace{cbr(h0, h1, 0, packets*packetsim.DataPacketBits, rate, 30000)}
-	}
-	until := simtime.Time(10 * simtime.Millisecond)
-
-	topoS, trS := build()
-	standalone := packetsim.New(packetsim.Config{Topology: topoS, Miss: dataplane.MissDrop})
-	installMACRoutes(standalone.Network())
-	standalone.Load(trS)
-	standalone.ScheduleLinkChange(failAt, 0, false)
-	colS := mustRun(standalone, until)
-
-	topoH, trH := build()
-	hyb := New(Config{Topology: topoH, Miss: dataplane.MissDrop, PacketLevel: Fraction(1)})
-	installMACRoutes(hyb.Network())
-	hyb.Load(trH)
-	hyb.ScheduleLinkChange(failAt, 0, false)
-	mustRun(hyb, until)
-
-	rs, rh := colS.Flows(), hyb.Collector().Flows()
-	if len(rs) != 1 || len(rh) != 1 {
-		t.Fatalf("records: standalone %d, hybrid %d, want 1 each", len(rs), len(rh))
-	}
-	if rs[0].End != failAt {
-		t.Fatalf("standalone End %v, want the failure instant %v", rs[0].End, failAt)
-	}
-	if rh[0] != rs[0] {
-		t.Errorf("hybrid record %+v\nstandalone      %+v", rh[0], rs[0])
-	}
-	if lost := hyb.PacketCollector().PacketsLost; lost != colS.PacketsLost || lost != 1 {
-		t.Errorf("packets lost: hybrid %d, standalone %d, want 1", lost, colS.PacketsLost)
-	}
-}
-
-// TestHybridModelChangeMatchesStandalone: frames that left a lossy link
-// before its model changes draw their corruption verdicts from the model
-// they crossed, as in a standalone packet run. The flow engine applies the
-// change to the shared registry, so the packet engine must settle the link
-// first (BeforeLinkDegrade). Two senders fill s0's port toward h1; the
-// change lands while that backlog drains, with several departed frames
-// still propagating on the 100 µs link.
-func TestHybridModelChangeMatchesStandalone(t *testing.T) {
-	build := func() (*netgraph.Topology, traffic.Trace) {
-		topo := netgraph.New()
-		s0 := topo.AddSwitch("s0")
-		h0, h1, h2 := topo.AddHost("h0"), topo.AddHost("h1"), topo.AddHost("h2")
-		topo.Connect(h0, s0, 1e9, 2*simtime.Microsecond)
-		topo.Connect(h2, s0, 1e9, 2*simtime.Microsecond)
-		topo.Connect(s0, h1, 1e9, 100*simtime.Microsecond) // link 2
-		size := 40.0 * packetsim.DataPacketBits
-		return topo, traffic.Trace{cbr(h0, h1, 0, size, 1e9, 30000), cbr(h2, h1, 0, size, 1e9, 30001)}
-	}
-	changes := []struct {
-		at simtime.Time
-		m  linkmodel.Model
-	}{
-		{0, linkmodel.BernoulliLoss{P: 0.5}},
-		{simtime.Time(700 * simtime.Microsecond), linkmodel.BernoulliLoss{P: 0.1}},
-	}
-	until := simtime.Time(10 * simtime.Millisecond)
-
-	topoS, trS := build()
-	standalone := packetsim.New(packetsim.Config{Topology: topoS, Miss: dataplane.MissDrop})
-	installMACRoutes(standalone.Network())
-	standalone.Load(trS)
-	for _, c := range changes {
-		standalone.ScheduleLinkDegrade(c.at, 2, c.m)
-	}
-	colS := mustRun(standalone, until)
-
-	topoH, trH := build()
-	hyb := New(Config{Topology: topoH, Miss: dataplane.MissDrop, PacketLevel: Fraction(1)})
-	installMACRoutes(hyb.Network())
-	hyb.Load(trH)
-	for _, c := range changes {
-		hyb.ScheduleLinkDegrade(c.at, 2, c.m)
-	}
-	mustRun(hyb, until)
-
-	rs, rh := colS.Flows(), hyb.Collector().Flows()
-	if len(rs) != 2 || len(rh) != 2 {
-		t.Fatalf("records: standalone %d, hybrid %d, want 2 each", len(rs), len(rh))
-	}
-	for i := range rs {
-		if rh[i] != rs[i] {
-			t.Errorf("flow %d: hybrid %+v\n standalone %+v", i+1, rh[i], rs[i])
-		}
-	}
-	if c := hyb.PacketCollector().PacketsCorrupted; c != colS.PacketsCorrupted || c == 0 {
-		t.Errorf("corrupted frames: hybrid %d, standalone %d (want equal, nonzero)", c, colS.PacketsCorrupted)
 	}
 }

@@ -1,56 +1,18 @@
-// Control-plane attachment of the packet engine: punts with buffered
-// packets, latency-modeled message delivery, rule installation, timeout
-// expiry, and stats replies — the packet-granular mirror of
-// flowsim/control.go, speaking the same flowsim.Controller interface.
+// The packet engine's side of the control plane (flowsim.ControlPlane,
+// which delivers messages, applies them and runs expiry): punts with
+// buffered packets, their release when rules install or a PacketOut names
+// them, per-port stats counters, and token-bucket meters.
 package packetsim
 
 import (
 	"horse/internal/netgraph"
 	"horse/internal/openflow"
-	"horse/internal/simcore"
 	"horse/internal/simtime"
 )
 
 // controlActive reports whether switch-originated messages have somewhere
-// to go: a local controller, or the hybrid coupler's punt sink.
-func (s *Simulator) controlActive() bool {
-	return s.ctrl != nil || s.cfg.PuntSink != nil
-}
-
-// SendToSwitch implements flowsim.Engine: the message applies at its
-// datapath after the control latency. While the controller is detached the
-// message is lost (the control channel is the thing that failed).
-func (s *Simulator) SendToSwitch(msg openflow.Message) {
-	if s.fstate.ControllerDetached() {
-		return
-	}
-	s.schedCold(event{at: s.k.Now().Add(s.cfg.ControlLatency), kind: evToSwitch, dir: int32(msg.Datapath())}, coldPayload{msg: msg})
-}
-
-// After implements flowsim.Engine: fn runs on the controller after d.
-func (s *Simulator) After(d simtime.Duration, fn func()) {
-	s.schedCold(event{at: s.k.Now().Add(d), kind: evTimer}, coldPayload{fn: fn})
-}
-
-// sendToController delivers a switch-originated message: to the punt sink
-// immediately (the hybrid's flow engine models the latency on its side),
-// or to the local controller after the control latency. A detached
-// controller never sees it; the dispatch side likewise drops (and pends,
-// for PortStatus) messages caught in flight when the channel breaks.
-func (s *Simulator) sendToController(msg openflow.Message) {
-	if s.fstate.ControllerDetached() {
-		s.fstate.NotePendingStatus(msg)
-		return
-	}
-	if s.cfg.PuntSink != nil {
-		s.cfg.PuntSink(msg)
-		return
-	}
-	if s.ctrl == nil {
-		return
-	}
-	s.schedCold(event{at: s.k.Now().Add(s.cfg.ControlLatency), kind: evToController, dir: int32(msg.Datapath())}, coldPayload{msg: msg})
-}
+// to go: the plane has a controller.
+func (s *Simulator) controlActive() bool { return s.plane.Controller() != nil }
 
 // puntPacket parks a packet at a switch pending control-plane action and
 // emits the PacketIn. The punt buffer is bounded by QueuePackets per
@@ -67,7 +29,7 @@ func (s *Simulator) puntPacket(p *packet, sw netgraph.NodeID, in netgraph.PortNu
 	if miss {
 		reason = openflow.ReasonNoMatch
 	}
-	s.sendToController(&openflow.PacketIn{
+	s.plane.SendToController(&openflow.PacketIn{
 		Switch: sw, InPort: in, Key: s.keyOf(p), Reason: reason,
 	})
 }
@@ -92,56 +54,11 @@ func (s *Simulator) retryPunted(sw netgraph.NodeID) {
 	s.punted[sw] = keep
 }
 
-// handleToSwitch applies a controller message at its datapath — the
-// standalone-engine path. In hybrid runs the flow engine owns application
-// and echoes the result through NotifyApplied instead.
-func (s *Simulator) handleToSwitch(msg openflow.Message) {
+// Applied implements flowsim.Attachment: parked punts retry the pipeline
+// after a rule install, a MeterMod also resets the meter's bucket, and a
+// PacketOut releases the packets it names.
+func (s *Simulator) Applied(msg openflow.Message) {
 	dp := msg.Datapath()
-	sw := s.net.Switches[dp]
-	if sw == nil {
-		return // message to a non-switch: controller bug, dropped
-	}
-	if s.fstate.SwitchIsDown(dp) {
-		// A crashed switch cannot apply anything; the message is lost,
-		// so the restart genuinely comes back with empty tables.
-		return
-	}
-	switch m := msg.(type) {
-	case *openflow.FlowMod, *openflow.GroupMod:
-		if err := sw.Apply(msg, s.k.Now()); err != nil {
-			return
-		}
-		s.col.FlowMods++
-		s.scheduleExpiry(dp)
-		s.retryPunted(dp)
-	case *openflow.MeterMod:
-		if err := sw.Apply(msg, s.k.Now()); err != nil {
-			return
-		}
-		s.col.FlowMods++
-		if mm := s.meters[dp]; mm != nil {
-			delete(mm, m.MeterID) // reset the bucket
-		}
-		s.retryPunted(dp)
-	case *openflow.PacketOut:
-		s.handlePacketOut(m)
-	case *openflow.PortStatsRequest:
-		s.sendToController(s.portStats(dp, m.Port))
-	case *openflow.FlowStatsRequest:
-		s.sendToController(sw.FlowStats(m, s.k.Now()))
-	case *openflow.BarrierRequest:
-		s.sendToController(&openflow.BarrierReply{Switch: dp, Xid: m.Xid})
-	}
-}
-
-// NotifyApplied reacts to a controller message another engine applied to
-// the shared network (hybrid runs): buffered punts retry, meter buckets
-// reset, PacketOuts release. Expiry stays with the applying engine.
-func (s *Simulator) NotifyApplied(msg openflow.Message) {
-	dp := msg.Datapath()
-	if s.net.Switches[dp] == nil {
-		return
-	}
 	switch m := msg.(type) {
 	case *openflow.FlowMod, *openflow.GroupMod:
 		s.retryPunted(dp)
@@ -190,78 +107,42 @@ func (s *Simulator) handlePacketOut(m *openflow.PacketOut) {
 	s.punted[m.Switch] = keep
 }
 
-// scheduleExpiry arms a timeout check for a switch at its earliest entry
-// expiry, avoiding duplicate events for the same instant.
-func (s *Simulator) scheduleExpiry(dp netgraph.NodeID) {
-	next := s.net.Switches[dp].NextExpiry()
-	if next == simtime.Never {
-		return
-	}
-	if cur := s.expiryAt[dp]; cur != simtime.Never && cur <= next && cur >= s.k.Now() {
-		return // an earlier (or equal) check is already scheduled
-	}
-	// The outstanding check (if any) is later than next: replace it
-	// instead of stacking a second event beside it.
-	s.k.Cancel(s.expiryTimer[dp])
-	s.expiryAt[dp] = next
-	s.expiryTimer[dp] = s.schedTimer(event{at: next, kind: evExpiry, dir: int32(dp)})
-}
+// BeforeExpiry implements flowsim.Attachment: idle timers already see
+// the per-packet LastUsed updates from forward.
+func (s *Simulator) BeforeExpiry(netgraph.NodeID) {}
 
-// handleExpiry evicts expired entries (idle timers see the per-packet
-// LastUsed updates from forward), notifies the controller with
-// FlowRemoved, and re-arms the timer. Traffic hitting an evicted rule
-// simply misses and punts again — the packet-granular re-resolution.
-func (s *Simulator) handleExpiry(dp netgraph.NodeID) {
-	s.expiryAt[dp] = simtime.Never
-	s.expiryTimer[dp] = simcore.Timer{}
-	sw := s.net.Switches[dp]
-	if sw == nil {
-		return
-	}
-	for _, fr := range sw.ExpireEntries(s.k.Now()) {
-		s.sendToController(fr)
-	}
-	s.scheduleExpiry(dp)
-}
+// AfterExpiry implements flowsim.Attachment: traffic hitting an evicted
+// rule simply misses and punts again — the packet-granular re-resolution.
+func (s *Simulator) AfterExpiry(netgraph.NodeID) {}
 
-// portStats builds a PortStatsReply from the transmit and receive
+// AddPortStats implements flowsim.Attachment from the transmit and receive
 // counters of the switch's own directions. Rates are averaged since the
 // previous request for the same port (first request reports the average
 // since the epoch) — the polling-delta a real controller computes anyway.
 // Receive counters are the bits observed arriving on the switch's side of
 // each link.
-func (s *Simulator) portStats(dp netgraph.NodeID, port netgraph.PortNum) *openflow.PortStatsReply {
-	reply := &openflow.PortStatsReply{Switch: dp, At: s.k.Now()}
-	for _, p := range s.topo.Node(dp).Ports() {
-		if port != netgraph.NoPort && p != port {
-			continue
-		}
-		l := s.topo.LinkAt(dp, p)
-		if l == nil {
-			continue
-		}
-		txDir := s.dirFrom(dp, p)
+func (s *Simulator) AddPortStats(reply *openflow.PortStatsReply) {
+	now := s.k.Now()
+	for i := range reply.Stats {
+		ps := &reply.Stats[i]
+		txDir := s.dirFrom(reply.Switch, ps.Port)
 		rxDir := txDir ^ 1 // the opposite direction of the same link
 		if op := s.ports[txDir]; op != nil {
 			s.settle(txDir, op)
 		}
-		ps := openflow.PortStats{
-			Port: p, LinkBps: l.BandwidthBps, Up: l.Up,
-			TxBits: s.txBits[txDir], RxBits: s.rxBits[rxDir],
-		}
+		ps.TxBits += s.txBits[txDir]
+		ps.RxBits += s.rxBits[rxDir]
 		// Baselines are keyed by the replying port only, so polling one
 		// switch never disturbs a neighbor's next delta.
-		if last := s.statsReqAt[txDir]; s.k.Now() > last {
-			window := s.k.Now().Sub(last).Seconds()
-			ps.TxRateBps = (s.txBits[txDir] - s.statsReqTxBits[txDir]) / window
-			ps.RxRateBps = (s.rxBits[rxDir] - s.statsReqRxBits[txDir]) / window
+		if last := s.statsReqAt[txDir]; now > last {
+			window := now.Sub(last).Seconds()
+			ps.TxRateBps += (s.txBits[txDir] - s.statsReqTxBits[txDir]) / window
+			ps.RxRateBps += (s.rxBits[rxDir] - s.statsReqRxBits[txDir]) / window
 		}
-		s.statsReqAt[txDir] = s.k.Now()
+		s.statsReqAt[txDir] = now
 		s.statsReqTxBits[txDir] = s.txBits[txDir]
 		s.statsReqRxBits[txDir] = s.rxBits[rxDir]
-		reply.Stats = append(reply.Stats, ps)
 	}
-	return reply
 }
 
 // meterBucket is the token-bucket state enforcing one meter at packet

@@ -1,83 +1,26 @@
-// Failure semantics of the packet engine: link failures drop queued and
-// in-flight packets and idle the transmitters, switch crashes wipe
-// OpenFlow state and lose parked punts, and controller detach severs the
-// control channel — the packet-granular half of the scenario engine's
-// dynamic-network contract. The Notify* entry points carry only the
-// data-plane consequences, so the hybrid coupler can propagate a change
-// the flow engine already applied (topology flip, table wipe, PortStatus)
-// without doubling it. ClassTopoChange makes these fire first at an
-// instant, so an outage is in effect before that instant's traffic.
+// Failure semantics of the packet engine, as its reactions to the network
+// dynamics the control plane applies: link failures drop queued and
+// in-flight packets and idle the transmitters, switch crashes lose parked
+// punts, and a controller reattach re-announces them. ClassTopoChange
+// makes the dynamics fire first at an instant, so an outage is in effect
+// before that instant's traffic.
 package packetsim
 
 import (
-	"sort"
-
-	"horse/internal/linkmodel"
 	"horse/internal/netgraph"
 	"horse/internal/openflow"
-	"horse/internal/simevent"
 )
 
-// handleLinkChange applies a scheduled link state change: topology flip,
-// data-plane flush, and PortStatus punts from both endpoint switches. The
-// scripted link state composes with switch liveness through linkDesired,
-// so a link "recovering" under a crashed endpoint stays down until the
-// switch restarts.
-func (s *Simulator) handleLinkChange(id netgraph.LinkID, up bool) {
-	s.fstate.SetLink(id, up)
-	s.applyLinkState(id, s.fstate.LinkDesired(id), -1)
-}
-
-// handleLinkDegrade applies a scheduled link-model change: m installs a
-// degradation model on both directions of the link (nil restores it).
-// It is orthogonal to the operational state — FailureState still decides
-// up/down, and the model only shapes traffic while the link is up — so
-// no queue flush or PortStatus is involved.
-func (s *Simulator) handleLinkDegrade(id netgraph.LinkID, m linkmodel.Model) {
-	s.SettleLink(id)
-	s.links.SetLink(id, m)
-	s.NotifyLinkDegrade(id, m)
-	s.observers.Notify(simevent.Observation{
-		At: s.k.Now(), Kind: simevent.LinkDegrade, Link: id, Up: m == nil,
-	})
-}
-
-// applyLinkState moves a link to the given operational state (no-op when
-// already there): topology flip, data-plane flush, PortStatus.
-func (s *Simulator) applyLinkState(id netgraph.LinkID, up bool, silent netgraph.NodeID) {
-	l := s.topo.Link(id)
-	if l.Up == up {
+// LinkFlipped implements flowsim.Attachment. On failure, every frame still
+// queued or serializing on either direction is lost and its scheduled
+// arrival neutralised, and packets mid-propagation are invalidated via
+// the link epoch. Recovery needs no action: the queues drained at failure
+// time and transmitters restart with the next packet.
+func (s *Simulator) LinkFlipped(l *netgraph.Link) {
+	if l.Up {
 		return
 	}
-	s.topo.SetLinkUp(id, up)
-	s.NotifyLinkChange(id, up)
-	s.portStatus(l, up, silent)
-	s.observers.Notify(simevent.Observation{
-		At: s.k.Now(), Kind: simevent.LinkChange, Link: id, Up: up,
-	})
-}
-
-// NotifyLinkChange applies the data-plane consequences of a link state
-// change without touching the topology or the control plane — the entry
-// point the hybrid coupler drives after the flow engine flipped the shared
-// state. On failure, every frame still queued or serializing on either
-// direction is lost and its scheduled arrival neutralised, and packets
-// mid-propagation are invalidated via the link epoch. Recovery needs no
-// action: the queues drained at failure time and transmitters restart
-// with the next packet.
-// Either way the endpoint switches' memoized decisions are invalidated:
-// group bucket selection watches port liveness.
-func (s *Simulator) NotifyLinkChange(id netgraph.LinkID, up bool) {
-	l := s.topo.Link(id)
-	for _, end := range []netgraph.NodeID{l.A, l.B} {
-		if sw := s.switches[end]; sw != nil {
-			sw.Invalidate()
-		}
-	}
-	if up {
-		return
-	}
-	for _, dir := range []int32{int32(id) << 1, int32(id)<<1 | 1} {
+	for _, dir := range []int32{int32(l.ID) << 1, int32(l.ID)<<1 | 1} {
 		s.linkEpoch[dir]++
 		op := s.ports[dir]
 		if op == nil {
@@ -96,12 +39,10 @@ func (s *Simulator) NotifyLinkChange(id netgraph.LinkID, up bool) {
 	}
 }
 
-// SettleLink retires the frames that have left either direction of a
-// link, drawing their corruption verdicts under the model they crossed.
-// Call it before the link's model changes; the hybrid coupler has the
-// flow engine, which applies model changes to the shared registry, call
-// it first (flowsim.Config.BeforeLinkDegrade).
-func (s *Simulator) SettleLink(id netgraph.LinkID) {
+// BeforeLinkModel implements flowsim.Attachment: the frames that have left
+// either direction of the link retire, drawing their corruption verdicts
+// under the model they crossed.
+func (s *Simulator) BeforeLinkModel(id netgraph.LinkID) {
 	for _, dir := range []int32{int32(id) << 1, int32(id)<<1 | 1} {
 		if op := s.ports[dir]; op != nil {
 			s.settle(dir, op)
@@ -109,50 +50,18 @@ func (s *Simulator) SettleLink(id netgraph.LinkID) {
 	}
 }
 
-// NotifyLinkDegrade reacts to a link-model change on the registry (in
-// hybrid runs the flow engine applied it): the model's RateScale may
-// differ from the old one's, so the frames queued behind the one in
+// AfterLinkModel implements flowsim.Attachment: the new model's RateScale
+// may differ from the old one's, so the frames queued behind the one in
 // service are re-timed. Corruption needs nothing — each frame draws its
 // verdict from whatever model its direction has when it leaves.
-func (s *Simulator) NotifyLinkDegrade(id netgraph.LinkID, _ linkmodel.Model) {
+func (s *Simulator) AfterLinkModel(id netgraph.LinkID) {
 	s.retime(int32(id) << 1)
 	s.retime(int32(id)<<1 | 1)
 }
 
-// handleSwitchChange applies a scheduled switch crash or restart.
-func (s *Simulator) handleSwitchChange(sw netgraph.NodeID, up bool) {
-	swState := s.net.Switches[sw]
-	if swState == nil || !s.fstate.SetSwitch(sw, up) {
-		return
-	}
-	silent := netgraph.NodeID(-1)
-	if !up {
-		swState.Reset()
-		s.NotifySwitchChange(sw, false)
-		silent = sw
-	}
-	for _, p := range s.topo.Node(sw).Ports() {
-		l := s.topo.LinkAt(sw, p)
-		if l == nil {
-			continue
-		}
-		// LinkDesired keeps a restart from reviving a link still inside
-		// its own scripted outage (and a crash from "double-failing" one).
-		s.applyLinkState(l.ID, s.fstate.LinkDesired(l.ID), silent)
-	}
-	s.observers.Notify(simevent.Observation{
-		At: s.k.Now(), Kind: simevent.SwitchChange, Switch: sw, Up: up,
-	})
-}
-
-// NotifySwitchChange applies the packet-engine-local consequences of a
-// switch crash the flow engine already executed against the shared state:
-// parked punts are lost and the switch's meter buckets reset. Link-level
-// flushes arrive separately through NotifyLinkChange.
-func (s *Simulator) NotifySwitchChange(sw netgraph.NodeID, up bool) {
-	if up {
-		return
-	}
+// SwitchCrashed implements flowsim.Attachment: the switch's parked punts
+// are lost and its meter buckets reset.
+func (s *Simulator) SwitchCrashed(sw netgraph.NodeID) {
 	for _, bp := range s.punted[sw] {
 		s.losePacket(bp.pkt)
 	}
@@ -160,62 +69,21 @@ func (s *Simulator) NotifySwitchChange(sw netgraph.NodeID, up bool) {
 	s.meters[sw] = nil
 }
 
-// handleCtrlChange applies a controller detach or reattach. Outages nest
-// by counting (FailureState.SetController; only the reattach matching the
-// first detach restores the channel). On reattach, links that changed
-// while detached announce their CURRENT state first (from every live
-// endpoint), so PortStatus-driven controllers reconverge on the truth
-// before any re-announced PacketIns arrive.
-func (s *Simulator) handleCtrlChange(attached bool) {
-	if !s.fstate.SetController(attached) {
-		return
-	}
-	if attached {
-		s.fstate.ResyncPortStatus(s.net, s.sendToController)
-		s.NotifyControllerChange(true)
-	}
-	s.observers.Notify(simevent.Observation{
-		At: s.k.Now(), Kind: simevent.ControllerChange, Up: attached,
-	})
-}
-
-// NotifyControllerChange re-announces every parked packet with a fresh
-// PacketIn once the control channel returns (their originals may have been
+// ControllerReattached implements flowsim.Attachment: every parked packet
+// re-announces itself with a fresh PacketIn (its original may have been
 // lost while detached) — modeling a switch re-punting buffered packets on
 // reconnect. Switches announce in ID order for determinism.
-func (s *Simulator) NotifyControllerChange(attached bool) {
-	if !attached {
-		return
-	}
-	var sws []netgraph.NodeID
+func (s *Simulator) ControllerReattached() {
 	for sw, buf := range s.punted {
-		if len(buf) > 0 {
-			sws = append(sws, netgraph.NodeID(sw))
-		}
-	}
-	sort.Slice(sws, func(i, j int) bool { return sws[i] < sws[j] })
-	for _, sw := range sws {
-		for _, bp := range s.punted[sw] {
+		for _, bp := range buf {
 			s.col.PacketIns++
 			reason := openflow.ReasonAction
 			if bp.miss {
 				reason = openflow.ReasonNoMatch
 			}
-			s.sendToController(&openflow.PacketIn{
-				Switch: sw, InPort: bp.in, Key: s.keyOf(bp.pkt), Reason: reason,
+			s.plane.SendToController(&openflow.PacketIn{
+				Switch: netgraph.NodeID(sw), InPort: bp.in, Key: s.keyOf(bp.pkt), Reason: reason,
 			})
-		}
-	}
-}
-
-// portStatus punts a link state change to the controller from both
-// endpoint switches, except a crashed (silent) one, which cannot speak.
-// While detached, sendToController pends the link for the reattach resync
-// instead.
-func (s *Simulator) portStatus(l *netgraph.Link, up bool, silent netgraph.NodeID) {
-	for _, end := range []netgraph.NodeID{l.A, l.B} {
-		if end != silent && s.net.Switches[end] != nil {
-			s.sendToController(&openflow.PortStatus{Switch: end, Port: l.PortAt(end), Up: up})
 		}
 	}
 }

@@ -164,29 +164,3 @@ func diffRuns(t *testing.T, name string, want, got runResult) {
 		t.Errorf("%s: counters diverged: want %+v got %+v", name, want, got)
 	}
 }
-
-// TestCollectorRunCounters pins that a Packet run fills the same run
-// counters a Flow or Hybrid run does: EventsRun is the dispatch count and
-// FlowsCompleted tallies the completed records — both used to read 0.
-func TestCollectorRunCounters(t *testing.T) {
-	topo, tr := goldenFatTree()
-	sim := New(Config{Topology: topo, Miss: dataplane.MissDrop})
-	installMACRoutes(sim.Network())
-	sim.Load(tr)
-	col := mustRun(sim, simtime.Time(2*simtime.Second))
-	if col.EventsRun == 0 || col.EventsRun != sim.EventsDispatched() {
-		t.Errorf("EventsRun = %d, want EventsDispatched() = %d", col.EventsRun, sim.EventsDispatched())
-	}
-	var completed uint64
-	for _, r := range col.Flows() {
-		if r.Completed {
-			completed++
-		}
-	}
-	if completed == 0 || col.FlowsCompleted != completed {
-		t.Errorf("FlowsCompleted = %d, want %d completed records", col.FlowsCompleted, completed)
-	}
-	if sim.ShardLoads() != nil {
-		t.Errorf("ShardLoads() = %v, want nil", sim.ShardLoads())
-	}
-}

@@ -44,10 +44,10 @@ func TestEventsPerHop(t *testing.T) {
 }
 
 // TestEventSize pins the slim envelope: every schedule copies one and
-// every release clears one.
+// every release clears one. Control-plane events are the control plane's.
 func TestEventSize(t *testing.T) {
-	if n := unsafe.Sizeof(event{}); n > 56 {
-		t.Errorf("event is %d bytes, want <= 56", n)
+	if n := unsafe.Sizeof(event{}); n > 48 {
+		t.Errorf("event is %d bytes, want <= 48", n)
 	}
 }
 

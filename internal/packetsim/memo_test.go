@@ -8,6 +8,7 @@ import (
 	"horse/internal/header"
 	"horse/internal/netgraph"
 	"horse/internal/openflow"
+	"horse/internal/simcore"
 	"horse/internal/simtime"
 	"horse/internal/traffic"
 )
@@ -62,17 +63,16 @@ func flowMod(sw netgraph.NodeID, op openflow.FlowModOp, prio int, m header.Match
 	return &openflow.FlowMod{Switch: sw, Op: op, Priority: prio, Match: m, Instr: openflow.Apply(openflow.Output(out))}
 }
 
-// at schedules a controller message for application at exactly t (it
-// orders before that instant's packet arrivals).
+// at applies a controller message at exactly t, ordered as its delivery
+// would be (before that instant's packet arrivals).
 func (s *Simulator) at(t simtime.Time, msg openflow.Message) {
-	s.schedCold(event{at: t, kind: evToSwitch, dir: int32(msg.Datapath())}, coldPayload{msg: msg})
+	key := simcore.OrderKey(simcore.ClassToSwitch, uint32(msg.Datapath()))
+	s.k.Schedule(&keyedCall{at: t, key: key, fn: func() { s.plane.Deliver(msg) }})
 }
 
 // timerAt runs fn from a controller-timer event at exactly t (it orders
-// before that instant's data-plane events).
-func (s *Simulator) timerAt(t simtime.Time, fn func()) {
-	s.schedCold(event{at: t, kind: evTimer}, coldPayload{fn: fn})
-}
+// before that instant's data-plane events). Call it before the run.
+func (s *Simulator) timerAt(t simtime.Time, fn func()) { s.plane.After(t.Sub(s.k.Now()), fn) }
 
 func requireMemo(t *testing.T, s *Simulator, sw netgraph.NodeID) {
 	t.Helper()

@@ -14,9 +14,9 @@
 // latency-modeled PacketIn with the triggering packet buffered at the
 // switch, FlowMods/MeterMods install into the shared dataplane state,
 // and hard/idle timeouts expire — so reactive E1/E2-style scenarios run at
-// packet granularity (E7). In hybrid runs the engine shares its kernel and
-// network with a flow-level simulator and punts through a PuntSink
-// instead of owning the controller.
+// packet granularity (E7). All of that is the flowsim.ControlPlane the
+// engine attaches to; in hybrid runs a flow-level simulator attaches to
+// the same plane, so both share one kernel, network and controller.
 package packetsim
 
 import (
@@ -81,32 +81,19 @@ type Config struct {
 	// ControlLatency delays every switch↔controller message (default 1ms).
 	ControlLatency simtime.Duration
 	// EventQueue selects the event-queue backend (timing wheel by
-	// default; the heap is the test oracle). Ignored when Kernel is
-	// supplied.
+	// default; the heap is the test oracle).
 	EventQueue eventq.Backend
-
-	// Kernel attaches the engine to an externally owned simulation kernel
-	// (hybrid runs). Nil means the engine creates and drives its own.
-	Kernel *simcore.Kernel
-	// Network attaches an externally owned data plane so engines share
-	// switch state (hybrid runs). Nil means a private network.
-	Network *dataplane.Network
-	// PuntSink, when set, receives switch-originated control messages
-	// instead of a locally attached Controller — the hybrid coupler
-	// routes them into the flow-level engine's control plane, which owns
-	// message application and echoes installs back via NotifyApplied.
-	PuntSink func(msg openflow.Message)
 }
 
 // Simulator is a packet-level simulation run.
 type Simulator struct {
 	cfg       Config
+	plane     *flowsim.ControlPlane
 	topo      *netgraph.Topology
 	net       *dataplane.Network
 	k         *simcore.Kernel
 	ownKernel bool
 	pool      simcore.Pool[event]
-	coldPool  simcore.Pool[coldPayload]
 
 	flows []*pktFlow
 	col   *stats.Collector
@@ -139,23 +126,13 @@ type Simulator struct {
 	// capacity.
 	extLoad []float64
 
-	// fstate composes overlapping scripted outages (links, switches, and
-	// controller detach all nest by counting; the detach count gates the
-	// control channel in standalone runs — in hybrid runs the flow
-	// engine's control plane owns it) and records link changes missed
-	// while detached for the reattach resync.
-	fstate *dataplane.FailureState
-
-	// links is the degradation registry (never nil; empty when no model
-	// is installed).
+	// links is the control plane's degradation registry (empty when no
+	// model is installed).
 	links *linkmodel.Set
 
-	// Control plane state.
-	ctrl           flowsim.Controller
-	ctx            *flowsim.Context
+	// Per-switch state behind the control plane: packets parked awaiting
+	// a controller verdict, and the meters' token buckets.
 	punted         [][]*puntedPkt
-	expiryAt       []simtime.Time  // Never = no check scheduled
-	expiryTimer    []simcore.Timer // outstanding check
 	meters         []map[openflow.MeterID]*meterBucket
 	statsReqAt     []simtime.Time // last PortStatsRequest per tx direction
 	statsReqTxBits []float64      // tx bits at that request
@@ -184,10 +161,6 @@ type Simulator struct {
 	// time through chained evIngest events.
 	reader     *traffic.Ingest
 	nextDemand traffic.Demand
-
-	// observers receive applied network-dynamics events (the public
-	// Observe hook).
-	observers simevent.Observers
 
 	begun    bool
 	finished bool
@@ -334,42 +307,21 @@ const (
 	evArriveNode
 	evRTO
 	evStats
-	evToSwitch
-	evToController
-	evExpiry
-	evTimer
-	evLinkChange
-	evSwitchChange
-	evCtrlChange
 	evIngest // pull the next demand from the trace reader
-	evLinkDegrade
 )
 
-// event is the pooled kernel envelope of this engine, 56 bytes. dir is the
+// event is the pooled kernel envelope of this engine, 48 bytes. dir is the
 // link direction an arrival traveled, or the entity of the other kinds:
-// the node of evToSwitch, evToController, evExpiry, evSwitchChange and
-// evStats, the link of evLinkChange and evLinkDegrade, the flow index of
-// evIngest. The payloads only control, timer and degrade events carry
-// ride in a pooled side struct.
+// the node of evStats, the flow index of evIngest. Control-plane events
+// are the flowsim.ControlPlane's own.
 type event struct {
 	at   simtime.Time
 	sim  *Simulator
 	flow *pktFlow
 	pkt  *packet
-	cold *coldPayload
 	gen  uint64
 	dir  int32
 	kind evKind
-	up   bool
-}
-
-// coldPayload is the rarely used part of an event: the message of
-// evToSwitch/evToController, the callback of evTimer, the model of
-// evLinkDegrade.
-type coldPayload struct {
-	msg   openflow.Message
-	fn    func()
-	model linkmodel.Model
 }
 
 func (e *event) Time() simtime.Time { return e.at }
@@ -381,23 +333,11 @@ func txDoneKey(dir int32) uint64 { return simcore.OrderKey(simcore.ClassData+1, 
 
 // OrderKey implements eventq.Keyed: the deterministic tie-break of
 // same-instant events. Keys derive from stable entities (link direction,
-// datapath, flow index), never from schedule history, so every queue
+// node, flow index), never from schedule history, so every queue
 // backend dispatches the same order. ClassData+1 is reserved for the
 // frame departures the transmitter dates without events (txDoneKey).
 func (e *event) OrderKey() uint64 {
 	switch e.kind {
-	case evLinkChange, evLinkDegrade, evSwitchChange:
-		return simcore.OrderKey(simcore.ClassTopoChange, uint32(e.dir))
-	case evCtrlChange:
-		return simcore.OrderKey(simcore.ClassTopoChange, ^uint32(0))
-	case evToSwitch:
-		return simcore.OrderKey(simcore.ClassToSwitch, uint32(e.dir))
-	case evExpiry:
-		return simcore.OrderKey(simcore.ClassExpiry, uint32(e.dir))
-	case evToController:
-		return simcore.OrderKey(simcore.ClassToController, uint32(e.dir))
-	case evTimer:
-		return simcore.OrderKey(simcore.ClassTimer, 0)
 	case evArriveNode:
 		return simcore.OrderKey(simcore.ClassData+0, uint32(e.dir))
 	case evSend:
@@ -430,10 +370,6 @@ func (e *event) Fire() {
 // acting for their former flows.
 func (e *event) Release() {
 	s := e.sim
-	if c := e.cold; c != nil {
-		*c = coldPayload{}
-		s.coldPool.Put(c)
-	}
 	*e = event{}
 	s.pool.Put(e)
 }
@@ -446,13 +382,6 @@ func (s *Simulator) sched(proto event) {
 	s.k.Schedule(e)
 }
 
-// schedCold schedules proto with its cold payload in a pooled side struct.
-func (s *Simulator) schedCold(proto event, c coldPayload) {
-	proto.cold = s.coldPool.Get()
-	*proto.cold = c
-	s.sched(proto)
-}
-
 // schedTimer schedules a pooled copy of proto as a cancelable timer.
 func (s *Simulator) schedTimer(proto event) simcore.Timer {
 	e := s.pool.Get()
@@ -461,39 +390,46 @@ func (s *Simulator) schedTimer(proto event) simcore.Timer {
 	return s.k.ScheduleCancelable(e)
 }
 
-// New builds a packet-level simulator.
+// New builds a packet-level simulator with a control plane of its own.
 func New(cfg Config) *Simulator {
 	if cfg.Topology == nil {
 		panic("packetsim: Config.Topology is required")
 	}
+	k := simcore.New(simcore.Config{Backend: cfg.EventQueue})
+	col := stats.NewCollector(cfg.StatsEvery)
+	p := flowsim.NewControlPlane(k, dataplane.NewNetwork(cfg.Topology, cfg.Miss), cfg.Links, col, cfg.Controller, cfg.ControlLatency)
+	s := newOn(p, cfg, col)
+	s.ownKernel = true
+	return s
+}
+
+// NewOn builds a packet-level simulator attached to control plane p, whose
+// kernel, network, link registry, controller and control latency it
+// shares with the plane's other engines; cfg's Topology, EventQueue, Miss,
+// Controller, ControlLatency and Links are not read. The plane's owner
+// drives the kernel: Begin, the kernel's run, then Finish.
+func NewOn(p *flowsim.ControlPlane, cfg Config) *Simulator {
+	return newOn(p, cfg, stats.NewCollector(cfg.StatsEvery))
+}
+
+func newOn(p *flowsim.ControlPlane, cfg Config, col *stats.Collector) *Simulator {
 	if cfg.QueuePackets == 0 {
 		cfg.QueuePackets = 100
 	}
 	if cfg.RTOMin == 0 {
 		cfg.RTOMin = 200 * simtime.Millisecond
 	}
-	if cfg.ControlLatency == 0 {
-		cfg.ControlLatency = simtime.Millisecond
-	}
-	k := cfg.Kernel
-	ownKernel := k == nil
-	if ownKernel {
-		k = simcore.New(simcore.Config{Backend: cfg.EventQueue})
-	}
-	net := cfg.Network
-	if net == nil {
-		net = dataplane.NewNetwork(cfg.Topology, cfg.Miss)
-	}
-	topo := cfg.Topology
+	net := p.Network()
+	topo := net.Topo
 	nDirs := 2 * topo.NumLinks()
 	nNodes := topo.NumNodes()
 	s := &Simulator{
-		cfg:       cfg,
-		topo:      topo,
-		net:       net,
-		k:         k,
-		ownKernel: ownKernel,
-		col:       stats.NewCollector(cfg.StatsEvery),
+		cfg:   cfg,
+		plane: p,
+		topo:  topo,
+		net:   net,
+		k:     p.Kernel(),
+		col:   col,
 
 		ports:     make([]*outPort, nDirs),
 		txBits:    make([]float64, nDirs),
@@ -502,25 +438,15 @@ func New(cfg Config) *Simulator {
 		linkEpoch: make([]uint64, nDirs),
 		extLoad:   make([]float64, nDirs),
 
-		fstate: dataplane.NewFailureState(topo),
-		links:  cfg.Links,
-		ctrl:   cfg.Controller,
+		links: p.Links(),
 
 		punted:         make([][]*puntedPkt, nNodes),
-		expiryAt:       make([]simtime.Time, nNodes),
-		expiryTimer:    make([]simcore.Timer, nNodes),
 		meters:         make([]map[openflow.MeterID]*meterBucket, nNodes),
 		statsReqAt:     make([]simtime.Time, nDirs),
 		statsReqTxBits: make([]float64, nDirs),
 		statsReqRxBits: make([]float64, nDirs),
 	}
 	s.records = stats.NewInOrder(s.col.AddFlow)
-	for i := range s.expiryAt {
-		s.expiryAt[i] = simtime.Never
-	}
-	if s.links == nil {
-		s.links = linkmodel.NewSet(1, topo.NumLinks())
-	}
 	// (node, port) → transmit direction index.
 	s.dirAt = make([][]int32, nNodes)
 	for _, l := range topo.Links() {
@@ -541,7 +467,7 @@ func New(cfg Config) *Simulator {
 			s.hostTx[n] = s.dirFrom(n, topo.LinkAt(sw, swPort).PortAt(n))
 		}
 	}
-	s.ctx = flowsim.NewContext(s)
+	p.Attach(s)
 	return s
 }
 
@@ -580,10 +506,10 @@ func (s *Simulator) Network() *dataplane.Network { return s.net }
 // Collector returns the statistics collector.
 func (s *Simulator) Collector() *stats.Collector { return s.col }
 
-// Now implements flowsim.Engine.
+// Now returns the current virtual time.
 func (s *Simulator) Now() simtime.Time { return s.k.Now() }
 
-// Topology implements flowsim.Engine.
+// Topology returns the simulated topology.
 func (s *Simulator) Topology() *netgraph.Topology { return s.topo }
 
 // Kernel returns the simulation kernel driving this engine.
@@ -679,34 +605,32 @@ func (s *Simulator) pullIngest() {
 
 // ScheduleLinkChange schedules a link failure (up=false) or recovery. On
 // failure, queued and in-flight packets on both directions are lost and
-// counted, the transmitters idle until recovery, and both endpoint
-// switches punt PortStatus to the attached controller.
+// counted, and the transmitters idle until recovery. See
+// flowsim.ControlPlane.ScheduleLinkChange.
 func (s *Simulator) ScheduleLinkChange(at simtime.Time, link netgraph.LinkID, up bool) {
-	s.sched(event{at: at, kind: evLinkChange, dir: int32(link), up: up})
+	s.plane.ScheduleLinkChange(at, link, up)
 }
 
-// ScheduleSwitchChange schedules a switch crash (up=false) or restart: a
-// crash takes the attached links down, wipes the switch's OpenFlow state
-// and loses its punt-parked packets; a restart brings the links back up
-// with the tables still empty.
+// ScheduleSwitchChange schedules a switch crash (up=false) or restart; a
+// crash also loses the switch's punt-parked packets. See
+// flowsim.ControlPlane.ScheduleSwitchChange.
 func (s *Simulator) ScheduleSwitchChange(at simtime.Time, sw netgraph.NodeID, up bool) {
-	s.sched(event{at: at, kind: evSwitchChange, dir: int32(sw), up: up})
+	s.plane.ScheduleSwitchChange(at, sw, up)
 }
 
 // ScheduleControllerChange schedules a controller detach (attached=false)
-// or reattach. While detached, messages in both directions are lost; on
-// reattach, parked packets re-announce themselves with fresh PacketIns.
+// or reattach; on reattach, parked packets re-announce themselves with
+// fresh PacketIns. See flowsim.ControlPlane.ScheduleControllerChange.
 func (s *Simulator) ScheduleControllerChange(at simtime.Time, attached bool) {
-	s.sched(event{at: at, kind: evCtrlChange, up: attached})
+	s.plane.ScheduleControllerChange(at, attached)
 }
 
 // ScheduleLinkDegrade schedules a link-model change on both directions of
-// a link: m non-nil installs (or replaces) the degradation model, nil
-// restores the link to pristine. Degradation composes with scripted
-// outages — a degraded link that fails loses packets like any dead link,
-// and keeps corrupting frames once it recovers.
+// a link (nil m restores it). A degraded link that fails loses packets
+// like any dead link, and keeps corrupting frames once it recovers. See
+// flowsim.ControlPlane.ScheduleLinkDegrade.
 func (s *Simulator) ScheduleLinkDegrade(at simtime.Time, link netgraph.LinkID, m linkmodel.Model) {
-	s.schedCold(event{at: at, kind: evLinkDegrade, dir: int32(link)}, coldPayload{model: m})
+	s.plane.ScheduleLinkDegrade(at, link, m)
 }
 
 // Run executes until the queue drains, virtual time passes until, or ctx
@@ -727,9 +651,9 @@ func (s *Simulator) Run(ctx context.Context, until simtime.Time) (*stats.Collect
 	return col, err
 }
 
-// Observe registers an observer of applied network dynamics (link and
-// switch state flips, controller detach/reattach). Register before Run.
-func (s *Simulator) Observe(fn simevent.Observer) { s.observers.Add(fn) }
+// Observe registers an observer of applied network dynamics; see
+// flowsim.ControlPlane.Observe.
+func (s *Simulator) Observe(fn simevent.Observer) { s.plane.Observe(fn) }
 
 // SetRecordSink streams every stats.FlowRecord to sink instead of
 // accumulating it in the collector. Records reach the collector in
@@ -751,7 +675,8 @@ func (s *Simulator) SetProgress(every simtime.Duration, fn simevent.ProgressFunc
 	simevent.ArmProgress(s.k, every, fn)
 }
 
-// Begin starts the control plane (if attached) and arms stats sampling.
+// Begin starts the control plane (its controller, if any) and arms stats
+// sampling.
 func (s *Simulator) Begin() {
 	if s.begun || s.finished {
 		panic("packetsim: Run called twice")
@@ -761,9 +686,7 @@ func (s *Simulator) Begin() {
 	s.udpRes = make([]int32, len(s.flows))
 	s.udpLast = make([]simtime.Time, len(s.flows))
 	s.liveBy = make([]int32, len(s.flows))
-	if s.ctrl != nil {
-		s.ctrl.Start(s.ctx)
-	}
+	s.plane.Start()
 	if s.cfg.StatsEvery > 0 {
 		s.sched(event{at: simtime.Time(s.cfg.StatsEvery), kind: evStats})
 	}
@@ -833,31 +756,8 @@ func (s *Simulator) dispatch(e *event) {
 	case evStats:
 		s.sampleStats()
 		s.sched(event{at: s.k.Now().Add(s.cfg.StatsEvery), kind: evStats, dir: e.dir})
-	case evToSwitch:
-		s.handleToSwitch(e.cold.msg)
-	case evToController:
-		if s.fstate.ControllerDetached() {
-			// The channel broke while the message was in flight: it is
-			// lost at delivery. A lost PortStatus still resyncs on
-			// reattach (the link change it announced goes pending).
-			s.fstate.NotePendingStatus(e.cold.msg)
-			return
-		}
-		s.ctrl.Handle(s.ctx, e.cold.msg)
-	case evExpiry:
-		s.handleExpiry(netgraph.NodeID(e.dir))
-	case evTimer:
-		e.cold.fn()
-	case evLinkChange:
-		s.handleLinkChange(netgraph.LinkID(e.dir), e.up)
-	case evSwitchChange:
-		s.handleSwitchChange(netgraph.NodeID(e.dir), e.up)
-	case evCtrlChange:
-		s.handleCtrlChange(e.up)
 	case evIngest:
 		s.loadOne(s.nextDemand)
 		s.pullIngest()
-	case evLinkDegrade:
-		s.handleLinkDegrade(netgraph.LinkID(e.dir), e.cold.model)
 	}
 }

@@ -221,8 +221,8 @@ func TestPacketVsFlowLevelAgreement(t *testing.T) {
 // from the ACK stream, never from receiver state.
 func TestRTOGenerationCancelsStaleTimer(t *testing.T) {
 	topo := dumbbell(1e9)
-	k := simcore.New(simcore.Config{})
-	sim := New(Config{Topology: topo, Miss: dataplane.MissDrop, Kernel: k})
+	sim := New(Config{Topology: topo, Miss: dataplane.MissDrop})
+	k := sim.k
 	installMACRoutes(sim.Network())
 	h0, r0 := topo.MustLookup("h0"), topo.MustLookup("r0")
 	sim.Load(traffic.Trace{tcp(h0, r0, 0, 1e6)})

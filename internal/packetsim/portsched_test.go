@@ -81,16 +81,17 @@ type scnLoad struct {
 // and after that instant's sends (ClassData+2 with an entity no flow has).
 var lateKey = simcore.OrderKey(simcore.ClassData+2, ^uint32(0))
 
-// dataCall runs fn from a kernel event keyed lateKey.
-type dataCall struct {
-	at simtime.Time
-	fn func()
+// keyedCall runs fn from a kernel event at `at` with order key `key`.
+type keyedCall struct {
+	at  simtime.Time
+	key uint64
+	fn  func()
 }
 
-func (c *dataCall) Time() simtime.Time { return c.at }
-func (c *dataCall) OrderKey() uint64   { return lateKey }
-func (c *dataCall) Fire()              { c.fn() }
-func (c *dataCall) Release()           {}
+func (c *keyedCall) Time() simtime.Time { return c.at }
+func (c *keyedCall) OrderKey() uint64   { return c.key }
+func (c *keyedCall) Fire()              { c.fn() }
+func (c *keyedCall) Release()           {}
 
 // scnInject emits one extra packet of a flow from a controller-timer class
 // event, so a host port sees enqueues that order before its departures
@@ -182,7 +183,7 @@ func (sc *portScenario) runEngine() portOutcome {
 		e := e
 		set := func() { sim.SetExternalLoad(netgraph.LinkID(e.link), e.fwd, e.bps) }
 		if e.late {
-			sim.k.Schedule(&dataCall{at: e.at, fn: set})
+			sim.k.Schedule(&keyedCall{at: e.at, key: lateKey, fn: set})
 		} else {
 			sim.timerAt(e.at, set)
 		}

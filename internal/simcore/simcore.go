@@ -349,10 +349,9 @@ func (k *Kernel) next(until simtime.Time) Event {
 // Order classes shared by every engine on the kernel. An event's order
 // key is OrderKey(class, entity): at one instant, lower classes fire
 // first, and within a class the stable entity ID (link direction,
-// datapath, flow index) breaks the tie. Both engines MUST use the same
-// class for equivalent control-plane events — it is what keeps a hybrid
-// run (where the flow engine owns the control plane) dispatch-identical
-// to a standalone packet run.
+// datapath, flow index) breaks the tie. The control-plane classes belong
+// to flowsim.ControlPlane, which every engine attaches to; the engines'
+// own events use ClassData and up.
 //
 // Classes are ordered so that at one instant: scripted topology changes
 // land first (the outage is in effect before that instant's traffic),
