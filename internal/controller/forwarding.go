@@ -40,32 +40,30 @@ func (p *ProactiveMAC) cost() netgraph.Cost {
 	return netgraph.HopCost
 }
 
+// installAll computes every destination's next hops in one path scratch.
 func (p *ProactiveMAC) installAll(ctx *flowsim.Context) {
 	topo := ctx.Topology()
+	switches := topo.Switches()
+	var sc netgraph.PathScratch
 	for _, host := range topo.Hosts() {
-		p.installHost(ctx, host)
-	}
-}
-
-func (p *ProactiveMAC) installHost(ctx *flowsim.Context, host netgraph.NodeID) {
-	topo := ctx.Topology()
-	next := topo.ECMPNextHops(host, p.cost())
-	mac := addr.HostMAC(host)
-	for _, sw := range topo.Switches() {
-		nh := next[sw]
-		if len(nh) == 0 {
-			continue
+		next := topo.ECMPNextHopsInto(&sc, host, p.cost())
+		mac := addr.HostMAC(host)
+		for _, sw := range switches {
+			nh := next[sw]
+			if len(nh) == 0 {
+				continue
+			}
+			out := topo.PortToward(sw, nh[0])
+			if out == netgraph.NoPort {
+				continue
+			}
+			ctx.Send(&openflow.FlowMod{
+				Switch: sw, Op: openflow.FlowAdd,
+				Table: TableForwarding, Priority: PrioForwarding,
+				Match: header.Match{}.WithEthDst(mac),
+				Instr: openflow.Apply(openflow.Output(out)),
+			})
 		}
-		out := topo.PortToward(sw, nh[0])
-		if out == netgraph.NoPort {
-			continue
-		}
-		ctx.Send(&openflow.FlowMod{
-			Switch: sw, Op: openflow.FlowAdd,
-			Table: TableForwarding, Priority: PrioForwarding,
-			Match: header.Match{}.WithEthDst(mac),
-			Instr: openflow.Apply(openflow.Output(out)),
-		})
 	}
 }
 
@@ -93,6 +91,7 @@ type ReactiveMAC struct {
 	Cost        netgraph.Cost
 
 	resync portStatusCoalescer
+	paths  netgraph.PathScratch // every PacketIn's shortest path
 }
 
 // Name implements App.
@@ -133,7 +132,7 @@ func (r *ReactiveMAC) Handle(ctx *flowsim.Context, msg openflow.Message) {
 	if idle == 0 {
 		idle = 10 * simtime.Second
 	}
-	path := topo.ShortestPath(pin.Switch, dst, cost)
+	path := topo.ShortestPathInto(&r.paths, pin.Switch, dst, cost)
 	if path == nil {
 		return
 	}

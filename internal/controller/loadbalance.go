@@ -47,8 +47,9 @@ func (l *ECMPLoadBalancer) installAll(ctx *flowsim.Context) {
 	groupOf := make(map[netgraph.NodeID]map[portSet]openflow.GroupID)
 
 	switches := topo.Switches()
+	var sc netgraph.PathScratch
 	for _, host := range topo.Hosts() {
-		next := topo.ECMPNextHops(host, l.cost())
+		next := topo.ECMPNextHopsInto(&sc, host, l.cost())
 		mac := addr.HostMAC(host)
 		for _, sw := range switches {
 			nhs := next[sw]

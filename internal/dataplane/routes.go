@@ -11,12 +11,17 @@ import (
 // host directly on the network's switches — the E3 "identical
 // pre-installed state" methodology, shared by the experiment harness,
 // the benchmarks, and the examples so the baseline state cannot drift
-// between them.
+// between them. One path scratch serves every destination, and one
+// FlowMod every rule: Switch.Apply copies it into a new entry.
 func InstallMACRoutes(n *Network) {
 	topo := n.Topo
+	switches := topo.Switches()
+	var sc netgraph.PathScratch
+	mod := openflow.FlowMod{Op: openflow.FlowAdd, Priority: 10}
 	for _, host := range topo.Hosts() {
-		next := topo.ECMPNextHops(host, netgraph.HopCost)
-		for _, sw := range topo.Switches() {
+		next := topo.ECMPNextHopsInto(&sc, host, netgraph.HopCost)
+		mod.Match = header.Match{}.WithEthDst(addr.HostMAC(host))
+		for _, sw := range switches {
 			if len(next[sw]) == 0 {
 				continue
 			}
@@ -24,11 +29,8 @@ func InstallMACRoutes(n *Network) {
 			if out == netgraph.NoPort {
 				continue
 			}
-			n.Switches[sw].Apply(&openflow.FlowMod{
-				Op: openflow.FlowAdd, Priority: 10,
-				Match: header.Match{}.WithEthDst(addr.HostMAC(host)),
-				Instr: openflow.Apply(openflow.Output(out)),
-			}, 0)
+			mod.Instr = openflow.Apply(openflow.Output(out))
+			n.Switches[sw].Apply(&mod, 0)
 		}
 	}
 }

@@ -20,29 +20,6 @@ import (
 	"horse/internal/traffic"
 )
 
-// installMACRoutes pre-installs shortest-path MAC forwarding on every
-// switch (the identical-state methodology of E3).
-func installMACRoutes(net *dataplane.Network) {
-	topo := net.Topo
-	for _, host := range topo.Hosts() {
-		next := topo.ECMPNextHops(host, netgraph.HopCost)
-		for _, sw := range topo.Switches() {
-			if len(next[sw]) == 0 {
-				continue
-			}
-			out := topo.PortToward(sw, next[sw][0])
-			if out == netgraph.NoPort {
-				continue
-			}
-			net.Switches[sw].Apply(&openflow.FlowMod{
-				Op: openflow.FlowAdd, Priority: 10,
-				Match: header.Match{}.WithEthDst(addr.HostMAC(host)),
-				Instr: openflow.Apply(openflow.Output(out)),
-			}, 0)
-		}
-	}
-}
-
 func cbr(src, dst netgraph.NodeID, start simtime.Time, sizeBits, rateBps float64, sport uint16) traffic.Demand {
 	return traffic.Demand{
 		Key: addr.FlowKeyBetween(src, dst, header.ProtoUDP, sport, 80),
@@ -80,14 +57,14 @@ func TestGoldenFlowPacketParity(t *testing.T) {
 	simF := flowsim.New(flowsim.Config{
 		Topology: topoF, Controller: flowsim.NopController{}, Miss: dataplane.MissDrop,
 	})
-	installMACRoutes(simF.Network())
+	dataplane.InstallMACRoutes(simF.Network())
 	simF.Load(trF)
 	colF := mustRun(simF, simtime.Time(simtime.Minute))
 
 	// Packet-level run on identical state.
 	topoP, trP := fatTreeCBRScenario()
 	simP := packetsim.New(packetsim.Config{Topology: topoP, Miss: dataplane.MissDrop})
-	installMACRoutes(simP.Network())
+	dataplane.InstallMACRoutes(simP.Network())
 	simP.Load(trP)
 	colP := mustRun(simP, simtime.Time(simtime.Minute))
 
@@ -254,7 +231,7 @@ func TestHybridFullPacketMatchesStandalone(t *testing.T) {
 				Topology: topoS, Miss: miss, Controller: ctrl(), ControlLatency: simtime.Millisecond,
 			})
 			if !c.reactive {
-				installMACRoutes(standalone.Network())
+				dataplane.InstallMACRoutes(standalone.Network())
 			}
 			standalone.Load(trS)
 			script(standalone)
@@ -266,7 +243,7 @@ func TestHybridFullPacketMatchesStandalone(t *testing.T) {
 				PacketLevel: Fraction(1.0),
 			})
 			if !c.reactive {
-				installMACRoutes(hyb.Network())
+				dataplane.InstallMACRoutes(hyb.Network())
 			}
 			hyb.Load(trH)
 			script(hyb)
@@ -510,7 +487,7 @@ func TestHybridCouplingThrottlesPackets(t *testing.T) {
 		})
 		// Pre-install routes in the shared network so both fidelities
 		// forward from t=0 (the E3 identical-state methodology).
-		installMACRoutes(hyb.Network())
+		dataplane.InstallMACRoutes(hyb.Network())
 		hyb.Load(tr)
 		mustRun(hyb, simtime.Time(10*simtime.Second))
 		for _, r := range hyb.Collector().Flows() {
@@ -533,5 +510,47 @@ func TestHybridCouplingThrottlesPackets(t *testing.T) {
 	// threshold is stable.)
 	if float64(squeezed) < 1.5*float64(alone) {
 		t.Errorf("coupling missing: FCT alone %v vs with background %v", alone, squeezed)
+	}
+}
+
+// TestHybridRetimeFreesEveryPacket: flow-level background flows start and
+// stop while packet-level transfers hold a backlog at the shared
+// bottleneck, so every rate shift re-times queued frames under fresh
+// copies. Once the run quiesces, the packet engine has freed each packet
+// it allocated, the replaced originals included.
+func TestHybridRetimeFreesEveryPacket(t *testing.T) {
+	topo := netgraph.Dumbbell(2, 2, netgraph.Gig,
+		netgraph.LinkSpec{BandwidthBps: 1e8, Delay: simtime.Millisecond})
+	h0, h1 := topo.MustLookup("h0"), topo.MustLookup("h1")
+	r0, r1 := topo.MustLookup("r0"), topo.MustLookup("r1")
+	var tr traffic.Trace
+	for i := 0; i < 2; i++ {
+		fg := cbr(h0, r0, simtime.Time(i)*simtime.Time(5*simtime.Millisecond), 4e6, math.Inf(1), uint16(30000+i))
+		fg.TCP = true
+		fg.Key.Proto = header.ProtoTCP
+		tr = append(tr, fg)
+	}
+	for i := 0; i < 4; i++ {
+		bg := cbr(h1, r1, simtime.Time(i)*simtime.Time(20*simtime.Millisecond), math.Inf(1), 2e7, uint16(31000+i))
+		bg.Duration = 50 * simtime.Millisecond
+		tr = append(tr, bg)
+	}
+	hyb := New(Config{
+		Topology: topo, Miss: dataplane.MissDrop,
+		PacketLevel: func(_ int, d traffic.Demand) bool { return d.TCP },
+	})
+	dataplane.InstallMACRoutes(hyb.Network())
+	hyb.Load(tr)
+	col := mustRun(hyb, simtime.Never)
+	for _, r := range col.Flows() {
+		if !r.Completed {
+			t.Fatalf("flow %d: %s", r.ID, r.Outcome)
+		}
+	}
+	if hyb.PacketsForwarded() == 0 {
+		t.Fatal("packet engine idle")
+	}
+	if held := hyb.pkt.PacketsHeld(); held != 0 {
+		t.Errorf("%d packets never freed after the run quiesced", held)
 	}
 }

@@ -85,39 +85,67 @@ func (q *pq) pop() pqItem {
 	return it
 }
 
+// PathScratch is the working state of one Dijkstra — distances,
+// predecessors, heap — and the buffers the path queries return their
+// results in. A loop that asks for many paths holds one and passes it to
+// the *Into queries, which then allocate nothing once it has grown to the
+// topology's size. The zero value is ready to use; results written into a
+// scratch are valid until its next use.
+type PathScratch struct {
+	dist []float64
+	prev []NodeID
+	heap pq
+	hops [][]NodeID
+	buf  []NodeID
+	path Path
+}
+
 // ShortestPath returns a minimum-cost path from src to dst over up links,
 // or nil if dst is unreachable. Ties are broken toward lower node IDs so
 // results are deterministic.
 func (t *Topology) ShortestPath(src, dst NodeID, cost Cost) Path {
-	dist, prev := t.dijkstra(src, cost, nil)
-	if math.IsInf(dist[dst], 1) {
+	return t.ShortestPathInto(new(PathScratch), src, dst, cost)
+}
+
+// ShortestPathInto is ShortestPath computed in sc; the path it returns is
+// sc's and valid until sc's next use.
+func (t *Topology) ShortestPathInto(sc *PathScratch, src, dst NodeID, cost Cost) Path {
+	return t.pathInto(sc, src, dst, cost, nil)
+}
+
+// pathInto is ShortestPathInto avoiding the banned links.
+func (t *Topology) pathInto(sc *PathScratch, src, dst NodeID, cost Cost, banned map[LinkID]bool) Path {
+	t.dijkstra(sc, src, cost, banned)
+	if math.IsInf(sc.dist[dst], 1) {
 		return nil
 	}
-	var path Path
-	for at := dst; ; at = prev[at] {
-		path = append(path, at)
+	sc.path = sc.path[:0]
+	for at := dst; ; at = sc.prev[at] {
+		sc.path = append(sc.path, at)
 		if at == src {
 			break
 		}
 	}
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
-	return path
+	slices.Reverse(sc.path)
+	return sc.path
 }
 
-// dijkstra runs Dijkstra from src. banned, if non-nil, marks links that must
-// not be traversed (used by Yen's algorithm).
-func (t *Topology) dijkstra(src NodeID, cost Cost, banned map[LinkID]bool) (dist []float64, prev []NodeID) {
+// dijkstra runs Dijkstra from src into sc.dist and sc.prev. banned, if
+// non-nil, marks links that must not be traversed (used by Yen's
+// algorithm).
+func (t *Topology) dijkstra(sc *PathScratch, src NodeID, cost Cost, banned map[LinkID]bool) {
 	n := len(t.nodes)
-	dist = make([]float64, n)
-	prev = make([]NodeID, n)
+	if cap(sc.dist) < n {
+		sc.dist, sc.prev = make([]float64, n), make([]NodeID, n)
+	}
+	dist, prev := sc.dist[:n], sc.prev[:n]
+	sc.dist, sc.prev = dist, prev
 	for i := range dist {
 		dist[i] = math.Inf(1)
 		prev[i] = -1
 	}
 	dist[src] = 0
-	q := pq{{node: src, dist: 0}}
+	q := append(sc.heap[:0], pqItem{node: src, dist: 0})
 	for len(q) > 0 {
 		it := q.pop()
 		if it.dist > dist[it.node] {
@@ -142,7 +170,7 @@ func (t *Topology) dijkstra(src NodeID, cost Cost, banned map[LinkID]bool) (dist
 			}
 		}
 	}
-	return dist, prev
+	sc.heap = q
 }
 
 // PathCost sums the cost of the links along a path; it returns +Inf if any
@@ -164,14 +192,28 @@ func (t *Topology) PathCost(p Path, cost Cost) float64 {
 // unreachable nodes have a nil entry. This is the substrate for hash-based
 // load-balancing groups.
 func (t *Topology) ECMPNextHops(dst NodeID, cost Cost) [][]NodeID {
+	return t.ECMPNextHopsInto(new(PathScratch), dst, cost)
+}
+
+// ECMPNextHopsInto is ECMPNextHops computed in sc; the table it returns,
+// and every hop set in it, are sc's and valid until sc's next use.
+func (t *Topology) ECMPNextHopsInto(sc *PathScratch, dst NodeID, cost Cost) [][]NodeID {
 	// Run Dijkstra from dst; for node v, neighbor u is a valid next hop
 	// iff dist[u] + cost(v-u) == dist[v].
-	dist, _ := t.dijkstra(dst, cost, nil)
-	out := make([][]NodeID, len(t.nodes))
+	t.dijkstra(sc, dst, cost, nil)
+	dist := sc.dist
+	if cap(sc.hops) < len(t.nodes) {
+		sc.hops = make([][]NodeID, len(t.nodes))
+	}
+	out := sc.hops[:len(t.nodes)]
+	clear(out)
 	const eps = 1e-12
 	// Every node's hops are carved from one buffer: a link is a candidate
-	// hop from each of its two ends at most.
-	buf := make([]NodeID, 0, 2*len(t.links))
+	// hop from each of its two ends at most, so it never grows mid-loop.
+	if cap(sc.buf) < 2*len(t.links) {
+		sc.buf = make([]NodeID, 0, 2*len(t.links))
+	}
+	buf := sc.buf[:0]
 	for v, node := range t.nodes {
 		if math.IsInf(dist[v], 1) || NodeID(v) == dst {
 			continue
@@ -207,11 +249,12 @@ func (t *Topology) KShortestPaths(src, dst NodeID, k int, cost Cost) []Path {
 	if k <= 0 {
 		return nil
 	}
-	first := t.ShortestPath(src, dst, cost)
+	var sc PathScratch
+	first := t.ShortestPathInto(&sc, src, dst, cost)
 	if first == nil {
 		return nil
 	}
-	paths := []Path{first}
+	paths := []Path{slices.Clone(first)}
 	var candidates []Path
 	for len(paths) < k {
 		prevPath := paths[len(paths)-1]
@@ -235,19 +278,9 @@ func (t *Topology) KShortestPaths(src, dst NodeID, k int, cost Cost) []Path {
 					banned[lid] = true
 				}
 			}
-			spurDist, spurPrev := t.dijkstra(spurNode, cost, banned)
-			if math.IsInf(spurDist[dst], 1) {
+			spurPath := t.pathInto(&sc, spurNode, dst, cost, banned)
+			if spurPath == nil {
 				continue
-			}
-			var spurPath Path
-			for at := dst; ; at = spurPrev[at] {
-				spurPath = append(spurPath, at)
-				if at == spurNode {
-					break
-				}
-			}
-			for a, b := 0, len(spurPath)-1; a < b; a, b = a+1, b-1 {
-				spurPath[a], spurPath[b] = spurPath[b], spurPath[a]
 			}
 			total := make(Path, 0, i+len(spurPath))
 			total = append(total, rootPath[:len(rootPath)-1]...)
@@ -322,9 +355,10 @@ func (t *Topology) Reachable(src, dst NodeID) bool {
 // between any pair of nodes (0 for empty/singleton graphs).
 func (t *Topology) Diameter() int {
 	max := 0
+	var sc PathScratch
 	for _, src := range t.Nodes() {
-		dist, _ := t.dijkstra(src, HopCost, nil)
-		for _, d := range dist {
+		t.dijkstra(&sc, src, HopCost, nil)
+		for _, d := range sc.dist {
 			if !math.IsInf(d, 1) && int(d) > max {
 				max = int(d)
 			}

@@ -2,6 +2,8 @@ package openflow
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 
 	"horse/internal/header"
 	"horse/internal/simtime"
@@ -104,37 +106,46 @@ func insertSorted(list []*FlowEntry, e *FlowEntry) []*FlowEntry {
 	return list
 }
 
-func (t *FlowTable) indexAdd(e *FlowEntry) {
-	if e.Match.Has(header.FieldEthDst) {
-		t.byDst[e.Match.EthDst] = insertSorted(t.byDst[e.Match.EthDst], e)
+// bucket returns the index list an entry with match m lives in.
+func (t *FlowTable) bucket(m header.Match) []*FlowEntry {
+	if m.Has(header.FieldEthDst) {
+		return t.byDst[m.EthDst]
+	}
+	return t.rest
+}
+
+func (t *FlowTable) setBucket(m header.Match, list []*FlowEntry) {
+	if m.Has(header.FieldEthDst) {
+		t.byDst[m.EthDst] = list
 	} else {
-		t.rest = insertSorted(t.rest, e)
+		t.rest = list
 	}
 }
 
-// rebuildIndex reconstructs the acceleration structures from entries; used
-// after bulk mutations (Delete, Expire).
-func (t *FlowTable) rebuildIndex() {
-	t.byDst = make(map[header.MAC][]*FlowEntry)
-	t.rest = nil
-	for _, e := range t.entries {
-		t.indexAdd(e)
+func (t *FlowTable) indexAdd(e *FlowEntry) {
+	t.setBucket(e.Match, insertSorted(t.bucket(e.Match), e))
+}
+
+// exact returns the entry with exactly this match and priority, and its
+// index in its bucket, looking in that bucket only.
+func (t *FlowTable) exact(m header.Match, priority int) (int, *FlowEntry) {
+	for i, e := range t.bucket(m) {
+		if e.Priority == priority && e.Match == m {
+			return i, e
+		}
 	}
+	return -1, nil
+}
+
+// position returns e's index in entries, which entryLess orders.
+func (t *FlowTable) position(e *FlowEntry) int {
+	return sort.Search(len(t.entries), func(i int) bool { return !entryLess(t.entries[i], e) })
 }
 
 func (t *FlowTable) indexRemove(e *FlowEntry) {
-	remove := func(list []*FlowEntry) []*FlowEntry {
-		for i, x := range list {
-			if x == e {
-				return append(list[:i], list[i+1:]...)
-			}
-		}
-		return list
-	}
-	if e.Match.Has(header.FieldEthDst) {
-		t.byDst[e.Match.EthDst] = remove(t.byDst[e.Match.EthDst])
-	} else {
-		t.rest = remove(t.rest)
+	list := t.bucket(e.Match)
+	if i := slices.Index(list, e); i >= 0 {
+		t.setBucket(e.Match, slices.Delete(list, i, i+1))
 	}
 }
 
@@ -150,14 +161,13 @@ func (t *FlowTable) Entries() []*FlowEntry { return t.entries }
 func (t *FlowTable) Add(e *FlowEntry, now simtime.Time) {
 	e.Installed = now
 	e.LastUsed = now
-	for i, old := range t.entries {
-		if old.Priority == e.Priority && old.Match == e.Match {
-			e.seq = old.seq
-			t.entries[i] = e
-			t.indexRemove(old)
-			t.indexAdd(e)
-			return
-		}
+	if i, old := t.exact(e.Match, e.Priority); old != nil {
+		// The new entry takes over the old one's (priority, seq) position
+		// in both orders.
+		e.seq = old.seq
+		t.bucket(e.Match)[i] = e
+		t.entries[t.position(old)] = e
+		return
 	}
 	t.nextSeq++
 	e.seq = t.nextSeq
@@ -198,48 +208,43 @@ func (t *FlowTable) Lookup(key header.FlowKey) *FlowEntry {
 // semantics — here, cookie==0 matches all) is removed. It returns the
 // removed entries.
 func (t *FlowTable) Delete(m header.Match, cookie uint64) []*FlowEntry {
-	var kept, removed []*FlowEntry
-	for _, e := range t.entries {
-		if m.Subsumes(e.Match) && (cookie == 0 || e.Cookie == cookie) {
-			removed = append(removed, e)
-		} else {
-			kept = append(kept, e)
-		}
-	}
-	t.entries = kept
-	if removed != nil {
-		t.rebuildIndex()
-	}
-	return removed
+	return t.removeIf(func(e *FlowEntry) bool {
+		return m.Subsumes(e.Match) && (cookie == 0 || e.Cookie == cookie)
+	})
 }
 
 // DeleteStrict removes the single entry with exactly this match and
 // priority, returning it (or nil).
 func (t *FlowTable) DeleteStrict(m header.Match, priority int) *FlowEntry {
-	for i, e := range t.entries {
-		if e.Priority == priority && e.Match == m {
-			t.entries = append(t.entries[:i], t.entries[i+1:]...)
-			t.indexRemove(e)
-			return e
-		}
+	_, e := t.exact(m, priority)
+	if e != nil {
+		i := t.position(e)
+		t.entries = slices.Delete(t.entries, i, i+1)
+		t.indexRemove(e)
 	}
-	return nil
+	return e
 }
 
 // Expire removes and returns all entries expired at time now.
 func (t *FlowTable) Expire(now simtime.Time) []*FlowEntry {
-	var kept, removed []*FlowEntry
+	return t.removeIf(func(e *FlowEntry) bool { return e.Expired(now) })
+}
+
+// removeIf filters the entries gone reports in place, keeping match order,
+// unindexes just those, and returns them in match order.
+func (t *FlowTable) removeIf(gone func(*FlowEntry) bool) []*FlowEntry {
+	var removed []*FlowEntry
+	kept := t.entries[:0]
 	for _, e := range t.entries {
-		if e.Expired(now) {
+		if gone(e) {
 			removed = append(removed, e)
+			t.indexRemove(e)
 		} else {
 			kept = append(kept, e)
 		}
 	}
+	clear(t.entries[len(kept):])
 	t.entries = kept
-	if removed != nil {
-		t.rebuildIndex()
-	}
 	return removed
 }
 

@@ -20,11 +20,6 @@ func (s *Simulator) controlActive() bool { return s.plane.Controller() != nil }
 // like a real switch punting an un-buffered truncated packet).
 func (s *Simulator) puntPacket(p *packet, sw netgraph.NodeID, in netgraph.PortNum, miss bool) {
 	s.col.PacketIns++
-	if buf := s.punted[sw]; len(buf) < s.cfg.QueuePackets {
-		s.punted[sw] = append(buf, &puntedPkt{pkt: p, in: in, miss: miss})
-	} else {
-		s.dropPacket(p)
-	}
 	reason := openflow.ReasonAction
 	if miss {
 		reason = openflow.ReasonNoMatch
@@ -32,6 +27,11 @@ func (s *Simulator) puntPacket(p *packet, sw netgraph.NodeID, in netgraph.PortNu
 	s.plane.SendToController(&openflow.PacketIn{
 		Switch: sw, InPort: in, Key: s.keyOf(p), Reason: reason,
 	})
+	if buf := s.punted[sw]; len(buf) < s.cfg.QueuePackets {
+		s.punted[sw] = append(buf, puntedPkt{pkt: p, in: in, miss: miss})
+	} else {
+		s.dropPacket(p)
+	}
 }
 
 // retryPunted re-runs every packet parked at a switch through the
@@ -48,9 +48,7 @@ func (s *Simulator) retryPunted(sw netgraph.NodeID) {
 			keep = append(keep, bp)
 		}
 	}
-	for i := len(keep); i < len(buf); i++ {
-		buf[i] = nil
-	}
+	clear(buf[len(keep):])
 	s.punted[sw] = keep
 }
 
@@ -101,9 +99,7 @@ func (s *Simulator) handlePacketOut(m *openflow.PacketOut) {
 			}
 		}
 	}
-	for i := len(keep); i < len(buf); i++ {
-		buf[i] = nil
-	}
+	clear(buf[len(keep):])
 	s.punted[m.Switch] = keep
 }
 

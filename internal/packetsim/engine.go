@@ -69,8 +69,7 @@ func (s *Simulator) senderStop(f *pktFlow) {
 
 // emit injects a packet at the flow's source host.
 func (s *Simulator) emit(f *pktFlow, seq int, retrans bool) {
-	p := &packet{flow: f, seq: seq, bits: DataPacketBits, retrans: retrans, vlan: f.demand.Key.VLAN}
-	f.sentBits += p.bits
+	f.sentBits += DataPacketBits
 	dir := s.hostTx[f.demand.Src]
 	if dir < 0 {
 		f.srcDead = true
@@ -83,13 +82,16 @@ func (s *Simulator) emit(f *pktFlow, seq int, retrans bool) {
 	// The packet is born: live until deliver consumes it or dropPacket
 	// accounts its death (every loss path funnels through one of them).
 	s.liveBy[f.idx]++
+	p := s.packets.get()
+	*p = packet{flow: f, seq: seq, bits: DataPacketBits, retrans: retrans, vlan: f.demand.Key.VLAN}
 	// Host NIC → switch: enqueue on the host's side of the access link.
 	s.enqueue(p, dir)
 }
 
 // sendAck emits the receiver's cumulative ACK from the destination host.
 func (s *Simulator) sendAck(f *pktFlow) {
-	ack := &packet{flow: f, ack: true, ackSeq: f.recvNext, bits: AckPacketBits, vlan: f.demand.Key.VLAN}
+	ack := s.packets.get()
+	*ack = packet{flow: f, ack: true, ackSeq: f.recvNext, bits: AckPacketBits, vlan: f.demand.Key.VLAN}
 	s.liveBy[f.idx]++
 	s.enqueue(ack, s.hostTx[f.demand.Dst])
 }
@@ -172,7 +174,7 @@ func (s *Simulator) departedNow(dir int32) bool {
 // service after one of dir's rate inputs changed (external load, link
 // model): each starts when the frame ahead ends, at the rate in effect
 // then. A frame whose departure moves gets a fresh copy with a new
-// arrival; the old arrival dies with the original.
+// arrival; the original dies, and its old arrival frees it.
 func (s *Simulator) retime(dir int32) {
 	op := s.ports[dir]
 	if op == nil {
@@ -185,9 +187,10 @@ func (s *Simulator) retime(dir int32) {
 		if end == f.end {
 			continue
 		}
-		moved := *f.p
+		moved := s.packets.get()
+		*moved = *f.p
 		f.p.dead = true
-		f.p, f.end = &moved, end
+		f.p, f.end = moved, end
 		s.schedArrival(f.p, dir, end.Add(op.delay))
 	}
 }
@@ -528,17 +531,21 @@ func (s *Simulator) losePacket(p *packet) {
 func (s *Simulator) dropPacket(p *packet) { s.dropAt(p, s.k.Now()) }
 
 // dropAt accounts for a packet lost at instant at. TCP recovers via
-// dup-ACKs/RTO; CBR/UDP losses resolve the packet where it died.
+// dup-ACKs/RTO; CBR/UDP losses resolve the packet where it died. A live
+// packet is dropped outside any ring and freed here; a dead frame waits
+// for its arrival to free it.
 func (s *Simulator) dropAt(p *packet, at simtime.Time) {
-	s.liveBy[p.flow.idx]--
-	s.noteFin(p.flow)
-	if p.ack {
-		return // lost ACKs are recovered by later cumulative ACKs or RTO
+	f := p.flow
+	s.liveBy[f.idx]--
+	s.noteFin(f)
+	if !p.ack && !f.tcp {
+		// Lost ACKs are recovered by later cumulative ACKs or RTO, TCP
+		// data by sender-side timers.
+		s.resolveUDP(f, at)
 	}
-	if p.flow.tcp {
-		return // sender-side timers handle it
+	if !p.dead {
+		s.packets.put(p)
 	}
-	s.resolveUDP(p.flow, at)
 }
 
 // assemble builds the flow's statistics record, assembling completion

@@ -103,7 +103,7 @@ func runGolden(q eventq.Backend, opt streamOpts) runResult {
 		StatsEvery: 20 * simtime.Millisecond,
 		EventQueue: q,
 	})
-	installMACRoutes(sim.Network())
+	dataplane.InstallMACRoutes(sim.Network())
 	return runStreamed(sim, tr, opt)
 }
 

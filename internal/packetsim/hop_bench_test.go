@@ -9,20 +9,30 @@ import (
 	"horse/internal/simtime"
 )
 
-// runHopFixture runs the golden k=4 fat-tree (pre-installed routes, mixed
-// TCP/CBR, no controller, no sampling) serially and returns the hops it
-// simulated and the kernel events that took. zeroDelay strips the
-// propagation delay from one link first.
-func runHopFixture(zeroDelay bool) (hops, events uint64) {
+// hopFixture builds the golden k=4 fat-tree (pre-installed routes, mixed
+// TCP/CBR, no controller, no sampling), loaded and ready to run to
+// hopHorizon. zeroDelay strips the propagation delay from one link first.
+func hopFixture(zeroDelay bool) *Simulator {
 	topo, tr := goldenFatTree()
 	if zeroDelay {
 		topo.Link(0).Delay = 0
 	}
 	sim := New(Config{Topology: topo, Miss: dataplane.MissDrop})
-	installMACRoutes(sim.Network())
+	dataplane.InstallMACRoutes(sim.Network())
 	sim.Load(tr)
-	mustRun(sim, simtime.Time(2*simtime.Second))
-	return sim.PacketsForwarded(), sim.EventsDispatched()
+	return sim
+}
+
+const hopHorizon = simtime.Time(2 * simtime.Second)
+
+// runMallocs runs sim to hopHorizon and returns the heap allocations the
+// run made — the fixture's setup is not counted.
+func runMallocs(sim *Simulator) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	mustRun(sim, hopHorizon)
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }
 
 // TestEventsPerHop pins the transmitter without events of its own: a hop
@@ -32,7 +42,9 @@ func runHopFixture(zeroDelay bool) (hops, events uint64) {
 // runs with 1 ns of propagation and keeps the same cost.
 func TestEventsPerHop(t *testing.T) {
 	for _, zeroDelay := range []bool{false, true} {
-		hops, events := runHopFixture(zeroDelay)
+		sim := hopFixture(zeroDelay)
+		mustRun(sim, hopHorizon)
+		hops, events := sim.PacketsForwarded(), sim.EventsDispatched()
 		if hops == 0 {
 			t.Fatalf("zeroDelay=%v: fixture forwarded nothing", zeroDelay)
 		}
@@ -52,21 +64,26 @@ func TestEventSize(t *testing.T) {
 }
 
 // BenchmarkPacketHop is the per-hop cost of the packet fast path: the
-// regression signal for the transmitter and the forward-decision memo
-// without running the full benchmark.
+// regression signal for the transmitter, the packet pool and the
+// forward-decision memo without running the full benchmark. ns/hop
+// includes building the fixture; allocs/hop counts the run alone.
 func BenchmarkPacketHop(b *testing.B) {
-	var hops, events uint64
+	var hops, events, mallocs uint64
 	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h, e := runHopFixture(false)
-		hops += h
-		events += e
+		sim := hopFixture(false)
+		b.StopTimer()
+		runtime.ReadMemStats(&before)
+		b.StartTimer()
+		mustRun(sim, hopHorizon)
+		b.StopTimer()
+		runtime.ReadMemStats(&after)
+		b.StartTimer()
+		mallocs += after.Mallocs - before.Mallocs
+		hops += sim.PacketsForwarded()
+		events += sim.EventsDispatched()
 	}
-	b.StopTimer()
-	runtime.ReadMemStats(&after)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(hops), "ns/hop")
 	b.ReportMetric(float64(events)/float64(hops), "events/hop")
-	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(hops), "allocs/hop")
+	b.ReportMetric(float64(mallocs)/float64(hops), "allocs/hop")
 }

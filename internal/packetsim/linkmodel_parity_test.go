@@ -21,7 +21,7 @@ func runGoldenDegraded(m linkmodel.Model, seed uint64, q eventq.Backend) runResu
 		EventQueue: q,
 		Links:      links,
 	})
-	installMACRoutes(sim.Network())
+	dataplane.InstallMACRoutes(sim.Network())
 	sim.Load(tr)
 	col := mustRun(sim, simtime.Time(2*simtime.Second))
 	return snapshot(sim, col)

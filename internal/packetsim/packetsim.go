@@ -94,6 +94,7 @@ type Simulator struct {
 	k         *simcore.Kernel
 	ownKernel bool
 	pool      simcore.Pool[event]
+	packets   packetPool
 
 	flows []*pktFlow
 	col   *stats.Collector
@@ -132,7 +133,7 @@ type Simulator struct {
 
 	// Per-switch state behind the control plane: packets parked awaiting
 	// a controller verdict, and the meters' token buckets.
-	punted         [][]*puntedPkt
+	punted         [][]puntedPkt
 	meters         []map[openflow.MeterID]*meterBucket
 	statsReqAt     []simtime.Time // last PortStatsRequest per tx direction
 	statsReqTxBits []float64      // tx bits at that request
@@ -217,21 +218,56 @@ func (op *outPort) pop() txFrame {
 
 // packet stays in the 48-byte size class: the flags and the VLAN ride in
 // what used to be padding.
+//
+// Packets come from the engine's packetPool, and each has exactly one owner
+// at a time: the host sending it, one port ring together with its queued
+// arrival, or one switch's punt buffer. It is freed exactly once — by the
+// arrival that delivers it, by the drop that kills it outside a ring
+// (dropAt on a live packet), or, for a dead frame, by its no-op arrival.
 type packet struct {
-	flow    *pktFlow
-	seq     int // data sequence number (packet index)
-	ackSeq  int // cumulative ACK (next expected seq)
+	flow    *pktFlow // nil once freed
+	seq     int      // data sequence number (packet index)
+	ackSeq  int      // cumulative ACK (next expected seq)
 	bits    float64
 	ack     bool // true for ACKs
 	retrans bool
 	// dead marks a frame whose scheduled arrival must not happen — a link
 	// failure flushed it, its link model corrupted it, or a rate change
-	// re-timed it under a fresh copy: the arrival is then a no-op
-	// (whoever set the flag did the accounting).
+	// re-timed it under a fresh copy: the arrival is then a no-op that
+	// frees it (whoever set the flag did the accounting).
 	dead bool
 	// vlan is the VLAN ID the packet carries (0 = untagged), rewritten by
 	// set-/pop-VLAN actions hop by hop like Network.Walk's key.
 	vlan uint16
+}
+
+// packetPool is the engine's packet free list. allocated counts the
+// packets it ever made: once a run has quiesced, every one is back on the
+// list.
+type packetPool struct {
+	free      []*packet
+	allocated int
+}
+
+// get returns a zeroed packet.
+func (pp *packetPool) get() *packet {
+	if n := len(pp.free); n > 0 {
+		p := pp.free[n-1]
+		pp.free = pp.free[:n-1]
+		return p
+	}
+	pp.allocated++
+	return new(packet)
+}
+
+// put zeroes p and returns it to the list. A freed packet has no flow, so
+// a second put of the same packet panics instead of handing it out twice.
+func (pp *packetPool) put(p *packet) {
+	if p.flow == nil {
+		panic("packetsim: packet freed twice")
+	}
+	*p = packet{}
+	pp.free = append(pp.free, p)
 }
 
 // puntedPkt is a packet parked at a switch awaiting control-plane action.
@@ -440,7 +476,7 @@ func newOn(p *flowsim.ControlPlane, cfg Config, col *stats.Collector) *Simulator
 
 		links: p.Links(),
 
-		punted:         make([][]*puntedPkt, nNodes),
+		punted:         make([][]puntedPkt, nNodes),
 		meters:         make([]map[openflow.MeterID]*meterBucket, nNodes),
 		statsReqAt:     make([]simtime.Time, nDirs),
 		statsReqTxBits: make([]float64, nDirs),
@@ -518,6 +554,11 @@ func (s *Simulator) Kernel() *simcore.Kernel { return s.k }
 // PacketsForwarded returns how many packet hops were simulated — the work
 // metric E3 reports next to wall-clock time.
 func (s *Simulator) PacketsForwarded() uint64 { return s.counter }
+
+// PacketsHeld returns how many packets the run holds: queued, propagating,
+// parked at a switch, or dead frames whose arrival has not fired. It is
+// zero once a run has quiesced — every packet has reached its one free.
+func (s *Simulator) PacketsHeld() int { return s.packets.allocated - len(s.packets.free) }
 
 // EventsDispatched returns the number of kernel events fired. Valid after
 // Run returns.
@@ -726,26 +767,29 @@ func (s *Simulator) dispatch(e *event) {
 	case evSend:
 		s.trySend(e.flow)
 	case evArriveNode:
-		op := s.ports[e.dir]
-		if !e.pkt.dead && !s.links.Empty() {
-			// The frame's corruption verdict is drawn when it retires.
+		p, op := e.pkt, s.ports[e.dir]
+		if !p.dead {
+			// The frame retires from its ring before anything may free
+			// it, drawing its corruption verdict if a model is installed.
 			s.settle(e.dir, op)
 		}
-		if e.pkt.dead {
+		if p.dead {
+			s.packets.put(p)
 			return
 		}
 		if e.gen != s.linkEpoch[e.dir] {
 			// The link died under the packet mid-propagation.
-			s.losePacket(e.pkt)
+			s.losePacket(p)
 			return
 		}
-		s.rxBits[e.dir] += e.pkt.bits
+		s.rxBits[e.dir] += p.bits
 		if op.toHost {
-			s.deliver(e.pkt, op.to)
+			s.deliver(p, op.to)
+			s.packets.put(p)
 			return
 		}
 		s.counter++
-		s.forward(e.pkt, op.to, op.toPort, false)
+		s.forward(p, op.to, op.toPort, false)
 	case evRTO:
 		// armRTO cancels before re-arming, so at most one RTO event is in
 		// flight per flow and the firing one is what f.rto points at.

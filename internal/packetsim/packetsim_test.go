@@ -16,29 +16,6 @@ import (
 	"horse/internal/traffic"
 )
 
-// installMACRoutes pre-installs shortest-path MAC forwarding for every host
-// on every switch (the identical-state methodology of E3).
-func installMACRoutes(net *dataplane.Network) {
-	topo := net.Topo
-	for _, host := range topo.Hosts() {
-		next := topo.ECMPNextHops(host, netgraph.HopCost)
-		for _, sw := range topo.Switches() {
-			if len(next[sw]) == 0 {
-				continue
-			}
-			out := topo.PortToward(sw, next[sw][0])
-			if out == netgraph.NoPort {
-				continue
-			}
-			net.Switches[sw].Apply(&openflow.FlowMod{
-				Op: openflow.FlowAdd, Priority: 10,
-				Match: header.Match{}.WithEthDst(addr.HostMAC(host)),
-				Instr: openflow.Apply(openflow.Output(out)),
-			}, 0)
-		}
-	}
-}
-
 func cbr(src, dst netgraph.NodeID, start simtime.Time, sizeBits, rateBps float64) traffic.Demand {
 	return traffic.Demand{
 		Key: addr.FlowKeyBetween(src, dst, header.ProtoUDP, 40000, 80),
@@ -62,7 +39,7 @@ func dumbbell(bottleneck float64) *netgraph.Topology {
 func TestCBRPacketFlowCompletes(t *testing.T) {
 	topo := dumbbell(1e9)
 	sim := New(Config{Topology: topo, Miss: dataplane.MissDrop})
-	installMACRoutes(sim.Network())
+	dataplane.InstallMACRoutes(sim.Network())
 	h0, r0 := topo.MustLookup("h0"), topo.MustLookup("r0")
 	// 1e7 bits at 1e8 bps ≈ 0.1s + per-packet delays.
 	sim.Load(traffic.Trace{cbr(h0, r0, 0, 1e7, 1e8)})
@@ -83,7 +60,7 @@ func TestCBRPacketFlowCompletes(t *testing.T) {
 func TestTCPPacketFlowCompletes(t *testing.T) {
 	topo := dumbbell(1e9)
 	sim := New(Config{Topology: topo, Miss: dataplane.MissDrop})
-	installMACRoutes(sim.Network())
+	dataplane.InstallMACRoutes(sim.Network())
 	h0, r0 := topo.MustLookup("h0"), topo.MustLookup("r0")
 	sim.Load(traffic.Trace{tcp(h0, r0, 0, 1e7)})
 	col := mustRun(sim, simtime.Time(simtime.Minute))
@@ -106,7 +83,7 @@ func TestTCPRecoversFromCongestionLoss(t *testing.T) {
 	// guaranteed; both must still complete via retransmission.
 	topo := dumbbell(1e7)
 	sim := New(Config{Topology: topo, Miss: dataplane.MissDrop, QueuePackets: 10})
-	installMACRoutes(sim.Network())
+	dataplane.InstallMACRoutes(sim.Network())
 	h0, h1 := topo.MustLookup("h0"), topo.MustLookup("h1")
 	r0, r1 := topo.MustLookup("r0"), topo.MustLookup("r1")
 	d1, d2 := tcp(h0, r0, 0, 2e6), tcp(h1, r1, 0, 2e6)
@@ -139,7 +116,7 @@ func TestUDPLossAtBottleneck(t *testing.T) {
 	// flow still terminates (UDP does not retransmit).
 	topo := dumbbell(1e7)
 	sim := New(Config{Topology: topo, Miss: dataplane.MissDrop, QueuePackets: 20})
-	installMACRoutes(sim.Network())
+	dataplane.InstallMACRoutes(sim.Network())
 	h0, r0 := topo.MustLookup("h0"), topo.MustLookup("r0")
 	sim.Load(traffic.Trace{cbr(h0, r0, 0, 1e7, 1e8)})
 	col := mustRun(sim, simtime.Time(simtime.Minute))
@@ -174,7 +151,7 @@ func TestMissDropBlackholes(t *testing.T) {
 func TestDeadlineCBR(t *testing.T) {
 	topo := dumbbell(1e9)
 	sim := New(Config{Topology: topo, Miss: dataplane.MissDrop})
-	installMACRoutes(sim.Network())
+	dataplane.InstallMACRoutes(sim.Network())
 	h0, r0 := topo.MustLookup("h0"), topo.MustLookup("r0")
 	d := cbr(h0, r0, 0, math.Inf(1), 1e7)
 	d.Duration = simtime.Second
@@ -195,7 +172,7 @@ func TestPacketVsFlowLevelAgreement(t *testing.T) {
 	// granularity is within a few percent of the fluid calculation.
 	topo := dumbbell(1e8)
 	sim := New(Config{Topology: topo, Miss: dataplane.MissDrop})
-	installMACRoutes(sim.Network())
+	dataplane.InstallMACRoutes(sim.Network())
 	h0, r0 := topo.MustLookup("h0"), topo.MustLookup("r0")
 	size, rate := 1e7, 5e7
 	sim.Load(traffic.Trace{cbr(h0, r0, 0, size, rate)})
@@ -223,7 +200,7 @@ func TestRTOGenerationCancelsStaleTimer(t *testing.T) {
 	topo := dumbbell(1e9)
 	sim := New(Config{Topology: topo, Miss: dataplane.MissDrop})
 	k := sim.k
-	installMACRoutes(sim.Network())
+	dataplane.InstallMACRoutes(sim.Network())
 	h0, r0 := topo.MustLookup("h0"), topo.MustLookup("r0")
 	sim.Load(traffic.Trace{tcp(h0, r0, 0, 1e6)})
 	f := sim.flows[0]
@@ -330,7 +307,7 @@ func TestIdleTimeoutExpiresAndReinstalls(t *testing.T) {
 func TestMeterPolicesPackets(t *testing.T) {
 	topo := dumbbell(1e9)
 	sim := New(Config{Topology: topo, Miss: dataplane.MissDrop})
-	installMACRoutes(sim.Network())
+	dataplane.InstallMACRoutes(sim.Network())
 	h0, r0 := topo.MustLookup("h0"), topo.MustLookup("r0")
 	// Meter at the ingress switch: 1 Mbps against a 100 Mbps CBR.
 	sw, _ := topo.AttachedSwitch(h0)
@@ -392,7 +369,7 @@ func (r *recordingController) Handle(ctx *flowsim.Context, msg openflow.Message)
 func TestStatsSampling(t *testing.T) {
 	topo := dumbbell(1e8)
 	sim := New(Config{Topology: topo, Miss: dataplane.MissDrop, StatsEvery: 50 * simtime.Millisecond})
-	installMACRoutes(sim.Network())
+	dataplane.InstallMACRoutes(sim.Network())
 	h0, r0 := topo.MustLookup("h0"), topo.MustLookup("r0")
 	sim.Load(traffic.Trace{cbr(h0, r0, 0, 5e7, 1e8)})
 	col := mustRun(sim, simtime.Time(2*simtime.Second))

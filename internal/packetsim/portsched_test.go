@@ -160,6 +160,23 @@ func (r *pollRecorder) Handle(_ *flowsim.Context, msg openflow.Message) {
 
 // runEngine runs the scenario through the packet engine.
 func (sc *portScenario) runEngine() portOutcome {
+	sim, rec := sc.engine()
+	col := mustRun(sim, sc.until)
+	out := portOutcome{
+		records: col.Flows(), samples: col.LinkSeries(), polls: rec.got,
+		sent: col.PacketsSent, lost: col.PacketsLost, corrupted: col.PacketsCorrupted,
+		hops: sim.PacketsForwarded(),
+	}
+	for _, op := range sim.ports {
+		if op != nil {
+			out.dropped += op.dropped
+		}
+	}
+	return out
+}
+
+// engine builds the scenario's packet engine, ready to run.
+func (sc *portScenario) engine() (*Simulator, *pollRecorder) {
 	topo, hosts, sws := sc.build()
 	links := linkmodel.NewSet(sc.seed, topo.NumLinks())
 	rec := &pollRecorder{}
@@ -168,7 +185,7 @@ func (sc *portScenario) runEngine() portOutcome {
 		StatsEvery: sc.statsEvery, Links: links,
 		Controller: rec, ControlLatency: simtime.Microsecond,
 	})
-	installMACRoutes(sim.Network())
+	dataplane.InstallMACRoutes(sim.Network())
 	sim.Load(sc.trace(hosts))
 	for _, e := range sc.links {
 		sim.ScheduleLinkChange(e.at, netgraph.LinkID(e.link), e.up)
@@ -196,18 +213,7 @@ func (sc *portScenario) runEngine() portOutcome {
 			}
 		})
 	}
-	col := mustRun(sim, sc.until)
-	out := portOutcome{
-		records: col.Flows(), samples: col.LinkSeries(), polls: rec.got,
-		sent: col.PacketsSent, lost: col.PacketsLost, corrupted: col.PacketsCorrupted,
-		hops: sim.PacketsForwarded(),
-	}
-	for _, op := range sim.ports {
-		if op != nil {
-			out.dropped += op.dropped
-		}
-	}
-	return out
+	return sim, rec
 }
 
 // ---- the two-event reference model ----
@@ -560,7 +566,7 @@ func (sc *portScenario) runReference() portOutcome {
 		reqTx:   make([]float64, nDirs),
 		reqRx:   make([]float64, nDirs),
 	}
-	installMACRoutes(r.net)
+	dataplane.InstallMACRoutes(r.net)
 	for i, d := range sc.trace(hosts) {
 		r.flows = append(r.flows, &refFlow{
 			demand: d, packets: sc.flows[i].packets,
@@ -656,7 +662,9 @@ func (sc *portScenario) runReference() portOutcome {
 	return r.out
 }
 
-// check runs both transmitters and diffs every observable.
+// check runs both transmitters and diffs every observable, then runs the
+// engine once more to quiescence — no sampling, no horizon — and checks
+// that every packet it allocated was freed.
 func (sc *portScenario) check(t *testing.T) {
 	t.Helper()
 	want, got := sc.runReference(), sc.runEngine()
@@ -696,6 +704,11 @@ func (sc *portScenario) check(t *testing.T) {
 	if !reflect.DeepEqual(want.polls, got.polls) {
 		t.Fatalf("port-stats replies differ:\n two-event %+v\n engine    %+v", want.polls, got.polls)
 	}
+	q := *sc
+	q.statsEvery, q.until = 0, simtime.Never
+	sim, _ := q.engine()
+	mustRun(sim, q.until)
+	requireDrained(t, sim)
 }
 
 // baseScenario is a quiet gigabit fabric; tests add stimulus.

@@ -35,7 +35,7 @@ func TestStreamedMatchesRetained(t *testing.T) {
 func TestStreamedEvictsFlows(t *testing.T) {
 	topo, tr := goldenFatTree()
 	sim := New(Config{Topology: topo, Miss: dataplane.MissDrop})
-	installMACRoutes(sim.Network())
+	dataplane.InstallMACRoutes(sim.Network())
 	emitted := 0
 	sim.SetRecordSink(func(stats.FlowRecord) { emitted++ })
 	sim.Load(tr)
