@@ -161,9 +161,29 @@ func decodeRecordFrame(line []byte, prefix string, rec *Record) (session []byte,
 	if s.bad || len(s.b) != 0 || len(session) == 0 {
 		return nil, false
 	}
-	r.Outcome = string(outcome)
+	r.Outcome = outcomeString(outcome)
 	*rec = r
 	return session, true
+}
+
+// outcomeString returns the engines' six record outcomes as constants, so
+// decoding them allocates nothing; any other outcome is copied.
+func outcomeString(b []byte) string {
+	switch string(b) {
+	case "completed":
+		return "completed"
+	case "dropped":
+		return "dropped"
+	case "looped":
+		return "looped"
+	case "expired-waiting":
+		return "expired-waiting"
+	case "running":
+		return "running"
+	case "waiting":
+		return "waiting"
+	}
+	return string(b)
 }
 
 // scanner consumes a byte slice front to back. The first mismatch sets

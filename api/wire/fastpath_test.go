@@ -235,3 +235,52 @@ func TestRecordFrameEncodeAllocs(t *testing.T) {
 		t.Fatalf("AppendRecordFrame allocates %v times per record, want 0", n)
 	}
 }
+
+// TestRecordFrameDecodeAllocs pins the decoder's zero-allocation contract
+// for the outcomes the engines emit: the v1 fixture's record, framed as
+// the server writes it today (the fixture predates the punts field), and
+// the same record under each of the six engine outcomes decode into a
+// reused Record without allocating. Any other outcome is copied out of
+// the line, never aliased.
+func TestRecordFrameDecodeAllocs(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "v1", "record-event.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var f Frame
+	if err := json.Unmarshal(fixture, &f); err != nil {
+		t.Fatal(err)
+	}
+	var want Record
+	if err := json.Unmarshal(f.Data, &want); err != nil {
+		t.Fatal(err)
+	}
+	prefix := recordFramePrefix(V1)
+	var rec Record
+	for _, outcome := range []string{want.Outcome, "completed", "dropped", "looped", "expired-waiting", "running", "waiting"} {
+		r := want
+		r.Outcome = outcome
+		line := append(AppendRecordFrame(nil, V1, f.Session, &r), '\n')
+		if n := testing.AllocsPerRun(100, func() {
+			if _, ok := decodeRecordFrame(line, prefix, &rec); !ok {
+				t.Fatalf("canonical frame %s declined", line)
+			}
+		}); n != 0 {
+			t.Errorf("outcome %q: decode allocates %v times per record, want 0", outcome, n)
+		}
+		if rec != r {
+			t.Fatalf("decoded %+v, want %+v", rec, r)
+		}
+	}
+
+	r := want
+	r.Outcome = "custom"
+	line := AppendRecordFrame(nil, V1, f.Session, &r)
+	if _, ok := decodeRecordFrame(line, prefix, &rec); !ok || rec.Outcome != "custom" {
+		t.Fatalf("decoded outcome %q (ok=%v), want custom", rec.Outcome, ok)
+	}
+	copy(line[bytes.Index(line, []byte("custom")):], "XXXXXX")
+	if rec.Outcome != "custom" {
+		t.Fatalf("decoded outcome aliases the line: now %q", rec.Outcome)
+	}
+}

@@ -340,11 +340,9 @@ type PoissonSpec struct {
 // WorkloadSpec serializes the session workload: explicit demands, a
 // generated Poisson trace, or both (explicit demands load first).
 //
-// Stream selects bounded-memory ingestion: the daemon feeds the engine
-// through a traffic.Reader (see Reader) instead of materializing the
-// whole trace, so arbitrarily long generated workloads run in O(1)
-// input memory. Streamed sessions load demands in global start-time
-// order; retained sessions load explicit demands first.
+// Stream is a horse-wire/v1 field, accepted and ignored: every session
+// Loads its explicit demands and streams its generator, so generated
+// workloads of any length build in O(1) input memory.
 type WorkloadSpec struct {
 	Demands []DemandSpec `json:"demands,omitempty"`
 	Poisson *PoissonSpec `json:"poisson,omitempty"`
@@ -402,8 +400,8 @@ func (w WorkloadSpec) Trace(topo *netgraph.Topology) (traffic.Trace, error) {
 // Reader streams the workload against a topology in global start-time
 // order: explicit demands (sorted) merged with the Poisson generator's
 // arrival stream, one demand buffered per source — the bounded-memory
-// counterpart of Trace for sessions submitted with Stream. A Poisson-only
-// workload streams the byte-identical sequence Trace materializes.
+// counterpart of Trace. A Poisson-only workload streams the
+// byte-identical sequence Trace materializes.
 func (w WorkloadSpec) Reader(topo *netgraph.Topology) (traffic.Reader, error) {
 	var rs []traffic.Reader
 	if len(w.Demands) > 0 {

@@ -259,6 +259,8 @@ var (
 	ReadTraceCSV = traffic.ReadCSV
 	// NewTraceCSVReader streams a trace file through a bounded reorder
 	// window (0 means DefaultTraceWindow) instead of parsing it whole.
+	// Under WithTraceReader the engine reads it ahead on a helper
+	// goroutine, so its io.Reader is read there, not on Run's goroutine.
 	NewTraceCSVReader = traffic.NewCSVReader
 	// NewPoissonReader streams the same workload PoissonArrivals would
 	// materialize, one demand at a time.

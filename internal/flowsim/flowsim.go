@@ -541,12 +541,13 @@ func (s *Simulator) InjectAt(d traffic.Demand) {
 
 // SetTraceReader streams the workload in from r instead of (or in
 // addition to) Load: demands are pulled one at a time as virtual time
-// reaches them, so arbitrarily long traces ingest with one demand
-// buffered. r must yield nondecreasing Start times. Because every
-// arrival — loaded, injected or streamed — carries the same order key and
-// arrivals dispatch FIFO among themselves, a streamed run's records are
-// byte-identical to Load of the same sequence. Install before Run; a
-// reader error stops ingestion and is returned by Run.
+// reaches them, so arbitrarily long traces ingest with one demand queued
+// (a library reader is read ahead in fixed batches; see traffic.Ingest,
+// which Finish closes). r must yield nondecreasing Start times. Because
+// every arrival — loaded, injected or streamed — carries the same order
+// key and arrivals dispatch FIFO among themselves, a streamed run's
+// records are byte-identical to Load of the same sequence. Install before
+// Run; a reader error stops ingestion and is returned by Run.
 func (s *Simulator) SetTraceReader(r traffic.Reader) {
 	if s.begun {
 		panic("flowsim: SetTraceReader after Run")
@@ -635,6 +636,7 @@ func (s *Simulator) Run(ctx context.Context, until simtime.Time) (*stats.Collect
 		panic("flowsim: Run on a shared-kernel simulator; drive the shared kernel instead")
 	}
 	s.Begin()
+	defer s.reader.Close() // Finish closes it; a panic out of the kernel skips Finish
 	err := s.k.RunContext(ctx, until)
 	col := s.Finish()
 	if err == nil {
@@ -678,12 +680,13 @@ func (s *Simulator) Begin() {
 	}
 }
 
-// Finish settles and records every unfinished flow, sets EventsRun to the
-// kernel's dispatch count, and returns the collector. It is the second
-// half of Run, exposed for shared-kernel (hybrid) drivers; calling it
-// again is a no-op.
+// Finish closes the trace reader, settles and records every unfinished
+// flow, sets EventsRun to the kernel's dispatch count, and returns the
+// collector. It is the second half of Run, exposed for shared-kernel
+// (hybrid) drivers; calling it again is a no-op.
 func (s *Simulator) Finish() *stats.Collector {
 	if !s.finished {
+		s.reader.Close()
 		s.finish()
 		s.col.EventsRun = s.k.Dispatched()
 	}

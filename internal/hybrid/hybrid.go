@@ -122,7 +122,7 @@ type Simulator struct {
 	col     *stats.Collector
 	records *stats.InOrder
 
-	// Trace-reader ingestion: one demand buffered, pulled as virtual time
+	// Trace-reader ingestion: one demand queued, pulled as virtual time
 	// reaches each start (see SetTraceReader).
 	reader *traffic.Ingest
 	begun  bool
@@ -272,12 +272,13 @@ func (s *Simulator) loadDemand(d traffic.Demand) {
 // SetTraceReader streams the workload in from r instead of (or after)
 // eager Load calls: demands are pulled one at a time as virtual time
 // reaches them and split across the engines exactly as Load would, so
-// arbitrarily long traces ingest with one demand buffered. r must yield
-// nondecreasing Start times; a reader error stops ingestion and is
-// returned by Run. The ingest event carries the flow engine's arrival
-// order key, and each engine's first per-flow event follows it under the
-// sub-engine FIFO/key contracts, so a streamed run reproduces the eager
-// run's records byte for byte. Install before Run.
+// arbitrarily long traces ingest with one demand queued (a library reader
+// is read ahead in fixed batches; see traffic.Ingest, which Run closes).
+// r must yield nondecreasing Start times; a reader error stops ingestion
+// and is returned by Run. The ingest event carries the flow engine's
+// arrival order key, and each engine's first per-flow event follows it
+// under the sub-engine FIFO/key contracts, so a streamed run reproduces
+// the eager run's records byte for byte. Install before Run.
 func (s *Simulator) SetTraceReader(r traffic.Reader) {
 	if s.begun {
 		panic("hybrid: SetTraceReader after Run")
@@ -326,6 +327,7 @@ func (s *Simulator) Run(ctx context.Context, until simtime.Time) (*stats.Collect
 	if s.reader != nil {
 		s.pullNext()
 	}
+	defer s.reader.Close() // also on a panic out of the kernel
 	err := s.k.RunContext(ctx, until)
 	s.flow.Finish()
 	s.pkt.Finish()

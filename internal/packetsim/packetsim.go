@@ -619,13 +619,14 @@ func (s *Simulator) loadOne(d traffic.Demand) {
 }
 
 // SetTraceReader streams the workload in from r instead of (or after) a
-// Load: exactly one demand is buffered, pulled through chained evIngest
-// events as virtual time reaches each arrival. Ingestion preserves the
-// eager dispatch order exactly (see the evIngest order key), so records
-// stay byte-identical to Load of the same sequence — for demands that
-// start within the run's horizon. r must yield nondecreasing
-// Start times. Install before Run; a reader error stops ingestion and is
-// returned by Run.
+// Load: exactly one demand is queued, pulled through chained evIngest
+// events as virtual time reaches each arrival (a library reader is read
+// ahead in fixed batches; see traffic.Ingest, which Finish closes).
+// Ingestion preserves the eager dispatch order exactly (see the evIngest
+// order key), so records stay byte-identical to Load of the same sequence
+// — for demands that start within the run's horizon. r must yield
+// nondecreasing Start times. Install before Run; a reader error stops
+// ingestion and is returned by Run.
 func (s *Simulator) SetTraceReader(r traffic.Reader) {
 	if s.begun {
 		panic("packetsim: SetTraceReader after Run")
@@ -684,6 +685,7 @@ func (s *Simulator) Run(ctx context.Context, until simtime.Time) (*stats.Collect
 		panic("packetsim: Run on a shared-kernel simulator; drive the shared kernel instead")
 	}
 	s.Begin()
+	defer s.reader.Close() // Finish closes it; a panic out of the kernel skips Finish
 	err := s.k.RunContext(ctx, until)
 	col := s.Finish()
 	if err == nil {
@@ -736,15 +738,16 @@ func (s *Simulator) Begin() {
 	}
 }
 
-// Finish puts every flow the incremental finalize path has not into the
-// record emitter, sets EventsRun to the dispatch count, and returns the
-// collector; calling it again is a no-op. Every port settles first, so a
-// frame that left by the horizon has its corruption verdict counted even
-// though its arrival lies beyond.
+// Finish closes the trace reader, puts every flow the incremental
+// finalize path has not into the record emitter, sets EventsRun to the
+// dispatch count, and returns the collector; calling it again is a no-op.
+// Every port settles first, so a frame that left by the horizon has its
+// corruption verdict counted even though its arrival lies beyond.
 func (s *Simulator) Finish() *stats.Collector {
 	if s.finished {
 		return s.col
 	}
+	s.reader.Close()
 	for dir, op := range s.ports {
 		if op != nil {
 			s.settle(int32(dir), op)

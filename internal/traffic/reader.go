@@ -146,7 +146,8 @@ func (r *windowReader) Next() (Demand, error) {
 // nondecreasing Start order stream through in exactly ReadCSV's row
 // order; a row out of order by more than the window fails with
 // ErrTraceOrder. The header is validated eagerly. It accepts exactly the
-// inputs ReadCSV accepts and parses them to the same demands.
+// inputs ReadCSV accepts and parses them to the same demands. An Ingest
+// reads it ahead on a helper goroutine, and r with it.
 func NewCSVReader(r io.Reader, window int) (Reader, error) {
 	sc := &csvScanner{br: bufio.NewReader(r)}
 	hdr, err := sc.header()
@@ -368,17 +369,137 @@ func (m *mergeReader) Next() (Demand, error) {
 	return d, nil
 }
 
+// canReadAhead reports whether r is built by this package alone. Such a
+// reader's Next touches nothing outside it (a CSV reader's io.Reader
+// aside), so Ingest may call it ahead of the engine, on a goroutine of
+// its own.
+func canReadAhead(r Reader) bool {
+	switch r := r.(type) {
+	case *sliceReader, *windowReader, *poissonReader:
+		return true
+	case *mergeReader:
+		for _, src := range r.rs {
+			if !canReadAhead(src) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
+}
+
+// Read-ahead batching: the producer fills aheadBatches recycled batches of
+// aheadBatch demands, so ingestion holds a fixed buffer whatever the trace.
+const (
+	aheadBatches = 4
+	aheadBatch   = 256
+)
+
+// batch is a run of demands pulled in order, then the error (io.EOF
+// included) that ended the stream after them, if it did.
+type batch struct {
+	d   []Demand
+	err error
+}
+
+// ahead is the engine's end of a read-ahead producer. full and free each
+// have room for every batch, so a send on them never waits for the peer.
+type ahead struct {
+	full chan *batch // filled batches, in stream order
+	free chan *batch // consumed batches, back to the producer
+	stop chan struct{}
+	done chan struct{}
+	cur  *batch
+	i    int // next demand of cur
+}
+
+func startAhead(r Reader) *ahead {
+	a := &ahead{
+		full: make(chan *batch, aheadBatches),
+		free: make(chan *batch, aheadBatches),
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
+	}
+	for range aheadBatches - 1 {
+		a.free <- &batch{d: make([]Demand, 0, aheadBatch)}
+	}
+	// The engine holds the last batch, empty: its first next hands it over.
+	a.cur = &batch{d: make([]Demand, 0, aheadBatch)}
+	go produce(r, a.full, a.free, a.stop, a.done)
+	return a
+}
+
+// produce fills free batches from r and hands them on until the stream
+// ends or stop closes. It takes the channels as arguments: Close clears
+// nothing the producer reads.
+func produce(r Reader, full chan<- *batch, free <-chan *batch, stop <-chan struct{}, done chan<- struct{}) {
+	defer close(done)
+	for {
+		var b *batch
+		select {
+		case b = <-free:
+		case <-stop:
+			return
+		}
+		b.d, b.err = b.d[:0], nil
+		for len(b.d) < cap(b.d) && b.err == nil {
+			var d Demand
+			if d, b.err = r.Next(); b.err == nil {
+				b.d = append(b.d, d)
+			}
+		}
+		select {
+		case full <- b:
+		case <-stop:
+			return
+		}
+		if b.err != nil {
+			return
+		}
+	}
+}
+
+// next returns the stream's next demand, or the error after the last.
+func (a *ahead) next() (Demand, error) {
+	for a.i == len(a.cur.d) {
+		if a.cur.err != nil {
+			return Demand{}, a.cur.err
+		}
+		a.free <- a.cur // never blocks: free has room for every batch
+		a.cur, a.i = <-a.full, 0
+	}
+	d := a.cur.d[a.i]
+	a.i++
+	return d, nil
+}
+
+// close stops the producer and waits for it to exit.
+func (a *ahead) close() {
+	close(a.stop)
+	<-a.done
+}
+
 // Ingest is an engine's end of a Reader: it enforces the nondecreasing
 // Start contract and keeps the stream's first failure. Next reports
 // ok=false once the stream ends — at io.EOF, on a reader error, or on a
 // demand that starts before its predecessor (an error wrapping
 // ErrTraceOrder) — and Err then says which.
+//
+// A reader this package built (CSV, Poisson, TraceReader, and merges of
+// only these) is read ahead: from the first Next, a producer goroutine
+// fills a few fixed, recycled batches that Next consumes in order, so
+// parsing and generation run beside the engine. A reader error still
+// arrives after exactly the demands that precede it. Any other Reader is
+// called one demand at a time, on the goroutine that calls Next. The
+// engine calls Close when its run ends.
 type Ingest struct {
-	who  string
-	r    Reader
-	last simtime.Time
-	err  error
-	done bool
+	who   string
+	r     Reader
+	ahead *ahead
+	last  simtime.Time
+	err   error
+	begun bool
+	done  bool
 }
 
 // NewIngest wraps r for the engine named who, which prefixes order
@@ -390,13 +511,24 @@ func (in *Ingest) Next() (d Demand, ok bool) {
 	if in.done {
 		return Demand{}, false
 	}
-	d, err := in.r.Next()
+	if !in.begun {
+		in.begun = true
+		if canReadAhead(in.r) {
+			in.ahead = startAhead(in.r)
+		}
+	}
+	var err error
+	if in.ahead != nil {
+		d, err = in.ahead.next()
+	} else {
+		d, err = in.r.Next()
+	}
 	if err == nil && d.Start < in.last {
 		err = fmt.Errorf("%s: trace reader went backwards (%v after %v): %w",
 			in.who, d.Start, in.last, ErrTraceOrder)
 	}
 	if err != nil {
-		in.done = true
+		in.Close()
 		if err != io.EOF {
 			in.err = err
 		}
@@ -404,6 +536,19 @@ func (in *Ingest) Next() (d Demand, ok bool) {
 	}
 	in.last = d.Start
 	return d, true
+}
+
+// Close ends the stream: a read-ahead producer stops, and Close returns
+// once it has exited. Close is idempotent and a no-op on a nil Ingest.
+func (in *Ingest) Close() {
+	if in == nil {
+		return
+	}
+	in.done = true
+	if a := in.ahead; a != nil {
+		in.ahead = nil
+		a.close()
+	}
 }
 
 // Err reports the failure that ended the stream: nil for a clean end, a

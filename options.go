@@ -388,7 +388,7 @@ func WithRecordSink(sink func(FlowRecord)) Option {
 }
 
 // WithTraceReader streams the workload in from r instead of an eager
-// Load: the engine pulls one demand at a time as virtual time reaches
+// Load: the engine takes one demand at a time as virtual time reaches
 // each start, so arbitrarily long traces ingest with bounded memory —
 // the input-side counterpart of WithRecordSink. r must yield demands in
 // nondecreasing Start order (NewTraceCSVReader buffers a bounded window
@@ -397,6 +397,14 @@ func WithRecordSink(sink func(FlowRecord)) Option {
 // of the same sequence at every fidelity and event-queue backend. Load
 // may still be called for extra demands; they schedule
 // eagerly alongside the stream.
+//
+// The library's readers — NewTraceCSVReader (and the io.Reader behind
+// it), NewPoissonReader, NewTraceReader, and MergeTraceReaders of only
+// these — are read ahead during Run on a helper goroutine, a few fixed
+// batches at a time, which Run stops before it returns. A reader error
+// still ends ingestion after exactly the demands that precede it. Any
+// other TraceReader is called one demand at a time on the goroutine
+// running Run.
 func WithTraceReader(r TraceReader) Option {
 	return func(o *options) error {
 		if r == nil {

@@ -56,20 +56,19 @@ if [ "$records" -le 0 ]; then
 fi
 echo "service-smoke: streamed $records records"
 
-# 2. The same session with streamed ingestion ("stream": true): the
-# daemon feeds the engine through the bounded trace reader instead of
-# materializing the Poisson trace, and must stream the identical record
-# set over the wire.
+# 2. The same session with "stream": true inside workload: a v1 field
+# the daemon accepts and ignores (every session streams its generator),
+# so it must stream the identical record set over the wire.
 sed 's/"workload": {"poisson"/"workload": {"stream": true, "poisson"/' \
     "$workdir/spec.json" >"$workdir/spec-stream.json"
 ctl submit -name smoke-stream -watch -flows "$workdir/flows-stream.csv" \
     "$workdir/spec-stream.json" 2>"$workdir/submit-stream.log"
 if ! cmp -s "$workdir/flows.csv" "$workdir/flows-stream.csv"; then
-    echo "service-smoke: streamed-ingestion records differ from eager load" >&2
+    echo "service-smoke: workload.stream changed the records" >&2
     cat "$workdir/submit-stream.log" >&2
     exit 1
 fi
-echo "service-smoke: streamed ingestion matched eager records"
+echo "service-smoke: workload.stream left the records unchanged"
 
 # 3. A lossy-link session (default Bernoulli model, a mid-run
 # Gilbert–Elliott degrade/restore window) submitted over the wire must

@@ -151,11 +151,17 @@ func SpecOptions(o wire.OptionsSpec) ([]Option, error) {
 }
 
 // NewFromSpec builds a fully loaded engine from a serialized session
-// spec: topology construction, option bridging, workload materialization
-// and Load, then scenario application (after Load, so workload demands
-// keep the low load-order indices — the legacy Load-then-Apply
-// ordering). extra options append after the spec's, for run-lifecycle
-// attachments the daemon adds (record sinks, progress hooks).
+// spec: topology construction, option bridging, workload ingestion, then
+// scenario application. The workload never materializes: explicit demands
+// Load in the given order, and the Poisson generator streams in through
+// WithTraceReader as the run reaches each arrival (WorkloadSpec.Stream is
+// an ignored v1 field). Scenario surge demands Load after the explicit
+// ones, and the stream follows both: that is the load order the Packet
+// and Hybrid engines number records by, and the order in which a
+// hand-built Load of the demands, Timeline.Apply and a WithTraceReader of
+// the generator reproduce a spec-built engine exactly. extra options
+// append after the spec's, for run-lifecycle attachments the daemon adds
+// (record sinks, progress hooks).
 //
 // The returned horizon is the spec's Until (simtime.Never when unset);
 // run the engine with eng.Run(ctx, until). Errors are *BuildError,
@@ -181,20 +187,20 @@ func NewFromSpec(spec *wire.SessionSpec, extra ...Option) (Engine, Time, error) 
 		opts = append(opts, WithLinkModelFor(link, m))
 	}
 	opts = append(opts, extra...)
-	// Streamed workloads ingest through a bounded reader option; retained
-	// ones materialize the trace and Load it below.
+	w := spec.Workload
 	var tr Trace
-	if spec.Workload.Stream {
-		r, err := spec.Workload.Reader(topo)
+	if len(w.Demands) > 0 || w.Poisson == nil {
+		// With no generator either, Trace reports the empty workload.
+		if tr, err = (wire.WorkloadSpec{Demands: w.Demands}).Trace(topo); err != nil {
+			return nil, 0, err
+		}
+	}
+	if w.Poisson != nil {
+		r, err := wire.WorkloadSpec{Poisson: w.Poisson}.Reader(topo)
 		if err != nil {
 			return nil, 0, err
 		}
 		opts = append(opts, WithTraceReader(r))
-	} else {
-		tr, err = spec.Workload.Trace(topo)
-		if err != nil {
-			return nil, 0, err
-		}
 	}
 	tl, err := wire.Timeline(spec.Scenario, topo)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"horse"
@@ -109,81 +110,183 @@ func TestNewFromSpecParity(t *testing.T) {
 	}
 }
 
-// TestNewFromSpecStreamed pins the daemon's bounded-memory ingestion
-// path: a Poisson-only workload submitted with Stream (fed through
-// WorkloadSpec.Reader → WithTraceReader) must produce records
-// byte-identical to the same spec materialized eagerly, and a streamed
-// spec with sorted explicit demands must match their eager load. A
-// streamed session mixing demands and Poisson is also exercised — it
-// must run clean even though its load-order numbering (global start
-// order) legitimately differs from the demands-first eager order.
+// TestNewFromSpecStreamed pins NewFromSpec's one ingestion path —
+// explicit demands Loaded in the given order, the generator streamed —
+// against the eager session it replaced: Load of WorkloadSpec.Trace
+// (explicit demands, then the whole generated trace), then
+// Timeline.Apply. Every workload shape matches byte for byte at every
+// fidelity but two cells. A demand surge Loads before the stream, so with
+// a generator it numbers ahead of the generated demands: at Packet
+// fidelity the records are the same up to ID, and at Hybrid fidelity,
+// where WithPacketFraction picks packet-level demands by load index, a
+// different subset runs packet-level and every demand must still yield
+// exactly one record.
 func TestNewFromSpecStreamed(t *testing.T) {
-	poisson := func(stream bool) *wire.SessionSpec {
-		return &wire.SessionSpec{
+	sorted := []wire.DemandSpec{
+		{Src: "h0", Dst: "h3", StartNs: 0, SizeBits: 8e5, RateBps: wire.Float(math.Inf(1)), TCP: true},
+		{Src: "h1", Dst: "h2", StartNs: 3e6, SizeBits: 4e5, RateBps: 1e8},
+		{Src: "h2", Dst: "h1", StartNs: 3e6, SizeBits: 6e5, RateBps: 5e7},
+		{Src: "h3", Dst: "h0", StartNs: 40e6, SizeBits: 2e6, RateBps: 1e8},
+	}
+	unsorted := []wire.DemandSpec{sorted[3], sorted[1], sorted[0], sorted[2]}
+	poisson := &wire.PoissonSpec{
+		Seed: 7, Lambda: 300, HorizonNs: int64(200 * horse.Millisecond),
+		Size: wire.SizeSpec{Kind: "fixed", Bits: 8e5}, TCPFraction: 0.3, CBRRateBps: 1e8,
+	}
+	surge := []wire.EventSpec{{AtNs: 50e6, Kind: wire.EventDemandSurge, Surge: []wire.DemandSpec{
+		{Src: "h3", Dst: "h1", SizeBits: 1e6, RateBps: 1e8},
+		{Src: "h0", Dst: "h2", StartNs: 1e6, SizeBits: 1e6, RateBps: wire.Float(math.Inf(1)), TCP: true},
+	}}}
+	shapes := []struct {
+		name     string
+		w        wire.WorkloadSpec
+		scenario []wire.EventSpec
+	}{
+		{"poisson", wire.WorkloadSpec{Poisson: poisson}, nil},
+		{"sorted-demands", wire.WorkloadSpec{Demands: sorted}, nil},
+		{"unsorted-demands", wire.WorkloadSpec{Demands: unsorted}, nil},
+		{"demands+poisson", wire.WorkloadSpec{Demands: unsorted, Poisson: poisson}, nil},
+		{"poisson+surge", wire.WorkloadSpec{Poisson: poisson}, surge},
+		{"demands+poisson+surge", wire.WorkloadSpec{Demands: unsorted, Poisson: poisson}, surge},
+	}
+	half := 0.5
+	fids := []wire.OptionsSpec{
+		{Fidelity: wire.FidelityFlow},
+		{Fidelity: wire.FidelityPacket},
+		{Fidelity: wire.FidelityHybrid, PacketFraction: &half},
+	}
+	for _, sh := range shapes {
+		for _, o := range fids {
+			t.Run(sh.name+"/"+o.Fidelity, func(t *testing.T) {
+				o.Controller = []wire.AppSpec{{Kind: wire.AppProactiveMAC}}
+				o.Miss = "controller"
+				spec := &wire.SessionSpec{
+					Topology: wire.TopoSpec{Kind: wire.TopoLeafSpine, Leaves: 2, Spines: 2, Hosts: 2},
+					Workload: sh.w,
+					Scenario: sh.scenario,
+					Options:  o,
+					UntilNs:  int64(10 * horse.Second),
+				}
+				got := runSpec(t, spec)
+				want, offered := runEager(t, spec)
+				if len(want) == 0 {
+					t.Fatal("eager session produced no records")
+				}
+				if len(got) != offered || len(want) != offered {
+					t.Fatalf("%d records, eager %d, for %d demands", len(got), len(want), offered)
+				}
+				renumbered := sh.w.Poisson != nil && sh.scenario != nil
+				switch {
+				case !renumbered || o.Fidelity == wire.FidelityFlow:
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("record %d differs:\n eager %+v\nstream %+v", i, want[i], got[i])
+						}
+					}
+				case o.Fidelity == wire.FidelityPacket:
+					unnumbered := func(rs []horse.FlowRecord) map[horse.FlowRecord]int {
+						m := map[horse.FlowRecord]int{}
+						for _, r := range rs {
+							r.ID = 0
+							m[r]++
+						}
+						return m
+					}
+					if !reflect.DeepEqual(unnumbered(got), unnumbered(want)) {
+						t.Fatal("records differ beyond their IDs")
+					}
+				default:
+					for i, r := range got {
+						if r.ID != int64(i+1) {
+							t.Fatalf("record %d has ID %d, want %d", i, r.ID, i+1)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestNewFromSpecInputBounded: no session materializes its trace, so a
+// Poisson session builds in the same few KiB whatever its horizon; the
+// generator runs only once Run pulls from it.
+func TestNewFromSpecInputBounded(t *testing.T) {
+	for _, horizon := range []horse.Duration{horse.Second, 16 * horse.Second} {
+		spec := &wire.SessionSpec{
 			Topology: wire.TopoSpec{Kind: wire.TopoLeafSpine, Leaves: 2, Spines: 2, Hosts: 2},
-			Workload: wire.WorkloadSpec{
-				Poisson: &wire.PoissonSpec{
-					Seed: 7, Lambda: 300, HorizonNs: int64(200 * horse.Millisecond),
-					Size: wire.SizeSpec{Kind: "fixed", Bits: 8e5}, CBRRateBps: 1e8,
-				},
-				Stream: stream,
-			},
-			Options: wire.OptionsSpec{
-				Controller: []wire.AppSpec{{Kind: wire.AppProactiveMAC}},
-				Miss:       "controller",
-			},
-			UntilNs: int64(10 * horse.Second),
+			Workload: wire.WorkloadSpec{Poisson: &wire.PoissonSpec{
+				Seed: 1, Lambda: 1000, HorizonNs: int64(horizon),
+				Size: wire.SizeSpec{Kind: wire.SizeFixed, Bits: 1e4}, CBRRateBps: 2e7,
+			}},
 		}
-	}
-	run := func(spec *wire.SessionSpec) []horse.FlowRecord {
-		eng, until, err := horse.NewFromSpec(spec)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := horse.NewFromSpec(spec)
+		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
 		}
-		col, err := eng.Run(context.Background(), until)
-		if err != nil {
+		if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10 {
+			t.Errorf("horizon %v: NewFromSpec allocated %d KiB, want at most 64", horizon, n>>10)
+		}
+	}
+}
+
+// runSpec runs a spec-built engine to its horizon and returns its records.
+func runSpec(t *testing.T, spec *wire.SessionSpec) []horse.FlowRecord {
+	t.Helper()
+	eng, until, err := horse.NewFromSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col, err := eng.Run(context.Background(), until)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return col.Flows()
+}
+
+// runEager runs spec as a hand-built eager session — Load of the whole
+// materialized trace, then Timeline.Apply — and returns its records and
+// the number of demands offered, surges included.
+func runEager(t *testing.T, spec *wire.SessionSpec) ([]horse.FlowRecord, int) {
+	t.Helper()
+	topo, err := spec.Topology.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts, err := horse.SpecOptions(spec.Options)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := spec.Workload.Trace(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tl, err := wire.Timeline(spec.Scenario, topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := horse.New(topo, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Load(tr)
+	offered := len(tr)
+	until := spec.Until()
+	if tl != nil {
+		if err := tl.Apply(eng, until); err != nil {
 			t.Fatal(err)
 		}
-		return col.Flows()
 	}
-	want := run(poisson(false))
-	if len(want) == 0 {
-		t.Fatal("poisson workload produced no records")
+	for _, e := range spec.Scenario {
+		offered += len(e.Surge)
 	}
-	got := run(poisson(true))
-	if len(want) != len(got) {
-		t.Fatalf("streamed run: %d records, eager: %d", len(got), len(want))
+	col, err := eng.Run(context.Background(), until)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("record %d differs:\n eager %+v\nstream %+v", i, want[i], got[i])
-		}
-	}
-
-	// Sorted explicit demands: streamed == eager (specFixture's demands
-	// are already in start order).
-	eagerFix := run(specFixture())
-	streamFix := specFixture()
-	streamFix.Workload.Stream = true
-	gotFix := run(streamFix)
-	if len(eagerFix) != len(gotFix) {
-		t.Fatalf("streamed fixture: %d records, eager: %d", len(gotFix), len(eagerFix))
-	}
-	for i := range eagerFix {
-		if eagerFix[i] != gotFix[i] {
-			t.Fatalf("fixture record %d differs:\n eager %+v\nstream %+v", i, eagerFix[i], gotFix[i])
-		}
-	}
-
-	// Mixed demands + Poisson streams in global start order; the session
-	// must run clean with every demand accounted.
-	mixed := poisson(true)
-	mixed.Workload.Demands = []wire.DemandSpec{
-		{Src: "h0", Dst: "h3", SizeBits: 8e5, RateBps: 1e8},
-	}
-	if n := len(run(mixed)); n != len(want)+1 {
-		t.Fatalf("mixed streamed run: %d records, want %d", n, len(want)+1)
-	}
+	return col.Flows(), offered
 }
 
 func TestNewFromSpecValidation(t *testing.T) {
@@ -264,34 +367,11 @@ func TestSpecOptionsDefaults(t *testing.T) {
 // shard_workers and shard_balancing still builds and runs, with records
 // identical to the same spec without them.
 func TestSpecShardFieldsIgnored(t *testing.T) {
-	b, err := os.ReadFile(filepath.Join("api", "wire", "testdata", "v1", "submit-shards.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var f wire.Frame
-	if err := json.Unmarshal(b, &f); err != nil {
-		t.Fatal(err)
-	}
-	var p wire.SubmitParams
-	if err := json.Unmarshal(f.Params, &p); err != nil {
-		t.Fatal(err)
-	}
-	run := func(spec wire.SessionSpec) []horse.FlowRecord {
-		t.Helper()
-		eng, until, err := horse.NewFromSpec(&spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		col, err := eng.Run(context.Background(), until)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return col.Flows()
-	}
-	got := run(p.Spec)
-	plain := p.Spec
+	spec := fixtureSpec(t, "submit-shards.json")
+	got := runSpec(t, &spec)
+	plain := spec
 	plain.Options.Shards, plain.Options.ShardWorkers, plain.Options.ShardBalancing = 0, nil, ""
-	want := run(plain)
+	want := runSpec(t, &plain)
 	completed := 0
 	for _, r := range want {
 		if r.Completed {
@@ -306,12 +386,33 @@ func TestSpecShardFieldsIgnored(t *testing.T) {
 	}
 }
 
-// TestSpecEventQueueAliases is the wire-compatibility contract for the
-// removed backends: the checked-in v1 fixture naming "calendar" (with the
-// older calendar_queue switch set), and "auto", still build and run, on
-// the default queue, with records identical to a spec that names none.
-func TestSpecEventQueueAliases(t *testing.T) {
-	b, err := os.ReadFile(filepath.Join("api", "wire", "testdata", "v1", "submit-event-queue-calendar.json"))
+// TestSpecWorkloadStreamIgnored is the wire-compatibility contract for
+// workload.stream: every session streams its generator, so the checked-in
+// v1 fixture setting it decodes and runs to exactly the records of the
+// same submit without it.
+func TestSpecWorkloadStreamIgnored(t *testing.T) {
+	streamed := fixtureSpec(t, "submit-workload-stream.json")
+	plain := fixtureSpec(t, "submit.json")
+	if !streamed.Workload.Stream || plain.Workload.Stream {
+		t.Fatalf("fixtures decode stream=%v and %v, want true and false", streamed.Workload.Stream, plain.Workload.Stream)
+	}
+	if streamed.Workload.Stream = false; !reflect.DeepEqual(streamed, plain) {
+		t.Fatal("fixtures differ beyond workload.stream")
+	}
+	streamed.Workload.Stream = true
+	got, want := runSpec(t, &streamed), runSpec(t, &plain)
+	if len(want) == 0 {
+		t.Fatal("fixture produced no records")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("workload.stream changed the records: %d vs %d", len(got), len(want))
+	}
+}
+
+// fixtureSpec decodes the session spec of a checked-in v1 Submit frame.
+func fixtureSpec(t *testing.T, name string) wire.SessionSpec {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("api", "wire", "testdata", "v1", name))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,9 +424,18 @@ func TestSpecEventQueueAliases(t *testing.T) {
 	if err := json.Unmarshal(f.Params, &p); err != nil {
 		t.Fatal(err)
 	}
+	return p.Spec
+}
+
+// TestSpecEventQueueAliases is the wire-compatibility contract for the
+// removed backends: the checked-in v1 fixture naming "calendar" (with the
+// older calendar_queue switch set), and "auto", still build and run, on
+// the default queue, with records identical to a spec that names none.
+func TestSpecEventQueueAliases(t *testing.T) {
+	fixture := fixtureSpec(t, "submit-event-queue-calendar.json")
 	run := func(queue string, calendar bool) []horse.FlowRecord {
 		t.Helper()
-		spec := p.Spec
+		spec := fixture
 		spec.Options.EventQueue, spec.Options.CalendarQueue = queue, calendar
 		eng, until, err := horse.NewFromSpec(&spec)
 		if err != nil {
@@ -348,7 +458,7 @@ func TestSpecEventQueueAliases(t *testing.T) {
 		queue    string
 		calendar bool
 	}{
-		{p.Spec.Options.EventQueue, p.Spec.Options.CalendarQueue}, // as checked in
+		{fixture.Options.EventQueue, fixture.Options.CalendarQueue}, // as checked in
 		{"auto", false},
 		{"", true},
 	} {

@@ -1,12 +1,16 @@
 package horse_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"horse"
 )
@@ -243,6 +247,116 @@ func TestTraceReaderOrderError(t *testing.T) {
 		}
 		if _, err := eng.Run(context.Background(), horse.Never); !errors.Is(err, horse.ErrTraceOrder) {
 			t.Errorf("%v: Run error = %v, want ErrTraceOrder", fid, err)
+		}
+	}
+}
+
+// producerGone reports whether every trace read-ahead producer has
+// exited. A producer closes the channel Close waits on as its last act,
+// so the goroutine may linger in the stack dump for a moment after.
+func producerGone() bool {
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(time.Second); ; {
+		n := runtime.Stack(buf, true)
+		if !bytes.Contains(buf[:n], []byte("horse/internal/traffic.produce(")) {
+			return true
+		}
+		if time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestReadAheadStopsWithRun: a library reader is read ahead on a
+// goroutine of its own, and that goroutine never outlives Run — at every
+// fidelity, whether the horizon ends the run before the stream does, ctx
+// is cancelled mid-run, the reader fails, or the run panics.
+func TestReadAheadStopsWithRun(t *testing.T) {
+	topo := horse.LeafSpine(2, 2, 2, horse.Gig, horse.TenGig)
+	long := horse.PoissonConfig{
+		Hosts: topo.Hosts(), Lambda: 2000, Horizon: 100 * horse.Second,
+		Sizes: horse.FixedSize(1e4), CBRRateBps: 1e7,
+	}
+	// A trace whose row DefaultTraceWindow+200 does not parse.
+	var csv bytes.Buffer
+	if err := horse.NewGenerator(5).PoissonArrivals(long)[:horse.DefaultTraceWindow+400].WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	rows := strings.SplitAfter(csv.String(), "\n")
+	rows[horse.DefaultTraceWindow+200] = "0,0,1,17,1000,80,1e6,notafloat,0,false\n"
+	badCSV := strings.Join(rows, "")
+
+	cases := []struct {
+		name   string
+		reader func() horse.TraceReader
+		until  horse.Time
+		cancel bool // cancel ctx once virtual time passes 10 ms
+		panic  bool // the record sink panics
+	}{
+		{name: "until", until: horse.Time(10 * horse.Millisecond)},
+		{name: "cancel", until: horse.Never, cancel: true},
+		{name: "error", until: horse.Never, reader: func() horse.TraceReader {
+			r, err := horse.NewTraceCSVReader(strings.NewReader(badCSV), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r
+		}},
+		{name: "panic", until: horse.Never, panic: true},
+	}
+	for _, fid := range []horse.Fidelity{horse.Flow, horse.Packet, horse.Hybrid} {
+		for _, c := range cases {
+			t.Run(fmt.Sprintf("%v/%s", fid, c.name), func(t *testing.T) {
+				r := horse.NewPoissonReader(5, long)
+				if c.reader != nil {
+					r = c.reader()
+				}
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				opts := []horse.Option{
+					horse.WithFidelity(fid),
+					horse.WithController(horse.NewChain(&horse.ProactiveMAC{})),
+					horse.WithMiss(horse.MissController),
+					horse.WithTraceReader(r),
+				}
+				if fid == horse.Hybrid {
+					opts = append(opts, horse.WithPacketFraction(0.5))
+				}
+				if c.cancel {
+					opts = append(opts, horse.WithProgressEvery(horse.Millisecond, func(p horse.Progress) {
+						if p.Now >= horse.Time(10*horse.Millisecond) {
+							cancel()
+						}
+					}))
+				}
+				if c.panic {
+					opts = append(opts, horse.WithRecordSink(func(horse.FlowRecord) { panic("sink failed") }))
+				}
+				eng, err := horse.New(topo, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				err = func() (err error) {
+					defer func() {
+						if p := recover(); p != nil {
+							err = fmt.Errorf("panic: %v", p)
+						}
+					}()
+					_, err = eng.Run(ctx, c.until)
+					return err
+				}()
+				switch {
+				case c.cancel && !errors.Is(err, context.Canceled),
+					c.reader != nil && (err == nil || errors.Is(err, context.Canceled)),
+					c.panic && (err == nil || !strings.HasPrefix(err.Error(), "panic: ")),
+					!c.cancel && c.reader == nil && !c.panic && err != nil:
+					t.Fatalf("Run error = %v", err)
+				}
+				if !producerGone() {
+					t.Fatal("the read-ahead producer outlived Run")
+				}
+			})
 		}
 	}
 }
