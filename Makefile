@@ -56,9 +56,12 @@ bench-compare:
 # of flows, failures, link models, external load and polls), and the
 # fair-share exactness property (the heap-driven solver's rates and change
 # lists are bit-identical to eager progressive filling through every
-# recompute entry point; IXP-sized inputs make its execs slow), and the
+# recompute entry point; IXP-sized inputs make its execs slow), the
 # in-order record emitter (emits exactly what the map-based reorder buffer
-# it replaced did, on any index permutation with holes). Seed corpora
+# it replaced did, on any index permutation with holes), and the one
+# control plane's parity property (a hybrid run at 0 % packet share equals
+# the flow engine, at 100 % the packet engine, on random small fabrics,
+# unsorted traces and scripted dynamics). Seed corpora
 # are f.Add'd in the fuzz targets plus any checked-in testdata/fuzz
 # entries; the whole-fabric simulation fuzzers run fewer iterations
 # because every exec runs full simulations.
@@ -72,6 +75,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzPortSchedule -fuzztime=2000x ./internal/packetsim/
 	$(GO) test -run='^$$' -fuzz=FuzzSolveExact -fuzztime=200x ./internal/fairshare/
 	$(GO) test -run='^$$' -fuzz=FuzzInOrder -fuzztime=2000x ./internal/stats/
+	$(GO) test -run='^$$' -fuzz=FuzzPlaneParity -fuzztime=200x ./internal/hybrid/
 
 # End-to-end daemon smoke: horsed on a unix socket, horsectl submit with
 # streamed records, a mid-run cancel, and a SIGTERM drain.

@@ -58,7 +58,7 @@ type Counters struct {
 	FlowsCompleted uint64 `json:"flows_completed"`
 	FlowsDropped   uint64 `json:"flows_dropped"`
 	FlowsLooped    uint64 `json:"flows_looped"`
-	FlowsStuck     uint64 `json:"flows_stuck"`
+	FlowsStuck     uint64 `json:"flows_stuck"` // always 0, no engine counts it; kept so v1 clients decode
 	PacketIns      uint64 `json:"packet_ins"`
 	FlowMods       uint64 `json:"flow_mods"`
 	RateChanges    uint64 `json:"rate_changes"`
@@ -74,7 +74,6 @@ func FromCounters(c stats.Counters) Counters {
 		FlowsCompleted: c.FlowsCompleted,
 		FlowsDropped:   c.FlowsDropped,
 		FlowsLooped:    c.FlowsLooped,
-		FlowsStuck:     c.FlowsStuck,
 		PacketIns:      c.PacketIns,
 		FlowMods:       c.FlowMods,
 		RateChanges:    c.RateChanges,

@@ -56,13 +56,13 @@ func assertCollectorsEqual(t *testing.T, name string, want, got *horse.Collector
 		t.Errorf("%s: reroute times differ", name)
 	}
 	type counters struct {
-		started, completed, dropped, looped, stuck    uint64
+		started, completed, dropped, looped           uint64
 		packetIns, flowMods, rateChanges, pathChanges uint64
 		packetsLost                                   uint64
 	}
-	w := counters{want.FlowsStarted, want.FlowsCompleted, want.FlowsDropped, want.FlowsLooped, want.FlowsStuck,
+	w := counters{want.FlowsStarted, want.FlowsCompleted, want.FlowsDropped, want.FlowsLooped,
 		want.PacketIns, want.FlowMods, want.RateChanges, want.PathChanges, want.PacketsLost}
-	g := counters{got.FlowsStarted, got.FlowsCompleted, got.FlowsDropped, got.FlowsLooped, got.FlowsStuck,
+	g := counters{got.FlowsStarted, got.FlowsCompleted, got.FlowsDropped, got.FlowsLooped,
 		got.PacketIns, got.FlowMods, got.RateChanges, got.PathChanges, got.PacketsLost}
 	if w != g {
 		t.Errorf("%s: counters differ: want %+v, got %+v", name, w, g)

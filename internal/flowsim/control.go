@@ -137,6 +137,10 @@ func (p *ControlPlane) Kernel() *simcore.Kernel { return p.k }
 // Network returns the data-plane state messages apply to.
 func (p *ControlPlane) Network() *dataplane.Network { return p.net }
 
+// Collector returns the plane's collector, which every attached engine
+// counts into.
+func (p *ControlPlane) Collector() *stats.Collector { return p.col }
+
 // Links returns the link-model registry.
 func (p *ControlPlane) Links() *linkmodel.Set { return p.links }
 

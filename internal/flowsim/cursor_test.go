@@ -82,7 +82,7 @@ func runCursorArm(topo *netgraph.Topology, until simtime.Time, cancelAt simtime.
 	}
 	col := stats.NewCollector(0)
 	p := NewControlPlane(k, dataplane.NewNetwork(topo, dataplane.MissController), nil, col, ctrl, 0)
-	sim := newOn(p, Config{}, col)
+	sim := NewOn(p, Config{}, col.AddFlow)
 	feed(sim)
 	sim.Begin()
 	k.RunContext(ctx, until)
@@ -119,7 +119,8 @@ func TestLoadCursorMatchesInject(t *testing.T) {
 	})
 	inject := func(s *Simulator, tr traffic.Trace) {
 		for _, d := range tr {
-			s.InjectAt(d)
+			s.InjectAt(d, s.loaded)
+			s.loaded++
 		}
 	}
 	cases := []struct {

@@ -41,8 +41,9 @@ type attachment struct {
 	link *netgraph.Link
 }
 
-// handleArrival creates the Flow and resolves its first path.
-func (s *Simulator) handleArrival(d *traffic.Demand) {
+// handleArrival creates the Flow of the demand with load index idx and
+// resolves its first path.
+func (s *Simulator) handleArrival(d *traffic.Demand, idx int) {
 	s.nextID++
 	f := s.newFlow()
 	*f = Flow{
@@ -54,6 +55,7 @@ func (s *Simulator) handleArrival(d *traffic.Demand) {
 		AppRateBps: d.RateBps,
 		TCP:        d.TCP,
 		Arrival:    s.k.Now(),
+		recID:      int64(idx) + 1,
 		remaining:  d.SizeBits,
 		lastSettle: s.k.Now(),
 		Deadline:   simtime.Never,
@@ -596,8 +598,8 @@ func (s *Simulator) finalize(f *Flow, completed bool, outcome string) {
 	if math.IsInf(size, 1) {
 		size = f.sent
 	}
-	s.col.AddFlow(stats.FlowRecord{
-		ID:        int64(f.ID),
+	s.emit(stats.FlowRecord{
+		ID:        f.recID,
 		Arrival:   f.Arrival,
 		End:       s.k.Now(),
 		SizeBits:  size,

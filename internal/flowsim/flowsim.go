@@ -70,10 +70,15 @@ type Flow struct {
 	Deadline simtime.Time
 	// TCP selects the TCP demand model.
 	TCP bool
+	// state sits in TCP's padding.
+	state FlowState
 
 	Arrival simtime.Time
 
-	state      FlowState
+	// recID is the ID of the flow's record: its demand's load index + 1.
+	// ID, the arrival order, is what orders the flow inside the engine.
+	recID int64
+
 	remaining  float64
 	sent       float64
 	rate       float64
@@ -147,21 +152,12 @@ type Forker interface {
 	Fork() Controller
 }
 
-// NopController is a Controller that does nothing (pure proactive
-// pre-installed state or drop-everything runs).
-type NopController struct{}
-
-// Start implements Controller.
-func (NopController) Start(*Context) {}
-
-// Handle implements Controller.
-func (NopController) Handle(*Context, openflow.Message) {}
-
 // Config parameterizes a Simulator.
 type Config struct {
 	// Topology is required.
 	Topology *netgraph.Topology
-	// Controller is the control plane (nil means NopController).
+	// Controller is the control plane (nil means none: switch-to-
+	// controller messages drop at the switch).
 	Controller Controller
 	// Miss is the table-miss behavior of every switch.
 	Miss dataplane.MissBehavior
@@ -213,7 +209,9 @@ type event struct {
 	at   simtime.Time
 	sim  *Simulator
 	flow *Flow
-	gen  uint64
+	// gen is the flow generation a completion or ramp was armed under,
+	// and an arrival's load index.
+	gen uint64
 	// arr is the ingestion cursor whose pending demand an evArrival
 	// delivers; nil for an InjectAt arrival, whose demand waits in
 	// sim.injected[slot].
@@ -297,6 +295,9 @@ type Simulator struct {
 
 	alloc  *fairshare.Allocator
 	nextID FlowID
+	// loaded counts the demands admitted by Load and the reader cursor:
+	// the next one's load index.
+	loaded int
 
 	// flows is the slot table: every Flow ever built, by Flow.slot. A
 	// finalized flow's slot goes on free and its Flow (with the capacity
@@ -319,6 +320,9 @@ type Simulator struct {
 	// (link<<1|forward). Meter resources have no ledger: nothing reads one.
 	ledgers []resLedger
 	col     *stats.Collector
+	// emit takes every finalized flow's record: the collector's AddFlow
+	// for a simulator of its own, the owner's emitter for an attached one.
+	emit func(stats.FlowRecord)
 
 	// ingress is each node's attachment: the switch and port
 	// AttachedSwitch reports and the link between them (nil if none).
@@ -373,27 +377,20 @@ func New(cfg Config) *Simulator {
 		panic("flowsim: Config.Topology is required")
 	}
 	k := simcore.New(simcore.Config{Backend: cfg.EventQueue})
-	ctrl := cfg.Controller
-	if ctrl == nil {
-		ctrl = NopController{}
-	}
 	col := stats.NewCollector(cfg.StatsEvery)
-	p := NewControlPlane(k, dataplane.NewNetwork(cfg.Topology, cfg.Miss), cfg.Links, col, ctrl, cfg.ControlLatency)
-	s := newOn(p, cfg, col)
+	p := NewControlPlane(k, dataplane.NewNetwork(cfg.Topology, cfg.Miss), cfg.Links, col, cfg.Controller, cfg.ControlLatency)
+	s := NewOn(p, cfg, col.AddFlow)
 	s.ownKernel = true
 	return s
 }
 
 // NewOn builds a simulator attached to control plane p, whose kernel,
-// network, link registry, controller and control latency it shares with
-// the plane's other engines; cfg's Topology, EventQueue, Miss, Controller,
-// ControlLatency and Links are not read. The plane's owner drives the
-// kernel: Begin, the kernel's run, then Finish.
-func NewOn(p *ControlPlane, cfg Config) *Simulator {
-	return newOn(p, cfg, stats.NewCollector(cfg.StatsEvery))
-}
-
-func newOn(p *ControlPlane, cfg Config, col *stats.Collector) *Simulator {
+// network, link registry, controller, control latency and collector it
+// shares with the plane's other engines; cfg's Topology, EventQueue, Miss,
+// Controller, ControlLatency and Links are not read. Every record goes to
+// emit as its flow finalizes, in completion order. The plane's owner
+// drives the kernel: Begin, the kernel's run, then Finish.
+func NewOn(p *ControlPlane, cfg Config, emit func(stats.FlowRecord)) *Simulator {
 	if cfg.TCP.RTT == 0 {
 		cfg.TCP = tcpmodel.DefaultParams()
 	}
@@ -412,7 +409,8 @@ func newOn(p *ControlPlane, cfg Config, col *stats.Collector) *Simulator {
 		waiting:  make([][]flowRef, nodes),
 		flowsAt:  make([][]flowRef, nodes),
 		ledgers:  make([]resLedger, 2*links),
-		col:      col,
+		col:      p.col,
+		emit:     emit,
 		ingress:  make([]attachment, nodes),
 		links:    p.links,
 		modelGen: make([]uint64, links),
@@ -495,9 +493,10 @@ func (s *Simulator) LinkRateBps(l netgraph.LinkID, forward bool) float64 {
 	return s.alloc.ResourceUsage(linkResource(l, forward))
 }
 
-// Load schedules every demand in the trace. The simulator keeps tr
-// (without copying it) until the last of its demands has arrived, so the
-// caller must not modify it after Load.
+// Load schedules every demand in the trace; tr[i]'s record ID is its
+// load index + 1, counted over every Load and then the trace reader. The
+// simulator keeps tr (without copying it) until the last of its demands
+// has arrived, so the caller must not modify it after Load.
 //
 // Load queues one arrival at a time: it reserves len(tr) FIFO sequence
 // numbers from the kernel, and each firing arrival queues the trace's
@@ -511,7 +510,8 @@ func (s *Simulator) Load(tr traffic.Trace) {
 	if len(tr) == 0 {
 		return
 	}
-	a := &arrivals{tr: tr, base: s.k.Reserve(len(tr))}
+	a := &arrivals{tr: tr, base: s.k.Reserve(len(tr)), first: s.loaded}
+	s.loaded += len(tr)
 	if !tr.Sorted() {
 		a.order = make([]int32, len(tr))
 		for i := range a.order {
@@ -523,10 +523,11 @@ func (s *Simulator) Load(tr traffic.Trace) {
 }
 
 // InjectAt schedules one demand at its start time, as a single eager
-// push (the hybrid engine routes demands to this engine one at a time).
-// The demand waits in a reused slot of s.injected, so the envelope needs
-// no room for it.
-func (s *Simulator) InjectAt(d traffic.Demand) {
+// push, under the load index its owner gave it (the hybrid engine routes
+// demands to this engine one at a time); its record ID is idx + 1. The
+// demand waits in a reused slot of s.injected, so the envelope needs no
+// room for it.
+func (s *Simulator) InjectAt(d traffic.Demand, idx int) {
 	var slot int32
 	if n := len(s.injectFree); n > 0 {
 		slot = s.injectFree[n-1]
@@ -536,7 +537,7 @@ func (s *Simulator) InjectAt(d traffic.Demand) {
 		slot = int32(len(s.injected))
 		s.injected = append(s.injected, d)
 	}
-	s.sched(event{at: d.Start, kind: evArrival, slot: slot})
+	s.sched(event{at: d.Start, kind: evArrival, slot: slot, gen: uint64(idx)})
 }
 
 // SetTraceReader streams the workload in from r instead of (or in
@@ -559,14 +560,16 @@ func (s *Simulator) SetTraceReader(r traffic.Reader) {
 // engine: exactly one of its arrivals is queued at a time, and firing it
 // queues the next. A Load cursor walks tr in (Start, index) order — order
 // is the stable index permutation of an unsorted trace, nil for a sorted
-// one — and queues demand i under the reserved seq base+i. A reader
-// cursor pulls from r and queues each demand under a fresh seq, which is
-// the position an eager push at pull time would take.
+// one — and queues demand i under the reserved seq base+i with load index
+// first+i. A reader cursor pulls from r and queues each demand under a
+// fresh seq, which is the position an eager push at pull time would take,
+// with the next load index.
 type arrivals struct {
 	tr    traffic.Trace
 	order []int32
 	next  int // position in the walk of the next demand to queue
 	base  uint64
+	first int
 
 	r *traffic.Ingest
 
@@ -582,7 +585,8 @@ func (s *Simulator) queueArrival(a *arrivals) {
 			return
 		}
 		a.pending = d
-		s.sched(event{at: d.Start, kind: evArrival, arr: a})
+		s.sched(event{at: d.Start, kind: evArrival, arr: a, gen: uint64(s.loaded)})
+		s.loaded++
 		return
 	}
 	if a.next == len(a.tr) {
@@ -595,7 +599,7 @@ func (s *Simulator) queueArrival(a *arrivals) {
 	a.next++
 	a.pending = a.tr[i]
 	e := s.pool.Get()
-	*e = event{at: a.pending.Start, kind: evArrival, arr: a, sim: s}
+	*e = event{at: a.pending.Start, kind: evArrival, arr: a, gen: uint64(a.first + i), sim: s}
 	s.k.ScheduleSeq(e, a.base+uint64(i))
 }
 
@@ -651,9 +655,9 @@ func (s *Simulator) Observe(fn simevent.Observer) { s.plane.Observe(fn) }
 
 // SetRecordSink streams every stats.FlowRecord to sink the moment the
 // flow finalizes, in exactly the order the collector would have
-// accumulated them, and evicts finalized flow state — so a multi-million-
-// flow run completes with O(1) record memory (Collector().Flows() stays
-// empty). Install before Run.
+// accumulated them (completion order), and evicts finalized flow state —
+// so a multi-million-flow run completes with O(1) record memory
+// (Collector().Flows() stays empty). Install before Run.
 func (s *Simulator) SetRecordSink(sink func(stats.FlowRecord)) { s.col.SetFlowSink(sink) }
 
 // SetProgress arms progress reporting: fn receives a simevent.Progress at
@@ -706,7 +710,7 @@ func (s *Simulator) dispatch(e *event) {
 			d = s.injected[e.slot]
 			s.injectFree = append(s.injectFree, e.slot)
 		}
-		s.handleArrival(&d)
+		s.handleArrival(&d, int(e.gen))
 	case evComplete:
 		if e.flow.gen == e.gen && e.flow.state != StateDone {
 			e.flow.completion = simcore.Timer{}

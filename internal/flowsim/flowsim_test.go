@@ -190,7 +190,7 @@ func TestReactiveControllerInstallsPath(t *testing.T) {
 
 func TestDropMissBlackholes(t *testing.T) {
 	topo := netgraph.Dumbbell(1, 1, netgraph.Gig, netgraph.TenGig)
-	sim := New(Config{Topology: topo, Controller: NopController{}, Miss: dataplane.MissDrop})
+	sim := New(Config{Topology: topo, Miss: dataplane.MissDrop})
 	h0, r0 := topo.MustLookup("h0"), topo.MustLookup("r0")
 	sim.Load(traffic.Trace{cbr(h0, r0, 0, 1e6, 1e8)})
 	col := mustRun(sim, simtime.Never)

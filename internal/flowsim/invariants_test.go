@@ -164,7 +164,7 @@ func TestAIMDUnderPolicerSteadyState(t *testing.T) {
 // controller help ends as expired-waiting, not completed.
 func TestWaitingFlowExpiresAtDeadline(t *testing.T) {
 	topo := netgraph.Dumbbell(1, 1, netgraph.Gig, netgraph.TenGig)
-	sim := New(Config{Topology: topo, Controller: NopController{}, Miss: dataplane.MissController})
+	sim := New(Config{Topology: topo, Miss: dataplane.MissController})
 	h0, r0 := topo.MustLookup("h0"), topo.MustLookup("r0")
 	d := traffic.Demand{
 		Key: addr.FlowKeyBetween(h0, r0, header.ProtoUDP, 40000, 80),

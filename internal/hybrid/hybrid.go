@@ -26,9 +26,7 @@
 package hybrid
 
 import (
-	"cmp"
 	"context"
-	"slices"
 
 	"horse/internal/dataplane"
 	"horse/internal/eventq"
@@ -102,23 +100,16 @@ type Simulator struct {
 	flow  *flowsim.Simulator
 	pkt   *packetsim.Simulator
 
-	// Load-order bookkeeping: every record is renumbered to its trace
-	// index (ID = index + 1). The packet engine numbers flows in load
-	// order, so pktIdx maps its IDs directly. The flow engine numbers them
-	// in arrival order, so flowRank maps its IDs; it is extended, as
-	// records need it, from the flow-level demands not yet ranked: eager
-	// (loaded before Run) and streamed (loaded by ingestion).
-	pktIdx   []int
-	flowRank []int
-	eager    []arrival
-	streamed []arrival
-	loaded   int
+	// loaded counts the demands admitted so far — the next one's load
+	// index — and packetFlows those sent to the packet engine.
+	loaded      int
+	packetFlows int
 
-	// col is the merged collector. Both sub-engines stream their records
-	// to the hybrid, which renumbers them and puts them into records, the
-	// one in-order emitter: it delivers them to col in trace order, where
-	// they are retained or, with a record sink installed, streamed. The
-	// sub-engines' counters fold into col whenever it is read.
+	// col is the control plane's collector, the one both engines count
+	// into. Both hand their records, whose ID is the load index + 1, to
+	// records, the one in-order emitter: it delivers them to col in load
+	// order, where they are retained or, with a record sink installed,
+	// streamed.
 	col     *stats.Collector
 	records *stats.InOrder
 
@@ -134,29 +125,20 @@ func New(cfg Config) *Simulator {
 		panic("hybrid: Config.Topology is required")
 	}
 	k := simcore.New(simcore.Config{Backend: cfg.EventQueue})
-	ctrl := cfg.Controller
-	if ctrl == nil {
-		ctrl = flowsim.NopController{}
-	}
 	s := &Simulator{cfg: cfg, k: k, col: stats.NewCollector(cfg.StatsEvery)}
 	s.records = stats.NewInOrder(s.col.AddFlow)
-	s.plane = flowsim.NewControlPlane(k, dataplane.NewNetwork(cfg.Topology, cfg.Miss), cfg.Links, s.col, ctrl, cfg.ControlLatency)
+	s.plane = flowsim.NewControlPlane(k, dataplane.NewNetwork(cfg.Topology, cfg.Miss), cfg.Links, s.col, cfg.Controller, cfg.ControlLatency)
+	put := func(r stats.FlowRecord) { s.records.Put(int(r.ID-1), r) }
 	s.flow = flowsim.NewOn(s.plane, flowsim.Config{
 		TCP:         cfg.TCP,
 		StatsEvery:  cfg.StatsEvery,
 		RateEpsilon: cfg.RateEpsilon,
 		OnRateShift: s.applyRateShift,
-	})
+	}, put)
 	s.pkt = packetsim.NewOn(s.plane, packetsim.Config{
 		QueuePackets: cfg.QueuePackets,
 		RTOMin:       cfg.RTOMin,
-	})
-	s.flow.SetRecordSink(func(r stats.FlowRecord) {
-		if idx, ok := s.flowTraceIndex(r.ID); ok {
-			s.emit(idx, r)
-		}
-	})
-	s.pkt.SetRecordSink(func(r stats.FlowRecord) { s.emit(s.pktIdx[r.ID-1], r) })
+	}, put)
 	return s
 }
 
@@ -206,14 +188,13 @@ func (s *Simulator) Now() simtime.Time { return s.k.Now() }
 // flowsim.ControlPlane.Observe.
 func (s *Simulator) Observe(fn simevent.Observer) { s.plane.Observe(fn) }
 
-// SetRecordSink streams every merged stats.FlowRecord to sink in load
-// (trace) order instead of retaining it — the same records, in the same
-// order, Collector().Flows() would have held, because both go through one
-// path: the sub-engines stream every record to the hybrid as their flows
-// finalize (evicting per-flow state as they go), and the hybrid renumbers
-// it and emits it through a reorder buffer keyed by trace index, which in
-// practice stays near-empty because completion order tracks start order.
-// Install before Run.
+// SetRecordSink streams every stats.FlowRecord to sink in load order
+// instead of retaining it — the same records, in the same order,
+// Collector().Flows() would have held, because both go through one path:
+// the engines hand every record to the hybrid as their flows finalize
+// (evicting per-flow state as they go), and it emits them through a
+// reorder buffer keyed by ID, which in practice stays near-empty because
+// completion order tracks start order. Install before Run.
 func (s *Simulator) SetRecordSink(sink func(stats.FlowRecord)) { s.col.SetFlowSink(sink) }
 
 // SetProgress arms progress reporting off the shared kernel's pre-advance
@@ -229,19 +210,12 @@ func (s *Simulator) Topology() *netgraph.Topology { return s.cfg.Topology }
 // Network exposes the shared data-plane state.
 func (s *Simulator) Network() *dataplane.Network { return s.plane.Network() }
 
-// FlowCollector returns the flow engine's collector (control-plane
-// counters, link-utilization series).
-func (s *Simulator) FlowCollector() *stats.Collector { return s.flow.Collector() }
-
-// PacketCollector returns the packet engine's collector.
-func (s *Simulator) PacketCollector() *stats.Collector { return s.pkt.Collector() }
-
 // PacketsForwarded reports the packet engine's forwarded-hop count.
 func (s *Simulator) PacketsForwarded() uint64 { return s.pkt.PacketsForwarded() }
 
 // Split reports how many loaded demands went to each engine.
 func (s *Simulator) Split() (packetFlows, flowFlows int) {
-	return len(s.pktIdx), s.loaded - len(s.pktIdx)
+	return s.packetFlows, s.loaded - s.packetFlows
 }
 
 // Load splits the trace across the engines per cfg.PacketLevel. Call any
@@ -252,19 +226,15 @@ func (s *Simulator) Load(tr traffic.Trace) {
 	}
 }
 
-// loadDemand routes one demand to its engine and records the load-order
-// bookkeeping — the shared step of eager Load and streamed ingestion.
+// loadDemand admits one demand, under the next load index, to the engine
+// cfg.PacketLevel picks — the shared step of eager Load and streamed
+// ingestion.
 func (s *Simulator) loadDemand(d traffic.Demand) {
 	if s.cfg.PacketLevel != nil && s.cfg.PacketLevel(s.loaded, d) {
-		s.pkt.Load(traffic.Trace{d})
-		s.pktIdx = append(s.pktIdx, s.loaded)
+		s.pkt.InjectAt(d, s.loaded)
+		s.packetFlows++
 	} else {
-		s.flow.InjectAt(d)
-		if s.begun {
-			s.streamed = append(s.streamed, arrival{d.Start, s.loaded})
-		} else {
-			s.eager = append(s.eager, arrival{d.Start, s.loaded})
-		}
+		s.flow.InjectAt(d, s.loaded)
 	}
 	s.loaded++
 }
@@ -316,12 +286,11 @@ func (e *ingestEvent) Fire() {
 }
 
 // Run executes both engines until the shared queue drains, virtual time
-// passes until, or ctx is cancelled, and returns the merged collector
-// (see Collector) — on cancellation a partial but consistent one,
+// passes until, or ctx is cancelled, and returns the collector (see
+// Collector) — on cancellation a partial but consistent one,
 // together with ctx.Err(). Run may be called once.
 func (s *Simulator) Run(ctx context.Context, until simtime.Time) (*stats.Collector, error) {
 	s.begun = true
-	slices.SortStableFunc(s.eager, func(a, b arrival) int { return cmp.Compare(a.start, b.start) })
 	s.flow.Begin()
 	s.pkt.Begin()
 	if s.reader != nil {
@@ -331,87 +300,19 @@ func (s *Simulator) Run(ctx context.Context, until simtime.Time) (*stats.Collect
 	err := s.k.RunContext(ctx, until)
 	s.flow.Finish()
 	s.pkt.Finish()
-	// Trace indices that never produced a record — a demand past the time
+	// Load indices that never produced a record — a demand past the time
 	// bound, or a canceled run — leave holes the flush skips.
 	s.records.Flush()
 	if err == nil {
 		err = s.reader.Err()
 	}
-	s.foldCounters()
-	fc := s.flow.Collector()
-	for _, smp := range fc.LinkSeries() {
-		s.col.AddLinkSample(smp)
-	}
-	for _, at := range fc.RerouteTimes() {
-		s.col.AddReroute(at)
-	}
 	return s.col, err
 }
 
-// arrival is a loaded flow-level demand awaiting its flow-engine ID.
-type arrival struct {
-	start simtime.Time
-	idx   int // trace index
-}
-
-// flowTraceIndex maps a flow-engine record ID to its trace index. Every
-// arrival shares one order key and dispatches FIFO, so the flow engine
-// numbers demands by start time and, on ties, in load order: the eager
-// demands (sorted stably by start at Run) merged with the streamed ones
-// (ingested in start order), eager first on ties. A flow has an ID only
-// once it has arrived, and every demand that arrives before it has been
-// loaded by then, so merging up to the ID is exact for eager, streamed
-// and mixed loads alike. An ID beyond every loaded demand cannot occur;
-// it reports !ok rather than panic.
-func (s *Simulator) flowTraceIndex(id int64) (int, bool) {
-	for int64(len(s.flowRank)) < id {
-		var next arrival
-		switch {
-		case len(s.eager) > 0 && (len(s.streamed) == 0 || s.eager[0].start <= s.streamed[0].start):
-			next, s.eager = s.eager[0], s.eager[1:]
-		case len(s.streamed) > 0:
-			next, s.streamed = s.streamed[0], s.streamed[1:]
-		default:
-			return 0, false
-		}
-		s.flowRank = append(s.flowRank, next.idx)
-	}
-	if id < 1 {
-		return 0, false
-	}
-	return s.flowRank[id-1], true
-}
-
-// emit renumbers a sub-engine record to its trace ID and hands it to the
-// in-order emitter.
-func (s *Simulator) emit(idx int, r stats.FlowRecord) {
-	r.ID = int64(idx + 1)
-	s.records.Put(idx, r)
-}
-
-// Collector returns the merged collector: every record emitted so far, in
-// trace order (none when a record sink is installed), the flow engine's
-// link series and reroute times (once Run has ended), the outcome
-// tallies, both engines' summed packet and punt counters, the flow
-// engine's rate and path counters, the control plane's FlowMods, and the
-// kernel's dispatch count as EventsRun (the hybrid's total work metric).
-func (s *Simulator) Collector() *stats.Collector {
-	s.foldCounters()
-	return s.col
-}
-
-// foldCounters copies the sub-engines' counters into the merged
-// collector; it is idempotent. The outcome tallies and FlowMods (counted
-// by the control plane) are the merged collector's own.
-func (s *Simulator) foldCounters() {
-	fc, pc, col := s.flow.Collector(), s.pkt.Collector(), s.col
-	col.FlowsStarted = fc.FlowsStarted + pc.FlowsStarted
-	col.PacketIns = fc.PacketIns + pc.PacketIns
-	col.RateChanges = fc.RateChanges
-	col.PathChanges = fc.PathChanges
-	col.PacketsLost = fc.PacketsLost + pc.PacketsLost
-	col.PacketsCorrupted = fc.PacketsCorrupted + pc.PacketsCorrupted
-	col.PacketsSent = fc.PacketsSent + pc.PacketsSent
-	col.Retransmits = fc.Retransmits + pc.Retransmits
-	col.EventsRun = s.k.Dispatched()
-}
+// Collector returns the one collector: every record emitted so far, in
+// load order (none when a record sink is installed), the flow engine's
+// link series and reroute times, both engines' outcome tallies and packet
+// and punt counters, the flow engine's rate and path counters, the
+// control plane's FlowMods, and — once Run has ended — the kernel's
+// dispatch count as EventsRun (the hybrid's total work metric).
+func (s *Simulator) Collector() *stats.Collector { return s.col }

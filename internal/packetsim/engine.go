@@ -651,7 +651,7 @@ func (s *Simulator) tryFinalize(idx int32) {
 	f.done = true
 	f.received = nil
 	s.flows[idx] = nil
-	s.records.Put(int(idx), r)
+	s.records(r)
 }
 
 // sampleStats snapshots per-direction throughput state. Utilization is

@@ -152,11 +152,11 @@ type Simulator struct {
 	liveBy   []int32
 	finHints []int32
 
-	// records delivers every flow's record to the collector in flow-ID
-	// order. A flow whose sender has quiesced, whose packets have all
-	// resolved, and whose record is time-invariant is put the moment that
-	// holds, and its state evicted; Finish puts the rest.
-	records *stats.InOrder
+	// records takes every flow's record. A flow whose sender has quiesced,
+	// whose packets have all resolved, and whose record is time-invariant
+	// is emitted the moment that holds, and its state evicted; Finish
+	// emits the rest.
+	records func(stats.FlowRecord)
 
 	// Streaming ingestion: reader, when set, pulls demands in one at a
 	// time through chained evIngest events.
@@ -281,8 +281,8 @@ type puntedPkt struct {
 // receiver side that communicate only through packets; completion is the
 // earliest of the sides' completion candidates (see assemble).
 type pktFlow struct {
-	id      int64
-	idx     int32 // dense index (id - 1)
+	id      int64 // record ID: load index + 1
+	idx     int32 // dense index, in admission order
 	demand  traffic.Demand
 	packets int // total data packets to send (finite flows)
 
@@ -434,21 +434,21 @@ func New(cfg Config) *Simulator {
 	k := simcore.New(simcore.Config{Backend: cfg.EventQueue})
 	col := stats.NewCollector(cfg.StatsEvery)
 	p := flowsim.NewControlPlane(k, dataplane.NewNetwork(cfg.Topology, cfg.Miss), cfg.Links, col, cfg.Controller, cfg.ControlLatency)
-	s := newOn(p, cfg, col)
+	// Records reach the collector in ID (load) order.
+	records := stats.NewInOrder(col.AddFlow)
+	s := NewOn(p, cfg, func(r stats.FlowRecord) { records.Put(int(r.ID-1), r) })
 	s.ownKernel = true
 	return s
 }
 
 // NewOn builds a packet-level simulator attached to control plane p, whose
-// kernel, network, link registry, controller and control latency it
-// shares with the plane's other engines; cfg's Topology, EventQueue, Miss,
-// Controller, ControlLatency and Links are not read. The plane's owner
-// drives the kernel: Begin, the kernel's run, then Finish.
-func NewOn(p *flowsim.ControlPlane, cfg Config) *Simulator {
-	return newOn(p, cfg, stats.NewCollector(cfg.StatsEvery))
-}
-
-func newOn(p *flowsim.ControlPlane, cfg Config, col *stats.Collector) *Simulator {
+// kernel, network, link registry, controller, control latency and
+// collector it shares with the plane's other engines; cfg's Topology,
+// EventQueue, Miss, Controller, ControlLatency and Links are not read.
+// Every record goes to emit as its flow finalizes, in no particular
+// order. The plane's owner drives the kernel: Begin, the kernel's run,
+// then Finish.
+func NewOn(p *flowsim.ControlPlane, cfg Config, emit func(stats.FlowRecord)) *Simulator {
 	if cfg.QueuePackets == 0 {
 		cfg.QueuePackets = 100
 	}
@@ -460,12 +460,13 @@ func newOn(p *flowsim.ControlPlane, cfg Config, col *stats.Collector) *Simulator
 	nDirs := 2 * topo.NumLinks()
 	nNodes := topo.NumNodes()
 	s := &Simulator{
-		cfg:   cfg,
-		plane: p,
-		topo:  topo,
-		net:   net,
-		k:     p.Kernel(),
-		col:   col,
+		cfg:     cfg,
+		plane:   p,
+		topo:    topo,
+		net:     net,
+		k:       p.Kernel(),
+		col:     p.Collector(),
+		records: emit,
 
 		ports:     make([]*outPort, nDirs),
 		txBits:    make([]float64, nDirs),
@@ -482,7 +483,6 @@ func newOn(p *flowsim.ControlPlane, cfg Config, col *stats.Collector) *Simulator
 		statsReqTxBits: make([]float64, nDirs),
 		statsReqRxBits: make([]float64, nDirs),
 	}
-	s.records = stats.NewInOrder(s.col.AddFlow)
 	// (node, port) → transmit direction index.
 	s.dirAt = make([][]int32, nNodes)
 	for _, l := range topo.Links() {
@@ -571,19 +571,25 @@ func (s *Simulator) EventsDispatched() uint64 { return s.k.Dispatched() }
 // shard count measured.
 func (s *Simulator) ShardLoads() []uint64 { return nil }
 
-// Load schedules the demands.
+// Load schedules the demands; a record's ID is its demand's load index
+// + 1, counted over every Load and then the trace reader.
 func (s *Simulator) Load(tr traffic.Trace) {
 	for _, d := range tr {
-		s.loadOne(d)
+		s.loadOne(d, len(s.flows))
 	}
 }
 
-// loadOne admits one demand: builds its flow, grows the per-flow
-// accounting arrays when the run has already begun (streamed ingestion),
-// and schedules the first send.
-func (s *Simulator) loadOne(d traffic.Demand) {
+// InjectAt admits one demand under the load index its owner gave it (the
+// hybrid engine routes demands to this engine one at a time); its record
+// ID is idx + 1.
+func (s *Simulator) InjectAt(d traffic.Demand, idx int) { s.loadOne(d, idx) }
+
+// loadOne admits one demand with load index idx: builds its flow under the
+// next dense index, grows the per-flow accounting arrays when the run has
+// already begun (streamed ingestion), and schedules the first send.
+func (s *Simulator) loadOne(d traffic.Demand, idx int) {
 	f := &pktFlow{
-		id:       int64(len(s.flows) + 1),
+		id:       int64(idx) + 1,
 		idx:      int32(len(s.flows)),
 		demand:   d,
 		arrival:  d.Start,
@@ -755,10 +761,10 @@ func (s *Simulator) Finish() *stats.Collector {
 	}
 	s.drainFin()
 	s.finished = true
-	for idx, f := range s.flows {
+	for _, f := range s.flows {
 		if f != nil {
 			r, _ := s.assemble(f)
-			s.records.Put(idx, r)
+			s.records(r)
 		}
 	}
 	s.col.EventsRun = s.EventsDispatched()
@@ -804,7 +810,7 @@ func (s *Simulator) dispatch(e *event) {
 		s.sampleStats()
 		s.sched(event{at: s.k.Now().Add(s.cfg.StatsEvery), kind: evStats, dir: e.dir})
 	case evIngest:
-		s.loadOne(s.nextDemand)
+		s.loadOne(s.nextDemand, len(s.flows))
 		s.pullIngest()
 	}
 }

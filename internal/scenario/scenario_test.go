@@ -226,7 +226,7 @@ func TestScriptedOutageAcceptance(t *testing.T) {
 			t.Errorf("record %d diverged: hybrid %+v vs standalone %+v", i, rh, rp)
 		}
 	}
-	if got, want := hyb.PacketCollector().PacketsLost, colP.PacketsLost; got != want {
+	if got, want := hyb.Collector().PacketsLost, colP.PacketsLost; got != want {
 		t.Errorf("hybrid lost %d packets, standalone %d", got, want)
 	}
 }

@@ -27,6 +27,10 @@ type LinkSample struct {
 
 // FlowRecord is the outcome of one data flow.
 type FlowRecord struct {
+	// ID names the flow's demand: its load index + 1, at every fidelity.
+	// Demands Loaded before the run number first, in the order given, and
+	// then the trace reader's, in the order read — so the same ID names
+	// the same demand in a flow, packet or hybrid run of one workload.
 	ID        int64
 	Arrival   simtime.Time
 	End       simtime.Time
@@ -63,7 +67,6 @@ type Collector struct {
 	FlowsCompleted uint64
 	FlowsDropped   uint64
 	FlowsLooped    uint64
-	FlowsStuck     uint64
 	PacketIns      uint64
 	FlowMods       uint64
 	RateChanges    uint64
@@ -144,7 +147,6 @@ type Counters struct {
 	FlowsCompleted   uint64
 	FlowsDropped     uint64
 	FlowsLooped      uint64
-	FlowsStuck       uint64
 	PacketIns        uint64
 	FlowMods         uint64
 	RateChanges      uint64
@@ -165,7 +167,6 @@ func (c *Collector) Counters() Counters {
 		FlowsCompleted:   c.FlowsCompleted,
 		FlowsDropped:     c.FlowsDropped,
 		FlowsLooped:      c.FlowsLooped,
-		FlowsStuck:       c.FlowsStuck,
 		PacketIns:        c.PacketIns,
 		FlowMods:         c.FlowMods,
 		RateChanges:      c.RateChanges,

@@ -375,8 +375,8 @@ func WithScenario(tl *Scenario) Option {
 // records, in exactly the order, Collector().Flows() would have held:
 // every engine has one delivery path, and a run without a sink is one
 // whose sink appends to the Collector. Engines deliver as flows finish
-// (and reclaim their state); the Hybrid coupler renumbers to load order
-// first.
+// (and reclaim their state), already numbered by load index at every
+// fidelity: Flow in completion order, Packet and Hybrid in ID order.
 func WithRecordSink(sink func(FlowRecord)) Option {
 	return func(o *options) error {
 		if sink == nil {

@@ -115,8 +115,8 @@ func TestNewFromSpecParity(t *testing.T) {
 // against the eager session it replaced: Load of WorkloadSpec.Trace
 // (explicit demands, then the whole generated trace), then
 // Timeline.Apply. Every workload shape matches byte for byte at every
-// fidelity but two cells. A demand surge Loads before the stream, so with
-// a generator it numbers ahead of the generated demands: at Packet
+// fidelity but three cells. A demand surge Loads before the stream, so with
+// a generator it numbers ahead of the generated demands: at Flow and Packet
 // fidelity the records are the same up to ID, and at Hybrid fidelity,
 // where WithPacketFraction picks packet-level demands by load index, a
 // different subset runs packet-level and every demand must still yield
@@ -177,13 +177,13 @@ func TestNewFromSpecStreamed(t *testing.T) {
 				}
 				renumbered := sh.w.Poisson != nil && sh.scenario != nil
 				switch {
-				case !renumbered || o.Fidelity == wire.FidelityFlow:
+				case !renumbered:
 					for i := range want {
 						if got[i] != want[i] {
 							t.Fatalf("record %d differs:\n eager %+v\nstream %+v", i, want[i], got[i])
 						}
 					}
-				case o.Fidelity == wire.FidelityPacket:
+				case o.Fidelity != wire.FidelityHybrid:
 					unnumbered := func(rs []horse.FlowRecord) map[horse.FlowRecord]int {
 						m := map[horse.FlowRecord]int{}
 						for _, r := range rs {
