@@ -58,10 +58,12 @@ bench-compare:
 # lists are bit-identical to eager progressive filling through every
 # recompute entry point; IXP-sized inputs make its execs slow), the
 # in-order record emitter (emits exactly what the map-based reorder buffer
-# it replaced did, on any index permutation with holes), and the one
+# it replaced did, on any index permutation with holes), the one
 # control plane's parity property (a hybrid run at 0 % packet share equals
 # the flow engine, at 100 % the packet engine, on random small fabrics,
-# unsorted traces and scripted dynamics). Seed corpora
+# unsorted traces and scripted dynamics), and the hybrid's Load cursor
+# (dispatches exactly the events of one first event per demand pushed at
+# Load, on random tied traces at packet shares 0, 1 and random). Seed corpora
 # are f.Add'd in the fuzz targets plus any checked-in testdata/fuzz
 # entries; the whole-fabric simulation fuzzers run fewer iterations
 # because every exec runs full simulations.
@@ -76,6 +78,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSolveExact -fuzztime=200x ./internal/fairshare/
 	$(GO) test -run='^$$' -fuzz=FuzzInOrder -fuzztime=2000x ./internal/stats/
 	$(GO) test -run='^$$' -fuzz=FuzzPlaneParity -fuzztime=200x ./internal/hybrid/
+	$(GO) test -run='^$$' -fuzz=FuzzLoadCursor -fuzztime=200x ./internal/hybrid/
 
 # End-to-end daemon smoke: horsed on a unix socket, horsectl submit with
 # streamed records, a mid-run cancel, and a SIGTERM drain.

@@ -342,7 +342,8 @@ func TestRunCancellationFlow(t *testing.T) {
 
 // TestRunCancellationShardedPacket: a packet run built with WithShards —
 // the serial engine — whose context is already cancelled stops at the
-// first cancellation poll and still records every loaded flow.
+// first cancellation poll and still records every flow that started by
+// then (as unfinished), and no demand that had yet to start.
 func TestRunCancellationShardedPacket(t *testing.T) {
 	topo, tr := fatTreeWorkload()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -361,8 +362,13 @@ func TestRunCancellationShardedPacket(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run error = %v, want context.Canceled", err)
 	}
-	if got, want := len(col.Flows()), len(tr); got != want {
-		t.Errorf("partial collector records %d flows, want all %d loaded (as unfinished)", got, want)
+	if got, want := uint64(len(col.Flows())), col.FlowsStarted; got != want || got == 0 || got == uint64(len(tr)) {
+		t.Errorf("partial collector records %d flows, want the %d of %d loaded that started", got, want, len(tr))
+	}
+	for _, r := range col.Flows() {
+		if r.Arrival > eng.Now() {
+			t.Errorf("flow %d starts at %v, after the stop instant %v", r.ID, r.Arrival, eng.Now())
+		}
 	}
 }
 

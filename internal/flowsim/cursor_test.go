@@ -27,26 +27,41 @@ type dispatchLog struct {
 
 func (q *dispatchLog) PopUntil(until simtime.Time) eventq.Event {
 	ev := q.Canceler.PopUntil(until)
-	if e, ok := ev.(*event); ok {
-		entry := fmt.Sprintf("%d k%x kind%d", e.at, e.OrderKey(), e.kind)
-		switch {
-		case e.kind == evArrival && e.arr != nil:
-			entry += demandTag(&e.arr.pending)
-		case e.kind == evArrival:
-			entry += demandTag(&e.sim.injected[e.slot])
-		case e.flow != nil:
+	switch e := ev.(type) {
+	case *event:
+		entry := fmt.Sprintf("%d k%x %v", e.at, e.OrderKey(), e)
+		if e.flow != nil {
 			entry += fmt.Sprintf(" flow%d", e.flow.ID)
 		}
 		q.log = append(q.log, entry)
-	}
-	if e, ok := ev.(*ctlEvent); ok {
+	case *ctlEvent:
 		q.log = append(q.log, fmt.Sprintf("%d k%x ctl%d", e.at, e.OrderKey(), e.kind))
+	case *eagerArrival:
+		q.log = append(q.log, fmt.Sprintf("%d k%x %v", ev.Time(), ev.(eventq.Keyed).OrderKey(), e))
 	}
 	return ev
 }
 
-func demandTag(d *traffic.Demand) string {
-	return fmt.Sprintf(" %d>%d:%d@%d", d.Src, d.Dst, d.Key.SrcPort, d.Start)
+// eagerArrival is the reference ingestion the Load cursor is held to:
+// one arrival event per demand, pushed when the demand is loaded.
+type eagerArrival struct {
+	sim *Simulator
+	d   traffic.Demand
+	i   int
+}
+
+func (e *eagerArrival) Time() simtime.Time { return e.d.Start }
+func (e *eagerArrival) OrderKey() uint64   { return ArrivalKey(e.i) }
+func (e *eagerArrival) Fire()              { e.sim.Admit(&e.d, e.i) }
+func (e *eagerArrival) Release()           {}
+func (e *eagerArrival) String() string     { return fmt.Sprintf("arrival %d", e.i) }
+
+// loadEager loads tr the eager way, one eagerArrival per demand.
+func loadEager(s *Simulator, tr traffic.Trace) {
+	for _, d := range tr {
+		s.k.Schedule(&eagerArrival{sim: s, d: d, i: s.loaded})
+		s.loaded++
+	}
 }
 
 // cancelAfter wraps a controller with a timer that cancels the run.
@@ -107,9 +122,9 @@ func tiedTrace(topo *netgraph.Topology, seed int64, sport uint16) traffic.Trace 
 }
 
 // TestLoadCursorMatchesInject holds Load's one-arrival-at-a-time cursor to
-// the eager reference — one InjectAt per demand at Load time — on records,
-// EventsRun and the exact dispatch sequence, including runs that stop
-// early.
+// the eager reference — one arrival event per demand pushed at Load time
+// (loadEager) — on records, EventsRun and the exact dispatch sequence,
+// including runs that stop early.
 func TestLoadCursorMatchesInject(t *testing.T) {
 	topo := netgraph.LeafSpine(3, 2, 3, netgraph.Gig, netgraph.TenGig)
 	a, b, c := tiedTrace(topo, 1, 0), tiedTrace(topo, 2, 1000), tiedTrace(topo, 3, 2000)
@@ -117,12 +132,7 @@ func TestLoadCursorMatchesInject(t *testing.T) {
 	rand.New(rand.NewSource(4)).Shuffle(len(shuffled), func(i, j int) {
 		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 	})
-	inject := func(s *Simulator, tr traffic.Trace) {
-		for _, d := range tr {
-			s.InjectAt(d, s.loaded)
-			s.loaded++
-		}
-	}
+	inject := loadEager
 	cases := []struct {
 		name     string
 		until    simtime.Time

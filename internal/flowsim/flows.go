@@ -41,9 +41,11 @@ type attachment struct {
 	link *netgraph.Link
 }
 
-// handleArrival creates the Flow of the demand with load index idx and
-// resolves its first path.
-func (s *Simulator) handleArrival(d *traffic.Demand, idx int) {
+// Admit starts the demand with load index idx now: it creates the
+// demand's Flow, whose record ID is idx + 1, and resolves its first path.
+// An arrival cursor calls it from the event it queued for the demand at
+// its start under ArrivalKey.
+func (s *Simulator) Admit(d *traffic.Demand, idx int) {
 	s.nextID++
 	f := s.newFlow()
 	*f = Flow{

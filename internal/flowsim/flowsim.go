@@ -202,32 +202,40 @@ const (
 	evResolveBatch
 )
 
+// ArrivalKey is the order key of every flow's first event, its arrival,
+// whatever the load index: the engine's first data-plane class, which
+// fires after every control-plane class at an instant. Arrivals at one
+// instant dispatch FIFO among themselves.
+func ArrivalKey(int) uint64 { return simcore.OrderKey(simcore.ClassData+0, 0) }
+
 // event is the engine's pooled kernel envelope, 48 bytes: the control
 // plane's events (deliveries, timers, expiries, dynamics) are the
-// ControlPlane's own.
+// ControlPlane's own. An Arrivals cursor's events are evArrival events
+// it owns, at every fidelity, so ingestion adds no event type to a flow
+// run: each dynamic type the kernel's type assertions meet can cost them
+// a slow lookup per event, since the interface conversions behind them
+// build itabs that Go's assertion caches probe from the wrong slot.
 type event struct {
 	at   simtime.Time
 	sim  *Simulator
 	flow *Flow
 	// gen is the flow generation a completion or ramp was armed under,
-	// and an arrival's load index.
+	// and an arrival's order key.
 	gen uint64
-	// arr is the ingestion cursor whose pending demand an evArrival
-	// delivers; nil for an InjectAt arrival, whose demand waits in
-	// sim.injected[slot].
-	arr  *arrivals
+	// arr is an arrival's cursor, and slot its place there.
+	arr  *Arrivals
 	slot int32
 	kind evKind
 }
 
 func (e *event) Time() simtime.Time { return e.at }
 
-// OrderKey implements eventq.Keyed: the engine's data-plane classes,
-// which fire after every control-plane class at an instant.
+// OrderKey implements eventq.Keyed: the engine's data-plane classes
+// after ArrivalKey's, and an arrival's own key.
 func (e *event) OrderKey() uint64 {
 	switch e.kind {
 	case evArrival:
-		return simcore.OrderKey(simcore.ClassData+0, 0)
+		return e.gen
 	case evComplete:
 		return simcore.OrderKey(simcore.ClassData+1, uint32(e.flow.ID))
 	case evRamp:
@@ -240,12 +248,31 @@ func (e *event) OrderKey() uint64 {
 }
 
 // Fire implements simcore.Event: execute on dispatch.
-func (e *event) Fire() { e.sim.dispatch(e) }
+func (e *event) Fire() {
+	if e.kind == evArrival {
+		e.arr.fire(e.slot)
+		return
+	}
+	e.sim.dispatch(e)
+}
 
-// Release implements simcore.Event: recycle the envelope. Stale-event
-// safety comes from the generation stamps (Flow.gen) checked in dispatch,
-// so a recycled envelope can never act for its former flow.
+// String names an arrival by its demand's load index, and any other
+// event by its kind.
+func (e *event) String() string {
+	if e.kind == evArrival {
+		return fmt.Sprintf("arrival %d", e.arr.pend[e.slot].i)
+	}
+	return fmt.Sprintf("flowsim kind %d", e.kind)
+}
+
+// Release implements simcore.Event: recycle the envelope (an arrival's
+// stays with its cursor). Stale-event safety comes from the generation
+// stamps (Flow.gen) checked in dispatch, so a recycled envelope can never
+// act for its former flow.
 func (e *event) Release() {
+	if e.kind == evArrival {
+		return
+	}
 	s := e.sim
 	*e = event{}
 	s.pool.Put(e)
@@ -283,7 +310,7 @@ func (l *resLedger) settle(now simtime.Time) {
 }
 
 // Simulator is a Horse simulation run. Create with New, feed with Load /
-// InjectAt / ScheduleLinkChange, execute with Run.
+// SetTraceReader / ScheduleLinkChange, execute with Run.
 type Simulator struct {
 	cfg       Config
 	plane     *ControlPlane
@@ -295,9 +322,10 @@ type Simulator struct {
 
 	alloc  *fairshare.Allocator
 	nextID FlowID
-	// loaded counts the demands admitted by Load and the reader cursor:
-	// the next one's load index.
+	// loaded counts the demands Loaded so far: the next one's load index.
+	// loads holds the Load cursors until Run sizes the retained records.
 	loaded int
+	loads  []*Arrivals
 
 	// flows is the slot table: every Flow ever built, by Flow.slot. A
 	// finalized flow's slot goes on free and its Flow (with the capacity
@@ -360,11 +388,6 @@ type Simulator struct {
 	// reader, when set, becomes an ingestion cursor at Begin; it keeps the
 	// first reader failure (ingestion stops; Run surfaces it).
 	reader *traffic.Ingest
-
-	// injected holds the demands of outstanding InjectAt arrivals, by the
-	// event's slot; injectFree lists the reusable slots.
-	injected   []traffic.Demand
-	injectFree []int32
 
 	begun    bool
 	finished bool
@@ -498,46 +521,13 @@ func (s *Simulator) LinkRateBps(l netgraph.LinkID, forward bool) float64 {
 // simulator keeps tr (without copying it) until the last of its demands
 // has arrived, so the caller must not modify it after Load.
 //
-// Load queues one arrival at a time: it reserves len(tr) FIFO sequence
-// numbers from the kernel, and each firing arrival queues the trace's
-// next one, in (Start, index) order, under the number an eager push of
-// the whole trace would have given it. That arrival is always the
-// earliest of the trace's remaining ones under the queue's (time, key,
-// seq) order, so every dispatch sees the queue minimum an eager Load would
-// have — the run is event-for-event identical — while the queue and the
-// envelope pool hold one arrival per Load instead of one per demand.
+// Load is an Arrivals cursor: one arrival is queued at a time, under the
+// sequence number an eager push of the whole trace would have given it,
+// so the run is event-for-event identical to one arrival event per
+// demand while the queue holds one arrival per Load.
 func (s *Simulator) Load(tr traffic.Trace) {
-	if len(tr) == 0 {
-		return
-	}
-	a := &arrivals{tr: tr, base: s.k.Reserve(len(tr)), first: s.loaded}
+	s.loads = append(s.loads, LoadArrivals(s.k, tr, s.loaded, ArrivalKey, s.Admit))
 	s.loaded += len(tr)
-	if !tr.Sorted() {
-		a.order = make([]int32, len(tr))
-		for i := range a.order {
-			a.order[i] = int32(i)
-		}
-		slices.SortStableFunc(a.order, func(x, y int32) int { return cmp.Compare(tr[x].Start, tr[y].Start) })
-	}
-	s.queueArrival(a)
-}
-
-// InjectAt schedules one demand at its start time, as a single eager
-// push, under the load index its owner gave it (the hybrid engine routes
-// demands to this engine one at a time); its record ID is idx + 1. The
-// demand waits in a reused slot of s.injected, so the envelope needs no
-// room for it.
-func (s *Simulator) InjectAt(d traffic.Demand, idx int) {
-	var slot int32
-	if n := len(s.injectFree); n > 0 {
-		slot = s.injectFree[n-1]
-		s.injectFree = s.injectFree[:n-1]
-		s.injected[slot] = d
-	} else {
-		slot = int32(len(s.injected))
-		s.injected = append(s.injected, d)
-	}
-	s.sched(event{at: d.Start, kind: evArrival, slot: slot, gen: uint64(idx)})
 }
 
 // SetTraceReader streams the workload in from r instead of (or in
@@ -545,62 +535,15 @@ func (s *Simulator) InjectAt(d traffic.Demand, idx int) {
 // reaches them, so arbitrarily long traces ingest with one demand queued
 // (a library reader is read ahead in fixed batches; see traffic.Ingest,
 // which Finish closes). r must yield nondecreasing Start times. Because
-// every arrival — loaded, injected or streamed — carries the same order
-// key and arrivals dispatch FIFO among themselves, a streamed run's
-// records are byte-identical to Load of the same sequence. Install before
-// Run; a reader error stops ingestion and is returned by Run.
+// every arrival — loaded or streamed — carries ArrivalKey and arrivals
+// dispatch FIFO among themselves, a streamed run's records are
+// byte-identical to Load of the same sequence. Install before Run; a
+// reader error stops ingestion and is returned by Run.
 func (s *Simulator) SetTraceReader(r traffic.Reader) {
 	if s.begun {
 		panic("flowsim: SetTraceReader after Run")
 	}
 	s.reader = traffic.NewIngest("flowsim", r)
-}
-
-// arrivals is an ingestion cursor, the one path by which traces enter the
-// engine: exactly one of its arrivals is queued at a time, and firing it
-// queues the next. A Load cursor walks tr in (Start, index) order — order
-// is the stable index permutation of an unsorted trace, nil for a sorted
-// one — and queues demand i under the reserved seq base+i with load index
-// first+i. A reader cursor pulls from r and queues each demand under a
-// fresh seq, which is the position an eager push at pull time would take,
-// with the next load index.
-type arrivals struct {
-	tr    traffic.Trace
-	order []int32
-	next  int // position in the walk of the next demand to queue
-	base  uint64
-	first int
-
-	r *traffic.Ingest
-
-	// pending is the queued arrival's demand.
-	pending traffic.Demand
-}
-
-// queueArrival queues the cursor's next arrival, if any.
-func (s *Simulator) queueArrival(a *arrivals) {
-	if a.r != nil {
-		d, ok := a.r.Next()
-		if !ok {
-			return
-		}
-		a.pending = d
-		s.sched(event{at: d.Start, kind: evArrival, arr: a, gen: uint64(s.loaded)})
-		s.loaded++
-		return
-	}
-	if a.next == len(a.tr) {
-		return
-	}
-	i := a.next
-	if a.order != nil {
-		i = int(a.order[i])
-	}
-	a.next++
-	a.pending = a.tr[i]
-	e := s.pool.Get()
-	*e = event{at: a.pending.Start, kind: evArrival, arr: a, gen: uint64(a.first + i), sim: s}
-	s.k.ScheduleSeq(e, a.base+uint64(i))
 }
 
 // ScheduleLinkChange schedules a link failure (up=false) or recovery; see
@@ -639,6 +582,8 @@ func (s *Simulator) Run(ctx context.Context, until simtime.Time) (*stats.Collect
 	if !s.ownKernel {
 		panic("flowsim: Run on a shared-kernel simulator; drive the shared kernel instead")
 	}
+	s.col.Reserve(DueRecords(s.loads, until))
+	s.loads = nil
 	s.Begin()
 	defer s.reader.Close() // Finish closes it; a panic out of the kernel skips Finish
 	err := s.k.RunContext(ctx, until)
@@ -680,7 +625,7 @@ func (s *Simulator) Begin() {
 		s.sched(event{at: simtime.Time(s.cfg.StatsEvery), kind: evStatsTick})
 	}
 	if s.reader != nil {
-		s.queueArrival(&arrivals{r: s.reader})
+		ReadArrivals(s.k, s.reader, s.loaded, ArrivalKey, s.Admit)
 	}
 }
 
@@ -699,18 +644,6 @@ func (s *Simulator) Finish() *stats.Collector {
 
 func (s *Simulator) dispatch(e *event) {
 	switch e.kind {
-	case evArrival:
-		// The cursor queues its next arrival before this one is handled,
-		// which is when an eager push would already have had it queued.
-		var d traffic.Demand
-		if a := e.arr; a != nil {
-			d = a.pending
-			s.queueArrival(a)
-		} else {
-			d = s.injected[e.slot]
-			s.injectFree = append(s.injectFree, e.slot)
-		}
-		s.handleArrival(&d, int(e.gen))
 	case evComplete:
 		if e.flow.gen == e.gen && e.flow.state != StateDone {
 			e.flow.completion = simcore.Timer{}

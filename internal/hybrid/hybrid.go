@@ -27,6 +27,7 @@ package hybrid
 
 import (
 	"context"
+	"slices"
 
 	"horse/internal/dataplane"
 	"horse/internal/eventq"
@@ -78,8 +79,9 @@ type Config struct {
 	Links *linkmodel.Set
 
 	// PacketLevel flags the demands to simulate at packet granularity
-	// (called per Load with the demand's load order i). Nil means none —
-	// a pure flow-level run on the hybrid plumbing. See Fraction.
+	// (called once per demand, with its load index i: at Load, or as a
+	// reader streams it in). Nil means none — a pure flow-level run on
+	// the hybrid plumbing. See Fraction.
 	PacketLevel func(i int, d traffic.Demand) bool
 }
 
@@ -100,10 +102,15 @@ type Simulator struct {
 	flow  *flowsim.Simulator
 	pkt   *packetsim.Simulator
 
-	// loaded counts the demands admitted so far — the next one's load
-	// index — and packetFlows those sent to the packet engine.
+	// loaded counts the demands Loaded or streamed in so far — the next
+	// one's load index — and packetFlows those routed to the packet
+	// engine. dense is each Loaded demand's route, by load index: its
+	// packet engine dense index, or -1 for the flow engine. loads holds
+	// the Load cursors until Run sizes the retained records.
 	loaded      int
 	packetFlows int
+	dense       []int32
+	loads       []*flowsim.Arrivals
 
 	// col is the control plane's collector, the one both engines count
 	// into. Both hand their records, whose ID is the load index + 1, to
@@ -113,8 +120,8 @@ type Simulator struct {
 	col     *stats.Collector
 	records *stats.InOrder
 
-	// Trace-reader ingestion: one demand queued, pulled as virtual time
-	// reaches each start (see SetTraceReader).
+	// reader, when set, becomes an ingestion cursor at Run (see
+	// SetTraceReader).
 	reader *traffic.Ingest
 	begun  bool
 }
@@ -124,7 +131,11 @@ func New(cfg Config) *Simulator {
 	if cfg.Topology == nil {
 		panic("hybrid: Config.Topology is required")
 	}
-	k := simcore.New(simcore.Config{Backend: cfg.EventQueue})
+	return newOn(simcore.New(simcore.Config{Backend: cfg.EventQueue}), cfg)
+}
+
+// newOn builds a hybrid simulator on kernel k.
+func newOn(k *simcore.Kernel, cfg Config) *Simulator {
 	s := &Simulator{cfg: cfg, k: k, col: stats.NewCollector(cfg.StatsEvery)}
 	s.records = stats.NewInOrder(s.col.AddFlow)
 	s.plane = flowsim.NewControlPlane(k, dataplane.NewNetwork(cfg.Topology, cfg.Miss), cfg.Links, s.col, cfg.Controller, cfg.ControlLatency)
@@ -213,76 +224,82 @@ func (s *Simulator) Network() *dataplane.Network { return s.plane.Network() }
 // PacketsForwarded reports the packet engine's forwarded-hop count.
 func (s *Simulator) PacketsForwarded() uint64 { return s.pkt.PacketsForwarded() }
 
-// Split reports how many loaded demands went to each engine.
+// Split reports how many demands went to each engine: every Loaded one,
+// its engine fixed at Load, and every one streamed in so far.
 func (s *Simulator) Split() (packetFlows, flowFlows int) {
 	return s.packetFlows, s.loaded - s.packetFlows
 }
 
-// Load splits the trace across the engines per cfg.PacketLevel. Call any
-// number of times before Run; the selector index is cumulative.
+// Load routes the trace across the engines per cfg.PacketLevel, called
+// once per demand in load order; call it any number of times before Run.
+// Its flowsim.Arrivals cursor queues each demand as its first event in
+// its engine — a flow arrival, or a packet first send, which sorts later
+// at an instant — so it walks the trace in (Start, engine, index) order.
+// The caller must not modify tr after Load.
 func (s *Simulator) Load(tr traffic.Trace) {
-	for _, d := range tr {
-		s.loadDemand(d)
+	first := s.loaded
+	s.dense = slices.Grow(s.dense, len(tr))
+	for i := range tr {
+		s.dense = append(s.dense, s.route(first+i, &tr[i]))
+	}
+	s.loaded += len(tr)
+	s.loads = append(s.loads, flowsim.LoadArrivals(s.k, tr, first, s.firstKey, s.admit))
+}
+
+// route picks the engine of the demand with load index i per
+// cfg.PacketLevel, returning its packet engine dense index, or -1 for the
+// flow engine.
+func (s *Simulator) route(i int, d *traffic.Demand) int32 {
+	if s.cfg.PacketLevel == nil || !s.cfg.PacketLevel(i, *d) {
+		return -1
+	}
+	s.packetFlows++
+	return int32(s.packetFlows - 1)
+}
+
+// firstKey is the order key of a Loaded demand's first event.
+func (s *Simulator) firstKey(i int) uint64 {
+	if dense := s.dense[i]; dense >= 0 {
+		return packetsim.FirstSendKey(int(dense))
+	}
+	return flowsim.ArrivalKey(i)
+}
+
+// admit starts a Loaded demand in its engine.
+func (s *Simulator) admit(d *traffic.Demand, i int) {
+	if dense := s.dense[i]; dense >= 0 {
+		s.pkt.Admit(d, i, dense)
+	} else {
+		s.flow.Admit(d, i)
 	}
 }
 
-// loadDemand admits one demand, under the next load index, to the engine
-// cfg.PacketLevel picks — the shared step of eager Load and streamed
-// ingestion.
-func (s *Simulator) loadDemand(d traffic.Demand) {
-	if s.cfg.PacketLevel != nil && s.cfg.PacketLevel(s.loaded, d) {
-		s.pkt.InjectAt(d, s.loaded)
-		s.packetFlows++
-	} else {
-		s.flow.InjectAt(d, s.loaded)
-	}
+// admitStreamed routes a streamed demand and starts it. Its cursor event
+// carries the flow engine's arrival key: a reader cannot see past the
+// demand to the ones tied with it, so a packet-level demand, whose first
+// send sorts after every flow-level arrival of its instant, has that send
+// queued instead of taken at once — one ingest dispatch more than Load.
+func (s *Simulator) admitStreamed(d *traffic.Demand, i int) {
 	s.loaded++
+	if dense := s.route(i, d); dense >= 0 {
+		s.pkt.AdmitQueued(d, i, dense)
+	} else {
+		s.flow.Admit(d, i)
+	}
 }
 
 // SetTraceReader streams the workload in from r instead of (or after)
-// eager Load calls: demands are pulled one at a time as virtual time
-// reaches them and split across the engines exactly as Load would, so
-// arbitrarily long traces ingest with one demand queued (a library reader
-// is read ahead in fixed batches; see traffic.Ingest, which Run closes).
-// r must yield nondecreasing Start times; a reader error stops ingestion
-// and is returned by Run. The ingest event carries the flow engine's
-// arrival order key, and each engine's first per-flow event follows it
-// under the sub-engine FIFO/key contracts, so a streamed run reproduces
-// the eager run's records byte for byte. Install before Run.
+// Load calls: demands are pulled one at a time as virtual time reaches
+// each start and routed across the engines exactly as Load would (a
+// library reader is read ahead in fixed batches; see traffic.Ingest,
+// which Run closes). r must yield nondecreasing Start times; a reader
+// error stops ingestion and is returned by Run. A streamed run reproduces
+// the Loaded run's records byte for byte. Install before Run.
 func (s *Simulator) SetTraceReader(r traffic.Reader) {
 	if s.begun {
 		panic("hybrid: SetTraceReader after Run")
 	}
 	s.reader = traffic.NewIngest("hybrid", r)
-}
-
-// pullNext buffers the reader's next demand as an ingest event at its
-// start time — one outstanding demand, the bounded-lookahead invariant.
-func (s *Simulator) pullNext() {
-	d, ok := s.reader.Next()
-	if !ok {
-		return
-	}
-	s.k.Schedule(&ingestEvent{s: s, at: d.Start, d: d})
-}
-
-// ingestEvent loads one streamed demand at its start instant and pulls
-// the next. Its order key is the flow engine's arrival key: a flow-level
-// demand's arrival follows it FIFO under the same key, and a
-// packet-level demand's first send sorts later at the same instant by
-// class — both exactly where the eager-loaded run dispatches them.
-type ingestEvent struct {
-	s  *Simulator
-	at simtime.Time
-	d  traffic.Demand
-}
-
-func (e *ingestEvent) Time() simtime.Time { return e.at }
-func (e *ingestEvent) OrderKey() uint64   { return simcore.OrderKey(simcore.ClassData+0, 0) }
-func (e *ingestEvent) Release()           {}
-func (e *ingestEvent) Fire() {
-	e.s.loadDemand(e.d)
-	e.s.pullNext()
 }
 
 // Run executes both engines until the shared queue drains, virtual time
@@ -291,10 +308,12 @@ func (e *ingestEvent) Fire() {
 // together with ctx.Err(). Run may be called once.
 func (s *Simulator) Run(ctx context.Context, until simtime.Time) (*stats.Collector, error) {
 	s.begun = true
+	s.col.Reserve(flowsim.DueRecords(s.loads, until))
+	s.loads = nil
 	s.flow.Begin()
 	s.pkt.Begin()
 	if s.reader != nil {
-		s.pullNext()
+		flowsim.ReadArrivals(s.k, s.reader, s.loaded, flowsim.ArrivalKey, s.admitStreamed)
 	}
 	defer s.reader.Close() // also on a panic out of the kernel
 	err := s.k.RunContext(ctx, until)

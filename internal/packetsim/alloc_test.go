@@ -6,6 +6,8 @@ import (
 
 	"horse/internal/dataplane"
 	"horse/internal/netgraph"
+	"horse/internal/simtime"
+	"horse/internal/traffic"
 )
 
 // raceEnabled is set under -race (race_test.go). The race detector and
@@ -64,5 +66,39 @@ func TestRouteInstallAllocs(t *testing.T) {
 	t.Logf("InstallMACRoutes on FatTree(8): %.2f MiB, %d allocations", mib, after.Mallocs-before.Mallocs)
 	if mib > 5.2 {
 		t.Errorf("InstallMACRoutes allocated %.2f MiB, want at most 5.2", mib)
+	}
+}
+
+// TestLoadAllocsConstant: Load builds nothing per demand — each flow is
+// built when its first send fires — so it allocates as often for 10,000
+// sorted demands as for 10.
+func TestLoadAllocsConstant(t *testing.T) {
+	skipIfInstrumented(t)
+	topo := netgraph.FatTree(8, netgraph.Gig)
+	gen := traffic.NewGenerator(1)
+	trace := func(n int) traffic.Trace {
+		return gen.PoissonArrivals(traffic.PoissonConfig{
+			Hosts: topo.Hosts(), Lambda: 5000, Horizon: simtime.Duration(n) * simtime.Second / 5000,
+			Sizes: traffic.FixedSize(1e6), TCPFraction: 0.5, CBRRateBps: 2e7,
+		})
+	}
+	allocs := func(tr traffic.Trace) float64 {
+		const runs = 5
+		sims := make([]*Simulator, runs+1)
+		for i := range sims {
+			sims[i] = New(Config{Topology: topo, Miss: dataplane.MissDrop})
+		}
+		n := 0
+		return testing.AllocsPerRun(runs, func() {
+			sims[n].Load(tr)
+			n++
+		})
+	}
+	small, large := trace(10), trace(10_000)
+	if len(small) > 40 || len(large) < 5_000 || !small.Sorted() || !large.Sorted() {
+		t.Fatalf("fixtures: %d and %d demands", len(small), len(large))
+	}
+	if a, b := allocs(small), allocs(large); a != b {
+		t.Errorf("Load allocates %.0f times for %d demands, %.0f for %d", a, len(small), b, len(large))
 	}
 }

@@ -48,6 +48,7 @@ type runResult struct {
 	punts   uint64
 	mods    uint64
 	hops    uint64
+	events  uint64
 }
 
 func snapshot(s *Simulator, col *stats.Collector) runResult {
@@ -59,6 +60,7 @@ func snapshot(s *Simulator, col *stats.Collector) runResult {
 		punts:   col.PacketIns,
 		mods:    col.FlowMods,
 		hops:    s.PacketsForwarded(),
+		events:  col.EventsRun,
 	}
 }
 
@@ -160,7 +162,7 @@ func diffRuns(t *testing.T, name string, want, got runResult) {
 			name, len(want.samples), len(got.samples))
 	}
 	if want.started != got.started || want.lost != got.lost || want.punts != got.punts ||
-		want.mods != got.mods || want.hops != got.hops {
+		want.mods != got.mods || want.hops != got.hops || want.events != got.events {
 		t.Errorf("%s: counters diverged: want %+v got %+v", name, want, got)
 	}
 }

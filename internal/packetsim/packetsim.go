@@ -96,8 +96,13 @@ type Simulator struct {
 	pool      simcore.Pool[event]
 	packets   packetPool
 
-	flows []*pktFlow
-	col   *stats.Collector
+	// flows holds every started flow by dense index (nil once evicted).
+	// loaded counts the demands Loaded; loads holds the Load cursors
+	// until Run sizes the retained records.
+	flows  []*pktFlow
+	loaded int
+	loads  []*flowsim.Arrivals
+	col    *stats.Collector
 
 	counter uint64 // packets forwarded
 
@@ -155,13 +160,14 @@ type Simulator struct {
 	// records takes every flow's record. A flow whose sender has quiesced,
 	// whose packets have all resolved, and whose record is time-invariant
 	// is emitted the moment that holds, and its state evicted; Finish
-	// emits the rest.
+	// emits the rest. ordered is the in-order emitter behind records on a
+	// simulator of its own, which Finish flushes past the load indices of
+	// demands that never started.
 	records func(stats.FlowRecord)
+	ordered *stats.InOrder
 
-	// Streaming ingestion: reader, when set, pulls demands in one at a
-	// time through chained evIngest events.
-	reader     *traffic.Ingest
-	nextDemand traffic.Demand
+	// reader, when set, becomes an ingestion cursor at Begin.
+	reader *traffic.Ingest
 
 	begun    bool
 	finished bool
@@ -282,7 +288,7 @@ type puntedPkt struct {
 // earliest of the sides' completion candidates (see assemble).
 type pktFlow struct {
 	id      int64 // record ID: load index + 1
-	idx     int32 // dense index, in admission order
+	idx     int32 // dense index: the flow's rank in load order
 	demand  traffic.Demand
 	packets int // total data packets to send (finite flows)
 
@@ -343,13 +349,12 @@ const (
 	evArriveNode
 	evRTO
 	evStats
-	evIngest // pull the next demand from the trace reader
 )
 
 // event is the pooled kernel envelope of this engine, 48 bytes. dir is the
-// link direction an arrival traveled, or the entity of the other kinds:
-// the node of evStats, the flow index of evIngest. Control-plane events
-// are the flowsim.ControlPlane's own.
+// link direction an arrival traveled, or evStats's node. Control-plane
+// events are the flowsim.ControlPlane's own, and a flow's first send is
+// its arrival cursor's event.
 type event struct {
 	at   simtime.Time
 	sim  *Simulator
@@ -377,20 +382,18 @@ func (e *event) OrderKey() uint64 {
 	case evArriveNode:
 		return simcore.OrderKey(simcore.ClassData+0, uint32(e.dir))
 	case evSend:
-		return simcore.OrderKey(simcore.ClassData+2, uint32(e.flow.idx))
-	case evIngest:
-		// e.dir carries the flow index this ingest will assign, stamped
-		// at schedule time: the ingest sorts exactly where the eager-
-		// loaded evSend would have, and the evSend it schedules follows
-		// it FIFO under the same key — so streamed ingestion preserves
-		// the eager dispatch order event for event.
-		return simcore.OrderKey(simcore.ClassData+2, uint32(e.dir))
+		return FirstSendKey(int(e.flow.idx))
 	case evRTO:
 		return simcore.OrderKey(simcore.ClassData+3, uint32(e.flow.idx))
 	default: // evStats
 		return simcore.OrderKey(simcore.ClassData+4, uint32(e.dir))
 	}
 }
+
+// FirstSendKey is the order key of the sends of the flow with dense index
+// dense, the first of which is the flow's first event: flows sending at
+// one instant send in dense-index order.
+func FirstSendKey(dense int) uint64 { return simcore.OrderKey(simcore.ClassData+2, uint32(dense)) }
 
 // Fire implements simcore.Event. After the dispatch the engine drains
 // queued finalize hints: end-of-dispatch is the earliest point where a
@@ -437,7 +440,7 @@ func New(cfg Config) *Simulator {
 	// Records reach the collector in ID (load) order.
 	records := stats.NewInOrder(col.AddFlow)
 	s := NewOn(p, cfg, func(r stats.FlowRecord) { records.Put(int(r.ID-1), r) })
-	s.ownKernel = true
+	s.ownKernel, s.ordered = true, records
 	return s
 }
 
@@ -572,26 +575,41 @@ func (s *Simulator) EventsDispatched() uint64 { return s.k.Dispatched() }
 func (s *Simulator) ShardLoads() []uint64 { return nil }
 
 // Load schedules the demands; a record's ID is its demand's load index
-// + 1, counted over every Load and then the trace reader.
+// + 1, counted over every Load and then the trace reader, and its flow's
+// dense index is the load index. Its flowsim.Arrivals cursor queues each
+// demand as its flow's first send and builds the flow when that fires.
+// The caller must not modify tr after Load.
 func (s *Simulator) Load(tr traffic.Trace) {
-	for _, d := range tr {
-		s.loadOne(d, len(s.flows))
-	}
+	s.loads = append(s.loads, flowsim.LoadArrivals(s.k, tr, s.loaded, FirstSendKey, s.admitOwn))
+	s.loaded += len(tr)
 }
 
-// InjectAt admits one demand under the load index its owner gave it (the
-// hybrid engine routes demands to this engine one at a time); its record
-// ID is idx + 1.
-func (s *Simulator) InjectAt(d traffic.Demand, idx int) { s.loadOne(d, idx) }
+// admitOwn admits a demand of the engine's own cursors, whose dense index
+// is its load index.
+func (s *Simulator) admitOwn(d *traffic.Demand, idx int) { s.Admit(d, idx, int32(idx)) }
 
-// loadOne admits one demand with load index idx: builds its flow under the
-// next dense index, grows the per-flow accounting arrays when the run has
-// already begun (streamed ingestion), and schedules the first send.
-func (s *Simulator) loadOne(d traffic.Demand, idx int) {
+// Admit starts demand d now as the flow with record ID idx + 1 and dense
+// index dense, and sends its first packets: the caller dispatches at the
+// flow's first-send position, d.Start under FirstSendKey(dense), as an
+// arrival cursor's event does.
+func (s *Simulator) Admit(d *traffic.Demand, idx int, dense int32) {
+	s.trySend(s.newFlow(d, idx, dense))
+}
+
+// AdmitQueued builds the flow like Admit but queues its first send at
+// d.Start under FirstSendKey(dense), for a caller that dispatches ahead
+// of that position.
+func (s *Simulator) AdmitQueued(d *traffic.Demand, idx int, dense int32) {
+	s.sched(event{at: d.Start, kind: evSend, flow: s.newFlow(d, idx, dense)})
+}
+
+// newFlow builds demand d's flow under record ID idx + 1 and dense index
+// dense, growing the per-flow tables to hold it.
+func (s *Simulator) newFlow(d *traffic.Demand, idx int, dense int32) *pktFlow {
 	f := &pktFlow{
 		id:       int64(idx) + 1,
-		idx:      int32(len(s.flows)),
-		demand:   d,
+		idx:      dense,
+		demand:   *d,
 		arrival:  d.Start,
 		tcp:      d.TCP,
 		cwnd:     10,
@@ -614,41 +632,30 @@ func (s *Simulator) loadOne(d traffic.Demand, idx int) {
 	if !f.tcp && d.RateBps > 0 && !math.IsInf(d.RateBps, 1) {
 		f.cbrInterval = simtime.TransferTime(DataPacketBits, d.RateBps)
 	}
-	s.flows = append(s.flows, f)
-	if s.begun {
-		s.puntsBy = append(s.puntsBy, 0)
-		s.udpRes = append(s.udpRes, 0)
-		s.udpLast = append(s.udpLast, 0)
-		s.liveBy = append(s.liveBy, 0)
+	if n := int(dense) + 1 - len(s.flows); n > 0 {
+		s.flows = append(s.flows, make([]*pktFlow, n)...)
+		s.puntsBy = append(s.puntsBy, make([]int32, n)...)
+		s.udpRes = append(s.udpRes, make([]int32, n)...)
+		s.udpLast = append(s.udpLast, make([]simtime.Time, n)...)
+		s.liveBy = append(s.liveBy, make([]int32, n)...)
 	}
-	s.sched(event{at: d.Start, kind: evSend, flow: f})
+	s.flows[dense] = f
+	return f
 }
 
 // SetTraceReader streams the workload in from r instead of (or after) a
-// Load: exactly one demand is queued, pulled through chained evIngest
-// events as virtual time reaches each arrival (a library reader is read
-// ahead in fixed batches; see traffic.Ingest, which Finish closes).
-// Ingestion preserves the eager dispatch order exactly (see the evIngest
-// order key), so records stay byte-identical to Load of the same sequence
-// — for demands that start within the run's horizon. r must yield
-// nondecreasing Start times. Install before Run; a reader error stops
-// ingestion and is returned by Run.
+// Load: exactly one demand is queued, as its flow's first send, and
+// pulled as virtual time reaches the previous one's start (a library
+// reader is read ahead in fixed batches; see traffic.Ingest, which Finish
+// closes). A streamed demand is queued where a Loaded one would be, so
+// the run — records and every dispatched event — is identical to Load of
+// the same sequence. r must yield nondecreasing Start times. Install
+// before Run; a reader error stops ingestion and is returned by Run.
 func (s *Simulator) SetTraceReader(r traffic.Reader) {
 	if s.begun {
 		panic("packetsim: SetTraceReader after Run")
 	}
 	s.reader = traffic.NewIngest("packetsim", r)
-}
-
-// pullIngest pulls the next demand and schedules its ingest event at the
-// demand's start instant, stamping the flow index it will assign.
-func (s *Simulator) pullIngest() {
-	d, ok := s.reader.Next()
-	if !ok {
-		return
-	}
-	s.nextDemand = d
-	s.sched(event{at: d.Start, kind: evIngest, dir: int32(len(s.flows))})
 }
 
 // ScheduleLinkChange schedules a link failure (up=false) or recovery. On
@@ -690,6 +697,8 @@ func (s *Simulator) Run(ctx context.Context, until simtime.Time) (*stats.Collect
 	if !s.ownKernel {
 		panic("packetsim: Run on a shared-kernel simulator; drive the shared kernel instead")
 	}
+	s.col.Reserve(flowsim.DueRecords(s.loads, until))
+	s.loads = nil
 	s.Begin()
 	defer s.reader.Close() // Finish closes it; a panic out of the kernel skips Finish
 	err := s.k.RunContext(ctx, until)
@@ -731,16 +740,12 @@ func (s *Simulator) Begin() {
 		panic("packetsim: Run called twice")
 	}
 	s.begun = true
-	s.puntsBy = make([]int32, len(s.flows))
-	s.udpRes = make([]int32, len(s.flows))
-	s.udpLast = make([]simtime.Time, len(s.flows))
-	s.liveBy = make([]int32, len(s.flows))
 	s.plane.Start()
 	if s.cfg.StatsEvery > 0 {
 		s.sched(event{at: simtime.Time(s.cfg.StatsEvery), kind: evStats})
 	}
 	if s.reader != nil {
-		s.pullIngest()
+		flowsim.ReadArrivals(s.k, s.reader, s.loaded, FirstSendKey, s.admitOwn)
 	}
 }
 
@@ -766,6 +771,9 @@ func (s *Simulator) Finish() *stats.Collector {
 			r, _ := s.assemble(f)
 			s.records(r)
 		}
+	}
+	if s.ordered != nil {
+		s.ordered.Flush()
 	}
 	s.col.EventsRun = s.EventsDispatched()
 	return s.col
@@ -809,8 +817,5 @@ func (s *Simulator) dispatch(e *event) {
 	case evStats:
 		s.sampleStats()
 		s.sched(event{at: s.k.Now().Add(s.cfg.StatsEvery), kind: evStats, dir: e.dir})
-	case evIngest:
-		s.loadOne(s.nextDemand, len(s.flows))
-		s.pullIngest()
 	}
 }

@@ -203,8 +203,9 @@ func TestRTOGenerationCancelsStaleTimer(t *testing.T) {
 	dataplane.InstallMACRoutes(sim.Network())
 	h0, r0 := topo.MustLookup("h0"), topo.MustLookup("r0")
 	sim.Load(traffic.Trace{tcp(h0, r0, 0, 1e6)})
-	f := sim.flows[0]
 	sim.Begin()
+	k.Run(0) // the flow exists from its first send on
+	f := sim.flows[0]
 	// Step virtual time until the receiver completes and the final ACK
 	// drains the sender, leaving later events (any stale RTO) queued.
 	var bound simtime.Time

@@ -96,7 +96,8 @@ func (c *keyedCall) Release()           {}
 // scnInject emits one extra packet of a flow from a controller-timer class
 // event, so a host port sees enqueues that order before its departures
 // (like the ACK-clocked sends of a TCP flow) next to the evSend ones that
-// order after them.
+// order after them. A flow has no state before its first send, so an
+// inject at or before the flow's start does nothing.
 type scnInject struct {
 	at   simtime.Time
 	flow int
@@ -208,8 +209,8 @@ func (sc *portScenario) engine() (*Simulator, *pollRecorder) {
 	for _, e := range sc.injects {
 		e := e
 		sim.timerAt(e.at, func() {
-			if f := sim.flows[e.flow]; f != nil {
-				sim.emit(f, 0, true)
+			if e.flow < len(sim.flows) && sim.flows[e.flow] != nil {
+				sim.emit(sim.flows[e.flow], 0, true)
 			}
 		})
 	}
@@ -604,7 +605,7 @@ func (sc *portScenario) runReference() portOutcome {
 	for _, e := range sc.injects {
 		e := e
 		r.sched(refEvent{at: e.at, kind: refTimer, fn: func() {
-			if !r.flows[e.flow].done {
+			if f := r.flows[e.flow]; !f.done && r.now > f.demand.Start {
 				r.emit(e.flow)
 			}
 		}})
@@ -642,6 +643,9 @@ func (sc *portScenario) runReference() portOutcome {
 		r.finalize()
 	}
 	for i, f := range r.flows {
+		if f.demand.Start > sc.until {
+			continue // never started
+		}
 		rec := stats.FlowRecord{
 			ID: int64(i + 1), Arrival: f.demand.Start, End: sc.until,
 			SizeBits: f.demand.SizeBits, SentBits: f.sentBits, Outcome: "running",

@@ -58,9 +58,10 @@ func TestStreamedEvictsFlows(t *testing.T) {
 }
 
 // TestReaderMatchesLoad pins windowed trace ingestion: feeding the golden
-// workload through SetTraceReader must reproduce the eager Load run
-// byte-for-byte — records, samples, and counters — with and without the
-// record sink.
+// workload through SetTraceReader must reproduce the Load run
+// byte-for-byte — records, samples, and counters, EventsRun included
+// (a streamed demand's cursor event is its first send, as a Loaded one's
+// is) — with and without the record sink.
 func TestReaderMatchesLoad(t *testing.T) {
 	want := runGolden(eventq.BackendHeap, streamOpts{})
 	diffRuns(t, "reader", want, runGolden(eventq.BackendHeap, streamOpts{reader: true}))

@@ -127,6 +127,15 @@ func (c *Collector) AddFlow(r FlowRecord) {
 	c.flows = append(c.flows, r)
 }
 
+// Reserve sizes the retained records of a run that has none yet for the
+// n it will produce, so Flows() is not regrown as they arrive. It does
+// nothing with a flow sink installed.
+func (c *Collector) Reserve(n int) {
+	if c.flowSink == nil && c.flows == nil {
+		c.flows = make([]FlowRecord, 0, n)
+	}
+}
+
 // AddReroute records the instant a flow's transmitting path changed — the
 // time series scenario metrics use to measure reconvergence latency after
 // a scripted failure.
