@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench benchmark-smoke bench-baseline bench-compare fuzz-smoke service-smoke lint ci api api-check loc
+.PHONY: all build test race bench benchmark-smoke fuzz-smoke service-smoke lint ci api api-check loc
 
 all: build
 
@@ -34,17 +34,6 @@ GOFILES = find . -name '*.go' -not -path './benchmark/*' -not -path './.*'
 loc:
 	@echo "non-test Go: $$($(GOFILES) -not -name '*_test.go' | xargs cat | wc -l)"
 	@echo "test Go:     $$($(GOFILES) -name '*_test.go' | xargs cat | wc -l)"
-
-# Regenerate the committed benchmark baseline (do this deliberately, on a
-# quiet machine, when a PR intentionally changes event counts or
-# performance; the bench-compare CI job gates against this file).
-bench-baseline:
-	$(GO) run ./cmd/horsebench -quick -parallel 1 -json BENCH_baseline.json
-
-# The CI bench-compare gate, locally: quick suite vs the committed
-# baseline at the default ±20% tolerance.
-bench-compare:
-	$(GO) run ./cmd/horsebench -quick -parallel 1 -json BENCH_new.json -compare BENCH_baseline.json
 
 # A short native-fuzzing pass over the trace codec, the CSV writer
 # against encoding/csv, the windowed streaming reader (its strict scanner
@@ -108,4 +97,4 @@ lint: api-check
 		fi \
 	fi
 
-ci: build lint test race bench benchmark-smoke fuzz-smoke service-smoke bench-compare
+ci: build lint test race bench benchmark-smoke fuzz-smoke service-smoke

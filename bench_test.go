@@ -1,8 +1,6 @@
-// Package horse_test holds the benchmark harness: one bench per experiment
-// in DESIGN.md's index (the tables of EXPERIMENTS.md). The harness in
-// internal/experiments produces the full report (`go run ./cmd/horsebench`);
-// these testing.B benches time the underlying simulation kernels so
-// `go test -bench=. -benchmem` tracks regressions per experiment.
+// Package horse_test holds the façade-level benchmarks: both sides of the
+// E3 accuracy scenario and the million-flow streamed record path. Per
+// experiment timings are BenchmarkQuick in internal/experiments.
 package horse_test
 
 import (
@@ -10,31 +8,7 @@ import (
 	"testing"
 
 	"horse"
-	"horse/internal/experiments"
 )
-
-// BenchmarkE1PolicyCoexistence times the Figure-1 all-policies scenario.
-func BenchmarkE1PolicyCoexistence(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.E1PolicyCoexistence()
-	}
-}
-
-// BenchmarkE2ScaleSwitches times one fabric-size point of the scalability
-// sweep (32 hosts, ~1000 flows).
-func BenchmarkE2ScaleSwitches(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.E2Scale([]int{8}, nil)
-	}
-}
-
-// BenchmarkE2ScaleFlows times one flow-count point of the scalability
-// sweep (λ=2000 on the fixed 8-leaf fabric).
-func BenchmarkE2ScaleFlows(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.E2Scale(nil, []float64{2000})
-	}
-}
 
 // BenchmarkE3FlowLevel times the flow-level side of the accuracy scenarios.
 func BenchmarkE3FlowLevel(b *testing.B) {
@@ -92,55 +66,6 @@ func retarget(tr horse.Trace) horse.Trace {
 	out := make(horse.Trace, len(tr))
 	copy(out, tr)
 	return out
-}
-
-// BenchmarkE4IXPReplay times a 6-hour replay on a 100-member fabric.
-func BenchmarkE4IXPReplay(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.E4IXPReplay([]int{100}, 6)
-	}
-}
-
-// BenchmarkE5ConfigSweep times the full policy-configuration sweep.
-func BenchmarkE5ConfigSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.E5ConfigSweep()
-	}
-}
-
-// BenchmarkE6EventQueue and BenchmarkE6FairShare time the ablation suite
-// (both axes are produced by the same harness).
-func BenchmarkE6EventQueue(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.E6Ablations()
-	}
-}
-
-// BenchmarkE7FidelitySweep times the full hybrid fidelity sweep (reference
-// packet run plus the 0/50/100% arms).
-func BenchmarkE7FidelitySweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.E7HybridFidelity([]float64{0, 0.5, 1})
-	}
-}
-
-// BenchmarkE7HybridHalf times a single 50%-fidelity hybrid run — the
-// steady-state cost of the coupled engines, without the sweep harness.
-func BenchmarkE7HybridHalf(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.E7HybridFidelity([]float64{0.5})
-	}
-}
-
-// BenchmarkE8Resilience times one resilience arm (both policies under a
-// 500ms-MTBF failure process plus their failure-free baselines).
-func BenchmarkE8Resilience(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.E8Resilience(
-			[]horse.Duration{500 * horse.Millisecond},
-			[]horse.Duration{200 * horse.Millisecond},
-		)
-	}
 }
 
 // BenchmarkMillionFlowRecordSink times the bounded-memory streaming path

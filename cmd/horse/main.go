@@ -10,7 +10,7 @@
 //
 //	horse -topo ixp -members 200 -replay 24h -epoch 1h
 //
-// The experiments subcommand runs the E1–E8 evaluation grid on a worker
+// The experiments subcommand runs the E-suite (E1–E8, E10) on a worker
 // pool and can emit the machine-readable bench report:
 //
 //	horse experiments -quick -parallel 8 -json BENCH_experiments.json

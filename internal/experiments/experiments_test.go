@@ -3,13 +3,18 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
+	"math"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"horse/internal/netgraph"
 	"horse/internal/simtime"
+	"horse/internal/stats"
 )
 
 // cell parses a numeric table cell.
@@ -32,12 +37,13 @@ func colIndex(tb *Table, name string) int {
 }
 
 func TestE1Shape(t *testing.T) {
-	tb := E1PolicyCoexistence()
+	tb := runSpecs(Options{}, []*spec{e1Spec(Options{})})[0]
 	if len(tb.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
 	fct := colIndex(tb, "mean-FCT-s")
 	drop := colIndex(tb, "dropped")
+	punts := colIndex(tb, "punts")
 	// Misconfigured LB must cost FCT versus balanced ECMP.
 	if cell(t, tb, 1, fct) <= cell(t, tb, 0, fct) {
 		t.Errorf("misconfigured LB FCT %s not worse than balanced %s",
@@ -47,10 +53,16 @@ func TestE1Shape(t *testing.T) {
 	if cell(t, tb, 2, drop) == 0 {
 		t.Error("all-policies run dropped nothing; blackhole inactive")
 	}
+	// The policies coexist: stacking them punts nothing extra.
+	for i := 1; i < len(tb.Rows); i++ {
+		if tb.Rows[i][punts] != tb.Rows[0][punts] {
+			t.Errorf("%s punts %s, %s punts %s", tb.Rows[i][0], tb.Rows[i][punts], tb.Rows[0][0], tb.Rows[0][punts])
+		}
+	}
 }
 
 func TestE2Shape(t *testing.T) {
-	tb := E2Scale([]int{4, 8}, []float64{200})
+	tb := runSpecs(Options{}, []*spec{e2Spec(Options{}, []int{4, 8}, []float64{200})})[0]
 	if len(tb.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
@@ -63,7 +75,7 @@ func TestE2Shape(t *testing.T) {
 }
 
 func TestE3Shape(t *testing.T) {
-	tb := E3Accuracy()
+	tb := runSpecs(Options{}, []*spec{e3Spec(Options{})})[0]
 	if len(tb.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
@@ -88,7 +100,7 @@ func TestE3Shape(t *testing.T) {
 }
 
 func TestE4Shape(t *testing.T) {
-	tb := E4IXPReplay([]int{100}, 3)
+	tb := runSpecs(Options{}, []*spec{e4Spec(Options{}, []int{100}, 3)})[0]
 	if len(tb.Rows) != 1 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
@@ -101,7 +113,7 @@ func TestE4Shape(t *testing.T) {
 }
 
 func TestE5Shape(t *testing.T) {
-	tb := E5ConfigSweep()
+	tb := runSpecs(Options{}, []*spec{e5Spec(Options{})})[0]
 	if len(tb.Rows) != 5 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
@@ -110,17 +122,21 @@ func TestE5Shape(t *testing.T) {
 	if cell(t, tb, 1, fm) <= cell(t, tb, 0, fm) {
 		t.Errorf("reactive flowmods %s not above proactive %s", tb.Rows[1][fm], tb.Rows[0][fm])
 	}
-	// Every config moves the same workload.
+	// Every config moves the same workload and punts the same misses.
 	flows := colIndex(tb, "flows")
+	punts := colIndex(tb, "packetins")
 	for i := 1; i < len(tb.Rows); i++ {
 		if tb.Rows[i][flows] != tb.Rows[0][flows] {
 			t.Error("configs saw different workloads")
+		}
+		if tb.Rows[i][punts] != tb.Rows[0][punts] {
+			t.Errorf("%s packetins %s, %s packetins %s", tb.Rows[i][0], tb.Rows[i][punts], tb.Rows[0][0], tb.Rows[0][punts])
 		}
 	}
 }
 
 func TestE6Shape(t *testing.T) {
-	tb := E6Ablations()
+	tb := runSpecs(Options{}, []*spec{e6Spec(Options{})})[0]
 	const variants = 3 // wheel, heap (incremental) + wheel full-recompute
 	if len(tb.Rows) != 2*variants {
 		t.Fatalf("rows = %d", len(tb.Rows))
@@ -140,7 +156,7 @@ func TestE6Shape(t *testing.T) {
 
 func TestE7Shape(t *testing.T) {
 	fractions := []float64{0, 0.5, 1}
-	tb := E7HybridFidelity(fractions)
+	tb := runSpecs(Options{}, []*spec{e7Spec(Options{}, fractions)})[0]
 	if len(tb.Rows) != 1+len(fractions) {
 		t.Fatalf("rows = %d, want reference + %d arms", len(tb.Rows), len(fractions))
 	}
@@ -169,10 +185,10 @@ func TestE7Shape(t *testing.T) {
 }
 
 func TestE8Shape(t *testing.T) {
-	tb := E8Resilience(
+	tb := runSpecs(Options{}, []*spec{e8Spec(Options{},
 		[]simtime.Duration{500 * simtime.Millisecond},
 		[]simtime.Duration{200 * simtime.Millisecond},
-	)
+	)})[0]
 	if len(tb.Rows) != 2 {
 		t.Fatalf("rows = %d, want one per policy", len(tb.Rows))
 	}
@@ -270,8 +286,11 @@ func TestE10ParallelDeterminism(t *testing.T) {
 func TestE8ParallelDeterminism(t *testing.T) {
 	mtbfs := []simtime.Duration{500 * simtime.Millisecond, 2 * simtime.Second}
 	recs := []simtime.Duration{200 * simtime.Millisecond}
-	seq := renderTables([]*Table{E8With(Options{Parallel: 1, Now: frozenClock}, mtbfs, recs)})
-	par := renderTables([]*Table{E8With(Options{Parallel: 4, Now: frozenClock}, mtbfs, recs)})
+	mk := func(par int) string {
+		o := Options{Parallel: par, Now: frozenClock}
+		return renderTables(runSpecs(o, []*spec{e8Spec(o, mtbfs, recs)}))
+	}
+	seq, par := mk(1), mk(4)
 	if seq != par {
 		t.Fatalf("E8 diverged across worker counts:\n%s\nvs\n%s", seq, par)
 	}
@@ -292,28 +311,84 @@ func renderTables(tables []*Table) string {
 	return sb.String()
 }
 
-// TestParallelDeterminism is the tentpole's core contract: the Quick suite
-// under one worker and under many workers must produce byte-identical
-// result tables (wall-clock columns pinned by a frozen test clock).
+var update = flag.Bool("update", false, "rewrite testdata/quick.golden from this run")
+
+const goldenPath = "testdata/quick.golden"
+
+// TestParallelDeterminism is the E-suite's contract: the quick suite under
+// one worker and under many workers renders byte-identical tables
+// (wall-clock columns pinned by a frozen test clock), and the rendering
+// equals testdata/quick.golden. Every deterministic cell — events, flows,
+// pkt-hops, parity, errors, row counts — is pinned there; a change that
+// moves one regenerates the file with -update, and the diff is reviewed.
 func TestParallelDeterminism(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full Quick suite twice; skipped in -short")
+		t.Skip("full quick suite twice; skipped in -short")
 	}
-	seq := renderTables(QuickWith(Options{Parallel: 1, Now: frozenClock}))
-	par := renderTables(QuickWith(Options{Parallel: 8, Now: frozenClock}))
+	render := func(par int) string {
+		tables, err := Run(Options{Parallel: par, Now: frozenClock}, true, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return renderTables(tables)
+	}
+	seq, par := render(1), render(8)
 	if seq != par {
 		t.Fatalf("-parallel 1 and -parallel 8 diverged:\n--- sequential ---\n%s\n--- parallel ---\n%s", seq, par)
 	}
-	if !strings.Contains(seq, "== E1:") || !strings.Contains(seq, "== E8:") {
-		t.Fatalf("suite missing experiments:\n%s", seq)
+	if *update {
+		if err := os.WriteFile(goldenPath, []byte(seq), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq != string(want) {
+		t.Fatalf("quick suite differs from %s (rerun with -update if the change is intended):\n--- got ---\n%s\n--- want ---\n%s", goldenPath, seq, want)
+	}
+}
+
+// TestUtilMAEDeterministic: util-MAE sums floats over link directions, so
+// it must visit them in a fixed order, not Go's randomized map order.
+func TestUtilMAEDeterministic(t *testing.T) {
+	a, b := stats.NewCollector(0), stats.NewCollector(0)
+	for l := 0; l < 64; l++ {
+		for _, fwd := range []bool{true, false} {
+			a.AddLinkSample(stats.LinkSample{Link: netgraph.LinkID(l), Forward: fwd, UsedFrac: 1 / float64(l+3)})
+			b.AddLinkSample(stats.LinkSample{Link: netgraph.LinkID(l), Forward: fwd, UsedFrac: math.Sqrt(float64(l)) / 10})
+		}
+	}
+	first := utilMAE(a, b)
+	for i := 0; i < 100; i++ {
+		if got := utilMAE(a, b); math.Float64bits(got) != math.Float64bits(first) {
+			t.Fatalf("call %d: utilMAE = %v, first call %v", i, got, first)
+		}
+	}
+}
+
+// BenchmarkQuick times each experiment of the quick grid on one worker.
+func BenchmarkQuick(b *testing.B) {
+	for _, e := range grid {
+		b.Run(e.id, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(Options{Parallel: 1}, true, e.id); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
 // TestParallelDeterminismSmall is the cheap always-on variant: a grid
 // experiment with enough cells to interleave.
 func TestParallelDeterminismSmall(t *testing.T) {
-	seq := renderTables([]*Table{E2With(Options{Parallel: 1, Now: frozenClock}, []int{4, 8}, []float64{200, 500})})
-	par := renderTables([]*Table{E2With(Options{Parallel: 4, Now: frozenClock}, []int{4, 8}, []float64{200, 500})})
+	mk := func(par int) string {
+		o := Options{Parallel: par, Now: frozenClock}
+		return renderTables(runSpecs(o, []*spec{e2Spec(o, []int{4, 8}, []float64{200, 500})}))
+	}
+	seq, par := mk(1), mk(4)
 	if seq != par {
 		t.Fatalf("E2 diverged across worker counts:\n%s\nvs\n%s", seq, par)
 	}

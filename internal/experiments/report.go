@@ -1,12 +1,8 @@
 package experiments
 
 import (
-	"bufio"
 	"encoding/json"
 	"io"
-	"os"
-	"runtime"
-	"strings"
 	"time"
 )
 
@@ -16,64 +12,20 @@ import (
 const ReportSchema = "horse-bench/v1"
 
 // Report is the machine-readable form of an experiment run — the payload
-// of the BENCH_*.json artifacts that cmd/horsebench and the CI bench-smoke
-// job emit so the perf trajectory is trackable across PRs.
+// of the BENCH_*.json artifacts that cmd/horsebench -json writes.
 type Report struct {
 	Schema   string   `json:"schema"`
 	Parallel int      `json:"parallel"`
 	WallMS   float64  `json:"wall_ms"`
-	Host     *Host    `json:"host,omitempty"`
 	Tables   []*Table `json:"tables"`
 }
 
-// Host fingerprints the hardware a report's timing columns were measured
-// on. Reports from different hardware are not timing-comparable: a
-// baseline generated on a slow dev box trivially passes on a fast CI
-// runner (and masks real regressions), so the bench-compare gate skips
-// timing columns on fingerprint mismatch. Deterministic columns (event
-// counts, parity) compare regardless.
-type Host struct {
-	// CPUModel is the processor model string ("unknown" when the
-	// platform exposes none).
-	CPUModel string `json:"cpu_model"`
-	// Cores is runtime.NumCPU at report time.
-	Cores int `json:"cores"`
-	// GOARCH is the architecture the reporting binary was built for.
-	GOARCH string `json:"goarch"`
-}
-
-// Fingerprint reads the current host's fingerprint.
-func Fingerprint() Host {
-	return Host{CPUModel: cpuModel(), Cores: runtime.NumCPU(), GOARCH: runtime.GOARCH}
-}
-
-// cpuModel extracts the processor model: the first "model name" line of
-// /proc/cpuinfo on Linux, "unknown" elsewhere (the cores+GOARCH pair
-// still discriminates most machine changes there).
-func cpuModel() string {
-	f, err := os.Open("/proc/cpuinfo")
-	if err != nil {
-		return "unknown"
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		if name, ok := strings.CutPrefix(sc.Text(), "model name"); ok {
-			return strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(name), ":"))
-		}
-	}
-	return "unknown"
-}
-
-// NewReport wraps finished tables with run metadata, stamping the host
-// fingerprint.
+// NewReport wraps finished tables with run metadata.
 func NewReport(tables []*Table, parallel int, wall time.Duration) *Report {
-	host := Fingerprint()
 	return &Report{
 		Schema:   ReportSchema,
 		Parallel: parallel,
 		WallMS:   float64(wall.Microseconds()) / 1000,
-		Host:     &host,
 		Tables:   tables,
 	}
 }
