@@ -52,7 +52,9 @@ loc:
 # the flow engine, at 100 % the packet engine, on random small fabrics,
 # unsorted traces and scripted dynamics), and the hybrid's Load cursor
 # (dispatches exactly the events of one first event per demand pushed at
-# Load, on random tied traces at packet shares 0, 1 and random). Seed corpora
+# Load, on random tied traces at packet shares 0, 1 and random), and the
+# flow table (Lookup equals a linear scan of the entries in match order
+# after any Add/Delete/DeleteStrict/Expire sequence). Seed corpora
 # are f.Add'd in the fuzz targets plus any checked-in testdata/fuzz
 # entries; the whole-fabric simulation fuzzers run fewer iterations
 # because every exec runs full simulations.
@@ -68,6 +70,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzInOrder -fuzztime=2000x ./internal/stats/
 	$(GO) test -run='^$$' -fuzz=FuzzPlaneParity -fuzztime=200x ./internal/hybrid/
 	$(GO) test -run='^$$' -fuzz=FuzzLoadCursor -fuzztime=200x ./internal/hybrid/
+	$(GO) test -run='^$$' -fuzz=FuzzFlowTable -fuzztime=2000x ./internal/openflow/
 
 # End-to-end daemon smoke: horsed on a unix socket, horsectl submit with
 # streamed records, a mid-run cancel, and a SIGTERM drain.

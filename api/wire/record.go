@@ -65,21 +65,25 @@ type Counters struct {
 	EventsRun      uint64 `json:"events_run"`
 	PathChanges    uint64 `json:"path_changes"`
 	PacketsLost    uint64 `json:"packets_lost"`
+	// PacketsQueueDropped counts drop-tail losses at full output queues
+	// (packet-level engine). v1 clients that predate it ignore it.
+	PacketsQueueDropped uint64 `json:"packets_queue_dropped"`
 }
 
 // FromCounters encodes a stats.Counters snapshot.
 func FromCounters(c stats.Counters) Counters {
 	return Counters{
-		FlowsStarted:   c.FlowsStarted,
-		FlowsCompleted: c.FlowsCompleted,
-		FlowsDropped:   c.FlowsDropped,
-		FlowsLooped:    c.FlowsLooped,
-		PacketIns:      c.PacketIns,
-		FlowMods:       c.FlowMods,
-		RateChanges:    c.RateChanges,
-		EventsRun:      c.EventsRun,
-		PathChanges:    c.PathChanges,
-		PacketsLost:    c.PacketsLost,
+		FlowsStarted:        c.FlowsStarted,
+		FlowsCompleted:      c.FlowsCompleted,
+		FlowsDropped:        c.FlowsDropped,
+		FlowsLooped:         c.FlowsLooped,
+		PacketIns:           c.PacketIns,
+		FlowMods:            c.FlowMods,
+		RateChanges:         c.RateChanges,
+		EventsRun:           c.EventsRun,
+		PathChanges:         c.PathChanges,
+		PacketsLost:         c.PacketsLost,
+		PacketsQueueDropped: c.PacketsQueueDropped,
 	}
 }
 

@@ -228,6 +228,14 @@ func (s *Switch) Process(key header.FlowKey, live PortLive) Decision {
 	return d
 }
 
+// ProcessInto is Process into d, reusing the storage of d's Entries and
+// Meters: a caller that decides key after key allocates nothing once the
+// two lists have grown. The lists stay valid until d is decided again.
+func (s *Switch) ProcessInto(d *Decision, key header.FlowKey, live PortLive) {
+	d.Entries, d.Meters = d.Entries[:0], d.Meters[:0]
+	s.process(d, key, live)
+}
+
 // process is Process into d, appending the matched entries and meters to
 // whatever d.Entries and d.Meters already hold (the path walk passes its
 // accumulators to avoid a slice per hop); every other field is reset.

@@ -3,6 +3,7 @@ package eventq
 import (
 	"math/bits"
 
+	"horse/internal/grow"
 	"horse/internal/simtime"
 )
 
@@ -163,7 +164,7 @@ func (w *Wheel) replace(n *node) {
 		return
 	}
 	n.where = whereReady
-	w.ready = append(w.ready, n.item())
+	w.ready = grow.Push(w.ready, n.item())
 	w.liveReady++
 }
 

@@ -345,7 +345,7 @@ func e3Spec(o Options) *spec {
 		Title: "Flow-level vs packet-level: accuracy and speedup",
 		Columns: []string{
 			"scenario", "flows", "fct-W1-s", "fct-relerr", "util-MAE",
-			"flow-wall-ms", "pkt-wall-ms", "speedup",
+			"flow-wall-ms", "pkt-wall-ms", "speedup", "pkt-queue-drops",
 		},
 	}}
 	// The dumbbell demands start 1 ms in. The flow run's proactive installs
@@ -460,7 +460,7 @@ func e3Spec(o Options) *spec {
 			speedup := float64(wallP) / math.Max(float64(wallF), 1)
 			return row(
 				sc.name, fmt.Sprintf("%d", len(trF)), f3(w1), f3(relerr), f3(utilErr),
-				ms(wallF), ms(wallP), f2(speedup),
+				ms(wallF), ms(wallP), f2(speedup), di(colP.PacketsQueueDropped),
 			)
 		})
 	}
@@ -1062,6 +1062,7 @@ func e10Spec(o Options, models []e10Model) *spec {
 		Columns: []string{
 			"model", "param", "fidelity", "queue",
 			"completed", "goodput-mbps", "retx-ratio", "corrupted", "fct-stretch", "parity",
+			"queue-drops",
 		},
 	}}
 
@@ -1139,7 +1140,7 @@ func e10Spec(o Options, models []e10Model) *spec {
 						mdl.name, mdl.param, fid.String(), q.String(),
 						fmt.Sprintf("%d", completed(col.Flows())), f2(goodput(col)),
 						f3(retxRatio(col)), di(col.PacketsCorrupted), f2(stretch),
-						parity(col.Flows(), ref),
+						parity(col.Flows(), ref), di(col.PacketsQueueDropped),
 					})
 				}
 				return rows

@@ -24,7 +24,7 @@ func (a *Allocator) solveEager(comp []int32, w *solveWorker) {
 	order := w.order[:0]
 	var activeRes []int32
 	for _, fi := range comp {
-		f := &a.flows[fi]
+		f := a.flow(fi)
 		for _, k := range f.res {
 			if s.resMark[k] != ep {
 				s.resMark[k] = ep
@@ -44,7 +44,7 @@ func (a *Allocator) solveEager(comp []int32, w *solveWorker) {
 		order = append(order, fi)
 	}
 	slices.SortFunc(order, func(x, y int32) int {
-		return cmp.Compare(a.flows[x].demand, a.flows[y].demand)
+		return cmp.Compare(a.flow(x).demand, a.flow(y).demand)
 	})
 	nextDemand := 0
 	w.activeCount = len(order)
@@ -56,7 +56,7 @@ func (a *Allocator) solveEager(comp []int32, w *solveWorker) {
 		}
 		delta := math.Inf(1)
 		if nextDemand < len(order) {
-			if d := a.flows[order[nextDemand]].demand - w.level; d < delta {
+			if d := a.flow(order[nextDemand]).demand - w.level; d < delta {
 				delta = d
 			}
 		}
@@ -91,7 +91,7 @@ func (a *Allocator) solveEager(comp []int32, w *solveWorker) {
 				nextDemand++
 				continue
 			}
-			if w.level >= a.flows[fi].demand-tiny {
+			if w.level >= a.flow(fi).demand-tiny {
 				a.freezeEager(fi, w)
 				nextDemand++
 				progressed = true
@@ -116,12 +116,12 @@ func (a *Allocator) solveEager(comp []int32, w *solveWorker) {
 	}
 	for _, fi := range order {
 		if s.frozen[fi] != ep {
-			s.allocVal[fi] = math.Min(w.level, a.flows[fi].demand)
+			s.allocVal[fi] = math.Min(w.level, a.flow(fi).demand)
 		}
 	}
 	w.order = order
 	for _, fi := range comp {
-		f := &a.flows[fi]
+		f := a.flow(fi)
 		newRate := s.allocVal[fi]
 		old := f.rate
 		f.rate = newRate
@@ -133,7 +133,7 @@ func (a *Allocator) solveEager(comp []int32, w *solveWorker) {
 
 func (a *Allocator) freezeEager(fi int32, w *solveWorker) {
 	s := &a.scratch
-	f := &a.flows[fi]
+	f := a.flow(fi)
 	s.frozen[fi] = s.solveEpoch
 	s.allocVal[fi] = math.Min(w.level, f.demand)
 	w.activeCount--

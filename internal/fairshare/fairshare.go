@@ -25,8 +25,9 @@
 // it.
 //
 // Internally the sharing state is flat: flows and resources live in dense
-// slots addressed by small integers, adjacency is slice-of-int32 in both
-// directions, and every solve runs on reusable scratch buffers with
+// slots addressed by small integers (flow slots in fixed-size pages, so
+// the table grows without copying a slot), adjacency is slice-of-int32 in
+// both directions, and every solve runs on reusable scratch buffers with
 // epoch-stamped visited marks. Maps exist only at the API boundary to
 // translate caller IDs into slot indices — the solve hot path does zero
 // map iteration and, once the scratch is warm, near-zero allocation.
@@ -38,6 +39,8 @@ import (
 	"cmp"
 	"math"
 	"slices"
+
+	"horse/internal/grow"
 )
 
 // ResourceID identifies a capacity-constrained resource. The caller assigns
@@ -79,12 +82,20 @@ type resSlot struct {
 	dirty    bool
 }
 
+// Flow slots live in pages of slotPage: slot fi is entry fi%slotPage of
+// page fi/slotPage, so a new page never moves the slots already held.
+const (
+	slotPageBits = 8
+	slotPage     = 1 << slotPageBits
+)
+
 // Allocator maintains the flow/resource sharing state and produces max–min
 // fair rates. The zero value is not usable; call New.
 type Allocator struct {
 	flowIdx map[FlowID]int32
 	resIdx  map[ResourceID]int32
-	flows   []flowSlot
+	pages   []*[slotPage]flowSlot
+	nSlots  int32 // flow slots in use or free: slots [0, nSlots) exist
 	res     []resSlot
 
 	freeFlows []int32
@@ -206,6 +217,21 @@ func New() *Allocator {
 	}
 }
 
+// flow returns flow slot fi.
+func (a *Allocator) flow(fi int32) *flowSlot {
+	return &a.pages[fi>>slotPageBits][fi&(slotPage-1)]
+}
+
+// newSlot returns a fresh flow slot, adding a page when the last is full.
+func (a *Allocator) newSlot() int32 {
+	fi := a.nSlots
+	if int(fi>>slotPageBits) == len(a.pages) {
+		a.pages = append(a.pages, new([slotPage]flowSlot))
+	}
+	a.nSlots++
+	return fi
+}
+
 // resSlotFor returns the dense index for r, allocating a slot on first use.
 func (a *Allocator) resSlotFor(r ResourceID) int32 {
 	if k, ok := a.resIdx[r]; ok {
@@ -257,14 +283,18 @@ func (a *Allocator) AddFlow(id FlowID, demand float64, resources []ResourceID) i
 		fi = a.freeFlows[n-1]
 		a.freeFlows = a.freeFlows[:n-1]
 	} else {
-		fi = int32(len(a.flows))
-		a.flows = append(a.flows, flowSlot{})
+		fi = a.newSlot()
 	}
-	f := &a.flows[fi]
+	f := a.flow(fi)
 	f.id = id
 	f.demand = demand
 	f.rate = 0
 	f.live = true
+	if n := len(resources); cap(f.res) < n {
+		// One backing array for both route lists, sized from the route.
+		buf := make([]int32, 2*n)
+		f.res, f.resPos = buf[:0:n], buf[n:n]
+	}
 	f.res = f.res[:0]
 	f.resPos = f.resPos[:0]
 	a.flowIdx[id] = fi
@@ -277,7 +307,7 @@ func (a *Allocator) AddFlow(id FlowID, demand float64, resources []ResourceID) i
 		rs := &a.res[k]
 		f.res = append(f.res, k)
 		f.resPos = append(f.resPos, int32(len(rs.flows)))
-		rs.flows = append(rs.flows, edgeRef{flow: fi, edge: e})
+		rs.flows = grow.Push(rs.flows, edgeRef{flow: fi, edge: e})
 		a.markDirty(k)
 	}
 	a.numFlows++
@@ -294,7 +324,7 @@ func (a *Allocator) RemoveFlow(id FlowID) {
 	if !ok {
 		return
 	}
-	f := &a.flows[fi]
+	f := a.flow(fi)
 	for e, k := range f.res {
 		rs := &a.res[k]
 		p := f.resPos[e]
@@ -303,7 +333,7 @@ func (a *Allocator) RemoveFlow(id FlowID) {
 		rs.flows[p] = moved
 		rs.flows = rs.flows[:last]
 		if p != last {
-			a.flows[moved.flow].resPos[moved.edge] = p
+			a.flow(moved.flow).resPos[moved.edge] = p
 		}
 		a.markDirty(k)
 	}
@@ -321,7 +351,7 @@ func (a *Allocator) SetDemand(id FlowID, demand float64) {
 	if !ok {
 		return
 	}
-	f := &a.flows[fi]
+	f := a.flow(fi)
 	if f.demand == demand {
 		return
 	}
@@ -338,7 +368,7 @@ func (a *Allocator) SetDemand(id FlowID, demand float64) {
 // Rate returns the most recently computed rate for a flow (0 if unknown).
 func (a *Allocator) Rate(id FlowID) float64 {
 	if fi, ok := a.flowIdx[id]; ok {
-		return a.flows[fi].rate
+		return a.flow(fi).rate
 	}
 	return 0
 }
@@ -346,7 +376,7 @@ func (a *Allocator) Rate(id FlowID) float64 {
 // Demand returns a flow's demand (0 if unknown).
 func (a *Allocator) Demand(id FlowID) float64 {
 	if fi, ok := a.flowIdx[id]; ok {
-		return a.flows[fi].demand
+		return a.flow(fi).demand
 	}
 	return 0
 }
@@ -363,7 +393,7 @@ func (a *Allocator) DemandSum(r ResourceID) float64 {
 	}
 	var sum float64
 	for _, er := range a.res[k].flows {
-		sum += a.flows[er.flow].demand
+		sum += a.flow(er.flow).demand
 	}
 	return sum
 }
@@ -376,7 +406,7 @@ func (a *Allocator) ResourceUsage(r ResourceID) float64 {
 	}
 	var sum float64
 	for _, er := range a.res[k].flows {
-		sum += a.flows[er.flow].rate
+		sum += a.flow(er.flow).rate
 	}
 	return sum
 }
@@ -400,37 +430,14 @@ func (a *Allocator) clearDirty() {
 // ensureScratch sizes every per-slot scratch buffer to the current slot
 // counts. Growth zero-fills, which is exactly what the epoch marks need.
 func (s *solveScratch) ensureScratch(nFlows, nRes int) {
-	s.flowSeen = growZero(s.flowSeen, nFlows)
-	s.frozen = growZero(s.frozen, nFlows)
-	s.allocVal = growFloat(s.allocVal, nFlows)
-	s.resSeen = growZero(s.resSeen, nRes)
-	s.resMark = growZero(s.resMark, nRes)
-	s.remaining = growFloat(s.remaining, nRes)
-	s.active = growInt32(s.active, nRes)
-	if len(s.lazy) < nRes {
-		s.lazy = append(s.lazy, make([]lazyRes, nRes-len(s.lazy))...)
-	}
-}
-
-func growZero(b []uint32, n int) []uint32 {
-	if len(b) < n {
-		b = append(b, make([]uint32, n-len(b))...)
-	}
-	return b
-}
-
-func growFloat(b []float64, n int) []float64 {
-	if len(b) < n {
-		b = append(b, make([]float64, n-len(b))...)
-	}
-	return b
-}
-
-func growInt32(b []int32, n int) []int32 {
-	if len(b) < n {
-		b = append(b, make([]int32, n-len(b))...)
-	}
-	return b
+	s.flowSeen = grow.To(s.flowSeen, nFlows)
+	s.frozen = grow.To(s.frozen, nFlows)
+	s.allocVal = grow.To(s.allocVal, nFlows)
+	s.resSeen = grow.To(s.resSeen, nRes)
+	s.resMark = grow.To(s.resMark, nRes)
+	s.remaining = grow.To(s.remaining, nRes)
+	s.active = grow.To(s.active, nRes)
+	s.lazy = grow.To(s.lazy, nRes)
 }
 
 // RecomputeAll re-solves the entire network from scratch and returns flows
@@ -483,16 +490,16 @@ func (a *Allocator) collect(w *solveWorker) {
 func (a *Allocator) groupComponents() (cnt, pos, grouped []int32) {
 	a.clearDirty()
 	s := &a.scratch
-	s.ensureScratch(len(a.flows), len(a.res))
+	s.ensureScratch(int(a.nSlots), len(a.res))
 
 	// Union resources along every live flow's route.
-	parent := growInt32(s.ufParent, len(a.res))[:len(a.res)]
+	parent := grow.To(s.ufParent, len(a.res))[:len(a.res)]
 	s.ufParent = parent
 	for i := range parent {
 		parent[i] = int32(i)
 	}
-	for fi := range a.flows {
-		f := &a.flows[fi]
+	for fi := range a.nSlots {
+		f := a.flow(fi)
 		if !f.live || len(f.res) < 2 {
 			continue
 		}
@@ -506,36 +513,36 @@ func (a *Allocator) groupComponents() (cnt, pos, grouped []int32) {
 	}
 
 	// Bucket live routed flows by component root (counting sort, no maps).
-	cnt = growInt32(s.compCount, len(a.res))[:len(a.res)]
+	cnt = grow.To(s.compCount, len(a.res))[:len(a.res)]
 	s.compCount = cnt
 	for i := range cnt {
 		cnt[i] = 0
 	}
 	total := 0
-	for fi := range a.flows {
-		f := &a.flows[fi]
+	for fi := range a.nSlots {
+		f := a.flow(fi)
 		if !f.live || len(f.res) == 0 {
 			continue
 		}
 		cnt[ufFind(parent, f.res[0])]++
 		total++
 	}
-	pos = growInt32(s.compPos, len(a.res))[:len(a.res)]
+	pos = grow.To(s.compPos, len(a.res))[:len(a.res)]
 	s.compPos = pos
 	sum := int32(0)
 	for i, c := range cnt {
 		pos[i] = sum
 		sum += c
 	}
-	grouped = growInt32(s.compFlows, total)[:total]
+	grouped = grow.To(s.compFlows, total)[:total]
 	s.compFlows = grouped
-	for fi := range a.flows {
-		f := &a.flows[fi]
+	for fi := range a.nSlots {
+		f := a.flow(fi)
 		if !f.live || len(f.res) == 0 {
 			continue
 		}
 		r := ufFind(parent, f.res[0])
-		grouped[pos[r]] = int32(fi)
+		grouped[pos[r]] = fi
 		pos[r]++
 	}
 	return cnt, pos, grouped
@@ -570,7 +577,7 @@ func (a *Allocator) Recompute() []Changed {
 // component that touches a dirty resource.
 func (a *Allocator) dirtyComponent() []int32 {
 	s := &a.scratch
-	s.ensureScratch(len(a.flows), len(a.res))
+	s.ensureScratch(int(a.nSlots), len(a.res))
 	s.epoch++
 	if s.epoch == 0 { // uint32 wrap: stale marks could alias, so reset
 		clear(s.flowSeen)
@@ -599,7 +606,7 @@ func (a *Allocator) dirtyComponent() []int32 {
 			}
 			s.flowSeen[er.flow] = s.epoch
 			comp = append(comp, er.flow)
-			for _, k2 := range a.flows[er.flow].res {
+			for _, k2 := range a.flow(er.flow).res {
 				if s.resSeen[k2] != s.epoch {
 					s.resSeen[k2] = s.epoch
 					queue = append(queue, k2)
@@ -651,7 +658,7 @@ func (a *Allocator) solve(comp []int32, w *solveWorker) {
 	near := w.near[:0]
 	edges, finite := 0, 0
 	for _, fi := range comp {
-		f := &a.flows[fi]
+		f := a.flow(fi)
 		for _, k := range f.res {
 			if s.resMark[k] != ep {
 				s.resMark[k] = ep
@@ -678,7 +685,7 @@ func (a *Allocator) solve(comp []int32, w *solveWorker) {
 	// Flows sorted by demand: since every unfrozen flow holds the same
 	// fill level L, they hit their demands in this order.
 	slices.SortFunc(order, func(x, y int32) int {
-		return cmp.Compare(a.flows[x].demand, a.flows[y].demand)
+		return cmp.Compare(a.flow(x).demand, a.flow(y).demand)
 	})
 	nextDemand := 0 // index into order of the next demand-freeze candidate
 	w.activeCount = len(order)
@@ -692,7 +699,9 @@ func (a *Allocator) solve(comp []int32, w *solveWorker) {
 	w.lazy = float64(min(len(order), nr+finite))*float64(nr) > heapGain*float64(edges)
 	if w.lazy {
 		w.deltas = append(w.deltas[:0], 0)
-		w.hist = w.hist[:0]
+		// A freeze logs at most one entry per resource of the flow, and
+		// every flow freezes once: the edge count bounds the log.
+		w.hist = slices.Grow(w.hist[:0], edges)
 		w.window = int32(len(order))
 		w.setWindow()
 		h := w.heap[:0]
@@ -719,7 +728,7 @@ func (a *Allocator) solve(comp []int32, w *solveWorker) {
 		// Minimum increment to a constraint.
 		delta := math.Inf(1)
 		if nextDemand < len(order) {
-			if d := a.flows[order[nextDemand]].demand - w.level; d < delta {
+			if d := a.flow(order[nextDemand]).demand - w.level; d < delta {
 				delta = d
 			}
 		}
@@ -792,7 +801,7 @@ func (a *Allocator) solve(comp []int32, w *solveWorker) {
 				nextDemand++
 				continue
 			}
-			if w.level >= a.flows[fi].demand-tiny {
+			if w.level >= a.flow(fi).demand-tiny {
 				a.freezeFlow(fi, w)
 				nextDemand++
 				progressed = true
@@ -830,14 +839,15 @@ func (a *Allocator) solve(comp []int32, w *solveWorker) {
 	// Materialize never-frozen flows at the final fill level.
 	for _, fi := range order {
 		if s.frozen[fi] != ep {
-			s.allocVal[fi] = min(w.level, a.flows[fi].demand)
+			s.allocVal[fi] = min(w.level, a.flow(fi).demand)
 		}
 	}
 	w.order = order
 
 	// Publish and diff.
+	w.changed = slices.Grow(w.changed, len(comp))
 	for _, fi := range comp {
-		f := &a.flows[fi]
+		f := a.flow(fi)
 		newRate := s.allocVal[fi]
 		old := f.rate
 		f.rate = newRate
@@ -851,7 +861,7 @@ func (a *Allocator) solve(comp []int32, w *solveWorker) {
 // retires it from every resource it crosses.
 func (a *Allocator) freezeFlow(fi int32, w *solveWorker) {
 	s := &a.scratch
-	f := &a.flows[fi]
+	f := a.flow(fi)
 	s.frozen[fi] = s.solveEpoch
 	s.allocVal[fi] = min(w.level, f.demand)
 	w.activeCount--

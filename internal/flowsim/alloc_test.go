@@ -2,10 +2,13 @@ package flowsim
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"unsafe"
 
+	"horse/internal/addr"
 	"horse/internal/dataplane"
 	"horse/internal/header"
 	"horse/internal/netgraph"
@@ -13,6 +16,10 @@ import (
 	"horse/internal/stats"
 	"horse/internal/traffic"
 )
+
+// raceEnabled is set under -race (race_test.go). The race detector and
+// coverage both instrument allocation, so the byte ceiling skips there.
+var raceEnabled bool
 
 // TestEventSize pins the slim envelope: every schedule copies one and
 // every release clears one. Control-plane events are the ControlPlane's.
@@ -69,5 +76,56 @@ func TestFlowAllocsPerFlow(t *testing.T) {
 	t.Logf("%.2f allocs/flow", perFlow)
 	if perFlow > 6.05 {
 		t.Fatalf("%.2f allocs/flow, want at most 6.05", perFlow)
+	}
+}
+
+// TestReplayAllocsPerFlow is the flow-level path's ceiling on the shape of
+// an IXP replay: epochs of open-ended flows that all start at the epoch's
+// first instant and share one fabric, so the solver's slot and edge
+// tables, the per-switch flow lists, the wheel's ready run and the link
+// series all grow to a high-water mark. Grown without copying what they
+// hold, Run allocates 1,498 bytes per admitted flow here; with append's
+// regrowth it took 1,939. The bound leaves 10 % headroom.
+func TestReplayAllocsPerFlow(t *testing.T) {
+	if raceEnabled || testing.CoverMode() != "" {
+		t.Skip("allocation counts are instrumented under -race and -cover")
+	}
+	const (
+		epochs   = 2
+		perEpoch = 2000
+		epoch    = simtime.Duration(simtime.Second)
+	)
+	topo := netgraph.LeafSpine(4, 2, 8, netgraph.Gig, netgraph.LinkSpec{BandwidthBps: 10e9})
+	hosts := topo.Hosts()
+	rng := rand.New(rand.NewSource(1))
+	tr := make(traffic.Trace, 0, epochs*perEpoch)
+	for e := range epochs {
+		for range perEpoch {
+			s := rng.Intn(len(hosts))
+			d := (s + 1 + rng.Intn(len(hosts)-1)) % len(hosts)
+			tr = append(tr, traffic.Demand{
+				Key: addr.FlowKeyBetween(hosts[s], hosts[d], header.ProtoTCP, uint16(1024+len(tr)), 80),
+				Src: hosts[s], Dst: hosts[d],
+				Start:    simtime.Time(e) * simtime.Time(epoch),
+				SizeBits: math.Inf(1), RateBps: float64(1+rng.Intn(100)) * 1e6,
+				Duration: epoch,
+			})
+		}
+	}
+	sim := New(Config{Topology: topo, Controller: proactiveMAC{}, Miss: dataplane.MissController, StatsEvery: epoch / 10})
+	sim.SetRecordSink(func(stats.FlowRecord) {})
+	sim.Load(tr)
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	col := mustRun(sim, simtime.Time(epochs+1)*simtime.Time(epoch))
+	runtime.ReadMemStats(&after)
+	if col.FlowsStarted != epochs*perEpoch {
+		t.Fatalf("%d flows admitted, want %d", col.FlowsStarted, epochs*perEpoch)
+	}
+	perFlow := float64(after.TotalAlloc-before.TotalAlloc) / float64(col.FlowsStarted)
+	t.Logf("%.0f bytes allocated in Run per admitted flow", perFlow)
+	if perFlow > 1650 {
+		t.Errorf("%.0f bytes allocated in Run per admitted flow, want at most 1,650", perFlow)
 	}
 }

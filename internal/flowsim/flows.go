@@ -7,6 +7,7 @@ import (
 
 	"horse/internal/dataplane"
 	"horse/internal/fairshare"
+	"horse/internal/grow"
 	"horse/internal/netgraph"
 	"horse/internal/openflow"
 	"horse/internal/simcore"
@@ -91,7 +92,7 @@ func (s *Simulator) newFlow() *Flow {
 		return s.flows[slot]
 	}
 	f := &Flow{slot: int32(len(s.flows))}
-	s.flows = append(s.flows, f)
+	s.flows = grow.Push(s.flows, f)
 	return f
 }
 
@@ -154,7 +155,7 @@ func (s *Simulator) park(f *Flow, at netgraph.NodeID) {
 	f.waitingAt = at
 	if !slices.ContainsFunc(f.parks, func(p parkPos) bool { return p.sw == at }) {
 		f.parks = append(f.parks, parkPos{at, int32(len(s.waiting[at]))})
-		s.waiting[at] = append(s.waiting[at], flowRef{f, int32(len(f.parks) - 1)})
+		s.waiting[at] = grow.Push(s.waiting[at], flowRef{f, int32(len(f.parks) - 1)})
 	}
 	// Open-ended flows still end at their deadline even while waiting.
 	s.k.Cancel(f.completion)
@@ -198,7 +199,7 @@ func (s *Simulator) release(f *Flow) {
 	for len(f.parks) > 0 {
 		s.leave(f, len(f.parks)-1)
 	}
-	s.free = append(s.free, f.slot)
+	s.free = grow.Push(s.free, f.slot)
 }
 
 // activate installs the flow on the allocator with its resolved path.
@@ -245,7 +246,6 @@ func (s *Simulator) activate(f *Flow, res *dataplane.PathResult) {
 		r := meterResource(mr.Switch, mr.Meter)
 		if m := s.meter(mr); m != nil {
 			s.alloc.SetCapacity(r, m.RateBps)
-			m.Flows++
 		}
 		f.resources = append(f.resources, r)
 	}
@@ -253,7 +253,6 @@ func (s *Simulator) activate(f *Flow, res *dataplane.PathResult) {
 
 	// Register flow-entry usage.
 	for _, e := range f.entries {
-		e.FlowCount++
 		e.LastUsed = s.k.Now()
 	}
 	// Index by traversed switch for re-resolution, once per switch.
@@ -262,15 +261,13 @@ func (s *Simulator) activate(f *Flow, res *dataplane.PathResult) {
 		pos := int32(-1)
 		if !crossed(f.hops[:i], h.Switch) {
 			pos = int32(len(s.flowsAt[h.Switch]))
-			s.flowsAt[h.Switch] = append(s.flowsAt[h.Switch], flowRef{f, int32(i)})
+			s.flowsAt[h.Switch] = grow.Push(s.flowsAt[h.Switch], flowRef{f, int32(i)})
 		}
 		f.atPos = append(f.atPos, pos)
 	}
 
 	f.allocSlot = s.alloc.AddFlow(fairshare.FlowID(f.ID), s.currentDemand(f), f.resources)
-	if int(f.allocSlot) >= len(s.byAlloc) {
-		s.byAlloc = append(s.byAlloc, make([]*Flow, int(f.allocSlot)+1-len(s.byAlloc))...)
-	}
+	s.byAlloc = grow.To(s.byAlloc, int(f.allocSlot)+1)
 	s.byAlloc[f.allocSlot] = f
 	s.markRateShift(f.resources)
 	s.recomputeAndApply()

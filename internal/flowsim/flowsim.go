@@ -583,6 +583,7 @@ func (s *Simulator) Run(ctx context.Context, until simtime.Time) (*stats.Collect
 		panic("flowsim: Run on a shared-kernel simulator; drive the shared kernel instead")
 	}
 	s.col.Reserve(DueRecords(s.loads, until))
+	s.col.ReserveLinkSeries(2*len(s.topo.Links()), until)
 	s.loads = nil
 	s.Begin()
 	defer s.reader.Close() // Finish closes it; a panic out of the kernel skips Finish

@@ -309,6 +309,7 @@ func (s *Simulator) SetTraceReader(r traffic.Reader) {
 func (s *Simulator) Run(ctx context.Context, until simtime.Time) (*stats.Collector, error) {
 	s.begun = true
 	s.col.Reserve(flowsim.DueRecords(s.loads, until))
+	s.col.ReserveLinkSeries(2*len(s.cfg.Topology.Links()), until)
 	s.loads = nil
 	s.flow.Begin()
 	s.pkt.Begin()

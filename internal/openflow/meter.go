@@ -13,7 +13,6 @@ type Meter struct {
 	RateBps float64
 
 	// Counters.
-	Flows        uint64  // flows that ever passed the meter
 	ThrottledBps float64 // current aggregate demand beyond the rate (updated by the allocator)
 	DroppedBits  float64 // cumulative bits policed away
 }

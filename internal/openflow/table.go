@@ -26,14 +26,16 @@ type FlowEntry struct {
 	Cookie uint64
 
 	// Counters.
-	Packets   uint64
-	Bytes     uint64
-	FlowCount uint64 // number of distinct data flows that matched
+	Packets uint64
+	Bytes   uint64
 
 	Installed simtime.Time
 	LastUsed  simtime.Time
 
 	seq uint64 // insertion order, for deterministic tie-break
+	// nextDst chains the entries of one exact EthDst in match order (see
+	// FlowTable.byDst).
+	nextDst *FlowEntry
 }
 
 // ExpiresAt returns the earliest instant at which the entry must be
@@ -78,15 +80,16 @@ type FlowTable struct {
 
 	// Lookup acceleration: the dominant rule shape at scale is an exact
 	// match on EthDst (MAC forwarding), so entries constraining EthDst
-	// exactly are bucketed by address; everything else stays in rest.
-	// Both byDst buckets and rest preserve (priority desc, seq asc)
-	// order, and Lookup merges the two streams.
-	byDst map[header.MAC][]*FlowEntry
+	// exactly are chained by address through FlowEntry.nextDst, byDst
+	// holding each chain's head; everything else stays in rest. Chains
+	// and rest both keep (priority desc, seq asc) order, and Lookup
+	// merges the two streams.
+	byDst map[header.MAC]*FlowEntry
 	rest  []*FlowEntry
 }
 
 // NewFlowTable returns an empty table.
-func NewFlowTable() *FlowTable { return &FlowTable{byDst: make(map[header.MAC][]*FlowEntry)} }
+func NewFlowTable() *FlowTable { return &FlowTable{byDst: make(map[header.MAC]*FlowEntry)} }
 
 func entryLess(a, b *FlowEntry) bool {
 	if a.Priority != b.Priority {
@@ -106,35 +109,57 @@ func insertSorted(list []*FlowEntry, e *FlowEntry) []*FlowEntry {
 	return list
 }
 
-// bucket returns the index list an entry with match m lives in.
-func (t *FlowTable) bucket(m header.Match) []*FlowEntry {
-	if m.Has(header.FieldEthDst) {
-		return t.byDst[m.EthDst]
+// find returns e's place in its destination's chain: the entry before
+// it (nil at the head) and the entry at that place — e itself if it is
+// chained, else the one it would go before. Only for an exact EthDst.
+func (t *FlowTable) find(e *FlowEntry) (prev, at *FlowEntry) {
+	at = t.byDst[e.Match.EthDst]
+	for at != nil && at != e && entryLess(at, e) {
+		prev, at = at, at.nextDst
 	}
-	return t.rest
+	return prev, at
 }
 
-func (t *FlowTable) setBucket(m header.Match, list []*FlowEntry) {
-	if m.Has(header.FieldEthDst) {
-		t.byDst[m.EthDst] = list
-	} else {
-		t.rest = list
+// relink points the link after prev (the chain's head for a nil prev)
+// at x; an empty chain leaves the map.
+func (t *FlowTable) relink(dst header.MAC, prev, x *FlowEntry) {
+	switch {
+	case prev != nil:
+		prev.nextDst = x
+	case x != nil:
+		t.byDst[dst] = x
+	default:
+		delete(t.byDst, dst)
 	}
 }
 
 func (t *FlowTable) indexAdd(e *FlowEntry) {
-	t.setBucket(e.Match, insertSorted(t.bucket(e.Match), e))
+	if !e.Match.Has(header.FieldEthDst) {
+		t.rest = insertSorted(t.rest, e)
+		return
+	}
+	prev, at := t.find(e)
+	e.nextDst = at
+	t.relink(e.Match.EthDst, prev, e)
 }
 
-// exact returns the entry with exactly this match and priority, and its
-// index in its bucket, looking in that bucket only.
-func (t *FlowTable) exact(m header.Match, priority int) (int, *FlowEntry) {
-	for i, e := range t.bucket(m) {
+// exact returns the entry with exactly this match and priority, looking
+// in its destination chain or in rest only.
+func (t *FlowTable) exact(m header.Match, priority int) *FlowEntry {
+	if m.Has(header.FieldEthDst) {
+		for e := t.byDst[m.EthDst]; e != nil; e = e.nextDst {
+			if e.Priority == priority && e.Match == m {
+				return e
+			}
+		}
+		return nil
+	}
+	for _, e := range t.rest {
 		if e.Priority == priority && e.Match == m {
-			return i, e
+			return e
 		}
 	}
-	return -1, nil
+	return nil
 }
 
 // position returns e's index in entries, which entryLess orders.
@@ -142,10 +167,30 @@ func (t *FlowTable) position(e *FlowEntry) int {
 	return sort.Search(len(t.entries), func(i int) bool { return !entryLess(t.entries[i], e) })
 }
 
+// indexReplace puts e where old is in old's chain or in rest; old
+// leaves the index.
+func (t *FlowTable) indexReplace(old, e *FlowEntry) {
+	if !old.Match.Has(header.FieldEthDst) {
+		t.rest[slices.Index(t.rest, old)] = e
+		return
+	}
+	prev, _ := t.find(old)
+	next := old.nextDst
+	old.nextDst = nil
+	e.nextDst = next
+	t.relink(old.Match.EthDst, prev, e)
+}
+
 func (t *FlowTable) indexRemove(e *FlowEntry) {
-	list := t.bucket(e.Match)
-	if i := slices.Index(list, e); i >= 0 {
-		t.setBucket(e.Match, slices.Delete(list, i, i+1))
+	if !e.Match.Has(header.FieldEthDst) {
+		if i := slices.Index(t.rest, e); i >= 0 {
+			t.rest = slices.Delete(t.rest, i, i+1)
+		}
+		return
+	}
+	if prev, at := t.find(e); at == e {
+		t.relink(e.Match.EthDst, prev, e.nextDst)
+		e.nextDst = nil
 	}
 }
 
@@ -161,11 +206,11 @@ func (t *FlowTable) Entries() []*FlowEntry { return t.entries }
 func (t *FlowTable) Add(e *FlowEntry, now simtime.Time) {
 	e.Installed = now
 	e.LastUsed = now
-	if i, old := t.exact(e.Match, e.Priority); old != nil {
+	if old := t.exact(e.Match, e.Priority); old != nil {
 		// The new entry takes over the old one's (priority, seq) position
 		// in both orders.
 		e.seq = old.seq
-		t.bucket(e.Match)[i] = e
+		t.indexReplace(old, e)
 		t.entries[t.position(old)] = e
 		return
 	}
@@ -180,20 +225,15 @@ func (t *FlowTable) Add(e *FlowEntry, now simtime.Time) {
 // those because a "packet count" at flow granularity depends on flow
 // volume.
 func (t *FlowTable) Lookup(key header.FlowKey) *FlowEntry {
-	// Merge the per-destination bucket with the rest list in priority
+	// Merge the destination's chain with the rest list in priority
 	// order, returning the first match encountered.
-	bucket := t.byDst[key.EthDst]
+	chain := t.byDst[key.EthDst]
 	rest := t.rest
-	for len(bucket) > 0 || len(rest) > 0 {
+	for chain != nil || len(rest) > 0 {
 		var e *FlowEntry
-		switch {
-		case len(bucket) == 0:
-			e, rest = rest[0], rest[1:]
-		case len(rest) == 0:
-			e, bucket = bucket[0], bucket[1:]
-		case entryLess(bucket[0], rest[0]):
-			e, bucket = bucket[0], bucket[1:]
-		default:
+		if chain != nil && (len(rest) == 0 || entryLess(chain, rest[0])) {
+			e, chain = chain, chain.nextDst
+		} else {
 			e, rest = rest[0], rest[1:]
 		}
 		if e.Match.Matches(key) {
@@ -216,7 +256,7 @@ func (t *FlowTable) Delete(m header.Match, cookie uint64) []*FlowEntry {
 // DeleteStrict removes the single entry with exactly this match and
 // priority, returning it (or nil).
 func (t *FlowTable) DeleteStrict(m header.Match, priority int) *FlowEntry {
-	_, e := t.exact(m, priority)
+	e := t.exact(m, priority)
 	if e != nil {
 		i := t.position(e)
 		t.entries = slices.Delete(t.entries, i, i+1)

@@ -122,7 +122,7 @@ func (s *Simulator) enqueue(p *packet, dir int32) {
 	}
 	s.settle(dir, op)
 	if op.n >= s.cfg.QueuePackets {
-		op.dropped++
+		s.col.PacketsQueueDropped++
 		s.dropPacket(p)
 		return
 	}
@@ -315,8 +315,8 @@ func (s *Simulator) forward(p *packet, node netgraph.NodeID, in netgraph.PortNum
 			return true
 		}
 	}
-	key := s.keyOf(p)
-	d := sw.Process(key, s.net.PortLiveFunc(node))
+	d := &s.decision
+	sw.ProcessInto(d, s.keyOf(p), s.net.PortLiveFunc(node))
 	if buffered && d.ToController && !d.Drop && s.controlActive() {
 		// Still no verdict for a parked packet: stay parked with no
 		// duplicate PacketIn — and no duplicate accounting, or every

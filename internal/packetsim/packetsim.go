@@ -126,6 +126,8 @@ type Simulator struct {
 	// on a switch's first memoizable decision.
 	memo    []*[memoSlots]memoSlot
 	memoGen []uint64
+	// decision is the one Decision a memo miss decides into (forward).
+	decision dataplane.Decision
 
 	// extLoad is the external (flow-level) load per transmit direction in
 	// a hybrid run (0 = none); the transmitter sees only the residual
@@ -181,14 +183,13 @@ type outPort struct {
 	link *netgraph.Link
 	from netgraph.NodeID
 	// to and toPort are the receiving end; toHost says it is a host.
-	to      netgraph.NodeID
-	toPort  netgraph.PortNum
-	toHost  bool
-	delay   simtime.Duration // propagation delay, at least 1 ns
-	ring    []txFrame
-	head    int
-	n       int
-	dropped uint64
+	to     netgraph.NodeID
+	toPort netgraph.PortNum
+	toHost bool
+	delay  simtime.Duration // propagation delay, at least 1 ns
+	ring   []txFrame
+	head   int
+	n      int
 }
 
 // txFrame is one queued frame and the end of its serialization.

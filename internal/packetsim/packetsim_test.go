@@ -90,12 +90,7 @@ func TestTCPRecoversFromCongestionLoss(t *testing.T) {
 	d2.Key.SrcPort = 41000
 	sim.Load(traffic.Trace{d1, d2})
 	col := mustRun(sim, simtime.Time(5*simtime.Minute))
-	drops := uint64(0)
-	for _, op := range sim.ports {
-		if op != nil {
-			drops += op.dropped
-		}
-	}
+	drops := col.PacketsQueueDropped
 	for _, f := range col.Flows() {
 		if !f.Completed {
 			t.Errorf("flow %d: %s (drops seen: %d)", f.ID, f.Outcome, drops)
@@ -124,13 +119,7 @@ func TestUDPLossAtBottleneck(t *testing.T) {
 	if !f.Completed {
 		t.Fatalf("outcome = %s", f.Outcome)
 	}
-	var drops uint64
-	for _, op := range sim.ports {
-		if op != nil {
-			drops += op.dropped
-		}
-	}
-	if drops == 0 {
+	if col.PacketsQueueDropped == 0 {
 		t.Error("overdriven bottleneck produced no drops")
 	}
 }

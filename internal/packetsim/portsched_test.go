@@ -166,12 +166,7 @@ func (sc *portScenario) runEngine() portOutcome {
 	out := portOutcome{
 		records: col.Flows(), samples: col.LinkSeries(), polls: rec.got,
 		sent: col.PacketsSent, lost: col.PacketsLost, corrupted: col.PacketsCorrupted,
-		hops: sim.PacketsForwarded(),
-	}
-	for _, op := range sim.ports {
-		if op != nil {
-			out.dropped += op.dropped
-		}
+		dropped: col.PacketsQueueDropped, hops: sim.PacketsForwarded(),
 	}
 	return out
 }

@@ -80,6 +80,10 @@ type Collector struct {
 	// transmitter in the packet-level engine — degradation loss, kept
 	// separate from the outage loss in PacketsLost.
 	PacketsCorrupted uint64
+	// PacketsQueueDropped counts frames the packet-level engine dropped
+	// at a full output queue (drop-tail congestion loss, at switch and
+	// host ports alike).
+	PacketsQueueDropped uint64
 	// PacketsSent counts packet emissions by senders in the packet-level
 	// engine (first transmissions plus retransmissions) — the
 	// denominator of the retransmit ratio.
@@ -136,6 +140,27 @@ func (c *Collector) Reserve(n int) {
 	}
 }
 
+// maxReservedSamples caps ReserveLinkSeries: a far-off until on a run
+// that ends early would otherwise reserve samples it never takes. Past
+// the cap the series grows as it fills.
+const maxReservedSamples = 1 << 16
+
+// ReserveLinkSeries sizes the link series of a run that has none yet for
+// the samples a run to until takes — one per link direction (dirs of
+// them) at every SampleEvery tick up to until — so the series is not
+// regrown as it fills. It does nothing without sampling or with until
+// simtime.Never.
+func (c *Collector) ReserveLinkSeries(dirs int, until simtime.Time) {
+	if c.SampleEvery <= 0 || until == simtime.Never || c.linkSeries != nil {
+		return
+	}
+	ticks := min(int64(until)/int64(c.SampleEvery), maxReservedSamples)
+	if ticks <= 0 || dirs <= 0 {
+		return
+	}
+	c.linkSeries = make([]LinkSample, 0, min(ticks*int64(dirs), maxReservedSamples))
+}
+
 // AddReroute records the instant a flow's transmitting path changed — the
 // time series scenario metrics use to measure reconvergence latency after
 // a scripted failure.
@@ -152,19 +177,20 @@ func (c *Collector) Flows() []FlowRecord { return c.flows }
 // the wire. Counters stay valid with a flow sink installed (when Flows
 // is empty by design), so a streamed session still reports totals.
 type Counters struct {
-	FlowsStarted     uint64
-	FlowsCompleted   uint64
-	FlowsDropped     uint64
-	FlowsLooped      uint64
-	PacketIns        uint64
-	FlowMods         uint64
-	RateChanges      uint64
-	EventsRun        uint64
-	PathChanges      uint64
-	PacketsLost      uint64
-	PacketsCorrupted uint64
-	PacketsSent      uint64
-	Retransmits      uint64
+	FlowsStarted        uint64
+	FlowsCompleted      uint64
+	FlowsDropped        uint64
+	FlowsLooped         uint64
+	PacketIns           uint64
+	FlowMods            uint64
+	RateChanges         uint64
+	EventsRun           uint64
+	PathChanges         uint64
+	PacketsLost         uint64
+	PacketsCorrupted    uint64
+	PacketsQueueDropped uint64
+	PacketsSent         uint64
+	Retransmits         uint64
 }
 
 // Counters snapshots the collector's counters. Call it only when the run
@@ -172,19 +198,20 @@ type Counters struct {
 // the simulation goroutine).
 func (c *Collector) Counters() Counters {
 	return Counters{
-		FlowsStarted:     c.FlowsStarted,
-		FlowsCompleted:   c.FlowsCompleted,
-		FlowsDropped:     c.FlowsDropped,
-		FlowsLooped:      c.FlowsLooped,
-		PacketIns:        c.PacketIns,
-		FlowMods:         c.FlowMods,
-		RateChanges:      c.RateChanges,
-		EventsRun:        c.EventsRun,
-		PathChanges:      c.PathChanges,
-		PacketsLost:      c.PacketsLost,
-		PacketsCorrupted: c.PacketsCorrupted,
-		PacketsSent:      c.PacketsSent,
-		Retransmits:      c.Retransmits,
+		FlowsStarted:        c.FlowsStarted,
+		FlowsCompleted:      c.FlowsCompleted,
+		FlowsDropped:        c.FlowsDropped,
+		FlowsLooped:         c.FlowsLooped,
+		PacketIns:           c.PacketIns,
+		FlowMods:            c.FlowMods,
+		RateChanges:         c.RateChanges,
+		EventsRun:           c.EventsRun,
+		PathChanges:         c.PathChanges,
+		PacketsLost:         c.PacketsLost,
+		PacketsCorrupted:    c.PacketsCorrupted,
+		PacketsQueueDropped: c.PacketsQueueDropped,
+		PacketsSent:         c.PacketsSent,
+		Retransmits:         c.Retransmits,
 	}
 }
 

@@ -130,3 +130,27 @@ func TestAddFlowTalliesOutcomes(t *testing.T) {
 		}
 	}
 }
+
+// TestReserveLinkSeries: a finite run reserves one sample per link
+// direction per tick, capped, and a horizon with no whole tick — or none
+// at all — reserves nothing.
+func TestReserveLinkSeries(t *testing.T) {
+	for _, c := range []struct {
+		every simtime.Duration
+		until simtime.Time
+		want  int
+	}{
+		{simtime.Second, simtime.Time(10 * simtime.Second), 10 * 6},
+		{simtime.Nanosecond, simtime.Never - 1, maxReservedSamples},
+		{simtime.Second, simtime.Never, 0},
+		{simtime.Second, -simtime.Time(simtime.Second), 0},
+		{simtime.Second, simtime.Time(simtime.Millisecond), 0},
+		{0, simtime.Time(10 * simtime.Second), 0},
+	} {
+		col := NewCollector(c.every)
+		col.ReserveLinkSeries(6, c.until)
+		if got := cap(col.LinkSeries()); got != c.want {
+			t.Errorf("every %v until %v: reserved %d samples, want %d", c.every, c.until, got, c.want)
+		}
+	}
+}
