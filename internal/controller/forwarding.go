@@ -144,7 +144,7 @@ func (r *ReactiveMAC) Handle(ctx *flowsim.Context, msg openflow.Message) {
 		if out == netgraph.NoPort {
 			continue
 		}
-		ctx.Send(&openflow.FlowMod{
+		ctx.SendFlowMod(openflow.FlowMod{
 			Switch: path[i], Op: openflow.FlowAdd,
 			Table: TableForwarding, Priority: PrioForwarding,
 			Match:       header.Match{}.WithEthDst(pin.Key.EthDst),
@@ -153,5 +153,5 @@ func (r *ReactiveMAC) Handle(ctx *flowsim.Context, msg openflow.Message) {
 		})
 	}
 	// Release the buffered first packet.
-	ctx.Send(&openflow.PacketOut{Switch: pin.Switch, InPort: pin.InPort, Key: pin.Key})
+	ctx.SendPacketOut(openflow.PacketOut{Switch: pin.Switch, InPort: pin.InPort, Key: pin.Key})
 }

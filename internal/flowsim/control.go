@@ -31,6 +31,22 @@ func (c *Context) Topology() *netgraph.Topology { return c.p.topo }
 // control latency.
 func (c *Context) Send(msg openflow.Message) { c.p.SendToSwitch(msg) }
 
+// SendFlowMod is Send(&fm) without the allocation: fm travels as a copy
+// the plane recycles once it is delivered, so a controller that installs
+// rules on every PacketIn allocates no message.
+func (c *Context) SendFlowMod(fm openflow.FlowMod) {
+	m := c.p.flowMods.Get()
+	*m = fm
+	c.p.toSwitch(m, true)
+}
+
+// SendPacketOut is Send(&po) without the allocation, like SendFlowMod.
+func (c *Context) SendPacketOut(po openflow.PacketOut) {
+	m := c.p.packetOuts.Get()
+	*m = po
+	c.p.toSwitch(m, true)
+}
+
 // After schedules fn to run on the controller after d.
 func (c *Context) After(d simtime.Duration, fn func()) { c.p.After(d, fn) }
 
@@ -80,8 +96,11 @@ type ControlPlane struct {
 	ctx     *Context
 	latency simtime.Duration
 	pool    simcore.Pool[ctlEvent]
-	engines []Attachment
-	started bool
+	// The copies SendFlowMod and SendPacketOut deliver.
+	flowMods   simcore.Pool[openflow.FlowMod]
+	packetOuts simcore.Pool[openflow.PacketOut]
+	engines    []Attachment
+	started    bool
 
 	// fstate composes overlapping scripted outages (links, switches, and
 	// controller detach all nest by counting) and records the link
@@ -169,11 +188,15 @@ func (p *ControlPlane) Observe(fn simevent.Observer) { p.observers.Add(fn) }
 // the control latency. While the controller is detached the message is
 // lost (the control channel is the thing that failed); messages already
 // emitted before the break are in the network and still arrive.
-func (p *ControlPlane) SendToSwitch(msg openflow.Message) {
+func (p *ControlPlane) SendToSwitch(msg openflow.Message) { p.toSwitch(msg, false) }
+
+// toSwitch schedules msg's delivery; recycled marks a copy from the
+// plane's pools, which the delivery returns when it is released.
+func (p *ControlPlane) toSwitch(msg openflow.Message, recycled bool) {
 	if p.fstate.ControllerDetached() {
 		return
 	}
-	p.sched(ctlEvent{at: p.k.Now().Add(p.latency), kind: ctlToSwitch, id: int32(msg.Datapath()), msg: msg})
+	p.sched(ctlEvent{at: p.k.Now().Add(p.latency), kind: ctlToSwitch, id: int32(msg.Datapath()), msg: msg, recycled: recycled})
 }
 
 // After schedules fn as a controller timer d from now.
@@ -254,6 +277,8 @@ type ctlEvent struct {
 	id    int32
 	kind  ctlKind
 	up    bool
+	// recycled marks msg as a copy from the plane's message pools.
+	recycled bool
 }
 
 func (e *ctlEvent) Time() simtime.Time { return e.at }
@@ -310,9 +335,20 @@ func (e *ctlEvent) Fire() {
 	}
 }
 
-// Release implements simcore.Event: recycle the envelope.
+// Release implements simcore.Event: recycle the envelope, and the
+// message with it when that is a pooled copy.
 func (e *ctlEvent) Release() {
 	p := e.p
+	if e.recycled {
+		switch m := e.msg.(type) {
+		case *openflow.FlowMod:
+			*m = openflow.FlowMod{}
+			p.flowMods.Put(m)
+		case *openflow.PacketOut:
+			*m = openflow.PacketOut{}
+			p.packetOuts.Put(m)
+		}
+	}
 	*e = ctlEvent{}
 	p.pool.Put(e)
 }

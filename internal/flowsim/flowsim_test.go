@@ -2,6 +2,7 @@ package flowsim
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"horse/internal/addr"
@@ -430,6 +431,57 @@ func (c *funcController) Start(ctx *Context) {
 func (c *funcController) Handle(ctx *Context, msg openflow.Message) {
 	if c.handle != nil {
 		c.handle(ctx, msg)
+	}
+}
+
+// TestSendFlowModRecycles sends two rules at one instant by value: both
+// land as sent, and once delivered both copies are back in the plane's
+// pool for the next send.
+func TestSendFlowModRecycles(t *testing.T) {
+	topo := netgraph.Dumbbell(1, 1, netgraph.Gig, netgraph.TenGig)
+	sw := topo.Switches()[0]
+	hosts := topo.Hosts()
+	ctrl := &funcController{start: func(ctx *Context) {
+		for i, h := range hosts {
+			ctx.SendFlowMod(openflow.FlowMod{
+				Switch: sw, Op: openflow.FlowAdd, Priority: 10 + i,
+				Match: header.Match{}.WithEthDst(addr.HostMAC(h)),
+				Instr: openflow.Apply(openflow.Output(netgraph.PortNum(i + 1))),
+			})
+		}
+		ctx.SendPacketOut(openflow.PacketOut{Switch: sw})
+	}}
+	sim := New(Config{Topology: topo, Controller: ctrl, Miss: dataplane.MissDrop})
+	mustRun(sim, simtime.Time(10*simtime.Millisecond))
+	tb := sim.Network().Switch(sw).Tables[0]
+	if tb.Len() != len(hosts) {
+		t.Fatalf("table holds %d entries, want %d", tb.Len(), len(hosts))
+	}
+	for i, h := range hosts {
+		e := tb.Lookup(header.FlowKey{EthDst: addr.HostMAC(h)})
+		if e == nil || e.Priority != 10+i {
+			t.Errorf("host %d: entry %v, want priority %d", h, e, 10+i)
+		}
+	}
+	if raceEnabled || testing.CoverMode() != "" {
+		return
+	}
+	p := sim.plane
+	got := make([]openflow.Message, 0, len(hosts)+1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range hosts {
+		got = append(got, p.flowMods.Get())
+	}
+	got = append(got, p.packetOuts.Get())
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("taking the delivered copies back out of the pools allocated %d times", n)
+	}
+	for _, m := range got {
+		if fm, ok := m.(*openflow.FlowMod); ok && fm.Instr.Actions != nil {
+			t.Error("a recycled FlowMod still holds its actions")
+		}
 	}
 }
 

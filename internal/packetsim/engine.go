@@ -419,8 +419,16 @@ func (s *Simulator) deliver(p *packet, host netgraph.NodeID) {
 			s.sendAck(f)
 			return
 		}
-		// Receiver: cumulative ACK bookkeeping.
-		f.received[p.seq] = true
+		// Receiver: cumulative ACK bookkeeping. Only an arrival ahead of
+		// the edge needs the buffer, so in-order flows never make it.
+		if p.seq == f.recvNext {
+			f.recvNext++
+		} else if p.seq > f.recvNext {
+			if f.received == nil {
+				f.received = make(map[int]bool)
+			}
+			f.received[p.seq] = true
+		}
 		for f.received[f.recvNext] {
 			delete(f.received, f.recvNext)
 			f.recvNext++

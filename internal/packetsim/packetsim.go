@@ -320,7 +320,7 @@ type pktFlow struct {
 
 	// Receiver-owned state.
 	recvNext int          // next expected seq (TCP cumulative ACK edge)
-	received map[int]bool // TCP out-of-order buffer
+	received map[int]bool // TCP out-of-order buffer, made at the first gap
 	// recvDoneAt is the completion candidate the receiver sets when every
 	// data packet has arrived (Never otherwise).
 	recvDoneAt simtime.Time
@@ -615,7 +615,6 @@ func (s *Simulator) newFlow(d *traffic.Demand, idx int, dense int32) *pktFlow {
 		tcp:      d.TCP,
 		cwnd:     10,
 		ssthresh: math.Inf(1),
-		received: make(map[int]bool),
 		rtoAt:    simtime.Never,
 
 		deadlineDoneAt: simtime.Never,
