@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench benchmark-smoke fuzz-smoke service-smoke lint ci api api-check loc
+.PHONY: all build test race bench benchmark-smoke fuzz-smoke service-smoke lint ci api api-check loc test-names
 
 all: build
 
@@ -88,8 +88,13 @@ api:
 api-check:
 	$(GO) run ./cmd/horseapi -check -out api
 
+# Fail if a -run/-fuzz name in this Makefile or the CI workflows matches
+# no test in its package (go test -list): such a gate passes silently.
+test-names:
+	./scripts/check-test-names.sh
+
 # golangci-lint (the CI lint job) when installed; vet+gofmt otherwise.
-lint: api-check
+lint: api-check test-names
 	@if command -v golangci-lint >/dev/null 2>&1; then \
 		golangci-lint run; \
 	else \

@@ -646,7 +646,8 @@ const (
 	FidelityHybrid = "hybrid"
 )
 
-// Event-queue backend names on the wire (OptionsSpec.EventQueue).
+// Event-queue backend names v1 defined for OptionsSpec.EventQueue; both
+// run on the timing wheel.
 const (
 	EventQueueWheel = "wheel"
 	EventQueueHeap  = "heap"
@@ -708,10 +709,11 @@ type OptionsSpec struct {
 	// Deprecated: the calendar queue is gone; the field stays so v1 specs
 	// that set it keep decoding, and they run on the default wheel.
 	CalendarQueue bool `json:"calendar_queue,omitempty"`
-	// EventQueue selects the kernel's event-queue backend: "" (default
-	// wheel) | "wheel" | "heap". "calendar" and "auto", names of removed
-	// backends, are accepted as aliases for the wheel. Results are
-	// byte-identical across backends; only run time differs.
+	// EventQueue named the kernel's event-queue backend. Every engine
+	// now runs on the timing wheel, so the names v1 defined — "" |
+	// "wheel" | "heap" | "calendar" | "auto" — are accepted and ignored
+	// (every backend yielded byte-identical records); any other name is
+	// rejected.
 	EventQueue string `json:"event_queue,omitempty"`
 	// Shards, ShardWorkers and ShardBalancing configured a sharded
 	// executor that was removed because it ran slower than the serial
@@ -742,8 +744,3 @@ type OptionsSpec struct {
 	// (WithLinkModelSeed; 0 means the default stream).
 	LinkModelSeed uint64 `json:"link_model_seed,omitempty"`
 }
-
-// Workers is the session's worker-budget cost: how many workers of the
-// daemon's shared budget the session occupies while running. Every engine
-// runs on one goroutine, so every session costs one.
-func (o OptionsSpec) Workers() int { return 1 }

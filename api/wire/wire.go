@@ -234,7 +234,8 @@ type SessionStatus struct {
 	State   string `json:"state"`
 	// Fidelity echoes the spec's engine granularity.
 	Fidelity string `json:"fidelity"`
-	// Workers is the session's worker-budget cost while running.
+	// Workers is always 1: every session runs on one goroutine (a v1
+	// field, kept so v1 clients keep decoding it).
 	Workers int `json:"workers"`
 	// Stream reports whether records stream to watchers instead of being
 	// retained server-side.

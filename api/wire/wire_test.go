@@ -247,26 +247,6 @@ func TestTimelineCompile(t *testing.T) {
 	}
 }
 
-// TestOptionsSpecWorkers: every session costs one worker, whatever the
-// ignored v1 shard fields say.
-func TestOptionsSpecWorkers(t *testing.T) {
-	two := 2
-	cases := []struct {
-		o    OptionsSpec
-		want int
-	}{
-		{OptionsSpec{}, 1},
-		{OptionsSpec{Shards: 4}, 1},
-		{OptionsSpec{Fidelity: FidelityPacket, Shards: 8, ShardWorkers: &two}, 1},
-		{OptionsSpec{Fidelity: FidelityHybrid, Shards: 8, ShardBalancing: BalanceSteal}, 1},
-	}
-	for _, c := range cases {
-		if got := c.o.Workers(); got != c.want {
-			t.Errorf("Workers(%+v) = %d, want %d", c.o, got, c.want)
-		}
-	}
-}
-
 // TestV1Fixtures replays checked-in v1 frames: every fixture must keep
 // decoding, and its payload must keep carrying the same values. This is
 // the compatibility gate for the frozen v1 wire format — if a struct
@@ -360,8 +340,8 @@ func TestV1Fixtures(t *testing.T) {
 		if err := json.Unmarshal(f.Params, &p); err != nil {
 			t.Fatal(err)
 		}
-		if p.Spec.Options.EventQueue != EventQueueWheel {
-			t.Fatalf("event_queue = %q, want %q", p.Spec.Options.EventQueue, EventQueueWheel)
+		if p.Spec.Options.EventQueue != "wheel" {
+			t.Fatalf("event_queue = %q, want \"wheel\"", p.Spec.Options.EventQueue)
 		}
 		if _, err := p.Spec.Topology.Build(); err != nil {
 			t.Fatal(err)
@@ -443,9 +423,6 @@ func TestV1Fixtures(t *testing.T) {
 		o := p.Spec.Options
 		if o.Shards != 4 || o.ShardWorkers == nil || *o.ShardWorkers != 2 || o.ShardBalancing != BalanceSteal {
 			t.Fatalf("options %+v, want shards 4, shard_workers 2, shard_balancing %q", o, BalanceSteal)
-		}
-		if o.Workers() != 1 {
-			t.Fatalf("Workers() = %d, want 1", o.Workers())
 		}
 	})
 

@@ -70,48 +70,42 @@ func retarget(tr horse.Trace) horse.Trace {
 
 // BenchmarkMillionFlowRecordSink times the bounded-memory streaming path
 // at the paper's headline scale — one million flows through the flow
-// engine with a record sink — once per event-queue backend. The wheel's
-// O(1) schedule/cancel targets exactly this profile: every arrival
-// re-arms completion timers, and cancellation keeps the queue population
-// at live flows instead of accumulating gen-stamped corpses.
+// engine with a record sink. The wheel's O(1) schedule/cancel targets
+// exactly this profile: every arrival re-arms completion timers, and
+// cancellation keeps the queue population at live flows instead of
+// accumulating gen-stamped corpses.
 func BenchmarkMillionFlowRecordSink(b *testing.B) {
-	for _, q := range []horse.EventQueue{horse.EventQueueWheel, horse.EventQueueHeap} {
-		q := q
-		b.Run(q.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				const n = 1_000_000
-				topo := horse.Star(4, horse.Gig)
-				hosts := topo.Hosts()
-				streamed := 0
-				eng, err := horse.New(topo,
-					horse.WithController(horse.NewChain(&horse.ProactiveMAC{})),
-					horse.WithMiss(horse.MissController),
-					horse.WithEventQueue(q),
-					horse.WithRecordSink(func(r horse.FlowRecord) { streamed++ }),
-				)
-				if err != nil {
-					b.Fatal(err)
-				}
-				tr := make(horse.Trace, n)
-				for j := range tr {
-					src, dst := hosts[j%len(hosts)], hosts[(j+1)%len(hosts)]
-					tr[j] = horse.Demand{
-						Key: udpKey(src, dst, uint16(30000+j%1000)),
-						Src: src, Dst: dst,
-						Start:    horse.Time(j) * horse.Time(10*horse.Microsecond),
-						SizeBits: 1e4, RateBps: 1e9,
-					}
-				}
-				eng.Load(tr)
-				b.StartTimer()
-				if _, err := eng.Run(context.Background(), horse.Never); err != nil {
-					b.Fatal(err)
-				}
-				if streamed != n {
-					b.Fatalf("streamed %d records, want %d", streamed, n)
-				}
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		const n = 1_000_000
+		topo := horse.Star(4, horse.Gig)
+		hosts := topo.Hosts()
+		streamed := 0
+		eng, err := horse.New(topo,
+			horse.WithController(horse.NewChain(&horse.ProactiveMAC{})),
+			horse.WithMiss(horse.MissController),
+			horse.WithRecordSink(func(r horse.FlowRecord) { streamed++ }),
+		)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tr := make(horse.Trace, n)
+		for j := range tr {
+			src, dst := hosts[j%len(hosts)], hosts[(j+1)%len(hosts)]
+			tr[j] = horse.Demand{
+				Key: udpKey(src, dst, uint16(30000+j%1000)),
+				Src: src, Dst: dst,
+				Start:    horse.Time(j) * horse.Time(10*horse.Microsecond),
+				SizeBits: 1e4, RateBps: 1e9,
 			}
-		})
+		}
+		eng.Load(tr)
+		b.StartTimer()
+		if _, err := eng.Run(context.Background(), horse.Never); err != nil {
+			b.Fatal(err)
+		}
+		if streamed != n {
+			b.Fatalf("streamed %d records, want %d", streamed, n)
+		}
 	}
 }

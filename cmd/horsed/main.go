@@ -1,13 +1,13 @@
 // Command horsed is the simulation-as-a-service daemon: it manages many
 // concurrent named simulation sessions behind the versioned horse-wire
-// protocol (api/wire), with admission control over a shared worker
-// budget and streaming results.
+// protocol (api/wire), with admission control over a bounded number of
+// running sessions and streaming results.
 //
 // Usage:
 //
 //	horsed -socket /run/horsed.sock
 //	horsed -socket /tmp/horsed.sock -tcp 127.0.0.1:7117 \
-//	       -max-sessions 4 -max-workers 16
+//	       -max-sessions 4
 //
 // SIGTERM/SIGINT drains gracefully: running sessions are cancelled,
 // their watchers receive partial-but-consistent results and Done events,
@@ -34,7 +34,6 @@ func main() {
 		socket        = flag.String("socket", "", "unix socket path to listen on")
 		tcp           = flag.String("tcp", "", "TCP address to listen on (e.g. 127.0.0.1:7117)")
 		maxSessions   = flag.Int("max-sessions", 0, "max concurrently running sessions (0 = GOMAXPROCS)")
-		maxWorkers    = flag.Int("max-workers", 0, "total worker budget across running sessions; each session costs one (0 = GOMAXPROCS)")
 		queueLimit    = flag.Int("queue", 0, "admission queue length (0 = default 64)")
 		progressEvery = flag.Duration("progress-every", 100*time.Millisecond, "virtual-time period of progress pushes")
 		drainTimeout  = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for sessions to finalize")
@@ -47,7 +46,6 @@ func main() {
 
 	mgr := service.New(service.Config{
 		MaxSessions:   *maxSessions,
-		MaxWorkers:    *maxWorkers,
 		QueueLimit:    *queueLimit,
 		ProgressEvery: simtime.FromSeconds(progressEvery.Seconds()),
 	})
@@ -77,8 +75,8 @@ func main() {
 		go func() { errc <- srv.Serve(l) }()
 	}
 	cfg := mgr.Config()
-	fmt.Fprintf(os.Stderr, "horsed: listening on %v (max-sessions=%d max-workers=%d queue=%d)\n",
-		listeners, cfg.MaxSessions, cfg.MaxWorkers, cfg.QueueLimit)
+	fmt.Fprintf(os.Stderr, "horsed: listening on %v (max-sessions=%d queue=%d)\n",
+		listeners, cfg.MaxSessions, cfg.QueueLimit)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -3,7 +3,6 @@ package horse
 import (
 	"fmt"
 
-	"horse/internal/eventq"
 	"horse/internal/flowsim"
 	"horse/internal/hybrid"
 	"horse/internal/linkmodel"
@@ -157,7 +156,6 @@ func New(topo *Topology, opts ...Option) (Engine, error) {
 			TCP:            o.tcp,
 			StatsEvery:     o.statsEvery,
 			FullRecompute:  o.fullRecompute,
-			EventQueue:     eventq.Backend(o.eventQueue),
 			RateEpsilon:    o.rateEpsilon,
 			Links:          links,
 		})
@@ -170,7 +168,6 @@ func New(topo *Topology, opts ...Option) (Engine, error) {
 			RTOMin:         o.rtoMin,
 			Controller:     o.controller,
 			ControlLatency: o.controlLat,
-			EventQueue:     eventq.Backend(o.eventQueue),
 			Links:          links,
 		})
 	case Hybrid:
@@ -181,7 +178,6 @@ func New(topo *Topology, opts ...Option) (Engine, error) {
 			ControlLatency: o.controlLat,
 			TCP:            o.tcp,
 			StatsEvery:     o.statsEvery,
-			EventQueue:     eventq.Backend(o.eventQueue),
 			RateEpsilon:    o.rateEpsilon,
 			QueuePackets:   o.queuePackets,
 			RTOMin:         o.rtoMin,

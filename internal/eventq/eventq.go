@@ -357,17 +357,8 @@ const (
 	BackendHeap
 )
 
-// String returns the wire name of the backend.
-func (b Backend) String() string {
-	if b == BackendHeap {
-		return "heap"
-	}
-	return "wheel"
-}
-
-// New returns an empty queue of the selected backend. Both backends
-// implement Canceler.
-func New(b Backend) Queue {
+// New returns an empty queue of the selected backend.
+func New(b Backend) Canceler {
 	if b == BackendHeap {
 		return NewHeap()
 	}

@@ -713,23 +713,22 @@ func e6Islands() (*netgraph.Topology, traffic.Trace) {
 	return topo, tr
 }
 
-// e6Spec benchmarks the DESIGN.md design choices: event-queue
-// implementation and fair-share recompute strategy, on a high-churn
-// workload.
+// e6Spec benchmarks the fair-share recompute strategy, incremental
+// against full, on a high-churn workload. The variant names keep the
+// queue prefix of the retired event-queue arms, so the cells stay
+// comparable with older reports.
 func e6Spec(o Options) *spec {
 	sp := &spec{table: &Table{
 		ID:      "E6",
-		Title:   "Ablations: event queue and fair-share recompute strategy",
+		Title:   "Ablations: fair-share recompute strategy",
 		Columns: []string{"workload", "variant", "events", "rate-changes", "wall-ms"},
 	}}
 	variants := []struct {
-		name  string
-		queue horse.EventQueue
-		full  bool
+		name string
+		full bool
 	}{
-		{"wheel+incremental", horse.EventQueueWheel, false},
-		{"heap+incremental", horse.EventQueueHeap, false},
-		{"wheel+full-recompute", horse.EventQueueWheel, true},
+		{"wheel+incremental", false},
+		{"wheel+full-recompute", true},
 	}
 	workloads := []struct {
 		name  string
@@ -747,9 +746,6 @@ func e6Spec(o Options) *spec {
 					horse.WithController(controller.NewChain(&controller.ECMPLoadBalancer{})),
 					horse.WithMiss(dataplane.MissController),
 				}
-				if v.queue != horse.EventQueueWheel {
-					opts = append(opts, horse.WithEventQueue(v.queue))
-				}
 				if v.full {
 					opts = append(opts, horse.WithFullRecompute())
 				}
@@ -764,7 +760,6 @@ func e6Spec(o Options) *spec {
 	}
 	sp.table.Notes = append(sp.table.Notes,
 		"expected shape: full recompute wins when traffic is one component (shared fabric); incremental wins when traffic decomposes (islands)",
-		"expected shape: queue choice is second-order at these event counts (the heap row is the determinism oracle, not a contender)",
 	)
 	return sp
 }
@@ -1052,15 +1047,14 @@ func e10Scenario() (*netgraph.Topology, traffic.Trace) {
 // (internal/linkmodel) swept across loss regimes and all three fidelities,
 // measuring goodput, retransmit ratio, corruption drops, and FCT stretch
 // against a pristine-link baseline of the identical workload — with
-// in-cell byte-parity of the wheel arm against the heap reference, since
-// the linkmodel contract is "same records on any queue backend, models
-// on".
+// in-cell byte-parity against a second run of the same seed, since the
+// linkmodel contract is "same records for the same seed, models on".
 func e10Spec(o Options, models []e10Model) *spec {
 	sp := &spec{table: &Table{
 		ID:    "E10",
-		Title: "Degraded links: loss model × fidelity × queue, vs pristine baseline",
+		Title: "Degraded links: loss model × fidelity, vs pristine baseline",
 		Columns: []string{
-			"model", "param", "fidelity", "queue",
+			"model", "param", "fidelity",
 			"completed", "goodput-mbps", "retx-ratio", "corrupted", "fct-stretch", "parity",
 			"queue-drops",
 		},
@@ -1070,14 +1064,13 @@ func e10Spec(o Options, models []e10Model) *spec {
 	// methodology: proactive MAC rules installed before the first arrival,
 	// so every fidelity forwards on the same paths and the deltas below
 	// measure the link models, not the control plane.
-	run := func(fid horse.Fidelity, m horse.LinkModel, q horse.EventQueue) *stats.Collector {
+	run := func(fid horse.Fidelity, m horse.LinkModel) *stats.Collector {
 		topo, tr := e10Scenario()
 		opts := []horse.Option{
 			horse.WithFidelity(fid),
 			horse.WithMiss(dataplane.MissDrop),
 			horse.WithController(controller.NewChain(&controller.ProactiveMAC{})),
 			horse.WithControlLatency(simtime.Microsecond),
-			horse.WithEventQueue(q),
 		}
 		if fid != horse.Packet {
 			// The fluid TCP model, RTT-matched to the fat-tree; the packet
@@ -1113,43 +1106,30 @@ func e10Spec(o Options, models []e10Model) *spec {
 		return float64(col.Retransmits) / float64(col.PacketsSent)
 	}
 
-	// One cell per (model, fidelity): the pristine baseline and the heap
-	// reference with the model on are simulated once per cell and the
-	// wheel arm is compared against the latter; rows assemble in grid
-	// order, so the table stays byte-identical for any -parallel.
+	// One cell per (model, fidelity): the pristine baseline and two runs
+	// with the model on, the second compared against the first; rows
+	// assemble in grid order, so the table stays byte-identical for any
+	// -parallel.
 	for _, mdl := range models {
 		for _, fid := range []horse.Fidelity{horse.Flow, horse.Packet, horse.Hybrid} {
 			mdl, fid := mdl, fid
 			sp.cell(fmt.Sprintf("%s-%s/%s", mdl.name, mdl.param, fid), func() [][]string {
-				clean := run(fid, nil, horse.EventQueueHeap)
-				cleanFCT := metrics.Mean(clean.FCTs())
-				refCol := run(fid, mdl.m, horse.EventQueueHeap)
-				ref := refCol.Flows()
-
-				var rows [][]string
-				for _, q := range []horse.EventQueue{horse.EventQueueHeap, horse.EventQueueWheel} {
-					col := refCol
-					if q != horse.EventQueueHeap {
-						col = run(fid, mdl.m, q)
-					}
-					stretch := 0.0
-					if cleanFCT > 0 {
-						stretch = metrics.Mean(col.FCTs()) / cleanFCT
-					}
-					rows = append(rows, []string{
-						mdl.name, mdl.param, fid.String(), q.String(),
-						fmt.Sprintf("%d", completed(col.Flows())), f2(goodput(col)),
-						f3(retxRatio(col)), di(col.PacketsCorrupted), f2(stretch),
-						parity(col.Flows(), ref), di(col.PacketsQueueDropped),
-					})
+				cleanFCT := metrics.Mean(run(fid, nil).FCTs())
+				col := run(fid, mdl.m)
+				stretch := 0.0
+				if cleanFCT > 0 {
+					stretch = metrics.Mean(col.FCTs()) / cleanFCT
 				}
-				return rows
+				return row(mdl.name, mdl.param, fid.String(),
+					fmt.Sprintf("%d", completed(col.Flows())), f2(goodput(col)),
+					f3(retxRatio(col)), di(col.PacketsCorrupted), f2(stretch),
+					parity(run(fid, mdl.m).Flows(), col.Flows()), di(col.PacketsQueueDropped))
 			})
 		}
 	}
 	sp.table.Notes = append(sp.table.Notes,
 		"expected shape: goodput falls and retx-ratio/fct-stretch rise with loss; adaptive-rate degrades goodput with no corruption drops",
-		"contract: parity stays identical on either queue backend with models enabled — the linkmodel streams are seed-deterministic",
+		"contract: parity stays identical across two runs of one seed with models enabled — the linkmodel streams are seed-deterministic",
 	)
 	return sp
 }

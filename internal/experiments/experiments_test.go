@@ -137,12 +137,12 @@ func TestE5Shape(t *testing.T) {
 
 func TestE6Shape(t *testing.T) {
 	tb := runSpecs(Options{}, []*spec{e6Spec(Options{})})[0]
-	const variants = 3 // wheel, heap (incremental) + wheel full-recompute
+	const variants = 2 // incremental, full-recompute
 	if len(tb.Rows) != 2*variants {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
-	// Determinism: within a workload, all variants process identical
-	// event and rate-change counts — including across queue backends.
+	// Determinism: within a workload, both variants process identical
+	// event and rate-change counts.
 	ev := colIndex(tb, "events")
 	rc := colIndex(tb, "rate-changes")
 	for _, base := range []int{0, variants} {
@@ -215,14 +215,14 @@ func TestE8Shape(t *testing.T) {
 // TestE10Shape pins the degraded-link table's structure and physics: the
 // lossy arms corrupt frames and retransmit at packet level, the fluid
 // engine folds loss into FCT inflation without per-frame drops, the
-// adaptive-rate model degrades with zero corruption — and every wheel
-// arm holds byte-parity with its heap reference, models enabled.
+// adaptive-rate model degrades with zero corruption — and every cell
+// holds byte-parity with a second run of its seed, models enabled.
 func TestE10Shape(t *testing.T) {
 	tb := runSpecs(Options{}, []*spec{e10Spec(Options{}, e10QuickModels())})[0]
-	// Per model: {flow, packet, hybrid} × {heap, wheel} = 6 rows; the
-	// quick grid has two models.
-	if len(tb.Rows) != 12 {
-		t.Fatalf("rows = %d, want 12", len(tb.Rows))
+	// Per model: {flow, packet, hybrid} = 3 rows; the quick grid has two
+	// models.
+	if len(tb.Rows) != 6 {
+		t.Fatalf("rows = %d, want 6", len(tb.Rows))
 	}
 	model := colIndex(tb, "model")
 	fid := colIndex(tb, "fidelity")

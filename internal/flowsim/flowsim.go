@@ -24,7 +24,6 @@ import (
 	"slices"
 
 	"horse/internal/dataplane"
-	"horse/internal/eventq"
 	"horse/internal/fairshare"
 	"horse/internal/header"
 	"horse/internal/linkmodel"
@@ -169,9 +168,6 @@ type Config struct {
 	StatsEvery simtime.Duration
 	// FullRecompute disables incremental fair-share solving (E6 ablation).
 	FullRecompute bool
-	// EventQueue selects the kernel's event-queue backend (timing wheel
-	// by default; the heap is the test oracle).
-	EventQueue eventq.Backend
 	// RateEpsilon is the relative rate-change threshold below which rate
 	// changes do not reschedule events (default 1%).
 	RateEpsilon float64
@@ -395,11 +391,13 @@ type Simulator struct {
 
 // New builds a simulator over the configured topology, with a control
 // plane of its own.
-func New(cfg Config) *Simulator {
+func New(cfg Config) *Simulator { return newOwn(simcore.New(simcore.Config{}), cfg) }
+
+// newOwn is New on kernel k (a test passes the heap oracle's).
+func newOwn(k *simcore.Kernel, cfg Config) *Simulator {
 	if cfg.Topology == nil {
 		panic("flowsim: Config.Topology is required")
 	}
-	k := simcore.New(simcore.Config{Backend: cfg.EventQueue})
 	col := stats.NewCollector(cfg.StatsEvery)
 	p := NewControlPlane(k, dataplane.NewNetwork(cfg.Topology, cfg.Miss), cfg.Links, col, cfg.Controller, cfg.ControlLatency)
 	s := NewOn(p, cfg, col.AddFlow)
@@ -409,8 +407,8 @@ func New(cfg Config) *Simulator {
 
 // NewOn builds a simulator attached to control plane p, whose kernel,
 // network, link registry, controller, control latency and collector it
-// shares with the plane's other engines; cfg's Topology, EventQueue, Miss,
-// Controller, ControlLatency and Links are not read. Every record goes to
+// shares with the plane's other engines; cfg's Topology, Miss, Controller,
+// ControlLatency and Links are not read. Every record goes to
 // emit as its flow finalizes, in completion order. The plane's owner
 // drives the kernel: Begin, the kernel's run, then Finish.
 func NewOn(p *ControlPlane, cfg Config, emit func(stats.FlowRecord)) *Simulator {

@@ -30,7 +30,6 @@ import (
 	"slices"
 
 	"horse/internal/dataplane"
-	"horse/internal/eventq"
 	"horse/internal/fairshare"
 	"horse/internal/flowsim"
 	"horse/internal/linkmodel"
@@ -60,9 +59,6 @@ type Config struct {
 	TCP tcpmodel.Params
 	// StatsEvery samples flow-level link utilization at this period.
 	StatsEvery simtime.Duration
-	// EventQueue selects the shared kernel's event-queue backend (timing
-	// wheel by default; the heap is the test oracle).
-	EventQueue eventq.Backend
 	// RateEpsilon is the fair-share significance threshold; it also gates
 	// how often the packet engine's residual capacities recompute.
 	RateEpsilon float64
@@ -131,7 +127,7 @@ func New(cfg Config) *Simulator {
 	if cfg.Topology == nil {
 		panic("hybrid: Config.Topology is required")
 	}
-	return newOn(simcore.New(simcore.Config{Backend: cfg.EventQueue}), cfg)
+	return newOn(simcore.New(simcore.Config{}), cfg)
 }
 
 // newOn builds a hybrid simulator on kernel k.

@@ -2,12 +2,14 @@ package hybrid
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"horse/internal/controller"
 	"horse/internal/dataplane"
 	"horse/internal/eventq"
+	"horse/internal/simcore"
 	"horse/internal/simevent"
 	"horse/internal/simtime"
 	"horse/internal/stats"
@@ -16,11 +18,14 @@ import (
 )
 
 // hybridOpts selects the bounded-memory variants: streamed record sink
-// and/or trace-reader ingestion, plus the event-queue backend.
+// and/or trace-reader ingestion, plus the kernel's queue (the heap oracle
+// or the default wheel) and a bottleneck flap: down and up again at one
+// instant, 10 ms in.
 type hybridOpts struct {
 	sink   bool
 	reader bool
 	queue  eventq.Backend
+	flap   bool
 }
 
 // runSplit runs the reactive dumbbell scenario at 50% packet fidelity
@@ -29,14 +34,18 @@ type hybridOpts struct {
 func runSplit(t *testing.T, opt hybridOpts) ([]stats.FlowRecord, stats.Counters) {
 	t.Helper()
 	topo, tr := reactiveScenario()
-	hyb := New(Config{
+	hyb := newOn(simcore.New(simcore.Config{Backend: opt.queue}), Config{
 		Topology: topo, Miss: dataplane.MissController,
 		Controller:     controller.NewChain(&controller.ReactiveMAC{}),
 		ControlLatency: simtime.Millisecond,
 		TCP:            tcpmodel.Params{RTT: 2200 * simtime.Microsecond, MSS: 1500, InitialWindow: 10},
 		PacketLevel:    Fraction(0.5),
-		EventQueue:     opt.queue,
 	})
+	if opt.flap {
+		at := simtime.Time(10 * simtime.Millisecond)
+		hyb.ScheduleLinkChange(at, 0, false)
+		hyb.ScheduleLinkChange(at, 0, true)
+	}
 	var streamed []stats.FlowRecord
 	if opt.sink {
 		hyb.SetRecordSink(func(r stats.FlowRecord) { streamed = append(streamed, r) })
@@ -70,38 +79,52 @@ func diffCounters(t *testing.T, name string, want, got stats.Counters) {
 // TestHybridStreamedMatchesRetained is the hybrid half of the
 // bounded-memory equivalence contract: the sink stream must be
 // byte-identical to the retained Collector().Flows() order — and the
-// trace-reader ingestion path must reproduce the eager Load run — on both
-// event-queue backends, in every combination.
+// trace-reader ingestion path must reproduce the eager Load run — in
+// every combination.
 func TestHybridStreamedMatchesRetained(t *testing.T) {
-	for _, q := range []eventq.Backend{eventq.BackendHeap, eventq.BackendWheel} {
-		name := map[eventq.Backend]string{eventq.BackendHeap: "heap", eventq.BackendWheel: "wheel"}[q]
-		want, wantC := runSplit(t, hybridOpts{queue: q})
-		if len(want) == 0 {
-			t.Fatal("retained run produced no records")
-		}
-		for _, opt := range []hybridOpts{
-			{sink: true, queue: q},
-			{reader: true, queue: q},
-			{sink: true, reader: true, queue: q},
-		} {
-			got, gotC := runSplit(t, opt)
-			label := name
-			if opt.sink {
-				label += "+sink"
-			}
-			if opt.reader {
-				label += "+reader"
-			}
-			if !reflect.DeepEqual(want, got) {
-				t.Errorf("%s: records diverged (%d vs %d)", label, len(want), len(got))
-				for i := range want {
-					if i < len(got) && want[i] != got[i] {
-						t.Errorf("%s: record %d:\nwant %+v\n got %+v", label, i, want[i], got[i])
-						break
-					}
-				}
-			}
-			diffCounters(t, label, wantC, gotC)
+	want, wantC := runSplit(t, hybridOpts{})
+	if len(want) == 0 {
+		t.Fatal("retained run produced no records")
+	}
+	for _, opt := range []hybridOpts{
+		{sink: true},
+		{reader: true},
+		{sink: true, reader: true},
+	} {
+		got, gotC := runSplit(t, opt)
+		label := fmt.Sprintf("sink=%v reader=%v", opt.sink, opt.reader)
+		diffRecords(t, label, want, got)
+		diffCounters(t, label, wantC, gotC)
+	}
+}
+
+// TestQueueImplementationsAgree holds the hybrid to the heap oracle: the
+// reactive split run on a heap kernel reproduces the default run's
+// records and every counter, EventsRun included. The bottleneck flaps at
+// one instant, so the outcome hangs on the FIFO order of tied events.
+func TestQueueImplementationsAgree(t *testing.T) {
+	want, wantC := runSplit(t, hybridOpts{flap: true})
+	got, gotC := runSplit(t, hybridOpts{flap: true, queue: eventq.BackendHeap})
+	if len(want) == 0 {
+		t.Fatal("default run produced no records")
+	}
+	diffRecords(t, "heap", want, got)
+	if wantC != gotC {
+		t.Errorf("heap: counters diverged:\nwant %+v\n got %+v", wantC, gotC)
+	}
+}
+
+// diffRecords reports the first record where got departs from want.
+func diffRecords(t *testing.T, name string, want, got []stats.FlowRecord) {
+	t.Helper()
+	if reflect.DeepEqual(want, got) {
+		return
+	}
+	t.Errorf("%s: records diverged (%d vs %d)", name, len(want), len(got))
+	for i := range want {
+		if i < len(got) && want[i] != got[i] {
+			t.Errorf("%s: record %d:\nwant %+v\n got %+v", name, i, want[i], got[i])
+			return
 		}
 	}
 }

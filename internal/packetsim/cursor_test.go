@@ -90,8 +90,7 @@ type cursorArm struct {
 
 // runCursorArm runs feed's workload under a reactive controller on a
 // recording kernel until `until`, cancelling the run from a controller
-// timer at cancelAt when it is positive. The engine is wired as New wires
-// one, around the recording kernel.
+// timer at cancelAt when it is positive.
 func runCursorArm(topo *netgraph.Topology, until simtime.Time, cancelAt simtime.Duration, feed func(*Simulator)) cursorArm {
 	q := &dispatchLog{Canceler: eventq.NewWheel()}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -100,13 +99,10 @@ func runCursorArm(topo *netgraph.Topology, until simtime.Time, cancelAt simtime.
 	if cancelAt > 0 {
 		ctrl = &cancelAfter{ctrl, cancelAt, cancel}
 	}
-	col := stats.NewCollector(0)
-	p := flowsim.NewControlPlane(simcore.New(simcore.Config{Queue: q}), dataplane.NewNetwork(topo, dataplane.MissController), nil, col, ctrl, 0)
-	records := stats.NewInOrder(col.AddFlow)
-	s := NewOn(p, Config{}, func(r stats.FlowRecord) { records.Put(int(r.ID-1), r) })
-	s.ownKernel, s.ordered = true, records
+	s := newOwn(simcore.New(simcore.Config{Queue: q}), Config{Topology: topo, Miss: dataplane.MissController, Controller: ctrl})
 	feed(s)
 	s.Run(ctx, until)
+	col := s.Collector()
 	return cursorArm{records: col.Flows(), events: col.EventsRun, log: q.log}
 }
 

@@ -10,6 +10,7 @@ import (
 	"horse/internal/eventq"
 	"horse/internal/header"
 	"horse/internal/netgraph"
+	"horse/internal/simcore"
 	"horse/internal/simtime"
 	"horse/internal/stats"
 	"horse/internal/traffic"
@@ -66,10 +67,12 @@ func snapshot(s *Simulator, col *stats.Collector) runResult {
 
 // streamOpts selects the bounded-memory variants of a run: feeding the
 // workload through a traffic.Reader instead of Load, and/or draining
-// records through SetRecordSink instead of the retained collector.
+// records through SetRecordSink instead of the retained collector; queue
+// picks the kernel's (the heap oracle or the default wheel).
 type streamOpts struct {
 	reader bool
 	sink   bool
+	queue  eventq.Backend
 }
 
 // runStreamed loads tr into sim (or streams it, per opt), runs to 2 s and
@@ -97,28 +100,26 @@ func runStreamed(sim *Simulator, tr traffic.Trace, opt streamOpts) runResult {
 }
 
 // runGolden runs the golden fat-tree (pre-installed routes, no
-// controller, stats sampling on) on the given event-queue backend.
-func runGolden(q eventq.Backend, opt streamOpts) runResult {
+// controller, stats sampling on).
+func runGolden(opt streamOpts) runResult {
 	topo, tr := goldenFatTree()
-	sim := New(Config{
+	sim := newOwn(simcore.New(simcore.Config{Backend: opt.queue}), Config{
 		Topology: topo, Miss: dataplane.MissDrop,
 		StatsEvery: 20 * simtime.Millisecond,
-		EventQueue: q,
 	})
 	dataplane.InstallMACRoutes(sim.Network())
 	return runStreamed(sim, tr, opt)
 }
 
 // runFailures runs an E8-style disturbed scenario — a control plane
-// plus scripted link failures and a switch crash/restart — on the given
-// event-queue backend. The E8 policies both matter here: ProactiveMAC's
-// single-path forwarding loses packets and reconverges through the
-// controller, while ECMPLoadBalancer's Start captures the context for
-// After-timer work.
-func runFailures(q eventq.Backend, mk func() controller.App, opt streamOpts) runResult {
+// plus scripted link failures and a switch crash/restart. The E8
+// policies both matter here: ProactiveMAC's single-path forwarding loses
+// packets and reconverges through the controller, while
+// ECMPLoadBalancer's Start captures the context for After-timer work.
+func runFailures(mk func() controller.App, opt streamOpts) runResult {
 	topo, tr := goldenFatTree()
-	sim := New(Config{
-		Topology: topo, Miss: dataplane.MissController, EventQueue: q,
+	sim := newOwn(simcore.New(simcore.Config{Backend: opt.queue}), Config{
+		Topology: topo, Miss: dataplane.MissController,
 		Controller:     controller.NewChain(mk()),
 		ControlLatency: simtime.Millisecond,
 	})

@@ -6,19 +6,19 @@ import (
 	"horse/internal/dataplane"
 	"horse/internal/eventq"
 	"horse/internal/linkmodel"
+	"horse/internal/simcore"
 	"horse/internal/simtime"
 )
 
 // runGoldenDegraded runs the golden fat-tree with a link-degradation
-// model installed on every link, on the given event-queue backend.
+// model installed on every link, on a kernel over the given queue.
 func runGoldenDegraded(m linkmodel.Model, seed uint64, q eventq.Backend) runResult {
 	topo, tr := goldenFatTree()
 	links := linkmodel.NewSet(seed, topo.NumLinks())
 	links.SetDefault(m)
-	sim := New(Config{
+	sim := newOwn(simcore.New(simcore.Config{Backend: q}), Config{
 		Topology: topo, Miss: dataplane.MissDrop,
 		StatsEvery: 20 * simtime.Millisecond,
-		EventQueue: q,
 		Links:      links,
 	})
 	dataplane.InstallMACRoutes(sim.Network())
@@ -31,8 +31,8 @@ func runGoldenDegraded(m linkmodel.Model, seed uint64, q eventq.Backend) runResu
 // the drop pattern (same everything else) — the seed is live, not inert.
 func TestLinkModelSeedSensitivity(t *testing.T) {
 	m := linkmodel.BernoulliLoss{P: 0.03}
-	a := runGoldenDegraded(m, 7, eventq.BackendHeap)
-	b := runGoldenDegraded(m, 8, eventq.BackendHeap)
+	a := runGoldenDegraded(m, 7, eventq.BackendWheel)
+	b := runGoldenDegraded(m, 8, eventq.BackendWheel)
 	if a.lost == b.lost && len(a.records) == len(b.records) {
 		same := true
 		for i := range a.records {

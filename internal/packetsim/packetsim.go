@@ -24,7 +24,6 @@ import (
 	"math"
 
 	"horse/internal/dataplane"
-	"horse/internal/eventq"
 	"horse/internal/flowsim"
 	"horse/internal/linkmodel"
 	"horse/internal/netgraph"
@@ -80,9 +79,6 @@ type Config struct {
 	Controller flowsim.Controller
 	// ControlLatency delays every switch↔controller message (default 1ms).
 	ControlLatency simtime.Duration
-	// EventQueue selects the event-queue backend (timing wheel by
-	// default; the heap is the test oracle).
-	EventQueue eventq.Backend
 }
 
 // Simulator is a packet-level simulation run.
@@ -375,8 +371,8 @@ func txDoneKey(dir int32) uint64 { return simcore.OrderKey(simcore.ClassData+1, 
 
 // OrderKey implements eventq.Keyed: the deterministic tie-break of
 // same-instant events. Keys derive from stable entities (link direction,
-// node, flow index), never from schedule history, so every queue
-// backend dispatches the same order. ClassData+1 is reserved for the
+// node, flow index), never from schedule history, so the heap oracle
+// dispatches the same order as the wheel. ClassData+1 is reserved for the
 // frame departures the transmitter dates without events (txDoneKey).
 func (e *event) OrderKey() uint64 {
 	switch e.kind {
@@ -431,11 +427,13 @@ func (s *Simulator) schedTimer(proto event) simcore.Timer {
 }
 
 // New builds a packet-level simulator with a control plane of its own.
-func New(cfg Config) *Simulator {
+func New(cfg Config) *Simulator { return newOwn(simcore.New(simcore.Config{}), cfg) }
+
+// newOwn is New on kernel k (a test passes the heap oracle's).
+func newOwn(k *simcore.Kernel, cfg Config) *Simulator {
 	if cfg.Topology == nil {
 		panic("packetsim: Config.Topology is required")
 	}
-	k := simcore.New(simcore.Config{Backend: cfg.EventQueue})
 	col := stats.NewCollector(cfg.StatsEvery)
 	p := flowsim.NewControlPlane(k, dataplane.NewNetwork(cfg.Topology, cfg.Miss), cfg.Links, col, cfg.Controller, cfg.ControlLatency)
 	// Records reach the collector in ID (load) order.
@@ -448,7 +446,7 @@ func New(cfg Config) *Simulator {
 // NewOn builds a packet-level simulator attached to control plane p, whose
 // kernel, network, link registry, controller, control latency and
 // collector it shares with the plane's other engines; cfg's Topology,
-// EventQueue, Miss, Controller, ControlLatency and Links are not read.
+// Miss, Controller, ControlLatency and Links are not read.
 // Every record goes to emit as its flow finalizes, in no particular
 // order. The plane's owner drives the kernel: Begin, the kernel's run,
 // then Finish.

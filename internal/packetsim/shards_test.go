@@ -75,10 +75,10 @@ func runEngine(tb testing.TB, sim *packetsim.Simulator, tr traffic.Trace, until 
 const goldenUntil = simtime.Time(2 * simtime.Second)
 
 // runGolden runs the golden fat-tree (pre-installed routes, no
-// controller, stats sampling on) with the given shard fields and backend.
-func runGolden(tb testing.TB, shard wire.OptionsSpec, q horse.EventQueue, extra ...horse.Option) (packetsim.RunResult, *stats.Collector) {
+// controller, stats sampling on) with the given shard fields.
+func runGolden(tb testing.TB, shard wire.OptionsSpec, extra ...horse.Option) (packetsim.RunResult, *stats.Collector) {
 	topo, tr := packetsim.GoldenFatTree()
-	opts := append([]horse.Option{horse.WithStatsEvery(20 * simtime.Millisecond), horse.WithEventQueue(q)}, extra...)
+	opts := append([]horse.Option{horse.WithStatsEvery(20 * simtime.Millisecond)}, extra...)
 	sim := newEngine(tb, topo, shard, opts...)
 	horse.InstallMACRoutes(sim.Network())
 	return runEngine(tb, sim, tr, goldenUntil)
@@ -86,13 +86,12 @@ func runGolden(tb testing.TB, shard wire.OptionsSpec, q horse.EventQueue, extra 
 
 // runFailures runs the golden workload under a control plane with
 // scripted link failures and a switch crash/restart.
-func runFailures(tb testing.TB, shard wire.OptionsSpec, q horse.EventQueue, mk func() controller.App) (packetsim.RunResult, *stats.Collector) {
+func runFailures(tb testing.TB, shard wire.OptionsSpec, mk func() controller.App) (packetsim.RunResult, *stats.Collector) {
 	topo, tr := packetsim.GoldenFatTree()
 	sim := newEngine(tb, topo, shard,
 		horse.WithMiss(horse.MissController),
 		horse.WithController(controller.NewChain(mk())),
-		horse.WithControlLatency(simtime.Millisecond),
-		horse.WithEventQueue(q))
+		horse.WithControlLatency(simtime.Millisecond))
 	packetsim.ScriptFailures(sim, topo)
 	return runEngine(tb, sim, tr, goldenUntil)
 }
@@ -111,30 +110,17 @@ func completed(col *stats.Collector) int {
 // WithShards ∈ {1, 2, 4, 8} are byte-identical to the run without the
 // option, and repeat runs reproduce themselves.
 func TestShardDeterminismGolden(t *testing.T) {
-	serial, col := runGolden(t, wire.OptionsSpec{}, horse.EventQueueHeap)
+	serial, col := runGolden(t, wire.OptionsSpec{})
 	if completed(col) == 0 {
 		t.Fatal("golden scenario completed no flows")
 	}
 	for _, k := range []int{1, 2, 4, 8} {
-		got, _ := runGolden(t, shards(k), horse.EventQueueHeap)
+		got, _ := runGolden(t, shards(k))
 		packetsim.DiffRuns(t, fmt.Sprintf("golden shards=%d", k), serial, got)
 	}
-	a, _ := runGolden(t, shards(4), horse.EventQueueHeap)
-	b, _ := runGolden(t, shards(4), horse.EventQueueHeap)
+	a, _ := runGolden(t, shards(4))
+	b, _ := runGolden(t, shards(4))
 	packetsim.DiffRuns(t, "golden-repeat", a, b)
-}
-
-// TestShardDeterminismBackends crosses the shard option with the
-// event-queue backend: the golden scenario reproduces the heap run
-// without the option at shards ∈ {1, 4} × backend ∈ {heap, wheel}.
-func TestShardDeterminismBackends(t *testing.T) {
-	serial, _ := runGolden(t, wire.OptionsSpec{}, horse.EventQueueHeap)
-	for _, q := range []horse.EventQueue{horse.EventQueueHeap, horse.EventQueueWheel} {
-		for _, k := range []int{1, 4} {
-			got, _ := runGolden(t, shards(k), q)
-			packetsim.DiffRuns(t, fmt.Sprintf("backend=%v shards=%d", q, k), serial, got)
-		}
-	}
 }
 
 // TestShardDeterminismLateTraffic delays the golden workload so its first
@@ -225,8 +211,7 @@ func TestShardPreRunExchange(t *testing.T) {
 
 // TestShardDeterminismFailures replays the scripted-failure scenario
 // (reconvergence, packet loss, switch crash) under both E8 policies: runs
-// at every shard count on the wheel reproduce the heap run without the
-// option.
+// at every shard count reproduce the run without the option.
 func TestShardDeterminismFailures(t *testing.T) {
 	policies := []struct {
 		name string
@@ -237,7 +222,7 @@ func TestShardDeterminismFailures(t *testing.T) {
 	}
 	for _, pol := range policies {
 		t.Run(pol.name, func(t *testing.T) {
-			serial, col := runFailures(t, wire.OptionsSpec{}, horse.EventQueueHeap, pol.mk)
+			serial, col := runFailures(t, wire.OptionsSpec{}, pol.mk)
 			if pol.name == "forwarding" && col.PacketsLost == 0 {
 				t.Fatal("failure scenario lost no packets; the scripted outages missed the traffic")
 			}
@@ -245,7 +230,7 @@ func TestShardDeterminismFailures(t *testing.T) {
 				t.Fatal("control plane installed nothing")
 			}
 			for _, k := range []int{1, 2, 4, 8} {
-				got, _ := runFailures(t, shards(k), horse.EventQueueWheel, pol.mk)
+				got, _ := runFailures(t, shards(k), pol.mk)
 				packetsim.DiffRuns(t, fmt.Sprintf("failures/%s shards=%d", pol.name, k), serial, got)
 			}
 		})
@@ -336,8 +321,7 @@ func TestControllerShardingComponents(t *testing.T) {
 
 // TestLinkModelShardParity pins the shard contract with link models
 // enabled: corruption streams are seed-keyed per link direction, so every
-// shard count, backend and balancing mode reproduces the heap run without
-// shard fields.
+// shard count and balancing mode reproduces the run without shard fields.
 func TestLinkModelShardParity(t *testing.T) {
 	models := []struct {
 		name string
@@ -353,16 +337,15 @@ func TestLinkModelShardParity(t *testing.T) {
 	}
 	for _, mc := range models {
 		t.Run(mc.name, func(t *testing.T) {
-			run := func(shard wire.OptionsSpec, q horse.EventQueue) packetsim.RunResult {
-				got, _ := runGolden(t, shard, q, horse.WithLinkModel(mc.m), horse.WithLinkModelSeed(7))
+			run := func(shard wire.OptionsSpec) packetsim.RunResult {
+				got, _ := runGolden(t, shard, horse.WithLinkModel(mc.m), horse.WithLinkModelSeed(7))
 				return got
 			}
-			ref := run(wire.OptionsSpec{}, horse.EventQueueHeap)
+			ref := run(wire.OptionsSpec{})
 			for _, k := range []int{2, 4} {
-				packetsim.DiffRuns(t, fmt.Sprintf("%s-heap shards=%d", mc.name, k), ref, run(shards(k), horse.EventQueueHeap))
-				packetsim.DiffRuns(t, fmt.Sprintf("%s-wheel shards=%d", mc.name, k), ref, run(shards(k), horse.EventQueueWheel))
+				packetsim.DiffRuns(t, fmt.Sprintf("%s shards=%d", mc.name, k), ref, run(shards(k)))
 			}
-			packetsim.DiffRuns(t, mc.name+"-steal", ref, run(balanced(4, wire.BalanceSteal), horse.EventQueueHeap))
+			packetsim.DiffRuns(t, mc.name+"-steal", ref, run(balanced(4, wire.BalanceSteal)))
 		})
 	}
 }
@@ -396,28 +379,26 @@ func skewedStar() (*netgraph.Topology, traffic.Trace) {
 }
 
 // runSkewed runs the skewed star (pre-installed routes, no controller)
-// with the given shard fields and backend.
-func runSkewed(tb testing.TB, shard wire.OptionsSpec, q horse.EventQueue) (packetsim.RunResult, *stats.Collector) {
+// with the given shard fields.
+func runSkewed(tb testing.TB, shard wire.OptionsSpec) (packetsim.RunResult, *stats.Collector) {
 	topo, tr := skewedStar()
-	sim := newEngine(tb, topo, shard, horse.WithStatsEvery(20*simtime.Millisecond), horse.WithEventQueue(q))
+	sim := newEngine(tb, topo, shard, horse.WithStatsEvery(20*simtime.Millisecond))
 	horse.InstallMACRoutes(sim.Network())
 	return runEngine(tb, sim, tr, goldenUntil)
 }
 
 // TestBalanceDeterminismMatrix: on the skewed star, every horse-wire/v1
-// balancing mode at shards ∈ {1, 4} × backend ∈ {heap, wheel} reproduces
-// the heap run without shard fields.
+// balancing mode at shards ∈ {1, 4} reproduces the run without shard
+// fields.
 func TestBalanceDeterminismMatrix(t *testing.T) {
-	serial, col := runSkewed(t, wire.OptionsSpec{}, horse.EventQueueHeap)
+	serial, col := runSkewed(t, wire.OptionsSpec{})
 	if completed(col) == 0 {
 		t.Fatal("skewed scenario completed no flows")
 	}
 	for _, mode := range []string{wire.BalanceUniform, wire.BalanceWeighted, wire.BalanceSteal} {
-		for _, q := range []horse.EventQueue{horse.EventQueueHeap, horse.EventQueueWheel} {
-			for _, k := range []int{1, 4} {
-				got, _ := runSkewed(t, balanced(k, mode), q)
-				packetsim.DiffRuns(t, fmt.Sprintf("balance=%s/%v shards=%d", mode, q, k), serial, got)
-			}
+		for _, k := range []int{1, 4} {
+			got, _ := runSkewed(t, balanced(k, mode))
+			packetsim.DiffRuns(t, fmt.Sprintf("balance=%s shards=%d", mode, k), serial, got)
 		}
 	}
 }
@@ -426,9 +407,9 @@ func TestBalanceDeterminismMatrix(t *testing.T) {
 // at once — 4 shards, 2 workers, stealing — matches the plain run, and
 // the engine reports no per-shard loads.
 func TestSkewSoak(t *testing.T) {
-	serial, _ := runSkewed(t, wire.OptionsSpec{}, horse.EventQueueHeap)
+	serial, _ := runSkewed(t, wire.OptionsSpec{})
 	two := 2
-	got, _ := runSkewed(t, wire.OptionsSpec{Shards: 4, ShardWorkers: &two, ShardBalancing: wire.BalanceSteal}, horse.EventQueueWheel)
+	got, _ := runSkewed(t, wire.OptionsSpec{Shards: 4, ShardWorkers: &two, ShardBalancing: wire.BalanceSteal})
 	packetsim.DiffRuns(t, "skew-soak", serial, got)
 }
 
@@ -473,8 +454,8 @@ func FuzzStealSchedule(f *testing.F) {
 		if invalid {
 			return
 		}
-		stealFuzzOnce.Do(func() { stealFuzzRef, _ = runGolden(t, wire.OptionsSpec{}, horse.EventQueueHeap) })
-		got, _ := runGolden(t, shard, horse.EventQueueWheel)
+		stealFuzzOnce.Do(func() { stealFuzzRef, _ = runGolden(t, wire.OptionsSpec{}) })
+		got, _ := runGolden(t, shard)
 		packetsim.DiffRuns(t, fmt.Sprintf("fuzz-shards %+v", shard), stealFuzzRef, got)
 	})
 }

@@ -11,21 +11,31 @@ import (
 	"horse/internal/stats"
 )
 
+// proactive is the failure scenario's routing app.
+func proactive() controller.App { return &controller.ProactiveMAC{} }
+
 // TestStreamedMatchesRetained is the packetsim half of the bounded-memory
 // equivalence contract: the incrementally-finalized sink sequence must be
-// byte-identical to the retained Records() order on either event-queue
-// backend, on both the golden scenario and the scripted failure scenario.
+// byte-identical to the retained Records() order, on both the golden
+// scenario and the scripted failure scenario.
 func TestStreamedMatchesRetained(t *testing.T) {
-	proactive := func() controller.App { return &controller.ProactiveMAC{} }
-	for _, q := range []eventq.Backend{eventq.BackendHeap, eventq.BackendWheel} {
-		want := runGolden(q, streamOpts{})
-		if len(want.records) == 0 {
-			t.Fatal("golden scenario produced no records")
-		}
-		diffRuns(t, "golden-streamed/"+q.String(), want, runGolden(q, streamOpts{sink: true}))
-		diffRuns(t, "failures-streamed/"+q.String(), runFailures(q, proactive, streamOpts{}),
-			runFailures(q, proactive, streamOpts{sink: true}))
+	want := runGolden(streamOpts{})
+	if len(want.records) == 0 {
+		t.Fatal("golden scenario produced no records")
 	}
+	diffRuns(t, "golden-streamed", want, runGolden(streamOpts{sink: true}))
+	diffRuns(t, "failures-streamed", runFailures(proactive, streamOpts{}),
+		runFailures(proactive, streamOpts{sink: true}))
+}
+
+// TestQueueImplementationsAgree holds the packet engine to the heap
+// oracle: on a heap kernel the golden and the disturbed scenario
+// reproduce the default runs' records, samples and counters, EventsRun
+// included.
+func TestQueueImplementationsAgree(t *testing.T) {
+	heap := streamOpts{queue: eventq.BackendHeap}
+	diffRuns(t, "golden", runGolden(streamOpts{}), runGolden(heap))
+	diffRuns(t, "failures", runFailures(proactive, streamOpts{}), runFailures(proactive, heap))
 }
 
 // TestStreamedEvictsFlows pins the memory contract behind the sink: once
@@ -63,13 +73,12 @@ func TestStreamedEvictsFlows(t *testing.T) {
 // (a streamed demand's cursor event is its first send, as a Loaded one's
 // is) — with and without the record sink.
 func TestReaderMatchesLoad(t *testing.T) {
-	want := runGolden(eventq.BackendHeap, streamOpts{})
-	diffRuns(t, "reader", want, runGolden(eventq.BackendHeap, streamOpts{reader: true}))
-	diffRuns(t, "reader+sink", want, runGolden(eventq.BackendHeap, streamOpts{reader: true, sink: true}))
-	proactive := func() controller.App { return &controller.ProactiveMAC{} }
-	diffRuns(t, "reader-failures", runFailures(eventq.BackendWheel, proactive, streamOpts{}),
-		runFailures(eventq.BackendWheel, proactive, streamOpts{reader: true, sink: true}))
-	if !reflect.DeepEqual(want.records, runGolden(eventq.BackendHeap, streamOpts{reader: true}).records) {
+	want := runGolden(streamOpts{})
+	diffRuns(t, "reader", want, runGolden(streamOpts{reader: true}))
+	diffRuns(t, "reader+sink", want, runGolden(streamOpts{reader: true, sink: true}))
+	diffRuns(t, "reader-failures", runFailures(proactive, streamOpts{}),
+		runFailures(proactive, streamOpts{reader: true, sink: true}))
+	if !reflect.DeepEqual(want.records, runGolden(streamOpts{reader: true}).records) {
 		t.Fatal("reader run is not repeatable")
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"horse/internal/addr"
 	"horse/internal/controller"
 	"horse/internal/dataplane"
-	"horse/internal/eventq"
 	"horse/internal/flowsim"
 	"horse/internal/header"
 	"horse/internal/hybrid"
@@ -303,11 +302,11 @@ func TestGoldenCrossEngineFailureParity(t *testing.T) {
 }
 
 // TestScenarioReplayByteDeterministic is the replay property: the same
-// scenario produces byte-identical flow and link CSVs on repeat runs and
-// across the wheel/heap event-queue implementations. (The -parallel
-// half of the property lives in experiments: TestE8ParallelDeterminism.)
+// scenario produces byte-identical flow and link CSVs on repeat runs.
+// (The -parallel half of the property lives in experiments:
+// TestE8ParallelDeterminism.)
 func TestScenarioReplayByteDeterministic(t *testing.T) {
-	render := func(q eventq.Backend) (string, string) {
+	render := func() (string, string) {
 		topo := netgraph.LeafSpine(4, 2, 2, netgraph.Gig, netgraph.TenGig)
 		g := traffic.NewGenerator(91)
 		tr := g.PoissonArrivals(traffic.PoissonConfig{
@@ -317,7 +316,6 @@ func TestScenarioReplayByteDeterministic(t *testing.T) {
 		sim := flowsim.New(flowsim.Config{
 			Topology: topo, Controller: controller.NewChain(&controller.ECMPLoadBalancer{}),
 			Miss: dataplane.MissController, StatsEvery: 100 * simtime.Millisecond,
-			EventQueue: q,
 		})
 		RandomLinkFailures(topo, FailureConfig{
 			Seed: 7, MTBF: simtime.Second, Recovery: 200 * simtime.Millisecond,
@@ -334,14 +332,10 @@ func TestScenarioReplayByteDeterministic(t *testing.T) {
 		}
 		return flows.String(), links.String()
 	}
-	f1, l1 := render(eventq.BackendWheel)
-	f2, l2 := render(eventq.BackendWheel)
-	f3, l3 := render(eventq.BackendHeap)
+	f1, l1 := render()
+	f2, l2 := render()
 	if f1 != f2 || l1 != l2 {
-		t.Fatal("repeat replay diverged with the wheel queue")
-	}
-	if f1 != f3 || l1 != l3 {
-		t.Fatal("wheel and heap queues diverged on the same scenario")
+		t.Fatal("repeat replay diverged")
 	}
 	if len(f1) == 0 || f1 == "id,arrival_s,end_s,size_bits,sent_bits,outcome,fct_s,path_len,punts\n" {
 		t.Fatal("replay produced no flow records")

@@ -1,6 +1,6 @@
 // Package service is the session layer of horsed, the simulation-as-a-
 // service daemon: a SessionManager that multiplexes many concurrent
-// named simulation sessions over one machine-wide resource budget, and a
+// named simulation sessions over one machine-wide session budget, and a
 // wire Server (server.go) fronting it with the versioned horse-wire
 // protocol.
 //
@@ -9,9 +9,8 @@
 // façade bridge — a bad spec fails synchronously with the builder's
 // typed validation errors, before any session state exists. Admitted
 // sessions run under admission control: at most MaxSessions run
-// concurrently, their summed worker cost stays within the MaxWorkers
-// budget (a runner.Budget), and excess submissions queue FIFO up to
-// QueueLimit, beyond which Submit rejects with a typed error. Sessions
+// concurrently, and excess submissions queue FIFO up to QueueLimit,
+// beyond which Submit rejects with a typed error. Sessions
 // are inspected (Status/List), cancelled mid-run — cancellation flows
 // into the engine's context-aware Run, which returns partial-but-
 // consistent results — and retired once terminal.
@@ -35,7 +34,6 @@ import (
 	"horse"
 	"horse/api/wire"
 	"horse/internal/metrics"
-	"horse/internal/runner"
 	"horse/internal/simtime"
 	"horse/internal/stats"
 )
@@ -45,9 +43,6 @@ type Config struct {
 	// MaxSessions bounds concurrently running sessions (default
 	// GOMAXPROCS).
 	MaxSessions int
-	// MaxWorkers is the total worker budget running sessions may hold: a
-	// session costs its OptionsSpec.Workers() (default GOMAXPROCS).
-	MaxWorkers int
 	// QueueLimit bounds the FIFO admission queue (default 64).
 	QueueLimit int
 	// ProgressEvery is the virtual-time period of progress pushes
@@ -58,9 +53,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = runtime.GOMAXPROCS(0)
-	}
-	if c.MaxWorkers <= 0 {
-		c.MaxWorkers = runtime.GOMAXPROCS(0)
 	}
 	if c.QueueLimit <= 0 {
 		c.QueueLimit = 64
@@ -107,8 +99,7 @@ func (e *NotRetirableError) Error() string {
 
 // Manager is the session manager of the daemon. Create with New.
 type Manager struct {
-	cfg    Config
-	budget *runner.Budget
+	cfg Config
 
 	mu       sync.Mutex
 	sessions map[string]*session
@@ -125,7 +116,6 @@ func New(cfg Config) *Manager {
 	cfg = cfg.withDefaults()
 	return &Manager{
 		cfg:      cfg,
-		budget:   runner.NewBudget(cfg.MaxWorkers),
 		sessions: map[string]*session{},
 	}
 }
@@ -138,7 +128,6 @@ type session struct {
 	id       string
 	name     string
 	stream   bool
-	cost     int
 	fidelity string
 
 	eng    horse.Engine
@@ -167,11 +156,10 @@ type session struct {
 // Submit validates and admits one session. The engine is built eagerly —
 // spec errors (typed *horse.BuildError / *wire.SpecError /
 // *horse.ScenarioEventError) surface here, synchronously — then the
-// session queues FIFO and starts as soon as it fits the budget. sub, if
+// session queues FIFO and starts as soon as a session slot frees. sub, if
 // non-nil, subscribes to the session's pushes before it can start, so a
 // streaming submitter sees every record.
 func (m *Manager) Submit(spec *wire.SessionSpec, name string, stream bool, sub *Subscriber) (wire.SessionStatus, error) {
-	cost := spec.Options.Workers()
 	fid := spec.Options.Fidelity
 	if fid == "" {
 		fid = wire.FidelityFlow
@@ -193,7 +181,6 @@ func (m *Manager) Submit(spec *wire.SessionSpec, name string, stream bool, sub *
 	// against Status calls.
 	s := &session{
 		stream:   stream,
-		cost:     cost,
 		fidelity: fid,
 		name:     name,
 		state:    wire.StateQueued,
@@ -239,16 +226,11 @@ func (m *Manager) Submit(spec *wire.SessionSpec, name string, stream bool, sub *
 	return s.status(), nil
 }
 
-// schedule starts queued sessions while the head of the queue fits the
-// budget. Strict FIFO: a large head session blocks smaller ones behind
-// it, which keeps admission deterministic (no starvation reordering).
-// Callers hold m.mu.
+// schedule starts queued sessions, in FIFO order, while fewer than
+// MaxSessions run. Callers hold m.mu.
 func (m *Manager) schedule() {
-	for len(m.queue) > 0 && !m.draining {
+	for len(m.queue) > 0 && !m.draining && m.running < m.cfg.MaxSessions {
 		s := m.queue[0]
-		if m.running >= m.cfg.MaxSessions || !m.budget.TryAcquire(s.cost) {
-			return
-		}
 		m.queue = m.queue[1:]
 		m.running++
 		s.mu.Lock()
@@ -259,7 +241,7 @@ func (m *Manager) schedule() {
 	}
 }
 
-// run executes one session to completion and releases its budget.
+// run executes one session to completion and frees its slot.
 func (m *Manager) run(s *session) {
 	defer m.wg.Done()
 	col, err := func() (col *stats.Collector, err error) {
@@ -273,7 +255,6 @@ func (m *Manager) run(s *session) {
 	s.finalize(col, err)
 	m.mu.Lock()
 	m.running--
-	m.budget.Release(s.cost)
 	m.schedule()
 	m.mu.Unlock()
 }
@@ -369,7 +350,7 @@ func (s *session) status() wire.SessionStatus {
 		Name:     s.name,
 		State:    s.state,
 		Fidelity: s.fidelity,
-		Workers:  s.cost,
+		Workers:  1, // every engine runs on one goroutine
 		Stream:   s.stream,
 		NowNs:    s.nowNs.Load(),
 		Events:   s.events.Load(),

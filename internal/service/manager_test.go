@@ -236,26 +236,24 @@ func parkedSession(t *testing.T, mgr *service.Manager) (wire.SessionStatus, *ser
 	}
 }
 
-// TestAdmissionBudgetFIFO: the worker budget, not the session limit,
-// holds a session back — every session costs one worker, whatever shard
-// fields its spec carries — and the queued session runs once the budget
-// frees.
+// TestAdmissionBudgetFIFO: a full session budget holds the next session
+// back, and the queued session runs once a slot frees, with the records
+// of a one-shot run. Every session reports one worker, whatever shard
+// fields its spec carries.
 func TestAdmissionBudgetFIFO(t *testing.T) {
 	mgr := service.New(service.Config{
-		MaxSessions:   2,
-		MaxWorkers:    1,
+		MaxSessions:   1,
 		ProgressEvery: simtime.Millisecond,
 	})
 
-	// A costs the whole budget and parks mid-run.
+	// A takes the only slot and parks mid-run.
 	a, subA := parkedSession(t, mgr)
 	defer subA.Close()
 	if a.State != wire.StateRunning || a.Workers != 1 {
 		t.Fatalf("session A %+v", a)
 	}
 
-	// B fits the session limit but not the worker budget: queued. Its
-	// ignored shard fields do not change its cost.
+	// B queues; its ignored shard fields do not change its worker count.
 	subB := service.NewSubscriber(4096)
 	defer subB.Close()
 	spec := flowSpec()
@@ -265,7 +263,7 @@ func TestAdmissionBudgetFIFO(t *testing.T) {
 		t.Fatal(err)
 	}
 	if b.State != wire.StateQueued || b.Workers != 1 {
-		t.Fatalf("session B %+v, want queued at cost 1 (budget exhausted)", b)
+		t.Fatalf("session B %+v, want queued with 1 worker (no free slot)", b)
 	}
 
 	// Draining A's subscriber unparks it; on completion B runs.
@@ -283,7 +281,6 @@ func TestAdmissionBudgetFIFO(t *testing.T) {
 func TestQueueFull(t *testing.T) {
 	mgr := service.New(service.Config{
 		MaxSessions:   1,
-		MaxWorkers:    1,
 		QueueLimit:    1,
 		ProgressEvery: simtime.Millisecond,
 	})
@@ -304,7 +301,6 @@ func TestQueueFull(t *testing.T) {
 func TestCancelQueued(t *testing.T) {
 	mgr := service.New(service.Config{
 		MaxSessions:   1,
-		MaxWorkers:    1,
 		ProgressEvery: simtime.Millisecond,
 	})
 	a, subA := parkedSession(t, mgr)
@@ -389,7 +385,6 @@ func TestRetireGuards(t *testing.T) {
 func TestDrainCancelsEverything(t *testing.T) {
 	mgr := service.New(service.Config{
 		MaxSessions:   1,
-		MaxWorkers:    1,
 		ProgressEvery: simtime.Millisecond,
 	})
 	a, subA := parkedSession(t, mgr)

@@ -65,7 +65,6 @@ func TestConcurrentSessionsParity(t *testing.T) {
 
 	mgr := service.New(service.Config{
 		MaxSessions:   3,
-		MaxWorkers:    4,
 		ProgressEvery: 10 * simtime.Millisecond,
 	})
 

@@ -181,7 +181,7 @@ func (p *rawPeer) sessionFrames() (records, others [][]byte) {
 // follows the session to its first record and then stops consuming, which
 // parks the session within two more pushes.
 func TestIdleFlush(t *testing.T) {
-	mgr := service.New(service.Config{MaxSessions: 1, MaxWorkers: 1, ProgressEvery: simtime.Millisecond})
+	mgr := service.New(service.Config{MaxSessions: 1, ProgressEvery: simtime.Millisecond})
 	u := listenUnix(t)
 	serve(t, mgr, u.l)
 	c := dialTest(t, u.addr)

@@ -1,5 +1,5 @@
 // Package simcore is the shared discrete-event simulation kernel under
-// every Horse engine: the virtual clock, the pluggable event queue, the
+// every Horse engine: the virtual clock, the event queue, the
 // deterministic dispatch loop, and the pooled event envelopes. The
 // flow-level engine (flowsim), the packet-level engine (packetsim), and
 // the hybrid coupler (hybrid) all run on one Kernel, which is what lets
@@ -10,9 +10,8 @@
 //
 //   - Determinism: events fire in nondecreasing time order, breaking ties
 //     by deterministic order key (eventq.Keyed) and then FIFO schedule
-//     order, regardless of queue implementation. Order keys derive from
-//     stable simulation entities, so every queue backend dispatches the
-//     same sequence.
+//     order. Order keys derive from stable simulation entities, so the
+//     heap oracle dispatches the same sequence as the wheel.
 //   - One look at the queue head per dispatch: the loop asks the queue
 //     for its earliest event no later than a bound (eventq's PopUntil) —
 //     the run bound, or the current instant while a pre-advance hook has
@@ -47,14 +46,15 @@ type Event interface {
 	Release()
 }
 
-// Config parameterizes a Kernel.
+// Config parameterizes a Kernel. The zero Config runs on the timing
+// wheel, the queue every engine uses.
 type Config struct {
-	// Backend selects the event-queue implementation: the timing wheel by
-	// default; eventq.BackendHeap is the determinism oracle tests compare
-	// it against.
+	// Backend selects eventq.BackendHeap, the determinism oracle tests
+	// and the benchmark's dispatch probe compare the wheel against.
 	Backend eventq.Backend
-	// Queue, if non-nil, is used directly and overrides Backend.
-	Queue eventq.Queue
+	// Queue, if non-nil, is used directly and overrides Backend (a test
+	// wraps the wheel to record dispatch order).
+	Queue eventq.Canceler
 }
 
 // hook is one pre-advance hook: pending reports whether deferred work
@@ -68,12 +68,10 @@ type hook struct {
 // Kernel is the simulation core: virtual clock + event queue + dispatch
 // loop. Zero value is not usable; call New.
 type Kernel struct {
-	q          eventq.Queue
-	qc         eventq.Canceler // non-nil when q supports true cancellation
+	q          eventq.Canceler
 	now        simtime.Time
 	hooks      []hook
 	dispatched uint64
-	envPool    Pool[cancelEnv]
 	// cur is the event being dispatched (nil between dispatches).
 	cur Event
 }
@@ -84,9 +82,7 @@ func New(cfg Config) *Kernel {
 	if q == nil {
 		q = eventq.New(cfg.Backend)
 	}
-	k := &Kernel{q: q}
-	k.qc, _ = q.(eventq.Canceler)
-	return k
+	return &Kernel{q: q}
 }
 
 // Now returns the current virtual time.
@@ -94,10 +90,6 @@ func (k *Kernel) Now() simtime.Time { return k.now }
 
 // Len returns the number of scheduled events.
 func (k *Kernel) Len() int { return k.q.Len() }
-
-// Queue returns the event queue the kernel runs on, so a test can assert
-// which backend a configuration selected.
-func (k *Kernel) Queue() eventq.Queue { return k.q }
 
 // Dispatched returns how many events have fired — the work metric shared
 // across all engines on this kernel (E7 reports it as events/sec).
@@ -121,32 +113,19 @@ func (k *Kernel) ScheduleSeq(ev Event, seq uint64) { k.q.PushSeq(ev, seq) }
 // Timer is a handle on one cancelable scheduled event. The zero Timer is
 // valid and cancels as a no-op; handles go stale once the event fires or
 // is cancelled, so engines may keep a Timer per flow/switch and Cancel it
-// unconditionally. Timers are value types and allocate nothing on the
-// true-cancellation path (queue nodes and fallback envelopes are pooled).
+// unconditionally. Timers are value types and allocate nothing (queue
+// nodes are pooled).
 type Timer struct {
-	h    eventq.Handle
-	env  *cancelEnv
-	egen uint32
+	h eventq.Handle
 }
 
 // ScheduleCancelable queues an event and returns a Timer that can remove
-// it before it fires. On a Canceler-capable queue (both built-in
-// backends) cancellation truly removes the event — on the wheel in O(1),
-// on the heap by marking the entry dead without ever touching the event
-// again — so the engine can recycle the envelope immediately. On an
-// externally supplied non-Canceler queue the event is wrapped in a pooled
-// envelope that no-ops when cancelled, preserving exact scheduling
-// semantics at the cost of a corpse dispatch.
+// it before it fires. Cancellation truly removes the event — on the
+// wheel in O(1), on the heap by marking the entry dead without ever
+// touching the event again — so the engine can recycle the envelope
+// immediately.
 func (k *Kernel) ScheduleCancelable(ev Event) Timer {
-	if k.qc != nil {
-		return Timer{h: k.qc.PushCancelable(ev)}
-	}
-	env := k.envPool.Get()
-	env.inner = ev
-	env.k = k
-	env.dead = false
-	k.q.Push(env)
-	return Timer{env: env, egen: env.gen}
+	return Timer{h: k.q.PushCancelable(ev)}
 }
 
 // Cancel removes a cancelable scheduled event. It returns true when the
@@ -154,57 +133,12 @@ func (k *Kernel) ScheduleCancelable(ev Event) Timer {
 // stale Timer — the event already fired or was already cancelled — is a
 // safe no-op returning false.
 func (k *Kernel) Cancel(t Timer) bool {
-	if t.env != nil {
-		if t.env.gen != t.egen || t.env.dead || t.env.inner == nil {
-			return false
-		}
-		t.env.dead = true
-		return true
-	}
-	if k.qc == nil {
-		return false
-	}
-	ev, ok := k.qc.Cancel(t.h)
+	ev, ok := k.q.Cancel(t.h)
 	if !ok {
 		return false
 	}
 	ev.(Event).Release()
 	return true
-}
-
-// cancelEnv wraps a cancelable event for queues without native
-// cancellation: Fire/Release forward to the inner event unless the timer
-// was cancelled, in which case the corpse fires as a no-op and releases
-// the inner envelope only when it finally pops (the queue may still read
-// its Time, so the envelope cannot be recycled earlier).
-type cancelEnv struct {
-	inner Event
-	k     *Kernel
-	gen   uint32 // bumped on recycle so stale Timers cancel as no-ops
-	dead  bool
-}
-
-func (c *cancelEnv) Time() simtime.Time { return c.inner.Time() }
-
-func (c *cancelEnv) OrderKey() uint64 {
-	if kd, ok := c.inner.(eventq.Keyed); ok {
-		return kd.OrderKey()
-	}
-	return eventq.DefaultOrderKey
-}
-
-func (c *cancelEnv) Fire() {
-	if !c.dead {
-		c.inner.Fire()
-	}
-}
-
-func (c *cancelEnv) Release() {
-	inner, k := c.inner, c.k
-	c.inner, c.k, c.dead = nil, nil, false
-	c.gen++
-	inner.Release()
-	k.envPool.Put(c)
 }
 
 // AddPreAdvance registers a pre-advance hook. Hooks run — in registration

@@ -277,3 +277,66 @@ func TestRunContextBackgroundMatchesRun(t *testing.T) {
 		t.Fatalf("Run %v vs RunContext %v", a, b)
 	}
 }
+
+// TestDefaultQueueIsWheel: the zero Config, which every engine's New
+// passes, runs on the timing wheel; the heap is built only when named.
+func TestDefaultQueueIsWheel(t *testing.T) {
+	if _, ok := New(Config{}).q.(*eventq.Wheel); !ok {
+		t.Error("New(Config{}) is not on the wheel")
+	}
+	if _, ok := New(Config{Backend: eventq.BackendHeap}).q.(*eventq.Heap); !ok {
+		t.Error("New(Config{Backend: BackendHeap}) is not on the heap")
+	}
+}
+
+// countEvent counts its firings and releases.
+type countEvent struct {
+	at              simtime.Time
+	fired, released int
+}
+
+func (e *countEvent) Time() simtime.Time { return e.at }
+func (e *countEvent) Fire()              { e.fired++ }
+func (e *countEvent) Release()           { e.released++ }
+
+// TestCancel: on either backend a cancelled timer never fires and is
+// released exactly once, Cancel succeeds once and is a no-op on the stale
+// handle, and the zero Timer cancels as a no-op.
+func TestCancel(t *testing.T) {
+	for name, b := range map[string]eventq.Backend{"wheel": eventq.BackendWheel, "heap": eventq.BackendHeap} {
+		t.Run(name, func(t *testing.T) {
+			k := New(Config{Backend: b})
+			if k.Cancel(Timer{}) {
+				t.Error("Cancel(zero Timer) = true")
+			}
+			dead, live := &countEvent{at: 10}, &countEvent{at: 20}
+			tm := k.ScheduleCancelable(dead)
+			lt := k.ScheduleCancelable(live)
+			if !k.Cancel(tm) {
+				t.Fatal("Cancel of a pending timer = false")
+			}
+			if dead.released != 1 {
+				t.Fatalf("cancelled event released %d times on Cancel, want 1", dead.released)
+			}
+			if k.Cancel(tm) {
+				t.Error("Cancel of a stale handle = true")
+			}
+			if k.Len() != 1 {
+				t.Errorf("Len = %d after cancelling one of two, want 1", k.Len())
+			}
+			k.Run(simtime.Never)
+			if k.Cancel(tm) || k.Cancel(lt) {
+				t.Error("Cancel after Run of a cancelled or fired timer = true")
+			}
+			if dead.fired != 0 || dead.released != 1 {
+				t.Errorf("cancelled event fired %d, released %d; want 0, 1", dead.fired, dead.released)
+			}
+			if live.fired != 1 || live.released != 1 {
+				t.Errorf("live event fired %d, released %d; want 1, 1", live.fired, live.released)
+			}
+			if k.Dispatched() != 1 {
+				t.Errorf("Dispatched = %d, want 1", k.Dispatched())
+			}
+		})
+	}
+}

@@ -3,7 +3,6 @@ package horse
 import (
 	"fmt"
 
-	"horse/internal/eventq"
 	"horse/internal/hybrid"
 	"horse/internal/linkmodel"
 	"horse/internal/traffic"
@@ -29,7 +28,6 @@ type options struct {
 	rateEpsilon   float64
 	rateEpsSet    bool
 	fullRecompute bool
-	eventQueue    EventQueue
 	shards        int
 	queuePackets  int
 	queueSet      bool
@@ -184,41 +182,6 @@ func WithFullRecompute() Option {
 	}
 }
 
-// EventQueue selects the simulation kernel's event-queue backend.
-type EventQueue int
-
-// Event-queue backends. Both dispatch events in exactly the same order —
-// (time, order key, FIFO) — so results are byte-identical across
-// backends; they differ only in cost.
-const (
-	// EventQueueWheel is the hierarchical timing wheel: O(1) schedule and
-	// O(1) true cancellation. The default, and the queue every engine is
-	// tuned for.
-	EventQueueWheel EventQueue = iota
-	// EventQueueHeap is the binary min-heap: O(log n) operations. It is
-	// kept as the determinism oracle the wheel is tested against; select
-	// it to cross-check a result, not for speed.
-	EventQueueHeap
-)
-
-// String returns the wire name of the backend ("wheel", "heap").
-func (q EventQueue) String() string {
-	return eventq.Backend(q).String()
-}
-
-// WithEventQueue selects the kernel's event-queue backend (default
-// EventQueueWheel; any fidelity). Results do not depend on the choice —
-// only run time does.
-func WithEventQueue(q EventQueue) Option {
-	return func(o *options) error {
-		if q != EventQueueWheel && q != EventQueueHeap {
-			return &BuildError{Option: "WithEventQueue", Reason: fmt.Sprintf("unknown event queue %d", q)}
-		}
-		o.eventQueue = q
-		return nil
-	}
-}
-
 // WithShards is accepted for compatibility and changes nothing: every
 // engine runs serial, whatever k. Packet runs once had a sharded
 // multi-core executor behind this option; it was slower than the serial
@@ -332,8 +295,8 @@ func WithLinkModelFor(link LinkID, m LinkModel) Option {
 
 // WithLinkModelSeed seeds the link models' corruption streams (default
 // 1). Two runs with the same seed, workload, and models draw identical
-// per-direction corruption sequences at every fidelity and event-queue
-// backend; changing the seed redraws them.
+// per-direction corruption sequences at every fidelity; changing the
+// seed redraws them.
 func WithLinkModelSeed(seed uint64) Option {
 	return func(o *options) error {
 		if seed == 0 {
@@ -394,9 +357,8 @@ func WithRecordSink(sink func(FlowRecord)) Option {
 // nondecreasing Start order (NewTraceCSVReader buffers a bounded window
 // to absorb local disorder; an out-of-window row fails the run with
 // ErrTraceOrder). Streamed runs produce byte-identical records to Load
-// of the same sequence at every fidelity and event-queue backend. Load
-// may still be called for extra demands; they schedule
-// eagerly alongside the stream.
+// of the same sequence at every fidelity. Load may still be called for
+// extra demands; they schedule eagerly alongside the stream.
 //
 // The library's readers — NewTraceCSVReader (and the io.Reader behind
 // it), NewPoissonReader, NewTraceReader, and MergeTraceReaders of only

@@ -19,8 +19,7 @@ go build -o "$workdir/horsed" ./cmd/horsed
 go build -o "$workdir/horsectl" ./cmd/horsectl
 
 sock="$workdir/horsed.sock"
-"$workdir/horsed" -socket "$sock" -max-sessions 2 -max-workers 4 \
-    2>"$workdir/horsed.log" &
+"$workdir/horsed" -socket "$sock" -max-sessions 2 2>"$workdir/horsed.log" &
 daemon_pid=$!
 
 for _ in $(seq 1 100); do

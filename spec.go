@@ -96,16 +96,15 @@ func SpecOptions(o wire.OptionsSpec) ([]Option, error) {
 	if o.FullRecompute {
 		opts = append(opts, WithFullRecompute())
 	}
-	// o.CalendarQueue and the "calendar"/"auto" names are horse-wire/v1
-	// aliases for the default wheel: those backends are gone, and every
-	// backend yields byte-identical records, so old specs keep running.
+	// Every engine runs on the timing wheel. o.CalendarQueue and the
+	// event_queue names horse-wire/v1 defined ("wheel", "heap",
+	// "calendar", "auto") are accepted and ignored: every backend yielded
+	// byte-identical records, so old specs keep running unchanged. Any
+	// other name is still rejected.
 	switch o.EventQueue {
-	case "", wire.EventQueueWheel, "calendar", "auto":
-		// The default (wheel) — no option.
-	case wire.EventQueueHeap:
-		opts = append(opts, WithEventQueue(EventQueueHeap))
+	case "", "wheel", "heap", "calendar", "auto":
 	default:
-		return nil, &BuildError{Option: "WithEventQueue", Reason: fmt.Sprintf("unknown event queue %q", o.EventQueue)}
+		return nil, &BuildError{Option: "event_queue", Reason: fmt.Sprintf("unknown event queue %q", o.EventQueue)}
 	}
 	// Shards, ShardWorkers and ShardBalancing are horse-wire/v1 fields of
 	// the removed sharded executor: accepted and ignored, so old specs

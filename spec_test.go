@@ -13,8 +13,6 @@ import (
 
 	"horse"
 	"horse/api/wire"
-	"horse/internal/eventq"
-	"horse/internal/simcore"
 )
 
 // specFixture is a small deterministic session: two explicit demands on
@@ -428,9 +426,10 @@ func fixtureSpec(t *testing.T, name string) wire.SessionSpec {
 }
 
 // TestSpecEventQueueAliases is the wire-compatibility contract for the
-// removed backends: the checked-in v1 fixture naming "calendar" (with the
-// older calendar_queue switch set), and "auto", still build and run, on
-// the default queue, with records identical to a spec that names none.
+// event_queue names v1 defined: the checked-in v1 fixture naming
+// "calendar" (with the older calendar_queue switch set), "auto" and
+// "heap" still build and run, with records identical to a spec that
+// names none; an unknown name is still a *BuildError.
 func TestSpecEventQueueAliases(t *testing.T) {
 	fixture := fixtureSpec(t, "submit-event-queue-calendar.json")
 	run := func(queue string, calendar bool) []horse.FlowRecord {
@@ -440,9 +439,6 @@ func TestSpecEventQueueAliases(t *testing.T) {
 		eng, until, err := horse.NewFromSpec(&spec)
 		if err != nil {
 			t.Fatalf("event_queue %q: %v", queue, err)
-		}
-		if !onWheel(eng) {
-			t.Fatalf("event_queue %q: engine is not on the wheel", queue)
 		}
 		col, err := eng.Run(context.Background(), until)
 		if err != nil {
@@ -460,67 +456,19 @@ func TestSpecEventQueueAliases(t *testing.T) {
 	}{
 		{fixture.Options.EventQueue, fixture.Options.CalendarQueue}, // as checked in
 		{"auto", false},
+		{"heap", false},
+		{"wheel", false},
 		{"", true},
 	} {
-		got := run(alias.queue, alias.calendar)
-		if len(got) != len(want) {
-			t.Fatalf("event_queue %q: %d records, default %d", alias.queue, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("event_queue %q: record %d differs:\n default %+v\n   alias %+v", alias.queue, i, want[i], got[i])
-			}
+		if got := run(alias.queue, alias.calendar); !reflect.DeepEqual(got, want) {
+			t.Fatalf("event_queue %q calendar_queue %v: %d records differ from the default's %d",
+				alias.queue, alias.calendar, len(got), len(want))
 		}
 	}
-}
-
-// onWheel reports whether the engine's kernel runs on the timing wheel.
-func onWheel(eng horse.Engine) bool {
-	var k *simcore.Kernel
-	switch e := eng.(type) {
-	case *horse.Simulator:
-		k = e.Kernel()
-	case *horse.PacketSimulator:
-		k = e.Kernel()
-	case *horse.HybridSimulator:
-		k = e.Kernel()
-	}
-	_, ok := k.Queue().(*eventq.Wheel)
-	return ok
-}
-
-// TestDefaultQueueIsWheel pins the default at every layer: an engine
-// built with no queue option (each fidelity), a spec with event_queue "",
-// and a zero simcore.Config all get the wheel; the heap is built only
-// when named.
-func TestDefaultQueueIsWheel(t *testing.T) {
-	for _, fid := range []horse.Fidelity{horse.Flow, horse.Packet, horse.Hybrid} {
-		eng, err := horse.New(horse.Star(4, horse.Gig), horse.WithFidelity(fid))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !onWheel(eng) {
-			t.Errorf("horse.New(%v) with no queue option is not on the wheel", fid)
-		}
-	}
-	eng, _, err := horse.NewFromSpec(specFixture())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !onWheel(eng) {
-		t.Error(`NewFromSpec with event_queue "" is not on the wheel`)
-	}
-	if _, ok := simcore.New(simcore.Config{}).Queue().(*eventq.Wheel); !ok {
-		t.Error("simcore.New(Config{}) is not on the wheel")
-	}
-	if horse.EventQueue(0) != horse.EventQueueWheel || eventq.Backend(0) != eventq.BackendWheel {
-		t.Error("the zero EventQueue / Backend is not the wheel")
-	}
-	heap, err := horse.New(horse.Star(4, horse.Gig), horse.WithEventQueue(horse.EventQueueHeap))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := heap.(*horse.Simulator).Kernel().Queue().(*eventq.Heap); !ok {
-		t.Error("WithEventQueue(EventQueueHeap) did not build the heap oracle")
+	bad := fixture
+	bad.Options.EventQueue = "splay"
+	var berr *horse.BuildError
+	if _, _, err := horse.NewFromSpec(&bad); !errors.As(err, &berr) {
+		t.Fatalf("event_queue %q: error %v, want a *BuildError", bad.Options.EventQueue, err)
 	}
 }

@@ -38,28 +38,24 @@ var streamVariants = []streamVariant{
 type streamCase struct {
 	fidelity horse.Fidelity
 	shards   int
-	queue    horse.EventQueue
 }
 
-// streamMatrix is the battery's fidelity × shards × backend coverage.
-// WithShards runs the serial engine at any count, so the shard dimension
-// pins that the option stays a no-op on every streaming path; the Hybrid
-// engine rejects it, so its shard dimension is the plain run.
+// streamMatrix is the battery's fidelity × shards coverage. WithShards
+// runs the serial engine at any count, so the shard dimension pins that
+// the option stays a no-op on every streaming path; the Hybrid engine
+// rejects it, so its shard dimension is the plain run.
 func streamMatrix() []streamCase {
 	var cases []streamCase
-	for _, q := range []horse.EventQueue{horse.EventQueueHeap, horse.EventQueueWheel} {
-		for _, shards := range []int{1, 4} {
-			cases = append(cases,
-				streamCase{horse.Flow, shards, q},
-				streamCase{horse.Packet, shards, q})
-		}
-		cases = append(cases, streamCase{horse.Hybrid, 0, q})
+	for _, shards := range []int{1, 4} {
+		cases = append(cases, streamCase{horse.Flow, shards}, streamCase{horse.Packet, shards})
 	}
-	return cases
+	return append(cases, streamCase{horse.Hybrid, 0})
 }
 
+// String names the cell; the "/wheel" suffix keeps the names the cells
+// had when the battery also ran the heap.
 func (c streamCase) String() string {
-	return fmt.Sprintf("%v/shards=%d/%v", c.fidelity, c.shards, c.queue)
+	return fmt.Sprintf("%v/shards=%d/wheel", c.fidelity, c.shards)
 }
 
 // runStream executes one scenario cell and returns the record sequence
@@ -73,7 +69,6 @@ func runStream(t *testing.T, c streamCase, v streamVariant,
 		horse.WithFidelity(c.fidelity),
 		horse.WithController(horse.NewChain(&horse.ProactiveMAC{})),
 		horse.WithMiss(horse.MissController),
-		horse.WithEventQueue(c.queue),
 	}
 	if c.shards > 0 {
 		opts = append(opts, horse.WithShards(c.shards))
@@ -159,7 +154,7 @@ func diffStream(t *testing.T, c streamCase, label string, v streamVariant,
 // the bounded-memory paths: on the golden fat-tree workload, every
 // streaming variant (record sink, trace reader, both) reproduces the
 // retained run byte-for-byte at fidelity {Flow, Packet, Hybrid} × shards
-// {1, 4} × event queue {heap, wheel}. A half-Load, half-reader input
+// {1, 4}. A half-Load, half-reader input
 // numbers records differently from the baseline, so its sink run is held
 // to its own retained run. CI runs this battery under -race.
 func TestStreamEquivalenceBattery(t *testing.T) {
@@ -195,9 +190,9 @@ func TestStreamEquivalenceFailures(t *testing.T) {
 	topo, tr, tl := failureWorkload()
 	until := horse.Time(4 * horse.Second)
 	cases := []streamCase{
-		{horse.Flow, 1, horse.EventQueueHeap},
-		{horse.Packet, 4, horse.EventQueueWheel},
-		{horse.Hybrid, 0, horse.EventQueueHeap},
+		{horse.Flow, 1},
+		{horse.Packet, 4},
+		{horse.Hybrid, 0},
 	}
 	for _, c := range cases {
 		t.Run(c.String(), func(t *testing.T) {
