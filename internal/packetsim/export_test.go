@@ -1,5 +1,7 @@
 package packetsim
 
+import "horse/internal/eventq"
+
 // Test scaffolding shared with package packetsim_test, whose tests build
 // engines through the public façade.
 
@@ -14,3 +16,7 @@ var (
 	DiffRuns         = diffRuns
 	MemoFastFailover = memoFastFailover
 )
+
+// GoldenOnHeap runs the golden scenario on a heap-ordered kernel: the
+// oracle the façade's default queue is held to.
+func GoldenOnHeap() RunResult { return runGolden(streamOpts{queue: eventq.BackendHeap}) }

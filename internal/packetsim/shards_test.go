@@ -123,6 +123,17 @@ func TestShardDeterminismGolden(t *testing.T) {
 	packetsim.DiffRuns(t, "golden-repeat", a, b)
 }
 
+// TestShardDeterminismBackends crosses the shard option with the
+// event-queue backend: façade runs at shards ∈ {1, 4} on the default
+// queue reproduce the golden scenario's run on a heap kernel.
+func TestShardDeterminismBackends(t *testing.T) {
+	heap := packetsim.GoldenOnHeap()
+	for _, k := range []int{1, 4} {
+		got, _ := runGolden(t, shards(k))
+		packetsim.DiffRuns(t, fmt.Sprintf("heap vs shards=%d", k), heap, got)
+	}
+}
+
 // TestShardDeterminismLateTraffic delays the golden workload so its first
 // arrival coincides with ProactiveMAC's pre-installed FlowMods at
 // ControlLatency: the same-instant install/data tie resolves the same way
