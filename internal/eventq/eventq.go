@@ -13,23 +13,46 @@
 // ties by order key (Keyed) and then insertion order, so a simulation run
 // is fully deterministic for a given input sequence.
 //
-// Both implement Canceler: PushCancelable returns a Handle and Cancel
-// removes the event before it fires, instead of the generation-stamp
-// pattern where stale timers sit in the queue until they fire as no-ops.
-// The wheel physically unlinks in O(1); the heap marks the entry dead and
-// skips it on dequeue (the entry is never compared through its event
-// again, so cancelled envelopes may be recycled immediately). Len always
-// reports live events only, so engine logic keyed on queue emptiness
-// behaves identically on either backend.
+// Both store a queued event as a 40-byte record with no pointers — time,
+// order key, FIFO sequence number, two int32 links, a generation and a
+// location — in fixed-size pages, with the Event values in parallel
+// pages of their own, so the garbage collector scans event slots and
+// never a record. Time and key are read once, at push (PushKeyed takes
+// them from a caller that knows them), and PopUntil hands them back with
+// the event, so the dispatch loop never asks the event again. Wheel slot
+// chains and the free list link record indices; the heaps sift 32-byte
+// copies of a record's (time, key, seq) beside its index.
+//
+// Both implement Canceler: PushCancelable returns a Handle (record index
+// and generation) and Cancel removes the event before it fires, instead
+// of the generation-stamp pattern where stale timers sit in the queue
+// until they fire as no-ops. The wheel physically unlinks any chained
+// event in O(1), due ones included; an event in its late heap, and every
+// entry of the heap, is marked dead and skipped on dequeue (its event is
+// returned at Cancel and never touched again, so the envelope may be
+// recycled immediately). Len always reports live events only, so engine
+// logic keyed on queue emptiness behaves identically on either backend.
 package eventq
 
-import "horse/internal/simtime"
+import (
+	"horse/internal/grow"
+	"horse/internal/simtime"
+)
 
-// Event is anything that can be scheduled on a Queue.
+// Event is anything that can be scheduled on a Queue and dispatched
+// from it. The queue reads Time (and a Keyed event's OrderKey) at push
+// and never calls Fire or Release: those are the dispatcher's, and
+// carrying them here lets the kernel run what a pop returns without
+// converting it to an interface of its own first.
 type Event interface {
-	// Time returns the instant at which the event fires. It must not
-	// change while the event is queued.
+	// Time returns the instant at which the event fires.
 	Time() simtime.Time
+	// Fire executes the event at its firing time.
+	Fire()
+	// Release recycles the event after Fire returns, or after Cancel
+	// took it off the queue. Implementations that do not pool may make
+	// it a no-op.
+	Release()
 }
 
 // Keyed is an Event that carries a deterministic order key. Queues sort by
@@ -41,8 +64,8 @@ type Event interface {
 // keyed events at the same instant (DefaultOrderKey) in plain FIFO order.
 type Keyed interface {
 	Event
-	// OrderKey returns the event's order key. It must not change while
-	// the event is queued.
+	// OrderKey returns the event's order key. The queue reads it once,
+	// at push.
 	OrderKey() uint64
 }
 
@@ -50,7 +73,9 @@ type Keyed interface {
 // implement Keyed. It sorts after every keyed event at the same instant.
 const DefaultOrderKey = ^uint64(0)
 
-func orderKeyOf(ev Event) uint64 {
+// KeyOf returns ev's order key: OrderKey for a Keyed event,
+// DefaultOrderKey otherwise.
+func KeyOf(ev Event) uint64 {
 	if k, ok := ev.(Keyed); ok {
 		return k.OrderKey()
 	}
@@ -66,11 +91,12 @@ type Queue interface {
 	// order (FIFO). Pop returns nil when the queue is empty.
 	Pop() Event
 	// PopUntil is Pop bounded by a firing time: it removes and returns
-	// the earliest event only if that event fires at or before until, and
-	// otherwise (or when the queue is empty) returns nil and leaves the
+	// the earliest event, with the time and order key it was queued
+	// under, only if that event fires at or before until, and otherwise
+	// (or when the queue is empty) returns a nil event and leaves the
 	// queue as it was. The kernel's dispatch loop uses it to honor a run
 	// bound with one look at the queue head per event.
-	PopUntil(until simtime.Time) Event
+	PopUntil(until simtime.Time) (ev Event, t simtime.Time, key uint64)
 	// Peek returns the earliest event without removing it, or nil.
 	Peek() Event
 	// Len returns the number of queued (live, uncancelled) events.
@@ -94,6 +120,12 @@ type Canceler interface {
 	Queue
 	// PushCancelable schedules an event and returns a handle for Cancel.
 	PushCancelable(Event) Handle
+	// PushKeyed schedules ev at t under order key key, which must be
+	// what ev's Time and OrderKey report, and FIFO sequence number seq
+	// (one from Reserve, or 0 for the next), and returns a handle for
+	// Cancel. It is the one push: the others are PushKeyed with the
+	// lookups in front.
+	PushKeyed(ev Event, t simtime.Time, key, seq uint64) Handle
 	// Cancel removes a previously scheduled event. It returns the event
 	// and true when the event was still queued (the caller owns
 	// recycling it, and the queue guarantees it will never touch the
@@ -102,87 +134,43 @@ type Canceler interface {
 	Cancel(Handle) (Event, bool)
 }
 
-// Handle identifies one cancelable scheduled event. The zero Handle is
-// valid and cancels as a no-op. Handles are invalidated when the event
-// fires, is cancelled, or is popped — a stale Cancel is safe and returns
-// false.
+// Handle identifies one cancelable scheduled event: its record's index
+// and the generation the record had when the event was pushed.
+// It is 8 bytes and holds no pointer. The zero Handle is valid and
+// cancels as a no-op (index 0 is never a record). A record's generation
+// advances when its event fires, is cancelled, or is popped, so a stale
+// Cancel is safe and returns false even after the record is reused.
 type Handle struct {
-	n   *node
+	i   int32
 	gen uint32
 }
 
-// node is the per-event bookkeeping record behind a Handle. The heap uses
-// only (ev, gen, dead) — the node marks a queue entry dead so dequeue can
-// skip it. The wheel stores events entirely in nodes:
-// slot chains and the overflow list link through prev/next, and `where`
-// records the node's current location so Cancel can unlink in O(1).
-// Nodes are pooled per queue; gen increments on every recycle so stale
-// handles never alias a reused node.
-type node struct {
-	ev    Event
-	t     simtime.Time
-	key   uint64
-	seq   uint64
-	prev  *node
-	next  *node
-	gen   uint32
-	where uint16
-	dead  bool
+// rec is the bookkeeping record of one queued event. It holds no
+// pointer: the event itself sits at the same index of the event pages.
+// prev and next link the record into a wheel slot chain or the overflow
+// list (or, next only, the free list); index 0 is the nil link. where
+// is the record's location, so Cancel can unlink in O(1).
+type rec struct {
+	order
+	prev, next int32
+	gen        uint32
+	where      uint16
 }
 
-// Locations for node.where. Values below wheelLevels*wheelSlots are a
-// wheel slot index (level<<wheelBits | slot).
+// Locations for rec.where besides a wheel chain (a slot index below
+// ovList, or ovList itself).
 const (
-	whereNone     = 0xFFFD // not tracked by location (heap/pooled)
-	whereReady    = 0xFFFE // in the wheel's ready run or late heap
-	whereOverflow = 0xFFFF // in the wheel's overflow list
+	whereReady = 0xFFFE // in the wheel's late heap, or in the heap
+	whereDead  = 0xFFFF // cancelled while due; released when dequeue reaches it
 )
 
-// nodePool is an intrusive free list of nodes, linked through next.
-type nodePool struct {
-	free *node
+// order is the triple queues sort by: time, order key, FIFO sequence.
+type order struct {
+	t        simtime.Time
+	key, seq uint64
 }
 
-func (p *nodePool) get() *node {
-	if n := p.free; n != nil {
-		p.free = n.next
-		n.next = nil
-		return n
-	}
-	return &node{where: whereNone}
-}
-
-// put recycles a node, bumping gen so outstanding handles go stale.
-func (p *nodePool) put(n *node) {
-	n.gen++
-	n.ev = nil
-	n.prev = nil
-	n.dead = false
-	n.where = whereNone
-	n.next = p.free
-	p.free = n
-}
-
-// item pairs an event with its cached firing time, order key, and
-// insertion sequence number. Time and key are captured once at Push, so
-// the hot comparison path never calls back into the event — which also
-// means a cancelled event's envelope can be recycled while its dead entry
-// still sits in a lazy-cancel queue: the entry's ordering fields are
-// frozen and its ev pointer is never dereferenced again.
-type item struct {
-	ev  Event
-	t   simtime.Time
-	key uint64
-	seq uint64
-	n   *node // non-nil for cancelable entries
-}
-
-// item returns the queue entry for a node whose ordering fields are set.
-func (n *node) item() item {
-	return item{ev: n.ev, t: n.t, key: n.key, seq: n.seq, n: n}
-}
-
-func less(a, b item) bool {
+func (a *order) before(b *order) bool {
 	if a.t != b.t {
 		return a.t < b.t
 	}
@@ -192,156 +180,237 @@ func less(a, b item) bool {
 	return a.seq < b.seq
 }
 
-// itemHeap is a binary min-heap of items under less, with hand-rolled
-// typed sift-up/down (no container/heap interface boxing: push and
-// removeMin allocate nothing beyond amortized slice growth).
-type itemHeap []item
-
-func (h *itemHeap) push(it item) {
-	a := append(*h, it)
-	*h = a
-	i := len(a) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !less(it, a[p]) {
-			break
-		}
-		a[i] = a[p]
-		i = p
-	}
-	a[i] = it
+// entry is a heap slot: record i's order, copied so that sifting
+// compares values in the heap's own array instead of visiting records.
+type entry struct {
+	order
+	i int32
 }
 
-// removeMin removes and returns the root entry.
-func (h *itemHeap) removeMin() item {
+// entryHeap is a binary min-heap of entries, allocation-free once grown.
+type entryHeap []entry
+
+func (h *entryHeap) push(e entry) {
+	a := grow.Push(*h, e)
+	j := len(a) - 1
+	for j > 0 {
+		p := (j - 1) / 2
+		if !e.before(&a[p].order) {
+			break
+		}
+		a[j] = a[p]
+		j = p
+	}
+	a[j] = e
+	*h = a
+}
+
+// pop removes the root.
+func (h *entryHeap) pop() {
 	a := *h
-	min := a[0]
 	n := len(a) - 1
-	it := a[n]
-	a[n] = item{}
+	e := a[n]
 	a = a[:n]
 	*h = a
 	if n == 0 {
-		return min
+		return
 	}
-	i := 0
+	j := 0
 	for {
-		l := 2*i + 1
+		l := 2*j + 1
 		if l >= n {
 			break
 		}
 		m := l
-		if r := l + 1; r < n && less(a[r], a[l]) {
+		if r := l + 1; r < n && a[r].before(&a[l].order) {
 			m = r
 		}
-		if !less(a[m], it) {
+		if !a[m].before(&e.order) {
 			break
 		}
-		a[i] = a[m]
-		i = m
+		a[j] = a[m]
+		j = m
 	}
-	a[i] = it
-	return min
+	a[j] = e
 }
 
-// Heap is a binary min-heap Queue: O(log n) per operation and
+// slab holds the records and events of one queue and the state both
+// backends share: the free list, the FIFO counter and the live count.
+// Records and events live in fixed-size pages that are never copied or
+// freed, so a queue allocates for its high-water mark of queued events
+// once and nothing after.
+type slab struct {
+	recs []*[pageSize]rec
+	evs  []*[pageSize]Event
+	top  int32 // records handed out so far, index 0 included
+	free int32 // first free record, linked through next; 0 when none
+	seq  uint64
+	n    int // live events
+}
+
+const (
+	pageBits = 8
+	pageSize = 1 << pageBits
+)
+
+func (s *slab) rec(i int32) *rec  { return &s.recs[i>>pageBits][i&(pageSize-1)] }
+func (s *slab) ev(i int32) *Event { return &s.evs[i>>pageBits][i&(pageSize-1)] }
+
+// alloc takes a record for ev, adding a page when none is free (index 0,
+// on the first page, is the nil link). Sequence number 0 takes the next.
+func (s *slab) alloc(ev Event, t simtime.Time, key, seq uint64) (int32, *rec) {
+	if seq == 0 {
+		s.seq++
+		seq = s.seq
+	}
+	if s.free == 0 {
+		if s.top%pageSize == 0 {
+			s.recs, s.evs = append(s.recs, new([pageSize]rec)), append(s.evs, new([pageSize]Event))
+			s.top = max(s.top, 1)
+		}
+		s.free = s.top
+		s.top++
+	}
+	i := s.free
+	r := s.rec(i)
+	s.free = r.next
+	r.order = order{t, key, seq}
+	*s.ev(i) = ev
+	s.n++
+	return i, r
+}
+
+// release returns record i (r) to the free list and its event to the
+// caller.
+func (s *slab) release(i int32, r *rec) Event {
+	r.gen++
+	r.next = s.free
+	s.free = i
+	return s.take(i)
+}
+
+// take clears record i's event slot and returns the event.
+func (s *slab) take(i int32) Event {
+	e := s.ev(i)
+	ev := *e
+	*e = nil
+	return ev
+}
+
+// pop releases live record i (r) as dequeued.
+func (s *slab) pop(i int32, r *rec) (Event, simtime.Time, uint64) {
+	s.n--
+	return s.release(i, r), r.t, r.key
+}
+
+// kill cancels record i (r), which sits in a heap, in place: its handle
+// goes stale and its event goes back to the caller, and dequeue releases
+// the record later.
+func (s *slab) kill(i int32, r *rec) Event {
+	s.n--
+	r.gen++
+	r.where = whereDead
+	return s.take(i)
+}
+
+// lookup returns the record h names if its event is still queued.
+func (s *slab) lookup(h Handle) (int32, bool) {
+	return h.i, h.i > 0 && h.i < s.top && s.rec(h.i).gen == h.gen
+}
+
+func handle(i int32, r *rec) Handle { return Handle{i: i, gen: r.gen} }
+
+// Reserve takes the next n sequence numbers and returns the first.
+func (s *slab) Reserve(n int) uint64 {
+	base := s.seq + 1
+	s.seq += uint64(n)
+	return base
+}
+
+// Len returns the number of live queued events.
+func (s *slab) Len() int { return s.n }
+
+// Heap is a binary min-heap of entries: O(log n) per operation and
 // allocation-free in steady state. It implements Canceler with lazy
-// cancellation: Cancel marks the entry dead in O(1) and dequeue skips
-// corpses. The zero value is ready to use.
+// cancellation: Cancel marks the record dead in O(1) and dequeue skips
+// it. The zero value is ready to use.
 type Heap struct {
-	items itemHeap
-	seq   uint64
-	dead  int // cancelled entries still physically in items
-	pool  nodePool
+	slab
+	h entryHeap
 }
 
 // NewHeap returns an empty binary-heap event queue.
 func NewHeap() *Heap { return &Heap{} }
 
 // Push schedules an event.
-func (q *Heap) Push(ev Event) {
-	q.seq++
-	q.items.push(item{ev: ev, t: ev.Time(), key: orderKeyOf(ev), seq: q.seq})
-}
-
-// Reserve takes the next n sequence numbers and returns the first.
-func (q *Heap) Reserve(n int) uint64 {
-	base := q.seq + 1
-	q.seq += uint64(n)
-	return base
-}
+func (q *Heap) Push(ev Event) { q.PushKeyed(ev, ev.Time(), KeyOf(ev), 0) }
 
 // PushSeq schedules an event under a reserved sequence number.
-func (q *Heap) PushSeq(ev Event, seq uint64) {
-	q.items.push(item{ev: ev, t: ev.Time(), key: orderKeyOf(ev), seq: seq})
-}
+func (q *Heap) PushSeq(ev Event, seq uint64) { q.PushKeyed(ev, ev.Time(), KeyOf(ev), seq) }
 
 // PushCancelable schedules an event and returns a cancellation handle.
-func (q *Heap) PushCancelable(ev Event) Handle {
-	q.seq++
-	n := q.pool.get()
-	n.ev = ev
-	q.items.push(item{ev: ev, t: ev.Time(), key: orderKeyOf(ev), seq: q.seq, n: n})
-	return Handle{n: n, gen: n.gen}
+func (q *Heap) PushCancelable(ev Event) Handle { return q.PushKeyed(ev, ev.Time(), KeyOf(ev), 0) }
+
+// PushKeyed schedules ev at t under key and seq (0 for the next).
+func (q *Heap) PushKeyed(ev Event, t simtime.Time, key, seq uint64) Handle {
+	i, r := q.alloc(ev, t, key, seq)
+	r.where = whereReady
+	q.h.push(entry{r.order, i})
+	return handle(i, r)
 }
 
-// Cancel marks a scheduled event dead. The entry stays in the heap until
+// Cancel marks a scheduled event dead. The record stays in the heap until
 // dequeue reaches it, but its event is returned to the caller now and
 // never touched again.
 func (q *Heap) Cancel(h Handle) (Event, bool) {
-	n := h.n
-	if n == nil || n.gen != h.gen || n.dead {
+	i, ok := q.lookup(h)
+	if !ok {
 		return nil, false
 	}
-	ev := n.ev
-	n.ev = nil
-	n.dead = true
-	q.dead++
-	return ev, true
+	return q.kill(i, q.rec(i)), true
 }
 
-// head discards cancelled entries at the root and returns the earliest
-// live entry, or nil when the queue is empty.
-func (q *Heap) head() *item {
-	for len(q.items) > 0 {
-		it := &q.items[0]
-		if it.n == nil || !it.n.dead {
-			return it
+// head releases cancelled records at the root and returns the earliest
+// live one, or 0 when the queue is empty.
+func (q *Heap) head() int32 {
+	for len(q.h) > 0 {
+		i := q.h[0].i
+		r := q.rec(i)
+		if r.where != whereDead {
+			return i
 		}
-		q.pool.put(it.n)
-		q.items.removeMin()
-		q.dead--
+		q.h.pop()
+		q.release(i, r)
 	}
-	return nil
+	return 0
 }
 
 // Pop removes and returns the earliest live event, or nil if the queue is
 // empty.
-func (q *Heap) Pop() Event { return q.PopUntil(simtime.Never) }
+func (q *Heap) Pop() Event {
+	ev, _, _ := q.PopUntil(simtime.Never)
+	return ev
+}
 
-// PopUntil removes and returns the earliest live event if it fires at or
-// before until; otherwise it returns nil.
-func (q *Heap) PopUntil(until simtime.Time) Event {
-	it := q.head()
-	if it == nil || it.t > until {
-		return nil
+// PopUntil removes and returns the earliest live event, with its time
+// and order key, if it fires at or before until; otherwise it returns a
+// nil event.
+func (q *Heap) PopUntil(until simtime.Time) (Event, simtime.Time, uint64) {
+	i := q.head()
+	if i == 0 || q.h[0].t > until {
+		return nil, 0, 0
 	}
-	if it.n != nil {
-		q.pool.put(it.n)
-	}
-	return q.items.removeMin().ev
+	q.h.pop()
+	return q.pop(i, q.rec(i))
 }
 
 // Peek returns the earliest live event without removing it, or nil.
 func (q *Heap) Peek() Event {
-	if it := q.head(); it != nil {
-		return it.ev
+	if i := q.head(); i != 0 {
+		return *q.ev(i)
 	}
 	return nil
 }
-
-// Len returns the number of live queued events.
-func (q *Heap) Len() int { return len(q.items) - q.dead }
 
 // Backend names an event-queue implementation. The zero value is the
 // timing wheel, the queue every engine runs on.

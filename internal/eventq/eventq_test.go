@@ -15,6 +15,8 @@ type testEvent struct {
 }
 
 func (e *testEvent) Time() simtime.Time { return e.t }
+func (e *testEvent) Fire()              {}
+func (e *testEvent) Release()           {}
 
 func queues() map[string]func() Queue {
 	return map[string]func() Queue{

@@ -3,7 +3,6 @@ package eventq
 import (
 	"math/bits"
 
-	"horse/internal/grow"
 	"horse/internal/simtime"
 )
 
@@ -11,53 +10,63 @@ import (
 // mintmr minute-wheel lineage) implementing Queue and Canceler. Firing
 // times quantize into ticks; each of the wheelLevels levels holds
 // wheelSlots slots, with a level-i slot spanning wheelSlots^i ticks.
-// Schedule is O(1): the tick picks a level by distance from the cursor and
-// an intrusive doubly-linked node goes onto that slot's chain. Cancel is
-// O(1) true removal: the node unlinks from its chain and recycles
-// immediately — no corpse remains to heapify or fire. Far-future events
-// beyond the top level's horizon wait in an overflow list and cascade
-// down when the wheel drains up to them.
+// Level 0 holds the wheelSlots ticks that follow the cursor, wherever the
+// cursor sits in its aligned block, so an event less than wheelSlots
+// ticks ahead goes straight to its final slot; a farther one goes to the
+// higher level picked by the highest bit group in which its tick differs
+// from the cursor's. Schedule is O(1), onto that slot's index-linked
+// chain. Cancel is O(1) true removal: the record unlinks from its chain
+// and returns to the free list — no corpse remains to heapify or fire.
+// Far-future events beyond the top level's horizon wait in an overflow
+// list and cascade down when the wheel drains up to them.
 //
-// Determinism matches the heap exactly. Slot chains are unordered, but
-// every node that becomes due when the cursor advances — a drained
-// level-0 slot, or the part of a cascaded slot or overflow refill that
-// lands on the cursor tick — is appended to the "ready run" and the run
-// is sorted once, by the cached (time, key, FIFO-seq) triple, before
-// anything pops. Events pushed at or before the cursor's tick afterwards
-// go to a side min-heap (late) under the same order, and Pop takes the
-// smaller of the two heads. A same-instant burst of r events therefore
-// costs O(log r) per event however it arrives — one sort for the ones
-// that cascade in together, a heap push for each follow-up — and draining
-// a slot keeps its O(1) pop. Since every event in a pending slot fires
-// strictly after everything that is ready, pops leave the wheel in exactly
-// the (time, key, seq) order a heap would produce, byte for byte.
+// Determinism matches the heap exactly. A level-0 slot is one tick wide,
+// so its whole chain comes due at once, and the chain is kept in
+// (time, key, FIFO-seq) order as records arrive: each is linked in
+// walking back from the chain's tail, which is where events pushed in
+// time order belong, and a push later than everything on the chain skips
+// the walk. When the cursor reaches the slot, the chain is the ready run
+// as it stands, and pops take its head. Higher slots and the overflow
+// list are unordered; the records a cascade or refill lands on the
+// cursor tick, the events pushed at or before the cursor tick, and the
+// chain of a slot that gave up its order (a record that would have walked
+// back more than sortWalk places) go to a side min-heap (late) under the
+// same order, and a pop takes the smaller of the two heads. A same-instant
+// burst of r events therefore costs O(log r) per event however it
+// arrives. Since every event in a pending slot fires strictly after
+// everything due, pops leave the wheel in exactly the (time, key, seq)
+// order a heap would produce, byte for byte.
 //
 // Advancing skips empty regions via per-level occupancy bitmaps: the next
 // occupied slot is found with a handful of word scans, not a tick-by-tick
 // rotation, so a sparse wheel is as cheap to drain as a heap.
 type Wheel struct {
-	// cur is the current tick: every event at a tick <= cur is ready (or
-	// already popped); slots and overflow hold ticks > cur.
-	cur   uint64
-	heads [wheelLevels * wheelSlots]*node
+	slab
+	// cur is the current tick: every event at a tick <= cur is in the
+	// cursor slot's chain or the late heap (or already popped); other
+	// slots and the overflow list hold ticks > cur.
+	cur uint64
+	// heads holds the first record of every slot chain, level by level,
+	// and last the overflow list's; tails the last record of each
+	// level-0 chain.
+	heads [ovList + 1]int32
+	tails [wheelSlots]int32
+	// lastT bounds the time of each level-0 chain's tail from above, so
+	// a record pushed later than that joins the tail without a look at
+	// the tail record.
+	lastT [wheelSlots]simtime.Time
 	occ   [wheelLevels][wheelSlots / 64]uint64
+	// unordered marks the level-0 slots whose chains gave up their order.
+	unordered [wheelSlots / 64]uint64
 	// ovBoundary is the absolute tick at and beyond which events go to
-	// the overflow list. It is fixed between overflow refills (rather
-	// than tracking the cursor) so a late push can never leapfrog into a
-	// slot ahead of an already-overflowed earlier event.
+	// the overflow list (past level 0). It moves only when the cursor
+	// reaches it or jumps to the overflow list, rather than tracking the
+	// cursor, so a late push can never leapfrog into a slot ahead of an
+	// already-overflowed earlier event.
 	ovBoundary uint64
-	overflow   *node
-
-	// ready is the sorted run filled by advance; ready[readyAt:] is
-	// pending. late holds events pushed at or before the cursor tick.
-	ready     []item
-	readyAt   int
-	late      itemHeap
-	liveReady int // live (uncancelled) items in ready[readyAt:] and late
-
-	n    int // live events across ready, late, slots, and overflow
-	seq  uint64
-	pool nodePool
+	// late is a min-heap of due events that are not on the cursor slot's
+	// chain. Cancelled entries stay in it until they reach the root.
+	late entryHeap
 }
 
 const (
@@ -65,6 +74,9 @@ const (
 	wheelSlots  = 1 << wheelBits
 	wheelLevels = 4
 	wheelMask   = wheelSlots - 1
+	ovList      = wheelLevels * wheelSlots // heads index of the overflow list
+	// sortWalk bounds how far a record walks back a level-0 chain.
+	sortWalk = 16
 )
 
 // DefaultWheelTick is the tick width: fine enough that most packet-level
@@ -96,273 +108,253 @@ func (w *Wheel) windowEnd(level int) uint64 {
 }
 
 // Push schedules an event.
-func (w *Wheel) Push(ev Event) {
-	w.seq++
-	w.push(ev, w.seq)
-}
+func (w *Wheel) Push(ev Event) { w.PushKeyed(ev, ev.Time(), KeyOf(ev), 0) }
 
 // PushCancelable schedules an event and returns a cancellation handle.
-func (w *Wheel) PushCancelable(ev Event) Handle {
-	w.seq++
-	n := w.push(ev, w.seq)
-	return Handle{n: n, gen: n.gen}
+func (w *Wheel) PushCancelable(ev Event) Handle { return w.PushKeyed(ev, ev.Time(), KeyOf(ev), 0) }
+
+// PushSeq schedules an event under a reserved sequence number. Level-0
+// chains and the late heap order by the full (time, key, seq) triple, so
+// an out-of-order seq lands exactly where the heap would put it.
+func (w *Wheel) PushSeq(ev Event, seq uint64) { w.PushKeyed(ev, ev.Time(), KeyOf(ev), seq) }
+
+// PushKeyed schedules ev at t under key and seq (0 for the next).
+func (w *Wheel) PushKeyed(ev Event, t simtime.Time, key, seq uint64) Handle {
+	i, r := w.alloc(ev, t, key, seq)
+	w.place(i, r)
+	return handle(i, r)
 }
 
-// Reserve takes the next n sequence numbers and returns the first.
-func (w *Wheel) Reserve(n int) uint64 {
-	base := w.seq + 1
-	w.seq += uint64(n)
-	return base
-}
-
-// PushSeq schedules an event under a reserved sequence number. Slots and
-// the overflow list are unordered and the ready run and late heap order
-// by the full (time, key, seq) triple, so an out-of-order seq lands
-// exactly where the heap would put it.
-func (w *Wheel) PushSeq(ev Event, seq uint64) { w.push(ev, seq) }
-
-func (w *Wheel) push(ev Event, seq uint64) *node {
-	n := w.pool.get()
-	n.ev = ev
-	n.t = ev.Time()
-	n.key = orderKeyOf(ev)
-	n.seq = seq
-	if d := tickOf(n.t); d > w.cur {
-		w.insertAhead(n, d)
-	} else {
-		n.where = whereReady
-		w.late.push(n.item())
-		w.liveReady++
-	}
-	w.n++
-	return n
-}
-
-// insertAhead routes a node whose tick d lies ahead of the cursor to a
-// slot or the overflow list according to its distance.
-func (w *Wheel) insertAhead(n *node, d uint64) {
-	switch {
-	case d < w.windowEnd(0):
-		w.insertSlot(0, int(d&wheelMask), n)
-	case d < w.windowEnd(1):
-		w.insertSlot(1, int(d>>wheelBits&wheelMask), n)
-	case d < w.windowEnd(2):
-		w.insertSlot(2, int(d>>(2*wheelBits)&wheelMask), n)
-	case d < w.ovBoundary:
-		w.insertSlot(3, int(d>>(3*wheelBits)&wheelMask), n)
-	default:
-		w.insertOverflow(n)
-	}
-}
-
-// replace re-routes a node taken off a chain while the cursor advances:
-// onto the (not yet sorted) ready run if the cursor has reached its tick,
-// otherwise to the lower level its shrunken distance now selects.
-func (w *Wheel) replace(n *node) {
-	if d := tickOf(n.t); d > w.cur {
-		w.insertAhead(n, d)
+// place links record i (r) by its tick: into the late heap once the
+// cursor has reached it, into level 0 within wheelSlots ticks of the
+// cursor, and otherwise into the slot of the level of the highest bit
+// group in which it differs from the cursor, or onto the overflow list.
+func (w *Wheel) place(i int32, r *rec) {
+	d := tickOf(r.t)
+	if d <= w.cur {
+		r.where = whereReady
+		w.late.push(entry{r.order, i})
 		return
 	}
-	n.where = whereReady
-	w.ready = grow.Push(w.ready, n.item())
-	w.liveReady++
-}
-
-func (w *Wheel) insertSlot(level, slot int, n *node) {
-	idx := level<<wheelBits | slot
-	n.where = uint16(idx)
-	n.prev = nil
-	n.next = w.heads[idx]
-	if w.heads[idx] != nil {
-		w.heads[idx].prev = n
+	if d-w.cur < wheelSlots {
+		w.insert0(int(d&wheelMask), i, r)
+		return
 	}
-	w.heads[idx] = n
-	w.occ[level][slot>>6] |= 1 << (uint(slot) & 63)
-}
-
-func (w *Wheel) insertOverflow(n *node) {
-	n.where = whereOverflow
-	n.prev = nil
-	n.next = w.overflow
-	if w.overflow != nil {
-		w.overflow.prev = n
-	}
-	w.overflow = n
-}
-
-// Cancel removes a scheduled event. Slot and overflow entries unlink and
-// recycle in O(1); a ready entry (run or late heap) is marked dead and
-// skipped on pop.
-func (w *Wheel) Cancel(h Handle) (Event, bool) {
-	n := h.n
-	if n == nil || n.gen != h.gen || n.dead {
-		return nil, false
-	}
-	ev := n.ev
-	switch n.where {
-	case whereReady:
-		n.ev = nil
-		n.dead = true
-		w.liveReady--
-		w.n--
-		// Node recycles when dequeue reaches it.
-	case whereOverflow:
-		if n.prev != nil {
-			n.prev.next = n.next
-		} else {
-			w.overflow = n.next
+	level := uint(bits.Len64(d^w.cur)-1) / wheelBits
+	if level >= wheelLevels-1 {
+		if d >= w.ovBoundary {
+			w.link(ovList, i, r)
+			return
 		}
-		if n.next != nil {
-			n.next.prev = n.prev
-		}
-		w.n--
-		w.pool.put(n)
-	case whereNone:
-		return nil, false
-	default:
-		w.unlinkSlot(n)
-		w.n--
-		w.pool.put(n)
+		level = wheelLevels - 1
 	}
-	return ev, true
+	slot := uint(d>>(level*wheelBits)) & wheelMask
+	w.link(int(level<<wheelBits|slot), i, r)
+	w.occ[level][slot>>6] |= 1 << (slot & 63)
 }
 
-func (w *Wheel) unlinkSlot(n *node) {
-	idx := int(n.where)
-	if n.prev != nil {
-		n.prev.next = n.next
-	} else {
-		w.heads[idx] = n.next
-	}
-	if n.next != nil {
-		n.next.prev = n.prev
-	}
-	if w.heads[idx] == nil {
-		level, slot := idx>>wheelBits, idx&wheelMask
-		w.occ[level][slot>>6] &^= 1 << (uint(slot) & 63)
-	}
-}
-
-// head makes the earliest live event the head of the ready run or of the
-// late heap — advancing the cursor if nothing is ready, discarding
-// cancelled entries on the way — and returns it with which of the two
-// holds it. It returns nil when the queue is empty.
-func (w *Wheel) head() (it *item, late bool) {
-	for {
-		if w.liveReady == 0 {
-			if w.n == 0 {
-				w.purgeReady()
-				return nil, false
+// insert0 links record i into level-0 chain s in (time, key, seq) order,
+// walking back from the tail, unless the chain has given up its order or
+// does so now, in which case i goes to the tail.
+func (w *Wheel) insert0(s int, i int32, r *rec) {
+	bit := uint64(1) << (s & 63)
+	at := w.tails[s] // i goes after at
+	if at == 0 || r.t > w.lastT[s] {
+		w.lastT[s] = r.t
+	} else if w.unordered[s>>6]&bit == 0 {
+		for k := 0; at != 0; k++ {
+			a := w.rec(at)
+			if !r.before(&a.order) {
+				break
 			}
-			w.advance()
+			if k == sortWalk {
+				w.unordered[s>>6] |= bit
+				at = w.tails[s]
+				break
+			}
+			at = a.prev
 		}
-		late = len(w.late) > 0 && (w.readyAt == len(w.ready) || less(w.late[0], w.ready[w.readyAt]))
-		if late {
-			it = &w.late[0]
-		} else {
-			it = &w.ready[w.readyAt]
+	}
+	r.where, r.prev = uint16(s), at
+	if at == 0 {
+		r.next, w.heads[s] = w.heads[s], i
+	} else {
+		a := w.rec(at)
+		r.next, a.next = a.next, i
+	}
+	if r.next == 0 {
+		w.tails[s] = i
+	} else {
+		w.rec(r.next).prev = i
+	}
+	w.occ[0][s>>6] |= bit
+}
+
+// link pushes record i onto the front of unordered chain idx.
+func (w *Wheel) link(idx int, i int32, r *rec) {
+	r.where, r.prev, r.next = uint16(idx), 0, w.heads[idx]
+	if r.next != 0 {
+		w.rec(r.next).prev = i
+	}
+	w.heads[idx] = i
+}
+
+// unlink takes record i off its chain, clearing the slot's occupancy bit
+// (and a level-0 slot's unordered mark) when the chain empties.
+func (w *Wheel) unlink(i int32, r *rec) {
+	idx := int(r.where)
+	if r.prev != 0 {
+		w.rec(r.prev).next = r.next
+	} else {
+		w.heads[idx] = r.next
+	}
+	if r.next != 0 {
+		w.rec(r.next).prev = r.prev
+	} else if idx < wheelSlots {
+		w.tails[idx] = r.prev
+	}
+	if w.heads[idx] == 0 && idx < ovList {
+		w.occ[idx>>wheelBits][idx&wheelMask>>6] &^= 1 << (idx & 63)
+		if idx < wheelSlots {
+			w.unordered[idx>>6] &^= 1 << (idx & 63)
 		}
-		if !it.n.dead {
-			return it, late
-		}
-		w.pool.put(it.n)
-		w.dropHead(late)
 	}
 }
 
-// dropHead removes the entry head returned.
-func (w *Wheel) dropHead(late bool) {
-	if late {
-		w.late.removeMin()
-		return
+// Cancel removes a scheduled event. A chained record unlinks and recycles
+// in O(1); a record in the late heap is marked dead and released when it
+// reaches the root.
+func (w *Wheel) Cancel(h Handle) (Event, bool) {
+	i, ok := w.lookup(h)
+	if !ok {
+		return nil, false
 	}
-	w.ready[w.readyAt] = item{}
-	w.readyAt++
-	if w.readyAt == len(w.ready) {
-		w.ready = w.ready[:0]
-		w.readyAt = 0
+	r := w.rec(i)
+	if r.where == whereReady {
+		return w.kill(i, r), true
+	}
+	w.unlink(i, r)
+	w.n--
+	return w.release(i, r), true
+}
+
+// head returns the earliest live record — the late heap's root or the
+// head of the cursor slot's chain, as late says — advancing the cursor
+// when nothing is due and releasing cancelled records on the way. It
+// returns 0 when the queue is empty.
+func (w *Wheel) head() (i int32, late bool) {
+	for {
+		for len(w.late) > 0 {
+			j := w.late[0].i
+			r := w.rec(j)
+			if r.where != whereDead {
+				break
+			}
+			w.release(j, r)
+			w.late.pop()
+		}
+		i = w.heads[w.cur&wheelMask]
+		if len(w.late) > 0 && (i == 0 || w.late[0].before(&w.rec(i).order)) {
+			return w.late[0].i, true
+		}
+		if i != 0 || w.n == 0 {
+			return i, false
+		}
+		w.advance()
 	}
 }
 
 // Pop removes and returns the earliest live event, or nil if empty.
-func (w *Wheel) Pop() Event { return w.PopUntil(simtime.Never) }
-
-// PopUntil removes and returns the earliest live event if it fires at or
-// before until; otherwise it returns nil.
-func (w *Wheel) PopUntil(until simtime.Time) Event {
-	it, late := w.head()
-	if it == nil || it.t > until {
-		return nil
-	}
-	ev := it.ev
-	w.pool.put(it.n)
-	w.dropHead(late)
-	w.liveReady--
-	w.n--
+func (w *Wheel) Pop() Event {
+	ev, _, _ := w.PopUntil(simtime.Never)
 	return ev
+}
+
+// PopUntil removes and returns the earliest live event, with its time and
+// order key, if it fires at or before until; otherwise it returns a nil
+// event.
+func (w *Wheel) PopUntil(until simtime.Time) (Event, simtime.Time, uint64) {
+	i, late := w.head()
+	if i == 0 {
+		return nil, 0, 0
+	}
+	r := w.rec(i)
+	if r.t > until {
+		return nil, 0, 0
+	}
+	if late {
+		w.late.pop()
+	} else {
+		w.unlink(i, r)
+	}
+	return w.pop(i, r)
 }
 
 // Peek returns the earliest live event without removing it, or nil.
 func (w *Wheel) Peek() Event {
-	if it, _ := w.head(); it != nil {
-		return it.ev
+	if i, _ := w.head(); i != 0 {
+		return *w.ev(i)
 	}
 	return nil
 }
 
-// Len returns the number of live queued events.
-func (w *Wheel) Len() int { return w.n }
-
-// purgeReady recycles any dead entries left in the ready run and the late
-// heap and resets both.
-func (w *Wheel) purgeReady() {
-	for i := w.readyAt; i < len(w.ready); i++ {
-		w.pool.put(w.ready[i].n)
-		w.ready[i] = item{}
-	}
-	w.ready = w.ready[:0]
-	w.readyAt = 0
-	for i := range w.late {
-		w.pool.put(w.late[i].n)
-		w.late[i] = item{}
-	}
-	w.late = w.late[:0]
-}
-
-// advance moves the cursor to the next occupied tick and fills the ready
-// run with everything due there: a whole level-0 slot, or the nodes a
-// cascaded higher-level slot (or, as a last resort, the overflow list)
-// holds at exactly the tick the cursor jumps to. The run is sorted once,
-// after the whole batch is in. Precondition: no live ready items;
-// postcondition: liveReady > 0.
+// advance moves the cursor on until something is due, with nothing due
+// when it is called. The next occupied level-0 slot in the cursor's
+// aligned block comes first: its chain becomes the ready run as it
+// stands (or, had it given up its order, moves to the late heap). Past
+// the block, level 0 may still hold ticks of the next block (enter), or
+// else the next event lies on a higher level or the overflow list
+// (jump). Records a cascade lands on the cursor tick go to the late heap.
 func (w *Wheel) advance() {
-	w.purgeReady()
-	for w.liveReady == 0 {
-		if s, ok := w.nextOcc(0, int(w.cur&wheelMask)); ok {
-			w.cur = w.cur&^uint64(wheelMask) | uint64(s)
-			w.cascade(0, s)
-		} else if s, ok := w.nextOcc(1, int(w.cur>>wheelBits&wheelMask)+1); ok {
-			w.cur = w.cur&^(1<<(2*wheelBits)-1) | uint64(s)<<wheelBits
-			w.cascade(1, s)
-		} else if s, ok := w.nextOcc(2, int(w.cur>>(2*wheelBits)&wheelMask)+1); ok {
-			w.cur = w.cur&^(1<<(3*wheelBits)-1) | uint64(s)<<(2*wheelBits)
-			w.cascade(2, s)
-		} else if s, ok := w.nextOcc(3, int(w.cur>>(3*wheelBits)&wheelMask)+1); ok {
-			w.cur = w.cur&^(1<<(4*wheelBits)-1) | uint64(s)<<(3*wheelBits)
-			w.cascade(3, s)
-		} else if w.overflow != nil {
-			w.refillFromOverflow()
+	for {
+		if s, ok := w.nextOcc(0, int(w.cur&wheelMask)+1); ok {
+			w.cur = w.cur&^wheelMask | uint64(s)
+			if bit := uint64(1) << (s & 63); w.unordered[s>>6]&bit != 0 {
+				w.unordered[s>>6] &^= bit
+				w.replaceChain(s)
+			}
+			return
+		}
+		if w.occ[0] != [wheelSlots / 64]uint64{} {
+			w.enter((w.cur>>wheelBits + 1) << wheelBits)
 		} else {
-			panic("eventq: wheel invariant violated: live events but nothing scheduled")
+			w.jump()
+		}
+		if len(w.late) > 0 || w.heads[w.cur&wheelMask] != 0 {
+			return
 		}
 	}
-	// Chains are pushed at the front, so reversing recovers FIFO order,
-	// which makes the sort linear for the common already-ordered case.
-	run := w.ready
-	for i, j := 0, len(run)-1; i < j; i, j = i+1, j-1 {
-		run[i], run[j] = run[j], run[i]
+}
+
+// enter moves the cursor to nb, the start of the next level-0 block, when
+// level 0 still holds events there, and cascades the one slot that can
+// hold more of them: that of the lowest level whose digit of nb is not
+// zero, or the overflow list when nb starts a new top-level window.
+func (w *Wheel) enter(nb uint64) {
+	w.cur = nb
+	for level := 1; level < wheelLevels; level++ {
+		if s := int(nb>>(level*wheelBits)) & wheelMask; s != 0 {
+			w.replaceChain(level<<wheelBits | s)
+			return
+		}
 	}
-	sortItems(run)
+	w.ovBoundary = w.windowEnd(wheelLevels - 1)
+	w.replaceChain(ovList)
+}
+
+// jump moves the cursor, with level 0 empty, to the start of the next
+// occupied higher slot and cascades it, or refills from the overflow
+// list when there is none.
+func (w *Wheel) jump() {
+	for level := 1; level < wheelLevels; level++ {
+		shift := level * wheelBits
+		if s, ok := w.nextOcc(level, int(w.cur>>shift&wheelMask)+1); ok {
+			w.cur = w.cur&^(1<<(shift+wheelBits)-1) | uint64(s)<<shift
+			w.replaceChain(level<<wheelBits | s)
+			return
+		}
+	}
+	w.refillFromOverflow()
 }
 
 // nextOcc scans level's occupancy bitmap for the first occupied slot at or
@@ -385,92 +377,36 @@ func (w *Wheel) nextOcc(level, from int) (int, bool) {
 	}
 }
 
-// cascade empties the slot at (level, s) and re-places each node with the
-// cursor now inside the slot's window, pushing it to a lower level or, for
-// nodes at exactly the cursor tick (all of them, at level 0), onto the
-// ready run.
-func (w *Wheel) cascade(level, s int) {
-	idx := level<<wheelBits | s
-	n := w.heads[idx]
-	w.heads[idx] = nil
-	w.occ[level][s>>6] &^= 1 << (uint(s) & 63)
-	for n != nil {
-		next := n.next
-		n.prev, n.next = nil, nil
-		w.replace(n)
-		n = next
+// replaceChain empties chain idx and places every record on it again
+// from the current cursor.
+func (w *Wheel) replaceChain(idx int) {
+	i := w.heads[idx]
+	w.heads[idx] = 0
+	if idx < wheelSlots {
+		w.tails[idx] = 0
+	}
+	if idx < ovList {
+		w.occ[idx>>wheelBits][idx&wheelMask>>6] &^= 1 << (idx & 63)
+	}
+	for i != 0 {
+		r := w.rec(i)
+		next := r.next
+		w.place(i, r)
+		i = next
 	}
 }
 
 // refillFromOverflow jumps the cursor to the earliest overflowed tick,
-// re-anchors the overflow boundary there, and re-places every node that
-// now fits under it.
+// re-anchors the overflow boundary there, and places every record again:
+// those still beyond the new boundary go back onto the overflow list.
 func (w *Wheel) refillFromOverflow() {
-	min := ^uint64(0)
-	for n := w.overflow; n != nil; n = n.next {
-		if d := tickOf(n.t); d < min {
-			min = d
-		}
+	if w.heads[ovList] == 0 {
+		panic("eventq: wheel invariant violated: live events but nothing scheduled")
 	}
-	w.cur = min
+	w.cur = ^uint64(0)
+	for i := w.heads[ovList]; i != 0; i = w.rec(i).next {
+		w.cur = min(w.cur, tickOf(w.rec(i).t))
+	}
 	w.ovBoundary = w.windowEnd(wheelLevels - 1)
-	n := w.overflow
-	w.overflow = nil
-	for n != nil {
-		next := n.next
-		n.prev, n.next = nil, nil
-		if tickOf(n.t) < w.ovBoundary {
-			w.replace(n)
-		} else {
-			w.insertOverflow(n)
-		}
-		n = next
-	}
-}
-
-// sortItems orders a drained run by (time, key, seq). Small runs use an
-// insertion sort (linear when already ordered); larger runs use an
-// in-place heapsort to bound the worst case. Both are allocation-free,
-// and stability is irrelevant because seq makes the order total.
-func sortItems(a []item) {
-	if len(a) <= 32 {
-		for i := 1; i < len(a); i++ {
-			it := a[i]
-			j := i
-			for j > 0 && less(it, a[j-1]) {
-				a[j] = a[j-1]
-				j--
-			}
-			a[j] = it
-		}
-		return
-	}
-	for i := len(a)/2 - 1; i >= 0; i-- {
-		siftDownMax(a, i)
-	}
-	for end := len(a) - 1; end > 0; end-- {
-		a[0], a[end] = a[end], a[0]
-		siftDownMax(a[:end], 0)
-	}
-}
-
-func siftDownMax(a []item, i int) {
-	it := a[i]
-	n := len(a)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		m := l
-		if r := l + 1; r < n && less(a[l], a[r]) {
-			m = r
-		}
-		if !less(it, a[m]) {
-			break
-		}
-		a[i] = a[m]
-		i = m
-	}
-	a[i] = it
+	w.replaceChain(ovList)
 }

@@ -3,8 +3,10 @@ package eventq
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
 	"horse/internal/simtime"
 )
@@ -17,6 +19,8 @@ type keyedEvent struct {
 
 func (e *keyedEvent) Time() simtime.Time { return e.t }
 func (e *keyedEvent) OrderKey() uint64   { return e.key }
+func (e *keyedEvent) Fire()              {}
+func (e *keyedEvent) Release()           {}
 
 // cancelers lists every backend in a stable order; all of them implement
 // Canceler.
@@ -119,13 +123,15 @@ func driveScript(q Queue, ops []qop) []string {
 			if op.kind == 5 {
 				until = clock.Add(simtime.Duration(op.dt))
 			}
-			ev := q.PopUntil(until)
+			ev, at, key := q.PopUntil(until)
 			if ev == nil {
 				out = append(out, "pop nil")
 			} else {
 				ke := ev.(*keyedEvent)
 				clock = ke.t
-				out = append(out, fmt.Sprintf("pop %d@%d", ke.id, int64(ke.t)))
+				// The popped time and key are the ones the event was
+				// queued under.
+				out = append(out, fmt.Sprintf("pop %d@%d k%d (%d k%d)", ke.id, int64(ke.t), ke.key, int64(at), key))
 			}
 		case 6:
 			n := int(op.key%8) + 1
@@ -290,6 +296,7 @@ func FuzzWheelVsHeap(f *testing.F) {
 		seed5 = append(seed5, byte([]byte{6, 7, 0, 7, 3, 7, 5}[i%7]), 0, byte(i%3), 4, 0, byte(i%2), 0, byte(i*13), 0, 0)
 	}
 	f.Add(seed5)
+	f.Add(fattreeMixSeed())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ops := decodeOps(data)
 		if len(ops) == 0 {
@@ -306,6 +313,151 @@ func FuzzWheelVsHeap(f *testing.F) {
 			}
 		}
 	})
+}
+
+// fattreeMixSeed is a fuzz script shaped like the packet.fattree8
+// benchmark workload at seed 1, where 1,067,019 pushes and 963,979 pops
+// drain 269,994 ticks of 1–15 events each (46 k of one event, 111 k of
+// 4–7): groups of 1–15 events on one tick 1–175 µs ahead, so about 31 %
+// of pushes cross the aligned 256-tick window although few lie 256 µs or
+// more ahead, and one push in ten a 200 ms RTO timer,
+// nearly all cancelled while still in their slot. A heap replays the
+// script as it is written, so each group lands on a tick of its own.
+func fattreeMixSeed() []byte {
+	rng := rand.New(rand.NewSource(1))
+	q := NewHeap()
+	var b []byte
+	var handles []Handle
+	clock := simtime.Time(0)
+	op := func(kind byte, at simtime.Time, key byte, idx int) {
+		dt, shift := int64(at-clock), byte(0)
+		if kind == 1 || kind == 0 {
+			for dt >= 1<<16 {
+				dt >>= 1
+				shift++
+			}
+		}
+		b = append(b, kind, byte(dt>>8), byte(dt), shift, 0, key, byte(idx>>8), byte(idx), 0, 0)
+		switch kind {
+		case 0, 1:
+			ev := &keyedEvent{t: clock.Add(simtime.Duration(dt << shift)), key: uint64(key)}
+			if kind == 1 {
+				handles = append(handles, q.PushCancelable(ev))
+			} else {
+				q.Push(ev)
+			}
+		case 2:
+			q.Cancel(handles[idx])
+		case 3:
+			clock = q.Pop().Time()
+		}
+	}
+	sizes := []int{1, 1, 1, 2, 3, 4, 4, 5, 5, 6, 6, 7, 7, 9, 12, 15}
+	used := map[uint64]bool{}
+	armed := -1
+	for len(b) < 2000*10 {
+		// One tick's worth of events 1–175 µs ahead; one group in 25 lies
+		// 256 µs or more ahead.
+		tick := tickOf(clock) + 1 + uint64(rng.Intn(175))
+		if rng.Intn(25) == 0 {
+			tick += 256 + uint64(rng.Intn(2000))
+		}
+		for used[tick] {
+			tick++
+		}
+		used[tick] = true
+		n := sizes[rng.Intn(len(sizes))]
+		for i := 0; i < n; i++ {
+			op(0, simtime.Time(tick*uint64(DefaultWheelTick))+simtime.Time(rng.Intn(1000)), byte(rng.Intn(8)), 0)
+		}
+		// A 200 ms RTO rearmed about once per ten pushes: the previous
+		// one is cancelled in its slot, except one in a hundred.
+		if rng.Intn(10) < n {
+			if armed >= 0 && rng.Intn(100) > 0 {
+				op(2, clock, 0, armed)
+			}
+			op(1, clock.Add(200*simtime.Millisecond), byte(rng.Intn(8)), 0)
+			armed = len(handles) - 1
+		}
+		for i := 0; i < n*9/10; i++ {
+			op(3, clock, 0, 0)
+		}
+	}
+	return b
+}
+
+// TestFattreeMixSeedShape holds fattreeMixSeed to the shape it mirrors,
+// driving it on a wheel: most pushes 1–175 µs ahead, about 31 % of them
+// across the aligned 256-tick window, few others 256 µs or more ahead;
+// one push in ten an RTO timer, almost all cancelled while in their slot;
+// and popped ticks of 1–15 events, most 4–7.
+func TestFattreeMixSeedShape(t *testing.T) {
+	w := NewWheel()
+	var handles []Handle
+	clock := simtime.Time(0)
+	var pushes, crossing, far, timers, inSlot int
+	perTick := map[uint64]int{}
+	for _, op := range decodeOps(fattreeMixSeed()) {
+		switch op.kind {
+		case 0, 1:
+			at := clock.Add(simtime.Duration(op.dt))
+			if d := tickOf(at); d-w.cur < wheelSlots && d>>wheelBits != w.cur>>wheelBits {
+				crossing++
+			}
+			h := w.PushKeyed(&keyedEvent{t: at, key: op.key}, at, op.key, 0)
+			pushes++
+			if op.kind == 0 && op.dt >= int64(256*DefaultWheelTick) {
+				far++
+			}
+			if op.kind == 1 {
+				handles = append(handles, h)
+				timers++
+			}
+		case 2:
+			if h := handles[op.idx%len(handles)]; w.rec(h.i).where < ovList {
+				if _, ok := w.Cancel(h); ok {
+					inSlot++
+				}
+			}
+		case 3:
+			clock = w.Pop().Time()
+			perTick[tickOf(clock)]++
+		default:
+			t.Fatalf("unexpected op kind %d", op.kind)
+		}
+	}
+	hist := map[string]int{}
+	for _, n := range perTick {
+		switch {
+		case n == 1:
+			hist["1"]++
+		case n < 4:
+			hist["2-3"]++
+		case n < 8:
+			hist["4-7"]++
+		case n < 16:
+			hist["8-15"]++
+		default:
+			hist["16+"]++
+		}
+	}
+	t.Logf("%d pushes: %.1f%% cross the aligned 256-tick window, %.1f%% non-timer pushes ≥ 256 µs ahead; %d timers, %d cancelled in their slot; ticks %v",
+		pushes, 100*float64(crossing)/float64(pushes), 100*float64(far)/float64(pushes), timers, inSlot, hist)
+	if f := float64(crossing) / float64(pushes); f < 0.22 || f > 0.40 {
+		t.Errorf("%.1f%% of pushes cross the aligned 256-tick window, want about 31%%", 100*f)
+	}
+	if f := float64(far) / float64(pushes); f > 0.08 {
+		t.Errorf("%.1f%% of pushes are not timers but lie 256 µs or more ahead, want few", 100*f)
+	}
+	if f := float64(timers) / float64(pushes); f < 0.07 || f > 0.13 {
+		t.Errorf("timers are %.1f%% of pushes, want about 10%%", 100*f)
+	}
+	if inSlot < timers*9/10 {
+		t.Errorf("%d of %d timers cancelled in their slot, want nearly all", inSlot, timers)
+	}
+	if hist["16+"] > len(perTick)/50 || hist["4-7"] < len(perTick)/3 {
+		t.Errorf("popped ticks %v, want 1–15 events each (two groups that land on one tick merge, rarely), most 4–7", hist)
+	}
 }
 
 // TestWheelOverflowRefill pins the overflow path directly: events beyond
@@ -336,6 +488,43 @@ func TestWheelOverflowRefill(t *testing.T) {
 	}
 	if w.Pop() != nil || w.Len() != 0 {
 		t.Fatal("wheel not empty after drain")
+	}
+}
+
+// TestWheelWindowBoundaries pins level 0's rolling window where the
+// aligned windows above it roll over: with the cursor just short of a
+// 2^8, 2^16, 2^24 and 2^32-tick boundary, events pushed a few ticks
+// ahead land past it on level 0 while events pushed from tick 0 wait
+// beyond it on a higher level or the overflow list. Both kinds must pop
+// in the heap's order, however they interleave.
+func TestWheelWindowBoundaries(t *testing.T) {
+	tick := simtime.Time(DefaultWheelTick)
+	for _, bits := range []uint{8, 16, 24, 32} {
+		base := simtime.Time(1<<bits) * tick
+		script := func(q Queue) []int {
+			id := 0
+			push := func(at simtime.Time) {
+				q.Push(&keyedEvent{t: at, key: uint64(id % 3), id: id})
+				id++
+			}
+			push(base - 10*tick)
+			for _, d := range []simtime.Time{0, 3, 50, 255, 300, 70_000} {
+				push(base + d*tick + 7)
+			}
+			var order []int
+			order = append(order, q.Pop().(*keyedEvent).id)
+			for _, d := range []simtime.Time{5, 10, 12, 60, 200, 245, 246, 300} {
+				push(base - 10*tick + d*tick)
+			}
+			for ev := q.Pop(); ev != nil; ev = q.Pop() {
+				order = append(order, ev.(*keyedEvent).id)
+			}
+			return order
+		}
+		want, got := script(NewHeap()), script(NewWheel())
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("boundary 2^%d ticks: wheel pops %v, heap %v", bits, got, want)
+		}
 	}
 }
 
@@ -426,8 +615,10 @@ func TestHeapPushPopAllocFree(t *testing.T) {
 	}
 }
 
-// TestWheelScheduleCancelAllocFree pins 0 allocs/op on the wheel's
-// schedule/cancel hot path (pooled nodes, reused ready run).
+// TestWheelScheduleCancelAllocFree pins 0 allocs/op on the wheel's hot
+// paths once its record pages and ready run have grown: schedule/cancel,
+// and a push→cascade→pop cycle whose events start on levels 0, 1 and 2
+// and cascade down to the ready run before they pop.
 func TestWheelScheduleCancelAllocFree(t *testing.T) {
 	q := NewWheel()
 	evs := make([]*testEvent, 1024)
@@ -445,10 +636,81 @@ func TestWheelScheduleCancelAllocFree(t *testing.T) {
 			}
 		}
 	}
-	run() // warm the node pool
+	run() // warm the record pages
 	if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
 		t.Fatalf("wheel schedule/cancel allocates %.1f per cycle, want 0", allocs)
 	}
+
+	// 100 µs, 30 ms and 5 s ahead: levels 0, 1 and 2 of the wheel.
+	ahead := [3]simtime.Duration{100 * simtime.Microsecond, 30 * simtime.Millisecond, 5 * simtime.Second}
+	now := simtime.Time(0)
+	cycle := func() {
+		for i, ev := range evs {
+			ev.t = now.Add(ahead[i%3] + simtime.Duration(i*7919%1000))
+			q.Push(ev)
+		}
+		for range evs {
+			ev := q.Pop()
+			if ev.Time() < now {
+				t.Fatal("pop went back in time")
+			}
+			now = ev.Time()
+		}
+	}
+	cycle()
+	for i, ev := range evs {
+		ev.t = now.Add(ahead[i%3])
+		q.Push(ev)
+	}
+	for level := 0; level < 3; level++ {
+		if q.occ[level] == [wheelSlots / 64]uint64{} {
+			t.Fatalf("no event starts on level %d", level)
+		}
+	}
+	for range evs {
+		now = q.Pop().Time()
+	}
+	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+		t.Fatalf("wheel push/cascade/pop allocates %.1f per cycle, want 0", allocs)
+	}
+}
+
+// TestRecordLayout pins the queue record beside the engines' envelopes
+// (TestEventSize): 40 bytes, and no pointer anywhere in it, so the record
+// pages are never scanned by the garbage collector. A Handle is 8 bytes
+// and pointer-free as well.
+func TestRecordLayout(t *testing.T) {
+	if n := unsafe.Sizeof(rec{}); n != 40 {
+		t.Errorf("rec is %d bytes, want 40", n)
+	}
+	if n := unsafe.Sizeof(Handle{}); n != 8 {
+		t.Errorf("Handle is %d bytes, want 8", n)
+	}
+	for _, v := range []any{rec{}, Handle{}} {
+		if path := pointerIn(reflect.TypeOf(v), reflect.TypeOf(v).Name()); path != "" {
+			t.Errorf("%s holds a pointer", path)
+		}
+	}
+}
+
+// pointerIn returns the path to the first field of typ (named path) that
+// holds a pointer, or "".
+func pointerIn(typ reflect.Type, path string) string {
+	switch typ.Kind() {
+	case reflect.Struct:
+		for i := range typ.NumField() {
+			if p := pointerIn(typ.Field(i).Type, path+"."+typ.Field(i).Name); p != "" {
+				return p
+			}
+		}
+		return ""
+	case reflect.Array:
+		return pointerIn(typ.Elem(), path+"[]")
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Interface, reflect.Slice,
+		reflect.Map, reflect.Chan, reflect.Func, reflect.String:
+		return path
+	}
+	return ""
 }
 
 // --- BenchmarkEventQueue* suite -------------------------------------------

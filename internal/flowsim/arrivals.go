@@ -137,5 +137,5 @@ func (a *Arrivals) queueNext() {
 	a.pend[a.cur] = pending{d, i}
 	e := &a.ev[a.cur]
 	*e = event{at: d.Start, gen: a.key(i), arr: a, slot: a.cur, kind: evArrival}
-	a.k.ScheduleSeq(e, seq)
+	a.k.ScheduleAt(e, e.at, e.gen, seq)
 }

@@ -353,14 +353,13 @@ func (e *ctlEvent) Release() {
 	p.pool.Put(e)
 }
 
-func (p *ControlPlane) sched(proto ctlEvent) { p.k.Schedule(p.envelope(proto)) }
-
-// envelope returns a pooled copy of proto.
-func (p *ControlPlane) envelope(proto ctlEvent) *ctlEvent {
+// sched schedules a pooled copy of proto, passing the time and order key
+// the envelope reports, and returns the Timer that cancels it.
+func (p *ControlPlane) sched(proto ctlEvent) simcore.Timer {
 	e := p.pool.Get()
 	*e = proto
 	e.p = p
-	return e
+	return p.k.ScheduleAt(e, e.at, e.OrderKey(), 0)
 }
 
 // Deliver applies a controller→switch message at its datapath now, which
@@ -432,7 +431,7 @@ func (p *ControlPlane) scheduleExpiry(dp netgraph.NodeID) {
 	// instead of stacking a second event beside it.
 	p.k.Cancel(p.expiryTimer[dp])
 	p.expiryAt[dp] = next
-	p.expiryTimer[dp] = p.k.ScheduleCancelable(p.envelope(ctlEvent{at: next, kind: ctlExpiry, id: int32(dp)}))
+	p.expiryTimer[dp] = p.sched(ctlEvent{at: next, kind: ctlExpiry, id: int32(dp)})
 }
 
 // handleExpiry evicts expired entries on a switch, notifies the controller

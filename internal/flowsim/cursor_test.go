@@ -3,6 +3,7 @@ package flowsim
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -19,27 +20,61 @@ import (
 )
 
 // dispatchLog is a kernel queue that records every event it hands to the
-// dispatch loop, so two runs can be compared event for event.
+// dispatch loop, so two runs can be compared event for event. It panics
+// on an event queued under a time or order key other than its own (the
+// engines pass both at schedule).
 type dispatchLog struct {
 	eventq.Canceler
 	log []string
 }
 
-func (q *dispatchLog) PopUntil(until simtime.Time) eventq.Event {
-	ev := q.Canceler.PopUntil(until)
+func (q *dispatchLog) PopUntil(until simtime.Time) (eventq.Event, simtime.Time, uint64) {
+	ev, t, key := q.Canceler.PopUntil(until)
+	if ev != nil && (ev.Time() != t || eventq.KeyOf(ev) != key) {
+		panic(fmt.Sprintf("%T queued at %d under key %x, but reports %d and %x", ev, t, key, ev.Time(), eventq.KeyOf(ev)))
+	}
 	switch e := ev.(type) {
 	case *event:
-		entry := fmt.Sprintf("%d k%x %v", e.at, e.OrderKey(), e)
+		entry := fmt.Sprintf("%d k%x %v", t, key, e)
 		if e.flow != nil {
 			entry += fmt.Sprintf(" flow%d", e.flow.ID)
 		}
 		q.log = append(q.log, entry)
 	case *ctlEvent:
-		q.log = append(q.log, fmt.Sprintf("%d k%x ctl%d", e.at, e.OrderKey(), e.kind))
+		q.log = append(q.log, fmt.Sprintf("%d k%x ctl%d up=%v", t, key, e.kind, e.up))
 	case *eagerArrival:
-		q.log = append(q.log, fmt.Sprintf("%d k%x %v", ev.Time(), ev.(eventq.Keyed).OrderKey(), e))
+		q.log = append(q.log, fmt.Sprintf("%d k%x %v", t, key, e))
 	}
-	return ev
+	return ev, t, key
+}
+
+// lifoTies is the heap oracle with its FIFO tie-break reversed: of the
+// events tied on (time, key), the newest pops first. It is the negative
+// control of the heap-oracle tests.
+type lifoTies struct{ *eventq.Heap }
+
+func (q lifoTies) PushKeyed(ev eventq.Event, t simtime.Time, key, seq uint64) eventq.Handle {
+	if seq == 0 {
+		seq = q.Reserve(1)
+	}
+	return q.Heap.PushKeyed(ev, t, key, math.MaxUint64-seq)
+}
+
+// firstDivergence returns the dispatch time of the first entry at which
+// two dispatch logs differ, or simtime.Never if they agree.
+func firstDivergence(a, b []string) simtime.Time {
+	for i := range max(len(a), len(b)) {
+		if i < len(a) && i < len(b) && a[i] == b[i] {
+			continue
+		}
+		if i >= len(a) {
+			a = b
+		}
+		var at int64
+		fmt.Sscan(a[i], &at)
+		return simtime.Time(at)
+	}
+	return simtime.Never
 }
 
 // eagerArrival is the reference ingestion the Load cursor is held to:

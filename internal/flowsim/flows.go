@@ -162,7 +162,7 @@ func (s *Simulator) park(f *Flow, at netgraph.NodeID) {
 	f.completion = simcore.Timer{}
 	f.gen++
 	if f.Deadline != simtime.Never {
-		f.completion = s.schedTimer(event{at: f.Deadline, kind: evComplete, flow: f, gen: f.gen})
+		f.completion = s.sched(event{at: f.Deadline, kind: evComplete, flow: f, gen: f.gen})
 	}
 }
 
@@ -555,7 +555,7 @@ func (s *Simulator) scheduleCompletion(f *Flow) {
 	if at == simtime.Never {
 		return
 	}
-	f.completion = s.schedTimer(event{at: at, kind: evComplete, flow: f, gen: f.gen})
+	f.completion = s.sched(event{at: at, kind: evComplete, flow: f, gen: f.gen})
 }
 
 // handleComplete ends a flow: either its volume is transferred or its
@@ -636,7 +636,7 @@ func (s *Simulator) scheduleRamp(f *Flow) {
 		return
 	}
 	f.ramping = true
-	f.ramp = s.schedTimer(event{at: s.k.Now().Add(s.cfg.TCP.RTT), kind: evRamp, flow: f})
+	f.ramp = s.sched(event{at: s.k.Now().Add(s.cfg.TCP.RTT), kind: evRamp, flow: f})
 }
 
 // pathCapacity returns the minimum link capacity along the flow's path.

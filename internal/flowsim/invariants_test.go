@@ -51,25 +51,37 @@ func TestRecomputeStrategiesAgree(t *testing.T) {
 // TestQueueImplementationsAgree holds the flow engine to the heap oracle:
 // on a heap kernel it reproduces the default run's records exactly and
 // dispatches as many events. A spine link fails and recovers at one
-// instant, so the outcome hangs on the FIFO order of tied events.
+// instant, so the outcome hangs on the FIFO order of tied events. The
+// negative control is a heap with that tie-break reversed: it must part
+// from the default run, and first at the flap instant, or the oracle
+// could pass without seeing tie order at all.
 func TestQueueImplementationsAgree(t *testing.T) {
-	run := func(q eventq.Backend) *stats.Collector {
+	at := simtime.Time(500 * simtime.Millisecond)
+	run := func(q eventq.Canceler) (*stats.Collector, []string) {
+		log := &dispatchLog{Canceler: q}
 		topo, tr := mkWorkload(123)
-		sim := newOwn(simcore.New(simcore.Config{Backend: q}), Config{
+		sim := newOwn(simcore.New(simcore.Config{Queue: log}), Config{
 			Topology: topo, Controller: proactiveMAC{}, Miss: dataplane.MissController,
 		})
 		leaf, spine := topo.MustLookup("leaf0"), topo.MustLookup("spine0")
 		l := topo.LinkAt(leaf, topo.PortToward(leaf, spine)).ID
-		at := simtime.Time(500 * simtime.Millisecond)
 		sim.ScheduleLinkChange(at, l, false)
 		sim.ScheduleLinkChange(at, l, true)
 		sim.Load(tr)
-		return mustRun(sim, simtime.Time(simtime.Minute))
+		return mustRun(sim, simtime.Time(simtime.Minute)), log.log
 	}
-	heap, want := run(eventq.BackendHeap), run(eventq.BackendWheel)
+	want, wantLog := run(eventq.NewWheel())
+	heap, _ := run(eventq.NewHeap())
 	if !reflect.DeepEqual(heap.Flows(), want.Flows()) || heap.EventsRun != want.EventsRun {
 		t.Fatalf("heap kernel diverged: %d records, %d events; default %d records, %d events",
 			len(heap.Flows()), heap.EventsRun, len(want.Flows()), want.EventsRun)
+	}
+	lifo, lifoLog := run(lifoTies{eventq.NewHeap()})
+	if reflect.DeepEqual(lifo.Flows(), want.Flows()) {
+		t.Fatal("reversed tie-break reproduced the default run's records")
+	}
+	if got := firstDivergence(wantLog, lifoLog); got != at {
+		t.Fatalf("reversed tie-break first parts from the default run at %v, want the flap instant %v", got, at)
 	}
 }
 

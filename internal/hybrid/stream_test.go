@@ -18,15 +18,17 @@ import (
 )
 
 // hybridOpts selects the bounded-memory variants: streamed record sink
-// and/or trace-reader ingestion, plus the kernel's queue (the heap oracle
-// or the default wheel) and a bottleneck flap: down and up again at one
-// instant, 10 ms in.
+// and/or trace-reader ingestion, plus the kernel's queue (nil for the
+// default wheel) and a bottleneck flap: down and up again at one instant,
+// flapAt.
 type hybridOpts struct {
 	sink   bool
 	reader bool
-	queue  eventq.Backend
+	queue  eventq.Canceler
 	flap   bool
 }
+
+const flapAt = simtime.Time(10 * simtime.Millisecond)
 
 // runSplit runs the reactive dumbbell scenario at 50% packet fidelity
 // with the selected variants and returns the load-order records plus the
@@ -34,7 +36,7 @@ type hybridOpts struct {
 func runSplit(t *testing.T, opt hybridOpts) ([]stats.FlowRecord, stats.Counters) {
 	t.Helper()
 	topo, tr := reactiveScenario()
-	hyb := newOn(simcore.New(simcore.Config{Backend: opt.queue}), Config{
+	hyb := newOn(simcore.New(simcore.Config{Queue: opt.queue}), Config{
 		Topology: topo, Miss: dataplane.MissController,
 		Controller:     controller.NewChain(&controller.ReactiveMAC{}),
 		ControlLatency: simtime.Millisecond,
@@ -42,9 +44,8 @@ func runSplit(t *testing.T, opt hybridOpts) ([]stats.FlowRecord, stats.Counters)
 		PacketLevel:    Fraction(0.5),
 	})
 	if opt.flap {
-		at := simtime.Time(10 * simtime.Millisecond)
-		hyb.ScheduleLinkChange(at, 0, false)
-		hyb.ScheduleLinkChange(at, 0, true)
+		hyb.ScheduleLinkChange(flapAt, 0, false)
+		hyb.ScheduleLinkChange(flapAt, 0, true)
 	}
 	var streamed []stats.FlowRecord
 	if opt.sink {
@@ -101,16 +102,27 @@ func TestHybridStreamedMatchesRetained(t *testing.T) {
 // TestQueueImplementationsAgree holds the hybrid to the heap oracle: the
 // reactive split run on a heap kernel reproduces the default run's
 // records and every counter, EventsRun included. The bottleneck flaps at
-// one instant, so the outcome hangs on the FIFO order of tied events.
+// one instant, so the outcome hangs on the FIFO order of tied events. The
+// negative control is a heap with that tie-break reversed: it must part
+// from the default run, and first at the flap instant, or the oracle
+// could pass without seeing tie order at all.
 func TestQueueImplementationsAgree(t *testing.T) {
-	want, wantC := runSplit(t, hybridOpts{flap: true})
-	got, gotC := runSplit(t, hybridOpts{flap: true, queue: eventq.BackendHeap})
+	wheel := &dispatchLog{Canceler: eventq.NewWheel()}
+	want, wantC := runSplit(t, hybridOpts{flap: true, queue: wheel})
+	got, gotC := runSplit(t, hybridOpts{flap: true, queue: eventq.NewHeap()})
 	if len(want) == 0 {
 		t.Fatal("default run produced no records")
 	}
 	diffRecords(t, "heap", want, got)
 	if wantC != gotC {
 		t.Errorf("heap: counters diverged:\nwant %+v\n got %+v", wantC, gotC)
+	}
+	lifo := &dispatchLog{Canceler: lifoTies{eventq.NewHeap()}}
+	if got, _ := runSplit(t, hybridOpts{flap: true, queue: lifo}); reflect.DeepEqual(want, got) {
+		t.Fatal("reversed tie-break reproduced the default run's records")
+	}
+	if at := firstDivergence(wheel.log, lifo.log); at != flapAt {
+		t.Fatalf("reversed tie-break first parts from the default run at %v, want the flap instant %v", at, flapAt)
 	}
 }
 

@@ -3,6 +3,7 @@ package packetsim
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -22,18 +23,22 @@ import (
 // dispatchLog is a kernel queue that records every event it hands to the
 // dispatch loop — time, order key, and the admitted demand's load index
 // for a first send, the event's kind or type otherwise — so two runs can
-// be compared event for event.
+// be compared event for event. It panics on an event queued under a time
+// or order key other than its own (the engines pass both at schedule).
 type dispatchLog struct {
 	eventq.Canceler
 	log []string
 }
 
-func (q *dispatchLog) PopUntil(until simtime.Time) eventq.Event {
-	ev := q.Canceler.PopUntil(until)
-	if ev == nil {
-		return nil
+func (q *dispatchLog) PopUntil(until simtime.Time) (eventq.Event, simtime.Time, uint64) {
+	ev, t, key := q.Canceler.PopUntil(until)
+	if ev != nil && (ev.Time() != t || eventq.KeyOf(ev) != key) {
+		panic(fmt.Sprintf("%T queued at %d under key %x, but reports %d and %x", ev, t, key, ev.Time(), eventq.KeyOf(ev)))
 	}
-	entry := fmt.Sprintf("%d k%x", ev.Time(), ev.(eventq.Keyed).OrderKey())
+	if ev == nil {
+		return nil, 0, 0
+	}
+	entry := fmt.Sprintf("%d k%x", t, key)
 	switch e := ev.(type) {
 	case *event:
 		entry += fmt.Sprintf(" kind%d", e.kind)
@@ -43,7 +48,19 @@ func (q *dispatchLog) PopUntil(until simtime.Time) eventq.Event {
 		entry += fmt.Sprintf(" %T", ev)
 	}
 	q.log = append(q.log, entry)
-	return ev
+	return ev, t, key
+}
+
+// lifoTies is the heap oracle with its FIFO tie-break reversed: of the
+// events tied on (time, key), the newest pops first. It is the negative
+// control of the heap-oracle tests.
+type lifoTies struct{ *eventq.Heap }
+
+func (q lifoTies) PushKeyed(ev eventq.Event, t simtime.Time, key, seq uint64) eventq.Handle {
+	if seq == 0 {
+		seq = q.Reserve(1)
+	}
+	return q.Heap.PushKeyed(ev, t, key, math.MaxUint64-seq)
 }
 
 // eagerSend is the reference ingestion the Load cursor is held to: one

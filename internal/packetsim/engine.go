@@ -509,7 +509,7 @@ func (s *Simulator) armRTO(f *pktFlow) {
 	rto := s.cfg.RTOMin
 	f.rtoAt = s.k.Now().Add(rto)
 	f.rtoGen++
-	f.rto = s.schedTimer(event{at: f.rtoAt, kind: evRTO, flow: f, gen: f.rtoGen})
+	f.rto = s.sched(event{at: f.rtoAt, kind: evRTO, flow: f, gen: f.rtoGen})
 }
 
 // handleRTO retransmits from sendBase with a collapsed window. Callers

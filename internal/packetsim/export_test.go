@@ -19,4 +19,6 @@ var (
 
 // GoldenOnHeap runs the golden scenario on a heap-ordered kernel: the
 // oracle the façade's default queue is held to.
-func GoldenOnHeap() RunResult { return runGolden(streamOpts{queue: eventq.BackendHeap}) }
+func GoldenOnHeap() RunResult {
+	return runGolden(streamOpts{queue: func() eventq.Canceler { return eventq.NewHeap() }})
+}

@@ -68,11 +68,19 @@ func snapshot(s *Simulator, col *stats.Collector) runResult {
 // streamOpts selects the bounded-memory variants of a run: feeding the
 // workload through a traffic.Reader instead of Load, and/or draining
 // records through SetRecordSink instead of the retained collector; queue
-// picks the kernel's (the heap oracle or the default wheel).
+// builds the kernel's (nil for the default wheel).
 type streamOpts struct {
 	reader bool
 	sink   bool
-	queue  eventq.Backend
+	queue  func() eventq.Canceler
+}
+
+// kernel returns a kernel over opt.queue.
+func (opt streamOpts) kernel() *simcore.Kernel {
+	if opt.queue == nil {
+		return simcore.New(simcore.Config{})
+	}
+	return simcore.New(simcore.Config{Queue: opt.queue()})
 }
 
 // runStreamed loads tr into sim (or streams it, per opt), runs to 2 s and
@@ -103,7 +111,7 @@ func runStreamed(sim *Simulator, tr traffic.Trace, opt streamOpts) runResult {
 // controller, stats sampling on).
 func runGolden(opt streamOpts) runResult {
 	topo, tr := goldenFatTree()
-	sim := newOwn(simcore.New(simcore.Config{Backend: opt.queue}), Config{
+	sim := newOwn(opt.kernel(), Config{
 		Topology: topo, Miss: dataplane.MissDrop,
 		StatsEvery: 20 * simtime.Millisecond,
 	})
@@ -118,7 +126,7 @@ func runGolden(opt streamOpts) runResult {
 // ECMPLoadBalancer's Start captures the context for After-timer work.
 func runFailures(mk func() controller.App, opt streamOpts) runResult {
 	topo, tr := goldenFatTree()
-	sim := newOwn(simcore.New(simcore.Config{Backend: opt.queue}), Config{
+	sim := newOwn(opt.kernel(), Config{
 		Topology: topo, Miss: dataplane.MissController,
 		Controller:     controller.NewChain(mk()),
 		ControlLatency: simtime.Millisecond,

@@ -410,20 +410,14 @@ func (e *event) Release() {
 	s.pool.Put(e)
 }
 
-// sched schedules a pooled copy of proto on the kernel.
-func (s *Simulator) sched(proto event) {
+// sched schedules a pooled copy of proto on the kernel, passing the time
+// and order key the envelope reports, and returns the Timer that cancels
+// it.
+func (s *Simulator) sched(proto event) simcore.Timer {
 	e := s.pool.Get()
 	*e = proto
 	e.sim = s
-	s.k.Schedule(e)
-}
-
-// schedTimer schedules a pooled copy of proto as a cancelable timer.
-func (s *Simulator) schedTimer(proto event) simcore.Timer {
-	e := s.pool.Get()
-	*e = proto
-	e.sim = s
-	return s.k.ScheduleCancelable(e)
+	return s.k.ScheduleAt(e, e.at, e.OrderKey(), 0)
 }
 
 // New builds a packet-level simulator with a control plane of its own.

@@ -31,11 +31,19 @@ func TestStreamedMatchesRetained(t *testing.T) {
 // TestQueueImplementationsAgree holds the packet engine to the heap
 // oracle: on a heap kernel the golden and the disturbed scenario
 // reproduce the default runs' records, samples and counters, EventsRun
-// included.
+// included. The negative control is a heap with its FIFO tie-break
+// reversed, on which the disturbed run must come out different (the
+// controller's same-instant deliveries to one switch tie), or the oracle
+// could pass without seeing tie order at all.
 func TestQueueImplementationsAgree(t *testing.T) {
-	heap := streamOpts{queue: eventq.BackendHeap}
+	heap := streamOpts{queue: func() eventq.Canceler { return eventq.NewHeap() }}
 	diffRuns(t, "golden", runGolden(streamOpts{}), runGolden(heap))
-	diffRuns(t, "failures", runFailures(proactive, streamOpts{}), runFailures(proactive, heap))
+	want := runFailures(proactive, streamOpts{})
+	diffRuns(t, "failures", want, runFailures(proactive, heap))
+	lifo := streamOpts{queue: func() eventq.Canceler { return lifoTies{eventq.NewHeap()} }}
+	if reflect.DeepEqual(runFailures(proactive, lifo), want) {
+		t.Fatal("reversed tie-break reproduced the default disturbed run")
+	}
 }
 
 // TestStreamedEvictsFlows pins the memory contract behind the sink: once

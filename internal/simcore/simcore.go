@@ -31,20 +31,14 @@ import (
 	"horse/internal/simtime"
 )
 
-// Event is a schedulable kernel event. Fire executes it; Release returns
-// it to its owner's pool after dispatch. Events typically carry generation
-// stamps (compared against owner state in Fire) so that stale, logically
-// cancelled events are cheap no-ops — the pattern that makes pooling safe:
-// a recycled envelope can never be confused with its former identity,
-// because the generation it carried is dead.
-type Event interface {
-	eventq.Event
-	// Fire executes the event at its firing time.
-	Fire()
-	// Release recycles the event after Fire returns. Implementations that
-	// do not pool may make it a no-op.
-	Release()
-}
+// Event is a schedulable kernel event: eventq's. Fire executes it;
+// Release returns it to its owner's pool after dispatch. Events
+// typically carry generation stamps (compared against owner state in
+// Fire) so that stale, logically cancelled events are cheap no-ops — the
+// pattern that makes pooling safe: a recycled envelope can never be
+// confused with its former identity, because the generation it carried
+// is dead.
+type Event = eventq.Event
 
 // Config parameterizes a Kernel. The zero Config runs on the timing
 // wheel, the queue every engine uses.
@@ -72,8 +66,10 @@ type Kernel struct {
 	now        simtime.Time
 	hooks      []hook
 	dispatched uint64
-	// cur is the event being dispatched (nil between dispatches).
-	cur Event
+	// key is the order key the event being dispatched was queued under;
+	// firing is false between dispatches.
+	key    uint64
+	firing bool
 }
 
 // New builds a kernel over the configured queue.
@@ -95,40 +91,43 @@ func (k *Kernel) Len() int { return k.q.Len() }
 // across all engines on this kernel (E7 reports it as events/sec).
 func (k *Kernel) Dispatched() uint64 { return k.dispatched }
 
-// Schedule queues an event. Scheduling in the past is not checked; the
+// Schedule queues an event and returns a Timer that cancels it: it is
+// ScheduleAt with the event asked for its time and order key, under the
+// next FIFO sequence number. Scheduling in the past is not checked; the
 // clock never moves backwards, so such an event fires at the current
 // instant (after everything already queued there).
-func (k *Kernel) Schedule(ev Event) { k.q.Push(ev) }
+func (k *Kernel) Schedule(ev Event) Timer { return k.ScheduleAt(ev, ev.Time(), eventq.KeyOf(ev), 0) }
+
+// ScheduleAt is the one schedule path: it queues ev at t under order key
+// key, which must be what ev's Time and OrderKey report, and FIFO
+// sequence number seq (one from Reserve, or 0 for the next), and returns
+// a Timer that cancels it. An engine that knows its event's time and key
+// spares the queue asking the event for them. Cancellation truly removes
+// the event — on the wheel in O(1), on the heap by marking the record dead
+// without ever touching the event again — so the engine can recycle the
+// envelope immediately.
+func (k *Kernel) ScheduleAt(ev Event, t simtime.Time, key, seq uint64) Timer {
+	return Timer{h: k.q.PushKeyed(ev, t, key, seq)}
+}
 
 // Reserve takes n consecutive FIFO sequence numbers from the queue and
-// returns the first (see eventq.Queue.Reserve). ScheduleSeq later queues
+// returns the first (see eventq.Queue.Reserve). ScheduleAt later queues
 // an event under one of them, so a cursor that keeps one of n pending
 // events queued at a time dispatches them exactly where n eager Schedule
 // calls made at Reserve time would have.
 func (k *Kernel) Reserve(n int) uint64 { return k.q.Reserve(n) }
 
-// ScheduleSeq queues an event under a sequence number from Reserve.
-func (k *Kernel) ScheduleSeq(ev Event, seq uint64) { k.q.PushSeq(ev, seq) }
-
-// Timer is a handle on one cancelable scheduled event. The zero Timer is
-// valid and cancels as a no-op; handles go stale once the event fires or
-// is cancelled, so engines may keep a Timer per flow/switch and Cancel it
-// unconditionally. Timers are value types and allocate nothing (queue
-// nodes are pooled).
+// Timer is a handle on one scheduled event: 8 bytes, the queue record's
+// index and generation, no pointer. The zero Timer is valid and cancels
+// as a no-op; handles go stale once the event fires or is cancelled, so
+// engines may keep a Timer per flow/switch and Cancel it unconditionally.
+// Timers are value types and allocate nothing (queue records are
+// recycled).
 type Timer struct {
 	h eventq.Handle
 }
 
-// ScheduleCancelable queues an event and returns a Timer that can remove
-// it before it fires. Cancellation truly removes the event — on the
-// wheel in O(1), on the heap by marking the entry dead without ever
-// touching the event again — so the engine can recycle the envelope
-// immediately.
-func (k *Kernel) ScheduleCancelable(ev Event) Timer {
-	return Timer{h: k.q.PushCancelable(ev)}
-}
-
-// Cancel removes a cancelable scheduled event. It returns true when the
+// Cancel removes a scheduled event. It returns true when the
 // event was still pending (its envelope has been released); a zero or
 // stale Timer — the event already fired or was already cancelled — is a
 // safe no-op returning false.
@@ -137,7 +136,7 @@ func (k *Kernel) Cancel(t Timer) bool {
 	if !ok {
 		return false
 	}
-	ev.(Event).Release()
+	ev.Release()
 	return true
 }
 
@@ -174,22 +173,7 @@ func (k *Kernel) drainHooks() {
 // the event in the queue (as
 // opposed to popping and staging it) keeps its (time, key, seq) position
 // intact, so stepping never perturbs tie order.
-func (k *Kernel) Run(until simtime.Time) {
-	for {
-		ev := k.next(until)
-		if ev == nil {
-			return
-		}
-		if t := ev.Time(); t > k.now {
-			k.now = t
-		}
-		k.dispatched++
-		k.cur = ev
-		ev.Fire()
-		k.cur = nil
-		ev.Release()
-	}
-}
+func (k *Kernel) Run(until simtime.Time) { _ = k.RunContext(context.Background(), until) }
 
 // DispatchKey returns the order key of the event being dispatched
 // (eventq.DefaultOrderKey for an unkeyed one) and true, or false between
@@ -198,48 +182,37 @@ func (k *Kernel) Run(until simtime.Time) {
 // has fired. An engine whose state changes at an implicit position in
 // the instant's order (the packet engine's frame departures) compares
 // the key against that position.
-func (k *Kernel) DispatchKey() (uint64, bool) {
-	if k.cur == nil {
-		return 0, false
-	}
-	if kd, ok := k.cur.(eventq.Keyed); ok {
-		return kd.OrderKey(), true
-	}
-	return eventq.DefaultOrderKey, true
-}
+func (k *Kernel) DispatchKey() (uint64, bool) { return k.key, k.firing }
 
 // RunContext is Run with cooperative cancellation: the dispatch loop
 // polls ctx.Done() every ctxPollEvery dispatches and returns ctx.Err()
 // when the context is cancelled or past its deadline, leaving the queue
 // (and the clock) exactly where the last dispatched event put them — the
 // caller can settle partial results or resume with another Run. A context
-// that can never be cancelled (context.Background) takes the plain Run
-// fast path.
+// that can never be cancelled (context.Background) is never polled. The
+// clock and DispatchKey come from the queue's pop, so the loop asks the
+// event nothing but Fire and Release.
 func (k *Kernel) RunContext(ctx context.Context, until simtime.Time) error {
 	done := ctx.Done()
-	if done == nil {
-		k.Run(until)
-		return nil
-	}
-	for {
-		for i := 0; i < ctxPollEvery; i++ {
-			ev := k.next(until)
-			if ev == nil {
-				return nil
-			}
-			if t := ev.Time(); t > k.now {
-				k.now = t
-			}
-			k.dispatched++
-			k.cur = ev
-			ev.Fire()
-			k.cur = nil
-			ev.Release()
+	for n := 1; ; n++ {
+		ev, t, key := k.next(until)
+		if ev == nil {
+			return nil
 		}
-		select {
-		case <-done:
-			return ctx.Err()
-		default:
+		if t > k.now {
+			k.now = t
+		}
+		k.dispatched++
+		k.key, k.firing = key, true
+		ev.Fire()
+		k.firing = false
+		ev.Release()
+		if done != nil && n%ctxPollEvery == 0 {
+			select {
+			case <-done:
+				return ctx.Err()
+			default:
+			}
 		}
 	}
 }
@@ -257,26 +230,26 @@ const ctxPollEvery = 256
 // when everything has drained or the head lies beyond the bound (the
 // clock then parks at the bound). Either way the queue head is inspected
 // once, by PopUntil.
-func (k *Kernel) next(until simtime.Time) Event {
+func (k *Kernel) next(until simtime.Time) (Event, simtime.Time, uint64) {
 	for {
 		bound, pending := until, k.anyPending()
 		if pending && k.now < bound {
 			bound = k.now
 		}
-		if ev := k.q.PopUntil(bound); ev != nil {
-			return ev.(Event)
+		if ev, t, key := k.q.PopUntil(bound); ev != nil {
+			return ev, t, key
 		}
 		if pending {
 			k.drainHooks()
 			if k.q.Len() == 0 {
-				return nil
+				return nil, 0, 0
 			}
 			continue
 		}
 		if k.q.Len() > 0 {
 			k.now = until
 		}
-		return nil
+		return nil, 0, 0
 	}
 }
 

@@ -310,8 +310,8 @@ func TestCancel(t *testing.T) {
 				t.Error("Cancel(zero Timer) = true")
 			}
 			dead, live := &countEvent{at: 10}, &countEvent{at: 20}
-			tm := k.ScheduleCancelable(dead)
-			lt := k.ScheduleCancelable(live)
+			tm := k.Schedule(dead)
+			lt := k.Schedule(live)
 			if !k.Cancel(tm) {
 				t.Fatal("Cancel of a pending timer = false")
 			}
