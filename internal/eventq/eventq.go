@@ -104,12 +104,10 @@ type Queue interface {
 	// Reserve takes the next n FIFO sequence numbers without queuing
 	// anything and returns the first; events pushed later sort after all
 	// of them on ties. An ingestion cursor reserves one number per demand
-	// up front and pushes each demand lazily with its own number, so ties
-	// break exactly as if the whole trace had been pushed at once.
+	// up front and pushes each demand lazily with its own number (through
+	// Canceler.PushKeyed), so ties break exactly as if the whole trace had
+	// been pushed at once.
 	Reserve(n int) uint64
-	// PushSeq schedules an event under a sequence number obtained from
-	// Reserve (each number used at most once) instead of the next one.
-	PushSeq(ev Event, seq uint64)
 }
 
 // Canceler is the optional cancellation capability of a Queue. Engines
@@ -344,9 +342,6 @@ func NewHeap() *Heap { return &Heap{} }
 
 // Push schedules an event.
 func (q *Heap) Push(ev Event) { q.PushKeyed(ev, ev.Time(), KeyOf(ev), 0) }
-
-// PushSeq schedules an event under a reserved sequence number.
-func (q *Heap) PushSeq(ev Event, seq uint64) { q.PushKeyed(ev, ev.Time(), KeyOf(ev), seq) }
 
 // PushCancelable schedules an event and returns a cancellation handle.
 func (q *Heap) PushCancelable(ev Event) Handle { return q.PushKeyed(ev, ev.Time(), KeyOf(ev), 0) }

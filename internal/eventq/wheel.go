@@ -113,12 +113,10 @@ func (w *Wheel) Push(ev Event) { w.PushKeyed(ev, ev.Time(), KeyOf(ev), 0) }
 // PushCancelable schedules an event and returns a cancellation handle.
 func (w *Wheel) PushCancelable(ev Event) Handle { return w.PushKeyed(ev, ev.Time(), KeyOf(ev), 0) }
 
-// PushSeq schedules an event under a reserved sequence number. Level-0
+// PushKeyed schedules ev at t under key and seq (0 for the next). Level-0
 // chains and the late heap order by the full (time, key, seq) triple, so
-// an out-of-order seq lands exactly where the heap would put it.
-func (w *Wheel) PushSeq(ev Event, seq uint64) { w.PushKeyed(ev, ev.Time(), KeyOf(ev), seq) }
-
-// PushKeyed schedules ev at t under key and seq (0 for the next).
+// a reserved seq pushed out of order lands exactly where the heap would
+// put it.
 func (w *Wheel) PushKeyed(ev Event, t simtime.Time, key, seq uint64) Handle {
 	i, r := w.alloc(ev, t, key, seq)
 	w.place(i, r)
@@ -301,7 +299,7 @@ func (w *Wheel) Peek() Event {
 // advance moves the cursor on until something is due, with nothing due
 // when it is called. The next occupied level-0 slot in the cursor's
 // aligned block comes first: its chain becomes the ready run as it
-// stands (or, had it given up its order, moves to the late heap). Past
+// stands, once settled. Past
 // the block, level 0 may still hold ticks of the next block (enter), or
 // else the next event lies on a higher level or the overflow list
 // (jump). Records a cascade lands on the cursor tick go to the late heap.
@@ -309,10 +307,7 @@ func (w *Wheel) advance() {
 	for {
 		if s, ok := w.nextOcc(0, int(w.cur&wheelMask)+1); ok {
 			w.cur = w.cur&^wheelMask | uint64(s)
-			if bit := uint64(1) << (s & 63); w.unordered[s>>6]&bit != 0 {
-				w.unordered[s>>6] &^= bit
-				w.replaceChain(s)
-			}
+			w.settle(s)
 			return
 		}
 		if w.occ[0] != [wheelSlots / 64]uint64{} {
@@ -327,11 +322,12 @@ func (w *Wheel) advance() {
 }
 
 // enter moves the cursor to nb, the start of the next level-0 block, when
-// level 0 still holds events there, and cascades the one slot that can
-// hold more of them: that of the lowest level whose digit of nb is not
+// level 0 still holds events there, settles slot 0 (nb's), and cascades
+// the one slot that can hold more of them: that of the lowest level whose digit of nb is not
 // zero, or the overflow list when nb starts a new top-level window.
 func (w *Wheel) enter(nb uint64) {
 	w.cur = nb
+	w.settle(0)
 	for level := 1; level < wheelLevels; level++ {
 		if s := int(nb>>(level*wheelBits)) & wheelMask; s != 0 {
 			w.replaceChain(level<<wheelBits | s)
@@ -340,6 +336,16 @@ func (w *Wheel) enter(nb uint64) {
 	}
 	w.ovBoundary = w.windowEnd(wheelLevels - 1)
 	w.replaceChain(ovList)
+}
+
+// settle readies level-0 slot s, which the cursor has just reached: a
+// chain that gave up its order moves to the late heap, so pops never take
+// it as it stands.
+func (w *Wheel) settle(s int) {
+	if bit := uint64(1) << (s & 63); w.unordered[s>>6]&bit != 0 {
+		w.unordered[s>>6] &^= bit
+		w.replaceChain(s)
+	}
 }
 
 // jump moves the cursor, with level 0 empty, to the start of the next

@@ -145,7 +145,8 @@ func driveScript(q Queue, ops []qop) []string {
 			// interleaved with ordinary pushes.
 			if len(reserved) > 0 {
 				i := op.idx % len(reserved)
-				q.PushSeq(&keyedEvent{t: clock.Add(simtime.Duration(op.dt)), key: op.key, id: id}, reserved[i])
+				ev := &keyedEvent{t: clock.Add(simtime.Duration(op.dt)), key: op.key, id: id}
+				c.PushKeyed(ev, ev.t, ev.key, reserved[i])
 				reserved = append(reserved[:i], reserved[i+1:]...)
 				id++
 			}
@@ -297,6 +298,8 @@ func FuzzWheelVsHeap(f *testing.F) {
 	}
 	f.Add(seed5)
 	f.Add(fattreeMixSeed())
+	f.Add(blockStartBurstSeed(false))
+	f.Add(blockStartBurstSeed(true))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ops := decodeOps(data)
 		if len(ops) == 0 {
@@ -313,6 +316,44 @@ func FuzzWheelVsHeap(f *testing.F) {
 			}
 		}
 	})
+}
+
+// blockStartBurstSeed is the burst of TestWheelWindowBoundaries as a fuzz
+// script: with the cursor mid-block, more than sortWalk same-instant
+// events on the next block's first tick and then one that sorts before
+// them, which leaves that tick's level-0 chain unordered. With far set the
+// events lie beyond the wheel's horizon, ten ticks apart, so the overflow
+// refill lands the cursor mid-block and places the burst newest first.
+func blockStartBurstSeed(far bool) []byte {
+	var b []byte
+	op := func(kind byte, dt int64, shift, key byte) {
+		m := dt >> shift
+		b = append(b, kind, byte(m>>8), byte(m), shift, 0, key, 0, 0, 0, 0)
+	}
+	const block = wheelSlots * int64(DefaultWheelTick)
+	dt, shift := 246*int64(DefaultWheelTick), byte(2)
+	if !far {
+		op(0, 10*int64(DefaultWheelTick), 0, 0)
+		op(3, 0, 0, 0)
+	} else {
+		// The burst lands on a block start dt after a clock of c, and the
+		// event before it ten ticks earlier, dt after a clock of c-10 µs.
+		dt, shift = 0xffff<<26, 26
+		c := (dt/block+1)*block - dt
+		if c < 10*int64(DefaultWheelTick) {
+			c += block
+		}
+		op(0, c-10*int64(DefaultWheelTick), 3, 0)
+		op(0, c, 3, 0)
+		op(3, 0, 0, 0)
+		op(0, dt, shift, 0)
+		op(3, 0, 0, 0)
+	}
+	for i := 0; i < 2*sortWalk; i++ {
+		op(0, dt, shift, 5)
+	}
+	op(0, dt, shift, 1)
+	return b
 }
 
 // fattreeMixSeed is a fuzz script shaped like the packet.fattree8
@@ -524,6 +565,39 @@ func TestWheelWindowBoundaries(t *testing.T) {
 		want, got := script(NewHeap()), script(NewWheel())
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Errorf("boundary 2^%d ticks: wheel pops %v, heap %v", bits, got, want)
+		}
+		// With the cursor mid-block, a same-instant burst longer than
+		// sortWalk on the next block's first tick, then one event that
+		// sorts before it: that tick's level-0 chain gives up its order
+		// and must not pop as it stands when the cursor enters the block.
+		// The far variant takes the burst through the overflow list, whose
+		// refill lands the cursor mid-block and places the burst newest
+		// first.
+		for _, far := range []simtime.Time{0, 2 * simtime.Time(int64(DefaultWheelTick)<<(wheelBits*wheelLevels))} {
+			burst := func(q Queue) []int {
+				id := 0
+				push := func(at simtime.Time, key uint64) {
+					q.Push(&keyedEvent{t: far + at, key: key, id: id})
+					id++
+				}
+				push(base-10*tick, 0)
+				if far == 0 {
+					q.Pop()
+				}
+				for i := 0; i < 2*sortWalk; i++ {
+					push(base, 5)
+				}
+				push(base, 1)
+				var order []int
+				for ev := q.Pop(); ev != nil; ev = q.Pop() {
+					order = append(order, ev.(*keyedEvent).id)
+				}
+				return order
+			}
+			want, got := burst(NewHeap()), burst(NewWheel())
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("burst at 2^%d ticks (+%v): wheel pops %v, heap %v", bits, far, got, want)
+			}
 		}
 	}
 }

@@ -3,13 +3,13 @@ package flowsim
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"horse/internal/dataplane"
 	"horse/internal/eventq"
+	"horse/internal/eventq/eventqtest"
 	"horse/internal/header"
 	"horse/internal/netgraph"
 	"horse/internal/openflow"
@@ -19,62 +19,25 @@ import (
 	"horse/internal/traffic"
 )
 
-// dispatchLog is a kernel queue that records every event it hands to the
-// dispatch loop, so two runs can be compared event for event. It panics
-// on an event queued under a time or order key other than its own (the
-// engines pass both at schedule).
-type dispatchLog struct {
-	eventq.Canceler
-	log []string
-}
-
-func (q *dispatchLog) PopUntil(until simtime.Time) (eventq.Event, simtime.Time, uint64) {
-	ev, t, key := q.Canceler.PopUntil(until)
-	if ev != nil && (ev.Time() != t || eventq.KeyOf(ev) != key) {
-		panic(fmt.Sprintf("%T queued at %d under key %x, but reports %d and %x", ev, t, key, ev.Time(), eventq.KeyOf(ev)))
-	}
-	switch e := ev.(type) {
-	case *event:
-		entry := fmt.Sprintf("%d k%x %v", t, key, e)
-		if e.flow != nil {
-			entry += fmt.Sprintf(" flow%d", e.flow.ID)
+// dispatchLog returns q logging, for every event it dispatches, the
+// engine's own events with the flow they concern, control-plane changes
+// with their direction, and eager arrivals, so two runs can be compared
+// event for event.
+func dispatchLog(q eventq.Canceler) *eventqtest.Log {
+	return &eventqtest.Log{Canceler: q, Entry: func(ev eventq.Event) string {
+		switch e := ev.(type) {
+		case *event:
+			if e.flow != nil {
+				return fmt.Sprintf("%v flow%d", e, e.flow.ID)
+			}
+			return fmt.Sprint(e)
+		case *ctlEvent:
+			return fmt.Sprintf("ctl%d up=%v", e.kind, e.up)
+		case *eagerArrival:
+			return fmt.Sprint(e)
 		}
-		q.log = append(q.log, entry)
-	case *ctlEvent:
-		q.log = append(q.log, fmt.Sprintf("%d k%x ctl%d up=%v", t, key, e.kind, e.up))
-	case *eagerArrival:
-		q.log = append(q.log, fmt.Sprintf("%d k%x %v", t, key, e))
-	}
-	return ev, t, key
-}
-
-// lifoTies is the heap oracle with its FIFO tie-break reversed: of the
-// events tied on (time, key), the newest pops first. It is the negative
-// control of the heap-oracle tests.
-type lifoTies struct{ *eventq.Heap }
-
-func (q lifoTies) PushKeyed(ev eventq.Event, t simtime.Time, key, seq uint64) eventq.Handle {
-	if seq == 0 {
-		seq = q.Reserve(1)
-	}
-	return q.Heap.PushKeyed(ev, t, key, math.MaxUint64-seq)
-}
-
-// firstDivergence returns the dispatch time of the first entry at which
-// two dispatch logs differ, or simtime.Never if they agree.
-func firstDivergence(a, b []string) simtime.Time {
-	for i := range max(len(a), len(b)) {
-		if i < len(a) && i < len(b) && a[i] == b[i] {
-			continue
-		}
-		if i >= len(a) {
-			a = b
-		}
-		var at int64
-		fmt.Sscan(a[i], &at)
-		return simtime.Time(at)
-	}
-	return simtime.Never
+		return ""
+	}}
 }
 
 // eagerArrival is the reference ingestion the Load cursor is held to:
@@ -122,7 +85,7 @@ type cursorArm struct {
 // recording kernel until `until`, cancelling the run from a controller
 // timer at cancelAt when it is positive.
 func runCursorArm(topo *netgraph.Topology, until simtime.Time, cancelAt simtime.Duration, feed func(*Simulator)) cursorArm {
-	q := &dispatchLog{Canceler: eventq.NewWheel()}
+	q := dispatchLog(eventq.NewWheel())
 	k := simcore.New(simcore.Config{Queue: q})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -137,7 +100,7 @@ func runCursorArm(topo *netgraph.Topology, until simtime.Time, cancelAt simtime.
 	sim.Begin()
 	k.RunContext(ctx, until)
 	sim.Finish()
-	return cursorArm{records: col.Flows(), events: col.EventsRun, log: q.log}
+	return cursorArm{records: col.Flows(), events: col.EventsRun, log: q.Lines}
 }
 
 // tiedTrace is a Poisson workload with starts rounded to 5 ms, so dozens

@@ -9,6 +9,7 @@ import (
 	"horse/internal/addr"
 	"horse/internal/dataplane"
 	"horse/internal/eventq"
+	"horse/internal/eventq/eventqtest"
 	"horse/internal/header"
 	"horse/internal/netgraph"
 	"horse/internal/openflow"
@@ -58,7 +59,7 @@ func TestRecomputeStrategiesAgree(t *testing.T) {
 func TestQueueImplementationsAgree(t *testing.T) {
 	at := simtime.Time(500 * simtime.Millisecond)
 	run := func(q eventq.Canceler) (*stats.Collector, []string) {
-		log := &dispatchLog{Canceler: q}
+		log := dispatchLog(q)
 		topo, tr := mkWorkload(123)
 		sim := newOwn(simcore.New(simcore.Config{Queue: log}), Config{
 			Topology: topo, Controller: proactiveMAC{}, Miss: dataplane.MissController,
@@ -68,7 +69,7 @@ func TestQueueImplementationsAgree(t *testing.T) {
 		sim.ScheduleLinkChange(at, l, false)
 		sim.ScheduleLinkChange(at, l, true)
 		sim.Load(tr)
-		return mustRun(sim, simtime.Time(simtime.Minute)), log.log
+		return mustRun(sim, simtime.Time(simtime.Minute)), log.Lines
 	}
 	want, wantLog := run(eventq.NewWheel())
 	heap, _ := run(eventq.NewHeap())
@@ -76,11 +77,11 @@ func TestQueueImplementationsAgree(t *testing.T) {
 		t.Fatalf("heap kernel diverged: %d records, %d events; default %d records, %d events",
 			len(heap.Flows()), heap.EventsRun, len(want.Flows()), want.EventsRun)
 	}
-	lifo, lifoLog := run(lifoTies{eventq.NewHeap()})
+	lifo, lifoLog := run(eventqtest.NewLIFOTies())
 	if reflect.DeepEqual(lifo.Flows(), want.Flows()) {
 		t.Fatal("reversed tie-break reproduced the default run's records")
 	}
-	if got := firstDivergence(wantLog, lifoLog); got != at {
+	if got := eventqtest.FirstDivergence(wantLog, lifoLog); got != at {
 		t.Fatalf("reversed tie-break first parts from the default run at %v, want the flap instant %v", got, at)
 	}
 }

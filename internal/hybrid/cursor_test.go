@@ -3,7 +3,6 @@ package hybrid
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -12,6 +11,7 @@ import (
 	"horse/internal/controller"
 	"horse/internal/dataplane"
 	"horse/internal/eventq"
+	"horse/internal/eventq/eventqtest"
 	"horse/internal/flowsim"
 	"horse/internal/netgraph"
 	"horse/internal/packetsim"
@@ -21,63 +21,22 @@ import (
 	"horse/internal/traffic"
 )
 
-// dispatchLog is a kernel queue that records every event it hands to the
-// dispatch loop — time, order key, and the admitted demand's load index
-// for an arrival, the event's type otherwise — so two runs can be
-// compared event for event. It panics on an event queued under a time or
-// order key other than its own (the engines pass both at schedule).
-type dispatchLog struct {
-	eventq.Canceler
-	log []string
-}
-
-func (q *dispatchLog) PopUntil(until simtime.Time) (eventq.Event, simtime.Time, uint64) {
-	ev, t, key := q.Canceler.PopUntil(until)
-	if ev != nil && (ev.Time() != t || eventq.KeyOf(ev) != key) {
-		panic(fmt.Sprintf("%T queued at %d under key %x, but reports %d and %x", ev, t, key, ev.Time(), eventq.KeyOf(ev)))
-	}
-	if ev != nil {
-		entry := fmt.Sprintf("%d k%x %T", t, key, ev)
+// dispatchLog returns q logging every event it dispatches — the admitted
+// demand's load index for an arrival, the event's type otherwise — so two
+// runs can be compared event for event.
+func dispatchLog(q eventq.Canceler) *eventqtest.Log {
+	return &eventqtest.Log{Canceler: q, Entry: func(ev eventq.Event) string {
+		entry := fmt.Sprintf("%T", ev)
 		if s, ok := ev.(fmt.Stringer); ok { // an arrival, the cursor's or the eager reference's
-			entry = fmt.Sprintf("%d k%x %v", t, key, s)
+			entry = s.String()
 		}
 		// A control-plane change logs its direction: a link down and up
 		// at one instant then tell which fired first.
 		if up := reflect.ValueOf(ev).Elem().FieldByName("up"); up.IsValid() {
 			entry += fmt.Sprintf(" up=%v", up.Bool())
 		}
-		q.log = append(q.log, entry)
-	}
-	return ev, t, key
-}
-
-// lifoTies is the heap oracle with its FIFO tie-break reversed: of the
-// events tied on (time, key), the newest pops first. It is the negative
-// control of the heap-oracle tests.
-type lifoTies struct{ *eventq.Heap }
-
-func (q lifoTies) PushKeyed(ev eventq.Event, t simtime.Time, key, seq uint64) eventq.Handle {
-	if seq == 0 {
-		seq = q.Reserve(1)
-	}
-	return q.Heap.PushKeyed(ev, t, key, math.MaxUint64-seq)
-}
-
-// firstDivergence returns the dispatch time of the first entry at which
-// two dispatch logs differ, or simtime.Never if they agree.
-func firstDivergence(a, b []string) simtime.Time {
-	for i := range max(len(a), len(b)) {
-		if i < len(a) && i < len(b) && a[i] == b[i] {
-			continue
-		}
-		if i >= len(a) {
-			a = b
-		}
-		var at int64
-		fmt.Sscan(a[i], &at)
-		return simtime.Time(at)
-	}
-	return simtime.Never
+		return entry
+	}}
 }
 
 // eagerAdmit is the reference ingestion the Load cursor is held to: one
@@ -142,7 +101,7 @@ type cursorArm struct {
 // controller on a recording kernel until `until`, cancelling the run from
 // a controller timer at cancelAt when it is positive.
 func runCursorArm(topo *netgraph.Topology, p float64, until simtime.Time, cancelAt simtime.Duration, feed func(*Simulator)) cursorArm {
-	q := &dispatchLog{Canceler: eventq.NewWheel()}
+	q := dispatchLog(eventq.NewWheel())
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var ctrl flowsim.Controller = controller.NewChain(&controller.ReactiveMAC{})
@@ -154,7 +113,7 @@ func runCursorArm(topo *netgraph.Topology, p float64, until simtime.Time, cancel
 	})
 	feed(s)
 	col, _ := s.Run(ctx, until)
-	return cursorArm{records: col.Flows(), events: col.EventsRun, log: q.log}
+	return cursorArm{records: col.Flows(), events: col.EventsRun, log: q.Lines}
 }
 
 // diffArms fails t unless the cursor arm dispatched exactly the eager

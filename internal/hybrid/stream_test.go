@@ -9,6 +9,7 @@ import (
 	"horse/internal/controller"
 	"horse/internal/dataplane"
 	"horse/internal/eventq"
+	"horse/internal/eventq/eventqtest"
 	"horse/internal/simcore"
 	"horse/internal/simevent"
 	"horse/internal/simtime"
@@ -107,7 +108,7 @@ func TestHybridStreamedMatchesRetained(t *testing.T) {
 // from the default run, and first at the flap instant, or the oracle
 // could pass without seeing tie order at all.
 func TestQueueImplementationsAgree(t *testing.T) {
-	wheel := &dispatchLog{Canceler: eventq.NewWheel()}
+	wheel := dispatchLog(eventq.NewWheel())
 	want, wantC := runSplit(t, hybridOpts{flap: true, queue: wheel})
 	got, gotC := runSplit(t, hybridOpts{flap: true, queue: eventq.NewHeap()})
 	if len(want) == 0 {
@@ -117,11 +118,11 @@ func TestQueueImplementationsAgree(t *testing.T) {
 	if wantC != gotC {
 		t.Errorf("heap: counters diverged:\nwant %+v\n got %+v", wantC, gotC)
 	}
-	lifo := &dispatchLog{Canceler: lifoTies{eventq.NewHeap()}}
+	lifo := dispatchLog(eventqtest.NewLIFOTies())
 	if got, _ := runSplit(t, hybridOpts{flap: true, queue: lifo}); reflect.DeepEqual(want, got) {
 		t.Fatal("reversed tie-break reproduced the default run's records")
 	}
-	if at := firstDivergence(wheel.log, lifo.log); at != flapAt {
+	if at := eventqtest.FirstDivergence(wheel.Lines, lifo.Lines); at != flapAt {
 		t.Fatalf("reversed tie-break first parts from the default run at %v, want the flap instant %v", at, flapAt)
 	}
 }

@@ -3,7 +3,6 @@ package packetsim
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -12,6 +11,7 @@ import (
 	"horse/internal/controller"
 	"horse/internal/dataplane"
 	"horse/internal/eventq"
+	"horse/internal/eventq/eventqtest"
 	"horse/internal/flowsim"
 	"horse/internal/netgraph"
 	"horse/internal/simcore"
@@ -20,47 +20,19 @@ import (
 	"horse/internal/traffic"
 )
 
-// dispatchLog is a kernel queue that records every event it hands to the
-// dispatch loop — time, order key, and the admitted demand's load index
-// for a first send, the event's kind or type otherwise — so two runs can
-// be compared event for event. It panics on an event queued under a time
-// or order key other than its own (the engines pass both at schedule).
-type dispatchLog struct {
-	eventq.Canceler
-	log []string
-}
-
-func (q *dispatchLog) PopUntil(until simtime.Time) (eventq.Event, simtime.Time, uint64) {
-	ev, t, key := q.Canceler.PopUntil(until)
-	if ev != nil && (ev.Time() != t || eventq.KeyOf(ev) != key) {
-		panic(fmt.Sprintf("%T queued at %d under key %x, but reports %d and %x", ev, t, key, ev.Time(), eventq.KeyOf(ev)))
-	}
-	if ev == nil {
-		return nil, 0, 0
-	}
-	entry := fmt.Sprintf("%d k%x", t, key)
-	switch e := ev.(type) {
-	case *event:
-		entry += fmt.Sprintf(" kind%d", e.kind)
-	case fmt.Stringer: // a first send, the cursor's or the eager reference's
-		entry += " " + e.String()
-	default:
-		entry += fmt.Sprintf(" %T", ev)
-	}
-	q.log = append(q.log, entry)
-	return ev, t, key
-}
-
-// lifoTies is the heap oracle with its FIFO tie-break reversed: of the
-// events tied on (time, key), the newest pops first. It is the negative
-// control of the heap-oracle tests.
-type lifoTies struct{ *eventq.Heap }
-
-func (q lifoTies) PushKeyed(ev eventq.Event, t simtime.Time, key, seq uint64) eventq.Handle {
-	if seq == 0 {
-		seq = q.Reserve(1)
-	}
-	return q.Heap.PushKeyed(ev, t, key, math.MaxUint64-seq)
+// dispatchLog returns q logging every event it dispatches — the admitted
+// demand's load index for a first send, the event's kind or type
+// otherwise — so two runs can be compared event for event.
+func dispatchLog(q eventq.Canceler) *eventqtest.Log {
+	return &eventqtest.Log{Canceler: q, Entry: func(ev eventq.Event) string {
+		switch e := ev.(type) {
+		case *event:
+			return fmt.Sprintf("kind%d", e.kind)
+		case fmt.Stringer: // a first send, the cursor's or the eager reference's
+			return e.String()
+		}
+		return fmt.Sprintf("%T", ev)
+	}}
 }
 
 // eagerSend is the reference ingestion the Load cursor is held to: one
@@ -109,7 +81,7 @@ type cursorArm struct {
 // recording kernel until `until`, cancelling the run from a controller
 // timer at cancelAt when it is positive.
 func runCursorArm(topo *netgraph.Topology, until simtime.Time, cancelAt simtime.Duration, feed func(*Simulator)) cursorArm {
-	q := &dispatchLog{Canceler: eventq.NewWheel()}
+	q := dispatchLog(eventq.NewWheel())
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var ctrl flowsim.Controller = controller.NewChain(&controller.ReactiveMAC{})
@@ -120,7 +92,7 @@ func runCursorArm(topo *netgraph.Topology, until simtime.Time, cancelAt simtime.
 	feed(s)
 	s.Run(ctx, until)
 	col := s.Collector()
-	return cursorArm{records: col.Flows(), events: col.EventsRun, log: q.log}
+	return cursorArm{records: col.Flows(), events: col.EventsRun, log: q.Lines}
 }
 
 // tiedTrace is a Poisson workload with starts rounded to 5 ms, so several

@@ -7,6 +7,7 @@ import (
 	"horse/internal/controller"
 	"horse/internal/dataplane"
 	"horse/internal/eventq"
+	"horse/internal/eventq/eventqtest"
 	"horse/internal/simtime"
 	"horse/internal/stats"
 )
@@ -40,7 +41,7 @@ func TestQueueImplementationsAgree(t *testing.T) {
 	diffRuns(t, "golden", runGolden(streamOpts{}), runGolden(heap))
 	want := runFailures(proactive, streamOpts{})
 	diffRuns(t, "failures", want, runFailures(proactive, heap))
-	lifo := streamOpts{queue: func() eventq.Canceler { return lifoTies{eventq.NewHeap()} }}
+	lifo := streamOpts{queue: func() eventq.Canceler { return eventqtest.NewLIFOTies() }}
 	if reflect.DeepEqual(runFailures(proactive, lifo), want) {
 		t.Fatal("reversed tie-break reproduced the default disturbed run")
 	}
