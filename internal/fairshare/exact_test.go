@@ -125,7 +125,7 @@ func (a *Allocator) solveEager(comp []int32, w *solveWorker) {
 		newRate := s.allocVal[fi]
 		old := f.rate
 		f.rate = newRate
-		if a.significant(old, newRate) {
+		if a.Significant(old, newRate) {
 			w.changed = append(w.changed, Changed{ID: f.id, Slot: fi, OldRate: old, NewRate: newRate})
 		}
 	}

@@ -851,7 +851,7 @@ func (a *Allocator) solve(comp []int32, w *solveWorker) {
 		newRate := s.allocVal[fi]
 		old := f.rate
 		f.rate = newRate
-		if a.significant(old, newRate) {
+		if a.Significant(old, newRate) {
 			w.changed = append(w.changed, Changed{ID: f.id, Slot: fi, OldRate: old, NewRate: newRate})
 		}
 	}
@@ -1030,7 +1030,9 @@ func (w *solveWorker) down(i int) {
 	}
 }
 
-func (a *Allocator) significant(old, new float64) bool {
+// Significant reports whether a rate move from old to new exceeds
+// Epsilon, the test that puts a flow on Recompute's change list.
+func (a *Allocator) Significant(old, new float64) bool {
 	if old == new {
 		return false
 	}

@@ -78,6 +78,9 @@ type Attachment interface {
 	SwitchCrashed(sw netgraph.NodeID)
 	// ControllerReattached follows the reattach resync of the controller.
 	ControllerReattached()
+	// AfterPlaneEvent ends every event of the plane, so work an engine's
+	// reactions leave for the end of a dispatch runs before the next event.
+	AfterPlaneEvent()
 }
 
 // ControlPlane is the one control plane of a run, whatever its fidelity:
@@ -316,9 +319,9 @@ func (e *ctlEvent) Fire() {
 			// lost at delivery. A lost PortStatus still resyncs on
 			// reattach (the link change it announced goes pending).
 			p.fstate.NotePendingStatus(e.msg)
-			return
+		} else {
+			p.ctrl.Handle(p.ctx, e.msg)
 		}
-		p.ctrl.Handle(p.ctx, e.msg)
 	case ctlTimer:
 		e.fn()
 	case ctlExpiry:
@@ -332,6 +335,9 @@ func (e *ctlEvent) Fire() {
 		p.handleCtrlChange(e.up)
 	case ctlLinkDegrade:
 		p.handleLinkDegrade(netgraph.LinkID(e.id), e.model)
+	}
+	for _, a := range p.engines {
+		a.AfterPlaneEvent()
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"horse/internal/dataplane"
 	"horse/internal/fairshare"
 	"horse/internal/grow"
+	"horse/internal/header"
 	"horse/internal/netgraph"
 	"horse/internal/openflow"
 	"horse/internal/simcore"
@@ -101,6 +102,8 @@ func (s *Simulator) newFlow() *Flow {
 func (s *Simulator) resolve(f *Flow) {
 	res := &s.walk
 	s.net.WalkInto(res, f.Key, f.Src, f.Dst)
+	s.walks++
+	f.punting = len(res.PacketIns) > 0
 
 	// Emit PacketIns for punting switches the flow has not yet punted at
 	// (a flow's buffered first packet produces one PacketIn per switch).
@@ -202,52 +205,76 @@ func (s *Simulator) release(f *Flow) {
 	s.free = grow.Push(s.free, f.slot)
 }
 
-// activate installs the flow on the allocator with its resolved path.
+// activate installs the flow on the allocator with its resolved path. An
+// active flow readmitted on the path it is registered on (res nil, or a
+// walk that returned that path) keeps its allocator slot and switch index
+// and has every other effect of a removal and re-registration: its rate
+// drops to 0 until the drain applies the allocator's rate to it.
 func (s *Simulator) activate(f *Flow, res *dataplane.PathResult) {
 	s.settleFlow(f)
-	// Tear down previous registration (path may have changed).
-	wasActive := f.state == StateActive
-	s.deactivate(f)
-	s.unpark(f)
+	if f.state == StateActive && (res == nil || f.Key == res.ExitKey && slices.Equal(f.hops, res.Hops) &&
+		slices.Equal(f.entries, res.Entries) && slices.Equal(f.meterRefs, res.Meters)) {
+		s.adjustLedgers(f, -f.rate)
+		f.rate = 0
+		if !f.kept {
+			f.kept = true
+			s.kept = append(s.kept, f)
+		}
+	} else {
+		// Tear down previous registration (path may have changed).
+		wasActive := f.state == StateActive
+		s.deactivate(f)
+		s.unpark(f)
 
-	// Path changes are counted against the last transmitting path, which
-	// survives park/reactivate cycles (outage reroutes count too).
-	if len(f.hops) > 0 && !samePath(f.hops, res.Hops) {
-		f.pathChanges++
-		s.col.PathChanges++
-		s.col.AddReroute(s.k.Now())
-	}
-	f.state = StateActive
-	f.hops = append(f.hops[:0], res.Hops...)
-	f.entries = append(f.entries[:0], res.Entries...)
-	f.meterRefs = append(f.meterRefs[:0], res.Meters...)
-	f.Key = res.ExitKey
-	f.lastPathLen = len(res.Hops)
-	if !wasActive {
-		f.txStart = s.k.Now()
+		// Path changes count against the last transmitting path, which
+		// survives park/reactivate cycles (outage reroutes count too).
+		if len(f.hops) > 0 && !samePath(f.hops, res.Hops) {
+			f.pathChanges++
+			s.col.PathChanges++
+			s.col.AddReroute(s.k.Now())
+		}
+		f.state = StateActive
+		f.hops = append(f.hops[:0], res.Hops...)
+		f.entries = append(f.entries[:0], res.Entries...)
+		f.meterRefs = append(f.meterRefs[:0], res.Meters...)
+		f.Key = res.ExitKey
+		f.lastPathLen = len(res.Hops)
+		if !wasActive {
+			f.txStart = s.k.Now()
+		}
+
+		// Resources: every link direction along the path plus every meter.
+		f.resources = f.resources[:0]
+		for _, h := range f.hops {
+			fwd := h.Link.A == h.Switch
+			f.resources = append(f.resources, linkResource(h.Link.ID, fwd))
+		}
+		// The host → first switch ingress link also carries the flow.
+		if hostLink := s.ingress[f.Src].link; hostLink != nil {
+			fwd := hostLink.A == f.Src
+			f.resources = append(f.resources, linkResource(hostLink.ID, fwd))
+		}
+		for _, mr := range f.meterRefs {
+			f.resources = append(f.resources, meterResource(mr.Switch, mr.Meter))
+		}
+		// Index by traversed switch for re-resolution, once per switch.
+		f.atPos = f.atPos[:0]
+		for i, h := range f.hops {
+			pos := int32(-1)
+			if !crossed(f.hops[:i], h.Switch) {
+				pos = int32(len(s.flowsAt[h.Switch]))
+				s.flowsAt[h.Switch] = grow.Push(s.flowsAt[h.Switch], flowRef{f, int32(i)})
+			}
+			f.atPos = append(f.atPos, pos)
+		}
 	}
 	// The flow found a path; if its rules are later evicted it punts as a
 	// fresh episode, so clear the PacketIn dedup set.
 	f.puntedAt = f.puntedAt[:0]
-
-	// Resources: every link direction along the path plus every meter.
-	f.resources = f.resources[:0]
-	for _, h := range f.hops {
-		fwd := h.Link.A == h.Switch
-		f.resources = append(f.resources, linkResource(h.Link.ID, fwd))
-	}
-	// The first hop's ingress link (host → first switch) also carries the
-	// flow.
-	if hostLink := s.ingress[f.Src].link; hostLink != nil {
-		fwd := hostLink.A == f.Src
-		f.resources = append(f.resources, linkResource(hostLink.ID, fwd))
-	}
 	for _, mr := range f.meterRefs {
-		r := meterResource(mr.Switch, mr.Meter)
 		if m := s.meter(mr); m != nil {
-			s.alloc.SetCapacity(r, m.RateBps)
+			s.alloc.SetCapacity(meterResource(mr.Switch, mr.Meter), m.RateBps)
 		}
-		f.resources = append(f.resources, r)
 	}
 	s.refreshPathLoss(f)
 
@@ -255,20 +282,13 @@ func (s *Simulator) activate(f *Flow, res *dataplane.PathResult) {
 	for _, e := range f.entries {
 		e.LastUsed = s.k.Now()
 	}
-	// Index by traversed switch for re-resolution, once per switch.
-	f.atPos = f.atPos[:0]
-	for i, h := range f.hops {
-		pos := int32(-1)
-		if !crossed(f.hops[:i], h.Switch) {
-			pos = int32(len(s.flowsAt[h.Switch]))
-			s.flowsAt[h.Switch] = grow.Push(s.flowsAt[h.Switch], flowRef{f, int32(i)})
-		}
-		f.atPos = append(f.atPos, pos)
+	if f.allocSlot >= 0 {
+		s.alloc.SetDemand(fairshare.FlowID(f.ID), s.currentDemand(f))
+	} else {
+		f.allocSlot = s.alloc.AddFlow(fairshare.FlowID(f.ID), s.currentDemand(f), f.resources)
+		s.byAlloc = grow.To(s.byAlloc, int(f.allocSlot)+1)
+		s.byAlloc[f.allocSlot] = f
 	}
-
-	f.allocSlot = s.alloc.AddFlow(fairshare.FlowID(f.ID), s.currentDemand(f), f.resources)
-	s.byAlloc = grow.To(s.byAlloc, int(f.allocSlot)+1)
-	s.byAlloc[f.allocSlot] = f
 	s.markRateShift(f.resources)
 	s.recomputeAndApply()
 
@@ -449,6 +469,9 @@ func (s *Simulator) drainAlloc() {
 	} else {
 		changed = s.alloc.Recompute()
 	}
+	if len(s.kept) > 0 {
+		changed = s.mergeKept(changed)
+	}
 	if len(changed) == 0 && len(s.shiftPending) == 0 {
 		return
 	}
@@ -479,6 +502,28 @@ func (s *Simulator) drainAlloc() {
 	if s.cfg.OnRateShift != nil && len(s.shifted.ids) > 0 {
 		s.cfg.OnRateShift(s.shifted.sorted())
 	}
+}
+
+// mergeKept returns changed with each flow readmitted since the last drain
+// reported once, at the allocator's rate, exactly when a registration
+// from rate 0 would report it.
+func (s *Simulator) mergeKept(changed []fairshare.Changed) []fairshare.Changed {
+	out := s.merged[:0]
+	for _, c := range changed {
+		if f := s.byAlloc[c.Slot]; f == nil || !f.kept {
+			out = append(out, c)
+		}
+	}
+	for _, f := range s.kept { // f.kept is off where listed twice or reused
+		id := fairshare.FlowID(f.ID)
+		if r := s.alloc.Rate(id); f.kept && f.state == StateActive && s.alloc.Significant(0, r) {
+			out = append(out, fairshare.Changed{ID: id, Slot: f.allocSlot, NewRate: r})
+		}
+		f.kept = false
+	}
+	s.kept = s.kept[:0]
+	s.merged = out
+	return out
 }
 
 // resourceSet collects the distinct resource IDs one drain reports through
@@ -707,9 +752,15 @@ func (s *Simulator) meter(mr dataplane.MeterRef) *openflow.Meter {
 	return sw.Meters.Get(mr.Meter)
 }
 
-// markDirty queues a flow for batched re-resolution at the current instant.
-func (s *Simulator) markDirty(f *Flow) {
-	if f.state == StateDone || f.dirty {
+// markDirty queues a flow for batched re-resolution at the current
+// instant; walk says the trigger can change the flow's path (see
+// handleResolveBatch).
+func (s *Simulator) markDirty(f *Flow, walk bool) {
+	if f.state == StateDone {
+		return
+	}
+	f.rewalk = f.rewalk || walk
+	if f.dirty {
 		return
 	}
 	f.dirty = true
@@ -720,18 +771,25 @@ func (s *Simulator) markDirty(f *Flow) {
 	}
 }
 
-// markSwitchDirty queues every flow parked at or traversing a switch.
-func (s *Simulator) markSwitchDirty(sw netgraph.NodeID) {
+// markSwitchDirty queues every flow parked at or traversing a switch for
+// a walk. After a FlowAdd whose match has EthDst *dst, only lookups of
+// that destination can change: a path rewrites no header but the VLAN,
+// and an add only inserts an entry or replaces one of the same match. So
+// an active flow to another destination whose last walk raised no
+// PacketIn is queued without a walk.
+func (s *Simulator) markSwitchDirty(sw netgraph.NodeID, dst *header.MAC) {
 	for _, r := range s.waiting[sw] {
-		s.markDirty(r.f)
+		s.markDirty(r.f, true)
 	}
 	for _, r := range s.flowsAt[sw] {
-		s.markDirty(r.f)
+		s.markDirty(r.f, dst == nil || r.f.Key.EthDst == *dst || r.f.punting)
 	}
 }
 
-// handleResolveBatch re-resolves all dirty flows in ID order. Marks made
-// while the batch runs go to the next batch, as do the flows they name.
+// handleResolveBatch re-resolves all dirty flows in ID order: it walks
+// every flow a trigger can redirect and every flow not active, and
+// readmits the rest on their stored paths. Marks made while the batch
+// runs go to the next batch, as do the flows they name.
 func (s *Simulator) handleResolveBatch() {
 	s.batchPending = false
 	batch := s.dirty
@@ -745,21 +803,34 @@ func (s *Simulator) handleResolveBatch() {
 			s.release(f) // finalized while marked: finalize left it to us
 			continue
 		}
-		s.resolve(f)
+		if f.rewalk || f.state != StateActive {
+			f.rewalk = false
+			s.resolve(f)
+		} else {
+			s.activate(f, nil)
+		}
 	}
 	clear(batch)
 	s.dirtySpare = batch[:0]
 }
 
 // Applied implements Attachment: flows at the switch re-resolve against
-// the new rules. A MeterMod also re-caps the meter's resource; a PacketOut
-// releases the buffered first packets of the flows it names, which retry
-// resolution (rules installed alongside typically complete them).
+// the new rules — after a FlowAdd matching an EthDst, without a walk for
+// most (markSwitchDirty). A MeterMod also re-caps the meter's resource; a
+// PacketOut releases the buffered first packets of the flows it names,
+// which retry resolution (rules installed alongside typically complete
+// them).
 func (s *Simulator) Applied(msg openflow.Message) {
 	dp := msg.Datapath()
 	switch m := msg.(type) {
-	case *openflow.FlowMod, *openflow.GroupMod:
-		s.markSwitchDirty(dp)
+	case *openflow.FlowMod:
+		if m.Op == openflow.FlowAdd && m.Match.Has(header.FieldEthDst) {
+			s.markSwitchDirty(dp, &m.Match.EthDst)
+		} else {
+			s.markSwitchDirty(dp, nil)
+		}
+	case *openflow.GroupMod:
+		s.markSwitchDirty(dp, nil)
 	case *openflow.MeterMod:
 		r := meterResource(dp, m.MeterID)
 		switch m.Op {
@@ -771,11 +842,11 @@ func (s *Simulator) Applied(msg openflow.Message) {
 			s.alloc.SetCapacity(r, 1e18)
 		}
 		s.recomputeAndApply()
-		s.markSwitchDirty(dp)
+		s.markSwitchDirty(dp, nil)
 	case *openflow.PacketOut:
 		for _, r := range s.waiting[dp] {
 			if r.f.Key == m.Key {
-				s.markDirty(r.f)
+				s.markDirty(r.f, true)
 			}
 		}
 	}
@@ -815,7 +886,7 @@ func (s *Simulator) BeforeExpiry(sw netgraph.NodeID) {
 
 // AfterExpiry implements Attachment: flows at the switch re-resolve
 // without the evicted entries.
-func (s *Simulator) AfterExpiry(sw netgraph.NodeID) { s.markSwitchDirty(sw) }
+func (s *Simulator) AfterExpiry(sw netgraph.NodeID) { s.markSwitchDirty(sw, nil) }
 
 // LinkFlipped implements Attachment: the link's capacity re-applies, and
 // the flows at either end re-resolve — among them every flow crossing the
@@ -828,13 +899,13 @@ func (s *Simulator) LinkFlipped(l *netgraph.Link) {
 	s.recomputeAndApply()
 	for _, end := range [2]netgraph.NodeID{l.A, l.B} {
 		if s.net.Switch(end) != nil {
-			s.markSwitchDirty(end)
+			s.markSwitchDirty(end, nil)
 		}
 	}
 	if l.Up {
 		for _, list := range s.waiting {
 			for _, r := range list {
-				s.markDirty(r.f)
+				s.markDirty(r.f, true)
 			}
 		}
 	}
@@ -856,6 +927,10 @@ func (s *Simulator) reapplyLinkCapacity(l *netgraph.Link) {
 // BeforeLinkModel implements Attachment; the flow engine has nothing in
 // flight to settle.
 func (s *Simulator) BeforeLinkModel(netgraph.LinkID) {}
+
+// AfterPlaneEvent implements Attachment; the flow engine leaves nothing
+// for the end of a dispatch.
+func (s *Simulator) AfterPlaneEvent() {}
 
 // AfterLinkModel implements Attachment: the link's effective capacity
 // re-applies at once, crossing flows refresh their Mathis loss caps, and
@@ -927,7 +1002,7 @@ func (s *Simulator) SwitchCrashed(sw netgraph.NodeID) {
 			}
 		}
 	}
-	s.markSwitchDirty(sw)
+	s.markSwitchDirty(sw, nil)
 }
 
 // ControllerReattached implements Attachment: waiting flows re-announce.
@@ -938,7 +1013,7 @@ func (s *Simulator) ControllerReattached() {
 	for _, list := range s.waiting {
 		for _, r := range list {
 			r.f.puntedAt = r.f.puntedAt[:0]
-			s.markDirty(r.f)
+			s.markDirty(r.f, true)
 		}
 	}
 }

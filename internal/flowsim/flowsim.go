@@ -86,10 +86,15 @@ type Flow struct {
 
 	// slot is the flow's index in Simulator.flows; allocSlot its slot in
 	// the allocator while registered there (-1 otherwise). dirty is set
-	// while the flow sits in the pending re-resolve batch.
+	// while the flow sits in the pending re-resolve batch, rewalk when a
+	// trigger that queued it can change its path, punting when its last
+	// walk raised PacketIns, kept while it waits in Simulator.kept.
 	slot      int32
 	allocSlot int32
 	dirty     bool
+	rewalk    bool
+	punting   bool
+	kept      bool
 
 	// Outstanding timer handles: cancelling removes the event from the
 	// queue outright (no dead corpse waiting to fire as a gen-stamped
@@ -356,6 +361,11 @@ type Simulator struct {
 	dirty        []*Flow
 	dirtySpare   []*Flow
 	batchPending bool
+	// walks counts path walks; kept lists the flows readmitted on their
+	// stored path since the last drain, and merged is its buffer for them.
+	walks  int
+	kept   []*Flow
+	merged []fairshare.Changed
 
 	// allocDirty defers fair-share re-solving: events at the same virtual
 	// instant (an epoch's worth of arrivals, say) trigger one solve when

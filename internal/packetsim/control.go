@@ -111,6 +111,12 @@ func (s *Simulator) BeforeExpiry(netgraph.NodeID) {}
 // rule simply misses and punts again — the packet-granular re-resolution.
 func (s *Simulator) AfterExpiry(netgraph.NodeID) {}
 
+// AfterPlaneEvent implements flowsim.Attachment: the finalize checks a
+// plane event's reactions queued (a link failure that strands a flow's
+// last packets, say) run before the next event, as after a dispatch of
+// the engine's own.
+func (s *Simulator) AfterPlaneEvent() { s.drainFin() }
+
 // AddPortStats implements flowsim.Attachment from the transmit and receive
 // counters of the switch's own directions. Rates are averaged since the
 // previous request for the same port (first request reports the average

@@ -257,16 +257,18 @@ func TestIdleFlush(t *testing.T) {
 func TestBackpressureBounded(t *testing.T) {
 	mgr := service.New(service.Config{ProgressEvery: simtime.Millisecond})
 	l := newPipeListener()
-	serve(t, mgr, l)
+	srv := serve(t, mgr, l)
 	p := newRawPeer(t, l.dial(t))
 
 	var st wire.SessionStatus
 	p.call(wire.MethodSubmit, wire.SubmitParams{Spec: *busySpec(), Stream: true}, &st)
 
-	// Not reading. The session's progress snapshot must stop moving while
-	// it is still running.
+	// Not reading. The session must park while it is still running: the
+	// connection's push buffer fills and its progress snapshot stops
+	// moving. Two polls that both see the buffer full and the same
+	// snapshot hold only once the publisher is blocked on a push.
 	var stalled wire.SessionStatus
-	for same, deadline := 0, time.Now().Add(60*time.Second); same < 20; {
+	for deadline := time.Now().Add(60 * time.Second); ; {
 		cur, err := mgr.Status(st.Session)
 		if err != nil {
 			t.Fatal(err)
@@ -274,10 +276,14 @@ func TestBackpressureBounded(t *testing.T) {
 		if cur.State != wire.StateRunning {
 			t.Fatalf("session went %q against a client that reads nothing: publishing is unbounded", cur.State)
 		}
-		if cur.Events > 0 && cur.Events == stalled.Events {
-			same++
-		} else {
-			same, stalled = 0, cur
+		queued, capacity := srv.PushesQueued()
+		full := capacity > 0 && queued == capacity
+		if full && cur.Events > 0 && cur.Events == stalled.Events {
+			break
+		}
+		stalled = wire.SessionStatus{}
+		if full {
+			stalled = cur
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("session neither stalled nor finished within 60s")
