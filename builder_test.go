@@ -340,6 +340,39 @@ func TestRunCancellationFlow(t *testing.T) {
 	}
 }
 
+// TestSecondRunPanics: Run may be called once, at every fidelity alike —
+// one run driver owns the lifecycle — and a second call panics instead
+// of re-running a finished engine.
+func TestSecondRunPanics(t *testing.T) {
+	topo, tr := fatTreeWorkload()
+	for _, c := range []struct {
+		name string
+		opts []horse.Option
+	}{
+		{"flow", []horse.Option{horse.WithFidelity(horse.Flow)}},
+		{"packet", []horse.Option{horse.WithFidelity(horse.Packet)}},
+		{"hybrid", []horse.Option{horse.WithFidelity(horse.Hybrid), horse.WithPacketFraction(0.5)}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			eng, err := horse.New(topo, c.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			horse.InstallMACRoutes(eng.Network())
+			eng.Load(tr[:10])
+			if _, err := eng.Run(context.Background(), horse.Never); err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				if recover() == nil {
+					t.Error("a second Run did not panic")
+				}
+			}()
+			eng.Run(context.Background(), horse.Never)
+		})
+	}
+}
+
 // TestRunCancellationShardedPacket: a packet run built with WithShards —
 // the serial engine — whose context is already cancelled stops at the
 // first cancellation poll and still records every flow that started by

@@ -9,19 +9,18 @@ import (
 	"horse/internal/packetsim"
 	"horse/internal/scenario"
 	"horse/internal/simevent"
-	"horse/internal/simtime"
-	"horse/internal/stats"
-	"horse/internal/traffic"
 )
 
 // Engine is the one simulator surface of Horse, implemented by all three
 // fidelities. Build one with New, feed it with Load (and, optionally, a
 // Scenario), execute with Run — which honors context cancellation and
-// deadlines — and inspect it through Topology / Network / Kernel /
-// Collector / Now. The concrete type behind the interface is *Simulator,
-// *PacketSimulator, or *HybridSimulator per the configured fidelity;
-// type-assert when an engine-specific accessor (e.g. HybridSimulator's
-// Split) is needed.
+// deadlines, and may be called once — and inspect it through Topology /
+// Network / Kernel / Collector / Now. Every method is written once, on
+// the run driver each fidelity's engine type embeds; the engines differ
+// only in how a demand is simulated. The concrete type behind the
+// interface is *Simulator, *PacketSimulator, or *HybridSimulator per the
+// configured fidelity; type-assert when an engine-specific accessor
+// (e.g. HybridSimulator's Split) is needed.
 type Engine = scenario.Engine
 
 // Fidelity selects the engine granularity behind New: the dial the
@@ -110,6 +109,9 @@ const DefaultProgressEvery = Second
 // Every option validates eagerly: New returns a *BuildError (and no
 // engine) for out-of-range arguments or options that do not apply to the
 // selected fidelity, instead of panicking deep inside a constructor.
+// The record sink, trace reader, progress reporting and observers go to
+// the engine's run driver, which owns ingestion, the run and record
+// order at every fidelity.
 // Defaults match the engines' zero-value Configs: Flow fidelity, no
 // controller, MissDrop, 1 ms control latency, no stats sampling.
 func New(topo *Topology, opts ...Option) (Engine, error) {
@@ -145,10 +147,13 @@ func New(topo *Topology, opts ...Option) (Engine, error) {
 		}
 	}
 
+	// Every fidelity runs on one flowsim.Driver, which its engine type
+	// embeds; the run-lifecycle attachments go to it directly.
 	var eng Engine
+	var d *flowsim.Driver
 	switch o.fidelity {
 	case Flow:
-		eng = flowsim.New(flowsim.Config{
+		s := flowsim.New(flowsim.Config{
 			Topology:       topo,
 			Controller:     o.controller,
 			Miss:           o.miss,
@@ -159,8 +164,9 @@ func New(topo *Topology, opts ...Option) (Engine, error) {
 			RateEpsilon:    o.rateEpsilon,
 			Links:          links,
 		})
+		eng, d = s, s.Driver
 	case Packet:
-		eng = packetsim.New(packetsim.Config{
+		s := packetsim.New(packetsim.Config{
 			Topology:       topo,
 			QueuePackets:   o.queuePackets,
 			Miss:           o.miss,
@@ -170,8 +176,9 @@ func New(topo *Topology, opts ...Option) (Engine, error) {
 			ControlLatency: o.controlLat,
 			Links:          links,
 		})
+		eng, d = s, s.Driver
 	case Hybrid:
-		eng = hybrid.New(hybrid.Config{
+		s := hybrid.New(hybrid.Config{
 			Topology:       topo,
 			Controller:     o.controller,
 			Miss:           o.miss,
@@ -184,28 +191,18 @@ func New(topo *Topology, opts ...Option) (Engine, error) {
 			PacketLevel:    o.packetLevel,
 			Links:          links,
 		})
+		eng, d = s, s.Driver
 	}
 
-	// Run-lifecycle attachments. Every engine implements both side
-	// interfaces; they stay off Engine so the interface carries only the
-	// simulation surface.
 	if o.sink != nil {
-		eng.(interface {
-			SetRecordSink(func(stats.FlowRecord))
-		}).SetRecordSink(o.sink)
+		d.SetRecordSink(o.sink)
 	}
 	if o.reader != nil {
-		eng.(interface {
-			SetTraceReader(traffic.Reader)
-		}).SetTraceReader(o.reader)
+		d.SetTraceReader(o.reader)
 	}
-	if o.progressFn != nil {
-		eng.(interface {
-			SetProgress(simtime.Duration, simevent.ProgressFunc)
-		}).SetProgress(o.progressEvery, o.progressFn)
-	}
+	d.SetProgress(o.progressEvery, o.progressFn)
 	for _, fn := range o.observers {
-		eng.Observe(fn)
+		d.Observe(fn)
 	}
 	if o.timeline != nil {
 		// The run horizon is not known at build time; Apply validates

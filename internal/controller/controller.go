@@ -73,31 +73,6 @@ func (c *Chain) Handle(ctx *flowsim.Context, msg openflow.Message) {
 	}
 }
 
-// ForkableApp is the app-level analogue of flowsim.Forker: ForkApp
-// returns an independent instance equivalent to a freshly constructed
-// one. Apps that accumulate state callers read after a run (Monitor)
-// must not implement it.
-type ForkableApp interface {
-	App
-	ForkApp() App
-}
-
-// Fork implements flowsim.Forker: a Chain forks iff every app does, and
-// returns nil otherwise.
-func (c *Chain) Fork() flowsim.Controller {
-	apps := make([]App, len(c.Apps))
-	for i, a := range c.Apps {
-		f, ok := a.(ForkableApp)
-		if !ok {
-			return nil
-		}
-		if apps[i] = f.ForkApp(); apps[i] == nil {
-			return nil
-		}
-	}
-	return &Chain{Apps: apps}
-}
-
 // InstallPolicyDefaults installs the table-0 MatchAll→goto(forwarding)
 // entry on every switch. Forwarding apps call it from Start; it is
 // idempotent (re-adding replaces the identical entry).

@@ -385,29 +385,3 @@ func TestProactiveMACReactsToLinkFailure(t *testing.T) {
 		t.Error("no path change recorded despite reroute")
 	}
 }
-
-// TestChainFork: a chain of forkable apps forks into fresh instances that
-// run the same scenario to the same records; one non-forkable app (the
-// monitor keeps state a caller reads after the run) makes the chain
-// unforkable.
-func TestChainFork(t *testing.T) {
-	chain := NewChain(&ProactiveMAC{}, &ReactiveMAC{IdleTimeout: simtime.Second})
-	fork, ok := chain.Fork().(*Chain)
-	if !ok || len(fork.Apps) != len(chain.Apps) {
-		t.Fatalf("forkable chain forked to %v", fork)
-	}
-	for i := range chain.Apps {
-		if fork.Apps[i] == chain.Apps[i] {
-			t.Errorf("app %d shared between chain and fork", i)
-		}
-	}
-	topo := netgraph.LeafSpine(3, 2, 2, netgraph.Gig, netgraph.TenGig)
-	tr := traffic.Trace{cbr(topo.MustLookup("h0"), topo.MustLookup("h5"), 0, 1e7, 1e8)}
-	want, got := runSim(t, topo, chain, tr).Flows(), runSim(t, topo, fork, tr).Flows()
-	if len(want) != 1 || !want[0].Completed || len(got) != 1 || got[0] != want[0] {
-		t.Errorf("fork ran %+v, original %+v", got, want)
-	}
-	if NewChain(&ProactiveMAC{}, &Monitor{}).Fork() != nil {
-		t.Error("a chain holding a Monitor forked")
-	}
-}

@@ -23,10 +23,6 @@ type ProactiveMAC struct {
 // Name implements App.
 func (*ProactiveMAC) Name() string { return "proactive-mac" }
 
-// ForkApp implements ForkableApp: rule installation derives purely from
-// the topology, so a fresh instance behaves exactly like this one did.
-func (p *ProactiveMAC) ForkApp() App { return &ProactiveMAC{Cost: p.Cost} }
-
 // Start implements flowsim.Controller.
 func (p *ProactiveMAC) Start(ctx *flowsim.Context) {
 	InstallPolicyDefaults(ctx)
@@ -96,12 +92,6 @@ type ReactiveMAC struct {
 
 // Name implements App.
 func (*ReactiveMAC) Name() string { return "reactive-mac" }
-
-// ForkApp implements ForkableApp: reactive installs follow PacketIns and
-// the app keeps no state a caller reads after the run.
-func (r *ReactiveMAC) ForkApp() App {
-	return &ReactiveMAC{IdleTimeout: r.IdleTimeout, Cost: r.Cost}
-}
 
 // Start implements flowsim.Controller.
 func (r *ReactiveMAC) Start(ctx *flowsim.Context) {

@@ -54,10 +54,16 @@ func (c *Context) After(d simtime.Duration, fn func()) { c.p.After(d, fn) }
 // apps can export what they observe alongside ground truth.
 func (c *Context) Collector() *stats.Collector { return c.p.col }
 
-// Attachment is an engine attached to a ControlPlane: its reactions to
-// control-plane actions that depend on how it models traffic. The plane
-// calls every attached engine, in attach order, at the point named.
+// Attachment is an engine attached to a ControlPlane: its part in the
+// run, and its reactions to control-plane actions that depend on how it
+// models traffic. The plane and its Driver call every attached engine, in
+// attach order, at the point named.
 type Attachment interface {
+	// Begin arms the engine's own events as the run starts, after the
+	// controller's Start; Finish settles and records what the run left
+	// unfinished once the kernel has stopped.
+	Begin()
+	Finish()
 	// Applied follows a FlowMod, GroupMod, MeterMod or PacketOut the plane
 	// applied at the message's datapath.
 	Applied(msg openflow.Message)
@@ -96,14 +102,13 @@ type ControlPlane struct {
 	links   *linkmodel.Set
 	col     *stats.Collector
 	ctrl    Controller
-	ctx     *Context
+	ctx     Context
 	latency simtime.Duration
 	pool    simcore.Pool[ctlEvent]
 	// The copies SendFlowMod and SendPacketOut deliver.
 	flowMods   simcore.Pool[openflow.FlowMod]
 	packetOuts simcore.Pool[openflow.PacketOut]
 	engines    []Attachment
-	started    bool
 
 	// fstate composes overlapping scripted outages (links, switches, and
 	// controller detach all nest by counting) and records the link
@@ -122,13 +127,13 @@ type ControlPlane struct {
 	observers simevent.Observers
 }
 
-// NewControlPlane builds the control plane of a run on kernel k over
+// init builds, in place, the control plane of a run on kernel k over
 // network net. links is the link-model registry the attached engines read
 // (nil builds a pristine one); the plane counts applied FlowMods into col,
 // which is also what Context.Collector returns. ctrl is the controller;
 // with none (nil), switch-to-controller messages are dropped at the
 // switch. latency delays every message in both directions (0 means 1 ms).
-func NewControlPlane(k *simcore.Kernel, net *dataplane.Network, links *linkmodel.Set, col *stats.Collector, ctrl Controller, latency simtime.Duration) *ControlPlane {
+func (p *ControlPlane) init(k *simcore.Kernel, net *dataplane.Network, links *linkmodel.Set, col *stats.Collector, ctrl Controller, latency simtime.Duration) {
 	topo := net.Topo
 	if links == nil {
 		links = linkmodel.NewSet(1, topo.NumLinks())
@@ -136,7 +141,7 @@ func NewControlPlane(k *simcore.Kernel, net *dataplane.Network, links *linkmodel
 	if latency == 0 {
 		latency = simtime.Millisecond
 	}
-	p := &ControlPlane{
+	*p = ControlPlane{
 		k: k, topo: topo, net: net, links: links, col: col, ctrl: ctrl, latency: latency,
 		fstate:      dataplane.NewFailureState(topo),
 		expiryAt:    make([]simtime.Time, topo.NumNodes()),
@@ -145,8 +150,7 @@ func NewControlPlane(k *simcore.Kernel, net *dataplane.Network, links *linkmodel
 	for n := range p.expiryAt {
 		p.expiryAt[n] = simtime.Never
 	}
-	p.ctx = &Context{p: p}
-	return p
+	p.ctx = Context{p: p}
 }
 
 // Attach adds an engine's reactions, which run after those of every
@@ -169,15 +173,10 @@ func (p *ControlPlane) Links() *linkmodel.Set { return p.links }
 // Controller returns the controller, or nil when the run has none.
 func (p *ControlPlane) Controller() Controller { return p.ctrl }
 
-// Start starts the controller; calls after the first are no-ops, so every
-// attached engine may call it as it begins.
+// Start starts the controller, which Run does before the engines begin.
 func (p *ControlPlane) Start() {
-	if p.started {
-		return
-	}
-	p.started = true
 	if p.ctrl != nil {
-		p.ctrl.Start(p.ctx)
+		p.ctrl.Start(&p.ctx)
 	}
 }
 
@@ -320,7 +319,7 @@ func (e *ctlEvent) Fire() {
 			// reattach (the link change it announced goes pending).
 			p.fstate.NotePendingStatus(e.msg)
 		} else {
-			p.ctrl.Handle(p.ctx, e.msg)
+			p.ctrl.Handle(&p.ctx, e.msg)
 		}
 	case ctlTimer:
 		e.fn()

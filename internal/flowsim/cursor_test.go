@@ -57,8 +57,7 @@ func (e *eagerArrival) String() string     { return fmt.Sprintf("arrival %d", e.
 // loadEager loads tr the eager way, one eagerArrival per demand.
 func loadEager(s *Simulator, tr traffic.Trace) {
 	for _, d := range tr {
-		s.k.Schedule(&eagerArrival{sim: s, d: d, i: s.loaded})
-		s.loaded++
+		s.k.Schedule(&eagerArrival{sim: s, d: d, i: s.Claim(1)})
 	}
 }
 
@@ -93,13 +92,10 @@ func runCursorArm(topo *netgraph.Topology, until simtime.Time, cancelAt simtime.
 	if cancelAt > 0 {
 		ctrl = &cancelAfter{ctrl, cancelAt, cancel}
 	}
-	col := stats.NewCollector(0)
-	p := NewControlPlane(k, dataplane.NewNetwork(topo, dataplane.MissController), nil, col, ctrl, 0)
-	sim := NewOn(p, Config{}, col.AddFlow)
+	var sim *Simulator
+	OnKernel(k, func() { sim = New(Config{Topology: topo, Miss: dataplane.MissController, Controller: ctrl}) })
 	feed(sim)
-	sim.Begin()
-	k.RunContext(ctx, until)
-	sim.Finish()
+	col, _ := sim.Run(ctx, until)
 	return cursorArm{records: col.Flows(), events: col.EventsRun, log: q.Lines}
 }
 

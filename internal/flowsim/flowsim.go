@@ -18,7 +18,6 @@ package flowsim
 
 import (
 	"cmp"
-	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -30,11 +29,9 @@ import (
 	"horse/internal/netgraph"
 	"horse/internal/openflow"
 	"horse/internal/simcore"
-	"horse/internal/simevent"
 	"horse/internal/simtime"
 	"horse/internal/stats"
 	"horse/internal/tcpmodel"
-	"horse/internal/traffic"
 )
 
 // FlowID identifies a data flow within a simulation run.
@@ -144,16 +141,6 @@ type Flow struct {
 type Controller interface {
 	Start(ctx *Context)
 	Handle(ctx *Context, msg openflow.Message)
-}
-
-// Forker is an optional Controller capability: Fork returns an
-// independent instance equivalent to a freshly constructed one (no shared
-// mutable state with the receiver), or nil when this controller cannot
-// fork. What-if runs that branch one warmed-up simulation into several
-// futures need one controller instance per branch.
-type Forker interface {
-	Controller
-	Fork() Controller
 }
 
 // Config parameterizes a Simulator.
@@ -304,23 +291,20 @@ func (l *resLedger) settle(now simtime.Time) {
 	}
 }
 
-// Simulator is a Horse simulation run. Create with New, feed with Load /
-// SetTraceReader / ScheduleLinkChange, execute with Run.
+// Simulator is the flow-level engine, attached to a Driver it embeds.
+// Create with New, feed with Load / SetTraceReader / ScheduleLinkChange,
+// execute with Run.
 type Simulator struct {
-	cfg       Config
-	plane     *ControlPlane
-	topo      *netgraph.Topology
-	net       *dataplane.Network
-	k         *simcore.Kernel
-	ownKernel bool
-	pool      simcore.Pool[event]
+	*Driver
+	cfg   Config
+	plane *ControlPlane
+	topo  *netgraph.Topology
+	net   *dataplane.Network
+	k     *simcore.Kernel
+	pool  simcore.Pool[event]
 
 	alloc  *fairshare.Allocator
 	nextID FlowID
-	// loaded counts the demands Loaded so far: the next one's load index.
-	// loads holds the Load cursors until Run sizes the retained records.
-	loaded int
-	loads  []*Arrivals
 
 	// flows is the slot table: every Flow ever built, by Flow.slot. A
 	// finalized flow's slot goes on free and its Flow (with the capacity
@@ -343,8 +327,7 @@ type Simulator struct {
 	// (link<<1|forward). Meter resources have no ledger: nothing reads one.
 	ledgers []resLedger
 	col     *stats.Collector
-	// emit takes every finalized flow's record: the collector's AddFlow
-	// for a simulator of its own, the owner's emitter for an attached one.
+	// emit takes every finalized flow's record: the Driver's emitter.
 	emit func(stats.FlowRecord)
 
 	// ingress is each node's attachment: the switch and port
@@ -385,46 +368,35 @@ type Simulator struct {
 	shiftPending []fairshare.ResourceID
 	shifted      resourceSet
 
-	// reader, when set, becomes an ingestion cursor at Begin; it keeps the
-	// first reader failure (ingestion stops; Run surfaces it).
-	reader *traffic.Ingest
-
-	begun    bool
 	finished bool
 }
 
-// New builds a simulator over the configured topology, with a control
-// plane of its own.
-func New(cfg Config) *Simulator { return newOwn(simcore.New(simcore.Config{}), cfg) }
-
-// newOwn is New on kernel k (a test passes the heap oracle's).
-func newOwn(k *simcore.Kernel, cfg Config) *Simulator {
-	if cfg.Topology == nil {
-		panic("flowsim: Config.Topology is required")
-	}
-	col := stats.NewCollector(cfg.StatsEvery)
-	p := NewControlPlane(k, dataplane.NewNetwork(cfg.Topology, cfg.Miss), cfg.Links, col, cfg.Controller, cfg.ControlLatency)
-	s := NewOn(p, cfg, col.AddFlow)
-	s.ownKernel = true
+// New builds a flow-level run over the configured topology: a Driver
+// whose one engine is the simulator, recording in completion order.
+func New(cfg Config) *Simulator {
+	s := NewOn(NewDriver("flowsim", cfg, false), cfg)
+	s.SetIntake(Intake{Key: ArrivalKey, Admit: s.Admit})
 	return s
 }
 
-// NewOn builds a simulator attached to control plane p, whose kernel,
+// NewOn builds a simulator attached to d's control plane, whose kernel,
 // network, link registry, controller, control latency and collector it
 // shares with the plane's other engines; cfg's Topology, Miss, Controller,
-// ControlLatency and Links are not read. Every record goes to
-// emit as its flow finalizes, in completion order. The plane's owner
-// drives the kernel: Begin, the kernel's run, then Finish.
-func NewOn(p *ControlPlane, cfg Config, emit func(stats.FlowRecord)) *Simulator {
+// ControlLatency and Links are the Driver's and not read here. Every
+// record goes to the Driver's emitter as its flow finalizes, in
+// completion order.
+func NewOn(d *Driver, cfg Config) *Simulator {
 	if cfg.TCP.RTT == 0 {
 		cfg.TCP = tcpmodel.DefaultParams()
 	}
 	if cfg.RateEpsilon == 0 {
 		cfg.RateEpsilon = 0.01
 	}
+	p := d.Plane()
 	topo := p.net.Topo
 	nodes, links := topo.NumNodes(), topo.NumLinks()
 	s := &Simulator{
+		Driver:   d,
 		cfg:      cfg,
 		plane:    p,
 		topo:     topo,
@@ -435,7 +407,7 @@ func NewOn(p *ControlPlane, cfg Config, emit func(stats.FlowRecord)) *Simulator 
 		flowsAt:  make([][]flowRef, nodes),
 		ledgers:  make([]resLedger, 2*links),
 		col:      p.col,
-		emit:     emit,
+		emit:     d.emit,
 		ingress:  make([]attachment, nodes),
 		links:    p.links,
 		modelGen: make([]uint64, links),
@@ -464,22 +436,6 @@ func NewOn(p *ControlPlane, cfg Config, emit func(stats.FlowRecord)) *Simulator 
 	}
 	return s
 }
-
-// Network exposes the data-plane state (switch tables), mainly for tests
-// and the packet-level comparator.
-func (s *Simulator) Network() *dataplane.Network { return s.net }
-
-// Collector returns the statistics collector.
-func (s *Simulator) Collector() *stats.Collector { return s.col }
-
-// Now returns the current virtual time.
-func (s *Simulator) Now() simtime.Time { return s.k.Now() }
-
-// Topology returns the simulated topology.
-func (s *Simulator) Topology() *netgraph.Topology { return s.topo }
-
-// Kernel returns the simulation kernel driving this simulator.
-func (s *Simulator) Kernel() *simcore.Kernel { return s.k }
 
 // Allocator exposes the bandwidth allocator (read-mostly; used by stats
 // sampling and tests).
@@ -518,131 +474,11 @@ func (s *Simulator) LinkRateBps(l netgraph.LinkID, forward bool) float64 {
 	return s.alloc.ResourceUsage(linkResource(l, forward))
 }
 
-// Load schedules every demand in the trace; tr[i]'s record ID is its
-// load index + 1, counted over every Load and then the trace reader. The
-// simulator keeps tr (without copying it) until the last of its demands
-// has arrived, so the caller must not modify it after Load.
-//
-// Load is an Arrivals cursor: one arrival is queued at a time, under the
-// sequence number an eager push of the whole trace would have given it,
-// so the run is event-for-event identical to one arrival event per
-// demand while the queue holds one arrival per Load.
-func (s *Simulator) Load(tr traffic.Trace) {
-	s.loads = append(s.loads, LoadArrivals(s.k, tr, s.loaded, ArrivalKey, s.Admit))
-	s.loaded += len(tr)
-}
-
-// SetTraceReader streams the workload in from r instead of (or in
-// addition to) Load: demands are pulled one at a time as virtual time
-// reaches them, so arbitrarily long traces ingest with one demand queued
-// (a library reader is read ahead in fixed batches; see traffic.Ingest,
-// which Finish closes). r must yield nondecreasing Start times. Because
-// every arrival — loaded or streamed — carries ArrivalKey and arrivals
-// dispatch FIFO among themselves, a streamed run's records are
-// byte-identical to Load of the same sequence. Install before Run; a
-// reader error stops ingestion and is returned by Run.
-func (s *Simulator) SetTraceReader(r traffic.Reader) {
-	if s.begun {
-		panic("flowsim: SetTraceReader after Run")
-	}
-	s.reader = traffic.NewIngest("flowsim", r)
-}
-
-// ScheduleLinkChange schedules a link failure (up=false) or recovery; see
-// ControlPlane.ScheduleLinkChange.
-func (s *Simulator) ScheduleLinkChange(at simtime.Time, link netgraph.LinkID, up bool) {
-	s.plane.ScheduleLinkChange(at, link, up)
-}
-
-// ScheduleSwitchChange schedules a switch crash (up=false) or restart; see
-// ControlPlane.ScheduleSwitchChange.
-func (s *Simulator) ScheduleSwitchChange(at simtime.Time, sw netgraph.NodeID, up bool) {
-	s.plane.ScheduleSwitchChange(at, sw, up)
-}
-
-// ScheduleLinkDegrade schedules a link-model change (nil m restores the
-// pristine link); see ControlPlane.ScheduleLinkDegrade.
-func (s *Simulator) ScheduleLinkDegrade(at simtime.Time, link netgraph.LinkID, m linkmodel.Model) {
-	s.plane.ScheduleLinkDegrade(at, link, m)
-}
-
-// ScheduleControllerChange schedules a controller detach (attached=false)
-// or reattach; on reattach, waiting flows re-announce themselves with
-// fresh PacketIns. See ControlPlane.ScheduleControllerChange.
-func (s *Simulator) ScheduleControllerChange(at simtime.Time, attached bool) {
-	s.plane.ScheduleControllerChange(at, attached)
-}
-
-// Run executes the simulation until the event queue drains, virtual time
-// exceeds `until` (use simtime.Never for no bound), or ctx is cancelled.
-// It returns the statistics collector — on cancellation a partial but
-// consistent one (every unfinished flow settled to the stop instant and
-// recorded), together with ctx.Err(). Run may be called once, and only on
-// a simulator that owns its kernel; shared-kernel simulators are driven
-// by their owner via Begin / kernel.Run / Finish.
-func (s *Simulator) Run(ctx context.Context, until simtime.Time) (*stats.Collector, error) {
-	if !s.ownKernel {
-		panic("flowsim: Run on a shared-kernel simulator; drive the shared kernel instead")
-	}
-	s.col.Reserve(DueRecords(s.loads, until))
-	s.col.ReserveLinkSeries(2*len(s.topo.Links()), until)
-	s.loads = nil
-	s.Begin()
-	defer s.reader.Close() // Finish closes it; a panic out of the kernel skips Finish
-	err := s.k.RunContext(ctx, until)
-	col := s.Finish()
-	if err == nil {
-		err = s.reader.Err()
-	}
-	return col, err
-}
-
-// Observe registers an observer of applied network dynamics; see
-// ControlPlane.Observe.
-func (s *Simulator) Observe(fn simevent.Observer) { s.plane.Observe(fn) }
-
-// SetRecordSink streams every stats.FlowRecord to sink the moment the
-// flow finalizes, in exactly the order the collector would have
-// accumulated them (completion order), and evicts finalized flow state —
-// so a multi-million-flow run completes with O(1) record memory
-// (Collector().Flows() stays empty). Install before Run.
-func (s *Simulator) SetRecordSink(sink func(stats.FlowRecord)) { s.col.SetFlowSink(sink) }
-
-// SetProgress arms progress reporting: fn receives a simevent.Progress at
-// most once per `every` of virtual time, driven off the kernel's
-// pre-advance path so everything at the reported instant has settled.
-// Install before Run.
-func (s *Simulator) SetProgress(every simtime.Duration, fn simevent.ProgressFunc) {
-	simevent.ArmProgress(s.k, every, fn)
-}
-
-// Begin starts the control plane and arms statistics sampling. It is the
-// first half of Run, exposed for shared-kernel (hybrid) drivers.
+// Begin implements Attachment: it arms statistics sampling.
 func (s *Simulator) Begin() {
-	if s.begun || s.finished {
-		panic("flowsim: Run called twice")
-	}
-	s.begun = true
-	s.plane.Start()
 	if s.cfg.StatsEvery > 0 {
 		s.sched(event{at: simtime.Time(s.cfg.StatsEvery), kind: evStatsTick})
 	}
-	if s.reader != nil {
-		ReadArrivals(s.k, s.reader, s.loaded, ArrivalKey, s.Admit)
-	}
-}
-
-// Finish closes the trace reader, settles and records every unfinished
-// flow, sets EventsRun to the kernel's dispatch count, and returns the
-// collector. It is the second half of Run, exposed for shared-kernel
-// (hybrid) drivers; calling it again is a no-op.
-func (s *Simulator) Finish() *stats.Collector {
-	if !s.finished {
-		s.reader.Close()
-		s.finish()
-		s.col.EventsRun = s.k.Dispatched()
-	}
-	return s.col
 }
 
 func (s *Simulator) dispatch(e *event) {
@@ -668,9 +504,10 @@ func (s *Simulator) dispatch(e *event) {
 	}
 }
 
-// finish settles and records every unfinished flow, in flow-ID order so
-// the record sequence (and any record sink) is deterministic.
-func (s *Simulator) finish() {
+// Finish implements Attachment: it settles and records every unfinished
+// flow, in flow-ID order so the record sequence (and any record sink) is
+// deterministic.
+func (s *Simulator) Finish() {
 	s.drainAlloc()
 	s.finished = true
 	var live []*Flow

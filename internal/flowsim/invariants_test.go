@@ -61,8 +61,9 @@ func TestQueueImplementationsAgree(t *testing.T) {
 	run := func(q eventq.Canceler) (*stats.Collector, []string) {
 		log := dispatchLog(q)
 		topo, tr := mkWorkload(123)
-		sim := newOwn(simcore.New(simcore.Config{Queue: log}), Config{
-			Topology: topo, Controller: proactiveMAC{}, Miss: dataplane.MissController,
+		var sim *Simulator
+		OnKernel(simcore.New(simcore.Config{Queue: log}), func() {
+			sim = New(Config{Topology: topo, Controller: proactiveMAC{}, Miss: dataplane.MissController})
 		})
 		leaf, spine := topo.MustLookup("leaf0"), topo.MustLookup("spine0")
 		l := topo.LinkAt(leaf, topo.PortToward(leaf, spine)).ID

@@ -15,7 +15,6 @@ import (
 	"horse/internal/packetsim"
 	"horse/internal/simcore"
 	"horse/internal/simtime"
-	"horse/internal/stats"
 	"horse/internal/traffic"
 )
 
@@ -31,10 +30,8 @@ type rerouteRun struct {
 // the flow engine alone, or with every fourth demand on a packet engine
 // beside it, coupled as the hybrid simulator couples them.
 func newRerouteRun(topo *netgraph.Topology, app *controller.ReactiveMAC, tr traffic.Trace, hybrid bool) rerouteRun {
-	k := simcore.New(simcore.Config{})
-	col := stats.NewCollector(0)
-	plane := flowsim.NewControlPlane(k, dataplane.NewNetwork(topo, dataplane.MissController), nil, col, controller.NewChain(app), 0)
-	r := rerouteRun{k: k, plane: plane}
+	d := flowsim.NewDriver("reroute", flowsim.Config{Topology: topo, Miss: dataplane.MissController, Controller: controller.NewChain(app)}, false)
+	r := rerouteRun{k: d.Kernel(), plane: d.Plane()}
 	var ps *packetsim.Simulator
 	cfg := flowsim.Config{}
 	if hybrid {
@@ -46,10 +43,10 @@ func newRerouteRun(topo *netgraph.Topology, app *controller.ReactiveMAC, tr traf
 			}
 		}
 	}
-	r.fs = flowsim.NewOn(plane, cfg, col.AddFlow)
+	r.fs = flowsim.NewOn(d, cfg)
 	dense := func(i int) int32 { return -1 }
 	if hybrid {
-		ps = packetsim.NewOn(plane, packetsim.Config{}, col.AddFlow)
+		ps = packetsim.NewOn(d, packetsim.Config{})
 		dense = func(i int) int32 {
 			if i%4 != 0 {
 				return -1
@@ -57,18 +54,20 @@ func newRerouteRun(topo *netgraph.Topology, app *controller.ReactiveMAC, tr traf
 			return int32(i / 4)
 		}
 	}
-	flowsim.LoadArrivals(k, tr, 0, func(i int) uint64 {
+	d.SetIntake(flowsim.Intake{Key: func(i int) uint64 {
 		if d := dense(i); d >= 0 {
 			return packetsim.FirstSendKey(int(d))
 		}
 		return flowsim.ArrivalKey(i)
-	}, func(d *traffic.Demand, i int) {
+	}, Admit: func(d *traffic.Demand, i int) {
 		if n := dense(i); n >= 0 {
 			ps.Admit(d, i, n)
 		} else {
 			r.fs.Admit(d, i)
 		}
-	})
+	}})
+	d.Load(tr)
+	r.plane.Start()
 	r.fs.Begin()
 	if ps != nil {
 		ps.Begin()
@@ -121,7 +120,8 @@ func TestStoredPathsStayCurrent(t *testing.T) {
 				}
 				checked++
 			}
-			col := r.fs.Finish()
+			r.fs.Finish()
+			col := r.fs.Collector()
 			if col.FlowMods == 0 || col.PacketIns == 0 {
 				t.Fatalf("%d FlowMods, %d PacketIns: the run is not reactive", col.FlowMods, col.PacketIns)
 			}
@@ -147,12 +147,10 @@ func TestRuleInstallWalksOnlyItsDestination(t *testing.T) {
 			}
 		}
 	}
-	k := simcore.New(simcore.Config{})
-	col := stats.NewCollector(0)
-	plane := flowsim.NewControlPlane(k, dataplane.NewNetwork(topo, dataplane.MissController), nil, col,
-		controller.NewChain(&controller.ProactiveMAC{}), 0)
-	fs := flowsim.NewOn(plane, flowsim.Config{}, col.AddFlow)
+	fs := flowsim.New(flowsim.Config{Topology: topo, Miss: dataplane.MissController, Controller: controller.NewChain(&controller.ProactiveMAC{})})
+	k, plane := fs.Kernel(), fs.Plane()
 	fs.Load(tr)
+	plane.Start()
 	fs.Begin()
 	k.Run(simtime.Time(5 * simtime.Millisecond))
 

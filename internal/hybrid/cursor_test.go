@@ -72,9 +72,8 @@ func (e *eagerAdmit) Fire() {
 // loadEager loads tr the eager way, one eagerAdmit per demand.
 func loadEager(s *Simulator, tr traffic.Trace) {
 	for _, d := range tr {
-		i := s.loaded
-		s.loaded++
-		s.k.Schedule(&eagerAdmit{s: s, d: d, i: i, dense: s.route(i, &d)})
+		i := s.Claim(1)
+		s.Kernel().Schedule(&eagerAdmit{s: s, d: d, i: i, dense: s.route(i, &d)})
 	}
 }
 
@@ -108,8 +107,9 @@ func runCursorArm(topo *netgraph.Topology, p float64, until simtime.Time, cancel
 	if cancelAt > 0 {
 		ctrl = &cancelAfter{ctrl, cancelAt, cancel}
 	}
-	s := newOn(simcore.New(simcore.Config{Queue: q}), Config{
-		Topology: topo, Controller: ctrl, Miss: dataplane.MissController, PacketLevel: Fraction(p),
+	var s *Simulator
+	flowsim.OnKernel(simcore.New(simcore.Config{Queue: q}), func() {
+		s = New(Config{Topology: topo, Controller: ctrl, Miss: dataplane.MissController, PacketLevel: Fraction(p)})
 	})
 	feed(s)
 	col, _ := s.Run(ctx, until)

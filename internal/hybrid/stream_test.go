@@ -10,6 +10,7 @@ import (
 	"horse/internal/dataplane"
 	"horse/internal/eventq"
 	"horse/internal/eventq/eventqtest"
+	"horse/internal/flowsim"
 	"horse/internal/simcore"
 	"horse/internal/simevent"
 	"horse/internal/simtime"
@@ -37,12 +38,15 @@ const flapAt = simtime.Time(10 * simtime.Millisecond)
 func runSplit(t *testing.T, opt hybridOpts) ([]stats.FlowRecord, stats.Counters) {
 	t.Helper()
 	topo, tr := reactiveScenario()
-	hyb := newOn(simcore.New(simcore.Config{Queue: opt.queue}), Config{
-		Topology: topo, Miss: dataplane.MissController,
-		Controller:     controller.NewChain(&controller.ReactiveMAC{}),
-		ControlLatency: simtime.Millisecond,
-		TCP:            tcpmodel.Params{RTT: 2200 * simtime.Microsecond, MSS: 1500, InitialWindow: 10},
-		PacketLevel:    Fraction(0.5),
+	var hyb *Simulator
+	flowsim.OnKernel(simcore.New(simcore.Config{Queue: opt.queue}), func() {
+		hyb = New(Config{
+			Topology: topo, Miss: dataplane.MissController,
+			Controller:     controller.NewChain(&controller.ReactiveMAC{}),
+			ControlLatency: simtime.Millisecond,
+			TCP:            tcpmodel.Params{RTT: 2200 * simtime.Microsecond, MSS: 1500, InitialWindow: 10},
+			PacketLevel:    Fraction(0.5),
+		})
 	})
 	if opt.flap {
 		hyb.ScheduleLinkChange(flapAt, 0, false)

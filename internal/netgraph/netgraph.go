@@ -66,6 +66,9 @@ func (n *Node) Ports() []PortNum {
 	return out
 }
 
+// NumPorts returns how many ports the node has: they are 1..NumPorts.
+func (n *Node) NumPorts() int { return len(n.ports) }
+
 // Link is a bidirectional link between two node ports. Capacity applies
 // independently to each direction (full duplex), matching real Ethernet.
 type Link struct {

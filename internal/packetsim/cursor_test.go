@@ -53,8 +53,7 @@ func (e *eagerSend) String() string     { return fmt.Sprintf("arrival %d", e.i) 
 // loadEager loads tr the eager way, one eagerSend per demand.
 func loadEager(s *Simulator, tr traffic.Trace) {
 	for _, d := range tr {
-		s.k.Schedule(&eagerSend{s: s, d: d, i: s.loaded})
-		s.loaded++
+		s.k.Schedule(&eagerSend{s: s, d: d, i: s.Claim(1)})
 	}
 }
 
@@ -88,7 +87,7 @@ func runCursorArm(topo *netgraph.Topology, until simtime.Time, cancelAt simtime.
 	if cancelAt > 0 {
 		ctrl = &cancelAfter{ctrl, cancelAt, cancel}
 	}
-	s := newOwn(simcore.New(simcore.Config{Queue: q}), Config{Topology: topo, Miss: dataplane.MissController, Controller: ctrl})
+	s := onKernel(simcore.New(simcore.Config{Queue: q}), Config{Topology: topo, Miss: dataplane.MissController, Controller: ctrl})
 	feed(s)
 	s.Run(ctx, until)
 	col := s.Collector()

@@ -8,6 +8,7 @@ import (
 	"horse/internal/controller"
 	"horse/internal/dataplane"
 	"horse/internal/eventq"
+	"horse/internal/flowsim"
 	"horse/internal/header"
 	"horse/internal/netgraph"
 	"horse/internal/simcore"
@@ -83,6 +84,12 @@ func (opt streamOpts) kernel() *simcore.Kernel {
 	return simcore.New(simcore.Config{Queue: opt.queue()})
 }
 
+// onKernel builds a packet-level run of cfg on kernel k.
+func onKernel(k *simcore.Kernel, cfg Config) (s *Simulator) {
+	flowsim.OnKernel(k, func() { s = New(cfg) })
+	return s
+}
+
 // runStreamed loads tr into sim (or streams it, per opt), runs to 2 s and
 // snapshots the result, taking the records from the sink when one is
 // installed.
@@ -111,7 +118,7 @@ func runStreamed(sim *Simulator, tr traffic.Trace, opt streamOpts) runResult {
 // controller, stats sampling on).
 func runGolden(opt streamOpts) runResult {
 	topo, tr := goldenFatTree()
-	sim := newOwn(opt.kernel(), Config{
+	sim := onKernel(opt.kernel(), Config{
 		Topology: topo, Miss: dataplane.MissDrop,
 		StatsEvery: 20 * simtime.Millisecond,
 	})
@@ -126,7 +133,7 @@ func runGolden(opt streamOpts) runResult {
 // ECMPLoadBalancer's Start captures the context for After-timer work.
 func runFailures(mk func() controller.App, opt streamOpts) runResult {
 	topo, tr := goldenFatTree()
-	sim := newOwn(opt.kernel(), Config{
+	sim := onKernel(opt.kernel(), Config{
 		Topology: topo, Miss: dataplane.MissController,
 		Controller:     controller.NewChain(mk()),
 		ControlLatency: simtime.Millisecond,

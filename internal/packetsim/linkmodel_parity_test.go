@@ -16,7 +16,7 @@ func runGoldenDegraded(m linkmodel.Model, seed uint64, q eventq.Backend) runResu
 	topo, tr := goldenFatTree()
 	links := linkmodel.NewSet(seed, topo.NumLinks())
 	links.SetDefault(m)
-	sim := newOwn(simcore.New(simcore.Config{Backend: q}), Config{
+	sim := onKernel(simcore.New(simcore.Config{Backend: q}), Config{
 		Topology: topo, Miss: dataplane.MissDrop,
 		StatsEvery: 20 * simtime.Millisecond,
 		Links:      links,

@@ -20,7 +20,6 @@
 package packetsim
 
 import (
-	"context"
 	"math"
 
 	"horse/internal/dataplane"
@@ -29,7 +28,6 @@ import (
 	"horse/internal/netgraph"
 	"horse/internal/openflow"
 	"horse/internal/simcore"
-	"horse/internal/simevent"
 	"horse/internal/simtime"
 	"horse/internal/stats"
 	"horse/internal/traffic"
@@ -81,24 +79,21 @@ type Config struct {
 	ControlLatency simtime.Duration
 }
 
-// Simulator is a packet-level simulation run.
+// Simulator is the packet-level engine, attached to a flowsim.Driver it
+// embeds.
 type Simulator struct {
-	cfg       Config
-	plane     *flowsim.ControlPlane
-	topo      *netgraph.Topology
-	net       *dataplane.Network
-	k         *simcore.Kernel
-	ownKernel bool
-	pool      simcore.Pool[event]
-	packets   packetPool
+	*flowsim.Driver
+	cfg     Config
+	plane   *flowsim.ControlPlane
+	topo    *netgraph.Topology
+	net     *dataplane.Network
+	k       *simcore.Kernel
+	pool    simcore.Pool[event]
+	packets packetPool
 
 	// flows holds every started flow by dense index (nil once evicted).
-	// loaded counts the demands Loaded; loads holds the Load cursors
-	// until Run sizes the retained records.
-	flows  []*pktFlow
-	loaded int
-	loads  []*flowsim.Arrivals
-	col    *stats.Collector
+	flows []*pktFlow
+	col   *stats.Collector
 
 	counter uint64 // packets forwarded
 
@@ -155,17 +150,11 @@ type Simulator struct {
 	liveBy   []int32
 	finHints []int32
 
-	// records takes every flow's record. A flow whose sender has quiesced,
-	// whose packets have all resolved, and whose record is time-invariant
-	// is emitted the moment that holds, and its state evicted; Finish
-	// emits the rest. ordered is the in-order emitter behind records on a
-	// simulator of its own, which Finish flushes past the load indices of
-	// demands that never started.
+	// records takes every flow's record: the Driver's emitter. A flow
+	// whose sender has quiesced, whose packets have all resolved, and
+	// whose record is time-invariant is emitted the moment that holds, and
+	// its state evicted; Finish emits the rest.
 	records func(stats.FlowRecord)
-	ordered *stats.InOrder
-
-	// reader, when set, becomes an ingestion cursor at Begin.
-	reader *traffic.Ingest
 
 	begun    bool
 	finished bool
@@ -420,49 +409,45 @@ func (s *Simulator) sched(proto event) simcore.Timer {
 	return s.k.ScheduleAt(e, e.at, e.OrderKey(), 0)
 }
 
-// New builds a packet-level simulator with a control plane of its own.
-func New(cfg Config) *Simulator { return newOwn(simcore.New(simcore.Config{}), cfg) }
-
-// newOwn is New on kernel k (a test passes the heap oracle's).
-func newOwn(k *simcore.Kernel, cfg Config) *Simulator {
-	if cfg.Topology == nil {
-		panic("packetsim: Config.Topology is required")
-	}
-	col := stats.NewCollector(cfg.StatsEvery)
-	p := flowsim.NewControlPlane(k, dataplane.NewNetwork(cfg.Topology, cfg.Miss), cfg.Links, col, cfg.Controller, cfg.ControlLatency)
-	// Records reach the collector in ID (load) order.
-	records := stats.NewInOrder(col.AddFlow)
-	s := NewOn(p, cfg, func(r stats.FlowRecord) { records.Put(int(r.ID-1), r) })
-	s.ownKernel, s.ordered = true, records
+// New builds a packet-level run: a flowsim.Driver whose one engine is
+// the simulator, recording in load order. A demand's first event is its
+// flow's first send, and its dense index is its load index.
+func New(cfg Config) *Simulator {
+	s := NewOn(flowsim.NewDriver("packetsim", flowsim.Config{
+		Topology: cfg.Topology, Miss: cfg.Miss, Links: cfg.Links, StatsEvery: cfg.StatsEvery,
+		Controller: cfg.Controller, ControlLatency: cfg.ControlLatency,
+	}, true), cfg)
+	s.SetIntake(flowsim.Intake{Key: FirstSendKey, Admit: s.admitOwn})
 	return s
 }
 
-// NewOn builds a packet-level simulator attached to control plane p, whose
-// kernel, network, link registry, controller, control latency and
+// NewOn builds a packet-level simulator attached to d's control plane,
+// whose kernel, network, link registry, controller, control latency and
 // collector it shares with the plane's other engines; cfg's Topology,
-// Miss, Controller, ControlLatency and Links are not read.
-// Every record goes to emit as its flow finalizes, in no particular
-// order. The plane's owner drives the kernel: Begin, the kernel's run,
-// then Finish.
-func NewOn(p *flowsim.ControlPlane, cfg Config, emit func(stats.FlowRecord)) *Simulator {
+// Miss, Controller, ControlLatency and Links are the Driver's and not
+// read here. Every record goes to the Driver's emitter as its flow
+// finalizes, in no particular order.
+func NewOn(d *flowsim.Driver, cfg Config) *Simulator {
 	if cfg.QueuePackets == 0 {
 		cfg.QueuePackets = 100
 	}
 	if cfg.RTOMin == 0 {
 		cfg.RTOMin = 200 * simtime.Millisecond
 	}
+	p := d.Plane()
 	net := p.Network()
 	topo := net.Topo
 	nDirs := 2 * topo.NumLinks()
 	nNodes := topo.NumNodes()
 	s := &Simulator{
+		Driver:  d,
 		cfg:     cfg,
 		plane:   p,
 		topo:    topo,
 		net:     net,
 		k:       p.Kernel(),
 		col:     p.Collector(),
-		records: emit,
+		records: d.Emitter(),
 
 		ports:     make([]*outPort, nDirs),
 		txBits:    make([]float64, nDirs),
@@ -479,11 +464,19 @@ func NewOn(p *flowsim.ControlPlane, cfg Config, emit func(stats.FlowRecord)) *Si
 		statsReqTxBits: make([]float64, nDirs),
 		statsReqRxBits: make([]float64, nDirs),
 	}
-	// (node, port) → transmit direction index.
+	// (node, port) → transmit direction index. A node's ports are 1..n,
+	// each with a link, so its row has n+1 entries (-1 at port 0); every
+	// row is cut from one array.
 	s.dirAt = make([][]int32, nNodes)
+	cells := make([]int32, nNodes+nDirs)
+	for n := range s.dirAt {
+		w := topo.Node(netgraph.NodeID(n)).NumPorts() + 1
+		s.dirAt[n], cells = cells[:w:w], cells[w:]
+		s.dirAt[n][0] = -1
+	}
 	for _, l := range topo.Links() {
-		s.setDir(l.A, l.APort, int32(l.ID)<<1)
-		s.setDir(l.B, l.BPort, int32(l.ID)<<1|1)
+		s.dirAt[l.A][l.APort] = int32(l.ID) << 1
+		s.dirAt[l.B][l.BPort] = int32(l.ID)<<1 | 1
 	}
 	s.hostTx = make([]int32, nNodes)
 	s.switches = make([]*dataplane.Switch, nNodes)
@@ -501,15 +494,6 @@ func NewOn(p *flowsim.ControlPlane, cfg Config, emit func(stats.FlowRecord)) *Si
 	}
 	p.Attach(s)
 	return s
-}
-
-func (s *Simulator) setDir(n netgraph.NodeID, p netgraph.PortNum, dir int32) {
-	row := s.dirAt[n]
-	for int(p) >= len(row) {
-		row = append(row, -1)
-	}
-	row[p] = dir
-	s.dirAt[n] = row
 }
 
 // dirFrom returns the transmit direction index of (node, port), or -1.
@@ -532,21 +516,6 @@ func dirFromNode(l *netgraph.Link, d int32) netgraph.NodeID {
 	return l.B
 }
 
-// Network exposes the switch state for pre-installing rules.
-func (s *Simulator) Network() *dataplane.Network { return s.net }
-
-// Collector returns the statistics collector.
-func (s *Simulator) Collector() *stats.Collector { return s.col }
-
-// Now returns the current virtual time.
-func (s *Simulator) Now() simtime.Time { return s.k.Now() }
-
-// Topology returns the simulated topology.
-func (s *Simulator) Topology() *netgraph.Topology { return s.topo }
-
-// Kernel returns the simulation kernel driving this engine.
-func (s *Simulator) Kernel() *simcore.Kernel { return s.k }
-
 // PacketsForwarded returns how many packet hops were simulated — the work
 // metric E3 reports next to wall-clock time.
 func (s *Simulator) PacketsForwarded() uint64 { return s.counter }
@@ -567,18 +536,8 @@ func (s *Simulator) EventsDispatched() uint64 { return s.k.Dispatched() }
 // shard count measured.
 func (s *Simulator) ShardLoads() []uint64 { return nil }
 
-// Load schedules the demands; a record's ID is its demand's load index
-// + 1, counted over every Load and then the trace reader, and its flow's
-// dense index is the load index. Its flowsim.Arrivals cursor queues each
-// demand as its flow's first send and builds the flow when that fires.
-// The caller must not modify tr after Load.
-func (s *Simulator) Load(tr traffic.Trace) {
-	s.loads = append(s.loads, flowsim.LoadArrivals(s.k, tr, s.loaded, FirstSendKey, s.admitOwn))
-	s.loaded += len(tr)
-}
-
-// admitOwn admits a demand of the engine's own cursors, whose dense index
-// is its load index.
+// admitOwn admits a demand of a packet-level run, whose dense index is
+// its load index.
 func (s *Simulator) admitOwn(d *traffic.Demand, idx int) { s.Admit(d, idx, int32(idx)) }
 
 // Admit starts demand d now as the flow with record ID idx + 1 and dense
@@ -635,122 +594,19 @@ func (s *Simulator) newFlow(d *traffic.Demand, idx int, dense int32) *pktFlow {
 	return f
 }
 
-// SetTraceReader streams the workload in from r instead of (or after) a
-// Load: exactly one demand is queued, as its flow's first send, and
-// pulled as virtual time reaches the previous one's start (a library
-// reader is read ahead in fixed batches; see traffic.Ingest, which Finish
-// closes). A streamed demand is queued where a Loaded one would be, so
-// the run — records and every dispatched event — is identical to Load of
-// the same sequence. r must yield nondecreasing Start times. Install
-// before Run; a reader error stops ingestion and is returned by Run.
-func (s *Simulator) SetTraceReader(r traffic.Reader) {
-	if s.begun {
-		panic("packetsim: SetTraceReader after Run")
-	}
-	s.reader = traffic.NewIngest("packetsim", r)
-}
-
-// ScheduleLinkChange schedules a link failure (up=false) or recovery. On
-// failure, queued and in-flight packets on both directions are lost and
-// counted, and the transmitters idle until recovery. See
-// flowsim.ControlPlane.ScheduleLinkChange.
-func (s *Simulator) ScheduleLinkChange(at simtime.Time, link netgraph.LinkID, up bool) {
-	s.plane.ScheduleLinkChange(at, link, up)
-}
-
-// ScheduleSwitchChange schedules a switch crash (up=false) or restart; a
-// crash also loses the switch's punt-parked packets. See
-// flowsim.ControlPlane.ScheduleSwitchChange.
-func (s *Simulator) ScheduleSwitchChange(at simtime.Time, sw netgraph.NodeID, up bool) {
-	s.plane.ScheduleSwitchChange(at, sw, up)
-}
-
-// ScheduleControllerChange schedules a controller detach (attached=false)
-// or reattach; on reattach, parked packets re-announce themselves with
-// fresh PacketIns. See flowsim.ControlPlane.ScheduleControllerChange.
-func (s *Simulator) ScheduleControllerChange(at simtime.Time, attached bool) {
-	s.plane.ScheduleControllerChange(at, attached)
-}
-
-// ScheduleLinkDegrade schedules a link-model change on both directions of
-// a link (nil m restores it). A degraded link that fails loses packets
-// like any dead link, and keeps corrupting frames once it recovers. See
-// flowsim.ControlPlane.ScheduleLinkDegrade.
-func (s *Simulator) ScheduleLinkDegrade(at simtime.Time, link netgraph.LinkID, m linkmodel.Model) {
-	s.plane.ScheduleLinkDegrade(at, link, m)
-}
-
-// Run executes until the queue drains, virtual time passes until, or ctx
-// is cancelled. It returns the collector — on cancellation a partial but
-// consistent one — together with ctx.Err(). Run may be called once, and
-// only on a simulator that owns its kernel; shared-kernel engines are
-// driven via Begin / kernel.Run / Finish.
-func (s *Simulator) Run(ctx context.Context, until simtime.Time) (*stats.Collector, error) {
-	if !s.ownKernel {
-		panic("packetsim: Run on a shared-kernel simulator; drive the shared kernel instead")
-	}
-	s.col.Reserve(flowsim.DueRecords(s.loads, until))
-	s.loads = nil
-	s.Begin()
-	defer s.reader.Close() // Finish closes it; a panic out of the kernel skips Finish
-	err := s.k.RunContext(ctx, until)
-	col := s.Finish()
-	if err == nil {
-		err = s.reader.Err()
-	}
-	return col, err
-}
-
-// Observe registers an observer of applied network dynamics; see
-// flowsim.ControlPlane.Observe.
-func (s *Simulator) Observe(fn simevent.Observer) { s.plane.Observe(fn) }
-
-// SetRecordSink streams every stats.FlowRecord to sink instead of
-// accumulating it in the collector. Records reach the collector in
-// flow-ID (load) order on one path either way — most flows finalize, and
-// free their state, the moment their outcome freezes mid-run, and Finish
-// puts the rest — so the stream is exactly what Collector().Flows() would
-// have held. Install before Run.
-func (s *Simulator) SetRecordSink(sink func(stats.FlowRecord)) {
-	s.col.SetFlowSink(sink)
-}
-
-// SetProgress arms progress reporting: fn receives a simevent.Progress at
-// most once per `every` of virtual time, off the kernel pre-advance path.
-// Install before Run.
-func (s *Simulator) SetProgress(every simtime.Duration, fn simevent.ProgressFunc) {
-	if every <= 0 || fn == nil {
-		return
-	}
-	simevent.ArmProgress(s.k, every, fn)
-}
-
-// Begin starts the control plane (its controller, if any) and arms stats
-// sampling.
+// Begin implements flowsim.Attachment: it arms stats sampling.
 func (s *Simulator) Begin() {
-	if s.begun || s.finished {
-		panic("packetsim: Run called twice")
-	}
 	s.begun = true
-	s.plane.Start()
 	if s.cfg.StatsEvery > 0 {
 		s.sched(event{at: simtime.Time(s.cfg.StatsEvery), kind: evStats})
 	}
-	if s.reader != nil {
-		flowsim.ReadArrivals(s.k, s.reader, s.loaded, FirstSendKey, s.admitOwn)
-	}
 }
 
-// Finish closes the trace reader, puts every flow the incremental
-// finalize path has not into the record emitter, sets EventsRun to the
-// dispatch count, and returns the collector; calling it again is a no-op.
-// Every port settles first, so a frame that left by the horizon has its
-// corruption verdict counted even though its arrival lies beyond.
-func (s *Simulator) Finish() *stats.Collector {
-	if s.finished {
-		return s.col
-	}
-	s.reader.Close()
+// Finish implements flowsim.Attachment: it puts every flow the
+// incremental finalize path has not into the record emitter. Every port
+// settles first, so a frame that left by the horizon has its corruption
+// verdict counted even though its arrival lies beyond.
+func (s *Simulator) Finish() {
 	for dir, op := range s.ports {
 		if op != nil {
 			s.settle(int32(dir), op)
@@ -764,11 +620,6 @@ func (s *Simulator) Finish() *stats.Collector {
 			s.records(r)
 		}
 	}
-	if s.ordered != nil {
-		s.ordered.Flush()
-	}
-	s.col.EventsRun = s.EventsDispatched()
-	return s.col
 }
 
 func (s *Simulator) dispatch(e *event) {

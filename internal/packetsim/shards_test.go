@@ -286,30 +286,26 @@ func islandTraffic(topo *netgraph.Topology) traffic.Trace {
 
 // TestControllerShardingComponents runs reactive and proactive control
 // planes over the disconnected fabric with weighted balancing at 2 and 4
-// shards: records match the run without shard fields whether or not the
-// chain can fork (a Chain containing Monitor cannot).
+// shards: records match the run without shard fields, with and without a
+// Monitor (an app that keeps state) in the chain.
 func TestControllerShardingComponents(t *testing.T) {
 	cases := []struct {
-		name     string
-		forkable bool
-		mk       func() *controller.Chain
+		name string
+		mk   func() *controller.Chain
 	}{
-		{"forkable-reactive", true, func() *controller.Chain {
+		{"forkable-reactive", func() *controller.Chain {
 			return controller.NewChain(&controller.ReactiveMAC{})
 		}},
-		{"forkable-proactive", true, func() *controller.Chain {
+		{"forkable-proactive", func() *controller.Chain {
 			return controller.NewChain(&controller.ProactiveMAC{})
 		}},
-		{"nonforkable-monitor", false, func() *controller.Chain {
+		{"nonforkable-monitor", func() *controller.Chain {
 			return controller.NewChain(&controller.ReactiveMAC{},
 				&controller.Monitor{Every: 100 * simtime.Millisecond})
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if forked := tc.mk().Fork() != nil; forked != tc.forkable {
-				t.Fatalf("Chain.Fork forked=%v, want %v", forked, tc.forkable)
-			}
 			run := func(shard wire.OptionsSpec) (packetsim.RunResult, *stats.Collector) {
 				topo := twoIslands()
 				sim := newEngine(t, topo, shard,

@@ -1,20 +1,19 @@
 // Package tcpmodel provides the flow-level TCP abstraction used by Horse.
 // A packet-level simulator would evolve windows segment by segment; at flow
-// granularity we keep only what shapes throughput on simulation-relevant
-// timescales:
+// granularity the flow engine keeps only what shapes throughput on
+// simulation-relevant timescales, each bound expressed in bits/second:
 //
-//   - a slow-start envelope: a new connection's usable rate doubles every
-//     RTT from an initial-window rate until it reaches the network's fair
-//     share, so short flows do not instantly fill fat links;
-//   - a Mathis steady-state cap under loss: when a policer (meter) drops a
-//     fraction p of a flow's packets, sustained TCP throughput is bounded
-//     by MSS/RTT · C/√p (Mathis et al., CCR 1997), which is how a rate
-//     limiting policy "undermines the quality of a TCP transmission" in the
-//     paper's own motivating example.
+//   - InitialRate, one initial window per RTT, is a TCP flow's first
+//     offered demand;
+//   - from there the flow engine's AIMD ramp (flowsim's handleRamp, once
+//     per Params.RTT) doubles the demand while it binds, adds one MSS per
+//     RTT after the first loss episode, and halves it when a policer
+//     (meter) on the path is overdriven;
+//   - MathisCap bounds the demand under the path loss of installed link
+//     models: sustained TCP throughput under a frame-loss probability p is
+//     at most MSS/RTT · C/√p (Mathis et al., CCR 1997).
 //
-// The simulator combines both: a TCP flow's offered demand at time t is
-// min(appDemand, slowStart(t), mathisCap(p)), and the max–min allocator
-// turns offered demands into realized rates.
+// The max–min allocator turns the offered demands into realized rates.
 package tcpmodel
 
 import (
@@ -77,34 +76,6 @@ func (p Params) InitialRate() float64 {
 	return p.iw() * p.mss() * 8 / p.rtt()
 }
 
-// SlowStartRate returns the slow-start envelope at `elapsed` since the
-// connection started: the initial rate doubled once per RTT.
-func (p Params) SlowStartRate(elapsed simtime.Duration) float64 {
-	if elapsed < 0 {
-		elapsed = 0
-	}
-	doublings := elapsed.Seconds() / p.rtt()
-	// Cap the exponent to avoid overflow; 2^60 RTT-doublings exceeds any
-	// real capacity by far.
-	if doublings > 60 {
-		doublings = 60
-	}
-	return p.InitialRate() * math.Pow(2, doublings)
-}
-
-// TimeToRate returns how long slow start needs to reach target bits/second,
-// or 0 if the initial rate already exceeds it.
-func (p Params) TimeToRate(target float64) simtime.Duration {
-	r0 := p.InitialRate()
-	if target <= r0 {
-		return 0
-	}
-	doublings := math.Log2(target / r0)
-	// Round up a nanosecond so the envelope at the returned instant is at
-	// least the target despite the ns truncation.
-	return simtime.FromSeconds(doublings*p.rtt()) + 1
-}
-
 // MathisCap returns the steady-state throughput bound (bits/second) under
 // packet loss probability loss. Zero or negative loss means no bound
 // (+Inf); loss ≥ 1 means the connection makes no progress.
@@ -116,65 +87,4 @@ func (p Params) MathisCap(loss float64) float64 {
 		return 0
 	}
 	return p.mss() * 8 / p.rtt() * MathisConstant / math.Sqrt(loss)
-}
-
-// LossFromPolicer estimates the loss probability a policer imposes on the
-// aggregate passing through it: the excess fraction of offered load beyond
-// the policed rate. offered and policed are bits/second.
-func LossFromPolicer(offered, policed float64) float64 {
-	if offered <= 0 || policed <= 0 {
-		if policed <= 0 && offered > 0 {
-			return 1
-		}
-		return 0
-	}
-	if offered <= policed {
-		return 0
-	}
-	return (offered - policed) / offered
-}
-
-// Demand computes the offered demand of a TCP flow at a point in time:
-// the minimum of the application demand (appBps, may be +Inf), the
-// slow-start envelope elapsed after connection start, and the Mathis cap
-// for the current loss estimate.
-func (p Params) Demand(appBps float64, elapsed simtime.Duration, loss float64) float64 {
-	d := p.SlowStartRate(elapsed)
-	if appBps < d {
-		d = appBps
-	}
-	if cap := p.MathisCap(loss); cap < d {
-		d = cap
-	}
-	return d
-}
-
-// FCTLowerBound returns the minimum possible flow completion time for a
-// transfer of sizeBits on a path with the given bottleneck rate: slow-start
-// ramp until the bottleneck is reached, then line rate, plus one RTT of
-// handshake. It is the reference curve accuracy experiments compare
-// against.
-func (p Params) FCTLowerBound(sizeBits, bottleneckBps float64) simtime.Duration {
-	if sizeBits <= 0 {
-		return p.RTT
-	}
-	if bottleneckBps <= 0 {
-		return simtime.Forever
-	}
-	rtt := p.rtt()
-	rate := p.InitialRate()
-	var sent, t float64
-	// Walk slow-start RTT by RTT.
-	for rate < bottleneckBps {
-		sendThisRTT := rate * rtt
-		if sent+sendThisRTT >= sizeBits {
-			t += (sizeBits - sent) / rate
-			return p.RTT + simtime.FromSeconds(t)
-		}
-		sent += sendThisRTT
-		t += rtt
-		rate *= 2
-	}
-	t += (sizeBits - sent) / bottleneckBps
-	return p.RTT + simtime.FromSeconds(t)
 }

@@ -3,7 +3,6 @@ package tcpmodel
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"horse/internal/simtime"
 )
@@ -14,43 +13,6 @@ func TestInitialRate(t *testing.T) {
 	want := 10.0 * 1460 * 8 / 0.010
 	if got := p.InitialRate(); math.Abs(got-want) > 1 {
 		t.Errorf("InitialRate = %g, want %g", got, want)
-	}
-}
-
-func TestSlowStartDoubling(t *testing.T) {
-	p := DefaultParams()
-	r0 := p.SlowStartRate(0)
-	r1 := p.SlowStartRate(p.RTT)
-	r2 := p.SlowStartRate(2 * p.RTT)
-	if math.Abs(r1/r0-2) > 1e-9 || math.Abs(r2/r0-4) > 1e-9 {
-		t.Errorf("doubling broken: %g %g %g", r0, r1, r2)
-	}
-	if p.SlowStartRate(-simtime.Second) != r0 {
-		t.Error("negative elapsed should clamp to 0")
-	}
-	// Huge elapsed must not overflow to NaN/Inf surprises.
-	if math.IsNaN(p.SlowStartRate(simtime.Hour)) {
-		t.Error("NaN at large elapsed")
-	}
-}
-
-func TestTimeToRate(t *testing.T) {
-	p := DefaultParams()
-	r0 := p.InitialRate()
-	if p.TimeToRate(r0/2) != 0 {
-		t.Error("already-reached target should take 0")
-	}
-	d := p.TimeToRate(8 * r0)
-	want := simtime.FromSeconds(3 * p.RTT.Seconds())
-	if math.Abs(float64(d-want)) > float64(simtime.Microsecond) {
-		t.Errorf("TimeToRate(8x) = %v, want %v", d, want)
-	}
-	// Consistency: after TimeToRate(x), SlowStartRate >= x.
-	for _, mult := range []float64{1.5, 3, 100, 12345} {
-		target := r0 * mult
-		if got := p.SlowStartRate(p.TimeToRate(target)); got < target*(1-1e-9) {
-			t.Errorf("envelope(%g) = %g < target", mult, got)
-		}
 	}
 }
 
@@ -74,65 +36,6 @@ func TestMathisCap(t *testing.T) {
 	}
 }
 
-func TestLossFromPolicer(t *testing.T) {
-	if LossFromPolicer(1e9, 2e9) != 0 {
-		t.Error("under-limit traffic must see no loss")
-	}
-	if got := LossFromPolicer(2e9, 1e9); got != 0.5 {
-		t.Errorf("loss = %g, want 0.5", got)
-	}
-	if LossFromPolicer(0, 1e9) != 0 {
-		t.Error("no traffic, no loss")
-	}
-	if LossFromPolicer(1e9, 0) != 1 {
-		t.Error("zero policer rate drops everything")
-	}
-}
-
-func TestDemandCombines(t *testing.T) {
-	p := DefaultParams()
-	// Early in slow start the envelope dominates.
-	d := p.Demand(math.Inf(1), 0, 0)
-	if d != p.InitialRate() {
-		t.Errorf("fresh demand = %g, want initial rate", d)
-	}
-	// App demand caps.
-	if got := p.Demand(1000, simtime.Hour, 0); got != 1000 {
-		t.Errorf("app-capped demand = %g", got)
-	}
-	// Loss caps.
-	capped := p.Demand(math.Inf(1), simtime.Hour, 0.25)
-	if math.Abs(capped-p.MathisCap(0.25)) > 1e-9 {
-		t.Errorf("loss-capped demand = %g", capped)
-	}
-}
-
-func TestFCTLowerBound(t *testing.T) {
-	p := DefaultParams()
-	// A zero-size flow costs one RTT.
-	if got := p.FCTLowerBound(0, 1e9); got != p.RTT {
-		t.Errorf("zero-size FCT = %v", got)
-	}
-	// Dead path never completes.
-	if p.FCTLowerBound(1e6, 0) != simtime.Forever {
-		t.Error("zero rate should never complete")
-	}
-	// A huge transfer approaches size/bottleneck.
-	size := 1e12 // 1 Tbit
-	fct := p.FCTLowerBound(size, 1e9).Seconds()
-	if fct < size/1e9 || fct > size/1e9*1.05 {
-		t.Errorf("bulk FCT = %gs, want ~%gs", fct, size/1e9)
-	}
-	// Monotone in size.
-	if p.FCTLowerBound(1e6, 1e9) >= p.FCTLowerBound(1e8, 1e9) {
-		t.Error("FCT not monotone in size")
-	}
-	// Monotone (non-increasing) in bottleneck.
-	if p.FCTLowerBound(1e8, 1e9) < p.FCTLowerBound(1e8, 1e10) {
-		t.Error("faster bottleneck should not be slower")
-	}
-}
-
 func TestZeroValueParamsSafe(t *testing.T) {
 	var p Params
 	if p.InitialRate() <= 0 {
@@ -140,38 +43,5 @@ func TestZeroValueParamsSafe(t *testing.T) {
 	}
 	if p.MathisCap(0.01) <= 0 {
 		t.Error("zero-value MathisCap broken")
-	}
-}
-
-// Property: slow-start envelope is nondecreasing in elapsed time.
-func TestSlowStartMonotoneProperty(t *testing.T) {
-	p := DefaultParams()
-	prop := func(aMs, bMs uint16) bool {
-		a := simtime.Duration(aMs) * simtime.Millisecond
-		b := simtime.Duration(bMs) * simtime.Millisecond
-		if a > b {
-			a, b = b, a
-		}
-		return p.SlowStartRate(a) <= p.SlowStartRate(b)*(1+1e-12)
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Demand never exceeds any of its three inputs.
-func TestDemandUpperBoundProperty(t *testing.T) {
-	p := DefaultParams()
-	prop := func(app uint32, ms uint16, lossPct uint8) bool {
-		appBps := float64(app)
-		elapsed := simtime.Duration(ms) * simtime.Millisecond
-		loss := float64(lossPct%101) / 100
-		d := p.Demand(appBps, elapsed, loss)
-		return d <= appBps+1e-9 &&
-			d <= p.SlowStartRate(elapsed)+1e-9 &&
-			d <= p.MathisCap(loss)+1e-9
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
 	}
 }

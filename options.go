@@ -336,10 +336,12 @@ func WithScenario(tl *Scenario) Option {
 // of accumulating records in the Collector — the bounded-memory results
 // path for multi-million-flow runs. The stream carries exactly the
 // records, in exactly the order, Collector().Flows() would have held:
-// every engine has one delivery path, and a run without a sink is one
-// whose sink appends to the Collector. Engines deliver as flows finish
-// (and reclaim their state), already numbered by load index at every
-// fidelity: Flow in completion order, Packet and Hybrid in ID order.
+// every fidelity runs on one run driver with one delivery path, and a
+// run without a sink is one whose sink appends to the Collector. Engines
+// deliver as flows finish (and reclaim their state), already numbered by
+// load index at every fidelity. The driver orders them: Flow in
+// completion order (nondecreasing End), Packet and Hybrid in ascending
+// ID, which is load order.
 func WithRecordSink(sink func(FlowRecord)) Option {
 	return func(o *options) error {
 		if sink == nil {

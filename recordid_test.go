@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -20,13 +21,18 @@ func idTrace(topo *horse.Topology) horse.Trace {
 }
 
 // runIDCell runs one cell: load is Loaded before Run, then streamed (if
-// any) comes in through a trace reader.
-func runIDCell(t *testing.T, topo *horse.Topology, opts []horse.Option, load, streamed horse.Trace) []horse.FlowRecord {
+// any) comes in through a trace reader. With sink, the records are the
+// ones a record sink received; otherwise the collector's.
+func runIDCell(t *testing.T, topo *horse.Topology, opts []horse.Option, load, streamed horse.Trace, sink bool) []horse.FlowRecord {
 	t.Helper()
 	opts = append([]horse.Option{
 		horse.WithController(horse.NewChain(&horse.ProactiveMAC{})),
 		horse.WithMiss(horse.MissController),
 	}, opts...)
+	var sunk []horse.FlowRecord
+	if sink {
+		opts = append(opts, horse.WithRecordSink(func(r horse.FlowRecord) { sunk = append(sunk, r) }))
+	}
 	if streamed != nil {
 		opts = append(opts, horse.WithTraceReader(horse.NewTraceReader(streamed)))
 	}
@@ -41,7 +47,26 @@ func runIDCell(t *testing.T, topo *horse.Topology, opts []horse.Option, load, st
 	if err != nil {
 		t.Fatal(err)
 	}
+	if sink {
+		return sunk
+	}
 	return col.Flows()
+}
+
+// checkRecordOrder fails t unless recs arrive in the order one run driver
+// gives every fidelity: completion order (nondecreasing End) on a
+// flow-level run, strictly ascending ID on a packet-level or hybrid one.
+func checkRecordOrder(t *testing.T, flowOnly bool, recs []horse.FlowRecord) {
+	t.Helper()
+	for i := 1; i < len(recs); i++ {
+		a, b := recs[i-1], recs[i]
+		if flowOnly && b.End < a.End {
+			t.Fatalf("record %d (ID %d) ends at %v, before record %d (ID %d) at %v", i, b.ID, b.End, i-1, a.ID, a.End)
+		}
+		if !flowOnly && b.ID <= a.ID {
+			t.Fatalf("record %d has ID %d after ID %d", i, b.ID, a.ID)
+		}
+	}
 }
 
 // TestRecordIDIsLoadIndex pins the record-ID contract at every fidelity:
@@ -50,6 +75,9 @@ func runIDCell(t *testing.T, topo *horse.Topology, opts []horse.Option, load, st
 // load order is the opposite of arrival order; a record whose ID named
 // its arrival rank would carry the wrong demand's Arrival and SizeBits. Since every cell of a feed is held to
 // the same load order, records with the same ID agree across fidelities.
+// Every cell also runs with a record sink, which must receive the
+// retained records in the same order: completion order at flow fidelity,
+// load order otherwise.
 func TestRecordIDIsLoadIndex(t *testing.T) {
 	topo := horse.LeafSpine(3, 2, 3, horse.Gig, horse.TenGig)
 	sorted := idTrace(topo)
@@ -86,7 +114,12 @@ func TestRecordIDIsLoadIndex(t *testing.T) {
 		order := append(slices.Clone(feed.load), feed.streamed...)
 		for _, fid := range fidelities {
 			t.Run(feed.name+"/"+fid.name, func(t *testing.T) {
-				recs := runIDCell(t, topo, fid.opts, feed.load, feed.streamed)
+				recs := runIDCell(t, topo, fid.opts, feed.load, feed.streamed, false)
+				sunk := runIDCell(t, topo, fid.opts, feed.load, feed.streamed, true)
+				if !reflect.DeepEqual(sunk, recs) {
+					t.Fatalf("the sink received %d records, the collector kept %d, not the same in the same order", len(sunk), len(recs))
+				}
+				checkRecordOrder(t, fid.name == "flow", recs)
 				if len(recs) != len(order) {
 					t.Fatalf("%d records for %d demands", len(recs), len(order))
 				}
@@ -111,8 +144,8 @@ func TestRecordIDIsLoadIndex(t *testing.T) {
 	flowOnly := []horse.Option{horse.WithFidelity(horse.Flow)}
 	bySort := slices.Clone(rev)
 	slices.SortStableFunc(bySort, func(a, b horse.Demand) int { return cmp.Compare(a.Start, b.Start) })
-	got := runIDCell(t, topo, flowOnly, rev, nil)
-	want := runIDCell(t, topo, flowOnly, bySort, nil)
+	got := runIDCell(t, topo, flowOnly, rev, nil, false)
+	want := runIDCell(t, topo, flowOnly, bySort, nil, false)
 	if len(got) != len(want) {
 		t.Fatalf("reversed run: %d records, sorted run %d", len(got), len(want))
 	}
