@@ -46,7 +46,9 @@ loc:
 # fair-share exactness property (the heap-driven solver's rates and change
 # lists are bit-identical to eager progressive filling through every
 # recompute entry point; IXP-sized inputs make its execs slow), the
-# in-order record emitter (emits exactly what the map-based reorder buffer
+# fair-share slack path (after random add/remove/demand batches, rates
+# match a from-scratch solve within 1e-12, fit capacity and carry the
+# max-min certificate), the in-order record emitter (emits exactly what the map-based reorder buffer
 # it replaced did, on any index permutation with holes), the one
 # control plane's parity property (a hybrid run at 0 % packet share equals
 # the flow engine, at 100 % the packet engine, on random small fabrics,
@@ -67,6 +69,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzLinkModelParity -fuzztime=25x ./internal/packetsim/
 	$(GO) test -run='^$$' -fuzz=FuzzPortSchedule -fuzztime=2000x ./internal/packetsim/
 	$(GO) test -run='^$$' -fuzz=FuzzSolveExact -fuzztime=200x ./internal/fairshare/
+	$(GO) test -run='^$$' -fuzz=FuzzSlackPath -fuzztime=1000x ./internal/fairshare/
 	$(GO) test -run='^$$' -fuzz=FuzzInOrder -fuzztime=2000x ./internal/stats/
 	$(GO) test -run='^$$' -fuzz=FuzzPlaneParity -fuzztime=200x ./internal/hybrid/
 	$(GO) test -run='^$$' -fuzz=FuzzLoadCursor -fuzztime=200x ./internal/hybrid/

@@ -452,3 +452,51 @@ func TestGenAdvances(t *testing.T) {
 	s.Reset()
 	step("Reset")
 }
+
+// TestResetLeavesEmptyTables: a switch's tables make their maps on first
+// insert, so a reset switch must still read as empty everywhere and take
+// new state again.
+func TestResetLeavesEmptyTables(t *testing.T) {
+	s := NewSwitch(0, MissDrop)
+	key := testKey(1, 2, 80)
+	install := func() {
+		t.Helper()
+		for table := range s.Tables {
+			if err := s.Apply(&openflow.FlowMod{
+				Op: openflow.FlowAdd, Table: openflow.TableID(table), Priority: 1,
+				Match: header.Match{}.WithEthDst(key.EthDst),
+				Instr: openflow.Apply(openflow.Output(1)),
+			}, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Apply(&openflow.GroupMod{Op: openflow.GroupAdd, GroupID: 1, Type: openflow.GroupSelect}, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Apply(&openflow.MeterMod{Op: openflow.MeterAdd, MeterID: 1, RateBps: 1e6}, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	installed := func(want int) {
+		t.Helper()
+		for i, tab := range s.Tables {
+			hit := tab.Lookup(key) != nil
+			if tab.Len() != want || hit != (want > 0) {
+				t.Fatalf("table %d holds %d entries (lookup hit %v), want %d", i, tab.Len(), hit, want)
+			}
+		}
+		if g, m := s.Groups.Get(1) != nil, s.Meters.Get(1) != nil; s.Groups.Len() != want || s.Meters.Len() != want || g != (want > 0) || m != (want > 0) {
+			t.Fatalf("%d groups, %d meters after reset, want %d", s.Groups.Len(), s.Meters.Len(), want)
+		}
+	}
+	installed(0)
+	install()
+	installed(1)
+	s.Reset()
+	installed(0)
+	if s.Groups.Delete(1) || s.Meters.Delete(1) {
+		t.Fatal("a reset switch deleted a group or meter")
+	}
+	install()
+	installed(1)
+}

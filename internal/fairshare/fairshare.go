@@ -10,7 +10,7 @@
 // exactly over connected components of the flow/resource sharing graph, so
 // the Allocator also supports incremental recomputation: when flows arrive
 // or depart, only the components touched by a dirty resource are re-solved.
-// Both modes produce identical allocations (property-tested); the E6
+// Both modes produce the same allocations (property-tested); the E6
 // ablation benchmarks their cost.
 //
 // A fill iteration does not scan every resource. On a large component,
@@ -19,10 +19,22 @@
 // only when the next candidate level reaches its bound, by replaying the
 // updates it missed. Almost every iteration of an IXP-shaped component is
 // a demand freeze, so a solve costs O(F·deg·log R + iterations + replay of
-// resources that come near) rather than O(iterations·R). The allocation is
+// resources that come near) rather than O(iterations·R). A solve is
 // bit-identical to eager progressive filling: exact_test.go holds the
 // eager solver as an oracle and fuzzes every recompute entry point against
 // it.
+//
+// Most changes need no solve at all. Max–min fairness has a local
+// certificate: an allocation is max–min fair iff every flow is at its
+// demand or crosses a saturated resource on which no flow gets more. So
+// when AddFlow, RemoveFlow or SetDemand finds that every resource on the
+// flow's route keeps headroom both before and after the change, the flow's
+// rate becomes its demand at once and no other rate moves; the next
+// Recompute reports the flows so set and solves nothing. The first change
+// that does not fit, or a capacity change, breaks the batch: Recompute
+// then puts the batch's rates back and solves the dirty components. The
+// slack path is exact by the certificate; slack_test.go holds its rates
+// within 1e-12 of a from-scratch solve and to the certificate itself.
 //
 // Internally the sharing state is flat: flows and resources live in dense
 // slots addressed by small integers (flow slots in fixed-size pages, so
@@ -71,6 +83,7 @@ type flowSlot struct {
 	res    []int32 // dense resource indices crossed by this flow
 	resPos []int32 // position of this flow in res[k].flows, parallel to res
 	live   bool
+	noted  bool // the open slack batch holds this flow's rate from before it
 }
 
 // resSlot is a resource's dense record. Resources are never deleted (the
@@ -102,6 +115,12 @@ type Allocator struct {
 	dirtyRes  []int32 // dense indices with res[k].dirty set
 	numFlows  int
 
+	// The slack batch: the changes since the last recompute that set a
+	// flow's rate directly (see slack), each noted with the rate the flow
+	// had before; broken once a change needs a solve.
+	notes  []slackNote
+	broken bool
+
 	// Epsilon is the relative rate-change threshold below which a flow is
 	// not reported as changed by Recompute. It damps event cascades from
 	// infinitesimal re-allocations. Zero means report every change.
@@ -110,9 +129,11 @@ type Allocator struct {
 	// Stats. FillSteps counts progressive-filling iterations;
 	// ResidualSteps counts per-resource residual updates, so
 	// ResidualSteps/FillSteps is the number of resources the solver
-	// actually looked at per iteration.
+	// actually looked at per iteration. SlackRecomputes counts the
+	// Recompute calls that the slack path settled without a solve.
 	FullSolves      uint64
 	ComponentSolves uint64
+	SlackRecomputes uint64
 	FlowsVisited    uint64
 	FillSteps       uint64
 	ResidualSteps   uint64
@@ -257,6 +278,7 @@ func (a *Allocator) SetCapacity(r ResourceID, bps float64) {
 	if a.res[k].capacity != bps {
 		a.res[k].capacity = bps
 		a.markDirty(k)
+		a.broken = true
 	}
 }
 
@@ -314,6 +336,8 @@ func (a *Allocator) AddFlow(id FlowID, demand float64, resources []ResourceID) i
 	if len(f.res) == 0 {
 		// A flow crossing nothing is bottlenecked only by demand.
 		f.rate = demand
+	} else {
+		a.slack(fi, demand)
 	}
 	return fi
 }
@@ -325,6 +349,9 @@ func (a *Allocator) RemoveFlow(id FlowID) {
 		return
 	}
 	f := a.flow(fi)
+	if !a.broken && !a.slackFits(f, -f.rate) {
+		a.broken = true
+	}
 	for e, k := range f.res {
 		rs := &a.res[k]
 		p := f.resPos[e]
@@ -338,6 +365,7 @@ func (a *Allocator) RemoveFlow(id FlowID) {
 		a.markDirty(k)
 	}
 	f.live = false
+	f.noted = false
 	f.res = f.res[:0]
 	f.resPos = f.resPos[:0]
 	delete(a.flowIdx, id)
@@ -363,6 +391,91 @@ func (a *Allocator) SetDemand(id FlowID, demand float64) {
 	for _, k := range f.res {
 		a.markDirty(k)
 	}
+	a.slack(fi, demand)
+}
+
+// slackNote is a flow whose rate the open slack batch set, with the rate it
+// had before the batch.
+type slackNote struct {
+	fi  int32
+	old float64
+}
+
+// slack gives flow fi the rate its new demand asks for when its whole route
+// keeps headroom before and after the move, and notes the flow. Otherwise
+// it breaks the batch: the next recompute solves, and no later change in
+// the batch is checked.
+//
+// The shortcut is exact by the max–min certificate: an allocation is max–min
+// fair iff every flow is at its demand or crosses a saturated resource on
+// which no flow gets more. A resource on fi's route is saturated neither
+// before nor after, so no other flow is bottlenecked there. Every other flow
+// keeps its certificate and its rate, and fi is at its demand.
+func (a *Allocator) slack(fi int32, demand float64) {
+	if a.broken {
+		return
+	}
+	f := a.flow(fi)
+	rate := 0.0
+	if demand > 0 { // as solve: a non-positive demand gets nothing
+		rate = demand
+	}
+	if !a.slackFits(f, rate-f.rate) {
+		a.broken = true
+		return
+	}
+	if !f.noted {
+		f.noted = true
+		a.notes = append(a.notes, slackNote{fi: fi, old: f.rate})
+	}
+	f.rate = rate
+}
+
+// slackFits reports whether every resource on f's route leaves more than a
+// margin of its capacity unused at the current rates, both as they are and
+// after f's rate moves by delta. The margin (twice the solver's exhaustion
+// slack, plus 1e-12 of the capacity for the solver's rounding) keeps a
+// resource the solver could see as exhausted off the slack path. It stops
+// at the first resource that does not fit.
+func (a *Allocator) slackFits(f *flowSlot, delta float64) bool {
+	for _, k := range f.res {
+		rs := &a.res[k]
+		used := 0.0
+		for _, er := range rs.flows {
+			used += a.flow(er.flow).rate
+		}
+		// Before the move when delta ≤ 0, after it when delta > 0. A NaN
+		// or infinite capacity never fits.
+		if !(rs.capacity-used-max(delta, 0) > 2*tiny+1e-12*rs.capacity) {
+			return false
+		}
+	}
+	return true
+}
+
+// endBatch closes the slack batch. With restore set it puts each noted flow
+// back at its rate from before the batch, so the solve that follows starts
+// where it would have without the batch. Otherwise it appends to changed
+// each noted flow whose move is significant, and returns the list. A slot
+// freed and reused in the batch can hold two notes: the later one is its
+// live flow's, and the flag keeps the earlier one from counting.
+func (a *Allocator) endBatch(restore bool, changed []Changed) []Changed {
+	for i := len(a.notes) - 1; i >= 0; i-- {
+		n := a.notes[i]
+		f := a.flow(n.fi)
+		if !f.noted {
+			continue
+		}
+		f.noted = false
+		if restore {
+			f.rate = n.old
+		} else if a.Significant(n.old, f.rate) {
+			changed = append(changed, Changed{ID: f.id, Slot: n.fi, OldRate: n.old, NewRate: f.rate})
+		}
+	}
+	a.notes = a.notes[:0]
+	a.broken = false
+	return changed
 }
 
 // Rate returns the most recently computed rate for a flow (0 if unknown).
@@ -488,6 +601,7 @@ func (a *Allocator) collect(w *solveWorker) {
 // grouped[pos[r]-cnt[r]:pos[r]] (pos[r] is left one past the component's
 // end).
 func (a *Allocator) groupComponents() (cnt, pos, grouped []int32) {
+	a.endBatch(true, nil)
 	a.clearDirty()
 	s := &a.scratch
 	s.ensureScratch(int(a.nSlots), len(a.res))
@@ -560,11 +674,20 @@ func ufFind(parent []int32, x int32) int32 {
 // Recompute re-solves only the connected components touched by dirty
 // resources and returns flows whose rate changed beyond Epsilon. Max–min
 // fairness decomposes exactly over components, so the result equals a full
-// re-solve. The returned slice is reused by the next recompute; consume it
-// before then.
+// re-solve. When every change since the last recompute took the slack path
+// (see slack), their rates are already set: it reports the noted flows and
+// solves nothing. The returned slice is reused by the next recompute;
+// consume it before then.
 func (a *Allocator) Recompute() []Changed {
 	if len(a.dirtyRes) == 0 {
 		return nil
+	}
+	if !a.broken {
+		a.SlackRecomputes++
+		a.clearDirty()
+		w := &a.scratch.worker
+		w.changed = a.endBatch(false, w.changed[:0])
+		return w.changed
 	}
 	a.ComponentSolves++
 	w := a.openPass()
@@ -573,9 +696,11 @@ func (a *Allocator) Recompute() []Changed {
 	return w.changed
 }
 
-// dirtyComponent clears the dirty marks and returns the flow slots of every
-// component that touches a dirty resource.
+// dirtyComponent closes the slack batch, restoring its rates, clears the
+// dirty marks and returns the flow slots of every component that touches a
+// dirty resource.
 func (a *Allocator) dirtyComponent() []int32 {
+	a.endBatch(true, nil)
 	s := &a.scratch
 	s.ensureScratch(int(a.nSlots), len(a.res))
 	s.epoch++

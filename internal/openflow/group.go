@@ -122,16 +122,19 @@ func (g *Group) SelectBucket(hash uint64, live func(*Bucket) bool) *Bucket {
 
 // GroupTable holds a switch's groups.
 type GroupTable struct {
-	groups map[GroupID]*Group
+	groups map[GroupID]*Group // made on the first Add
 }
 
 // NewGroupTable returns an empty group table.
-func NewGroupTable() *GroupTable { return &GroupTable{groups: make(map[GroupID]*Group)} }
+func NewGroupTable() *GroupTable { return &GroupTable{} }
 
 // Add installs or replaces a group. Group ID 0 is reserved.
 func (t *GroupTable) Add(g *Group) error {
 	if g.ID == 0 {
 		return fmt.Errorf("openflow: group id 0 is reserved")
+	}
+	if t.groups == nil {
+		t.groups = make(map[GroupID]*Group)
 	}
 	t.groups[g.ID] = g
 	return nil

@@ -19,11 +19,11 @@ type Meter struct {
 
 // MeterTable holds a switch's meters.
 type MeterTable struct {
-	meters map[MeterID]*Meter
+	meters map[MeterID]*Meter // made on the first Add
 }
 
 // NewMeterTable returns an empty meter table.
-func NewMeterTable() *MeterTable { return &MeterTable{meters: make(map[MeterID]*Meter)} }
+func NewMeterTable() *MeterTable { return &MeterTable{} }
 
 // Add installs or replaces a meter. Meter ID 0 is reserved.
 func (t *MeterTable) Add(m *Meter) error {
@@ -32,6 +32,9 @@ func (t *MeterTable) Add(m *Meter) error {
 	}
 	if m.RateBps <= 0 {
 		return fmt.Errorf("openflow: meter %d has non-positive rate %g", m.ID, m.RateBps)
+	}
+	if t.meters == nil {
+		t.meters = make(map[MeterID]*Meter)
 	}
 	t.meters[m.ID] = m
 	return nil

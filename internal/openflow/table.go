@@ -83,13 +83,14 @@ type FlowTable struct {
 	// exactly are chained by address through FlowEntry.nextDst, byDst
 	// holding each chain's head; everything else stays in rest. Chains
 	// and rest both keep (priority desc, seq asc) order, and Lookup
-	// merges the two streams.
+	// merges the two streams. The map is made on the first chained entry:
+	// most tables of most switches never hold one.
 	byDst map[header.MAC]*FlowEntry
 	rest  []*FlowEntry
 }
 
 // NewFlowTable returns an empty table.
-func NewFlowTable() *FlowTable { return &FlowTable{byDst: make(map[header.MAC]*FlowEntry)} }
+func NewFlowTable() *FlowTable { return &FlowTable{} }
 
 func entryLess(a, b *FlowEntry) bool {
 	if a.Priority != b.Priority {
@@ -127,6 +128,9 @@ func (t *FlowTable) relink(dst header.MAC, prev, x *FlowEntry) {
 	case prev != nil:
 		prev.nextDst = x
 	case x != nil:
+		if t.byDst == nil {
+			t.byDst = make(map[header.MAC]*FlowEntry)
+		}
 		t.byDst[dst] = x
 	default:
 		delete(t.byDst, dst)
