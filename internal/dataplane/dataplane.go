@@ -217,9 +217,22 @@ type Decision struct {
 	Key header.FlowKey
 }
 
-// PortLive reports whether a port currently has an up link; used for group
-// liveness.
-type PortLive func(netgraph.PortNum) bool
+// PortLive is a switch's port-liveness oracle for group liveness: a port
+// is live if its link exists and is up. The zero value reports every port
+// live.
+type PortLive struct {
+	topo *netgraph.Topology
+	node netgraph.NodeID
+}
+
+// Live reports whether port p currently has an up link.
+func (l PortLive) Live(p netgraph.PortNum) bool {
+	if l.topo == nil {
+		return true
+	}
+	link := l.topo.LinkAt(l.node, p)
+	return link != nil && link.Up
+}
 
 // Process runs key through the switch pipeline starting at table 0.
 func (s *Switch) Process(key header.FlowKey, live PortLive) Decision {
@@ -300,12 +313,9 @@ func (s *Switch) applyActions(actions []openflow.Action, d *Decision, live PortL
 				return
 			}
 			var liveBucket func(*openflow.Bucket) bool
-			if live != nil {
+			if live.topo != nil {
 				liveBucket = func(b *openflow.Bucket) bool {
-					if b.WatchPort == netgraph.NoPort {
-						return true
-					}
-					return live(b.WatchPort)
+					return b.WatchPort == netgraph.NoPort || live.Live(b.WatchPort)
 				}
 			}
 			b := g.SelectBucket(d.Key.SymmetricHash(), liveBucket)

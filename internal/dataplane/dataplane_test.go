@@ -71,12 +71,12 @@ func TestApplyGroupAndMeterMods(t *testing.T) {
 
 func TestProcessMissBehaviors(t *testing.T) {
 	drop := NewSwitch(0, MissDrop)
-	d := drop.Process(testKey(1, 2, 80), nil)
+	d := drop.Process(testKey(1, 2, 80), PortLive{})
 	if !d.Drop || !d.Miss {
 		t.Errorf("MissDrop: %+v", d)
 	}
 	punt := NewSwitch(0, MissController)
-	d = punt.Process(testKey(1, 2, 80), nil)
+	d = punt.Process(testKey(1, 2, 80), PortLive{})
 	if !d.ToController || d.Drop {
 		t.Errorf("MissController: %+v", d)
 	}
@@ -89,7 +89,7 @@ func TestProcessOutput(t *testing.T) {
 	s := NewSwitch(0, MissDrop)
 	s.Apply(&openflow.FlowMod{Op: openflow.FlowAdd, Priority: 1, Match: header.MatchAll,
 		Instr: openflow.Apply(openflow.Output(7))}, 0)
-	d := s.Process(testKey(1, 2, 80), nil)
+	d := s.Process(testKey(1, 2, 80), PortLive{})
 	if d.Out != 7 || d.Drop || d.ToController {
 		t.Errorf("decision = %+v", d)
 	}
@@ -106,7 +106,7 @@ func TestProcessGotoTablePipeline(t *testing.T) {
 		Instr: openflow.Instructions{Meter: 5}.WithGoto(1)}, 0)
 	s.Apply(&openflow.FlowMod{Op: openflow.FlowAdd, Table: 1, Priority: 1, Match: header.MatchAll,
 		Instr: openflow.Apply(openflow.Output(2))}, 0)
-	d := s.Process(testKey(1, 2, 80), nil)
+	d := s.Process(testKey(1, 2, 80), PortLive{})
 	if d.Out != 2 {
 		t.Errorf("pipeline output = %d, want 2", d.Out)
 	}
@@ -122,7 +122,7 @@ func TestProcessGotoMissInLaterTable(t *testing.T) {
 	s := NewSwitch(0, MissController)
 	s.Apply(&openflow.FlowMod{Op: openflow.FlowAdd, Table: 0, Priority: 1, Match: header.MatchAll,
 		Instr: openflow.Instructions{}.WithGoto(1)}, 0)
-	d := s.Process(testKey(1, 2, 80), nil)
+	d := s.Process(testKey(1, 2, 80), PortLive{})
 	// Miss in table 1 after matching in table 0 with no output decision:
 	// the switch miss behavior applies, so a reactive switch punts.
 	if !d.ToController || d.Drop {
@@ -132,7 +132,7 @@ func TestProcessGotoMissInLaterTable(t *testing.T) {
 	s2 := NewSwitch(0, MissDrop)
 	s2.Apply(&openflow.FlowMod{Op: openflow.FlowAdd, Table: 0, Priority: 1, Match: header.MatchAll,
 		Instr: openflow.Instructions{}.WithGoto(1)}, 0)
-	if d := s2.Process(testKey(1, 2, 80), nil); !d.Drop {
+	if d := s2.Process(testKey(1, 2, 80), PortLive{}); !d.Drop {
 		t.Errorf("later-table miss on a drop switch should drop: %+v", d)
 	}
 }
@@ -144,7 +144,7 @@ func TestProcessVLANRewrite(t *testing.T) {
 	s.Apply(&openflow.FlowMod{Op: openflow.FlowAdd, Table: 1, Priority: 1,
 		Match: header.Match{}.WithVLAN(42),
 		Instr: openflow.Apply(openflow.Output(9))}, 0)
-	d := s.Process(testKey(1, 2, 80), nil)
+	d := s.Process(testKey(1, 2, 80), PortLive{})
 	if d.Out != 9 {
 		t.Errorf("VLAN-rewritten pipeline failed: %+v", d)
 	}
@@ -157,7 +157,7 @@ func TestProcessVLANRewrite(t *testing.T) {
 		Instr: openflow.Apply(openflow.PopVLAN(), openflow.Output(1))}, 0)
 	k := testKey(1, 2, 80)
 	k.VLAN = 7
-	d = s2.Process(k, nil)
+	d = s2.Process(k, PortLive{})
 	if d.Key.VLAN != 0 {
 		t.Error("pop_vlan did not clear the tag")
 	}
@@ -174,7 +174,7 @@ func TestProcessGroupSelect(t *testing.T) {
 		Instr: openflow.Apply(openflow.GroupAction(1))}, 0)
 	seen := map[netgraph.PortNum]bool{}
 	for i := uint64(0); i < 64; i++ {
-		d := s.Process(testKey(i, i+1, uint16(i)), nil)
+		d := s.Process(testKey(i, i+1, uint16(i)), PortLive{})
 		if d.Out != 1 && d.Out != 2 {
 			t.Fatalf("group output = %d", d.Out)
 		}
@@ -185,20 +185,23 @@ func TestProcessGroupSelect(t *testing.T) {
 	}
 	// Same flow key always picks the same bucket.
 	k := testKey(1, 2, 80)
-	first := s.Process(k, nil).Out
+	first := s.Process(k, PortLive{}).Out
 	for i := 0; i < 10; i++ {
-		if s.Process(k, nil).Out != first {
+		if s.Process(k, PortLive{}).Out != first {
 			t.Fatal("group selection unstable")
 		}
 	}
-	// Liveness: kill port of the chosen bucket.
-	liveOnly2 := func(p netgraph.PortNum) bool { return p == 2 }
-	if d := s.Process(k, liveOnly2); d.Out != 2 {
+	// Liveness: the switch's port 1 link is down, so only bucket 2 is live.
+	topo := netgraph.New()
+	sw := topo.AddSwitch("s")
+	topo.SetLinkUp(topo.Connect(sw, topo.AddHost("h1"), 1e9, 0), false)
+	topo.Connect(sw, topo.AddHost("h2"), 1e9, 0)
+	if d := s.Process(k, PortLive{topo, sw}); d.Out != 2 {
 		t.Errorf("dead bucket not avoided: %+v", d)
 	}
 	// Unknown group drops.
 	s.Apply(&openflow.GroupMod{Op: openflow.GroupDelete, GroupID: 1}, 0)
-	if d := s.Process(k, nil); !d.Drop {
+	if d := s.Process(k, PortLive{}); !d.Drop {
 		t.Error("missing group should drop")
 	}
 }

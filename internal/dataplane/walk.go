@@ -102,11 +102,8 @@ type Network struct {
 	Topo     *netgraph.Topology
 	Switches map[netgraph.NodeID]*Switch
 
-	// byID is Switches as a dense table by NodeID (nil for hosts) and
-	// live each node's port-liveness oracle, built once so the per-hop
-	// path allocates nothing.
+	// byID is Switches as a dense table by NodeID (nil for hosts).
 	byID []*Switch
-	live []PortLive
 }
 
 // NewNetwork creates a Network with a switch (of the given miss behavior)
@@ -116,18 +113,10 @@ func NewNetwork(topo *netgraph.Topology, miss MissBehavior) *Network {
 		Topo:     topo,
 		Switches: make(map[netgraph.NodeID]*Switch),
 		byID:     make([]*Switch, topo.NumNodes()),
-		live:     make([]PortLive, topo.NumNodes()),
 	}
 	for _, id := range topo.Switches() {
 		n.Switches[id] = NewSwitch(id, miss)
 		n.byID[id] = n.Switches[id]
-	}
-	for i := range n.live {
-		id := netgraph.NodeID(i)
-		n.live[i] = func(p netgraph.PortNum) bool {
-			l := topo.LinkAt(id, p)
-			return l != nil && l.Up
-		}
 	}
 	return n
 }
@@ -142,7 +131,7 @@ func (n *Network) Switch(id netgraph.NodeID) *Switch {
 
 // PortLiveFunc returns the liveness oracle for a switch: a port is live if
 // its link exists and is up.
-func (n *Network) PortLiveFunc(sw netgraph.NodeID) PortLive { return n.live[sw] }
+func (n *Network) PortLiveFunc(sw netgraph.NodeID) PortLive { return PortLive{n.Topo, sw} }
 
 // Walk resolves the path of a flow with the given key from a source host to
 // a destination host. dst may be -1 when unknown (delivery is then detected
@@ -200,7 +189,7 @@ func (n *Network) WalkInto(res *PathResult, key header.FlowKey, src, dst netgrap
 			return
 		}
 		d := Decision{Entries: res.Entries, Meters: res.meters[:0]}
-		s.process(&d, curKey, n.live[cur])
+		s.process(&d, curKey, PortLive{n.Topo, cur})
 		res.Entries, res.meters = d.Entries, d.Meters
 		for _, m := range d.Meters {
 			res.Meters = append(res.Meters, MeterRef{Switch: cur, Meter: m})

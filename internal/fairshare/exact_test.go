@@ -176,8 +176,8 @@ type instance struct {
 	epsilon float64
 }
 
-func (in *instance) build() *Allocator {
-	a := New()
+func (in *instance) build() *byID {
+	a := newByID()
 	a.Epsilon = in.epsilon
 	for r, c := range in.caps {
 		a.SetCapacity(ResourceID(r), c)
@@ -222,7 +222,7 @@ func checkExact(t testing.TB, in *instance, seed int64) {
 				if round == 1 {
 					churn(rng, in, got, want)
 				}
-				if err := sameChanges(m.run(got), m.oracle(want)); err != nil {
+				if err := sameChanges(m.run(got.Allocator), m.oracle(want.Allocator)); err != nil {
 					t.Fatalf("%s gain %g round %d: %v", m.name, gain, round, err)
 				}
 				for f := range in.demands {
@@ -238,7 +238,7 @@ func checkExact(t testing.TB, in *instance, seed int64) {
 }
 
 // churn applies the same random mutations to both allocators.
-func churn(rng *rand.Rand, in *instance, as ...*Allocator) {
+func churn(rng *rand.Rand, in *instance, as ...*byID) {
 	for f := range in.demands {
 		if rng.Intn(3) != 0 {
 			continue

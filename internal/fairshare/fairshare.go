@@ -27,24 +27,28 @@
 // Most changes need no solve at all. Max–min fairness has a local
 // certificate: an allocation is max–min fair iff every flow is at its
 // demand or crosses a saturated resource on which no flow gets more. So
-// when AddFlow, RemoveFlow or SetDemand finds that every resource on the
+// when AddFlow, Remove or SetDemand finds that every resource on the
 // flow's route keeps headroom both before and after the change, the flow's
-// rate becomes its demand at once and no other rate moves; the next
-// Recompute reports the flows so set and solves nothing. The first change
-// that does not fit, or a capacity change, breaks the batch: Recompute
-// then puts the batch's rates back and solves the dirty components. The
-// slack path is exact by the certificate; slack_test.go holds its rates
-// within 1e-12 of a from-scratch solve and to the certificate itself.
+// rate becomes its demand at once and no other rate moves. A flow alone on
+// every resource of its route is a component of its own, whose solve ends
+// in its first iteration at max(0, min(demand, min capacity)): that value
+// is set at once too, bit for bit. The next Recompute reports the flows so
+// set and solves nothing. The first change that fits neither case, or a
+// capacity change, breaks the batch: Recompute then puts the batch's rates
+// back and solves the dirty components. slack_test.go holds both cases to
+// a from-scratch solve and to the certificate.
 //
-// Internally the sharing state is flat: flows and resources live in dense
-// slots addressed by small integers (flow slots in fixed-size pages, so
-// the table grows without copying a slot), adjacency is slice-of-int32 in
-// both directions, and every solve runs on reusable scratch buffers with
-// epoch-stamped visited marks. Maps exist only at the API boundary to
-// translate caller IDs into slot indices — the solve hot path does zero
-// map iteration and, once the scratch is warm, near-zero allocation.
-// RecomputeAll additionally splits the graph into connected components
-// with a union-find over resource slots and solves each independently.
+// The allocator is addressed by slot: AddFlow returns one, and Remove,
+// SetDemand and Rate take it. The caller's flow ID is an opaque label,
+// repeated in Changed, so nothing is keyed by an ID that grows with every
+// flow. Resources are found through a table indexed by the caller's dense
+// ResourceID and keep their slots in first-registration order. Flow slots
+// live in fixed-size pages (the table grows without copying a slot),
+// adjacency is slice-of-int32 in both directions, and every solve runs on
+// reusable scratch buffers with epoch-stamped visited marks: no maps, and
+// once warm a change and its recompute allocate nothing. RecomputeAll
+// additionally splits the graph into connected components with a
+// union-find over resource slots and solves each independently.
 package fairshare
 
 import (
@@ -55,11 +59,14 @@ import (
 	"horse/internal/grow"
 )
 
-// ResourceID identifies a capacity-constrained resource. The caller assigns
-// IDs (the simulator uses link-direction and meter encodings).
-type ResourceID int64
+// ResourceID identifies a capacity-constrained resource: a small
+// non-negative integer the caller assigns. The allocator finds a resource's
+// slot through a table indexed by ID, so IDs should be dense (the simulator
+// numbers link directions 2·link+dir, then meters as they are installed).
+type ResourceID int32
 
-// FlowID identifies a flow to the allocator. The caller assigns IDs.
+// FlowID is the caller's label for a flow. The allocator keeps it in the
+// flow's slot and repeats it in Changed; it never looks a flow up by it.
 type FlowID int64
 
 // Unlimited is the demand of a flow that will take all the bandwidth it can
@@ -89,7 +96,6 @@ type flowSlot struct {
 // resSlot is a resource's dense record. Resources are never deleted (the
 // simulator's link and meter set is fixed per topology), so slots only grow.
 type resSlot struct {
-	id       ResourceID
 	capacity float64
 	flows    []edgeRef
 	dirty    bool
@@ -105,15 +111,13 @@ const (
 // Allocator maintains the flow/resource sharing state and produces max–min
 // fair rates. The zero value is not usable; call New.
 type Allocator struct {
-	flowIdx map[FlowID]int32
-	resIdx  map[ResourceID]int32
-	pages   []*[slotPage]flowSlot
-	nSlots  int32 // flow slots in use or free: slots [0, nSlots) exist
-	res     []resSlot
+	slotOf []int32 // by ResourceID: the resource's slot + 1, 0 if unknown
+	pages  []*[slotPage]flowSlot
+	nSlots int32 // flow slots in use or free: slots [0, nSlots) exist
+	res    []resSlot
 
 	freeFlows []int32
 	dirtyRes  []int32 // dense indices with res[k].dirty set
-	numFlows  int
 
 	// The slack batch: the changes since the last recompute that set a
 	// flow's rate directly (see slack), each noted with the rate the flow
@@ -231,11 +235,7 @@ func (s *solveScratch) beginPass() {
 
 // New returns an empty allocator with a 1% change-report epsilon.
 func New() *Allocator {
-	return &Allocator{
-		flowIdx: make(map[FlowID]int32),
-		resIdx:  make(map[ResourceID]int32),
-		Epsilon: 0.01,
-	}
+	return &Allocator{Epsilon: 0.01}
 }
 
 // flow returns flow slot fi.
@@ -253,15 +253,24 @@ func (a *Allocator) newSlot() int32 {
 	return fi
 }
 
-// resSlotFor returns the dense index for r, allocating a slot on first use.
-func (a *Allocator) resSlotFor(r ResourceID) int32 {
-	if k, ok := a.resIdx[r]; ok {
+// register returns r's dense index, giving r the next one on first use:
+// indices follow first registration.
+func (a *Allocator) register(r ResourceID) int32 {
+	if k := a.lookup(r); k >= 0 {
 		return k
 	}
-	k := int32(len(a.res))
-	a.res = append(a.res, resSlot{id: r})
-	a.resIdx[r] = k
-	return k
+	a.slotOf = grow.To(a.slotOf, int(r)+1)
+	a.res = append(a.res, resSlot{})
+	a.slotOf[r] = int32(len(a.res))
+	return a.slotOf[r] - 1
+}
+
+// lookup returns r's dense index, or -1 if r was never registered.
+func (a *Allocator) lookup(r ResourceID) int32 {
+	if int(r) < len(a.slotOf) {
+		return a.slotOf[r] - 1
+	}
+	return -1
 }
 
 func (a *Allocator) markDirty(k int32) {
@@ -274,7 +283,7 @@ func (a *Allocator) markDirty(k int32) {
 // SetCapacity declares or updates a resource's capacity in bits/second and
 // marks it dirty. A capacity of zero (a down link) starves its flows.
 func (a *Allocator) SetCapacity(r ResourceID, bps float64) {
-	k := a.resSlotFor(r)
+	k := a.register(r)
 	if a.res[k].capacity != bps {
 		a.res[k].capacity = bps
 		a.markDirty(k)
@@ -282,24 +291,14 @@ func (a *Allocator) SetCapacity(r ResourceID, bps float64) {
 	}
 }
 
-// Capacity returns a resource's capacity (0 if unknown).
-func (a *Allocator) Capacity(r ResourceID) float64 {
-	if k, ok := a.resIdx[r]; ok {
-		return a.res[k].capacity
-	}
-	return 0
-}
-
 // AddFlow registers a flow with the given demand (bits/second, or
-// Unlimited) crossing the given resources. Resources not yet declared get
-// zero capacity until SetCapacity is called. Adding an existing ID replaces
-// the flow. Duplicate resources in the route are collapsed. It returns the
-// flow's dense slot, which every Changed entry for the flow repeats until
-// RemoveFlow, so a caller can index its own per-flow state by slot.
-func (a *Allocator) AddFlow(id FlowID, demand float64, resources []ResourceID) int32 {
-	if _, ok := a.flowIdx[id]; ok {
-		a.RemoveFlow(id)
-	}
+// Unlimited) crossing the given resources, and returns its slot: the
+// handle Remove, SetDemand and Rate take, repeated in every Changed
+// entry for the flow until it is removed. label is the caller's ID for the
+// flow, kept only to be reported in Changed. Resources not yet declared get
+// zero capacity until SetCapacity is called. Duplicate resources in the
+// route are collapsed.
+func (a *Allocator) AddFlow(label FlowID, demand float64, route []ResourceID) int32 {
 	var fi int32
 	if n := len(a.freeFlows); n > 0 {
 		fi = a.freeFlows[n-1]
@@ -308,20 +307,19 @@ func (a *Allocator) AddFlow(id FlowID, demand float64, resources []ResourceID) i
 		fi = a.newSlot()
 	}
 	f := a.flow(fi)
-	f.id = id
+	f.id = label
 	f.demand = demand
 	f.rate = 0
 	f.live = true
-	if n := len(resources); cap(f.res) < n {
+	if n := len(route); cap(f.res) < n {
 		// One backing array for both route lists, sized from the route.
 		buf := make([]int32, 2*n)
 		f.res, f.resPos = buf[:0:n], buf[n:n]
 	}
 	f.res = f.res[:0]
 	f.resPos = f.resPos[:0]
-	a.flowIdx[id] = fi
-	for _, r := range resources {
-		k := a.resSlotFor(r)
+	for _, r := range route {
+		k := a.register(r)
 		if slices.Contains(f.res, k) {
 			continue
 		}
@@ -332,7 +330,6 @@ func (a *Allocator) AddFlow(id FlowID, demand float64, resources []ResourceID) i
 		rs.flows = grow.Push(rs.flows, edgeRef{flow: fi, edge: e})
 		a.markDirty(k)
 	}
-	a.numFlows++
 	if len(f.res) == 0 {
 		// A flow crossing nothing is bottlenecked only by demand.
 		f.rate = demand
@@ -342,14 +339,10 @@ func (a *Allocator) AddFlow(id FlowID, demand float64, resources []ResourceID) i
 	return fi
 }
 
-// RemoveFlow deregisters a flow, marking its resources dirty.
-func (a *Allocator) RemoveFlow(id FlowID) {
-	fi, ok := a.flowIdx[id]
-	if !ok {
-		return
-	}
+// Remove deregisters the flow in slot fi, marking its resources dirty.
+func (a *Allocator) Remove(fi int32) {
 	f := a.flow(fi)
-	if !a.broken && !a.slackFits(f, -f.rate) {
+	if !a.broken && !a.lone(f) && !a.slackFits(f, -f.rate) {
 		a.broken = true
 	}
 	for e, k := range f.res {
@@ -368,17 +361,23 @@ func (a *Allocator) RemoveFlow(id FlowID) {
 	f.noted = false
 	f.res = f.res[:0]
 	f.resPos = f.resPos[:0]
-	delete(a.flowIdx, id)
 	a.freeFlows = append(a.freeFlows, fi)
-	a.numFlows--
 }
 
-// SetDemand updates a flow's demand and marks its resources dirty.
-func (a *Allocator) SetDemand(id FlowID, demand float64) {
-	fi, ok := a.flowIdx[id]
-	if !ok {
-		return
+// RemoveFlow removes the live flow labelled label, found by a scan of the
+// slots, for a caller that keeps no slots; it ignores an unknown label.
+func (a *Allocator) RemoveFlow(label FlowID) {
+	for fi := range a.nSlots {
+		if f := a.flow(fi); f.live && f.id == label {
+			a.Remove(fi)
+			return
+		}
 	}
+}
+
+// SetDemand updates the demand of the flow in slot fi and marks its
+// resources dirty.
+func (a *Allocator) SetDemand(fi int32, demand float64) {
 	f := a.flow(fi)
 	if f.demand == demand {
 		return
@@ -401,26 +400,35 @@ type slackNote struct {
 	old float64
 }
 
-// slack gives flow fi the rate its new demand asks for when its whole route
-// keeps headroom before and after the move, and notes the flow. Otherwise
-// it breaks the batch: the next recompute solves, and no later change in
-// the batch is checked.
+// slack sets flow fi's rate for its new demand without a solve when that
+// rate is known, and notes the flow. Otherwise it breaks the batch: the
+// next recompute solves, and no later change in the batch is checked.
 //
-// The shortcut is exact by the max–min certificate: an allocation is max–min
-// fair iff every flow is at its demand or crosses a saturated resource on
-// which no flow gets more. A resource on fi's route is saturated neither
-// before nor after, so no other flow is bottlenecked there. Every other flow
-// keeps its certificate and its rate, and fi is at its demand.
+// The rate is known in two cases (see the package doc). A flow alone on
+// its route gets its one-flow solve's max(0, min(demand, min capacity)),
+// unless that minimum is NaN or +Inf. A flow whose whole route keeps
+// headroom before and after the move gets its demand: no resource on the
+// route is saturated, so no other flow is bottlenecked there, and every
+// other flow keeps its certificate and its rate.
 func (a *Allocator) slack(fi int32, demand float64) {
 	if a.broken {
 		return
 	}
 	f := a.flow(fi)
-	rate := 0.0
-	if demand > 0 { // as solve: a non-positive demand gets nothing
-		rate = demand
+	rate, fits := 0.0, false
+	if a.lone(f) {
+		c := math.Inf(1)
+		for _, k := range f.res {
+			c = min(c, a.res[k].capacity)
+		}
+		rate, fits = max(0, min(demand, c)), c < math.Inf(1)
+	} else {
+		if demand > 0 { // as solve: a non-positive demand gets nothing
+			rate = demand
+		}
+		fits = a.slackFits(f, rate-f.rate)
 	}
-	if !a.slackFits(f, rate-f.rate) {
+	if !fits {
 		a.broken = true
 		return
 	}
@@ -429,6 +437,16 @@ func (a *Allocator) slack(fi int32, demand float64) {
 		a.notes = append(a.notes, slackNote{fi: fi, old: f.rate})
 	}
 	f.rate = rate
+}
+
+// lone reports whether f is the only flow on every resource of its route.
+func (a *Allocator) lone(f *flowSlot) bool {
+	for _, k := range f.res {
+		if len(a.res[k].flows) != 1 {
+			return false
+		}
+	}
+	return true
 }
 
 // slackFits reports whether every resource on f's route leaves more than a
@@ -478,48 +496,28 @@ func (a *Allocator) endBatch(restore bool, changed []Changed) []Changed {
 	return changed
 }
 
-// Rate returns the most recently computed rate for a flow (0 if unknown).
-func (a *Allocator) Rate(id FlowID) float64 {
-	if fi, ok := a.flowIdx[id]; ok {
-		return a.flow(fi).rate
-	}
-	return 0
-}
-
-// Demand returns a flow's demand (0 if unknown).
-func (a *Allocator) Demand(id FlowID) float64 {
-	if fi, ok := a.flowIdx[id]; ok {
-		return a.flow(fi).demand
-	}
-	return 0
-}
-
-// NumFlows returns the number of registered flows.
-func (a *Allocator) NumFlows() int { return a.numFlows }
+// Rate returns the most recently computed rate of the flow in slot fi.
+func (a *Allocator) Rate(fi int32) float64 { return a.flow(fi).rate }
 
 // DemandSum returns the sum of offered demands over a resource (+Inf if
 // any flow is backlogged).
 func (a *Allocator) DemandSum(r ResourceID) float64 {
-	k, ok := a.resIdx[r]
-	if !ok {
-		return 0
-	}
 	var sum float64
-	for _, er := range a.res[k].flows {
-		sum += a.flow(er.flow).demand
+	if k := a.lookup(r); k >= 0 {
+		for _, er := range a.res[k].flows {
+			sum += a.flow(er.flow).demand
+		}
 	}
 	return sum
 }
 
 // ResourceUsage returns the sum of allocated rates over a resource.
 func (a *Allocator) ResourceUsage(r ResourceID) float64 {
-	k, ok := a.resIdx[r]
-	if !ok {
-		return 0
-	}
 	var sum float64
-	for _, er := range a.res[k].flows {
-		sum += a.flow(er.flow).rate
+	if k := a.lookup(r); k >= 0 {
+		for _, er := range a.res[k].flows {
+			sum += a.flow(er.flow).rate
+		}
 	}
 	return sum
 }

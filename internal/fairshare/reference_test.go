@@ -146,8 +146,8 @@ func TestFlatMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		nRes := rng.Intn(12) + 3
-		full := New()
-		inc := New()
+		full := newByID()
+		inc := newByID()
 		full.Epsilon, inc.Epsilon = 0, 0
 		ref := newRefNet()
 		for r := ResourceID(0); r < ResourceID(nRes); r++ {
@@ -234,7 +234,7 @@ func pickFlow(rng *rand.Rand, ref *refNet) FlowID {
 // final solve must match the reference.
 func TestFlatSlotReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	a := New()
+	a := newByID()
 	a.Epsilon = 0
 	ref := newRefNet()
 	const nRes = 8
@@ -272,7 +272,7 @@ func TestFlatSlotReuse(t *testing.T) {
 // TestDuplicateRouteEntries: duplicate resources in a route are collapsed,
 // so a flow listed twice on a link gets one share, not two.
 func TestDuplicateRouteEntries(t *testing.T) {
-	a := New()
+	a := newByID()
 	a.SetCapacity(1, 1e9)
 	a.AddFlow(1, Unlimited, []ResourceID{1, 1})
 	a.AddFlow(2, Unlimited, []ResourceID{1})

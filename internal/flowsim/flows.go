@@ -255,7 +255,7 @@ func (s *Simulator) activate(f *Flow, res *dataplane.PathResult) {
 			f.resources = append(f.resources, linkResource(hostLink.ID, fwd))
 		}
 		for _, mr := range f.meterRefs {
-			f.resources = append(f.resources, meterResource(mr.Switch, mr.Meter))
+			f.resources = append(f.resources, s.meterResource(mr.Switch, mr.Meter))
 		}
 		// Index by traversed switch for re-resolution, once per switch.
 		f.atPos = f.atPos[:0]
@@ -273,7 +273,7 @@ func (s *Simulator) activate(f *Flow, res *dataplane.PathResult) {
 	f.puntedAt = f.puntedAt[:0]
 	for _, mr := range f.meterRefs {
 		if m := s.meter(mr); m != nil {
-			s.alloc.SetCapacity(meterResource(mr.Switch, mr.Meter), m.RateBps)
+			s.alloc.SetCapacity(s.meterResource(mr.Switch, mr.Meter), m.RateBps)
 		}
 	}
 	s.refreshPathLoss(f)
@@ -283,7 +283,7 @@ func (s *Simulator) activate(f *Flow, res *dataplane.PathResult) {
 		e.LastUsed = s.k.Now()
 	}
 	if f.allocSlot >= 0 {
-		s.alloc.SetDemand(fairshare.FlowID(f.ID), s.currentDemand(f))
+		s.alloc.SetDemand(f.allocSlot, s.currentDemand(f))
 	} else {
 		f.allocSlot = s.alloc.AddFlow(fairshare.FlowID(f.ID), s.currentDemand(f), f.resources)
 		s.byAlloc = grow.To(s.byAlloc, int(f.allocSlot)+1)
@@ -330,7 +330,7 @@ func (s *Simulator) deactivate(f *Flow) {
 	// Ledger: the flow's rate leaves its resources.
 	s.adjustLedgers(f, -f.rate)
 	f.rate = 0
-	s.alloc.RemoveFlow(fairshare.FlowID(f.ID))
+	s.alloc.Remove(f.allocSlot)
 	s.byAlloc[f.allocSlot] = nil
 	f.allocSlot = -1
 	s.markRateShift(f.resources)
@@ -425,8 +425,8 @@ func (s *Simulator) adjustLedgers(f *Flow, delta float64) {
 		return
 	}
 	for _, r := range f.resources {
-		if r >= meterResourceBase {
-			continue
+		if int(r) >= len(s.ledgers) {
+			continue // a meter
 		}
 		l := &s.ledgers[r]
 		l.settle(s.k.Now())
@@ -515,9 +515,8 @@ func (s *Simulator) mergeKept(changed []fairshare.Changed) []fairshare.Changed {
 		}
 	}
 	for _, f := range s.kept { // f.kept is off where listed twice or reused
-		id := fairshare.FlowID(f.ID)
-		if r := s.alloc.Rate(id); f.kept && f.state == StateActive && s.alloc.Significant(0, r) {
-			out = append(out, fairshare.Changed{ID: id, Slot: f.allocSlot, NewRate: r})
+		if f.kept && f.state == StateActive && s.alloc.Significant(0, s.alloc.Rate(f.allocSlot)) {
+			out = append(out, fairshare.Changed{ID: fairshare.FlowID(f.ID), Slot: f.allocSlot, NewRate: s.alloc.Rate(f.allocSlot)})
 		}
 		f.kept = false
 	}
@@ -528,14 +527,13 @@ func (s *Simulator) mergeKept(changed []fairshare.Changed) []fairshare.Changed {
 
 // resourceSet collects the distinct resource IDs one drain reports through
 // OnRateShift. A drain lists the resources of every changed flow, and
-// flows share links, so most additions are repeats: epoch marks (dense by
-// link resource, a map for the few meter resources) drop them on the way
-// in, and only the distinct IDs are sorted.
+// flows share links, so most additions are repeats: epoch marks by
+// resource ID drop them on the way in, and only the distinct IDs are
+// sorted.
 type resourceSet struct {
-	ids    []fairshare.ResourceID
-	mark   []uint32 // by link resource: epoch of the drain that listed it
-	meters map[fairshare.ResourceID]uint32
-	epoch  uint32
+	ids   []fairshare.ResourceID
+	mark  []uint32 // by resource: epoch of the drain that listed it
+	epoch uint32
 }
 
 // reset empties the set for a new drain.
@@ -544,30 +542,17 @@ func (rs *resourceSet) reset() {
 	rs.epoch++
 	if rs.epoch == 0 { // uint32 wrap: stale marks could alias, so clear
 		clear(rs.mark)
-		clear(rs.meters)
 		rs.epoch = 1
 	}
 }
 
 // add lists r unless this drain already has.
 func (rs *resourceSet) add(r fairshare.ResourceID) {
-	if r < meterResourceBase {
-		if int(r) >= len(rs.mark) {
-			rs.mark = append(rs.mark, make([]uint32, int(r)+1-len(rs.mark))...)
-		}
-		if rs.mark[r] == rs.epoch {
-			return
-		}
-		rs.mark[r] = rs.epoch
-	} else {
-		if rs.meters == nil {
-			rs.meters = make(map[fairshare.ResourceID]uint32)
-		}
-		if rs.meters[r] == rs.epoch {
-			return
-		}
-		rs.meters[r] = rs.epoch
+	rs.mark = grow.To(rs.mark, int(r)+1)
+	if rs.mark[r] == rs.epoch {
+		return
 	}
+	rs.mark[r] = rs.epoch
 	rs.ids = append(rs.ids, r)
 }
 
@@ -709,7 +694,7 @@ func (s *Simulator) handleRamp(f *Flow) {
 
 	overdriven := false
 	for _, mr := range f.meterRefs {
-		r := meterResource(mr.Switch, mr.Meter)
+		r := s.meterResource(mr.Switch, mr.Meter)
 		m := s.meter(mr)
 		if m == nil {
 			continue
@@ -736,7 +721,7 @@ func (s *Simulator) handleRamp(f *Flow) {
 			f.demandCap *= 2
 		}
 	}
-	s.alloc.SetDemand(fairshare.FlowID(f.ID), s.currentDemand(f))
+	s.alloc.SetDemand(f.allocSlot, s.currentDemand(f))
 	s.recomputeAndApply()
 	if f.state == StateActive {
 		s.scheduleRamp(f)
@@ -832,7 +817,7 @@ func (s *Simulator) Applied(msg openflow.Message) {
 	case *openflow.GroupMod:
 		s.markSwitchDirty(dp, nil)
 	case *openflow.MeterMod:
-		r := meterResource(dp, m.MeterID)
+		r := s.meterResource(dp, m.MeterID)
 		switch m.Op {
 		case openflow.MeterAdd, openflow.MeterModify:
 			s.alloc.SetCapacity(r, m.RateBps)
@@ -946,7 +931,7 @@ func (s *Simulator) AfterLinkModel(id netgraph.LinkID) {
 		}
 		crosses := false
 		for _, r := range f.resources {
-			if link, _, ok := ResourceLinkDir(r); ok && link == id {
+			if link, _, ok := s.ResourceLinkDir(r); ok && link == id {
 				crosses = true
 				break
 			}
@@ -955,7 +940,7 @@ func (s *Simulator) AfterLinkModel(id netgraph.LinkID) {
 			continue
 		}
 		s.refreshPathLoss(f)
-		s.alloc.SetDemand(fairshare.FlowID(f.ID), s.currentDemand(f))
+		s.alloc.SetDemand(f.allocSlot, s.currentDemand(f))
 	}
 	s.recomputeAndApply()
 	s.armRateStep(id)

@@ -325,7 +325,9 @@ type Simulator struct {
 
 	// ledgers backs port counters and stats replies, by link resource
 	// (link<<1|forward). Meter resources have no ledger: nothing reads one.
+	// meters lists the meters given a resource, in resource order.
 	ledgers []resLedger
+	meters  []dataplane.MeterRef
 	col     *stats.Collector
 	// emit takes every finalized flow's record: the Driver's emitter.
 	emit func(stats.FlowRecord)
@@ -441,10 +443,8 @@ func NewOn(d *Driver, cfg Config) *Simulator {
 // sampling and tests).
 func (s *Simulator) Allocator() *fairshare.Allocator { return s.alloc }
 
-// meterResourceBase tags meter resources; anything below it is a link
-// direction encoded as link<<1|forward.
-const meterResourceBase = fairshare.ResourceID(1) << 40
-
+// linkResource is the fair-share resource of one link direction:
+// link<<1|forward. Meter resources follow every link's (see meterResource).
 func linkResource(l netgraph.LinkID, forward bool) fairshare.ResourceID {
 	r := fairshare.ResourceID(l) << 1
 	if forward {
@@ -453,16 +453,25 @@ func linkResource(l netgraph.LinkID, forward bool) fairshare.ResourceID {
 	return r
 }
 
-func meterResource(sw netgraph.NodeID, m openflow.MeterID) fairshare.ResourceID {
-	return meterResourceBase | fairshare.ResourceID(sw)<<24 | fairshare.ResourceID(m)
+// meterResource returns the fair-share resource of meter m at switch sw:
+// the IDs after the links' go to meters in the order they are first asked
+// for, so resource IDs stay dense.
+func (s *Simulator) meterResource(sw netgraph.NodeID, m openflow.MeterID) fairshare.ResourceID {
+	ref := dataplane.MeterRef{Switch: sw, Meter: m}
+	i := slices.Index(s.meters, ref)
+	if i < 0 {
+		i = len(s.meters)
+		s.meters = append(s.meters, ref)
+	}
+	return fairshare.ResourceID(len(s.ledgers) + i)
 }
 
 // ResourceLinkDir decodes a fair-share resource ID back to the link
-// direction it stands for; ok is false for non-link (meter) resources.
-// The hybrid coupler uses it to turn OnRateShift notifications into
-// per-link residual capacities.
-func ResourceLinkDir(r fairshare.ResourceID) (link netgraph.LinkID, forward bool, ok bool) {
-	if r >= meterResourceBase {
+// direction it stands for; ok is false for meter resources. The hybrid
+// coupler uses it to turn OnRateShift notifications into per-link
+// residual capacities.
+func (s *Simulator) ResourceLinkDir(r fairshare.ResourceID) (link netgraph.LinkID, forward bool, ok bool) {
+	if int(r) >= len(s.ledgers) {
 		return 0, false, false
 	}
 	return netgraph.LinkID(r >> 1), r&1 == 1, true
@@ -532,7 +541,7 @@ func (s *Simulator) Finish() {
 func (s *Simulator) checkInvariants() error {
 	for _, f := range s.flows {
 		if f.state == StateActive {
-			if s.alloc.Rate(fairshare.FlowID(f.ID)) < 0 {
+			if s.alloc.Rate(f.allocSlot) < 0 {
 				return fmt.Errorf("flow %d has negative allocator rate", f.ID)
 			}
 			if !math.IsInf(f.remaining, 1) && f.remaining < -1 {

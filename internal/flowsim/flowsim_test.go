@@ -2,7 +2,6 @@ package flowsim
 
 import (
 	"math"
-	"runtime"
 	"testing"
 
 	"horse/internal/addr"
@@ -250,7 +249,7 @@ func TestMeterPolicesCBR(t *testing.T) {
 	// Pre-install meter and a metered high-priority rule on sL.
 	sw := sim.Network().Switches[sl]
 	sw.Apply(&openflow.MeterMod{Op: openflow.MeterAdd, MeterID: 1, RateBps: 5e7}, 0)
-	sim.Allocator().SetCapacity(meterResource(sl, 1), 5e7)
+	sim.Allocator().SetCapacity(sim.meterResource(sl, 1), 5e7)
 	sr := topo.MustLookup("sR")
 	sw.Apply(&openflow.FlowMod{
 		Op: openflow.FlowAdd, Priority: 100,
@@ -466,20 +465,33 @@ func TestSendFlowModRecycles(t *testing.T) {
 	if raceEnabled || testing.CoverMode() != "" {
 		return
 	}
+	// AllocsPerRun pins GOMAXPROCS to 1, so no other goroutine allocates
+	// inside the window. Its first call is a warm-up it does not count:
+	// that call takes nothing, so the counted call is the first to take
+	// the delivered copies out. It puts them back, leaving the pools as
+	// the run left them.
 	p := sim.plane
-	got := make([]openflow.Message, 0, len(hosts)+1)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range hosts {
-		got = append(got, p.flowMods.Get())
+	fms := make([]*openflow.FlowMod, len(hosts))
+	warm := true
+	n := testing.AllocsPerRun(1, func() {
+		if warm {
+			warm = false
+			return
+		}
+		for i := range fms {
+			fms[i] = p.flowMods.Get()
+		}
+		po := p.packetOuts.Get()
+		p.packetOuts.Put(po)
+		for i := len(fms) - 1; i >= 0; i-- {
+			p.flowMods.Put(fms[i])
+		}
+	})
+	if n != 0 {
+		t.Errorf("taking the delivered copies back out of the pools allocated %.0f times", n)
 	}
-	got = append(got, p.packetOuts.Get())
-	runtime.ReadMemStats(&after)
-	if n := after.Mallocs - before.Mallocs; n != 0 {
-		t.Errorf("taking the delivered copies back out of the pools allocated %d times", n)
-	}
-	for _, m := range got {
-		if fm, ok := m.(*openflow.FlowMod); ok && fm.Instr.Actions != nil {
+	for _, fm := range fms {
+		if fm.Instr.Actions != nil {
 			t.Error("a recycled FlowMod still holds its actions")
 		}
 	}

@@ -161,7 +161,7 @@ func TestAIMDUnderPolicerSteadyState(t *testing.T) {
 	const policed = 2e8 // 200 Mbps
 	sw := sim.Network().Switches[sl]
 	sw.Apply(&openflow.MeterMod{Op: openflow.MeterAdd, MeterID: 1, RateBps: policed}, 0)
-	sim.Allocator().SetCapacity(meterResource(sl, 1), policed)
+	sim.Allocator().SetCapacity(sim.meterResource(sl, 1), policed)
 	sw.Apply(&openflow.FlowMod{
 		Op: openflow.FlowAdd, Priority: 100,
 		Match: header.Match{}.WithEthDst(addr.HostMAC(r0)),

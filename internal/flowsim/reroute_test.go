@@ -37,7 +37,7 @@ func newRerouteRun(topo *netgraph.Topology, app *controller.ReactiveMAC, tr traf
 	if hybrid {
 		cfg.OnRateShift = func(resources []fairshare.ResourceID) {
 			for _, res := range resources {
-				if link, fwd, ok := flowsim.ResourceLinkDir(res); ok {
+				if link, fwd, ok := r.fs.ResourceLinkDir(res); ok {
 					ps.SetExternalLoad(link, fwd, r.fs.LinkRateBps(link, fwd))
 				}
 			}

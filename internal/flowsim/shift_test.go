@@ -12,7 +12,7 @@ import (
 // TestResourceSetMatchesSortDedup: the epoch-marked set reports exactly
 // what sorting the raw list and dropping repeats does — the slice
 // OnRateShift received before the set existed — across reused drains,
-// meter resources, and an epoch wrap.
+// meter resources (the IDs past the links'), and an epoch wrap.
 func TestResourceSetMatchesSortDedup(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var rs resourceSet
@@ -24,7 +24,7 @@ func TestResourceSetMatchesSortDedup(t *testing.T) {
 		for i, n := 0, rng.Intn(80); i < n; i++ {
 			r := fairshare.ResourceID(rng.Intn(48))
 			if rng.Intn(8) == 0 {
-				r = meterResource(0, 0) + fairshare.ResourceID(rng.Intn(4))
+				r = 48 + fairshare.ResourceID(rng.Intn(4))
 			}
 			raw = append(raw, r)
 		}

@@ -135,7 +135,7 @@ func New(cfg Config) *Simulator {
 // on every link direction whose flow-level aggregate moved significantly.
 func (s *Simulator) applyRateShift(resources []fairshare.ResourceID) {
 	for _, r := range resources {
-		link, fwd, ok := flowsim.ResourceLinkDir(r)
+		link, fwd, ok := s.flow.ResourceLinkDir(r)
 		if !ok {
 			continue
 		}
