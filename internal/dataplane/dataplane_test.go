@@ -1,6 +1,7 @@
 package dataplane
 
 import (
+	"math"
 	"testing"
 
 	"horse/internal/header"
@@ -66,6 +67,29 @@ func TestApplyGroupAndMeterMods(t *testing.T) {
 	s.Apply(&openflow.MeterMod{Op: openflow.MeterDelete, MeterID: 2}, 0)
 	if s.Groups.Get(1) != nil || s.Meters.Get(2) != nil {
 		t.Error("deletes did not work")
+	}
+}
+
+// TestApplyRejectsNaNMeterRate pins that a MeterMod with a NaN rate, add
+// or modify, is refused and leaves the meter table as it was: a NaN
+// capacity would reach the fair-share allocator, whose incremental and
+// full solves disagree on it.
+func TestApplyRejectsNaNMeterRate(t *testing.T) {
+	s := NewSwitch(0, MissDrop)
+	if err := s.Apply(&openflow.MeterMod{Op: openflow.MeterAdd, MeterID: 2, RateBps: math.NaN()}, 0); err == nil {
+		t.Error("MeterAdd with a NaN rate applied")
+	}
+	if s.Meters.Get(2) != nil {
+		t.Error("NaN meter installed")
+	}
+	if err := s.Apply(&openflow.MeterMod{Op: openflow.MeterAdd, MeterID: 2, RateBps: 1e8}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Apply(&openflow.MeterMod{Op: openflow.MeterModify, MeterID: 2, RateBps: math.NaN()}, 0); err == nil {
+		t.Error("MeterModify with a NaN rate applied")
+	}
+	if m := s.Meters.Get(2); m == nil || m.RateBps != 1e8 {
+		t.Errorf("meter after a refused modify: %+v, want rate 1e8", m)
 	}
 }
 

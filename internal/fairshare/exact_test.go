@@ -25,7 +25,7 @@ func (a *Allocator) solveEager(comp []int32, w *solveWorker) {
 	var activeRes []int32
 	for _, fi := range comp {
 		f := a.flow(fi)
-		for _, k := range f.res {
+		for _, k := range f.res() {
 			if s.resMark[k] != ep {
 				s.resMark[k] = ep
 				s.remaining[k] = a.res[k].capacity
@@ -38,7 +38,7 @@ func (a *Allocator) solveEager(comp []int32, w *solveWorker) {
 			s.allocVal[fi] = 0
 			continue
 		}
-		for _, k := range f.res {
+		for _, k := range f.res() {
 			s.active[k]++
 		}
 		order = append(order, fi)
@@ -137,7 +137,7 @@ func (a *Allocator) freezeEager(fi int32, w *solveWorker) {
 	s.frozen[fi] = s.solveEpoch
 	s.allocVal[fi] = math.Min(w.level, f.demand)
 	w.activeCount--
-	for _, k := range f.res {
+	for _, k := range f.res() {
 		s.active[k]--
 	}
 }

@@ -38,13 +38,23 @@
 // back and solves the dirty components. slack_test.go holds both cases to
 // a from-scratch solve and to the certificate.
 //
+// Capacities must not be NaN. A NaN resource counts as exhausted at a
+// fill's first step, so its flows freeze at whatever level that fill
+// starts from, and Recompute, which fills every dirty component in one
+// pass, and RecomputeAll, which fills component by component, then give
+// them different rates. The simulator only sets link bandwidths and meter
+// rates, and openflow.MeterTable refuses a meter whose rate is not
+// positive, NaN included.
+//
 // The allocator is addressed by slot: AddFlow returns one, and Remove,
 // SetDemand and Rate take it. The caller's flow ID is an opaque label,
 // repeated in Changed, so nothing is keyed by an ID that grows with every
 // flow. Resources are found through a table indexed by the caller's dense
 // ResourceID and keep their slots in first-registration order. Flow slots
-// live in fixed-size pages (the table grows without copying a slot),
-// adjacency is slice-of-int32 in both directions, and every solve runs on
+// live in fixed-size pages (the table grows without copying a slot). A
+// slot's one route array holds its resources and, parallel to them, its
+// position in each one's flow list: the caller need not keep the route.
+// Adjacency is slice-of-int32 in both directions, and every solve runs on
 // reusable scratch buffers with epoch-stamped visited marks: no maps, and
 // once warm a change and its recompute allocate nothing. RecomputeAll
 // additionally splits the graph into connected components with a
@@ -81,17 +91,25 @@ type edgeRef struct {
 	edge int32
 }
 
-// flowSlot is a flow's dense record. Removed slots go on a free list and
-// keep their route slices for reuse.
+// flowSlot is a flow's dense record, 56 bytes. Removed slots go on a free
+// list and keep their route array for reuse.
 type flowSlot struct {
 	id     FlowID
 	demand float64
 	rate   float64
-	res    []int32 // dense resource indices crossed by this flow
-	resPos []int32 // position of this flow in res[k].flows, parallel to res
-	live   bool
-	noted  bool // the open slack batch holds this flow's rate from before it
+	// route holds the n distinct dense resource indices the flow crosses,
+	// then, parallel to them, the flow's position in each one's flows list:
+	// one array of 2n, so a route costs one slice header.
+	route []int32
+	live  bool
+	noted bool // the open slack batch holds this flow's rate from before it
 }
+
+// res returns the dense resource indices the flow crosses.
+func (f *flowSlot) res() []int32 { return f.route[:len(f.route)/2] }
+
+// pos returns where the flow sits in the flows list of its e-th resource.
+func (f *flowSlot) pos(e int32) *int32 { return &f.route[int32(len(f.route)/2)+e] }
 
 // resSlot is a resource's dense record. Resources are never deleted (the
 // simulator's link and meter set is fixed per topology), so slots only grow.
@@ -311,26 +329,24 @@ func (a *Allocator) AddFlow(label FlowID, demand float64, route []ResourceID) in
 	f.demand = demand
 	f.rate = 0
 	f.live = true
-	if n := len(route); cap(f.res) < n {
-		// One backing array for both route lists, sized from the route.
-		buf := make([]int32, 2*n)
-		f.res, f.resPos = buf[:0:n], buf[n:n]
+	if n := 2 * len(route); cap(f.route) < n {
+		f.route = make([]int32, 0, n)
 	}
-	f.res = f.res[:0]
-	f.resPos = f.resPos[:0]
+	res := f.route[:0]
 	for _, r := range route {
-		k := a.register(r)
-		if slices.Contains(f.res, k) {
-			continue
+		if k := a.register(r); !slices.Contains(res, k) {
+			res = append(res, k)
 		}
-		e := int32(len(f.res))
+	}
+	n := int32(len(res))
+	f.route = res[:2*n]
+	for e, k := range res {
 		rs := &a.res[k]
-		f.res = append(f.res, k)
-		f.resPos = append(f.resPos, int32(len(rs.flows)))
-		rs.flows = grow.Push(rs.flows, edgeRef{flow: fi, edge: e})
+		f.route[n+int32(e)] = int32(len(rs.flows))
+		rs.flows = grow.Push(rs.flows, edgeRef{flow: fi, edge: int32(e)})
 		a.markDirty(k)
 	}
-	if len(f.res) == 0 {
+	if n == 0 {
 		// A flow crossing nothing is bottlenecked only by demand.
 		f.rate = demand
 	} else {
@@ -345,22 +361,21 @@ func (a *Allocator) Remove(fi int32) {
 	if !a.broken && !a.lone(f) && !a.slackFits(f, -f.rate) {
 		a.broken = true
 	}
-	for e, k := range f.res {
+	for e, k := range f.res() {
 		rs := &a.res[k]
-		p := f.resPos[e]
+		p := *f.pos(int32(e))
 		last := int32(len(rs.flows) - 1)
 		moved := rs.flows[last]
 		rs.flows[p] = moved
 		rs.flows = rs.flows[:last]
 		if p != last {
-			a.flow(moved.flow).resPos[moved.edge] = p
+			*a.flow(moved.flow).pos(moved.edge) = p
 		}
 		a.markDirty(k)
 	}
 	f.live = false
 	f.noted = false
-	f.res = f.res[:0]
-	f.resPos = f.resPos[:0]
+	f.route = f.route[:0]
 	a.freeFlows = append(a.freeFlows, fi)
 }
 
@@ -383,11 +398,11 @@ func (a *Allocator) SetDemand(fi int32, demand float64) {
 		return
 	}
 	f.demand = demand
-	if len(f.res) == 0 {
+	if len(f.route) == 0 {
 		f.rate = demand
 		return
 	}
-	for _, k := range f.res {
+	for _, k := range f.res() {
 		a.markDirty(k)
 	}
 	a.slack(fi, demand)
@@ -418,7 +433,7 @@ func (a *Allocator) slack(fi int32, demand float64) {
 	rate, fits := 0.0, false
 	if a.lone(f) {
 		c := math.Inf(1)
-		for _, k := range f.res {
+		for _, k := range f.res() {
 			c = min(c, a.res[k].capacity)
 		}
 		rate, fits = max(0, min(demand, c)), c < math.Inf(1)
@@ -441,7 +456,7 @@ func (a *Allocator) slack(fi int32, demand float64) {
 
 // lone reports whether f is the only flow on every resource of its route.
 func (a *Allocator) lone(f *flowSlot) bool {
-	for _, k := range f.res {
+	for _, k := range f.res() {
 		if len(a.res[k].flows) != 1 {
 			return false
 		}
@@ -456,7 +471,7 @@ func (a *Allocator) lone(f *flowSlot) bool {
 // resource the solver could see as exhausted off the slack path. It stops
 // at the first resource that does not fit.
 func (a *Allocator) slackFits(f *flowSlot, delta float64) bool {
-	for _, k := range f.res {
+	for _, k := range f.res() {
 		rs := &a.res[k]
 		used := 0.0
 		for _, er := range rs.flows {
@@ -612,11 +627,11 @@ func (a *Allocator) groupComponents() (cnt, pos, grouped []int32) {
 	}
 	for fi := range a.nSlots {
 		f := a.flow(fi)
-		if !f.live || len(f.res) < 2 {
+		if !f.live || len(f.res()) < 2 {
 			continue
 		}
-		r0 := ufFind(parent, f.res[0])
-		for _, k := range f.res[1:] {
+		r0 := ufFind(parent, f.res()[0])
+		for _, k := range f.res()[1:] {
 			r := ufFind(parent, k)
 			if r != r0 {
 				parent[r] = r0
@@ -633,10 +648,10 @@ func (a *Allocator) groupComponents() (cnt, pos, grouped []int32) {
 	total := 0
 	for fi := range a.nSlots {
 		f := a.flow(fi)
-		if !f.live || len(f.res) == 0 {
+		if !f.live || len(f.route) == 0 {
 			continue
 		}
-		cnt[ufFind(parent, f.res[0])]++
+		cnt[ufFind(parent, f.res()[0])]++
 		total++
 	}
 	pos = grow.To(s.compPos, len(a.res))[:len(a.res)]
@@ -650,10 +665,10 @@ func (a *Allocator) groupComponents() (cnt, pos, grouped []int32) {
 	s.compFlows = grouped
 	for fi := range a.nSlots {
 		f := a.flow(fi)
-		if !f.live || len(f.res) == 0 {
+		if !f.live || len(f.route) == 0 {
 			continue
 		}
-		r := ufFind(parent, f.res[0])
+		r := ufFind(parent, f.res()[0])
 		grouped[pos[r]] = fi
 		pos[r]++
 	}
@@ -729,7 +744,7 @@ func (a *Allocator) dirtyComponent() []int32 {
 			}
 			s.flowSeen[er.flow] = s.epoch
 			comp = append(comp, er.flow)
-			for _, k2 := range a.flow(er.flow).res {
+			for _, k2 := range a.flow(er.flow).res() {
 				if s.resSeen[k2] != s.epoch {
 					s.resSeen[k2] = s.epoch
 					queue = append(queue, k2)
@@ -782,7 +797,7 @@ func (a *Allocator) solve(comp []int32, w *solveWorker) {
 	edges, finite := 0, 0
 	for _, fi := range comp {
 		f := a.flow(fi)
-		for _, k := range f.res {
+		for _, k := range f.res() {
 			if s.resMark[k] != ep {
 				s.resMark[k] = ep
 				s.remaining[k] = a.res[k].capacity
@@ -795,10 +810,10 @@ func (a *Allocator) solve(comp []int32, w *solveWorker) {
 			s.allocVal[fi] = 0
 			continue
 		}
-		for _, k := range f.res {
+		for _, k := range f.res() {
 			s.active[k]++
 		}
-		edges += len(f.res)
+		edges += len(f.res())
 		if f.demand < Unlimited {
 			finite++
 		}
@@ -988,7 +1003,7 @@ func (a *Allocator) freezeFlow(fi int32, w *solveWorker) {
 	s.frozen[fi] = s.solveEpoch
 	s.allocVal[fi] = min(w.level, f.demand)
 	w.activeCount--
-	for _, k := range f.res {
+	for _, k := range f.res() {
 		s.active[k]--
 	}
 	if w.lazy {
@@ -1001,7 +1016,7 @@ func (a *Allocator) freezeFlow(fi int32, w *solveWorker) {
 // residual estimates to the current level.
 func (a *Allocator) logFreeze(f *flowSlot, w *solveWorker) {
 	s := &a.scratch
-	for _, k := range f.res {
+	for _, k := range f.res() {
 		n := s.active[k]
 		if n == 0 {
 			continue // an inactive resource is never replayed again

@@ -136,6 +136,6 @@ func (a *Arrivals) queueNext() {
 	a.cur ^= 1
 	a.pend[a.cur] = pending{d, i}
 	e := &a.ev[a.cur]
-	*e = event{at: d.Start, gen: a.key(i), arr: a, slot: a.cur, kind: evArrival}
-	a.k.ScheduleAt(e, e.at, e.gen, seq)
+	*e = event{at: d.Start, key: a.key(i), arr: a, slot: a.cur, kind: evArrival}
+	a.k.ScheduleAt(e, e.at, e.key, seq)
 }

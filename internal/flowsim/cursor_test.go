@@ -31,6 +31,8 @@ func dispatchLog(q eventq.Canceler) *eventqtest.Log {
 				return fmt.Sprintf("%v flow%d", e, e.flow.ID)
 			}
 			return fmt.Sprint(e)
+		case *Flow:
+			return fmt.Sprintf("complete flow%d", e.ID)
 		case *ctlEvent:
 			return fmt.Sprintf("ctl%d up=%v", e.kind, e.up)
 		case *eagerArrival:
@@ -274,7 +276,7 @@ func TestReparkedFlowStaysListed(t *testing.T) {
 	var sim *Simulator
 	listed := func(sw netgraph.NodeID) bool {
 		for _, r := range sim.waiting[sw] {
-			if r.f.ID == 1 {
+			if sim.flows[r.slot].ID == 1 {
 				return true
 			}
 		}

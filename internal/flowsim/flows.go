@@ -21,12 +21,43 @@ import (
 // counters.
 const packetBits = 1500 * 8
 
-// flowRef is one entry of a per-switch flow list: the flow, and the index
-// of the Flow.atPos (flowsAt) or Flow.parks (waiting) element that
-// records the entry's position.
+// flowRef is one entry of a per-switch flow list: the flow's slot in
+// Simulator.flows, and the index of the path element (flowsAt) or the
+// flowExt.parks element (waiting) that records the entry's position.
 type flowRef struct {
-	f *Flow
-	i int32
+	slot int32
+	i    int32
+}
+
+// pathHop is one 8-byte, pointer-free element of Flow.path: a hop, as the
+// resource of the link direction it leaves by and, in at, the flow's
+// position in Simulator.flowsAt of its switch (-1 where the path crossed
+// that switch before); or a meter, as its resource. A link joins two
+// distinct nodes, so its direction names the hop's switch (hopSwitch) and
+// egress port, and the hop's ingress port is the far end of the hop
+// before (the source's access port for the first).
+type pathHop struct {
+	res fairshare.ResourceID
+	at  int32
+}
+
+// hopRes returns the resource of the link direction hop h leaves by.
+func hopRes(h *dataplane.Hop) fairshare.ResourceID {
+	return linkResource(h.Link.ID, h.Link.A == h.Switch)
+}
+
+// hopSwitch returns the switch hop h leaves from.
+func (s *Simulator) hopSwitch(h pathHop) netgraph.NodeID {
+	l, fwd, _ := s.ResourceLinkDir(h.res)
+	if fwd {
+		return s.topo.Link(l).A
+	}
+	return s.topo.Link(l).B
+}
+
+// meterOf returns the meter a meter element of a path stands for.
+func (s *Simulator) meterOf(p pathHop) dataplane.MeterRef {
+	return s.meters[int(p.res)-len(s.ledgers)]
 }
 
 // parkPos is a flow's entry in the waiting list of switch sw.
@@ -63,17 +94,11 @@ func (s *Simulator) Admit(d *traffic.Demand, idx int) {
 		remaining:  d.SizeBits,
 		lastSettle: s.k.Now(),
 		Deadline:   simtime.Never,
-		waitingAt:  -1,
+		sim:        s,
 		slot:       f.slot,
 		allocSlot:  -1,
-		gen:        f.gen,
-		hops:       f.hops[:0],
-		atPos:      f.atPos[:0],
+		path:       f.path[:0],
 		entries:    f.entries[:0],
-		meterRefs:  f.meterRefs[:0],
-		resources:  f.resources[:0],
-		puntedAt:   f.puntedAt[:0],
-		parks:      f.parks[:0],
 	}
 	if d.Duration > 0 {
 		f.Deadline = s.k.Now().Add(d.Duration)
@@ -108,8 +133,8 @@ func (s *Simulator) resolve(f *Flow) {
 	// Emit PacketIns for punting switches the flow has not yet punted at
 	// (a flow's buffered first packet produces one PacketIn per switch).
 	for _, sw := range res.PacketIns {
-		if !slices.Contains(f.puntedAt, sw) {
-			f.puntedAt = append(f.puntedAt, sw)
+		if x := s.ext(f); !slices.Contains(x.puntedAt, sw) {
+			x.puntedAt = append(x.puntedAt, sw)
 			f.punts++
 			s.col.PacketIns++
 			s.plane.SendToController(&openflow.PacketIn{
@@ -155,54 +180,84 @@ func (s *Simulator) park(f *Flow, at netgraph.NodeID) {
 		return
 	}
 	f.state = StateWaiting
-	f.waitingAt = at
-	if !slices.ContainsFunc(f.parks, func(p parkPos) bool { return p.sw == at }) {
-		f.parks = append(f.parks, parkPos{at, int32(len(s.waiting[at]))})
-		s.waiting[at] = grow.Push(s.waiting[at], flowRef{f, int32(len(f.parks) - 1)})
+	x := s.ext(f)
+	x.waitingAt = at
+	if !slices.ContainsFunc(x.parks, func(p parkPos) bool { return p.sw == at }) {
+		x.parks = append(x.parks, parkPos{at, int32(len(s.waiting[at]))})
+		s.waiting[at] = grow.Push(s.waiting[at], flowRef{f.slot, int32(len(x.parks) - 1)})
 	}
 	// Open-ended flows still end at their deadline even while waiting.
-	s.k.Cancel(f.completion)
-	f.completion = simcore.Timer{}
-	f.gen++
-	if f.Deadline != simtime.Never {
-		f.completion = s.sched(event{at: f.Deadline, kind: evComplete, flow: f, gen: f.gen})
-	}
+	s.armCompletion(f, f.Deadline)
 }
 
 // unpark removes a flow from the waiting list of the switch it waits at.
 func (s *Simulator) unpark(f *Flow) {
-	if f.waitingAt < 0 {
+	x := f.ext
+	if x == nil || x.waitingAt < 0 {
 		return
 	}
-	s.leave(f, slices.IndexFunc(f.parks, func(p parkPos) bool { return p.sw == f.waitingAt }))
-	f.waitingAt = -1
+	s.leave(f, slices.IndexFunc(x.parks, func(p parkPos) bool { return p.sw == x.waitingAt }))
+	x.waitingAt = -1
 }
 
-// leave removes f from the waiting list f.parks[i] names.
+// leave removes f from the waiting list its i-th park names.
 func (s *Simulator) leave(f *Flow, i int) {
-	p := f.parks[i]
+	parks := f.ext.parks
+	p := parks[i]
 	list := s.waiting[p.sw]
 	last := int32(len(list) - 1)
 	if moved := list[last]; p.pos != last {
 		list[p.pos] = moved
-		moved.f.parks[moved.i].pos = p.pos
+		s.flows[moved.slot].ext.parks[moved.i].pos = p.pos
 	}
-	list[last] = flowRef{}
 	s.waiting[p.sw] = list[:last]
-	if j := len(f.parks) - 1; i != j {
-		f.parks[i] = f.parks[j]
-		s.waiting[f.parks[i].sw][f.parks[i].pos].i = int32(i)
+	if j := len(parks) - 1; i != j {
+		parks[i] = parks[j]
+		s.waiting[parks[i].sw][parks[i].pos].i = int32(i)
 	}
-	f.parks = f.parks[:len(f.parks)-1]
+	f.ext.parks = parks[:len(parks)-1]
 }
 
 // release returns a finalized flow's slot to the free list, first taking
 // it off the waiting lists it still sits on.
 func (s *Simulator) release(f *Flow) {
-	for len(f.parks) > 0 {
-		s.leave(f, len(f.parks)-1)
+	if x := f.ext; x != nil {
+		for len(x.parks) > 0 {
+			s.leave(f, len(x.parks)-1)
+		}
+		s.dropExt(f)
 	}
 	s.free = grow.Push(s.free, f.slot)
+}
+
+// ext returns the flow's out-of-line state, taking a spare or a new one on
+// first use.
+func (s *Simulator) ext(f *Flow) *flowExt {
+	if f.ext == nil {
+		if n := len(s.spareExt); n > 0 {
+			f.ext, s.spareExt = s.spareExt[n-1], s.spareExt[:n-1]
+		} else {
+			f.ext = new(flowExt)
+		}
+		f.ext.waitingAt = -1
+		s.extInUse++
+	}
+	return f.ext
+}
+
+// dropExt takes the flow's out-of-line state, which lists no park, and
+// keeps it as a spare while there are fewer spares than exts in use; the
+// spares shrink with the use.
+func (s *Simulator) dropExt(f *Flow) {
+	x := f.ext
+	f.ext = nil
+	s.extInUse--
+	if n := len(s.spareExt); n < s.extInUse {
+		*x = flowExt{parks: x.parks[:0], puntedAt: x.puntedAt[:0]}
+		s.spareExt = append(s.spareExt, x)
+	} else if n > s.extInUse {
+		s.spareExt[n-1], s.spareExt = nil, s.spareExt[:n-1]
+	}
 }
 
 // activate installs the flow on the allocator with its resolved path. An
@@ -212,8 +267,7 @@ func (s *Simulator) release(f *Flow) {
 // drops to 0 until the drain applies the allocator's rate to it.
 func (s *Simulator) activate(f *Flow, res *dataplane.PathResult) {
 	s.settleFlow(f)
-	if f.state == StateActive && (res == nil || f.Key == res.ExitKey && slices.Equal(f.hops, res.Hops) &&
-		slices.Equal(f.entries, res.Entries) && slices.Equal(f.meterRefs, res.Meters)) {
+	if f.state == StateActive && (res == nil || f.Key == res.ExitKey && s.onPath(f, res)) {
 		s.adjustLedgers(f, -f.rate)
 		f.rate = 0
 		if !f.kept {
@@ -222,58 +276,46 @@ func (s *Simulator) activate(f *Flow, res *dataplane.PathResult) {
 		}
 	} else {
 		// Tear down previous registration (path may have changed).
-		wasActive := f.state == StateActive
 		s.deactivate(f)
 		s.unpark(f)
 
 		// Path changes count against the last transmitting path, which
 		// survives park/reactivate cycles (outage reroutes count too).
-		if len(f.hops) > 0 && !samePath(f.hops, res.Hops) {
-			f.pathChanges++
+		if f.nHops > 0 && !samePath(f.path[:f.nHops], res.Hops) {
 			s.col.PathChanges++
 			s.col.AddReroute(s.k.Now())
 		}
 		f.state = StateActive
-		f.hops = append(f.hops[:0], res.Hops...)
 		f.entries = append(f.entries[:0], res.Entries...)
-		f.meterRefs = append(f.meterRefs[:0], res.Meters...)
 		f.Key = res.ExitKey
-		f.lastPathLen = len(res.Hops)
-		if !wasActive {
-			f.txStart = s.k.Now()
-		}
-
-		// Resources: every link direction along the path plus every meter.
-		f.resources = f.resources[:0]
-		for _, h := range f.hops {
-			fwd := h.Link.A == h.Switch
-			f.resources = append(f.resources, linkResource(h.Link.ID, fwd))
-		}
-		// The host → first switch ingress link also carries the flow.
-		if hostLink := s.ingress[f.Src].link; hostLink != nil {
-			fwd := hostLink.A == f.Src
-			f.resources = append(f.resources, linkResource(hostLink.ID, fwd))
-		}
-		for _, mr := range f.meterRefs {
-			f.resources = append(f.resources, s.meterResource(mr.Switch, mr.Meter))
-		}
-		// Index by traversed switch for re-resolution, once per switch.
-		f.atPos = f.atPos[:0]
-		for i, h := range f.hops {
+		// The path, indexed by traversed switch for re-resolution, once
+		// per switch, then the meters.
+		f.path = slices.Grow(f.path[:0], len(res.Hops)+len(res.Meters))
+		for i := range res.Hops {
+			h := &res.Hops[i]
 			pos := int32(-1)
-			if !crossed(f.hops[:i], h.Switch) {
+			if !crossed(res.Hops[:i], h.Switch) {
 				pos = int32(len(s.flowsAt[h.Switch]))
-				s.flowsAt[h.Switch] = grow.Push(s.flowsAt[h.Switch], flowRef{f, int32(i)})
+				s.flowsAt[h.Switch] = grow.Push(s.flowsAt[h.Switch], flowRef{f.slot, int32(i)})
 			}
-			f.atPos = append(f.atPos, pos)
+			f.path = append(f.path, pathHop{hopRes(h), pos})
+		}
+		f.nHops = int32(len(res.Hops))
+		for _, m := range res.Meters { // a meter new to the run takes its resource ID here
+			f.path = append(f.path, pathHop{res: s.meterResource(m.Switch, m.Meter)})
 		}
 	}
 	// The flow found a path; if its rules are later evicted it punts as a
 	// fresh episode, so clear the PacketIn dedup set.
-	f.puntedAt = f.puntedAt[:0]
-	for _, mr := range f.meterRefs {
-		if m := s.meter(mr); m != nil {
-			s.alloc.SetCapacity(s.meterResource(mr.Switch, mr.Meter), m.RateBps)
+	if x := f.ext; x != nil {
+		x.puntedAt = x.puntedAt[:0]
+		if len(x.parks) == 0 && !f.TCP {
+			s.dropExt(f)
+		}
+	}
+	for _, p := range f.meters() {
+		if m := s.meter(s.meterOf(p)); m != nil {
+			s.alloc.SetCapacity(p.res, m.RateBps)
 		}
 	}
 	s.refreshPathLoss(f)
@@ -285,17 +327,41 @@ func (s *Simulator) activate(f *Flow, res *dataplane.PathResult) {
 	if f.allocSlot >= 0 {
 		s.alloc.SetDemand(f.allocSlot, s.currentDemand(f))
 	} else {
-		f.allocSlot = s.alloc.AddFlow(fairshare.FlowID(f.ID), s.currentDemand(f), f.resources)
+		s.route = s.appendRoute(s.route[:0], f)
+		f.allocSlot = s.alloc.AddFlow(fairshare.FlowID(f.ID), s.currentDemand(f), s.route)
 		s.byAlloc = grow.To(s.byAlloc, int(f.allocSlot)+1)
 		s.byAlloc[f.allocSlot] = f
 	}
-	s.markRateShift(f.resources)
+	s.markRateShift(f)
 	s.recomputeAndApply()
 
 	if f.TCP {
 		s.scheduleRamp(f)
 	}
 	s.scheduleCompletion(f)
+}
+
+// onPath reports whether res holds the hops, entries and meters of the
+// path f is registered on.
+func (s *Simulator) onPath(f *Flow, res *dataplane.PathResult) bool {
+	return samePath(f.path[:f.nHops], res.Hops) && slices.Equal(f.entries, res.Entries) &&
+		slices.EqualFunc(f.meters(), res.Meters, func(p pathHop, m dataplane.MeterRef) bool { return s.meterOf(p) == m })
+}
+
+// appendRoute appends the fair-share resources f's path crosses to dst:
+// every link direction along the path, the host → first switch ingress
+// link, which also carries the flow, then every meter.
+func (s *Simulator) appendRoute(dst []fairshare.ResourceID, f *Flow) []fairshare.ResourceID {
+	for _, h := range f.path[:f.nHops] {
+		dst = append(dst, h.res)
+	}
+	if l := s.ingress[f.Src].link; l != nil {
+		dst = append(dst, linkResource(l.ID, l.A == f.Src))
+	}
+	for _, p := range f.meters() {
+		dst = append(dst, p.res)
+	}
+	return dst
 }
 
 // crossed reports whether any of hops is at switch sw.
@@ -308,12 +374,14 @@ func crossed(hops []dataplane.Hop, sw netgraph.NodeID) bool {
 	return false
 }
 
-func samePath(a, b []dataplane.Hop) bool {
+// samePath reports whether hops a and b leave by the same link
+// directions, hence from the same switches by the same ports.
+func samePath(a []pathHop, b []dataplane.Hop) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if a[i].Switch != b[i].Switch || a[i].OutPort != b[i].OutPort {
+		if a[i].res != hopRes(&b[i]) {
 			return false
 		}
 	}
@@ -333,14 +401,14 @@ func (s *Simulator) deactivate(f *Flow) {
 	s.alloc.Remove(f.allocSlot)
 	s.byAlloc[f.allocSlot] = nil
 	f.allocSlot = -1
-	s.markRateShift(f.resources)
-	for i, h := range f.hops {
-		if pos := f.atPos[i]; pos >= 0 {
-			s.unindex(h.Switch, pos)
+	s.markRateShift(f)
+	for _, h := range f.path[:f.nHops] {
+		if h.at >= 0 {
+			s.unindex(s.hopSwitch(h), h.at)
 		}
 	}
 	f.entries = f.entries[:0]
-	f.meterRefs = f.meterRefs[:0]
+	f.path = f.path[:f.nHops]
 	s.recomputeAndApply()
 }
 
@@ -351,9 +419,8 @@ func (s *Simulator) unindex(sw netgraph.NodeID, pos int32) {
 	last := int32(len(list) - 1)
 	if moved := list[last]; pos != last {
 		list[pos] = moved
-		moved.f.atPos[moved.i] = pos
+		s.flows[moved.slot].path[moved.i].at = pos
 	}
-	list[last] = flowRef{}
 	s.flowsAt[sw] = list[:last]
 }
 
@@ -365,35 +432,40 @@ func (s *Simulator) currentDemand(f *Flow) float64 {
 	if !f.TCP {
 		return f.AppRateBps
 	}
-	if f.demandCap <= 0 {
-		f.demandCap = s.cfg.TCP.InitialRate()
+	x := s.ext(f)
+	if x.demandCap <= 0 {
+		x.demandCap = s.cfg.TCP.InitialRate()
 	}
-	d := math.Min(f.AppRateBps, f.demandCap)
-	if f.pathLoss > 0 {
-		d = math.Min(d, s.cfg.TCP.MathisCap(f.pathLoss))
+	d := math.Min(f.AppRateBps, x.demandCap)
+	if x.pathLoss > 0 {
+		d = math.Min(d, s.cfg.TCP.MathisCap(x.pathLoss))
 	}
 	return d
 }
 
-// refreshPathLoss recomputes the flow's end-to-end frame-loss
+// refreshPathLoss recomputes a TCP flow's end-to-end frame-loss
 // probability from the link models along its current path (hops plus the
 // host ingress link): 1 - ∏(1 - loss_i), the survival product a frame
-// faces in the packet engine.
+// faces in the packet engine. Only the TCP demand reads it.
 func (s *Simulator) refreshPathLoss(f *Flow) {
+	if !f.TCP {
+		return
+	}
+	x := s.ext(f)
 	if s.links.Empty() {
-		f.pathLoss = 0
+		x.pathLoss = 0
 		return
 	}
 	deliver := 1.0
-	for _, h := range f.hops {
-		fwd := h.Link.A == h.Switch
-		deliver *= 1 - s.links.LossRate(h.Link.ID, fwd)
+	for _, h := range f.path[:f.nHops] {
+		l, fwd, _ := s.ResourceLinkDir(h.res)
+		deliver *= 1 - s.links.LossRate(l, fwd)
 	}
 	if hostLink := s.ingress[f.Src].link; hostLink != nil {
 		fwd := hostLink.A == f.Src
 		deliver *= 1 - s.links.LossRate(hostLink.ID, fwd)
 	}
-	f.pathLoss = 1 - deliver
+	x.pathLoss = 1 - deliver
 }
 
 // settleFlow brings a flow's byte accounting up to now at its current rate.
@@ -424,7 +496,8 @@ func (s *Simulator) adjustLedgers(f *Flow, delta float64) {
 	if delta == 0 {
 		return
 	}
-	for _, r := range f.resources {
+	s.route = s.appendRoute(s.route[:0], f)
+	for _, r := range s.route {
 		if int(r) >= len(s.ledgers) {
 			continue // a meter
 		}
@@ -446,14 +519,14 @@ func (s *Simulator) recomputeAndApply() {
 	s.allocDirty = true
 }
 
-// markRateShift records resources whose flow membership changed so the
-// next drain reports them through OnRateShift even when no surviving
-// flow's rate moved (e.g. the last flow on a link departed).
-func (s *Simulator) markRateShift(resources []fairshare.ResourceID) {
+// markRateShift records the resources of a flow whose membership changed
+// so the next drain reports them through OnRateShift even when no
+// surviving flow's rate moved (e.g. the last flow on a link departed).
+func (s *Simulator) markRateShift(f *Flow) {
 	if s.cfg.OnRateShift == nil {
 		return
 	}
-	s.shiftPending = append(s.shiftPending, resources...)
+	s.shiftPending = s.appendRoute(s.shiftPending, f)
 }
 
 // drainAlloc re-solves the allocator and applies rate changes to flows:
@@ -494,7 +567,8 @@ func (s *Simulator) drainAlloc() {
 		// A rate change may open growth room for a TCP flow.
 		s.scheduleRamp(f)
 		if s.cfg.OnRateShift != nil {
-			for _, r := range f.resources {
+			s.route = s.appendRoute(s.route[:0], f)
+			for _, r := range s.route {
 				s.shifted.add(r)
 			}
 		}
@@ -566,9 +640,6 @@ func (rs *resourceSet) sorted() []fairshare.ResourceID {
 // scheduleCompletion (re)schedules the flow's completion event based on its
 // remaining volume, current rate, and deadline.
 func (s *Simulator) scheduleCompletion(f *Flow) {
-	s.k.Cancel(f.completion)
-	f.completion = simcore.Timer{}
-	f.gen++
 	at := simtime.Never
 	if !math.IsInf(f.remaining, 1) && f.rate > 0 {
 		at = s.k.Now().Add(simtime.TransferTime(f.remaining, f.rate))
@@ -582,10 +653,25 @@ func (s *Simulator) scheduleCompletion(f *Flow) {
 	if f.Deadline < at {
 		at = f.Deadline
 	}
-	if at == simtime.Never {
-		return
+	s.armCompletion(f, at)
+}
+
+// armCompletion queues the flow's completion at at (none at
+// simtime.Never), in place of the one queued, if any. One queued for the
+// same instant stays: queued again, it would fire at the same time under
+// the same order key.
+func (s *Simulator) armCompletion(f *Flow, at simtime.Time) {
+	if f.completion != (simcore.Timer{}) {
+		if f.doneAt == at {
+			return
+		}
+		s.k.Cancel(f.completion)
+		f.completion = simcore.Timer{}
 	}
-	f.completion = s.sched(event{at: at, kind: evComplete, flow: f, gen: f.gen})
+	if at != simtime.Never {
+		f.doneAt = at
+		f.completion = s.k.ScheduleAt(f, at, f.OrderKey(), 0)
+	}
 }
 
 // handleComplete ends a flow: either its volume is transferred or its
@@ -617,11 +703,11 @@ func (s *Simulator) finalize(f *Flow, completed bool, outcome string) {
 		return
 	}
 	f.state = StateDone
-	f.gen++ // backstop: kill anything the cancels below missed
-	s.k.Cancel(f.completion)
-	f.completion = simcore.Timer{}
-	s.k.Cancel(f.ramp)
-	f.ramp = simcore.Timer{}
+	s.armCompletion(f, simtime.Never)
+	if x := f.ext; x != nil {
+		s.k.Cancel(x.ramp)
+		x.ramp = simcore.Timer{}
+	}
 	s.unpark(f)
 	size := f.SizeBits
 	if math.IsInf(size, 1) {
@@ -635,8 +721,8 @@ func (s *Simulator) finalize(f *Flow, completed bool, outcome string) {
 		SentBits:  f.sent,
 		Completed: completed,
 		Outcome:   outcome,
-		PathLen:   f.lastPathLen,
-		Punts:     f.punts,
+		PathLen:   int(f.nHops),
+		Punts:     int(f.punts),
 	})
 	// The record is out and nothing re-resolves a Done flow (markDirty
 	// skips them, the batch runner releases them) or fires on it (both of
@@ -653,28 +739,30 @@ func (s *Simulator) finalize(f *Flow, completed bool, outcome string) {
 // is below the application rate) or a policer on the path (which demands
 // continuous probing, exactly like real TCP through a policer).
 func (s *Simulator) scheduleRamp(f *Flow) {
-	if f.ramping || f.state != StateActive || !f.TCP {
+	if !f.TCP || f.state != StateActive || s.ext(f).ramping {
 		return
 	}
 	demand := s.currentDemand(f)
 	growthRoom := demand < f.AppRateBps && f.rate >= demand*0.95
-	if !growthRoom && len(f.meterRefs) == 0 {
+	if !growthRoom && len(f.meters()) == 0 {
 		return
 	}
 	// No point growing past what the path could ever carry.
-	if f.demandCap >= 2*s.pathCapacity(f) && len(f.meterRefs) == 0 {
+	x := f.ext
+	if x.demandCap >= 2*s.pathCapacity(f) && len(f.meters()) == 0 {
 		return
 	}
-	f.ramping = true
-	f.ramp = s.sched(event{at: s.k.Now().Add(s.cfg.TCP.RTT), kind: evRamp, flow: f})
+	x.ramping = true
+	x.ramp = s.sched(event{at: s.k.Now().Add(s.cfg.TCP.RTT), kind: evRamp, flow: f})
 }
 
 // pathCapacity returns the minimum link capacity along the flow's path.
 func (s *Simulator) pathCapacity(f *Flow) float64 {
 	min := math.Inf(1)
-	for _, h := range f.hops {
-		if h.Link.BandwidthBps < min {
-			min = h.Link.BandwidthBps
+	for _, h := range f.path[:f.nHops] {
+		l, _, _ := s.ResourceLinkDir(h.res)
+		if bw := s.topo.Link(l).BandwidthBps; bw < min {
+			min = bw
 		}
 	}
 	return min
@@ -685,17 +773,18 @@ func (s *Simulator) pathCapacity(f *Flow) float64 {
 // decrease — the policer is dropping); otherwise, if the current cap binds,
 // it grows — doubling in slow start, one MSS/RTT after the first loss.
 func (s *Simulator) handleRamp(f *Flow) {
-	f.ramping = false
+	x := f.ext
+	x.ramping = false
 	s.drainAlloc()
 	s.settleFlow(f)
-	if f.demandCap <= 0 {
-		f.demandCap = s.cfg.TCP.InitialRate()
+	if x.demandCap <= 0 {
+		x.demandCap = s.cfg.TCP.InitialRate()
 	}
 
 	overdriven := false
-	for _, mr := range f.meterRefs {
-		r := s.meterResource(mr.Switch, mr.Meter)
-		m := s.meter(mr)
+	for _, p := range f.meters() {
+		r := p.res
+		m := s.meter(s.meterOf(p))
 		if m == nil {
 			continue
 		}
@@ -711,14 +800,14 @@ func (s *Simulator) handleRamp(f *Flow) {
 	switch {
 	case overdriven:
 		// The policer is dropping: back off from the achieved rate.
-		f.demandCap = math.Max(f.rate/2, initial)
-		f.caMode = true
+		x.demandCap = math.Max(f.rate/2, initial)
+		x.caMode = true
 	case f.rate >= s.currentDemand(f)*0.95:
 		// Demand-limited: grow.
-		if f.caMode {
-			f.demandCap += float64(s.cfg.TCP.MSS*8) / s.cfg.TCP.RTT.Seconds()
+		if x.caMode {
+			x.demandCap += float64(s.cfg.TCP.MSS*8) / s.cfg.TCP.RTT.Seconds()
 		} else {
-			f.demandCap *= 2
+			x.demandCap *= 2
 		}
 	}
 	s.alloc.SetDemand(f.allocSlot, s.currentDemand(f))
@@ -764,10 +853,11 @@ func (s *Simulator) markDirty(f *Flow, walk bool) {
 // PacketIn is queued without a walk.
 func (s *Simulator) markSwitchDirty(sw netgraph.NodeID, dst *header.MAC) {
 	for _, r := range s.waiting[sw] {
-		s.markDirty(r.f, true)
+		s.markDirty(s.flows[r.slot], true)
 	}
 	for _, r := range s.flowsAt[sw] {
-		s.markDirty(r.f, dst == nil || r.f.Key.EthDst == *dst || r.f.punting)
+		f := s.flows[r.slot]
+		s.markDirty(f, dst == nil || f.Key.EthDst == *dst || f.punting)
 	}
 }
 
@@ -830,8 +920,8 @@ func (s *Simulator) Applied(msg openflow.Message) {
 		s.markSwitchDirty(dp, nil)
 	case *openflow.PacketOut:
 		for _, r := range s.waiting[dp] {
-			if r.f.Key == m.Key {
-				s.markDirty(r.f, true)
+			if f := s.flows[r.slot]; f.Key == m.Key {
+				s.markDirty(f, true)
 			}
 		}
 	}
@@ -863,7 +953,7 @@ func (s *Simulator) AddPortStats(reply *openflow.PortStatsReply) {
 func (s *Simulator) BeforeExpiry(sw netgraph.NodeID) {
 	s.drainAlloc()
 	for _, r := range s.flowsAt[sw] {
-		if f := r.f; f.state == StateActive && f.rate > 0 {
+		if f := s.flows[r.slot]; f.state == StateActive && f.rate > 0 {
 			s.settleFlow(f)
 		}
 	}
@@ -890,7 +980,7 @@ func (s *Simulator) LinkFlipped(l *netgraph.Link) {
 	if l.Up {
 		for _, list := range s.waiting {
 			for _, r := range list {
-				s.markDirty(r.f, true)
+				s.markDirty(s.flows[r.slot], true)
 			}
 		}
 	}
@@ -930,7 +1020,8 @@ func (s *Simulator) AfterLinkModel(id netgraph.LinkID) {
 			continue
 		}
 		crosses := false
-		for _, r := range f.resources {
+		s.route = s.appendRoute(s.route[:0], f)
+		for _, r := range s.route {
 			if link, _, ok := s.ResourceLinkDir(r); ok && link == id {
 				crosses = true
 				break
@@ -982,8 +1073,9 @@ func (s *Simulator) armRateStep(id netgraph.LinkID) {
 func (s *Simulator) SwitchCrashed(sw netgraph.NodeID) {
 	for _, list := range s.waiting {
 		for _, r := range list {
-			if i := slices.Index(r.f.puntedAt, sw); i >= 0 {
-				r.f.puntedAt = slices.Delete(r.f.puntedAt, i, i+1)
+			x := s.flows[r.slot].ext
+			if i := slices.Index(x.puntedAt, sw); i >= 0 {
+				x.puntedAt = slices.Delete(x.puntedAt, i, i+1)
 			}
 		}
 	}
@@ -997,8 +1089,9 @@ func (s *Simulator) SwitchCrashed(sw netgraph.NodeID) {
 func (s *Simulator) ControllerReattached() {
 	for _, list := range s.waiting {
 		for _, r := range list {
-			r.f.puntedAt = r.f.puntedAt[:0]
-			s.markDirty(r.f, true)
+			f := s.flows[r.slot]
+			f.ext.puntedAt = f.ext.puntedAt[:0]
+			s.markDirty(f, true)
 		}
 	}
 }

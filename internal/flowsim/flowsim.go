@@ -51,7 +51,11 @@ const (
 	StateDone
 )
 
-// Flow is the runtime state of one data flow.
+// Flow is the runtime state of one data flow, laid out small: 224 bytes
+// of scalar state, the path in 8-byte elements (pathHop) and the matched
+// entries in two arrays the slot keeps for its next flow, and the state
+// only parked, punting and TCP flows use out of line (flowExt). The
+// allocator keeps the route; appendRoute derives it from the path.
 type Flow struct {
 	ID  FlowID
 	Key header.FlowKey
@@ -64,12 +68,7 @@ type Flow struct {
 	AppRateBps float64
 	// Deadline ends open-ended flows (simtime.Never if none).
 	Deadline simtime.Time
-	// TCP selects the TCP demand model.
-	TCP bool
-	// state sits in TCP's padding.
-	state FlowState
-
-	Arrival simtime.Time
+	Arrival  simtime.Time
 
 	// recID is the ID of the flow's record: its demand's load index + 1.
 	// ID, the arrival order, is what orders the flow inside the engine.
@@ -79,37 +78,48 @@ type Flow struct {
 	sent       float64
 	rate       float64
 	lastSettle simtime.Time
-	gen        uint64 // backstop: invalidates stale completion/ramp events
+
+	// The flow is its own completion event (Time, OrderKey, Fire): it has
+	// at most one queued, at doneAt, and completion is the timer that
+	// cancels it, which takes it off the queue outright.
+	doneAt     simtime.Time
+	sim        *Simulator
+	completion simcore.Timer
 
 	// slot is the flow's index in Simulator.flows; allocSlot its slot in
-	// the allocator while registered there (-1 otherwise). dirty is set
-	// while the flow sits in the pending re-resolve batch, rewalk when a
-	// trigger that queued it can change its path, punting when its last
-	// walk raised PacketIns, kept while it waits in Simulator.kept.
+	// the allocator while registered there (-1 otherwise). punts counts
+	// the PacketIns it raised.
 	slot      int32
 	allocSlot int32
-	dirty     bool
-	rewalk    bool
-	punting   bool
-	kept      bool
+	punts     int32
 
-	// Outstanding timer handles: cancelling removes the event from the
-	// queue outright (no dead corpse waiting to fire as a gen-stamped
-	// no-op). The gen stamp stays as a defensive second line.
-	completion simcore.Timer
-	ramp       simcore.Timer
+	// The first nHops elements of path are the last transmitting path,
+	// kept while the flow is parked so a reroute is detected against it;
+	// the rest, and entries, belong to the registered path.
+	nHops   int32
+	path    []pathHop
+	entries []*openflow.FlowEntry
 
-	// Path state. hops is the last transmitting path: it survives
-	// park/reactivate cycles so a reroute is detected against it. atPos
-	// parallels hops with the flow's position in Simulator.flowsAt of that
-	// hop's switch (-1 for a switch the path already crossed). Every slice
-	// keeps its capacity when the slot is recycled.
-	hops        []dataplane.Hop
-	atPos       []int32
-	lastPathLen int
-	entries     []*openflow.FlowEntry
-	meterRefs   []dataplane.MeterRef
-	resources   []fairshare.ResourceID
+	// TCP selects the TCP demand model.
+	TCP   bool
+	state FlowState
+	// dirty is set while the flow sits in the pending re-resolve batch,
+	// rewalk when a trigger that queued it can change its path, punting
+	// when its last walk raised PacketIns, kept while it waits in
+	// Simulator.kept.
+	dirty   bool
+	rewalk  bool
+	punting bool
+	kept    bool
+
+	ext *flowExt
+}
+
+// flowExt is the state of a flow that parks or punts, or runs TCP, out of
+// line. A flow takes one when it first needs it and gives it back when it
+// finishes, or when it transmits with nothing parked and no TCP state
+// (Simulator.ext and dropExt).
+type flowExt struct {
 	// waitingAt is the switch the flow waits at (-1 if none). parks lists
 	// every switch whose waiting list holds the flow, with its position
 	// there: unpark leaves only waitingAt's list, so a flow re-parked at
@@ -121,18 +131,37 @@ type Flow struct {
 	// current punt episode (one per switch).
 	puntedAt []netgraph.NodeID
 
-	// TCP state: flow-level AIMD over the offered demand.
-	txStart   simtime.Time // when transmission (re)started
-	demandCap float64      // congestion-window cap in bits/second
-	caMode    bool         // true after the first loss episode (additive increase)
-	ramping   bool
+	// TCP state: flow-level AIMD over the offered demand. ramp is the
+	// outstanding window re-evaluation.
+	ramp      simcore.Timer
+	demandCap float64 // congestion-window cap in bits/second
 	// pathLoss is the end-to-end frame-loss probability along the current
 	// path from installed link models; it caps TCP demand via MathisCap.
 	pathLoss float64
-
-	punts       int
-	pathChanges int
+	caMode   bool // true after the first loss episode (additive increase)
+	ramping  bool
 }
+
+// meters returns the meters of the flow's registered path.
+func (f *Flow) meters() []pathHop { return f.path[f.nHops:] }
+
+// Time implements simcore.Event: the flow's completion fires at doneAt.
+func (f *Flow) Time() simtime.Time { return f.doneAt }
+
+// OrderKey implements eventq.Keyed: completions follow the instant's
+// arrivals, in flow-ID order.
+func (f *Flow) OrderKey() uint64 { return simcore.OrderKey(simcore.ClassData+1, uint32(f.ID)) }
+
+// Fire implements simcore.Event: the flow's completion is due.
+func (f *Flow) Fire() {
+	f.completion = simcore.Timer{}
+	if f.state != StateDone {
+		f.sim.handleComplete(f)
+	}
+}
+
+// Release implements simcore.Event; the flow is not pooled.
+func (f *Flow) Release() {}
 
 // Controller is the control-plane logic attached to a simulation: the
 // paper's lightweight modular "policy generator". Start runs before any
@@ -184,7 +213,6 @@ type evKind uint8
 
 const (
 	evArrival evKind = iota
-	evComplete
 	evRamp
 	evStatsTick
 	evResolveBatch
@@ -198,18 +226,18 @@ func ArrivalKey(int) uint64 { return simcore.OrderKey(simcore.ClassData+0, 0) }
 
 // event is the engine's pooled kernel envelope, 48 bytes: the control
 // plane's events (deliveries, timers, expiries, dynamics) are the
-// ControlPlane's own. An Arrivals cursor's events are evArrival events
-// it owns, at every fidelity, so ingestion adds no event type to a flow
-// run: each dynamic type the kernel's type assertions meet can cost them
-// a slow lookup per event, since the interface conversions behind them
-// build itabs that Go's assertion caches probe from the wrong slot.
+// ControlPlane's own, and a flow is its own completion event. An
+// Arrivals cursor's events are evArrival events it owns, at every
+// fidelity, so ingestion adds no event type to a flow run: each dynamic
+// type the kernel's type assertions meet can cost them a slow lookup per
+// event, since the interface conversions behind them build itabs that
+// Go's assertion caches probe from the wrong slot.
 type event struct {
 	at   simtime.Time
 	sim  *Simulator
 	flow *Flow
-	// gen is the flow generation a completion or ramp was armed under,
-	// and an arrival's order key.
-	gen uint64
+	// key is an arrival's order key.
+	key uint64
 	// arr is an arrival's cursor, and slot its place there.
 	arr  *Arrivals
 	slot int32
@@ -223,9 +251,7 @@ func (e *event) Time() simtime.Time { return e.at }
 func (e *event) OrderKey() uint64 {
 	switch e.kind {
 	case evArrival:
-		return e.gen
-	case evComplete:
-		return simcore.OrderKey(simcore.ClassData+1, uint32(e.flow.ID))
+		return e.key
 	case evRamp:
 		return simcore.OrderKey(simcore.ClassData+2, uint32(e.flow.ID))
 	case evResolveBatch:
@@ -254,9 +280,8 @@ func (e *event) String() string {
 }
 
 // Release implements simcore.Event: recycle the envelope (an arrival's
-// stays with its cursor). Stale-event safety comes from the generation
-// stamps (Flow.gen) checked in dispatch, so a recycled envelope can never
-// act for its former flow.
+// stays with its cursor). A flow's ramp is cancelled when the flow
+// finishes, so a recycled envelope never acts for its former flow.
 func (e *event) Release() {
 	if e.kind == evArrival {
 		return
@@ -316,10 +341,10 @@ type Simulator struct {
 	free    []int32
 	byAlloc []*Flow
 
-	// waiting holds the flows parked at each switch (see Flow.parks) and
-	// flowsAt the active flows traversing it (for re-resolution on state
-	// changes), both by NodeID. Removal swaps the last entry into the
-	// hole, using the positions each flow keeps.
+	// waiting holds the flows parked at each switch (see flowExt.parks)
+	// and flowsAt the active flows traversing it (for re-resolution on
+	// state changes), both by NodeID. Removal swaps the last entry into
+	// the hole, using the positions each flow keeps.
 	waiting [][]flowRef
 	flowsAt [][]flowRef
 
@@ -336,9 +361,17 @@ type Simulator struct {
 	// AttachedSwitch reports and the link between them (nil if none).
 	ingress []attachment
 
+	// spareExt holds flowExts given back, for flows that need one, never
+	// more than extInUse, the number flows hold: the spares a burst of
+	// punts leaves go once its flows transmit.
+	spareExt []*flowExt
+	extInUse int
+
 	// walk is the scratch result every path walk fills; activate copies
-	// the path into the flow's own buffers.
-	walk dataplane.PathResult
+	// the path into the flow's own buffers. route is the scratch list of a
+	// flow's resources (appendRoute).
+	walk  dataplane.PathResult
+	route []fairshare.ResourceID
 
 	// Batched re-resolution: the flows marked dirty at this instant (each
 	// once, by Flow.dirty), resolved in ID order by one evResolveBatch.
@@ -492,19 +525,14 @@ func (s *Simulator) Begin() {
 
 func (s *Simulator) dispatch(e *event) {
 	switch e.kind {
-	case evComplete:
-		if e.flow.gen == e.gen && e.flow.state != StateDone {
-			e.flow.completion = simcore.Timer{}
-			s.handleComplete(e.flow)
-		}
 	case evRamp:
 		// At most one ramp is in flight per flow (the ramping guard), so
-		// the firing event is the one f.ramp points at.
-		e.flow.ramp = simcore.Timer{}
+		// the firing event is the one the flow's ramp points at.
+		e.flow.ext.ramp = simcore.Timer{}
 		if e.flow.state == StateActive {
 			s.handleRamp(e.flow)
 		} else {
-			e.flow.ramping = false
+			e.flow.ext.ramping = false
 		}
 	case evStatsTick:
 		s.handleStatsTick()

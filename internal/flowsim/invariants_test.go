@@ -114,6 +114,55 @@ func compareRuns(t *testing.T, a, b *stats.Collector, an, bn string) {
 	}
 }
 
+// TestSlotsStayConsistent churns flow slots on the mixed leaf-spine
+// workload — half TCP, every first packet punted to a reactive
+// controller, a metered rule at one leaf, a spine link that fails and
+// recovers, and the leaf's rules deleted during the outage so that the
+// flows stuck there punt again and take the other spine — and checks every 5 ms that the slot table and the per-switch
+// lists agree (CheckSlots), that every stored path is current, and the
+// allocator invariants. Flows park and reactivate, change paths, cross
+// the meter, and recycle slots of longer or shorter paths.
+func TestSlotsStayConsistent(t *testing.T) {
+	topo, tr := mkWorkload(7)
+	sim := New(Config{Topology: topo, Controller: reactivePath{}, Miss: dataplane.MissController})
+	k, plane := sim.Kernel(), sim.Plane()
+	leaf, spine := topo.MustLookup("leaf0"), topo.MustLookup("spine0")
+	up := topo.LinkAt(leaf, topo.PortToward(leaf, spine)).ID
+	plane.ScheduleLinkChange(simtime.Time(500*simtime.Millisecond), up, false)
+	plane.ScheduleLinkChange(simtime.Time(600*simtime.Millisecond), up, true)
+	plane.SendToSwitch(&openflow.MeterMod{Switch: leaf, Op: openflow.MeterAdd, MeterID: 1, RateBps: 5e7})
+	plane.SendToSwitch(&openflow.FlowMod{
+		Switch: leaf, Op: openflow.FlowAdd, Priority: 20,
+		Match: header.Match{}.WithEthDst(addr.HostMAC(topo.Hosts()[len(topo.Hosts())-1])),
+		Instr: openflow.Apply(openflow.Output(topo.PortToward(leaf, spine))).WithMeter(1),
+	})
+	sim.Load(tr)
+	plane.Start()
+	sim.Begin()
+	metered := false
+	for at := simtime.Time(0); at <= simtime.Time(3*simtime.Second); at += simtime.Time(5 * simtime.Millisecond) {
+		k.Run(at)
+		if at == simtime.Time(550*simtime.Millisecond) {
+			plane.SendToSwitch(&openflow.FlowMod{Switch: leaf, Op: openflow.FlowDelete, Match: header.MatchAll})
+		}
+		for _, check := range []func() error{sim.CheckSlots, sim.StalePath, sim.checkInvariants} {
+			if err := check(); err != nil {
+				t.Fatalf("at %v: %v", at, err)
+			}
+		}
+		for _, f := range sim.flows {
+			metered = metered || f.state == StateActive && len(f.meters()) > 0
+		}
+	}
+	sim.Finish()
+	col := sim.Collector()
+	t.Logf("%d PacketIns, %d path changes, %d slots for %d flows", col.PacketIns, col.PathChanges, sim.Slots(), len(tr))
+	if !metered || col.PacketIns == 0 || col.PathChanges == 0 || sim.Slots() >= len(tr)/4 {
+		t.Errorf("metered %v, %d PacketIns, %d path changes, %d slots for %d flows: the run does not churn the layout",
+			metered, col.PacketIns, col.PathChanges, sim.Slots(), len(tr))
+	}
+}
+
 // TestThroughputConservation: total bits delivered can never exceed what
 // the flows' access links could carry in the elapsed time, and completed
 // flows transfer exactly their size.

@@ -1,7 +1,9 @@
 package flowsim_test
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"testing"
 
 	"horse/internal/addr"
@@ -15,6 +17,7 @@ import (
 	"horse/internal/packetsim"
 	"horse/internal/simcore"
 	"horse/internal/simtime"
+	"horse/internal/stats"
 	"horse/internal/traffic"
 )
 
@@ -118,6 +121,9 @@ func TestStoredPathsStayCurrent(t *testing.T) {
 				if err := r.fs.StalePath(); err != nil {
 					t.Fatal(err)
 				}
+				if err := r.fs.CheckSlots(); err != nil {
+					t.Fatal(err)
+				}
 				checked++
 			}
 			r.fs.Finish()
@@ -126,6 +132,74 @@ func TestStoredPathsStayCurrent(t *testing.T) {
 				t.Fatalf("%d FlowMods, %d PacketIns: the run is not reactive", col.FlowMods, col.PacketIns)
 			}
 			t.Logf("%d steps, %d walks for %d flows, %d FlowMods", checked, r.fs.Walks(), len(tr), col.FlowMods)
+		})
+	}
+}
+
+// TestSlotsAcrossReroutes steps reactive runs on a four-switch ring, where
+// a flow's path can change length in its slot, and checks at every step
+// that each stored path is current and the slot table agrees with the
+// per-switch lists (CheckSlots). In "path-grows" the link between two
+// neighbours fails: their flows park at the dead port, punt again once
+// the idle rules expire, and come back on the long way round, twice the
+// hops. In "recycled-shorter" flows run one after another, so one slot
+// holds a three-hop path and then a two-hop one.
+func TestSlotsAcrossReroutes(t *testing.T) {
+	const step = simtime.Millisecond
+	cbr := func(topo *netgraph.Topology, src, dst string, start, dur simtime.Duration) traffic.Demand {
+		s, d := topo.MustLookup(src), topo.MustLookup(dst)
+		return traffic.Demand{
+			Key: addr.FlowKeyBetween(s, d, header.ProtoUDP, 1000, 80), Src: s, Dst: d,
+			Start: simtime.Time(start), SizeBits: math.Inf(1), RateBps: 1e8, Duration: dur,
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		trace func(*netgraph.Topology) traffic.Trace
+		fail  bool
+		// pathLens are the records' path lengths, slots the slot table's
+		// final size.
+		pathLens []int
+		slots    int
+	}{
+		{"path-grows", func(topo *netgraph.Topology) traffic.Trace {
+			return traffic.Trace{cbr(topo, "h0", "h1", 0, 200*step), cbr(topo, "h1", "h0", 0, 200*step)}
+		}, true, []int{4, 4}, 2},
+		{"recycled-shorter", func(topo *netgraph.Topology) traffic.Trace {
+			return traffic.Trace{cbr(topo, "h0", "h2", 0, 20*step), cbr(topo, "h0", "h1", 40*step, 20*step)}
+		}, false, []int{3, 2}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			topo := netgraph.Ring(4, netgraph.Gig, netgraph.TenGig)
+			tr := tc.trace(topo)
+			r := newRerouteRun(topo, &controller.ReactiveMAC{IdleTimeout: 10 * step}, tr, false)
+			if tc.fail {
+				s0, s1 := topo.MustLookup("s0"), topo.MustLookup("s1")
+				r.plane.ScheduleLinkChange(simtime.Time(50*step), topo.LinkAt(s0, topo.PortToward(s0, s1)).ID, false)
+			}
+			var recs []stats.FlowRecord
+			r.fs.SetRecordSink(func(rec stats.FlowRecord) { recs = append(recs, rec) })
+			for at := simtime.Time(step); at <= simtime.Time(300*step); at += simtime.Time(step) {
+				r.k.Run(at)
+				if err := r.fs.StalePath(); err != nil {
+					t.Fatal(err)
+				}
+				if err := r.fs.CheckSlots(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			r.fs.Finish()
+			slices.SortFunc(recs, func(a, b stats.FlowRecord) int { return cmp.Compare(a.ID, b.ID) })
+			var lens []int
+			for _, rec := range recs {
+				lens = append(lens, rec.PathLen)
+			}
+			if !slices.Equal(lens, tc.pathLens) || r.fs.Slots() != tc.slots {
+				t.Errorf("path lengths %v in %d slots, want %v in %d", lens, r.fs.Slots(), tc.pathLens, tc.slots)
+			}
+			if col := r.fs.Collector(); tc.fail && (col.PathChanges != 2 || col.PacketIns != 4) {
+				t.Errorf("%d path changes, %d PacketIns; want 2 and 4 (each flow punts before and after the failure)", col.PathChanges, col.PacketIns)
+			}
 		})
 	}
 }

@@ -140,47 +140,60 @@ func (k FlowKey) String() string {
 	return fmt.Sprintf("%s->%s %s:%d->%s:%d proto=%d", k.EthSrc, k.EthDst, k.IPSrc, k.SrcPort, k.IPDst, k.DstPort, k.Proto)
 }
 
+// FNV-1a's 64-bit offset basis and prime.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fnv folds one byte into an FNV-1a hash.
+func fnv(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime }
+
+// fnv16 folds v into an FNV-1a hash, high byte first.
+func fnv16(h uint64, v uint16) uint64 { return fnv(fnv(h, byte(v>>8)), byte(v)) }
+
 // FastHash returns a 64-bit FNV-1a hash of the key without allocating. It is
 // not symmetric (A→B hashes differently from B→A); use SymmetricHash for
 // direction-insensitive bucketing such as ECMP group selection.
 func (k FlowKey) FastHash() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(b byte) {
-		h ^= uint64(b)
-		h *= prime64
-	}
+	h := uint64(fnvOffset)
 	for _, b := range k.EthSrc {
-		mix(b)
+		h = fnv(h, b)
 	}
 	for _, b := range k.EthDst {
-		mix(b)
+		h = fnv(h, b)
 	}
-	mix(byte(k.EthType >> 8))
-	mix(byte(k.EthType))
-	mix(byte(k.VLAN >> 8))
-	mix(byte(k.VLAN))
+	h = fnv16(fnv16(h, k.EthType), k.VLAN)
 	for _, b := range k.IPSrc {
-		mix(b)
+		h = fnv(h, b)
 	}
 	for _, b := range k.IPDst {
-		mix(b)
+		h = fnv(h, b)
 	}
-	mix(k.Proto)
-	mix(byte(k.SrcPort >> 8))
-	mix(byte(k.SrcPort))
-	mix(byte(k.DstPort >> 8))
-	mix(byte(k.DstPort))
-	return h
+	return fnv16(fnv16(fnv(h, k.Proto), k.SrcPort), k.DstPort)
 }
 
 // SymmetricHash returns a hash that is identical for a flow and its
-// reverse, for bidirectionally consistent load balancing.
+// reverse, for bidirectionally consistent load balancing: the FastHash of
+// the key and of its Reverse, combined in an order-free way. The two
+// hashes are computed in one pass over the key, as interleaved chains.
 func (k FlowKey) SymmetricHash() uint64 {
-	a, b := k.FastHash(), k.Reverse().FastHash()
+	a, b := uint64(fnvOffset), uint64(fnvOffset)
+	for i := range k.EthSrc {
+		a, b = fnv(a, k.EthSrc[i]), fnv(b, k.EthDst[i])
+	}
+	for i := range k.EthDst {
+		a, b = fnv(a, k.EthDst[i]), fnv(b, k.EthSrc[i])
+	}
+	a, b = fnv16(fnv16(a, k.EthType), k.VLAN), fnv16(fnv16(b, k.EthType), k.VLAN)
+	for i := range k.IPSrc {
+		a, b = fnv(a, k.IPSrc[i]), fnv(b, k.IPDst[i])
+	}
+	for i := range k.IPDst {
+		a, b = fnv(a, k.IPDst[i]), fnv(b, k.IPSrc[i])
+	}
+	a = fnv16(fnv16(fnv(a, k.Proto), k.SrcPort), k.DstPort)
+	b = fnv16(fnv16(fnv(b, k.Proto), k.DstPort), k.SrcPort)
 	if a < b {
 		return a*31 + b
 	}

@@ -1,6 +1,7 @@
 package header
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -91,6 +92,58 @@ func TestSymmetricHash(t *testing.T) {
 	k := sampleKey()
 	if k.SymmetricHash() != k.Reverse().SymmetricHash() {
 		t.Error("SymmetricHash differs across directions")
+	}
+}
+
+// twoPassSymmetricHash is SymmetricHash's definition: the FastHashes of
+// the key and of its reverse, smaller one first.
+func twoPassSymmetricHash(k FlowKey) uint64 {
+	a, b := k.FastHash(), k.Reverse().FastHash()
+	if a < b {
+		return a*31 + b
+	}
+	return b*31 + a
+}
+
+// randomKey fills every byte of a key from rng.
+func randomKey(rng *rand.Rand) FlowKey {
+	var k FlowKey
+	rng.Read(k.EthSrc[:])
+	rng.Read(k.EthDst[:])
+	rng.Read(k.IPSrc[:])
+	rng.Read(k.IPDst[:])
+	k.EthType, k.VLAN = uint16(rng.Uint32()), uint16(rng.Uint32())
+	k.Proto = uint8(rng.Uint32())
+	k.SrcPort, k.DstPort = uint16(rng.Uint32()), uint16(rng.Uint32())
+	return k
+}
+
+// TestSymmetricHashOnePass pins the one-pass SymmetricHash bit for bit to
+// its two-pass definition on random keys, a key equal to its reverse,
+// and the zero key.
+func TestSymmetricHashOnePass(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	sym := sampleKey()
+	sym.EthDst, sym.IPDst, sym.DstPort = sym.EthSrc, sym.IPSrc, sym.SrcPort
+	keys := []FlowKey{{}, sampleKey(), sym}
+	for range 200_000 {
+		keys = append(keys, randomKey(rng))
+	}
+	for _, k := range keys {
+		if got, want := k.SymmetricHash(), twoPassSymmetricHash(k); got != want {
+			t.Fatalf("SymmetricHash(%v) = %#x, two-pass definition %#x", k, got, want)
+		}
+	}
+}
+
+// hashSink keeps BenchmarkSymmetricHash's calls from being optimized away.
+var hashSink uint64
+
+func BenchmarkSymmetricHash(b *testing.B) {
+	k := sampleKey()
+	for i := 0; i < b.N; i++ {
+		k.SrcPort = uint16(i)
+		hashSink += k.SymmetricHash()
 	}
 }
 

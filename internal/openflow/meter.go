@@ -30,7 +30,7 @@ func (t *MeterTable) Add(m *Meter) error {
 	if m.ID == 0 {
 		return fmt.Errorf("openflow: meter id 0 is reserved")
 	}
-	if m.RateBps <= 0 {
+	if !(m.RateBps > 0) { // NaN too: it would become a fair-share capacity
 		return fmt.Errorf("openflow: meter %d has non-positive rate %g", m.ID, m.RateBps)
 	}
 	if t.meters == nil {

@@ -1,6 +1,7 @@
 package openflow
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -253,6 +254,9 @@ func TestMeterTable(t *testing.T) {
 	}
 	if err := mt.Add(&Meter{ID: 1, RateBps: -5}); err == nil {
 		t.Error("negative rate must be rejected")
+	}
+	if err := mt.Add(&Meter{ID: 1, RateBps: math.NaN()}); err == nil {
+		t.Error("NaN rate must be rejected")
 	}
 	if err := mt.Add(&Meter{ID: 1, RateBps: 5e8}); err != nil {
 		t.Fatal(err)

@@ -2,17 +2,19 @@
 # Compares one benchmark workload between a parent revision and the
 # working tree in interleaved pairs, the way a perf claim is argued.
 #
-# Usage: scripts/pairs.sh <parent-rev> <workload> [pairs] [seconds]
+# Usage: scripts/pairs.sh <parent-rev> <workload> [pairs] [seconds] [first-seed]
 #
 #   scripts/pairs.sh HEAD~1 flow.stream-250k 10 15
+#   scripts/pairs.sh HEAD~1 flow.ixp-replay 3 15 11   # held-out seeds 11..13
 #
 # It builds the benchmark binary once from <parent-rev> and once from the
 # working tree. The parent's sources are exported with git archive to a
 # temporary directory outside the checkout (a worktree would register in
 # .git, and Go sources under the checkout are read by tests that walk
-# it), removed on exit. Pair i runs both sides on seed i (1..pairs, default
-# 10) for [seconds] each (default 15) at --trace 0; odd pairs run the
-# parent first, even pairs the working tree. For every end-to-end metric
+# it), removed on exit. Pair i runs both sides on seed first-seed+i-1
+# (pairs default 10, first-seed default 1) for [seconds] each (default 15)
+# at --trace 0; odd pairs run the parent first, even pairs the working
+# tree. For every end-to-end metric
 # it prints each side's median and quartiles, the change in the medians,
 # the parent's IQR as a share of its median, and on how many pairs the
 # working tree was better. The per-pair values go to
@@ -21,10 +23,10 @@
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-	echo "usage: $0 <parent-rev> <workload> [pairs] [seconds]" >&2
+	echo "usage: $0 <parent-rev> <workload> [pairs] [seconds] [first-seed]" >&2
 	exit 2
 fi
-rev=$1 workload=$2 pairs=${3:-10} seconds=${4:-15}
+rev=$1 workload=$2 pairs=${3:-10} seconds=${4:-15} first=${5:-1}
 cd "$(dirname "$0")/.."
 root=$PWD
 out=$root/.bench_build/pairs
@@ -56,8 +58,9 @@ run() {
 
 tsv=$out/$workload.tsv
 : >"$tsv"
-for seed in $(seq 1 "$pairs"); do
-	if [ $((seed % 2)) -eq 1 ]; then
+last=$((first + pairs - 1))
+for seed in $(seq "$first" "$last"); do
+	if [ $(((seed - first) % 2)) -eq 0 ]; then
 		sides="parent change"
 	else
 		sides="change parent"
@@ -65,10 +68,10 @@ for seed in $(seq 1 "$pairs"); do
 	for side in $sides; do
 		run "$side" "$seed" >>"$tsv"
 	done
-	echo "pair $seed of $pairs done" >&2
+	echo "pair $((seed - first + 1)) of $pairs (seed $seed) done" >&2
 done
 
-echo "$workload: $pairs pairs at ${seconds} s, parent $rev against the working tree"
+echo "$workload: $pairs pairs at ${seconds} s, seeds $first..$last, parent $rev against the working tree"
 printf "%-19s %-30s %-30s %8s %10s %6s\n" metric "parent median [q1, q3]" "change median [q1, q3]" median "parent IQR" wins
 awk '
 function q(v, n, p,    h, i) { # quantile p of sorted v[1..n], linear interpolation
@@ -78,24 +81,25 @@ function q(v, n, p,    h, i) { # quantile p of sorted v[1..n], linear interpolat
 }
 function sorted(side, m, v,    n, s, i, j, t) {
 	n = 0
-	for (s = 1; s <= seeds; s++) if ((side, m, s) in val) v[++n] = val[side, m, s]
+	for (s in seeds) if ((side, m, s) in val) v[++n] = val[side, m, s]
 	for (i = 2; i <= n; i++) for (j = i; j > 1 && v[j - 1] > v[j]; j--) { t = v[j]; v[j] = v[j - 1]; v[j - 1] = t }
 	return n
 }
 function spread(v, n) { return sprintf("%.4g [%.4g, %.4g]", q(v, n, 0.5), q(v, n, 0.25), q(v, n, 0.75)) }
-{ val[$1, $3, $2] = $4; metric[$3] = 1; if ($2 > seeds) seeds = $2 }
+{ val[$1, $3, $2] = $4; metric[$3] = 1; if (!($2 in seeds)) { seeds[$2] = 1; nseeds++ } }
 END {
 	for (m in metric) {
 		np = sorted("parent", m, p); nc = sorted("change", m, c)
 		if (np == 0 || nc == 0) continue
 		higher = m ~ /per_s$/
 		wins = 0
-		for (s = 1; s <= seeds; s++) {
+		for (s in seeds) {
+			if (!(("parent", m, s) in val) || !(("change", m, s) in val)) continue
 			a = val["parent", m, s]; b = val["change", m, s]
 			if ((higher && b > a) || (!higher && b < a)) wins++
 		}
 		pm = q(p, np, 0.5)
 		printf "%-19s %-30s %-30s %+7.1f%% %9.1f%% %3d/%d\n", m, spread(p, np), spread(c, nc),
-			pm ? 100 * (q(c, nc, 0.5) - pm) / pm : 0, pm ? 100 * (q(p, np, 0.75) - q(p, np, 0.25)) / pm : 0, wins, seeds
+			pm ? 100 * (q(c, nc, 0.5) - pm) / pm : 0, pm ? 100 * (q(p, np, 0.75) - q(p, np, 0.25)) / pm : 0, wins, nseeds
 	}
 }' "$tsv" | sort
